@@ -6,7 +6,7 @@ bounds), and optionally persists everything under an output directory:
 
     out/
       summary.json
-      <label>/trace.csv    t, energy, sup_change (strided)
+      <label>/trace.csv    t, energy, change_rate, prox_gap (strided)
       <label>/final.csv    x, u[, v]
       <label>/result.json  steady flag, census, parameter echo
       <label>.svg          data / signal / damage overlay
@@ -34,10 +34,10 @@ from .exact import (
     uniform_step_minimizer,
 )
 from .flow import (
+    TRACE_COLUMNS,
     FlowParams,
     FlowResult,
     _census_groups,
-    dual_heavy_cp_steps,
     edges_above,
     jump_census,
     plateau_flatness,
@@ -103,6 +103,9 @@ class ExperimentSpec:
         if self.name not in EXPERIMENTS + ("custom",):
             raise ConfigError(f"unknown experiment {self.name!r}")
         object.__setattr__(self, "models", tuple(self.models))
+        unknown = set(self.overrides) - {f.name for f in dataclasses.fields(FlowParams)}
+        if unknown:
+            raise ConfigError(f"overrides name no FlowParams field: {sorted(unknown)}")
         if "model" in self.overrides:
             raise ConfigError("the model is fixed by the protocol; use models=")
         if self.name == "custom":
@@ -178,17 +181,6 @@ def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> FlowP
     kw.update(proto)
     kw.update(spec.overrides)
     kw["model"] = model
-    if model in ("rof", "kwc"):
-        # Protocol inner-solver budget: dual-heavy steps plus a large
-        # iteration cap with gap-based early exit, so every time step's
-        # proximal problem is solved to a gap that keeps the outer energy
-        # trace monotone.  Echoed in the run artifacts.
-        n = int(kw.get("n", 1000))
-        tau, s = dual_heavy_cp_steps(n)
-        kw.setdefault("cp_tau", tau)
-        kw.setdefault("cp_s", s)
-        kw.setdefault("cp_iters", 20000)
-        kw.setdefault("cp_gap_tol", 1e-10)
     return FlowParams(**kw)
 
 
@@ -217,14 +209,6 @@ def _run_block(result: FlowResult, threshold: float) -> dict:
         "jump_count": len(census),
         "census": _census_rows(census),
         "max_step_energy_rise": _max_energy_rise(result.trace),
-    }
-
-
-def _cp_rule(params: FlowParams) -> dict:
-    return {
-        "cp_iters": params.cp_iters,
-        "cp_gap_tol": params.cp_gap_tol,
-        "rule": "fixed iteration cap with early exit on primal-dual gap",
     }
 
 
@@ -285,7 +269,6 @@ def _linear_steady(spec: ExperimentSpec) -> RunRecord:
         "m_target": m,
         "lam": lam,
         "runs": blocks,
-        "cp_rule": _cp_rule(results["theory"].params),
     }
     summary["bound_violations"] = ["theory"] if theory["bound"]["violated"] else []
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
@@ -342,18 +325,11 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
             "tie_jump_counts": tie_counts,
             "energy": oracle_result.energy.total,
         },
-        "cp_rule": _cp_rule(results["m1"].params),
     }
     summary["bound_violations"] = [
         label for label in ("m1", "m2") if blocks[label]["bound"]["violated"]
     ]
     return RunRecord(spec=spec, g=g, results=results, summary=summary, oracle=oracle_result)
-
-
-def _sine_flatness_fields(block: dict, result: FlowResult) -> None:
-    flat = plateau_flatness(result.state.u, STRUCTURE_THRESHOLD)
-    block["plateau_count"] = block["jump_count"] + 1
-    block["max_plateau_variation"] = max((v for _a, _b, v in flat), default=0.0)
 
 
 def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
@@ -369,7 +345,9 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
         block["micro_threshold"] = MICRO_THRESHOLD
         block["micro_edge_count"] = edges_above(results[model].state.u, MICRO_THRESHOLD)
         if model == "kwc":
-            _sine_flatness_fields(block, results[model])
+            flat = plateau_flatness(results[model].state.u, STRUCTURE_THRESHOLD)
+            block["plateau_count"] = block["jump_count"] + 1
+            block["max_plateau_variation"] = max((v for _a, _b, v in flat), default=0.0)
         blocks[model] = block
     summary = {
         "experiment": "sine_segmentation",
@@ -377,49 +355,10 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
         "lam": lam,
         "thresholds": {"structure": STRUCTURE_THRESHOLD, "micro": MICRO_THRESHOLD},
         "models": blocks,
-        "cp_rule": _cp_rule(results[models[0]].params),
     }
     if "kwc" in models:
-        _sine_low_accuracy_comparison(spec, g, lam, n, results, blocks)
-        summary["segment_scale_note"] = (
-            "With the inner proximal problems solved to tight duality gaps, the"
-            " weighted-TV flow settles into many small exactly-flat segments;"
-            " the exact minimizer over step functions is equally fine-grained"
-            " (see oracle_check). Macroscopic blocks appear only in the"
-            " low-accuracy comparison run, whose fixed 200-iteration cold-started"
-            " inner solves act as extra smoothing and violate per-step energy"
-            " descent; that run is excluded from quantitative claims."
-        )
         summary["oracle_check"] = _sine_oracle_check(lam)
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
-
-
-def _sine_low_accuracy_comparison(spec, g, lam, n, results, blocks) -> None:
-    """Re-run the weighted-TV model with deliberately coarse inner solves.
-
-    A fixed small iteration budget with a cold-started dual under-resolves
-    long-wavelength corrections to the proximal problem, which suppresses the
-    fine segment instability and yields a handful of macroscopic blocks.  The
-    price is visible: recorded per-step energy rises and curved (non-flat)
-    segment interiors.  Kept as a labelled comparison artifact only.
-    """
-    params = FlowParams(
-        model="kwc",
-        lam=lam,
-        n=n,
-        bc_u="neumann",
-        cp_iters=200,
-        cp_warm_start=False,
-    )
-    result = run(g, g, params)
-    results["kwc_lowacc"] = result
-    block = _run_block(result, STRUCTURE_THRESHOLD)
-    block["micro_threshold"] = MICRO_THRESHOLD
-    block["micro_edge_count"] = edges_above(result.state.u, MICRO_THRESHOLD)
-    _sine_flatness_fields(block, result)
-    block["solver"] = "cold-start primal-dual, fixed 200 iterations per step"
-    block["role"] = "qualitative comparison only; inner solves are deliberately under-resolved"
-    blocks["kwc_lowacc"] = block
 
 
 def _sine_oracle_check(lam: float, n_cells: int = 500, n_levels: int = 201) -> dict:
@@ -475,7 +414,6 @@ def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
             "edges": list(STEP_EDGES),
         },
         "models": blocks,
-        "cp_rule": _cp_rule(results[models[0]].params),
     }
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
 
@@ -541,9 +479,9 @@ def _write_trace(path, trace, stride) -> None:
     if trace and rows[-1] is not trace[-1]:
         rows.append(trace[-1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,energy,sup_change\n")
-        for t, e, rate, _gap in rows:
-            fh.write(f"{t:.17g},{e:.17g},{rate:.17g}\n")
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{value:.17g}" for value in row) + "\n")
 
 
 def _write_final(path, result: FlowResult) -> None:
@@ -569,8 +507,7 @@ def flow_result_json(result: FlowResult, census_threshold: float = STRUCTURE_THR
         "energy": result.state.energy,
         "jump_census": _census_rows(jump_census(result.state.u, census_threshold)),
         "census_threshold": census_threshold,
-        "final_cp_gap": result.state.cp_gap,
-        "cp_rule": _cp_rule(result.params),
+        "final_prox_gap": result.state.prox_gap,
         "params": dataclasses.asdict(result.params),
     }
 

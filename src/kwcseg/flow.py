@@ -13,13 +13,12 @@ the n - 1 edges.  The v^2 weight on an edge is the mean of the adjacent
 squared node values, whose exact v-derivative is the half-to-each-node
 lumping of the edge mass; both half-steps of the alternating scheme then
 minimize the same discrete energy, so the per-step energy trace is
-non-increasing up to the inner-solve tolerance.
+non-increasing up to rounding.
 
 Time stepping is implicit (proximal): the non-smooth TV subproblems are
-solved by a primal-dual loop with the dual clamped to the per-edge weight
-and warm-started across steps; the quadratic subproblems are banded solves.
-The dual step sizes obey cp_tau * cp_s * 4 / h^2 <= 1, the norm bound of the
-forward difference D = diff/h.
+solved exactly by the fused-lasso dynamic program, each with a duality-gap
+certificate from the dual recovered from its solution; the quadratic
+subproblems are banded solves.
 
 Resolution note: the half-to-each-node lumping biases the steady v at an
 isolated jump by O(h/eps) (about +5% of the depth at n = 1000 and
@@ -28,7 +27,8 @@ use grids with h well below eps.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -38,12 +38,12 @@ from .pwc import GridSignal
 
 MODELS = ("rof", "at", "kwc")
 
-TRACE_COLUMNS = ("t", "energy", "change_rate", "cp_gap")
+TRACE_COLUMNS = ("t", "energy", "change_rate", "prox_gap")
 
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Model choice, grid, and solver knobs for one flow run."""
+    """Model choice, grid, and time stepping for one flow run."""
 
     model: str
     lam: float
@@ -54,11 +54,6 @@ class FlowParams:
     t_max: float = 100.0
     steady_tol: float = 1e-9
     bc_u: str = "neumann"
-    cp_iters: int = 200
-    cp_tau: float | None = None
-    cp_s: float | None = None
-    cp_gap_tol: float = 1e-12
-    cp_warm_start: bool = True
     pre_relax: bool = False
     output_stride: int = 10
 
@@ -67,30 +62,23 @@ class FlowParams:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.bc_u not in ("neumann", "dirichlet"):
             raise ConfigError("bc_u must be 'neumann' or 'dirichlet'")
-        if self.n < 2:
-            raise ConfigError("need at least two grid nodes")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ConfigError("n must be an integer of at least two grid nodes")
+        for name in ("lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite")
         for name in ("dt", "epsilon", "t_max"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.lam < 0 or self.sigma < 0:
             raise ConfigError("lam and sigma must be non-negative")
-        if self.cp_iters < 1:
-            raise ConfigError("cp_iters must be positive")
-        h = self.h
-        tau, s = self.cp_steps()
-        if tau * s * 4.0 / (h * h) > 1.0 + 1e-9:
-            raise ConfigError("cp_tau * cp_s must not exceed h^2 / 4")
+        if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:
+            raise ConfigError("output_stride must be an integer of at least 1")
 
     @property
     def h(self) -> float:
         return 1.0 / (self.n - 1)
-
-    def cp_steps(self) -> tuple:
-        tau = self.cp_tau if self.cp_tau is not None else self.h / 2.0
-        s = self.cp_s if self.cp_s is not None else self.h / 2.0
-        if not (tau > 0 and s > 0):
-            raise ConfigError("primal-dual step sizes must be positive")
-        return tau, s
 
 
 @dataclass
@@ -99,9 +87,7 @@ class FlowState:
     u: GridSignal
     v: GridSignal | None = None
     energy: float = math.nan
-    cp_gap: float | None = None
-    dual: np.ndarray | None = None
-    energy_trace: list = field(default_factory=list)
+    prox_gap: float | None = None
 
 
 @dataclass
@@ -111,10 +97,6 @@ class FlowResult:
     steps: int
     trace: list
     params: FlowParams
-
-
-def _grid_h(g: GridSignal) -> float:
-    return g.h
 
 
 # ---------------------------------------------------------------------------
@@ -147,71 +129,110 @@ def flow_energy(model: str, u: np.ndarray, v: np.ndarray | None, g: np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# Primal-dual inner solver for  min_u sum_e w_e |u_{i+1}-u_i| + (mu h / 2)|u-z|^2.
+# Exact inner solver for  min_u sum_e w_e |u_{e+1}-u_e| + (c / 2)|u - z|^2,
+# with free ends or with u_0 and u_{n-1} pinned.
 
 
-def _cp_gap(u, p, z, mu, h, w, pins) -> float:
-    du = np.diff(u)
-    primal = float(np.sum(w * np.abs(du))) + 0.5 * mu * h * float(np.sum((u - z) ** 2))
+def tv_prox(z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
+    """Exact minimizer by the fused-lasso dynamic program (N. Johnson, 2013).
+
+    The forward pass carries h_k, the derivative in u_k of the least energy
+    of u_0..u_k: a non-decreasing piecewise-linear function whose outermost
+    pieces have slope c, stored as knots x with slope and intercept jumps
+    (da, db) in flat arrays that grow by at most one slot at each end per
+    edge.  Edge k clips h_k to [-w_k, w_k]; its crossing points tm_k <= tp_k
+    give the best u_k for a given u_{k+1}, so the backward pass is
+    u_k = clip(u_{k+1}, tm_k, tp_k).  Every knot is made once and removed
+    at most once, so a solve is O(n).  A pinned first node sends a pure
+    jump of 2 w_0 at the pin (two coincident knots); a pinned last node
+    starts the backward pass at the pin, and a free one at the zero of
+    h_{n-1}, found by one more pass with weight 0.
+    """
+    n = z.size
+    zs, ws = z.tolist(), w.tolist() + [0.0]
+    x, da, db = [0.0] * (2 * n), [0.0] * (2 * n), [0.0] * (2 * n)
+    tm, tp = [0.0] * n, [0.0] * n
+    if pins is None:
+        first, w_prev = 0, 0.0
+        left, right = n, n - 1  # no knots
+    else:
+        first, w_prev = 1, ws[0]
+        left, right = n - 1, n
+        x[left] = x[right] = tm[0] = tp[0] = pins[0]
+        db[left] = db[right] = w_prev
+    for k in range(first, n if pins is None else n - 1):
+        wk = ws[k]
+        base = -c * zs[k]
+        # lo: first knot where the left limit of h_k exceeds -w_k; the
+        # crossing is in the piece below it, or on the last knot passed.
+        a, b, lo = c, base - w_prev, left
+        while lo <= right and a * x[lo] + b <= -wk:
+            a += da[lo]
+            b += db[lo]
+            lo += 1
+        t_minus = (-wk - b) / a
+        if lo > left and t_minus < x[lo - 1]:
+            t_minus = x[lo - 1]
+        a2, b2, hi = c, base + w_prev, right
+        while hi >= left and a2 * x[hi] + b2 >= wk:
+            a2 -= da[hi]
+            b2 -= db[hi]
+            hi -= 1
+        t_plus = (wk - b2) / a2
+        if hi < right and t_plus > x[hi + 1]:
+            t_plus = x[hi + 1]
+        left, right = lo - 1, hi + 1
+        if left >= right:
+            # Both crossings sit on one jump: the clipped message is a pure
+            # jump from -w_k to w_k there.
+            t_plus, right = t_minus, left
+            x[left], da[left], db[left] = t_minus, 0.0, 2.0 * wk
+        else:
+            x[left], da[left], db[left] = t_minus, a, b + wk
+            x[right], da[right], db[right] = t_plus, -a2, wk - b2
+        tm[k], tp[k] = t_minus, t_plus
+        w_prev = wk
+    last = tm[-1] if pins is None else pins[1]
+    u = [0.0] * n
+    u[-1] = last
+    for k in range(n - 2, -1, -1):
+        last = tm[k] if last < tm[k] else tp[k] if last > tp[k] else last
+        u[k] = last
+    return np.array(u)
+
+
+def tv_prox_dual(u: np.ndarray, z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
+    """Edge dual p (|p| <= w) recovered from the minimizer u.
+
+    Optimality gives r = D^T p = c (z - u) at every free node, which fixes p
+    by a running sum.  With pins the end rows drop out and p keeps a free
+    offset; the dual is linear in it with slope u_{n-1} - u_0, so it is
+    taken at the end of its feasible interval that slope points to.
+    """
+    r = c * (z - u)
+    if pins is None:
+        return np.clip(-np.cumsum(r)[:-1], -w, w)
+    q = np.concatenate(([0.0], -np.cumsum(r[1:-1])))
+    lo, hi = float(np.max(-w - q)), float(np.min(w - q))
+    slope = u[-1] - u[0]
+    offset = hi if slope > 0 else lo if slope < 0 else 0.5 * (lo + hi)
+    return np.clip(q + offset, -w, w)
+
+
+def prox_gap(u, p, z, c, w, pins=None) -> float:
+    """Primal minus dual objective: a bound on the suboptimality of u."""
+    primal = float(np.sum(w * np.abs(np.diff(u)))) + 0.5 * c * float(np.sum((u - z) ** 2))
     r = np.empty_like(u)
     r[0] = -p[0]
     r[1:-1] = p[:-1] - p[1:]
     r[-1] = p[-1]
     if pins is None:
-        dual = float(np.sum(z * r)) - float(np.sum(r * r)) / (2.0 * mu * h)
+        dual = float(np.sum(z * r)) - float(np.sum(r * r)) / (2.0 * c)
     else:
-        dual = float(np.sum(z[1:-1] * r[1:-1])) - float(np.sum(r[1:-1] ** 2)) / (2.0 * mu * h)
+        dual = float(np.sum(z[1:-1] * r[1:-1])) - float(np.sum(r[1:-1] ** 2)) / (2.0 * c)
         for idx, val in ((0, pins[0]), (-1, pins[1])):
-            dual += val * r[idx] + 0.5 * mu * h * (val - z[idx]) ** 2
+            dual += val * r[idx] + 0.5 * c * (val - z[idx]) ** 2
     return primal - dual
-
-
-GAP_CHECK_EVERY = 20
-
-
-def dual_heavy_cp_steps(n: int, ratio: float = 5e-3) -> tuple:
-    """Step sizes at the admissible product h^2/4 with tau/s = ratio.
-
-    Cold-started inner solves converge much faster when the dual takes the
-    large steps (the dual distance to the saddle dominates); the symmetric
-    default h/2 is kept for API compatibility.
-    """
-    h = 1.0 / (n - 1)
-    root = math.sqrt(ratio)
-    return (h / 2.0) * root, (h / 2.0) / root
-
-
-def _tv_prox(u0, z, mu, w, h, params: FlowParams, pins, p0):
-    """Proximal TV subproblem by over-relaxed primal-dual iteration.
-
-    The dual p lives on edges and is clamped to [-w_e, w_e]; theta = 1.
-    The duality gap is evaluated every GAP_CHECK_EVERY iterations for the
-    early exit.  Returns (u, p, gap, iterations).
-    """
-    tau, s = params.cp_steps()
-    u = u0.copy()
-    if pins is not None:
-        u[0], u[-1] = pins
-    p = np.zeros(u.size - 1) if p0 is None else np.clip(p0, -w, w)
-    ubar = u.copy()
-    gap = math.inf
-    it = 0
-    for it in range(1, params.cp_iters + 1):
-        p = np.clip(p + s * np.diff(ubar) / h, -w, w)
-        div = np.empty_like(u)
-        div[0] = p[0] / h
-        div[1:-1] = np.diff(p) / h
-        div[-1] = -p[-1] / h
-        u_prev = u
-        u = (u + tau * div + tau * mu * z) / (1.0 + tau * mu)
-        if pins is not None:
-            u[0], u[-1] = pins
-        ubar = 2.0 * u - u_prev
-        if it % GAP_CHECK_EVERY == 0 or it == params.cp_iters:
-            gap = _cp_gap(u, p, z, mu, h, w, pins)
-            if gap <= params.cp_gap_tol:
-                break
-    return u, p, gap, it
 
 
 def _pins(g: np.ndarray, params: FlowParams):
@@ -269,36 +290,32 @@ def _at_coupling(u: np.ndarray, sigma: float, h: float) -> np.ndarray:
 # Time steps.
 
 
-def step_rof(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    h = _grid_h(g)
-    u0 = state.u.samples
+def _prox_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams):
+    """Implicit TV step of u: the exact prox and its duality gap."""
     mu = params.lam + 1.0 / params.dt
     z = (params.lam * g.samples + u0 / params.dt) / mu
-    w = np.full(u0.size - 1, params.sigma)
-    u1, p, gap, _ = _tv_prox(
-        u0, z, mu, w, h, params, _pins(g.samples, params),
-        state.dual if params.cp_warm_start else None,
-    )
+    c = mu * g.h
+    pins = _pins(g.samples, params)
+    u1 = tv_prox(z, c, w, pins)
+    return u1, prox_gap(u1, tv_prox_dual(u1, z, c, w, pins), z, c, w, pins)
+
+
+def step_rof(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
+    u0 = state.u.samples
+    u1, gap = _prox_half_step(u0, g, np.full(u0.size - 1, params.sigma), params)
     return replace(
         state,
         t=state.t + params.dt,
         u=GridSignal(g.domain, u1),
-        energy=flow_energy("rof", u1, None, g.samples, h, params),
-        cp_gap=gap,
-        dual=p,
+        energy=flow_energy("rof", u1, None, g.samples, g.h, params),
+        prox_gap=gap,
     )
 
 
 def step_kwc(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    h = _grid_h(g)
+    h = g.h
     u0, v0 = state.u.samples, state.v.samples
-    mu = params.lam + 1.0 / params.dt
-    z = (params.lam * g.samples + u0 / params.dt) / mu
-    w = _edge_weights(v0, params.sigma)
-    u1, p, gap, _ = _tv_prox(
-        u0, z, mu, w, h, params, _pins(g.samples, params),
-        state.dual if params.cp_warm_start else None,
-    )
+    u1, gap = _prox_half_step(u0, g, _edge_weights(v0, params.sigma), params)
     v1 = _v_update(v0, _kwc_coupling(u1, params.sigma), h, params)
     return replace(
         state,
@@ -306,13 +323,12 @@ def step_kwc(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
         u=GridSignal(g.domain, u1),
         v=GridSignal(g.domain, v1),
         energy=flow_energy("kwc", u1, v1, g.samples, h, params),
-        cp_gap=gap,
-        dual=p,
+        prox_gap=gap,
     )
 
 
 def step_at(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    h = _grid_h(g)
+    h = g.h
     u0, v0 = state.u.samples, state.v.samples
     n = u0.size
     w = _edge_weights(v0, params.sigma)
@@ -341,7 +357,7 @@ def step_at(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
         u=GridSignal(g.domain, u1),
         v=GridSignal(g.domain, v1),
         energy=flow_energy("at", u1, v1, g.samples, h, params),
-        cp_gap=None,
+        prox_gap=None,
     )
 
 
@@ -353,7 +369,7 @@ def pre_relax_v(state: FlowState, g: GridSignal, params: FlowParams, max_iters: 
     """
     if params.model == "rof":
         return state
-    h = _grid_h(g)
+    h = g.h
     u = state.u.samples
     coupling = (
         _kwc_coupling(u, params.sigma)
@@ -420,7 +436,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     if params.model != "rof":
         v = GridSignal(g.domain, np.ones(params.n))
     state = FlowState(t=0.0, u=GridSignal(g.domain, u), v=v)
-    h = _grid_h(g)
+    h = g.h
     if params.pre_relax:
         state = pre_relax_v(state, g, params)
     state.energy = flow_energy(
@@ -429,7 +445,6 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
 
     stepper = _STEPPERS[params.model]
     trace = [(0.0, state.energy, math.nan, math.nan)]
-    state.energy_trace.append((0.0, state.energy))
     steady = False
     steps = 0
     quiet_steps = 0
@@ -444,7 +459,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
             )
         change = float(np.max(np.abs(new_state.u.samples - state.u.samples)))
         rate = change / (params.dt * max(1.0, float(np.max(np.abs(new_state.u.samples)))))
-        gap = math.nan if new_state.cp_gap is None else new_state.cp_gap
+        gap = math.nan if new_state.prox_gap is None else new_state.prox_gap
         trace.append((new_state.t, new_state.energy, rate, gap))
         state = new_state
         steps += 1
@@ -453,9 +468,6 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
         quiet_steps = quiet_steps + 1 if rate < params.steady_tol else 0
         if quiet_steps >= 2:
             steady = True
-        if steps % params.output_stride == 0 or steady or steps == n_steps:
-            state.energy_trace.append((state.t, state.energy))
-        if steady:
             break
     return FlowResult(state=state, steady=steady, steps=steps, trace=trace, params=params)
 

@@ -175,7 +175,8 @@ class TestFlowRun:
         rep = parse_json(out)
         assert rep["steady"] is True
         trace = (out_dir / "trace.csv").read_text().splitlines()
-        assert trace[0] == "t,energy,sup_change"
+        assert trace[0] == "t,energy,change_rate,prox_gap"
+        assert all(len(row.split(",")) == 4 for row in trace)
         final = (out_dir / "final.csv").read_text().splitlines()
         assert final[0] == "x,u"
         assert len(final) == 102
@@ -200,6 +201,25 @@ class TestFlowRun:
         code, _, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"lam": float("nan")},
+            {"sigma": float("inf")},
+            {"lam": "50"},
+            {"output_stride": 0},
+            {"output_stride": 2.5},
+            {"cp_iters": 200},
+        ],
+        ids=["lam_nan", "sigma_inf", "lam_text", "output_stride_0", "output_stride_fraction", "stale_cp_iters"],
+    )
+    def test_bad_params_exit_2(self, capsys, tmp_path, params):
+        cfg = self.write_config(tmp_path, **params)
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error")
+        assert out == ""
 
     def test_missing_params_exits_2(self, capsys, tmp_path):
         path = tmp_path / "flow.json"
@@ -256,6 +276,13 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit) as err:
             main(["experiment", "wat"])
         assert err.value.code == 2
+
+    def test_non_finite_weight_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "experiment", "custom", "--models", "rof", "--data", "step", "--lam", "nan", "--n", "11"
+        )
+        assert code == 2
+        assert "lam must be finite" in err
 
     def test_custom_without_models_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "custom", "--lam", "1")

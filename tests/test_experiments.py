@@ -38,6 +38,12 @@ class TestExperimentSpec:
                 {"name": "custom", "data": "step", "models": ["rof"], "overrides": {"model": "at"}}
             )
 
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ConfigError, match="cp_iters"):
+            xp.ExperimentSpec.from_json_dict(
+                {"name": "noisy_steps", "overrides": {"cp_iters": 200}}
+            )
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
             xp.ExperimentSpec.from_json_dict(
@@ -140,7 +146,7 @@ class TestRunAndArtifacts:
             else:
                 assert os.path.exists(paths)
         trace_head = (tmp_path / "rof" / "trace.csv").read_text().splitlines()[0]
-        assert trace_head == "t,energy,sup_change"
+        assert trace_head == "t,energy,change_rate,prox_gap"
         assert (tmp_path / "rof" / "final.csv").read_text().splitlines()[0] == "x,u"
         assert (tmp_path / "kwc" / "final.csv").read_text().splitlines()[0] == "x,u,v"
         result = json.loads((tmp_path / "rof" / "result.json").read_text())

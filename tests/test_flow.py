@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import kwcseg.flow as flow_mod
 from kwcseg.errors import ConfigError, DivergenceError
@@ -9,14 +12,16 @@ from kwcseg.flow import (
     TRACE_COLUMNS,
     FlowParams,
     FlowState,
-    dual_heavy_cp_steps,
     edges_above,
     flow_energy,
     jump_census,
     plateau_flatness,
     pre_relax_v,
+    prox_gap,
     run,
     steady_damage_profile,
+    tv_prox,
+    tv_prox_dual,
 )
 from kwcseg.pwc import GridSignal
 
@@ -24,14 +29,6 @@ from kwcseg.pwc import GridSignal
 def unit_step(n):
     x = np.linspace(0, 1, n)
     return GridSignal((0.0, 1.0), np.where(x < 0.5, 0.0, 1.0))
-
-
-def accurate_params(model, lam, n, **kw):
-    """Solver settings tight enough for descent checks."""
-    tau, s = dual_heavy_cp_steps(n)
-    kw.setdefault("cp_iters", 20_000)
-    kw.setdefault("cp_gap_tol", 1e-11)
-    return FlowParams(model=model, lam=lam, n=n, cp_tau=tau, cp_s=s, **kw)
 
 
 class TestValidation:
@@ -47,9 +44,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FlowParams(model="rof", lam=1.0, n=50, dt=-1.0).validate()
 
-    def test_inner_steps_must_be_admissible(self):
+    @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: value}).validate()
+
+    def test_output_stride_must_be_positive(self):
         with pytest.raises(ConfigError):
-            FlowParams(model="rof", lam=1.0, n=50, cp_tau=1.0, cp_s=1.0).validate()
+            FlowParams(model="rof", lam=1.0, n=50, output_stride=0).validate()
 
     def test_unknown_boundary_condition(self):
         with pytest.raises(ConfigError):
@@ -64,13 +67,6 @@ class TestValidation:
         u0 = GridSignal((0, 1), np.zeros(60))
         with pytest.raises(ConfigError):
             run(g, u0, FlowParams(model="rof", lam=1.0, n=50))
-
-    def test_inner_step_rule_is_admissible(self):
-        for n in (100, 1000):
-            tau, s = dual_heavy_cp_steps(n)
-            h = 1.0 / (n - 1)
-            assert tau * s * 4 / h**2 == pytest.approx(1.0, rel=1e-12)
-            assert tau / s == pytest.approx(0.005, rel=1e-12)
 
 
 class TestFixedPoints:
@@ -98,7 +94,7 @@ class TestFixedPoints:
 class TestRofFlow:
     def test_step_data_shrinks_toward_mean(self):
         n = 201
-        res = run(unit_step(n), unit_step(n), accurate_params("rof", 50.0, n, t_max=50.0))
+        res = run(unit_step(n), unit_step(n), FlowParams(model="rof", lam=50.0, n=n, t_max=50.0))
         assert res.steady
         u = res.state.u.samples
         lo, hi = u[:20].mean(), u[-20:].mean()
@@ -112,7 +108,7 @@ class TestRofFlow:
         n = 201
         gaps = []
         for lam in (50.0, 500.0):
-            res = run(unit_step(n), unit_step(n), accurate_params("rof", lam, n, t_max=50.0))
+            res = run(unit_step(n), unit_step(n), FlowParams(model="rof", lam=lam, n=n, t_max=50.0))
             u = res.state.u.samples
             gaps.append(u[:20].mean() + (1.0 - u[-20:].mean()))
         assert gaps[1] < gaps[0] / 5
@@ -121,10 +117,10 @@ class TestRofFlow:
         n = 51
         g = GridSignal((0, 1), np.linspace(0, 1, n))
         res = run(g, g, FlowParams(model="rof", lam=20.0, n=n, t_max=0.3))
-        assert TRACE_COLUMNS == ("t", "energy", "change_rate", "cp_gap")
+        assert TRACE_COLUMNS == ("t", "energy", "change_rate", "prox_gap")
         assert res.trace[0][0] == 0.0
         assert all(len(row) == 4 for row in res.trace)
-        assert len(res.state.energy_trace) >= 2
+        assert res.trace[-1][3] == res.state.prox_gap
 
 
 class TestDamageModels:
@@ -133,7 +129,7 @@ class TestDamageModels:
         n = 151
         g = GridSignal((0.0, 1.0), rng.normal(0.5, 0.4, n))
         for model in ("at", "kwc"):
-            res = run(g, g, accurate_params(model, 40.0, n, dt=0.02, t_max=0.4))
+            res = run(g, g, FlowParams(model=model, lam=40.0, n=n, dt=0.02, t_max=0.4))
             v = res.state.v.samples
             assert v.min() >= 0.0
             assert v.max() <= 1.0
@@ -142,7 +138,7 @@ class TestDamageModels:
         rng = np.random.default_rng(52)
         n = 101
         g = GridSignal((0.0, 1.0), rng.normal(0.5, 0.3, n))
-        params = accurate_params("kwc", 30.0, n, bc_u="dirichlet", t_max=0.05)
+        params = FlowParams(model="kwc", lam=30.0, n=n, bc_u="dirichlet", t_max=0.05)
         state = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
         for _ in range(5):
             state = flow_mod.step_kwc(state, g, params)
@@ -191,7 +187,7 @@ class TestEnergyDescent:
             for seed in (1, 2):
                 local = np.random.default_rng(seed)
                 g = GridSignal((0.0, 1.0), local.normal(0.5, 0.4, n))
-                res = run(g, g, accurate_params(model, 40.0, n, dt=0.02, t_max=0.6))
+                res = run(g, g, FlowParams(model=model, lam=40.0, n=n, dt=0.02, t_max=0.6))
                 energies = [row[1] for row in res.trace]
                 for prev, cur in zip(energies, energies[1:]):
                     rise = (cur - prev) / max(abs(cur), 1e-30)
@@ -200,7 +196,7 @@ class TestEnergyDescent:
     def test_energy_helper_matches_trace(self):
         n = 101
         g = unit_step(n)
-        params = accurate_params("kwc", 30.0, n, t_max=0.1)
+        params = FlowParams(model="kwc", lam=30.0, n=n, t_max=0.1)
         res = run(g, g, params)
         h = 1.0 / (n - 1)
         e = flow_energy(
@@ -209,20 +205,75 @@ class TestEnergyDescent:
         assert e == pytest.approx(res.trace[-1][1], rel=1e-12)
 
 
+def split_form_reference(z, c, w, pins):
+    """SLSQP on  min w.s + (c/2)|u - z|^2  subject to  -s <= Du <= s."""
+    n = z.size
+    free = n if pins is None else n - 2
+
+    def full_u(v):
+        return v[:n] if pins is None else np.concatenate(([pins[0]], v[:free], [pins[1]]))
+
+    def objective(v):
+        return float(w @ v[free:]) + 0.5 * c * float(np.sum((full_u(v) - z) ** 2))
+
+    constraints = [
+        {"type": "ineq", "fun": lambda v: v[free:] - np.diff(full_u(v))},
+        {"type": "ineq", "fun": lambda v: v[free:] + np.diff(full_u(v))},
+    ]
+    start = np.concatenate((z[:free] if pins is None else z[1:-1], np.abs(np.diff(z)) + 1.0))
+    res = minimize(objective, start, method="SLSQP", constraints=constraints, options={"ftol": 1e-15, "maxiter": 1000})
+    return full_u(res.x)
+
+
+values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def prox_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    z = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0))
+    w = np.array(draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
+    c = draw(st.floats(min_value=0.1, max_value=10.0))
+    pins = draw(st.one_of(st.none(), st.tuples(values, values), values.map(lambda a: (a, a))))
+    return z, c, w, pins
+
+
 class TestInnerSolver:
-    def test_warm_start_outperforms_cold_when_starved(self):
-        n = 200
-        g = unit_step(n)
-        base = dict(model="rof", lam=50.0, n=n, t_max=0.3, cp_iters=40)
-        warm = run(g, g, FlowParams(**base, cp_warm_start=True))
-        cold = run(g, g, FlowParams(**base, cp_warm_start=False))
-        assert warm.state.cp_gap < cold.state.cp_gap / 5
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(prox_instances())
+    def test_prox_matches_split_form_reference(self, instance):
+        z, c, w, pins = instance
+        u = tv_prox(z, c, w, pins)
+        np.testing.assert_allclose(u, split_form_reference(z, c, w, pins), rtol=0, atol=1e-6)
+        p = tv_prox_dual(u, z, c, w, pins)
+        assert np.all(np.abs(p) <= w)
+        assert prox_gap(u, p, z, c, w, pins) <= 1e-10
+        if pins is not None:
+            assert (u[0], u[-1]) == pins
+
+    @pytest.mark.parametrize("pins", [None, (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)])
+    def test_certificate_on_tie_heavy_data(self, pins):
+        # Integer data and weights put many crossings exactly on knots.
+        rng = np.random.default_rng(7)
+        n = 400
+        z = rng.integers(-2, 3, size=n) * 0.5
+        w = rng.integers(0, 3, size=n - 1) * 0.25
+        u = tv_prox(z, 1.0, w, pins)
+        p = tv_prox_dual(u, z, 1.0, w, pins)
+        assert np.all(np.abs(p) <= w)
+        assert prox_gap(u, p, z, 1.0, w, pins) <= 1e-10
 
     def test_gap_reported_small_with_accurate_settings(self):
         n = 201
-        res = run(unit_step(n), unit_step(n), accurate_params("rof", 50.0, n, t_max=1.0))
-        gaps = [row[3] for row in res.trace[1:]]
-        assert max(gaps) <= 1e-8
+        noisy = GridSignal((0.0, 1.0), unit_step(n).samples + np.random.default_rng(8).normal(0.0, 0.1, n))
+        ramp = GridSignal((0.0, 1.0), np.linspace(0.0, 1.0, n))
+        for bc in ("neumann", "dirichlet"):
+            for model in ("rof", "kwc"):
+                res = run(noisy, ramp, FlowParams(model=model, lam=50.0, n=n, t_max=1.0, bc_u=bc))
+                gaps = [row[3] for row in res.trace[1:]]
+                assert len(gaps) >= 20
+                assert max(gaps) <= 1e-8
 
 
 class TestDivergenceHandling:
@@ -281,7 +332,7 @@ class TestGridRefinement:
         # steady profiles away from the jump.
         results = {}
         for n in (201, 401):
-            res = run(unit_step(n), unit_step(n), accurate_params("rof", 50.0, n, t_max=50.0))
+            res = run(unit_step(n), unit_step(n), FlowParams(model="rof", lam=50.0, n=n, t_max=50.0))
             assert res.steady
             results[n] = res.state.u
         coarse, fine = results[201], results[401]
