@@ -7,13 +7,14 @@ Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments as experiments_mod
 from . import oracle as oracle_mod
-from .errors import ConfigError, DivergenceError, InvariantViolation
+from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
 from .exact import (
     critical_lambda,
     equal_jump_verdict,
@@ -106,14 +107,8 @@ def _cmd_check_kernel(args) -> int:
     report = check_conditions(kernel, args.M, samples=args.samples)
     out = {"report": report.to_json_dict()}
     try:
-        constants = derive_constants(kernel, args.M)
-        out["constants"] = {
-            "mass_cap": constants.mass_cap,
-            "split_gain": constants.split_gain,
-            "linear_floor": constants.linear_floor,
-            "bound_rate": constants.bound_rate,
-        }
-    except Exception as err:  # noqa: BLE001 - reported, not fatal
+        out["constants"] = asdict(derive_constants(kernel, args.M))
+    except ConditionError as err:
         out["constants"] = None
         out["constants_error"] = str(err)
     _print_json(out)

@@ -7,7 +7,7 @@ jump-count bounds hold for any data once the kernel constants exist.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,6 +18,8 @@ from .pwc import LinearData, PiecewiseConstant, SampledData, energy
 
 
 def _int_part(r: float) -> int:
+    if not math.isfinite(r):
+        raise ValueError(f"jump bound {r} is not finite")
     # Guard so exact-integer ratios are not knocked down by float roundoff.
     return int(math.floor(r * (1 + 1e-12) + 1e-12))
 
@@ -158,12 +160,7 @@ class BoundReport:
             "failure": self.failure,
         }
         if self.constants is not None:
-            out["constants"] = {
-                "mass_cap": self.constants.mass_cap,
-                "split_gain": self.constants.split_gain,
-                "linear_floor": self.constants.linear_floor,
-                "bound_rate": self.constants.bound_rate,
-            }
+            out["constants"] = asdict(self.constants)
         return out
 
 
@@ -173,19 +170,21 @@ def jump_bounds(
     b: float,
     lam: float,
     mass_cap: float,
-    grid_resolution: int = 2000,
+    grid_resolution=None,
 ) -> BoundReport:
     """Jump-count bounds floor((b-a) lam / rate) + 1 on the interval (a, b).
 
     mass_cap must dominate the oscillation of the data, since every jump of
-    a minimizer (and any partial sum of jumps) stays inside it.
+    a minimizer (and any partial sum of jumps) stays inside it.  The kernel
+    constants are exact; grid_resolution is ignored, kept so callers that
+    still pass it keep working.
     """
-    if not a < b:
-        raise ValueError("need a < b")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError("need finite a < b")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and non-negative")
     try:
-        constants = derive_constants(kernel, mass_cap, grid_resolution)
+        constants = derive_constants(kernel, mass_cap)
     except ConditionError as exc:
         return BoundReport(None, None, None, failure=str(exc))
     slope = kernel.eval(1e-8) / 1e-8

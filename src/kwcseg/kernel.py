@@ -22,6 +22,7 @@ Conditions, all on a window [0, M] (M = ``mass_cap``):
 enters the jump-count bound for general data.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,6 @@ import numpy as np
 from .errors import ConditionError, ConfigError
 
 VALID_KINDS = ("kwc", "linear", "potts")
-
-# Block size for the pair grid so derive_constants stays at a few MB of
-# temporaries even at resolution 2000.
-_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -51,10 +48,10 @@ class JumpKernel:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}; expected one of {VALID_KINDS}")
-        if self.kind == "kwc" and not self.kappa > 0:
-            raise ConfigError("rational kernel needs kappa > 0")
-        if self.kind == "potts" and not self.height > 0:
-            raise ConfigError("flat kernel needs height > 0")
+        if self.kind == "kwc" and not (self.kappa > 0 and math.isfinite(self.kappa)):
+            raise ConfigError("rational kernel needs a finite kappa > 0")
+        if self.kind == "potts" and not (self.height > 0 and math.isfinite(self.height)):
+            raise ConfigError("flat kernel needs a finite height > 0")
 
     def eval(self, rho):
         """Cost of a jump of size rho (scalar or array, rho >= 0)."""
@@ -106,79 +103,71 @@ def potts_kernel(height: float = 1.0) -> JumpKernel:
 class KernelConstants:
     """Constants of a kernel on the window [0, mass_cap].
 
-    split_gain is the infimum over the pair grid of
+    split_gain is the infimum over r1 + r2 <= mass_cap of
     (K(r1) + K(r2) - K(r1+r2)) / (r1 * r2); linear_floor the infimum of
     K(rho)/rho; bound_rate = min(linear_floor / mass_cap, split_gain).
-    diagonal_candidate is the closed-form value of the split ratio at
-    r1 = r2 = mass_cap/2 for the rational kernel (a cross-check on the grid
-    search; no optimality claim is made for it).
     """
 
     mass_cap: float
     split_gain: float
     linear_floor: float
     bound_rate: float
-    grid_resolution: int
-    diagonal_candidate: float | None = None
+
+
+def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
+    """(split_gain, linear_floor) on [0, mass_cap] in closed form.
+
+    With s = r1 + r2 the split ratio (K(r1) + K(r2) - K(s)) / (r1 * r2) is
+    kappa (2 + kappa s) / ((1 + kappa r1)(1 + kappa r2)(1 + kappa s)) for
+    kwc, h / (r1 * r2) for potts and 0 for linear.  For fixed s it is
+    smallest at r1 = r2, and along that diagonal it falls as s grows, so
+    the infimum sits at r1 = r2 = mass_cap/2.  K(rho)/rho is non-increasing,
+    so linear_floor = K(mass_cap)/mass_cap.  split_gain is None unless it
+    exceeds 1e-12 (never for the linear kernel).
+    """
+    if not (math.isfinite(mass_cap) and mass_cap > 0):
+        raise ValueError("mass_cap must be positive and finite")
+    if kernel.kind == "kwc":
+        k = kernel.kappa
+        split_gain = 2 * k / ((1 + k * mass_cap / 2) * (1 + k * mass_cap))
+        linear_floor = 1 / (1 + k * mass_cap)
+    elif kernel.kind == "potts":
+        split_gain = 4 * kernel.height / mass_cap**2
+        linear_floor = kernel.height / mass_cap
+    else:
+        split_gain = 0.0
+        linear_floor = 1.0
+    return (split_gain if split_gain > 1e-12 else None), linear_floor
 
 
 def _split_ratio_grid_min(kernel: JumpKernel, mass_cap: float, resolution: int) -> float:
     """Grid infimum of the strengthened-subadditivity ratio on r1+r2 <= mass_cap."""
     rho = mass_cap * np.arange(1, resolution + 1) / resolution
-    k_rho = kernel.eval(rho)
-    best = np.inf
-    for lo in range(0, resolution, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, resolution)
-        r1 = rho[lo:hi, None]
-        r2 = rho[None, :]
-        total = r1 + r2
-        mask = total <= mass_cap * (1 + 1e-12)
-        if not mask.any():
-            break
-        num = k_rho[lo:hi, None] + k_rho[None, :] - kernel.eval(total)
-        ratio = num / (r1 * r2)
-        best = min(best, float(ratio[mask].min()))
-    return best
+    r1 = rho[:, None]
+    r2 = rho[None, :]
+    total = r1 + r2
+    mask = total <= mass_cap * (1 + 1e-12)
+    ratio = (kernel.eval(r1) + kernel.eval(r2) - kernel.eval(total)) / (r1 * r2)
+    return float(ratio[mask].min())
 
 
-def derive_constants(kernel: JumpKernel, mass_cap: float, grid_resolution: int = 2000) -> KernelConstants:
-    """Derive the kernel constants on [0, mass_cap] by grid search.
+def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
+    """The exact kernel constants on [0, mass_cap].
 
     Raises ConditionError when the strengthened-subadditivity gain is not
     positive (the linear kernel), since then no jump-count bound exists.
     """
-    if not mass_cap > 0:
-        raise ValueError("mass_cap must be positive")
-    if grid_resolution < 100:
-        raise ValueError("grid_resolution must be at least 100")
-
-    candidates = [_split_ratio_grid_min(kernel, mass_cap, grid_resolution)]
-    diagonal = None
-    if kernel.kind == "kwc":
-        k = kernel.kappa
-        # Closed form on the diagonal r1 = r2 = t: 2k / ((1+kt)(1+2kt)),
-        # decreasing in t, so its minimum sits at t = mass_cap/2.  The
-        # rho -> 0 corner of the ratio tends to 2k; include it so the limit
-        # is never missed by the grid.
-        diagonal = 2 * k / ((1 + k * mass_cap / 2) * (1 + k * mass_cap))
-        candidates.extend([diagonal, 2 * k])
-    split_gain = min(candidates)
-    if not split_gain > 1e-12:
+    split_gain, linear_floor = _exact_constants(kernel, mass_cap)
+    if split_gain is None:
         raise ConditionError(
             f"strengthened subadditivity fails for kernel {kernel.kind!r} on [0, {mass_cap}]: "
             "no positive split gain"
         )
-
-    rho = mass_cap * np.arange(1, grid_resolution + 1) / grid_resolution
-    linear_floor = float(np.min(kernel.eval(rho) / rho))
-    bound_rate = min(linear_floor / mass_cap, split_gain)
     return KernelConstants(
         mass_cap=float(mass_cap),
         split_gain=split_gain,
         linear_floor=linear_floor,
-        bound_rate=bound_rate,
-        grid_resolution=grid_resolution,
-        diagonal_candidate=diagonal,
+        bound_rate=min(linear_floor / mass_cap, split_gain),
     )
 
 
@@ -217,25 +206,16 @@ class ConditionReport:
 def check_conditions(kernel: JumpKernel, mass_cap: float, samples: int = 2000) -> ConditionReport:
     """Check the structural conditions on [0, mass_cap].
 
-    ``samples`` sets both the monotonicity grid and the pair-grid resolution,
-    so a failing report can be reproduced exactly.
+    split_gain and linear_floor are exact.  ``samples`` sets the
+    monotonicity grid and, capped at 400, the pair grid of the plain
+    subadditivity check, so a failing report can be reproduced exactly.
     """
-    if not mass_cap > 0:
-        raise ValueError("mass_cap must be positive")
+    split_gain, linear_floor = _exact_constants(kernel, mass_cap)
     samples = max(100, int(samples))
 
     grid = np.linspace(0.0, mass_cap, samples + 1)
     vals = kernel.eval(grid)
     monotone = bool(vals[0] == 0.0 and np.all(np.diff(vals) >= -1e-12))
-
-    try:
-        constants = derive_constants(kernel, mass_cap, samples)
-        split_gain = constants.split_gain
-        linear_floor = constants.linear_floor
-    except ConditionError:
-        split_gain = None
-        rho = mass_cap * np.arange(1, samples + 1) / samples
-        linear_floor = float(np.min(kernel.eval(rho) / rho))
 
     # Plain subadditivity needs only a non-negative defect.
     subadd_min = _split_ratio_grid_min(kernel, mass_cap, min(samples, 400))

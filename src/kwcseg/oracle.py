@@ -14,6 +14,7 @@ factor of the jump budget for the count-constrained variant; sizes are
 capped accordingly.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +52,10 @@ class OracleProblem:
     n_levels: int = 101
     endpoint_pin: tuple | None = None
     tie_tolerance: float = 1e-9
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError("lam must be finite and non-negative")
 
     def resolved_cells(self) -> int:
         if self.n_cells is not None:
@@ -186,6 +191,8 @@ def _solve_free(tab: _Tableau) -> np.ndarray:
         end = np.full(L, big)
         end[tab.pin[1]] = 0.0
         D = D + end
+    if not np.isfinite(D).any():
+        raise ConfigError("a single cell cannot take two different pinned levels")
     seq = np.empty(n, dtype=np.int64)
     seq[-1] = int(np.argmin(D))
     for i in range(n - 1, 0, -1):
@@ -196,8 +203,8 @@ def _solve_free(tab: _Tableau) -> np.ndarray:
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
     """Global optimum over the level-quantized class.
 
-    With ``tie_scan_jumps`` set, also runs the jump-count-constrained solver
-    for every budget m = 0..tie_scan_jumps and returns, as ties, the
+    With ``tie_scan_jumps`` set, also runs one jump-count-constrained pass
+    for the budgets m = 0..tie_scan_jumps and returns, as ties, the
     m-optima whose energy is within tie_tolerance (relative) of the global
     optimum and whose jump signature differs from the minimizer's.
     """
@@ -212,11 +219,11 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     cell = (problem.data.domain[1] - problem.data.domain[0]) / n
     seen = {_signature(best.minimizer, cell)}
     ties = []
-    for m in range(0, min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1) + 1):
-        try:
-            res = best_with_m_jumps(problem, m)
-        except ConfigError:
+    budget = min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
+    for seq in _budget_pass(tab, budget) if budget >= 0 else ():
+        if seq is None:
             continue  # no admissible sequence with this jump count (pins)
+        res = _result_from_sequence(problem, tab, seq)
         if res.energy.total > best.energy.total + tol:
             continue
         sig = _signature(res.minimizer, cell)
@@ -232,34 +239,28 @@ def _signature(u: PiecewiseConstant, cell: float) -> tuple:
     return (u.jump_count, tuple(int(round((b - a) / cell)) for b in u.breakpoints))
 
 
-def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
-    """Global optimum among sequences with exactly m level changes."""
-    if m < 0:
-        raise ConfigError("jump count must be non-negative")
-    if m > MAX_JUMP_BUDGET:
-        raise ConfigError(f"jump budget {m} exceeds the limit {MAX_JUMP_BUDGET}")
-    tab = _build_tableau(problem)
-    n, L = tab.cost.shape
-    if m >= n:
-        raise ConfigError(f"cannot place {m} jumps with only {n} cells")
+def _budget_pass(tab: _Tableau, budget: int) -> list:
+    """Optimal level sequences with exactly m = 0..budget level changes.
 
+    One DP over (cell, jumps used, level).  Row m only reads rows m and
+    m - 1, so rows 0..m equal those of a pass with budget m.  Entry m of
+    the result is the optimal sequence with exactly m jumps, or None when
+    no sequence has that many (pins).
+    """
+    n, L = tab.cost.shape
     big = np.inf
     kmat_offdiag = tab.kmat.copy()
     np.fill_diagonal(kmat_offdiag, big)
 
-    D = np.full((m + 1, L), big)
-    D[0] = tab.cost[0]
-    if tab.pin is not None:
-        keep = D[0, tab.pin[0]]
-        D[0] = big
-        D[0, tab.pin[0]] = keep
-
-    parent_lvl = np.zeros((n, m + 1, L), dtype=np.int32)
-    jumped_flag = np.zeros((n, m + 1, L), dtype=bool)
     cols = np.arange(L)
+    D = np.full((budget + 1, L), big)
+    D[0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
+
+    parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int32)
+    jumped_flag = np.zeros((n, budget + 1, L), dtype=bool)
     for i in range(1, n):
         newD = np.empty_like(D)
-        for j in range(m, -1, -1):
+        for j in range(budget, -1, -1):
             stay = D[j]
             take_lvl = cols.astype(np.int32)
             best_here = stay
@@ -275,22 +276,38 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
             newD[j] = best_here + tab.cost[i]
         D = newD
 
-    final = D[m].copy()
     if tab.pin is not None:
-        keep = final[tab.pin[1]]
-        final[:] = big
-        final[tab.pin[1]] = keep
-    if not np.isfinite(final).any():
-        raise ConfigError(f"no admissible sequence with exactly {m} jumps")
+        D = np.where(cols == tab.pin[1], D, big)
+    seqs = []
+    for m in range(budget + 1):
+        if not np.isfinite(D[m]).any():
+            seqs.append(None)
+            continue
+        seq = np.empty(n, dtype=np.int64)
+        seq[-1] = int(np.argmin(D[m]))
+        j = m
+        for i in range(n - 1, 0, -1):
+            lvl = seq[i]
+            seq[i - 1] = parent_lvl[i, j, lvl]
+            if jumped_flag[i, j, lvl]:
+                j -= 1
+        seqs.append(seq)
+    return seqs
 
-    seq = np.empty(n, dtype=np.int64)
-    seq[-1] = int(np.argmin(final))
-    j = m
-    for i in range(n - 1, 0, -1):
-        lvl = seq[i]
-        seq[i - 1] = parent_lvl[i, j, lvl]
-        if jumped_flag[i, j, lvl]:
-            j -= 1
+
+def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
+    """Global optimum among sequences with exactly m level changes."""
+    if m < 0:
+        raise ConfigError("jump count must be non-negative")
+    if m > MAX_JUMP_BUDGET:
+        raise ConfigError(f"jump budget {m} exceeds the limit {MAX_JUMP_BUDGET}")
+    tab = _build_tableau(problem)
+    n = tab.cost.shape[0]
+    if m >= n:
+        raise ConfigError(f"cannot place {m} jumps with only {n} cells")
+    seq = _budget_pass(tab, m)[m]
+    if seq is None:
+        raise ConfigError(f"no admissible sequence with exactly {m} jumps")
     return _result_from_sequence(problem, tab, seq)
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-results table.
+"""Shared fixtures, the hypothesis profile and the acceptance-results table.
 
 The acceptance tests record one or more clause verdicts per numbered
 criterion; after the run a summary table prints one PASS/FAIL line per
@@ -6,6 +6,12 @@ criterion so the battery's outcome is visible in plain pytest output.
 """
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and leave no example
+# database in the checkout; each test sets only its own max_examples.
+settings.register_profile("kwcseg", derandomize=True, deadline=None, database=None)
+settings.load_profile("kwcseg")
 
 _RECORDS = []  # (criterion number, ok, detail)
 

@@ -45,6 +45,22 @@ class TestCheckKernel:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "kwc", "--kappa", "inf", "--M", "1"),
+            ("--kind", "potts", "--height", "inf", "--M", "1"),
+            ("--kind", "kwc", "--M", "inf"),
+            ("--kind", "linear", "--M", "nan"),
+        ],
+        ids=["kappa_inf", "height_inf", "mass_cap_inf", "mass_cap_nan"],
+    )
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "check-kernel", *argv)
+        assert code == 2
+        assert err.startswith("config error")
+        assert out == ""
+
 
 class TestExact:
     def test_critical_lambda(self, capsys):
@@ -62,6 +78,24 @@ class TestExact:
         rep = parse_json(out)
         assert rep["jumps_monotone_data"] == 5
         assert rep["jumps_any_data"] == 11
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--M", "inf", "--lambda", "5"),
+            ("--M", "1", "--lambda", "inf"),
+            ("--M", "1", "--lambda", "nan"),
+            ("--kappa", "inf", "--M", "1", "--lambda", "5"),
+            ("--a=-inf", "--M", "1", "--lambda", "5"),
+            ("--b", "10", "--M", "1", "--lambda", "1e308"),
+        ],
+        ids=["mass_cap_inf", "lam_inf", "lam_nan", "kappa_inf", "a_inf", "bound_overflow"],
+    )
+    def test_bounds_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "exact", "bounds", *argv)
+        assert code == 2
+        assert err.startswith("config error")
+        assert out == ""
 
     def test_energy_table_csv(self, capsys, tmp_path):
         out_file = tmp_path / "table.csv"
@@ -148,6 +182,14 @@ class TestOracleSolve:
         code, _, err = run_cli(capsys, "oracle", "solve", "--config", str(path))
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_weight_exits_2(self, capsys, tmp_path, lam):
+        cfg = self.write_config(tmp_path, lam=lam)
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error")
+        assert out == ""
 
     def test_flat_kernel_config_accepted(self, capsys, tmp_path):
         cfg = self.write_config(

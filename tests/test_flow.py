@@ -240,7 +240,7 @@ def prox_instances(draw):
 
 
 class TestInnerSolver:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(prox_instances())
     def test_prox_matches_split_form_reference(self, instance):
         z, c, w, pins = instance

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kwcseg.errors import ConfigError
+from kwcseg.errors import ConditionError, ConfigError
 from kwcseg.kernel import (
     JumpKernel,
     check_conditions,
@@ -68,15 +70,19 @@ class TestKwcKernelValues:
             potts_kernel(0.0)
         with pytest.raises(ConfigError):
             JumpKernel(kind="mystery")
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                kwc_kernel(bad)
+            with pytest.raises(ConfigError):
+                potts_kernel(bad)
 
 
 class TestDerivedConstants:
     def test_values_at_mass_cap_two(self):
         c = derive_constants(kwc_kernel(1.0), 2.0)
-        assert c.split_gain == pytest.approx(1.0 / 3.0, abs=1e-3)
-        assert c.linear_floor == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert c.bound_rate == pytest.approx(1.0 / 6.0, abs=1e-3)
-        assert c.diagonal_candidate == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert c.split_gain == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert c.linear_floor == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert c.bound_rate == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_values_at_mass_cap_one(self):
         c = derive_constants(kwc_kernel(1.0), 1.0)
@@ -90,16 +96,74 @@ class TestDerivedConstants:
             assert c.bound_rate == min(c.linear_floor / cap, c.split_gain)
 
     def test_split_gain_attained_on_diagonal(self):
-        # For this kernel family the worst split of the cap is the even one.
+        # For this kernel family the worst split of the cap is the even one:
+        # (2 K(1) - K(2)) / 1 = 2 kappa / ((1 + kappa)(1 + 2 kappa)) at M = 2.
         for kappa in (0.5, 1.0, 2.0):
-            c = derive_constants(kwc_kernel(kappa), 2.0)
-            assert c.split_gain == pytest.approx(c.diagonal_candidate, rel=1e-2)
+            k = kwc_kernel(kappa)
+            c = derive_constants(k, 2.0)
+            assert c.split_gain == pytest.approx(2 * k.eval(1.0) - k.eval(2.0), abs=1e-15)
+            assert c.split_gain == pytest.approx(2 * kappa / ((1 + kappa) * (1 + 2 * kappa)), abs=1e-15)
+
+    def test_potts_values(self):
+        c = derive_constants(potts_kernel(3.0), 2.0)
+        assert c.split_gain == 3.0
+        assert c.linear_floor == 1.5
+        assert c.bound_rate == 0.75
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+    def test_mass_cap_must_be_positive_and_finite(self, cap):
+        with pytest.raises(ValueError):
+            derive_constants(kwc_kernel(1.0), cap)
+        with pytest.raises(ValueError):
+            check_conditions(kwc_kernel(1.0), cap)
 
     def test_linear_floor_uses_cap_endpoint(self):
         k = kwc_kernel(1.0)
         for cap in (0.5, 1.0, 3.0):
             c = derive_constants(k, cap)
             assert c.linear_floor == pytest.approx(k.eval(cap) / cap, abs=1e-12)
+
+
+@st.composite
+def kernels_and_caps(draw):
+    kind = draw(st.sampled_from(["kwc", "potts"]))
+    param = draw(st.floats(0.05, 20.0))
+    kernel = kwc_kernel(param) if kind == "kwc" else potts_kernel(param)
+    return kernel, draw(st.floats(0.05, 20.0)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestClosedFormConstants:
+    @settings(max_examples=200)
+    @given(kernels_and_caps())
+    def test_split_gain_is_the_infimum(self, case):
+        kernel, cap, seed = case
+        gain = derive_constants(kernel, cap).split_gain
+        rng = np.random.default_rng(seed)
+        total = cap * rng.uniform(1e-3, 1.0, size=1000)
+        r1 = total * rng.uniform(1e-3, 1.0 - 1e-3, size=1000)
+        r2 = total - r1
+        ratio = (kernel.eval(r1) + kernel.eval(r2) - kernel.eval(r1 + r2)) / (r1 * r2)
+        assert np.all(ratio >= gain * (1 - 1e-12))
+        half = cap / 2
+        at_even_split = (2 * kernel.eval(half) - kernel.eval(cap)) / (half * half)
+        assert at_even_split == pytest.approx(gain, rel=1e-12)
+
+    @settings(max_examples=200)
+    @given(kernels_and_caps())
+    def test_linear_floor_is_the_infimum(self, case):
+        kernel, cap, seed = case
+        c = derive_constants(kernel, cap)
+        assert c.linear_floor == pytest.approx(kernel.eval(cap) / cap, rel=1e-12)
+        rho = cap * np.random.default_rng(seed).uniform(1e-6, 1.0, size=1000)
+        assert np.all(kernel.eval(rho) / rho >= c.linear_floor * (1 - 1e-12))
+        assert c.bound_rate == min(c.linear_floor / cap, c.split_gain)
+
+    @settings(max_examples=50)
+    @given(st.floats(1e-6, 1e6))
+    def test_linear_kernel_has_no_gain(self, cap):
+        with pytest.raises(ConditionError):
+            derive_constants(linear_kernel(), cap)
+        assert check_conditions(linear_kernel(), cap, samples=100).split_gain is None
 
 
 class TestStrengthenedSubadditivity:

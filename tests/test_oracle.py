@@ -1,11 +1,16 @@
 """Unit tests for the discrete global minimizer (dynamic program)."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwcseg.errors import ConfigError
 from kwcseg.exact import jump_bounds, uniform_step_minimizer
-from kwcseg.kernel import kwc_kernel, potts_kernel
+from kwcseg.kernel import kwc_kernel, linear_kernel, potts_kernel
 from kwcseg.oracle import (
     OracleProblem,
     best_with_m_jumps,
@@ -133,7 +138,103 @@ class TestMonotoneBattery:
                 assert vals.max() <= samples.max() + 1e-12
 
 
+@st.composite
+def tiny_problems(draw):
+    """Random sampled data on n <= 5 cells, L <= 4 random levels, any kernel."""
+    n = draw(st.integers(1, 5))
+    n_levels = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
+    param = draw(st.floats(0.1, 5.0))
+    kernel = {"kwc": kwc_kernel(param), "potts": potts_kernel(param), "linear": linear_kernel()}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.uniform(-1.0, 1.0, size=n + 1)
+    lo, hi = samples.min(), samples.max()
+    levels = np.unique(np.concatenate(([lo], rng.uniform(lo, hi, size=n_levels - 1))))
+    pin = None
+    if draw(st.booleans()):
+        pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
+    return OracleProblem(
+        data=SampledData(GridSignal((0.0, 1.0), samples)),
+        kernel=kernel,
+        lam=draw(st.floats(0.1, 100.0)),
+        levels=levels,
+        endpoint_pin=pin,
+        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
+    )
+
+
+def enumerate_optima(problem):
+    """Energy of every level sequence, by brute force over itertools.product.
+
+    Returns (optimum by jump count, evaluator of a cell-value vector).
+    """
+    samples = problem.data.signal.samples
+    n = samples.size - 1
+    levels = np.asarray(problem.levels)
+    gmid = 0.5 * (samples[:-1] + samples[1:])
+
+    def evaluate(values):
+        fidelity = 0.5 * problem.lam * np.sum((values - gmid) ** 2) / n
+        return fidelity + float(np.sum(problem.kernel.eval(np.abs(np.diff(values)))))
+
+    optima = {}
+    for seq in itertools.product(range(levels.size), repeat=n):
+        if problem.endpoint_pin is not None:
+            ends = tuple(levels[[seq[0], seq[-1]]])
+            if ends != problem.endpoint_pin:
+                continue
+        m = sum(a != b for a, b in zip(seq, seq[1:]))
+        optima[m] = min(optima.get(m, math.inf), evaluate(levels[list(seq)]))
+    return optima, evaluate
+
+
+def assert_close(value, expected):
+    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestAgainstEnumeration:
+    @settings(max_examples=300)
+    @given(tiny_problems())
+    def test_free_and_budgeted_optima(self, problem):
+        optima, evaluate = enumerate_optima(problem)
+        n = problem.resolved_cells()
+        if not optima:  # one cell pinned to two different levels
+            with pytest.raises(ConfigError):
+                solve(problem)
+            return
+        best = solve(problem)
+        assert_close(best.energy.total, min(optima.values()))
+        assert_close(evaluate(sequence_from_result(best, problem)), best.energy.total)
+        for m in range(n):
+            if m not in optima:
+                with pytest.raises(ConfigError):
+                    best_with_m_jumps(problem, m)
+                continue
+            res = best_with_m_jumps(problem, m)
+            assert res.jump_count == m
+            assert_close(res.energy.total, optima[m])
+            assert_close(evaluate(sequence_from_result(res, problem)), res.energy.total)
+
+    @settings(max_examples=300)
+    @given(tiny_problems())
+    def test_tie_scan_returns_true_optima(self, problem):
+        optima, evaluate = enumerate_optima(problem)
+        if not optima:
+            return
+        best = solve(problem, tie_scan_jumps=problem.resolved_cells() - 1)
+        window = problem.tie_tolerance * max(1.0, abs(best.energy.total))
+        for tie in best.ties:
+            assert_close(tie.energy.total, optima[tie.jump_count])
+            assert_close(evaluate(sequence_from_result(tie, problem)), tie.energy.total)
+            assert tie.energy.total <= best.energy.total + window
+
+
 class TestProblemValidation:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_weight_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(ConfigError):
+            OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=lam, n_cells=10)
+
     def test_cell_limit(self):
         p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=4000)
         with pytest.raises(ConfigError):
