@@ -36,9 +36,7 @@ from .flow import (
     plateau_flatness,
     pre_relax_v,
     steady_damage_profile,
-    step_at,
-    step_kwc,
-    step_rof,
+    step,
 )
 from .flow import run as run_flow
 from .kernel import (
@@ -130,9 +128,7 @@ __all__ = [
     "split_cost",
     "split_cost_derivative",
     "steady_damage_profile",
-    "step_at",
-    "step_kwc",
-    "step_rof",
+    "step",
     "transition_lambda",
     "tv",
     "tv_kernel",

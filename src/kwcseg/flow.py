@@ -15,10 +15,12 @@ lumping of the edge mass; both half-steps of the alternating scheme then
 minimize the same discrete energy, so the per-step energy trace is
 non-increasing up to rounding.
 
-Time stepping is implicit (proximal): the non-smooth TV subproblems are
-solved exactly by the fused-lasso dynamic program, each with a duality-gap
-certificate from the dual recovered from its solution; the quadratic
-subproblems are banded solves.
+Time stepping is implicit (proximal), and rof, at and kwc share one step:
+u with v frozen, then v with u frozen.  The non-smooth TV subproblems (rof,
+kwc) are solved exactly by the fused-lasso dynamic program, each with a
+duality-gap certificate from the dual recovered from its solution; the
+quadratic u-subproblem (at) and the damage subproblem are tridiagonal
+solves, the latter also giving the exact steady damage for a frozen u.
 
 Resolution note: the half-to-each-node lumping biases the steady v at an
 isolated jump by O(h/eps) (about +5% of the depth at n = 1000 and
@@ -242,7 +244,7 @@ def _pins(g: np.ndarray, params: FlowParams):
 
 
 # ---------------------------------------------------------------------------
-# Banded solves.
+# Time steps.
 
 
 def _solve_tridiag(diag, lower, upper, rhs) -> np.ndarray:
@@ -253,41 +255,37 @@ def _solve_tridiag(diag, lower, upper, rhs) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs)
 
 
-def _v_update(v0, coupling, h, params: FlowParams) -> np.ndarray:
-    """One implicit step of the damage field with the signal frozen.
+def _coupling(model: str, u: np.ndarray, sigma: float, h: float) -> np.ndarray:
+    """Coefficient of v_i in the damage equation for a frozen signal u.
 
-    coupling_i multiplies v_i in the Euler-Lagrange equation; it is the
-    lumped edge mass (kwc) or the lumped squared slope (at), times 2*sigma.
+    It is 2*sigma times the half-to-each-node lumping of the edge jump
+    |Du| (kwc) or of the edge squared slope |Du|^2 / h (at).
     """
-    n = v0.size
+    du = np.diff(u)
+    edge = np.abs(du) if model == "kwc" else du * du
+    lumped = np.zeros(u.size)
+    lumped[:-1] += 0.5 * edge
+    lumped[1:] += 0.5 * edge
+    c = 2.0 * sigma * lumped
+    return c if model == "kwc" else c / h
+
+
+def _damage_solve(coupling: np.ndarray, h: float, params: FlowParams, v0=None) -> np.ndarray:
+    """Damage field for a frozen signal, clipped to [0, 1].
+
+    Solves (h/dt + h/eps + coupling_i) v_i + stiffness = h v0_i/dt + h/eps
+    with natural ends: one implicit step from v0, or, when v0 is None, the
+    steady state, which drops both h/dt terms.
+    """
+    n = coupling.size
     eps, dt = params.epsilon, params.dt
-    diag = h / dt + h / eps + coupling + (eps / h) * np.where(
-        (np.arange(n) == 0) | (np.arange(n) == n - 1), 1.0, 2.0
-    )
+    neighbours = np.full(n, 2.0)
+    neighbours[[0, -1]] = 1.0
+    shift = h / eps if v0 is None else h / dt + h / eps
+    diag = shift + coupling + (eps / h) * neighbours
+    rhs = np.full(n, h / eps) if v0 is None else h * v0 / dt + h / eps
     off = np.full(n - 1, -eps / h)
-    rhs = h * v0 / dt + h / eps
-    v = _solve_tridiag(diag, off, off, rhs)
-    return np.clip(v, 0.0, 1.0)
-
-
-def _lumped_jump_mass(du_abs: np.ndarray) -> np.ndarray:
-    m = np.zeros(du_abs.size + 1)
-    m[:-1] += 0.5 * du_abs
-    m[1:] += 0.5 * du_abs
-    return m
-
-
-def _kwc_coupling(u: np.ndarray, sigma: float) -> np.ndarray:
-    return 2.0 * sigma * _lumped_jump_mass(np.abs(np.diff(u)))
-
-
-def _at_coupling(u: np.ndarray, sigma: float, h: float) -> np.ndarray:
-    du2 = np.diff(u) ** 2
-    return 2.0 * sigma * _lumped_jump_mass(du2) / h
-
-
-# ---------------------------------------------------------------------------
-# Time steps.
+    return np.clip(_solve_tridiag(diag, off, off, rhs), 0.0, 1.0)
 
 
 def _prox_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams):
@@ -300,93 +298,62 @@ def _prox_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowPa
     return u1, prox_gap(u1, tv_prox_dual(u1, z, c, w, pins), z, c, w, pins)
 
 
-def step_rof(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    u0 = state.u.samples
-    u1, gap = _prox_half_step(u0, g, np.full(u0.size - 1, params.sigma), params)
-    return replace(
-        state,
-        t=state.t + params.dt,
-        u=GridSignal(g.domain, u1),
-        energy=flow_energy("rof", u1, None, g.samples, g.h, params),
-        prox_gap=gap,
-    )
-
-
-def step_kwc(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
+def _quadratic_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams) -> np.ndarray:
+    """Implicit step of u for the at model: one tridiagonal solve."""
     h = g.h
-    u0, v0 = state.u.samples, state.v.samples
-    u1, gap = _prox_half_step(u0, g, _edge_weights(v0, params.sigma), params)
-    v1 = _v_update(v0, _kwc_coupling(u1, params.sigma), h, params)
-    return replace(
-        state,
-        t=state.t + params.dt,
-        u=GridSignal(g.domain, u1),
-        v=GridSignal(g.domain, v1),
-        energy=flow_energy("kwc", u1, v1, g.samples, h, params),
-        prox_gap=gap,
-    )
-
-
-def step_at(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    h = g.h
-    u0, v0 = state.u.samples, state.v.samples
-    n = u0.size
-    w = _edge_weights(v0, params.sigma)
-
     coeff = 2.0 * w / h
-    diag = np.full(n, h / params.dt + params.lam * h)
+    diag = np.full(u0.size, h / params.dt + params.lam * h)
     diag[:-1] += coeff
     diag[1:] += coeff
-    lower = -coeff.copy()
-    upper = -coeff.copy()
+    lower, upper = -coeff, -coeff
     rhs = h * (u0 / params.dt + params.lam * g.samples)
     pins = _pins(g.samples, params)
     if pins is not None:
-        diag[0] = 1.0
-        upper[0] = 0.0
-        rhs[0] = pins[0]
-        diag[-1] = 1.0
-        lower[-1] = 0.0
-        rhs[-1] = pins[1]
-    u1 = _solve_tridiag(diag, lower, upper, rhs)
+        diag[[0, -1]] = 1.0
+        upper[0] = lower[-1] = 0.0
+        rhs[[0, -1]] = pins
+    return _solve_tridiag(diag, lower, upper, rhs)
 
-    v1 = _v_update(v0, _at_coupling(u1, params.sigma, h), h, params)
+
+def step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
+    """One step of the alternating scheme, shared by rof, at and kwc.
+
+    u takes an implicit step with v frozen: the exact TV prox for rof
+    (weights sigma) and kwc (weights sigma v^2), a tridiagonal solve for at.
+    Then v, when the model has one, takes an implicit step with u frozen.
+    """
+    model, h = params.model, g.h
+    u0 = state.u.samples
+    v0 = None if model == "rof" else state.v.samples
+    w = np.full(u0.size - 1, params.sigma) if v0 is None else _edge_weights(v0, params.sigma)
+    if model == "at":
+        u1, gap = _quadratic_half_step(u0, g, w, params), None
+    else:
+        u1, gap = _prox_half_step(u0, g, w, params)
+    v1 = None if v0 is None else _damage_solve(_coupling(model, u1, params.sigma, h), h, params, v0)
     return replace(
         state,
         t=state.t + params.dt,
         u=GridSignal(g.domain, u1),
-        v=GridSignal(g.domain, v1),
-        energy=flow_energy("at", u1, v1, g.samples, h, params),
-        prox_gap=None,
+        v=None if v1 is None else GridSignal(g.domain, v1),
+        energy=flow_energy(model, u1, v1, g.samples, h, params),
+        prox_gap=gap,
     )
 
 
-def pre_relax_v(state: FlowState, g: GridSignal, params: FlowParams, max_iters: int = 200000) -> FlowState:
-    """Relax the damage field to steadiness with the signal frozen.
+def pre_relax_v(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
+    """Set the damage field to its exact steady state for the frozen signal.
 
     Gives an initial v consistent with the jumps of u0, so a theoretical
     start is not destroyed by the first few coupled steps.
     """
     if params.model == "rof":
         return state
-    h = g.h
-    u = state.u.samples
-    coupling = (
-        _kwc_coupling(u, params.sigma)
-        if params.model == "kwc"
-        else _at_coupling(u, params.sigma, h)
-    )
-    v = state.v.samples.copy()
-    for _ in range(max_iters):
-        v_new = _v_update(v, coupling, h, params)
-        change = float(np.max(np.abs(v_new - v))) / (params.dt * max(1.0, float(np.max(np.abs(v_new)))))
-        v = v_new
-        if change < params.steady_tol:
-            break
+    v = steady_damage_profile(state.u, params)
     return replace(
         state,
-        v=GridSignal(g.domain, v),
-        energy=flow_energy(params.model, u, v, g.samples, h, params),
+        v=v,
+        energy=flow_energy(params.model, state.u.samples, v.samples, g.samples, g.h, params),
     )
 
 
@@ -398,24 +365,8 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
     """
     if params.model == "rof":
         raise ConfigError("the rof model has no damage field")
-    h = u.h
-    eps = params.epsilon
-    coupling = (
-        _kwc_coupling(u.samples, params.sigma)
-        if params.model == "kwc"
-        else _at_coupling(u.samples, params.sigma, h)
-    )
-    n = u.n
-    diag = h / eps + coupling + (eps / h) * np.where(
-        (np.arange(n) == 0) | (np.arange(n) == n - 1), 1.0, 2.0
-    )
-    off = np.full(n - 1, -eps / h)
-    rhs = np.full(n, h / eps)
-    v = _solve_tridiag(diag, off, off, rhs)
-    return GridSignal(u.domain, np.clip(v, 0.0, 1.0))
-
-
-_STEPPERS = {"rof": step_rof, "at": step_at, "kwc": step_kwc}
+    coupling = _coupling(params.model, u.samples, params.sigma, u.h)
+    return GridSignal(u.domain, _damage_solve(coupling, u.h, params))
 
 
 def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
@@ -428,6 +379,8 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     params.validate()
     if u0.n != g.n or u0.n != params.n:
         raise ConfigError(f"grid mismatch: g has {g.n} nodes, u0 has {u0.n}, params.n = {params.n}")
+    if not (np.all(np.isfinite(g.samples)) and np.all(np.isfinite(u0.samples))):
+        raise ConfigError("g and u0 must have finite samples")
     u = u0.samples.copy()
     pins = _pins(g.samples, params)
     if pins is not None:
@@ -443,14 +396,13 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
         params.model, state.u.samples, None if state.v is None else state.v.samples, g.samples, h, params
     )
 
-    stepper = _STEPPERS[params.model]
     trace = [(0.0, state.energy, math.nan, math.nan)]
     steady = False
     steps = 0
     quiet_steps = 0
     n_steps = int(round(params.t_max / params.dt))
     for _ in range(n_steps):
-        new_state = stepper(state, g, params)
+        new_state = step(state, g, params)
         if not (np.all(np.isfinite(new_state.u.samples)) and math.isfinite(new_state.energy)):
             raise DivergenceError(
                 f"flow produced non-finite values at t = {new_state.t:.6g}",

@@ -122,8 +122,8 @@ def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
     kwc, h / (r1 * r2) for potts and 0 for linear.  For fixed s it is
     smallest at r1 = r2, and along that diagonal it falls as s grows, so
     the infimum sits at r1 = r2 = mass_cap/2.  K(rho)/rho is non-increasing,
-    so linear_floor = K(mass_cap)/mass_cap.  split_gain is None unless it
-    exceeds 1e-12 (never for the linear kernel).
+    so linear_floor = K(mass_cap)/mass_cap.  split_gain is None when it is
+    0 (the linear kernel); every positive gain is kept.
     """
     if not (math.isfinite(mass_cap) and mass_cap > 0):
         raise ValueError("mass_cap must be positive and finite")
@@ -137,7 +137,7 @@ def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
     else:
         split_gain = 0.0
         linear_floor = 1.0
-    return (split_gain if split_gain > 1e-12 else None), linear_floor
+    return (split_gain if split_gain > 0 else None), linear_floor
 
 
 def _split_ratio_grid_min(kernel: JumpKernel, mass_cap: float, resolution: int) -> float:

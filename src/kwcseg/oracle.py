@@ -15,7 +15,7 @@ capped accordingly.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class OracleProblem:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError("lam must be finite and non-negative")
+        if isinstance(self.data, SampledData) and not np.all(np.isfinite(self.data.signal.samples)):
+            raise ConfigError("sampled data must be finite")
 
     def resolved_cells(self) -> int:
         if self.n_cells is not None:
@@ -119,10 +121,6 @@ class _Tableau:
     cost: np.ndarray       # (n_cells, n_levels) fidelity cost per cell and level
     kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change
     pin: tuple | None      # (first level index, last level index) or None
-    mids: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def _build_tableau(problem: OracleProblem) -> _Tableau:
@@ -208,6 +206,8 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     m-optima whose energy is within tie_tolerance (relative) of the global
     optimum and whose jump signature differs from the minimizer's.
     """
+    if tie_scan_jumps is not None and tie_scan_jumps < 0:
+        raise ConfigError("tie_scan_jumps must be non-negative")
     tab = _build_tableau(problem)
     seq = _solve_free(tab)
     best = _result_from_sequence(problem, tab, seq)
@@ -220,7 +220,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     seen = {_signature(best.minimizer, cell)}
     ties = []
     budget = min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
-    for seq in _budget_pass(tab, budget) if budget >= 0 else ():
+    for seq in _budget_pass(tab, budget):
         if seq is None:
             continue  # no admissible sequence with this jump count (pins)
         res = _result_from_sequence(problem, tab, seq)

@@ -146,6 +146,8 @@ class GridSignal:
             raise ConfigError(f"{path}: bad row ({exc})") from exc
         if x.size < 2:
             raise ConfigError(f"{path}: need at least two rows")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise ConfigError(f"{path}: every x and value must be finite")
         h = np.diff(x)
         if not np.allclose(h, h[0], rtol=1e-6, atol=1e-12):
             raise ConfigError(f"{path}: nodes are not uniformly spaced")

@@ -191,6 +191,23 @@ class TestOracleSolve:
         assert err.startswith("config error")
         assert out == ""
 
+    def test_negative_tie_scan_exits_2(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path)
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg), "--tie-scan", "-3")
+        assert code == 2
+        assert err.startswith("config error")
+        assert out == ""
+
+    def test_non_finite_csv_data_exits_2(self, capsys, tmp_path):
+        csv_path = tmp_path / "g.csv"
+        csv_path.write_text("x,value\n0,0\n0.5,nan\n1,1\n")
+        cfg = self.write_config(tmp_path, data={"kind": "csv", "path": str(csv_path)}, n_cells=2)
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error")
+        assert "finite" in err
+        assert out == ""
+
     def test_flat_kernel_config_accepted(self, capsys, tmp_path):
         cfg = self.write_config(
             tmp_path, kernel={"kind": "potts", "height": 1.0}, endpoint_pin=None
@@ -270,8 +287,20 @@ class TestFlowRun:
         assert code == 2
         assert "config error" in err
 
+    def test_non_finite_csv_data_exits_2(self, capsys, tmp_path):
+        csv_path = tmp_path / "g.csv"
+        csv_path.write_text("x,value\n0,0\n0.5,nan\n1,1\n")
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps({"data": {"csv": str(csv_path)}, "params": {"model": "rof", "lam": 5.0, "n": 3}}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error")
+        assert "finite" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_exits_3(self, capsys, tmp_path, monkeypatch):
-        orig = flow_mod._STEPPERS["rof"]
+        orig = flow_mod.step
 
         def corrupting(state, g, params):
             st = orig(state, g, params)
@@ -281,7 +310,7 @@ class TestFlowRun:
                 st.u = GridSignal(g.domain, u)
             return st
 
-        monkeypatch.setitem(flow_mod._STEPPERS, "rof", corrupting)
+        monkeypatch.setattr(flow_mod, "step", corrupting)
         cfg = self.write_config(tmp_path, lam=200.0, t_max=5.0)
         code, _, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 3

@@ -251,6 +251,20 @@ class TestJumpBounds:
         assert large.jumps_monotone_data >= small.jumps_monotone_data
 
 
+    def test_tiny_split_gain_still_gives_bounds(self):
+        # kappa = 1, M = 3e6: the exact gain 2/((1 + M/2)(1 + M)) is about 4.4e-13.
+        M = 3e6
+        gain = 2.0 / ((1.0 + M / 2.0) * (1.0 + M))
+        rep = jump_bounds(kwc_kernel(1.0), 0.0, 1.0, 1.0, mass_cap=M)
+        assert rep.failure is None
+        assert rep.constants.split_gain == pytest.approx(gain, rel=1e-15)
+        assert isinstance(rep.jumps_monotone_data, int)
+        assert isinstance(rep.jumps_any_data, int)
+        # floor(lam (b - a) / (2 gain)) + 1, up to the roundoff guard of the floor.
+        assert rep.jumps_monotone_data == pytest.approx(1.0 / (2.0 * gain), rel=1e-11)
+        assert rep.jumps_monotone_data <= rep.jumps_any_data
+
+
 class TestSplitPenaltyLowerBound:
     def test_two_jump_competitors_pay_for_dispersion(self):
         # Splitting the single optimal jump of a unit ramp into two jumps

@@ -141,7 +141,7 @@ class TestDamageModels:
         params = FlowParams(model="kwc", lam=30.0, n=n, bc_u="dirichlet", t_max=0.05)
         state = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
         for _ in range(5):
-            state = flow_mod.step_kwc(state, g, params)
+            state = flow_mod.step(state, g, params)
             assert state.u.samples[0] == g.samples[0]
             assert state.u.samples[-1] == g.samples[-1]
 
@@ -177,6 +177,44 @@ class TestDamageModels:
         st = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
         relaxed = pre_relax_v(st, g, params)
         assert relaxed.v.samples.min() >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("model", ["kwc", "at"])
+    def test_pre_relax_is_the_steady_profile_and_a_fixed_point(self, model):
+        rng = np.random.default_rng(55)
+        n = 201
+        g = GridSignal((0.0, 1.0), unit_step(n).samples + rng.normal(0.0, 0.05, n))
+        params = FlowParams(model=model, lam=50.0, n=n, epsilon=0.02)
+        st = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
+        relaxed = pre_relax_v(st, g, params)
+        steady = steady_damage_profile(g, params).samples
+        assert np.array_equal(relaxed.v.samples, steady)
+        assert steady.min() < 0.9
+        # One implicit damage step with u frozen leaves the steady state put.
+        coupling = flow_mod._coupling(model, g.samples, params.sigma, g.h)
+        stepped = flow_mod._damage_solve(coupling, g.h, params, v0=steady)
+        assert np.max(np.abs(stepped - steady)) <= 1e-12
+
+    def test_rof_step_has_no_damage_field(self):
+        rng = np.random.default_rng(56)
+        n = 101
+        g = GridSignal((0.0, 1.0), rng.normal(0.5, 0.3, n))
+        params = FlowParams(model="rof", lam=30.0, n=n)
+        state = flow_mod.step(FlowState(t=0.0, u=g), g, params)
+        assert state.v is None
+        assert np.isfinite(state.prox_gap)
+        assert state.prox_gap <= 1e-8
+        assert state.t == pytest.approx(params.dt)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("which", ["g", "u0"])
+    def test_run_rejects_non_finite_samples(self, which):
+        n = 11
+        good = unit_step(n)
+        bad = GridSignal(good.domain, np.where(np.arange(n) == 4, np.nan, good.samples))
+        g, u0 = (bad, good) if which == "g" else (good, bad)
+        with pytest.raises(ConfigError, match="finite"):
+            run(g, u0, FlowParams(model="kwc", lam=10.0, n=n))
 
 
 class TestEnergyDescent:
@@ -280,7 +318,7 @@ class TestDivergenceHandling:
     def test_nonfinite_state_raises_with_postmortem(self, monkeypatch):
         rng = np.random.default_rng(54)
         g = GridSignal((0, 1), rng.normal(0.5, 0.5, 50))
-        orig = flow_mod._STEPPERS["rof"]
+        orig = flow_mod.step
 
         def corrupting(state, gg, params):
             st = orig(state, gg, params)
@@ -290,7 +328,7 @@ class TestDivergenceHandling:
                 st.u = GridSignal(gg.domain, u)
             return st
 
-        monkeypatch.setitem(flow_mod._STEPPERS, "rof", corrupting)
+        monkeypatch.setattr(flow_mod, "step", corrupting)
         with pytest.raises(DivergenceError) as err:
             run(g, g, FlowParams(model="rof", lam=1.0, n=50, t_max=1.0))
         assert err.value.state is not None

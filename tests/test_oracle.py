@@ -23,6 +23,17 @@ from kwcseg.pwc import GridSignal, LinearData, SampledData, energy, quantize
 K1 = kwc_kernel(1.0)
 
 
+class TestValidation:
+    def test_non_finite_sampled_data_rejected(self):
+        g = GridSignal((0.0, 1.0), np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ConfigError, match="finite"):
+            signal_problem(g, K1, 5.0)
+
+    def test_negative_tie_scan_rejected(self):
+        with pytest.raises(ConfigError, match="tie_scan_jumps"):
+            solve(tie_problem(n_cells=10, n_levels=5), tie_scan_jumps=-3)
+
+
 def tie_problem(n_cells=100, n_levels=51):
     return OracleProblem(
         data=LinearData((0.0, 1.0)),

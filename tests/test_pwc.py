@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kwcseg.errors import ConfigError
 from kwcseg.kernel import kwc_kernel, linear_kernel
 from kwcseg.pwc import (
     GridSignal,
@@ -84,6 +85,13 @@ class TestGridSignal:
         back = GridSignal.from_csv(path)
         assert back.domain == g.domain
         np.testing.assert_allclose(back.samples, g.samples, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_rejects_non_finite_samples(self, tmp_path, bad):
+        path = tmp_path / "signal.csv"
+        path.write_text(f"x,value\n0,0\n0.5,{bad}\n1,1\n")
+        with pytest.raises(ConfigError, match="finite"):
+            GridSignal.from_csv(path)
 
 
 class TestTotalVariation:
