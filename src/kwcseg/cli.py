@@ -182,17 +182,9 @@ def _cmd_oracle_solve(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "result.json", "w", encoding="utf-8") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        n = problem.resolved_cells()
-        a, b = problem.data.domain
-        mids = (np.arange(n) + 0.5) * (b - a) / n + a
-        vals = result.minimizer(mids)
-        with open(out / "minimizer.csv", "w", encoding="utf-8") as fh:
-            fh.write("x,u\n")
-            for xi, ui in zip(mids, vals):
-                fh.write(f"{xi:.17g},{ui:.17g}\n")
+        experiments_mod.write_json(out / "result.json", result.to_json_dict())
+        mids = oracle_mod.cell_midpoints(problem)
+        experiments_mod.write_csv(out / "minimizer.csv", ("x", "u"), (mids, result.minimizer(mids)))
     return 0
 
 

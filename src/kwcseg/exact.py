@@ -20,8 +20,10 @@ from .pwc import LinearData, PiecewiseConstant, SampledData, energy
 def _int_part(r: float) -> int:
     if not math.isfinite(r):
         raise ValueError(f"jump bound {r} is not finite")
-    # Guard so exact-integer ratios are not knocked down by float roundoff.
-    return int(math.floor(r * (1 + 1e-12) + 1e-12))
+    # Snap up a ratio within a few ulps of the next integer, so exact-integer
+    # ratios are not knocked down by float roundoff.
+    k = math.floor(r)
+    return k + 1 if k + 1 - r <= 8 * math.ulp(r) else k
 
 
 def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -> float:

@@ -8,7 +8,7 @@ bounds), and optionally persists everything under an output directory:
       summary.json
       <label>/trace.csv    t, energy, change_rate, prox_gap (strided)
       <label>/final.csv    x, u[, v]
-      <label>/result.json  steady flag, census, parameter echo
+      <label>/result.json  run_summary of the run, plus its params
       <label>.svg          data / signal / damage overlay
 
 The noisy three-plateau signal is fixed here (plateaus 0.2, 0.8, 0.35 on
@@ -34,6 +34,7 @@ from .exact import (
     uniform_step_minimizer,
 )
 from .flow import (
+    MODELS,
     TRACE_COLUMNS,
     FlowParams,
     FlowResult,
@@ -177,15 +178,12 @@ def _trimmed_mean(seg: np.ndarray, lo: int, hi: int) -> float:
 
 
 def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> FlowParams:
-    kw = dict(model=model, lam=lam)
-    kw.update(proto)
-    kw.update(spec.overrides)
-    kw["model"] = model
-    return FlowParams(**kw)
+    return FlowParams(**{"model": model, "lam": lam, **proto, **spec.overrides})
 
 
-def _census_rows(pairs) -> list:
-    return [[float(p), float(s)] for p, s in pairs]
+def _grid(spec: ExperimentSpec, name: str) -> GridSignal:
+    """The protocol's data signal on the spec's grid (FlowParams.n by default)."""
+    return generate_signal(name, n=int(spec.overrides.get("n", FlowParams.n)), seed=spec.seed)
 
 
 def _max_energy_rise(trace) -> float:
@@ -198,18 +196,35 @@ def _max_energy_rise(trace) -> float:
     return worst
 
 
-def _run_block(result: FlowResult, threshold: float) -> dict:
-    census = jump_census(result.state.u, threshold)
+def run_summary(result: FlowResult, census_threshold: float) -> dict:
+    """The one summary of a flow run.
+
+    ``result.json`` is this dict plus ``params``; every protocol block in
+    ``summary.json`` is this dict plus the protocol's extras.
+    """
+    census = jump_census(result.state.u, census_threshold)
     return {
+        "model": result.params.model,
         "steady": result.steady,
         "steps": result.steps,
         "t_final": result.state.t,
         "energy": result.state.energy,
-        "census_threshold": threshold,
+        "census_threshold": census_threshold,
         "jump_count": len(census),
-        "census": _census_rows(census),
+        "jump_census": [[float(p), float(s)] for p, s in census],
+        "final_prox_gap": result.state.prox_gap,
         "max_step_energy_rise": _max_energy_rise(result.trace),
     }
+
+
+def _sweep(spec: ExperimentSpec, data: str, lam: float, threshold: float, **proto):
+    """Run every model of the spec (default: all of ``MODELS``) from u0 = g."""
+    g = _grid(spec, data)
+    results, blocks = {}, {}
+    for model in spec.models or MODELS:
+        results[model] = run(g, g, _flow_params(model, lam, spec, **proto))
+        blocks[model] = run_summary(results[model], threshold)
+    return g, results, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +246,23 @@ def _bound_block(lam: float, observed: int, applies: bool) -> dict:
 def _linear_steady(spec: ExperimentSpec) -> RunRecord:
     m = 4
     lam = lambda_for_jump_count(1.0, m)
-    n = int(spec.overrides.get("n", 1000))
-    g = generate_signal("linear", n=n, seed=spec.seed)
+    g = _grid(spec, "linear")
     um = uniform_step_minimizer(1.0, m)
     starts = {
         "naive": (g, False),
-        "theory": (um.sample(n), True),
+        "theory": (um.sample(g.n), True),
     }
     results, blocks = {}, {}
     for label, (u0, relax) in starts.items():
         params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=relax)
         results[label] = run(g, u0, params)
-        block = _run_block(results[label], STRUCTURE_THRESHOLD)
+        block = run_summary(results[label], STRUCTURE_THRESHOLD)
         block["bound"] = _bound_block(lam, block["jump_count"], applies=(label == "theory"))
         blocks[label] = block
 
     d = 1.0 / m
     theory = blocks["theory"]
-    census = results["theory"].state.u
-    pairs = jump_census(census, STRUCTURE_THRESHOLD)
+    pairs = theory["jump_census"]
     h = g.h
     if pairs:
         sizes = np.array([s for _p, s in pairs])
@@ -277,8 +290,7 @@ def _linear_steady(spec: ExperimentSpec) -> RunRecord:
 def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
     crit = critical_lambda(1.0)
     lam = crit.lam
-    n = int(spec.overrides.get("n", 1000))
-    g = generate_signal("linear", n=n, seed=spec.seed)
+    g = _grid(spec, "linear")
     kernel = kwc_kernel(1.0)
     data = LinearData((0.0, 1.0))
 
@@ -286,11 +298,11 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
     fit_energies = {}
     for m in (1, 2):
         label = f"m{m}"
-        um = uniform_step_minimizer(1.0, m).sample(n)
+        um = uniform_step_minimizer(1.0, m).sample(g.n)
         u0 = GridSignal(g.domain, 0.5 * g.samples + 0.5 * um.samples)
         params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True)
         results[label] = run(g, u0, params)
-        block = _run_block(results[label], STRUCTURE_THRESHOLD)
+        block = run_summary(results[label], STRUCTURE_THRESHOLD)
         fit = census_fit(results[label].state.u, STRUCTURE_THRESHOLD)
         fit_total = energy(fit, data, kernel, lam).total
         fit_energies[label] = fit_total
@@ -334,21 +346,15 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
 
 def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
     lam = 150.0
-    n = int(spec.overrides.get("n", 1000))
-    g = generate_signal("sine", n=n, seed=spec.seed)
-    models = spec.models or ("rof", "at", "kwc")
-    results, blocks = {}, {}
-    for model in models:
-        params = _flow_params(model, lam, spec, bc_u="neumann")
-        results[model] = run(g, g, params)
-        block = _run_block(results[model], STRUCTURE_THRESHOLD)
+    g, results, blocks = _sweep(spec, "sine", lam, STRUCTURE_THRESHOLD, bc_u="neumann")
+    for model, block in blocks.items():
+        u = results[model].state.u
         block["micro_threshold"] = MICRO_THRESHOLD
-        block["micro_edge_count"] = edges_above(results[model].state.u, MICRO_THRESHOLD)
+        block["micro_edge_count"] = edges_above(u, MICRO_THRESHOLD)
         if model == "kwc":
-            flat = plateau_flatness(results[model].state.u, STRUCTURE_THRESHOLD)
+            flat = plateau_flatness(u, STRUCTURE_THRESHOLD)
             block["plateau_count"] = block["jump_count"] + 1
             block["max_plateau_variation"] = max((v for _a, _b, v in flat), default=0.0)
-        blocks[model] = block
     summary = {
         "experiment": "sine_segmentation",
         "seed": spec.seed,
@@ -356,7 +362,7 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
         "thresholds": {"structure": STRUCTURE_THRESHOLD, "micro": MICRO_THRESHOLD},
         "models": blocks,
     }
-    if "kwc" in models:
+    if "kwc" in blocks:
         summary["oracle_check"] = _sine_oracle_check(lam)
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
 
@@ -386,22 +392,14 @@ def _sine_oracle_check(lam: float, n_cells: int = 500, n_levels: int = 201) -> d
 
 def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
     lam = 50.0
-    n = int(spec.overrides.get("n", 1000))
-    g = generate_signal("noisy_steps", n=n, seed=spec.seed)
-    models = spec.models or ("rof", "at", "kwc")
-    results, blocks = {}, {}
-    for model in models:
-        params = _flow_params(model, lam, spec, bc_u="neumann")
-        results[model] = run(g, g, params)
-        block = _run_block(results[model], DENOISE_THRESHOLD)
-        if model == "kwc":
-            pairs = jump_census(results[model].state.u, DENOISE_THRESHOLD)
-            block["expected_positions"] = list(STEP_EDGES)
-            if len(pairs) == len(STEP_EDGES):
-                block["position_errors"] = [
-                    abs(p - e) for (p, _s), e in zip(pairs, STEP_EDGES)
-                ]
-        blocks[model] = block
+    g, results, blocks = _sweep(spec, "noisy_steps", lam, DENOISE_THRESHOLD, bc_u="neumann")
+    kwc = blocks.get("kwc")
+    if kwc is not None:
+        kwc["expected_positions"] = list(STEP_EDGES)
+        if kwc["jump_count"] == len(STEP_EDGES):
+            kwc["position_errors"] = [
+                abs(p - e) for (p, _s), e in zip(kwc["jump_census"], STEP_EDGES)
+            ]
     summary = {
         "experiment": "noisy_steps",
         "seed": spec.seed,
@@ -419,15 +417,8 @@ def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
 
 
 def _custom(spec: ExperimentSpec) -> RunRecord:
-    overrides = dict(spec.overrides)
-    lam = float(overrides["lam"])
-    n = int(overrides.get("n", 1000))
-    g = generate_signal(spec.data, n=n, seed=spec.seed)
-    results, blocks = {}, {}
-    for model in spec.models:
-        params = _flow_params(model, lam, spec)
-        results[model] = run(g, g, params)
-        blocks[model] = _run_block(results[model], STRUCTURE_THRESHOLD)
+    lam = float(spec.overrides["lam"])
+    g, results, blocks = _sweep(spec, spec.data, lam, STRUCTURE_THRESHOLD)
     summary = {
         "experiment": "custom",
         "data": spec.data,
@@ -474,42 +465,26 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> RunRecord:
 # Artifact writers.
 
 
+def write_csv(path, header, columns) -> None:
+    """A header line, then one row per index of ``columns``, every value as .17g."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{value:.17g}" for value in row) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_trace(path, trace, stride) -> None:
     rows = trace[::stride]
     if trace and rows[-1] is not trace[-1]:
         rows.append(trace[-1])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{value:.17g}" for value in row) + "\n")
-
-
-def _write_final(path, result: FlowResult) -> None:
-    u = result.state.u
-    v = result.state.v
-    with open(path, "w", encoding="utf-8") as fh:
-        if v is None:
-            fh.write("x,u\n")
-            for xi, ui in zip(u.x(), u.samples):
-                fh.write(f"{xi:.17g},{ui:.17g}\n")
-        else:
-            fh.write("x,u,v\n")
-            for xi, ui, vi in zip(u.x(), u.samples, v.samples):
-                fh.write(f"{xi:.17g},{ui:.17g},{vi:.17g}\n")
-
-
-def flow_result_json(result: FlowResult, census_threshold: float = STRUCTURE_THRESHOLD) -> dict:
-    return {
-        "model": result.params.model,
-        "steady": result.steady,
-        "steps": result.steps,
-        "t_final": result.state.t,
-        "energy": result.state.energy,
-        "jump_census": _census_rows(jump_census(result.state.u, census_threshold)),
-        "census_threshold": census_threshold,
-        "final_prox_gap": result.state.prox_gap,
-        "params": dataclasses.asdict(result.params),
-    }
+    write_csv(path, TRACE_COLUMNS, zip(*rows))
 
 
 def write_flow_artifacts(result: FlowResult, out_dir, census_threshold: float = STRUCTURE_THRESHOLD) -> dict:
@@ -517,10 +492,14 @@ def write_flow_artifacts(result: FlowResult, out_dir, census_threshold: float = 
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     _write_trace(path / "trace.csv", result.trace, result.params.output_stride)
-    _write_final(path / "final.csv", result)
-    with open(path / "result.json", "w", encoding="utf-8") as fh:
-        json.dump(flow_result_json(result, census_threshold), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    u, v = result.state.u, result.state.v
+    final = {"x": u.x(), "u": u.samples}
+    if v is not None:
+        final["v"] = v.samples
+    write_csv(path / "final.csv", final, final.values())
+    summary = run_summary(result, census_threshold)
+    summary["params"] = dataclasses.asdict(result.params)
+    write_json(path / "result.json", summary)
     return {
         "trace": str(path / "trace.csv"),
         "final": str(path / "final.csv"),
@@ -538,9 +517,7 @@ def write_artifacts(record: RunRecord, out_dir) -> None:
     if record.oracle is not None:
         summary["oracle_result"] = record.oracle.to_json_dict()
     summary["artifacts"] = record.artifacts
-    with open(path / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path / "summary.json", summary)
     record.artifacts["summary"] = str(path / "summary.json")
 
 

@@ -73,6 +73,8 @@ class FlowParams:
         for name in ("dt", "epsilon", "t_max"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        if round(self.t_max / self.dt) < 1:
+            raise ConfigError(f"t_max = {self.t_max} is less than one time step dt = {self.dt}")
         if self.lam < 0 or self.sigma < 0:
             raise ConfigError("lam and sigma must be non-negative")
         if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:

@@ -39,7 +39,8 @@ class OracleProblem:
 
     ``levels`` defaults to ``n_levels`` uniform values spanning the data
     range.  ``endpoint_pin`` forces the first and last cell to the levels
-    nearest the given values (boundary conditions of the continuum problem).
+    nearest the given values (boundary conditions of the continuum problem);
+    a pin outside the level range is a ``ConfigError``.
     ``tie_tolerance`` is the relative energy window within which alternative
     minimizers count as ties.
     """
@@ -152,6 +153,13 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     pin = None
     if problem.endpoint_pin is not None:
         va, vb = problem.endpoint_pin
+        lo, hi = problem.data.value_range()
+        slack = 1e-9 * max(hi - lo, 1.0)
+        if not all(levels[0] - slack <= p <= levels[-1] + slack for p in (va, vb)):
+            raise ConfigError(
+                f"endpoint_pin {problem.endpoint_pin} lies outside the level range "
+                f"[{levels[0]}, {levels[-1]}]"
+            )
         pin = (int(np.argmin(np.abs(levels - va))), int(np.argmin(np.abs(levels - vb))))
     return _Tableau(edges=edges, levels=levels, cost=cost, kmat=kmat, pin=pin)
 
@@ -257,7 +265,6 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     D[0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
 
     parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int32)
-    jumped_flag = np.zeros((n, budget + 1, L), dtype=bool)
     for i in range(1, n):
         newD = np.empty_like(D)
         for j in range(budget, -1, -1):
@@ -270,7 +277,6 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
                 jumped = trans[arg, cols]
                 use_jump = jumped < best_here
                 take_lvl = np.where(use_jump, arg.astype(np.int32), take_lvl)
-                jumped_flag[i, j] = use_jump
                 best_here = np.where(use_jump, jumped, best_here)
             parent_lvl[i, j] = take_lvl
             newD[j] = best_here + tab.cost[i]
@@ -287,9 +293,9 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
         seq[-1] = int(np.argmin(D[m]))
         j = m
         for i in range(n - 1, 0, -1):
-            lvl = seq[i]
-            seq[i - 1] = parent_lvl[i, j, lvl]
-            if jumped_flag[i, j, lvl]:
+            seq[i - 1] = parent_lvl[i, j, seq[i]]
+            # A jump always changes level: kmat_offdiag has inf on its diagonal.
+            if seq[i - 1] != seq[i]:
                 j -= 1
         seqs.append(seq)
     return seqs
@@ -311,12 +317,16 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     return _result_from_sequence(problem, tab, seq)
 
 
-def sequence_from_result(result: OracleResult, problem: OracleProblem) -> np.ndarray:
-    """Cell-value vector of a result, for grid-level comparisons."""
+def cell_midpoints(problem: OracleProblem) -> np.ndarray:
+    """Midpoints of the problem's uniform cells."""
     n = problem.resolved_cells()
     a, b = problem.data.domain
-    mids = (np.arange(n) + 0.5) * (b - a) / n + a
-    return result.minimizer(mids)
+    return (np.arange(n) + 0.5) * (b - a) / n + a
+
+
+def sequence_from_result(result: OracleResult, problem: OracleProblem) -> np.ndarray:
+    """Cell-value vector of a result, for grid-level comparisons."""
+    return result.minimizer(cell_midpoints(problem))
 
 
 def signal_problem(

@@ -275,13 +275,6 @@ class SampledData:
     def value_range(self) -> tuple:
         return (float(self.signal.samples.min()), float(self.signal.samples.max()))
 
-    def moments(self, x0: float, x1: float) -> tuple:
-        xs = self.signal.x()
-        inner = xs[(xs > x0) & (xs < x1)]
-        pts = np.concatenate(([x0], inner, [x1]))
-        g = self(pts)
-        return float(np.trapezoid(g, pts)), float(np.trapezoid(g * g, pts))
-
 
 ANALYTIC_DATA = (LinearData, SineData, StepListData)
 

@@ -9,6 +9,7 @@ import kwcseg.cli as cli
 import kwcseg.flow as flow_mod
 from kwcseg.cli import main
 from kwcseg.errors import InvariantViolation
+from kwcseg.oracle import sequence_from_result, solve
 from kwcseg.pwc import GridSignal
 
 
@@ -170,6 +171,16 @@ class TestOracleSolve:
         assert csv_lines[0] == "x,u"
         assert len(csv_lines) == 101
 
+    def test_minimizer_csv_holds_cell_midpoints_and_the_cell_values(self, capsys, tmp_path):
+        cfg_path = self.write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "oracle", "solve", "--config", str(cfg_path), "--out", str(out_dir))
+        assert code == 0
+        problem = cli._problem_from_config(json.loads(cfg_path.read_text()))
+        table = np.loadtxt(out_dir / "minimizer.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(table[:, 0], (np.arange(100) + 0.5) / 100, rtol=0, atol=1e-15)
+        assert np.array_equal(table[:, 1], sequence_from_result(solve(problem), problem))
+
     def test_unknown_data_kind_exits_2(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, data={"kind": "wat"})
         code, _, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
@@ -280,6 +291,15 @@ class TestFlowRun:
         assert err.startswith("config error")
         assert out == ""
 
+    def test_fewer_than_one_time_step_exits_2(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, dt=0.01, t_max=0.004)
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error")
+        assert "time step" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_missing_params_exits_2(self, capsys, tmp_path):
         path = tmp_path / "flow.json"
         path.write_text(json.dumps({"data": {"generator": "step"}}))
@@ -342,6 +362,22 @@ class TestExperimentCommand:
         assert summary["experiment"] == "custom"
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "rof.svg").exists()
+
+    def test_summary_blocks_are_the_result_json_summaries(self, capsys, tmp_path):
+        out_dir = tmp_path / "exp"
+        code, _, _ = run_cli(
+            capsys, "experiment", "custom", "--models", "rof", "at", "kwc", "--data", "steps",
+            "--lam", "30", "--n", "101", "--t-max", "0.5", "--out", str(out_dir),
+        )
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        for model in ("rof", "at", "kwc"):
+            block = summary["models"][model]
+            result = json.loads((out_dir / model / "result.json").read_text())
+            shared = set(result) - {"params"}
+            assert shared <= set(block)
+            assert {key: block[key] for key in shared} == {key: result[key] for key in shared}
+            assert block["model"] == model
 
     def test_unknown_experiment_name_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

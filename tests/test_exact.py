@@ -265,6 +265,23 @@ class TestJumpBounds:
         assert rep.jumps_monotone_data <= rep.jumps_any_data
 
 
+    def test_huge_ratio_bound_is_floor_plus_one(self):
+        # r = lam / (2 gain) = (1 + M/2)(1 + M) / 4 = 1125001125000.25 for kappa = 1, M = 3e6.
+        rep = jump_bounds(kwc_kernel(1.0), 0.0, 1.0, 1.0, mass_cap=3e6)
+        assert rep.jumps_monotone_data == 1125001125001
+
+    def test_integer_ratios_snap_up_and_others_do_not(self):
+        # On (0, 0.1), lam = 2 k gain / 0.1 makes 0.1 lam / (2 gain) = k up to
+        # roundoff, which lands below k for some k (k = 7 gives 6.999999999999999).
+        gain = derive_constants(kwc_kernel(1.0), 1.0).split_gain
+        for k in range(1, 2001):
+            lam = k * 2.0 * gain / 0.1
+            rep = jump_bounds(kwc_kernel(1.0), 0.0, 0.1, lam, mass_cap=1.0)
+            assert rep.jumps_monotone_data == k + 1
+            below = jump_bounds(kwc_kernel(1.0), 0.0, 0.1, lam * (1.0 - 1e-9), mass_cap=1.0)
+            assert below.jumps_monotone_data == k
+
+
 class TestSplitPenaltyLowerBound:
     def test_two_jump_competitors_pay_for_dispersion(self):
         # Splitting the single optimal jump of a unit ramp into two jumps

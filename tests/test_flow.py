@@ -50,6 +50,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=name):
             FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: value}).validate()
 
+    @pytest.mark.parametrize("dt, t_max", [(0.01, 0.004), (0.01, 0.005), (2.0, 1.0)])
+    def test_fewer_than_one_time_step_rejected(self, dt, t_max):
+        with pytest.raises(ConfigError, match="time step"):
+            FlowParams(model="rof", lam=1.0, n=50, dt=dt, t_max=t_max).validate()
+
+    def test_one_time_step_runs(self):
+        g = unit_step(50)
+        res = run(g, g, FlowParams(model="rof", lam=1.0, n=50, dt=0.01, t_max=0.006))
+        assert res.steps == 1
+
     def test_output_stride_must_be_positive(self):
         with pytest.raises(ConfigError):
             FlowParams(model="rof", lam=1.0, n=50, output_stride=0).validate()

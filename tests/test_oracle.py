@@ -285,6 +285,26 @@ class TestProblemValidation:
             solve(p)
 
 
+    @pytest.mark.parametrize("pin", [(0.0, 1.5), (-0.2, 1.0), (0.0, math.nan)])
+    def test_pin_outside_level_range_rejected(self, pin):
+        p = OracleProblem(
+            data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=10, n_levels=11, endpoint_pin=pin
+        )
+        with pytest.raises(ConfigError, match="endpoint_pin"):
+            solve(p)
+        with pytest.raises(ConfigError, match="endpoint_pin"):
+            best_with_m_jumps(p, 1)
+
+    def test_pin_inside_level_range_goes_to_nearest_level(self):
+        # Within the 1e-9 slack of the end levels, and between levels.
+        for pin, ends in (((-1e-12, 1.0 + 1e-12), (0.0, 1.0)), ((0.04, 0.96), (0.0, 1.0)), ((0.26, 0.74), (0.3, 0.7))):
+            p = OracleProblem(
+                data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=10, n_levels=11, endpoint_pin=pin
+            )
+            seq = sequence_from_result(solve(p), p)
+            assert (seq[0], seq[-1]) == pytest.approx(ends, abs=1e-12)
+
+
 class TestResultShape:
     def test_sequence_reconstruction(self):
         p = tie_problem()
