@@ -8,7 +8,7 @@ bounds), and optionally persists everything under an output directory:
       summary.json
       <label>/trace.csv    t, energy, change_rate, prox_gap (strided)
       <label>/final.csv    x, u[, v]
-      <label>/result.json  run_summary of the run, plus its params
+      <label>/result.json  the run's summary.json block, plus its params
       <label>.svg          data / signal / damage overlay
 
 The noisy three-plateau signal is fixed here (plateaus 0.2, 0.8, 0.35 on
@@ -199,8 +199,9 @@ def _max_energy_rise(trace) -> float:
 def run_summary(result: FlowResult, census_threshold: float) -> dict:
     """The one summary of a flow run.
 
-    ``result.json`` is this dict plus ``params``; every protocol block in
-    ``summary.json`` is this dict plus the protocol's extras.
+    Every protocol block in ``summary.json`` is this dict plus the
+    protocol's extras, and the run's ``result.json`` is that block plus
+    ``params``; a lone ``flow run`` writes this dict plus ``params``.
     """
     census = jump_census(result.state.u, census_threshold)
     return {
@@ -489,6 +490,10 @@ def _write_trace(path, trace, stride) -> None:
 
 def write_flow_artifacts(result: FlowResult, out_dir, census_threshold: float = STRUCTURE_THRESHOLD) -> dict:
     """Persist one flow run: trace.csv, final.csv, result.json."""
+    return _write_run(result, out_dir, run_summary(result, census_threshold))
+
+
+def _write_run(result: FlowResult, out_dir, summary: dict) -> dict:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     _write_trace(path / "trace.csv", result.trace, result.params.output_stride)
@@ -497,9 +502,7 @@ def write_flow_artifacts(result: FlowResult, out_dir, census_threshold: float = 
     if v is not None:
         final["v"] = v.samples
     write_csv(path / "final.csv", final, final.values())
-    summary = run_summary(result, census_threshold)
-    summary["params"] = dataclasses.asdict(result.params)
-    write_json(path / "result.json", summary)
+    write_json(path / "result.json", {**summary, "params": dataclasses.asdict(result.params)})
     return {
         "trace": str(path / "trace.csv"),
         "final": str(path / "final.csv"),
@@ -510,8 +513,11 @@ def write_flow_artifacts(result: FlowResult, out_dir, census_threshold: float = 
 def write_artifacts(record: RunRecord, out_dir) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
+    # Each protocol keeps its run_summary blocks, keyed like record.results,
+    # under "runs" or "models"; result.json is that block plus params.
+    blocks = record.summary.get("runs") or record.summary["models"]
     for label, result in record.results.items():
-        record.artifacts[label] = write_flow_artifacts(result, path / label)
+        record.artifacts[label] = _write_run(result, path / label, blocks[label])
     summary = dict(record.summary)
     summary["spec"] = record.spec.to_json_dict()
     if record.oracle is not None:

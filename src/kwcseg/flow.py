@@ -73,6 +73,14 @@ class FlowParams:
         for name in ("dt", "epsilon", "t_max"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        # The steady damage matrix has diagonal h/eps + 2 eps/h + coupling and
+        # off-diagonals -eps/h; h/eps must survive the sum or it is singular.
+        shift, stiff = self.h / self.epsilon, self.epsilon / self.h
+        if not (math.isfinite(shift) and math.isfinite(stiff) and shift + 2.0 * stiff > 2.0 * stiff):
+            raise ConfigError(
+                f"epsilon = {self.epsilon} is out of range for the grid spacing h = {self.h}: "
+                "h/epsilon and epsilon/h must be finite and the damage matrix diagonally dominant"
+            )
         if round(self.t_max / self.dt) < 1:
             raise ConfigError(f"t_max = {self.t_max} is less than one time step dt = {self.dt}")
         if self.lam < 0 or self.sigma < 0:

@@ -11,7 +11,7 @@ gradient-flow solvers on small instances.
 
 Complexity is O(n_cells * n_levels^2) for the free problem and an extra
 factor of the jump budget for the count-constrained variant; sizes are
-capped accordingly.
+capped accordingly.  Each transition is reduced along contiguous rows.
 """
 
 import math
@@ -30,6 +30,7 @@ from .pwc import (
 
 MAX_CELLS = 2000
 MAX_LEVELS = 400
+assert MAX_LEVELS <= np.iinfo(np.int16).max  # parent tables hold int16 level indices
 MAX_JUMP_BUDGET = 10
 
 
@@ -186,13 +187,15 @@ def _solve_free(tab: _Tableau) -> np.ndarray:
         mask = np.full(L, big)
         mask[tab.pin[0]] = 0.0
         D = D + mask
-    parents = np.zeros((n, L), dtype=np.int32)
+    # trans[l, k] = D[k] + kmat[k, l]: numpy reduces a strided axis through a copy.
+    kmat_t = np.ascontiguousarray(tab.kmat.T)
+    parents = np.zeros((n, L), dtype=np.int16)
     cols = np.arange(L)
     for i in range(1, n):
-        trans = D[:, None] + tab.kmat
-        arg = np.argmin(trans, axis=0)
+        trans = D + kmat_t
+        arg = trans.argmin(axis=1)
         parents[i] = arg
-        D = trans[arg, cols] + tab.cost[i]
+        D = trans[cols, arg] + tab.cost[i]
     if tab.pin is not None:
         end = np.full(L, big)
         end[tab.pin[1]] = 0.0
@@ -257,30 +260,25 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     """
     n, L = tab.cost.shape
     big = np.inf
-    kmat_offdiag = tab.kmat.copy()
-    np.fill_diagonal(kmat_offdiag, big)
+    jump_t = np.ascontiguousarray(tab.kmat.T)
+    np.fill_diagonal(jump_t, big)
 
     cols = np.arange(L)
     D = np.full((budget + 1, L), big)
     D[0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
 
-    parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int32)
+    parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int16)
+    jumped = np.full((budget + 1, L), big)  # row 0 never jumps
+    arg = np.zeros((budget + 1, L), dtype=np.int16)
     for i in range(1, n):
-        newD = np.empty_like(D)
-        for j in range(budget, -1, -1):
-            stay = D[j]
-            take_lvl = cols.astype(np.int32)
-            best_here = stay
-            if j > 0 and np.isfinite(D[j - 1]).any():
-                trans = D[j - 1][:, None] + kmat_offdiag
-                arg = np.argmin(trans, axis=0)
-                jumped = trans[arg, cols]
-                use_jump = jumped < best_here
-                take_lvl = np.where(use_jump, arg.astype(np.int32), take_lvl)
-                best_here = np.where(use_jump, jumped, best_here)
-            parent_lvl[i, j] = take_lvl
-            newD[j] = best_here + tab.cost[i]
-        D = newD
+        for j in range(1, budget + 1):
+            trans = D[j - 1] + jump_t
+            arg[j] = trans.argmin(axis=1)
+            jumped[j] = trans[cols, arg[j]]
+        # Strict <: an all-inf row (no admissible sequence yet) never jumps.
+        use_jump = jumped < D
+        parent_lvl[i] = np.where(use_jump, arg, cols)
+        D = np.where(use_jump, jumped, D) + tab.cost[i]
 
     if tab.pin is not None:
         D = np.where(cols == tab.pin[1], D, big)
@@ -294,7 +292,7 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
         j = m
         for i in range(n - 1, 0, -1):
             seq[i - 1] = parent_lvl[i, j, seq[i]]
-            # A jump always changes level: kmat_offdiag has inf on its diagonal.
+            # A jump always changes level: jump_t has inf on its diagonal.
             if seq[i - 1] != seq[i]:
                 j -= 1
         seqs.append(seq)

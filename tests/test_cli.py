@@ -291,6 +291,15 @@ class TestFlowRun:
         assert err.startswith("config error")
         assert out == ""
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e300], ids=["epsilon_subnormal", "epsilon_huge"])
+    def test_out_of_range_epsilon_exits_2(self, capsys, tmp_path, epsilon):
+        cfg = self.write_config(tmp_path, model="kwc", epsilon=epsilon)
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error")
+        assert "epsilon" in err
+        assert out == ""
+
     def test_fewer_than_one_time_step_exits_2(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, dt=0.01, t_max=0.004)
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))

@@ -153,6 +153,17 @@ class TestRunAndArtifacts:
         for key in ("model", "steady", "steps", "t_final", "energy", "jump_census", "params"):
             assert key in result
 
+    def test_result_json_is_the_protocol_block_plus_params(self, tmp_path):
+        # noisy_steps censuses at DENOISE_THRESHOLD, not the writer's default.
+        spec = xp.ExperimentSpec(name="noisy_steps", overrides={"n": 101, "t_max": 0.5})
+        xp.run_experiment(spec, out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for model, block in summary["models"].items():
+            result = json.loads((tmp_path / model / "result.json").read_text())
+            assert result.pop("params")["model"] == model
+            assert result == block
+            assert result["census_threshold"] == xp.DENOISE_THRESHOLD
+
     def test_summary_round_trips_spec(self, tmp_path):
         spec = tiny_spec()
         xp.run_experiment(spec, out_dir=tmp_path)

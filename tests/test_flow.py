@@ -72,6 +72,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FlowParams(model="at", lam=1.0, n=50, epsilon=0.0).validate()
 
+    @pytest.mark.parametrize("model", ["at", "kwc"])
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-320, 1e20, 1e300])
+    def test_interface_width_must_keep_the_damage_matrix_regular(self, model, epsilon):
+        # Tiny widths overflow h/eps; huge ones swamp h/eps so the steady
+        # damage matrix is singular.
+        g = unit_step(101)
+        with pytest.raises(ConfigError, match="epsilon"):
+            run(g, g, FlowParams(model=model, lam=30.0, n=101, t_max=0.05, epsilon=epsilon, pre_relax=True))
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e4])
+    def test_extreme_but_regular_interface_widths_run(self, epsilon):
+        g = unit_step(101)
+        res = run(g, g, FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=epsilon, pre_relax=True))
+        assert np.isfinite(res.state.energy)
+
     def test_grid_mismatch(self):
         g = GridSignal((0, 1), np.zeros(50))
         u0 = GridSignal((0, 1), np.zeros(60))

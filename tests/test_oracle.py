@@ -12,7 +12,12 @@ from kwcseg.errors import ConfigError
 from kwcseg.exact import jump_bounds, uniform_step_minimizer
 from kwcseg.kernel import kwc_kernel, linear_kernel, potts_kernel
 from kwcseg.oracle import (
+    MAX_JUMP_BUDGET,
+    MAX_LEVELS,
     OracleProblem,
+    _budget_pass,
+    _build_tableau,
+    _result_from_sequence,
     best_with_m_jumps,
     sequence_from_result,
     signal_problem,
@@ -238,6 +243,158 @@ class TestAgainstEnumeration:
             assert_close(tie.energy.total, optima[tie.jump_count])
             assert_close(evaluate(sequence_from_result(tie, problem)), tie.energy.total)
             assert tie.energy.total <= best.energy.total + window
+
+
+def reference_dp(tab, budget):
+    """The oracle's dynamic programs as plain loops over cells, levels k -> l
+    and jump counts j.
+
+    Same float operations and tie-breaking as the oracle: the smallest k,
+    then the smallest final level, and a jump only when strictly cheaper
+    than staying.  Returns ((energy, sequence) of the free problem,
+    [(energy, sequence) or None for m = 0..budget]).
+    """
+    n, L = tab.cost.shape
+    inf = math.inf
+    first = [tab.cost[0, l] if tab.pin is None or l == tab.pin[0] else inf for l in range(L)]
+    ends = range(L) if tab.pin is None else [tab.pin[1]]
+
+    def best_end(values):
+        end, best = None, inf
+        for l in ends:
+            if values[l] < best:
+                end, best = l, values[l]
+        return end, best
+
+    D, parent = list(first), {}
+    for i in range(1, n):
+        new = []
+        for l in range(L):
+            best, arg = inf, 0
+            for k in range(L):
+                t = D[k] + tab.kmat[k, l]
+                if t < best:
+                    best, arg = t, k
+            parent[i, l] = arg
+            new.append(best + tab.cost[i, l])
+        D = new
+    end, free_energy = best_end(D)
+    seq = [end]
+    for i in range(n - 1, 0, -1):
+        seq.append(parent[i, seq[-1]])
+    free = (free_energy, np.array(seq[::-1]))
+
+    E = [first] + [[inf] * L for _ in range(budget)]
+    back = {}
+    for i in range(1, n):
+        new = []
+        for j in range(budget + 1):
+            row = []
+            for l in range(L):
+                best, prev = E[j][l], (j, l)
+                if j > 0:
+                    jumped, arg = inf, 0
+                    for k in range(L):
+                        if k != l:
+                            t = E[j - 1][k] + tab.kmat[k, l]
+                            if t < jumped:
+                                jumped, arg = t, k
+                    if jumped < best:
+                        best, prev = jumped, (j - 1, arg)
+                back[i, j, l] = prev
+                row.append(best + tab.cost[i, l])
+            new.append(row)
+        E = new
+    budgets = []
+    for m in range(budget + 1):
+        end, energy_m = best_end(E[m])
+        if end is None:
+            budgets.append(None)
+            continue
+        state, seq = (m, end), [end]
+        for i in range(n - 1, 0, -1):
+            state = back[(i, *state)]
+            seq.append(state[1])
+        budgets.append((energy_m, np.array(seq[::-1])))
+    return free, budgets
+
+
+def random_problem(seed):
+    """Sampled random-walk data on <= 30 cells, <= 40 random levels.
+
+    The seed picks the kernel, whether both ends are pinned, and whether
+    data, levels and weight are dyadic, which makes exact ties common.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    samples = np.cumsum(rng.normal(size=n + 1))
+    extra = rng.uniform(samples.min(), samples.max(), size=int(rng.integers(0, 39)))
+    lam = float(np.exp(rng.uniform(-1.0, 6.0)))
+    if (seed // 6) % 2:
+        samples, extra, lam = np.round(2 * samples) / 2, np.round(4 * extra) / 4, float(round(lam) + 1)
+    lo, hi = samples.min(), samples.max()
+    levels = np.unique(np.concatenate(([lo, hi], np.clip(extra, lo, hi))))
+    kernel = (kwc_kernel(rng.uniform(0.2, 5.0)), linear_kernel(), potts_kernel(rng.uniform(0.05, 1.0)))[seed % 3]
+    return OracleProblem(
+        data=SampledData(GridSignal((0.0, 1.0), samples)),
+        kernel=kernel,
+        lam=lam,
+        levels=levels,
+        endpoint_pin=None if seed % 2 else tuple(float(p) for p in rng.uniform(lo, hi, size=2)),
+    )
+
+
+class TestAgainstReferenceDP:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_free_solve_and_every_budget(self, seed):
+        problem = random_problem(seed)
+        tab = _build_tableau(problem)
+        budget = min(MAX_JUMP_BUDGET, tab.cost.shape[0] - 1)
+        (free_energy, free_seq), budgets = reference_dp(tab, budget)
+        best = solve(problem)
+        assert np.array_equal(sequence_from_result(best, problem), tab.levels[free_seq])
+        assert_close(best.energy.total, free_energy)
+        seqs = _budget_pass(tab, budget)
+        assert len(seqs) == len(budgets)
+        for seq, ref in zip(seqs, budgets):
+            if ref is None:
+                assert seq is None
+                continue
+            assert np.array_equal(seq, ref[1])
+            assert_close(_result_from_sequence(problem, tab, seq).energy.total, ref[0])
+
+
+def budget_optimum(tab, m):
+    """Optimal energy with exactly m jumps by a value-only DP: no parent tables."""
+    n, L = tab.cost.shape
+    jump = tab.kmat + np.diag(np.full(L, np.inf))
+    E = np.full((m + 1, L), np.inf)
+    E[0, tab.pin[0]] = tab.cost[0, tab.pin[0]]
+    for i in range(1, n):
+        E[1:] = np.minimum(E[1:], np.min(E[:-1, :, None] + jump, axis=1))
+        E += tab.cost[i]
+    return E[m, tab.pin[1]]
+
+
+class TestParentTables:
+    def test_level_cap_fits_the_int16_parent_tables(self):
+        assert MAX_LEVELS <= np.iinfo(np.int16).max
+
+    @pytest.mark.parametrize("m", [1, 2, 10])
+    def test_pinned_budgets_at_the_level_cap(self, m):
+        problem = OracleProblem(
+            data=LinearData((0.0, 1.0)), kernel=K1, lam=200.0, n_cells=30,
+            n_levels=MAX_LEVELS, endpoint_pin=(0.0, 1.0),
+        )
+        tab = _build_tableau(problem)
+        assert tab.pin == (0, MAX_LEVELS - 1)
+        res = best_with_m_jumps(problem, m)
+        idx = np.searchsorted(tab.levels, sequence_from_result(res, problem))
+        assert res.jump_count == m
+        assert (idx[0], idx[-1]) == tab.pin
+        # Backtracking reads level indices above 255 from the parent table.
+        assert idx[:-1].max() > 255
+        assert_close(res.energy.total, budget_optimum(tab, m))
 
 
 class TestProblemValidation:
