@@ -373,8 +373,11 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
     Solves the linear steadiness system directly instead of time stepping:
     (h/eps + coupling_i) v_i + stiffness = h/eps with natural ends.
     """
+    params.validate()
     if params.model == "rof":
         raise ConfigError("the rof model has no damage field")
+    if u.n != params.n:
+        raise ConfigError(f"grid mismatch: u has {u.n} nodes, params.n = {params.n}")
     coupling = _coupling(params.model, u.samples, params.sigma, u.h)
     return GridSignal(u.domain, _damage_solve(coupling, u.h, params))
 

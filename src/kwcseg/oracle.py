@@ -11,10 +11,16 @@ gradient-flow solvers on small instances.
 
 Complexity is O(n_cells * n_levels^2) for the free problem and an extra
 factor of the jump budget for the count-constrained variant; sizes are
-capped accordingly.  Each transition is reduced along contiguous rows.
+capped accordingly.  Each transition is reduced along contiguous rows.  The
+free pass runs in the calling thread.  The budgeted pass splits the target
+levels of each cell's transitions between one thread per usable CPU when a
+cell's budget * n_levels^2 transitions are enough to pay for the per-cell
+barrier; its results do not depend on the number of threads.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +38,10 @@ MAX_CELLS = 2000
 MAX_LEVELS = 400
 assert MAX_LEVELS <= np.iinfo(np.int16).max  # parent tables hold int16 level indices
 MAX_JUMP_BUDGET = 10
+# Dense transitions per cell (budget * L^2) that one extra thread of the
+# budgeted pass must get to beat its barrier: on 2 cores, L = 400 pays from
+# m = 2, L = 200 at m = 4 does not.
+_MIN_THREAD_WORK = 150_000
 
 
 @dataclass(frozen=True)
@@ -42,8 +52,8 @@ class OracleProblem:
     range.  ``endpoint_pin`` forces the first and last cell to the levels
     nearest the given values (boundary conditions of the continuum problem);
     a pin outside the level range is a ``ConfigError``.
-    ``tie_tolerance`` is the relative energy window within which alternative
-    minimizers count as ties.
+    ``tie_tolerance`` (finite, non-negative) is the relative energy window
+    within which alternative minimizers count as ties.
     """
 
     data: object
@@ -58,6 +68,8 @@ class OracleProblem:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError("lam must be finite and non-negative")
+        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0):
+            raise ConfigError("tie_tolerance must be finite and non-negative")
         if isinstance(self.data, SampledData) and not np.all(np.isfinite(self.data.signal.samples)):
             raise ConfigError("sampled data must be finite")
 
@@ -256,7 +268,9 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     One DP over (cell, jumps used, level).  Row m only reads rows m and
     m - 1, so rows 0..m equal those of a pass with budget m.  Entry m of
     the result is the optimal sequence with exactly m jumps, or None when
-    no sequence has that many (pins).
+    no sequence has that many (pins).  The target levels are split into
+    contiguous slices, one per thread (see ``_thread_count``); every entry
+    is computed by the same float operations whatever the split.
     """
     n, L = tab.cost.shape
     big = np.inf
@@ -264,22 +278,40 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     np.fill_diagonal(jump_t, big)
 
     cols = np.arange(L)
-    D = np.full((budget + 1, L), big)
-    D[0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
-
+    # Double-buffered by cell parity: cell i reads D[(i - 1) % 2], writes D[i % 2].
+    D = np.full((2, budget + 1, L), big)
+    D[0, 0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
     parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int16)
-    jumped = np.full((budget + 1, L), big)  # row 0 never jumps
-    arg = np.zeros((budget + 1, L), dtype=np.int16)
-    for i in range(1, n):
-        for j in range(1, budget + 1):
-            trans = D[j - 1] + jump_t
-            arg[j] = trans.argmin(axis=1)
-            jumped[j] = trans[cols, arg[j]]
-        # Strict <: an all-inf row (no admissible sequence yet) never jumps.
-        use_jump = jumped < D
-        parent_lvl[i] = np.where(use_jump, arg, cols)
-        D = np.where(use_jump, jumped, D) + tab.cost[i]
 
+    def cells(s, e, barrier=None):
+        own = cols[s:e]
+        rows = np.arange(e - s)
+        jump_own = jump_t[s:e]
+        trans = np.empty((e - s, L))
+        jumped = np.full((budget + 1, e - s), big)  # row 0 never jumps
+        arg = np.zeros((budget + 1, e - s), dtype=np.int16)
+        for i in range(1, n):
+            prev, nxt = D[(i - 1) % 2], D[i % 2]
+            for j in range(1, budget + 1):
+                np.add(prev[j - 1], jump_own, out=trans)
+                arg[j] = trans.argmin(axis=1)
+                jumped[j] = trans[rows, arg[j]]
+            stay = prev[:, s:e]
+            # Strict <: an all-inf row (no admissible sequence yet) never jumps.
+            use_jump = jumped < stay
+            parent_lvl[i, :, s:e] = np.where(use_jump, arg, own)
+            nxt[:, s:e] = np.where(use_jump, jumped, stay) + tab.cost[i, s:e]
+            if barrier is not None:
+                barrier.wait()
+
+    threads = _thread_count(budget, L)
+    if threads == 1:
+        cells(0, L)
+    else:
+        bounds = np.linspace(0, L, threads + 1).astype(int)
+        _run_split(cells, list(zip(bounds[:-1], bounds[1:])))
+
+    D = D[(n - 1) % 2]
     if tab.pin is not None:
         D = np.where(cols == tab.pin[1], D, big)
     seqs = []
@@ -297,6 +329,55 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
                 j -= 1
         seqs.append(seq)
     return seqs
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_count(budget: int, L: int) -> int:
+    """Threads for a budgeted pass: one per usable CPU, as long as each
+    thread's share of a cell's transitions (budget * L^2 in total) pays for
+    the per-cell barrier.  numpy releases the GIL in the add and argmin."""
+    return max(1, min(_usable_cpus(), budget * L * L // _MIN_THREAD_WORK))
+
+
+def _run_split(work, slices) -> None:
+    """Run ``work(s, e, barrier)`` for each slice in its own thread.
+
+    The first exception a worker raises aborts the barrier, which releases
+    the others, and is re-raised here once every thread has ended.
+    """
+    barrier = threading.Barrier(len(slices))
+    errors = []
+
+    def run(s, e):
+        try:
+            work(s, e, barrier)
+        except threading.BrokenBarrierError:
+            pass  # another worker failed, or the caller was interrupted
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    threads = []
+    try:
+        for sl in slices:
+            t = threading.Thread(target=run, args=sl)
+            t.start()
+            threads.append(t)
+        for t in threads:
+            t.join()
+    except BaseException:
+        barrier.abort()
+        for t in threads:
+            t.join()
+        raise
+    if errors:
+        raise errors[0]
 
 
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:

@@ -202,6 +202,15 @@ class TestOracleSolve:
         assert err.startswith("config error")
         assert out == ""
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_tie_tolerance_exits_2(self, capsys, tmp_path, tol):
+        cfg = self.write_config(tmp_path, tie_tolerance=tol)
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg), "--tie-scan", "4")
+        assert code == 2
+        assert err.startswith("config error")
+        assert "tie_tolerance" in err
+        assert out == ""
+
     def test_negative_tie_scan_exits_2(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
         code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg), "--tie-scan", "-3")

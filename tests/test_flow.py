@@ -87,6 +87,15 @@ class TestValidation:
         res = run(g, g, FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=epsilon, pre_relax=True))
         assert np.isfinite(res.state.energy)
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e300])
+    def test_steady_damage_profile_validates_params(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=101, epsilon=epsilon))
+
+    def test_steady_damage_profile_grid_mismatch(self):
+        with pytest.raises(ConfigError, match="grid mismatch"):
+            steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=51))
+
     def test_grid_mismatch(self):
         g = GridSignal((0, 1), np.zeros(50))
         u0 = GridSignal((0, 1), np.zeros(60))

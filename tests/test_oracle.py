@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kwcseg.oracle as oracle_mod
 from kwcseg.errors import ConfigError
 from kwcseg.exact import jump_bounds, uniform_step_minimizer
 from kwcseg.kernel import kwc_kernel, linear_kernel, potts_kernel
@@ -18,6 +20,7 @@ from kwcseg.oracle import (
     _budget_pass,
     _build_tableau,
     _result_from_sequence,
+    _run_split,
     best_with_m_jumps,
     sequence_from_result,
     signal_problem,
@@ -397,11 +400,109 @@ class TestParentTables:
         assert_close(res.energy.total, budget_optimum(tab, m))
 
 
+def wide_problem(kind):
+    """Instances whose budgeted pass at budget 10 is above the thread threshold."""
+    rng = np.random.default_rng(7)
+    if kind == "dyadic":
+        # 64 cells, quarter-step data, 277 levels k/16 and an integer weight
+        # with a flat kernel: every cost is a dyadic rational, so argmin ties
+        # are exact.
+        samples = np.round(4 * np.cumsum(rng.normal(size=65))) / 4
+        levels = np.arange(samples.min(), samples.max() + 1 / 32, 1 / 16)
+        return OracleProblem(
+            data=SampledData(GridSignal((0.0, 1.0), samples)), kernel=potts_kernel(0.25), lam=8.0, levels=levels
+        )
+    n = 8 if kind == "few_cells" else 60
+    samples = np.cumsum(rng.normal(size=n + 1))
+    pin = None if kind == "free" else (float(samples[0]), float(samples[-1]))
+    return signal_problem(
+        GridSignal((0.0, 1.0), samples), K1, 200.0, n_levels=MAX_LEVELS, endpoint_pin=pin
+    )
+
+
+class TestThreadedBudgetPass:
+    @pytest.mark.parametrize("kind", ["free", "pinned", "dyadic", "few_cells"])
+    def test_results_do_not_depend_on_the_thread_count(self, kind, monkeypatch):
+        problem = wide_problem(kind)
+        tab = _build_tableau(problem)
+        budget = MAX_JUMP_BUDGET
+        splits = []
+
+        def spy(work, slices):
+            splits.append(len(slices))
+            _run_split(work, slices)
+
+        monkeypatch.setattr(oracle_mod, "_run_split", spy)
+        monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda: 1)
+        serial = _budget_pass(tab, budget)
+        assert splits == []
+
+        def outcome(seqs):
+            return [
+                None if seq is None else (seq.tobytes(), _result_from_sequence(problem, tab, seq).to_json_dict())
+                for seq in seqs
+            ]
+
+        expected = outcome(serial)
+        if kind == "few_cells":
+            assert [e is None for e in expected] == [True] + [False] * 7 + [True] * 3
+        # At the module's threshold (these instances are above it) and at any size.
+        for cpus in (2, 3):
+            monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda c=cpus: c)
+            for min_work in (oracle_mod._MIN_THREAD_WORK, 1):
+                monkeypatch.setattr(oracle_mod, "_MIN_THREAD_WORK", min_work)
+                assert outcome(_budget_pass(tab, budget)) == expected
+        assert splits == [2, 2, 3, 3]
+
+    def test_thread_threshold(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda: 2)
+        assert oracle_mod._thread_count(MAX_JUMP_BUDGET, MAX_LEVELS) == 2
+        assert oracle_mod._thread_count(2, 400) == 2
+        for budget, levels in ((4, 201), (4, 200), (10, 61), (0, MAX_LEVELS)):
+            assert oracle_mod._thread_count(budget, levels) == 1
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_failing_worker_raises_in_the_caller(self, failing):
+        def work(s, e, barrier):
+            for i in range(20):
+                if s == failing and i == 5:
+                    raise RuntimeError(f"slice {s} failed")
+                barrier.wait()
+
+        before = set(threading.enumerate())
+        raised = []
+
+        def call():
+            try:
+                _run_split(work, [(0, 1), (1, 2), (2, 3)])
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert raised == [f"slice {failing} failed"]
+        assert set(threading.enumerate()) == before
+
+
 class TestProblemValidation:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
     def test_weight_must_be_finite_and_non_negative(self, lam):
         with pytest.raises(ConfigError):
             OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=lam, n_cells=10)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tie_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ConfigError, match="tie_tolerance"):
+            OracleProblem(
+                data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=20, n_levels=11, tie_tolerance=tol
+            )
+
+    def test_zero_tie_tolerance_accepted(self):
+        p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=20, n_levels=11, tie_tolerance=0.0)
+        best = solve(p, tie_scan_jumps=4)
+        assert all(t.energy.total <= best.energy.total for t in best.ties)
 
     def test_cell_limit(self):
         p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=4000)
