@@ -73,24 +73,12 @@ class FlowParams:
         for name in ("dt", "epsilon", "t_max"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        # The steady damage matrix has diagonal h/eps + 2 eps/h + coupling and
-        # off-diagonals -eps/h; h/eps must survive the sum or it is singular.
-        shift, stiff = self.h / self.epsilon, self.epsilon / self.h
-        if not (math.isfinite(shift) and math.isfinite(stiff) and shift + 2.0 * stiff > 2.0 * stiff):
-            raise ConfigError(
-                f"epsilon = {self.epsilon} is out of range for the grid spacing h = {self.h}: "
-                "h/epsilon and epsilon/h must be finite and the damage matrix diagonally dominant"
-            )
         if round(self.t_max / self.dt) < 1:
             raise ConfigError(f"t_max = {self.t_max} is less than one time step dt = {self.dt}")
         if self.lam < 0 or self.sigma < 0:
             raise ConfigError("lam and sigma must be non-negative")
         if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:
             raise ConfigError("output_stride must be an integer of at least 1")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n - 1)
 
 
 @dataclass
@@ -367,13 +355,27 @@ def pre_relax_v(state: FlowState, g: GridSignal, params: FlowParams) -> FlowStat
     )
 
 
+def _validate_on(params: FlowParams, h: float) -> None:
+    """``params.validate()`` plus the interface-width check on the spacing
+    ``h`` of the grid solved on: the data's own, 1/(n - 1) only on [0, 1]."""
+    params.validate()
+    # The steady damage matrix has diagonal h/eps + 2 eps/h + coupling and
+    # off-diagonals -eps/h; h/eps must survive the sum or it is singular.
+    shift, stiff = h / params.epsilon, params.epsilon / h
+    if not (math.isfinite(shift) and math.isfinite(stiff) and shift + 2.0 * stiff > 2.0 * stiff):
+        raise ConfigError(
+            f"epsilon = {params.epsilon} is out of range for the grid spacing h = {h}: "
+            "h/epsilon and epsilon/h must be finite and the damage matrix diagonally dominant"
+        )
+
+
 def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
     """Steady damage field for a frozen signal (kwc or at coupling).
 
     Solves the linear steadiness system directly instead of time stepping:
     (h/eps + coupling_i) v_i + stiffness = h/eps with natural ends.
     """
-    params.validate()
+    _validate_on(params, u.h)
     if params.model == "rof":
         raise ConfigError("the rof model has no damage field")
     if u.n != params.n:
@@ -389,7 +391,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     below steady_tol.  Non-finite values abort with the last finite state
     and the trace kept on the error for post-mortem.
     """
-    params.validate()
+    _validate_on(params, g.h)
     if u0.n != g.n or u0.n != params.n:
         raise ConfigError(f"grid mismatch: g has {g.n} nodes, u0 has {u0.n}, params.n = {params.n}")
     if not (np.all(np.isfinite(g.samples)) and np.all(np.isfinite(u0.samples))):

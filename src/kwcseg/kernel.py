@@ -52,6 +52,12 @@ class JumpKernel:
             raise ConfigError("rational kernel needs a finite kappa > 0")
         if self.kind == "potts" and not (self.height > 0 and math.isfinite(self.height)):
             raise ConfigError("flat kernel needs a finite height > 0")
+        # A field the kind does not use takes its default, so kernels that
+        # cost the same compare equal and survive the to_config round trip.
+        if self.kind != "kwc":
+            object.__setattr__(self, "kappa", 1.0)
+        if self.kind != "potts":
+            object.__setattr__(self, "height", 1.0)
 
     def eval(self, rho):
         """Cost of a jump of size rho (scalar or array, rho >= 0)."""

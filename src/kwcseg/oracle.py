@@ -11,8 +11,11 @@ gradient-flow solvers on small instances.
 
 Complexity is O(n_cells * n_levels^2) for the free problem and an extra
 factor of the jump budget for the count-constrained variant; sizes are
-capped accordingly.  Each transition is reduced along contiguous rows.  The
-free pass runs in the calling thread.  The budgeted pass splits the target
+capped accordingly.  Both passes make every transition with one helper
+(``_relax``): it copies the source row into a buffer allocated once per
+pass and thread, adds the transposed kernel in place, reduces along
+contiguous rows and gathers the row minima with one flat take.  The free
+pass runs in the calling thread.  The budgeted pass splits the target
 levels of each cell's transitions between one thread per usable CPU when a
 cell's budget * n_levels^2 transitions are enough to pay for the per-cell
 barrier; its results do not depend on the number of threads.
@@ -191,6 +194,23 @@ def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray
     )
 
 
+def _relax(src: np.ndarray, kernel_t: np.ndarray, trans: np.ndarray, offs: np.ndarray) -> tuple:
+    """Best predecessor of each target level: one dense DP transition.
+
+    Fills ``trans[l, k] = src[k] + kernel_t[l, k]`` in place and returns,
+    per row, the smallest k attaining the row minimum and that minimum.
+    ``kernel_t`` holds the kernel transposed, so every row is contiguous
+    (numpy reduces a strided axis through a copy).  ``offs`` is
+    ``arange(rows) * L``, the flat offset of each row of ``trans``.  The
+    copy and in-place add run about a third faster than a broadcast add
+    into ``trans``, and the flat take faster than a two-array gather.
+    """
+    np.copyto(trans, src)
+    trans += kernel_t
+    arg = trans.argmin(axis=1)
+    return arg, trans.take(arg + offs)
+
+
 def _solve_free(tab: _Tableau) -> np.ndarray:
     n, L = tab.cost.shape
     big = np.inf
@@ -199,15 +219,14 @@ def _solve_free(tab: _Tableau) -> np.ndarray:
         mask = np.full(L, big)
         mask[tab.pin[0]] = 0.0
         D = D + mask
-    # trans[l, k] = D[k] + kmat[k, l]: numpy reduces a strided axis through a copy.
     kmat_t = np.ascontiguousarray(tab.kmat.T)
     parents = np.zeros((n, L), dtype=np.int16)
-    cols = np.arange(L)
+    trans = np.empty((L, L))
+    offs = np.arange(L) * L
     for i in range(1, n):
-        trans = D + kmat_t
-        arg = trans.argmin(axis=1)
+        arg, best = _relax(D, kmat_t, trans, offs)
         parents[i] = arg
-        D = trans[cols, arg] + tab.cost[i]
+        D = best + tab.cost[i]
     if tab.pin is not None:
         end = np.full(L, big)
         end[tab.pin[1]] = 0.0
@@ -285,7 +304,7 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
 
     def cells(s, e, barrier=None):
         own = cols[s:e]
-        rows = np.arange(e - s)
+        offs = np.arange(e - s) * L
         jump_own = jump_t[s:e]
         trans = np.empty((e - s, L))
         jumped = np.full((budget + 1, e - s), big)  # row 0 never jumps
@@ -293,9 +312,7 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
         for i in range(1, n):
             prev, nxt = D[(i - 1) % 2], D[i % 2]
             for j in range(1, budget + 1):
-                np.add(prev[j - 1], jump_own, out=trans)
-                arg[j] = trans.argmin(axis=1)
-                jumped[j] = trans[rows, arg[j]]
+                arg[j], jumped[j] = _relax(prev[j - 1], jump_own, trans, offs)
             stay = prev[:, s:e]
             # Strict <: an all-inf row (no admissible sequence yet) never jumps.
             use_jump = jumped < stay

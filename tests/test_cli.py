@@ -309,6 +309,17 @@ class TestFlowRun:
         assert "epsilon" in err
         assert out == ""
 
+    def test_epsilon_checked_on_the_data_spacing_exits_2(self, capsys, tmp_path):
+        step = {"domain": [0.0, 1e6], "breakpoints": [5e5], "values": [0.0, 1.0]}
+        params = {"model": "kwc", "lam": 30.0, "n": 101, "t_max": 0.05, "epsilon": 1e-306}
+        cfg = tmp_path / "flow.json"
+        cfg.write_text(json.dumps({"data": {"pwc": step, "n": 101}, "params": params}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error")
+        assert "epsilon" in err
+        assert out == ""
+
     def test_fewer_than_one_time_step_exits_2(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, dt=0.01, t_max=0.004)
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))

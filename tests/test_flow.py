@@ -92,6 +92,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="epsilon"):
             steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=101, epsilon=epsilon))
 
+    def test_interface_width_is_checked_on_the_data_spacing(self):
+        # h = 1e4 on this domain: h/eps overflows, though 1/(n - 1) / eps does not.
+        x = np.linspace(0.0, 1.0, 101)
+        g = GridSignal((0.0, 1e6), np.where(x < 0.5, 0.0, 1.0))
+        params = FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=1e-306)
+        with pytest.raises(ConfigError, match="epsilon"):
+            run(g, g, params)
+        with pytest.raises(ConfigError, match="epsilon"):
+            steady_damage_profile(g, params)
+
+    def test_width_out_of_range_on_the_unit_grid_runs_on_a_long_domain(self):
+        # eps = 1e9 swamps h/eps in the damage matrix at h = 0.01 but not at h = 1e4.
+        x = np.linspace(0.0, 1.0, 101)
+        g = GridSignal((0.0, 1e6), np.where(x < 0.5, 0.0, 1.0))
+        params = FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=1e9, pre_relax=True)
+        with pytest.raises(ConfigError, match="epsilon"):
+            run(unit_step(101), unit_step(101), params)
+        res = run(g, g, params)
+        assert np.isfinite(res.state.energy)
+        v = steady_damage_profile(g, params)
+        assert np.all(np.isfinite(v.samples))
+
     def test_steady_damage_profile_grid_mismatch(self):
         with pytest.raises(ConfigError, match="grid mismatch"):
             steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=51))

@@ -1,0 +1,78 @@
+"""Property tests: every config object with a JSON form survives a round trip.
+
+Each object is written with its own serializer, passed through
+``json.dumps``/``json.loads`` and read back; the result must equal the
+original.
+"""
+
+import dataclasses
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kwcseg.experiments import EXPERIMENTS, GENERATORS, ExperimentSpec
+from kwcseg.flow import MODELS, FlowParams
+from kwcseg.kernel import VALID_KINDS, JumpKernel
+from kwcseg.pwc import PiecewiseConstant
+
+
+def through_json(d):
+    return json.loads(json.dumps(d))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@st.composite
+def kernels(draw):
+    """Any valid kernel, including the fields its kind does not use."""
+    return JumpKernel(kind=draw(st.sampled_from(VALID_KINDS)), kappa=draw(positive), height=draw(positive))
+
+
+@st.composite
+def step_functions(draw):
+    a = draw(st.floats(-1e6, 1e6))
+    b = draw(st.floats(a, 2e6, exclude_min=True))
+    breakpoints = []
+    if math.nextafter(a, b) < b:  # some float lies strictly inside
+        breakpoints = sorted(draw(st.sets(st.floats(a, b, exclude_min=True, exclude_max=True), max_size=8)))
+    values = draw(st.lists(finite, min_size=len(breakpoints) + 1, max_size=len(breakpoints) + 1))
+    return PiecewiseConstant((a, b), tuple(breakpoints), tuple(values))
+
+
+OVERRIDE_FIELDS = sorted(f.name for f in dataclasses.fields(FlowParams) if f.name != "model")
+scalars = st.one_of(finite, st.integers(-(2**70), 2**70), st.booleans(), st.sampled_from(["neumann", "dirichlet"]))
+
+
+@st.composite
+def experiment_specs(draw):
+    name = draw(st.sampled_from((*EXPERIMENTS, "custom")))
+    overrides = draw(st.dictionaries(st.sampled_from(OVERRIDE_FIELDS), scalars, max_size=4))
+    if name == "custom":
+        overrides["lam"] = draw(finite)
+    models = draw(st.lists(st.sampled_from(MODELS), min_size=1 if name == "custom" else 0, max_size=3))
+    data = draw(st.sampled_from(GENERATORS if name == "custom" else ("", *GENERATORS)))
+    return ExperimentSpec(
+        name=name, data=data, models=tuple(models), overrides=overrides, seed=draw(st.integers(0, 2**63))
+    )
+
+
+@settings(max_examples=200)
+@given(kernels())
+def test_kernel_config_round_trip(kernel):
+    assert JumpKernel.from_config(through_json(kernel.to_config())) == kernel
+
+
+@settings(max_examples=200)
+@given(step_functions())
+def test_piecewise_constant_round_trip(u):
+    assert PiecewiseConstant.from_json_dict(through_json(u.to_json_dict())) == u
+
+
+@settings(max_examples=200)
+@given(experiment_specs())
+def test_experiment_spec_round_trip(spec):
+    assert ExperimentSpec.from_json_dict(through_json(spec.to_json_dict())) == spec

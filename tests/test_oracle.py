@@ -19,6 +19,7 @@ from kwcseg.oracle import (
     OracleProblem,
     _budget_pass,
     _build_tableau,
+    _relax,
     _result_from_sequence,
     _run_split,
     best_with_m_jumps,
@@ -398,6 +399,50 @@ class TestParentTables:
         # Backtracking reads level indices above 255 from the parent table.
         assert idx[:-1].max() > 255
         assert_close(res.energy.total, budget_optimum(tab, m))
+
+
+def relax_inputs(kind, seed, L=37):
+    """Source row and transposed kernel for one transition.
+
+    ``dyadic`` draws both from quarter integers in [0, 1), so most rows
+    have exactly tied minima; ``inf`` puts inf on the kernel diagonal (the
+    budgeted pass's jump kernel) and in about a third of the source.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "dyadic":
+        return rng.integers(0, 4, size=L) / 4, rng.integers(0, 4, size=(L, L)) / 4
+    src, kernel_t = rng.normal(size=L), rng.random((L, L))
+    if kind == "inf":
+        src[rng.random(L) < 0.3] = np.inf
+        np.fill_diagonal(kernel_t, np.inf)
+    return src, kernel_t
+
+
+class TestRelax:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["random", "dyadic", "inf"])
+    def test_matches_the_broadcast_reference(self, kind, seed):
+        src, kernel_t = relax_inputs(kind, seed)
+        L = src.size
+        ref = src[None, :] + kernel_t
+        ref_arg = ref.argmin(axis=1)
+        ref_min = ref[np.arange(L), ref_arg]
+        if kind == "dyadic":
+            assert np.sum(ref == ref_min[:, None]) > 2 * L  # exact ties to break
+        # All rows, a block of rows as one thread's slice holds them, the last row.
+        for s, e in ((0, L), (5, 23), (L - 1, L)):
+            trans = np.full((e - s, L), np.nan)
+            arg, best = _relax(src, kernel_t[s:e], trans, np.arange(e - s) * L)
+            assert np.array_equal(arg, ref_arg[s:e])
+            assert best.tobytes() == ref_min[s:e].tobytes()
+
+    def test_all_inf_source_row_is_never_taken(self):
+        _, kernel_t = relax_inputs("inf", 0)
+        L = kernel_t.shape[0]
+        arg, best = _relax(np.full(L, np.inf), kernel_t, np.empty((L, L)), np.arange(L) * L)
+        assert np.all(arg == 0) and np.all(best == np.inf)
+        # The budgeted pass jumps only on a strictly smaller value.
+        assert not np.any(best < np.full(L, np.inf))
 
 
 def wide_problem(kind):
