@@ -13,8 +13,18 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConditionError
-from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel, split_cost_derivative
+from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
 from .pwc import LinearData, PiecewiseConstant, SampledData, energy
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _check_weight(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and non-negative")
 
 
 def _int_part(r: float) -> int:
@@ -70,8 +80,7 @@ def uniform_step_minimizer(L: float, m: int) -> PiecewiseConstant:
     Plateau values k * d for k = 0..m with d = L/m; jumps at (k - 1/2) * d,
     so the first and last plateaus have half width.
     """
-    if not L > 0:
-        raise ValueError("L must be positive")
+    _check_positive("L", L)
     if m < 1:
         raise ValueError("m must be at least 1")
     d = L / m
@@ -87,6 +96,8 @@ def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None 
     kernel with kappa = 1; any other kernel is evaluated exactly through the
     piecewise-constant energy.
     """
+    _check_positive("L", L)
+    _check_weight(lam)
     if kernel is None:
         kernel = kwc_kernel(1.0)
     d = L / m
@@ -117,13 +128,13 @@ def critical_lambda(L: float) -> CriticalLambda:
     lam = 2^5 / (L (L+1) (L+2)); at that weight
     uniform_step_energy(L, 1) == uniform_step_energy(L, 2).
     """
-    if not L > 0:
-        raise ValueError("L must be positive")
+    _check_positive("L", L)
     return CriticalLambda(length=float(L), lam=32.0 / (L * (L + 1.0) * (L + 2.0)))
 
 
 def transition_lambda(L: float, m: int) -> float:
     """Weight where the m- and (m+1)-jump ladders tie (kappa = 1 kernel)."""
+    _check_positive("L", L)
     if m < 1:
         raise ValueError("m must be at least 1")
     d1, d2 = L / m, L / (m + 1)
@@ -183,20 +194,17 @@ def jump_bounds(
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lam must be finite and non-negative")
+    _check_weight(lam)
     try:
         constants = derive_constants(kernel, mass_cap)
     except ConditionError as exc:
         return BoundReport(None, None, None, failure=str(exc))
-    slope = kernel.eval(1e-8) / 1e-8
-    restricted = abs(slope - 1.0) > 1e-4
     scale = (b - a) * lam
     return BoundReport(
         jumps_any_data=_int_part(scale / constants.bound_rate) + 1,
         jumps_monotone_data=_int_part(scale / (2.0 * constants.split_gain)) + 1,
         constants=constants,
-        restricted_to_step_functions=restricted,
+        restricted_to_step_functions=not kernel.unit_slope_at_zero,
     )
 
 
@@ -209,56 +217,42 @@ class EqualJumpVerdict(Enum):
 class VerdictReport:
     verdict: EqualJumpVerdict
     sign_pattern: str
-    grid_points: int
 
     @property
     def forced(self) -> bool:
         return self.verdict is EqualJumpVerdict.FORCED
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "sign_pattern": self.sign_pattern,
-            "grid_points": self.grid_points,
-        }
+        return {"verdict": self.verdict.value, "sign_pattern": self.sign_pattern}
 
 
-def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float, grid_points: int = 10000) -> VerdictReport:
+def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float) -> VerdictReport:
     """Must two neighboring jumps of combined size 2c be equal at optimum?
 
     The energy of an uneven split z (jumps c - z and c + z, with the
     half-cell fidelity correction for linear data) has derivative
-    E'(z) = (lam / 2) z + split_cost_derivative(c, z).  If its sign on
-    (0, c] is all positive, all negative, or positive then negative, the
-    only interior minimum is the even split z = 0, so equal jumps are
-    forced.  Any other sign pattern is reported inconclusive.
+    E'(z) = (lam / 2) z + split_cost_derivative(c, z) = z (lam / 2 - phi(z)).
+    phi is 4 c' / (kappa^2 (c'^2 - z^2)^2) with c' = c + 1/kappa for kwc and
+    0 for linear and Potts, non-decreasing on (0, c] either way, so the sign
+    pattern of E' on (0, c] follows from lam / 2 against phi(0) and phi(c).
+    All positive, all negative, or positive then negative leave the even
+    split z = 0 as the only interior minimum, so equal jumps are forced.
+    E' = 0 throughout (lam = 0 with phi = 0) ties every split: inconclusive.
     """
-    if not c > 0:
-        raise ValueError("c must be positive")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    if grid_points < 100:
-        raise ValueError("grid_points must be at least 100")
-    z = np.linspace(c / grid_points, c, grid_points)
-    deriv = 0.5 * lam * z + split_cost_derivative(kernel, c, z)
-    scale = 0.5 * lam * c + float(np.max(np.abs(deriv))) + 1e-300
-    tol = 1e-11 * scale
-    signs = np.where(deriv > tol, 1, np.where(deriv < -tol, -1, 0))
-    pattern = _compress_signs(signs)
-    forced = pattern in ("+", "-", "+-")
+    _check_positive("c", c)
+    _check_weight(lam)
+    if kernel.kind == "kwc":
+        k = kernel.kappa
+        phi_0 = 4.0 * k / (1.0 + k * c) ** 3
+        phi_c = 4.0 * k * (1.0 + k * c) / (1.0 + 2.0 * k * c) ** 2
+    else:
+        phi_0 = phi_c = 0.0
+    half = 0.5 * lam
+    if half > phi_0:
+        pattern = "+" if half >= phi_c else "+-"
+    else:
+        pattern = "-" if phi_c > 0 else ""
     return VerdictReport(
-        verdict=EqualJumpVerdict.FORCED if forced else EqualJumpVerdict.INCONCLUSIVE,
+        verdict=EqualJumpVerdict.FORCED if pattern else EqualJumpVerdict.INCONCLUSIVE,
         sign_pattern=pattern,
-        grid_points=grid_points,
     )
-
-
-def _compress_signs(signs: np.ndarray) -> str:
-    out = []
-    for s in signs:
-        if s == 0:
-            continue
-        ch = "+" if s > 0 else "-"
-        if not out or out[-1] != ch:
-            out.append(ch)
-    return "".join(out)

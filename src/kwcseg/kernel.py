@@ -14,7 +14,8 @@ Conditions, all on a window [0, M] (M = ``mass_cap``):
   split_gain * r1 * r2 of cost, which is what limits how many jumps a
   minimizer can afford.
 * unit slope at zero: K(rho)/rho -> 1 as rho -> 0.  The linear kernel and
-  the rational kernel have it; the Potts kernel does not.
+  the rational kernel have it; the Potts kernel does not
+  (``JumpKernel.unit_slope_at_zero``).
 * linear floor: K(rho) >= floor * rho on (0, M] for some floor > 0
   (``linear_floor``).  Weaker than unit slope; the Potts kernel has it.
 
@@ -58,6 +59,11 @@ class JumpKernel:
             object.__setattr__(self, "kappa", 1.0)
         if self.kind != "potts":
             object.__setattr__(self, "height", 1.0)
+
+    @property
+    def unit_slope_at_zero(self) -> bool:
+        """K(rho)/rho -> 1 as rho -> 0: K'(0) = 1 for kwc and linear, Potts jumps to h."""
+        return self.kind != "potts"
 
     def eval(self, rho):
         """Cost of a jump of size rho (scalar or array, rho >= 0)."""
@@ -212,7 +218,8 @@ class ConditionReport:
 def check_conditions(kernel: JumpKernel, mass_cap: float, samples: int = 2000) -> ConditionReport:
     """Check the structural conditions on [0, mass_cap].
 
-    split_gain and linear_floor are exact.  ``samples`` sets the
+    split_gain, linear_floor and the unit-slope verdict are exact;
+    slope_at_zero reports the probe K(1e-8)/1e-8.  ``samples`` sets the
     monotonicity grid and, capped at 400, the pair grid of the plain
     subadditivity check, so a failing report can be reproduced exactly.
     """
@@ -229,7 +236,6 @@ def check_conditions(kernel: JumpKernel, mass_cap: float, samples: int = 2000) -
 
     rho0 = 1e-8
     slope = kernel.eval(rho0) / rho0
-    unit_slope = bool(abs(slope - 1.0) <= 1e-4)
 
     return ConditionReport(
         kernel=kernel,
@@ -237,7 +243,7 @@ def check_conditions(kernel: JumpKernel, mass_cap: float, samples: int = 2000) -
         samples=samples,
         monotone=monotone,
         strengthened_subadditive=split_gain is not None,
-        unit_slope_at_zero=unit_slope,
+        unit_slope_at_zero=kernel.unit_slope_at_zero,
         linear_floor_positive=bool(linear_floor > 1e-12),
         subadditive=subadditive,
         split_gain=split_gain,
@@ -268,11 +274,11 @@ def split_cost(kernel: JumpKernel, c: float, z):
 
 
 def split_cost_derivative(kernel: JumpKernel, c: float, z):
-    """d/dz of split_cost.
+    """d/dz of split_cost, exact for every kind.
 
-    Closed form for the rational kernel: with c' = c + 1/kappa,
-    -4 c' z / (kappa^2 (c'^2 - z^2)^2).  Other kernels fall back to a
-    central finite difference with a boundary-clamped stencil.
+    Rational kernel: with c' = c + 1/kappa, -4 c' z / (kappa^2 (c'^2 - z^2)^2).
+    Linear and Potts: 0, since the cost is 2c and 2h for |z| < c; the Potts
+    cost drops to h at |z| = c by a jump, not with a slope.
     """
     _check_split_domain(c, z)
     arr = np.clip(np.asarray(z, dtype=float), -c, c)
@@ -281,10 +287,7 @@ def split_cost_derivative(kernel: JumpKernel, c: float, z):
         cp = c + 1.0 / k
         out = -4.0 * cp * arr / (k * k * (cp * cp - arr * arr) ** 2)
     else:
-        step = 1e-6 * max(1.0, c)
-        zp = np.minimum(arr + step, c)
-        zm = np.maximum(arr - step, -c)
-        out = (split_cost(kernel, c, zp) - split_cost(kernel, c, zm)) / (zp - zm)
+        out = np.zeros_like(arr)
     if np.asarray(z).ndim == 0:
         return float(out)
     return out

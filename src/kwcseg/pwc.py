@@ -10,6 +10,7 @@ trapezoid sum on the sample grid for sampled data.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,18 @@ from .kernel import JumpKernel
 _DOMAIN_TOL = 1e-9
 
 
+def _check_finite(name: str, *values) -> None:
+    try:
+        finite = all(math.isfinite(v) for v in values)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite numbers, got {', '.join(map(repr, values))}")
+
+
 def _check_domain(dom) -> tuple:
     a, b = float(dom[0]), float(dom[1])
+    _check_finite("domain", a, b)
     if not a < b:
         raise ValueError(f"domain must satisfy a < b, got ({a}, {b})")
     return (a, b)
@@ -45,6 +56,7 @@ class PiecewiseConstant:
         dom = _check_domain(self.domain)
         bp = [float(x) for x in self.breakpoints]
         vals = [float(v) for v in self.values]
+        _check_finite("values", *vals)
         if len(vals) != len(bp) + 1:
             raise ValueError("need exactly one more value than breakpoints")
         if any(not dom[0] < x < dom[1] for x in bp):
@@ -75,9 +87,6 @@ class PiecewiseConstant:
     @property
     def jump_count(self) -> int:
         return len(self.breakpoints)
-
-    def is_non_decreasing(self) -> bool:
-        return bool(np.all(self.jump_sizes >= 0))
 
     def sample(self, n: int) -> "GridSignal":
         x = np.linspace(self.domain[0], self.domain[1], n)
@@ -125,13 +134,6 @@ class GridSignal:
     def x(self) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], self.n)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["x", "value"])
-            for xi, vi in zip(self.x(), self.samples):
-                w.writerow([repr(float(xi)), repr(float(vi))])
-
     @classmethod
     def from_csv(cls, path) -> "GridSignal":
         with open(path, newline="") as f:
@@ -168,6 +170,8 @@ class LinearData:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _check_domain(self.domain))
+        _check_finite("slope", self.slope)
+        _check_finite("intercept", self.intercept)
 
     def __call__(self, x):
         return self.slope * np.asarray(x, dtype=float) + self.intercept
@@ -206,6 +210,8 @@ class SineData:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _check_domain(self.domain))
+        _check_finite("amplitude", self.amplitude)
+        _check_finite("omega", self.omega)
 
     def __call__(self, x):
         return self.amplitude * np.sin(self.omega * np.asarray(x, dtype=float))

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +132,32 @@ class TestExact:
         rep = parse_json(out)
         assert rep["verdict"] == "equal_jumps_forced"
 
+    def test_flat_kernel_verdict_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "exact", "verdict", "--kind", "potts", "--c", "1", "--lambda", str(16 / 3)
+        )
+        assert code == 0
+        assert parse_json(out) == {"verdict": "equal_jumps_forced", "sign_pattern": "+"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verdict", "--c", "inf", "--lambda", "1"),
+            ("verdict", "--c", "1", "--lambda", "nan"),
+            ("verdict", "--c", "1", "--lambda", "inf"),
+            ("critical-lambda", "--L", "inf"),
+            ("energy-table", "--L", "inf", "--lambda", "1", "--m-max", "3"),
+            ("energy-table", "--L", "1", "--lambda", "nan", "--m-max", "3"),
+        ],
+        ids=["verdict_c_inf", "verdict_lam_nan", "verdict_lam_inf", "critical_L_inf", "table_L_inf", "table_lam_nan"],
+    )
+    def test_closed_form_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "exact", *argv)
+        assert code == 2
+        assert err.startswith("config error")
+        assert "finite" in err
+        assert out == ""
+
 
 class TestOracleSolve:
     def write_config(self, tmp_path, **extra):
@@ -227,6 +255,34 @@ class TestOracleSolve:
         assert err.startswith("config error")
         assert "finite" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"kind": "steps", "steps": {"domain": [0, 1], "breakpoints": [0.5], "values": [0.0, math.nan]}}, "values"),
+            ({"kind": "steps", "steps": {"domain": [0, 1], "breakpoints": [0.5], "values": [0.0, math.inf]}}, "values"),
+            ({"kind": "linear", "domain": [0, math.inf]}, "domain"),
+            ({"kind": "linear", "slope": math.nan}, "slope"),
+            ({"kind": "linear", "intercept": math.inf}, "intercept"),
+            ({"kind": "sine", "amplitude": math.inf}, "amplitude"),
+            ({"kind": "sine", "omega": math.nan}, "omega"),
+            ({"kind": "linear", "slope": "abc"}, "slope"),
+        ],
+        ids=[
+            "steps_nan", "steps_inf", "linear_domain_inf", "slope_nan", "intercept_inf", "amplitude_inf", "omega_nan",
+            "slope_text",
+        ],
+    )
+    def test_non_finite_analytic_data_exits_2(self, capsys, tmp_path, data, field):
+        cfg = self.write_config(tmp_path, data=data, endpoint_pin=None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error")
+        assert field in err and "finite" in err
+        assert out == ""
+        assert caught == []
 
     def test_flat_kernel_config_accepted(self, capsys, tmp_path):
         cfg = self.write_config(

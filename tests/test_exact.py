@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwcseg.exact import (
     EqualJumpVerdict,
@@ -17,8 +19,10 @@ from kwcseg.exact import (
     uniform_step_energy,
     uniform_step_minimizer,
 )
-from kwcseg.kernel import derive_constants, kwc_kernel, linear_kernel, potts_kernel
+from kwcseg.kernel import derive_constants, kwc_kernel, linear_kernel, potts_kernel, split_cost_derivative
 from kwcseg.pwc import LinearData, PiecewiseConstant, SineData, dispersion, energy
+
+LOG_UNIFORM = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
 
 
 class TestUniformStepEnergy:
@@ -160,6 +164,20 @@ class TestCriticalLambda:
         lams = [transition_lambda(1.0, m) for m in range(1, 8)]
         assert all(b > a for a, b in zip(lams, lams[1:]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_length_or_weight_is_rejected(self, bad):
+        kernels = (None, potts_kernel(1.0))
+        calls = [
+            lambda: critical_lambda(bad),
+            lambda: transition_lambda(bad, 2),
+            lambda: uniform_step_minimizer(bad, 2),
+            *(lambda k=k: uniform_step_energy(bad, 2, 1.0, k) for k in kernels),
+            *(lambda k=k: uniform_step_energy(1.0, 2, bad, k) for k in kernels),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
 
 class TestOptimalJumpLocation:
     def test_ramp_midpoint(self):
@@ -214,8 +232,60 @@ class TestEqualJumpVerdict:
             equal_jump_verdict(kwc_kernel(1.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             equal_jump_verdict(kwc_kernel(1.0), 1.0, -1.0)
-        with pytest.raises(ValueError):
-            equal_jump_verdict(kwc_kernel(1.0), 1.0, 1.0, grid_points=10)
+
+    @pytest.mark.parametrize(
+        "c, lam", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_rejects_non_finite_arguments(self, c, lam):
+        with pytest.raises(ValueError, match="finite"):
+            equal_jump_verdict(kwc_kernel(1.0), c, lam)
+
+    def test_flat_and_linear_kernels(self):
+        # Both split costs are constant for |z| < c: any fidelity weight
+        # makes E' = (lam / 2) z positive, and lam = 0 ties every split.
+        for k in (linear_kernel(), potts_kernel(1.0)):
+            assert equal_jump_verdict(k, 1.0, 16 / 3).sign_pattern == "+"
+            rep = equal_jump_verdict(k, 1.0, 0.0)
+            assert rep.sign_pattern == ""
+            assert rep.verdict is EqualJumpVerdict.INCONCLUSIVE
+
+    def test_thresholds_of_the_rational_kernel(self):
+        # phi(0) = 4 kappa / (1 + kappa c)^3 and phi(c) = 4 kappa (1 + kappa c) / (1 + 2 kappa c)^2;
+        # kappa = c = 1 gives 1/2 and 8/9, so lam = 1 and lam = 16/9 sit on the edges.
+        k = kwc_kernel(1.0)
+        assert equal_jump_verdict(k, 1.0, 1.0).sign_pattern == "-"
+        assert equal_jump_verdict(k, 1.0, 1.5).sign_pattern == "+-"
+        assert equal_jump_verdict(k, 1.0, 16 / 9).sign_pattern == "+"
+        assert equal_jump_verdict(k, 1.0, 0.0).sign_pattern == "-"
+        assert set(equal_jump_verdict(k, 1.0, 1.5).to_json_dict()) == {"verdict", "sign_pattern"}
+
+    @settings(max_examples=300)
+    @given(
+        kind=st.sampled_from(("kwc", "linear", "potts")),
+        p=LOG_UNIFORM,
+        c=LOG_UNIFORM,
+        lam=st.one_of(st.just(0.0), st.floats(-5.0, 8.0).map(math.exp)),
+    )
+    def test_sign_pattern_matches_a_dense_scan(self, kind, p, c, lam):
+        # Brute force: the compressed signs of E'(z) on a dense grid of (0, c),
+        # refined around the crossing z* (phi(z*) = lam / 2) and skipping
+        # samples within a relative 1e-9 of it.
+        kernel = {"kwc": kwc_kernel, "linear": lambda _: linear_kernel(), "potts": potts_kernel}[kind](p)
+        z = np.concatenate((c * np.linspace(0.0, 1.0, 4001)[1:-1], c * np.geomspace(1e-6, 1.0, 2001)[:-1]))
+        if kind == "kwc" and lam > 0:
+            cp = c + 1.0 / p
+            star_sq = cp * cp - math.sqrt(8.0 * cp / lam) / p
+            if star_sq > 0:
+                star = math.sqrt(star_sq)
+                z = np.concatenate((z, [star * (1 - 1e-6), star * (1 + 1e-6)]))
+                z = z[np.abs(z - star) > 1e-9 * star]
+        z = np.sort(z[(z > 0) & (z < c)])
+        deriv = 0.5 * lam * z + split_cost_derivative(kernel, c, z)
+        signs = [("+" if d > 0 else "-") for d in deriv if d != 0]
+        pattern = "".join(s for i, s in enumerate(signs) if i == 0 or s != signs[i - 1])
+        rep = equal_jump_verdict(kernel, c, lam)
+        assert rep.sign_pattern == pattern
+        assert rep.forced == (pattern in ("+", "-", "+-"))
 
 
 class TestJumpBounds:
@@ -239,6 +309,11 @@ class TestJumpBounds:
             assert rep.jumps_monotone_data >= prev_mono
             assert rep.jumps_monotone_data <= rep.jumps_any_data
             prev_any, prev_mono = rep.jumps_any_data, rep.jumps_monotone_data
+
+    @pytest.mark.parametrize("kappa", [2e4, 1e5])
+    def test_stiff_rational_kernel_bound_is_not_restricted(self, kappa):
+        rep = jump_bounds(kwc_kernel(kappa), 0.0, 1.0, 5.0, mass_cap=1.0)
+        assert rep.restricted_to_step_functions is False
 
     def test_flat_kernel_bound_is_class_restricted(self):
         rep = jump_bounds(potts_kernel(1.0), 0.0, 1.0, 16 / 3, mass_cap=1.0)

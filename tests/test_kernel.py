@@ -208,6 +208,19 @@ class TestStrengthenedSubadditivity:
         assert rep.unit_slope_at_zero is False
         assert rep.slope_at_zero > 1e6
 
+    @pytest.mark.parametrize("kappa", [2e4, 1e5])
+    def test_stiff_kwc_kernel_keeps_unit_slope(self, kappa):
+        # K'(0) = 1 for every kappa, although K(1e-8)/1e-8 = 1/(1 + 1e-8 kappa)
+        # is off 1 by more than 1e-4 here.
+        rep = check_conditions(kwc_kernel(kappa), 1.0)
+        assert rep.unit_slope_at_zero is True
+        assert rep.slope_at_zero == pytest.approx(1.0 / (1.0 + 1e-8 * kappa), rel=1e-12)
+
+    def test_unit_slope_is_decided_by_kind(self):
+        assert kwc_kernel(1e9).unit_slope_at_zero is True
+        assert linear_kernel().unit_slope_at_zero is True
+        assert potts_kernel(1e-9).unit_slope_at_zero is False
+
     def test_kwc_kernel_passes_all_conditions(self):
         rep = check_conditions(kwc_kernel(1.0), 2.0)
         assert rep.monotone
@@ -236,14 +249,22 @@ class TestSplitCost:
         )
 
     def test_derivative_matches_finite_differences(self):
+        # Away from |z| = c every kernel's split cost is smooth; linear and
+        # Potts costs are constant there (2c and 2h).
         rng = np.random.default_rng(103)
-        k = kwc_kernel(1.0)
-        for _ in range(100):
-            c = rng.uniform(0.3, 3.0)
-            z = rng.uniform(0.05 * c, 0.9 * c)
-            eps = 1e-6 * c
-            fd = (split_cost(k, c, z + eps) - split_cost(k, c, z - eps)) / (2 * eps)
-            assert split_cost_derivative(k, c, z) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        for k in (kwc_kernel(1.0), linear_kernel(), potts_kernel(1.5)):
+            for _ in range(100):
+                c = rng.uniform(0.3, 3.0)
+                z = rng.uniform(0.05 * c, 0.9 * c)
+                eps = 1e-6 * c
+                fd = (split_cost(k, c, z + eps) - split_cost(k, c, z - eps)) / (2 * eps)
+                assert split_cost_derivative(k, c, z) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_flat_and_linear_derivatives_are_exactly_zero_up_to_the_merge(self):
+        z = np.linspace(-1.0, 1.0, 101)
+        for k in (linear_kernel(), potts_kernel(2.0)):
+            assert np.array_equal(split_cost_derivative(k, 1.0, z), np.zeros_like(z))
+            assert split_cost_derivative(k, 1.0, 1.0) == 0.0
 
     def test_even_split_is_strict_maximum(self):
         # Imbalance strictly lowers the cost of a split pair.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kwcseg.errors import ConfigError
+from kwcseg.experiments import write_csv
 from kwcseg.kernel import kwc_kernel, linear_kernel
 from kwcseg.pwc import (
     GridSignal,
@@ -67,6 +68,46 @@ class TestConstruction:
         assert w.breakpoints == u.breakpoints
         assert w.values == u.values
 
+    @pytest.mark.parametrize(
+        "domain, values, field",
+        [
+            ((0.0, 1.0), (0.0, math.nan), "values"),
+            ((0.0, 1.0), (math.inf, 1.0), "values"),
+            ((0.0, math.inf), (0.0, 1.0), "domain"),
+            ((-math.inf, 1.0), (0.0, 1.0), "domain"),
+        ],
+    )
+    def test_rejects_non_finite_values_and_domain(self, domain, values, field):
+        with pytest.raises(ConfigError, match=field):
+            PiecewiseConstant(domain, (0.5,), values)
+
+
+class TestAnalyticData:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"domain": (0.0, math.inf)}, "domain"),
+            ({"domain": (math.nan, 1.0)}, "domain"),
+            ({"domain": (0.0, 1.0), "slope": math.nan}, "slope"),
+            ({"domain": (0.0, 1.0), "intercept": -math.inf}, "intercept"),
+        ],
+    )
+    def test_linear_data_rejects_non_finite_fields(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            LinearData(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"domain": (0.0, math.inf)}, "domain"),
+            ({"domain": (0.0, 1.0), "amplitude": math.inf}, "amplitude"),
+            ({"domain": (0.0, 1.0), "omega": math.nan}, "omega"),
+        ],
+    )
+    def test_sine_data_rejects_non_finite_fields(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            SineData(**kwargs)
+
 
 class TestGridSignal:
     def test_uniform_grid(self):
@@ -79,7 +120,7 @@ class TestGridSignal:
         rng = np.random.default_rng(21)
         g = GridSignal((0.0, 1.0), rng.normal(size=17))
         path = tmp_path / "signal.csv"
-        g.to_csv(path)
+        write_csv(path, ("x", "value"), (g.x(), g.samples))
         first = path.read_text().splitlines()[0]
         assert first == "x,value"
         back = GridSignal.from_csv(path)
