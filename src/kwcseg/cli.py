@@ -22,7 +22,7 @@ from .exact import (
     uniform_step_energy,
 )
 from .experiments import EXPERIMENTS, ExperimentSpec, generate_signal, plot_record, run_experiment
-from .flow import MODELS, FlowParams, run
+from .flow import MODELS, FlowParams, check_threshold, run
 from .kernel import JumpKernel, check_conditions, derive_constants
 from .pwc import (
     GridSignal,
@@ -63,7 +63,7 @@ def data_from_config(cfg: dict):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("data config must be an object with a 'kind'")
     kind = cfg["kind"]
-    domain = tuple(cfg.get("domain", (0.0, 1.0)))
+    domain = cfg.get("domain", (0.0, 1.0))
     if kind == "linear":
         return LinearData(domain, slope=cfg.get("slope", 1.0), intercept=cfg.get("intercept", 0.0))
     if kind == "sine":
@@ -104,7 +104,7 @@ def signal_from_config(cfg: dict, n_default: int = 1000) -> GridSignal:
 
 def _cmd_check_kernel(args) -> int:
     kernel = _kernel_from_args(args)
-    report = check_conditions(kernel, args.M, samples=args.samples)
+    report = check_conditions(kernel, args.M)
     out = {"report": report.to_json_dict()}
     try:
         out["constants"] = asdict(derive_constants(kernel, args.M))
@@ -206,8 +206,8 @@ def _cmd_flow_run(args) -> int:
     if g.n != params.n:
         params = FlowParams(**{**pcfg, "n": g.n})
     u0 = signal_from_config(cfg["u0"], n_default=params.n) if "u0" in cfg else g
+    threshold = check_threshold(cfg.get("census_threshold", experiments_mod.STRUCTURE_THRESHOLD))
     result = run(g, u0, params)
-    threshold = float(cfg.get("census_threshold", experiments_mod.STRUCTURE_THRESHOLD))
     paths = experiments_mod.write_flow_artifacts(result, args.out, census_threshold=threshold)
     _print_json({"steady": result.steady, "steps": result.steps, "artifacts": paths})
     return 0
@@ -253,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("check-kernel", help="report kernel admissibility conditions")
     add_kernel_flags(pk)
-    pk.add_argument("--samples", type=int, default=2000)
     pk.set_defaults(func=_cmd_check_kernel)
 
     pe = sub.add_parser("exact", help="closed-form quantities")

@@ -7,6 +7,7 @@ jump-count bounds hold for any data once the kernel constants exist.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -25,6 +26,11 @@ def _check_positive(name: str, value: float) -> None:
 def _check_weight(lam: float) -> None:
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be finite and non-negative")
+
+
+def _check_jump_count(m) -> None:
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise ValueError(f"jump count m must be an integer of at least 1, got {m!r}")
 
 
 def _int_part(r: float) -> int:
@@ -81,8 +87,7 @@ def uniform_step_minimizer(L: float, m: int) -> PiecewiseConstant:
     so the first and last plateaus have half width.
     """
     _check_positive("L", L)
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_jump_count(m)
     d = L / m
     bps = tuple((k - 0.5) * d for k in range(1, m + 1))
     vals = tuple(k * d for k in range(m + 1))
@@ -98,6 +103,7 @@ def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None 
     """
     _check_positive("L", L)
     _check_weight(lam)
+    _check_jump_count(m)
     if kernel is None:
         kernel = kwc_kernel(1.0)
     d = L / m
@@ -135,8 +141,7 @@ def critical_lambda(L: float) -> CriticalLambda:
 def transition_lambda(L: float, m: int) -> float:
     """Weight where the m- and (m+1)-jump ladders tie (kappa = 1 kernel)."""
     _check_positive("L", L)
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_jump_count(m)
     d1, d2 = L / m, L / (m + 1)
     return 24.0 / ((d1 + d2) * (1 + d1) * (1 + d2))
 

@@ -77,6 +77,8 @@ class FlowParams:
             raise ConfigError(f"t_max = {self.t_max} is less than one time step dt = {self.dt}")
         if self.lam < 0 or self.sigma < 0:
             raise ConfigError("lam and sigma must be non-negative")
+        if self.steady_tol < 0:
+            raise ConfigError("steady_tol must be non-negative")
         if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:
             raise ConfigError("output_stride must be an integer of at least 1")
 
@@ -443,9 +445,16 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
 # Census of the jumps of a grid signal.
 
 
+def check_threshold(threshold) -> float:
+    """The census threshold as a float; anything but a number >= 0 is a ConfigError."""
+    if not (isinstance(threshold, numbers.Real) and threshold >= 0):
+        raise ConfigError(f"census threshold must be a number >= 0, got {threshold!r}")
+    return float(threshold)
+
+
 def _census_groups(u: GridSignal, threshold: float) -> list:
     d = np.diff(u.samples)
-    mask = np.abs(d) > threshold
+    mask = np.abs(d) > check_threshold(threshold)
     x = u.x()
     mids = 0.5 * (x[:-1] + x[1:])
     groups = []
@@ -471,14 +480,12 @@ def jump_census(u: GridSignal, threshold: float) -> list:
     Returns (position, signed size) pairs; the position is the
     size-weighted centroid of the merged edges.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
     return [(pos, size) for _i, _j, pos, size in _census_groups(u, threshold)]
 
 
 def edges_above(u: GridSignal, threshold: float) -> int:
     """Number of individual edges whose difference exceeds the threshold."""
-    return int(np.sum(np.abs(np.diff(u.samples)) > threshold))
+    return int(np.sum(np.abs(np.diff(u.samples)) > check_threshold(threshold)))
 
 
 def plateau_flatness(u: GridSignal, threshold: float, margin: int = 2) -> list:

@@ -134,43 +134,39 @@ def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
     kwc, h / (r1 * r2) for potts and 0 for linear.  For fixed s it is
     smallest at r1 = r2, and along that diagonal it falls as s grows, so
     the infimum sits at r1 = r2 = mass_cap/2.  K(rho)/rho is non-increasing,
-    so linear_floor = K(mass_cap)/mass_cap.  split_gain is None when it is
-    0 (the linear kernel); every positive gain is kept.
+    so linear_floor = K(mass_cap)/mass_cap.  split_gain is None for the
+    linear kernel, whose gain is 0.  A kwc or Potts constant, or
+    linear_floor / mass_cap, that is not a finite positive float is out of
+    float range: ValueError.
     """
     if not (math.isfinite(mass_cap) and mass_cap > 0):
         raise ValueError("mass_cap must be positive and finite")
-    if kernel.kind == "kwc":
-        k = kernel.kappa
-        split_gain = 2 * k / ((1 + k * mass_cap / 2) * (1 + k * mass_cap))
-        linear_floor = 1 / (1 + k * mass_cap)
-    elif kernel.kind == "potts":
-        split_gain = 4 * kernel.height / mass_cap**2
-        linear_floor = kernel.height / mass_cap
-    else:
-        split_gain = 0.0
-        linear_floor = 1.0
-    return (split_gain if split_gain > 0 else None), linear_floor
-
-
-def _split_ratio_grid_min(kernel: JumpKernel, mass_cap: float, resolution: int) -> float:
-    """Grid infimum of the strengthened-subadditivity ratio on r1+r2 <= mass_cap."""
-    rho = mass_cap * np.arange(1, resolution + 1) / resolution
-    r1 = rho[:, None]
-    r2 = rho[None, :]
-    total = r1 + r2
-    mask = total <= mass_cap * (1 + 1e-12)
-    ratio = (kernel.eval(r1) + kernel.eval(r2) - kernel.eval(total)) / (r1 * r2)
-    return float(ratio[mask].min())
+    if kernel.kind == "linear":
+        return None, 1.0
+    try:
+        if kernel.kind == "kwc":
+            k = kernel.kappa
+            split_gain = 2 * k / ((1 + k * mass_cap / 2) * (1 + k * mass_cap))
+            linear_floor = 1 / (1 + k * mass_cap)
+        else:
+            split_gain = 4 * kernel.height / mass_cap**2
+            linear_floor = kernel.height / mass_cap
+    except (ZeroDivisionError, OverflowError):
+        split_gain = linear_floor = math.nan
+    if not all(math.isfinite(c) and c > 0 for c in (split_gain, linear_floor, linear_floor / mass_cap)):
+        param = f"kappa={kernel.kappa!r}" if kernel.kind == "kwc" else f"height={kernel.height!r}"
+        raise ValueError(f"{kernel.kind} kernel constants out of float range at {param}, mass_cap={mass_cap!r}")
+    return split_gain, linear_floor
 
 
 def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
     """The exact kernel constants on [0, mass_cap].
 
-    Raises ConditionError when the strengthened-subadditivity gain is not
-    positive (the linear kernel), since then no jump-count bound exists.
+    Raises ConditionError for the linear kernel, whose strengthened-
+    subadditivity gain is 0, since then no jump-count bound exists.
     """
     split_gain, linear_floor = _exact_constants(kernel, mass_cap)
-    if split_gain is None:
+    if kernel.kind == "linear":
         raise ConditionError(
             f"strengthened subadditivity fails for kernel {kernel.kind!r} on [0, {mass_cap}]: "
             "no positive split gain"
@@ -185,11 +181,10 @@ def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Sampled verdicts for the structural conditions of a kernel."""
+    """Verdicts for the structural conditions of a kernel, with its constants."""
 
     kernel: JumpKernel
     mass_cap: float
-    samples: int
     monotone: bool
     strengthened_subadditive: bool
     unit_slope_at_zero: bool
@@ -197,13 +192,11 @@ class ConditionReport:
     subadditive: bool
     split_gain: float | None
     linear_floor: float
-    slope_at_zero: float
 
     def to_json_dict(self) -> dict:
         return {
             "kernel": self.kernel.to_config(),
             "mass_cap": self.mass_cap,
-            "samples": self.samples,
             "monotone": self.monotone,
             "strengthened_subadditive": self.strengthened_subadditive,
             "unit_slope_at_zero": self.unit_slope_at_zero,
@@ -211,44 +204,28 @@ class ConditionReport:
             "subadditive": self.subadditive,
             "split_gain": self.split_gain,
             "linear_floor": self.linear_floor,
-            "slope_at_zero": self.slope_at_zero,
         }
 
 
-def check_conditions(kernel: JumpKernel, mass_cap: float, samples: int = 2000) -> ConditionReport:
-    """Check the structural conditions on [0, mass_cap].
+def check_conditions(kernel: JumpKernel, mass_cap: float) -> ConditionReport:
+    """The structural conditions on [0, mass_cap], each decided by the kind.
 
-    split_gain, linear_floor and the unit-slope verdict are exact;
-    slope_at_zero reports the probe K(1e-8)/1e-8.  ``samples`` sets the
-    monotonicity grid and, capped at 400, the pair grid of the plain
-    subadditivity check, so a failing report can be reproduced exactly.
+    Every kind is monotone and subadditive with a positive linear floor:
+    the split ratio and K(rho)/rho are >= 0 and > 0 in closed form (see
+    _exact_constants).  Only the linear kernel lacks the strengthened gain,
+    and only the Potts kernel lacks unit slope at zero.
     """
     split_gain, linear_floor = _exact_constants(kernel, mass_cap)
-    samples = max(100, int(samples))
-
-    grid = np.linspace(0.0, mass_cap, samples + 1)
-    vals = kernel.eval(grid)
-    monotone = bool(vals[0] == 0.0 and np.all(np.diff(vals) >= -1e-12))
-
-    # Plain subadditivity needs only a non-negative defect.
-    subadd_min = _split_ratio_grid_min(kernel, mass_cap, min(samples, 400))
-    subadditive = bool(subadd_min >= -1e-10)
-
-    rho0 = 1e-8
-    slope = kernel.eval(rho0) / rho0
-
     return ConditionReport(
         kernel=kernel,
         mass_cap=float(mass_cap),
-        samples=samples,
-        monotone=monotone,
-        strengthened_subadditive=split_gain is not None,
+        monotone=True,
+        strengthened_subadditive=kernel.kind != "linear",
         unit_slope_at_zero=kernel.unit_slope_at_zero,
-        linear_floor_positive=bool(linear_floor > 1e-12),
-        subadditive=subadditive,
+        linear_floor_positive=True,
+        subadditive=True,
         split_gain=split_gain,
         linear_floor=linear_floor,
-        slope_at_zero=float(slope),
     )
 
 

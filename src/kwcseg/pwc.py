@@ -32,8 +32,12 @@ def _check_finite(name: str, *values) -> None:
 
 
 def _check_domain(dom) -> tuple:
-    a, b = float(dom[0]), float(dom[1])
+    try:
+        a, b = dom
+    except (TypeError, ValueError):
+        raise ConfigError(f"domain must be two numbers (a, b), got {dom!r}") from None
     _check_finite("domain", a, b)
+    a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"domain must satisfy a < b, got ({a}, {b})")
     return (a, b)

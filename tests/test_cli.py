@@ -65,6 +65,46 @@ class TestCheckKernel:
         assert out == ""
 
 
+    def test_stiff_kernel_report_is_decided_by_kind(self, capsys):
+        code, out, _ = run_cli(capsys, "check-kernel", "--kind", "kwc", "--kappa", "1e9", "--M", "1")
+        assert code == 0
+        rep = parse_json(out)["report"]
+        assert rep["unit_slope_at_zero"] is True
+        assert rep["linear_floor_positive"] is True
+        assert "slope_at_zero" not in rep and "samples" not in rep
+
+    def test_samples_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check-kernel", "--M", "1", "--samples", "100"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, param",
+        [
+            (("check-kernel", "--kind", "kwc", "--kappa", "1e300", "--M", "1"), "kappa"),
+            (("check-kernel", "--kind", "kwc", "--M", "1e300"), "kappa"),
+            (("exact", "bounds", "--kind", "kwc", "--kappa", "1e200", "--M", "1", "--lambda", "1"), "kappa"),
+            (("exact", "bounds", "--kind", "potts", "--M", "1e200", "--lambda", "1"), "height"),
+            (("exact", "bounds", "--kind", "potts", "--M", "1e-200", "--lambda", "1"), "height"),
+            (("check-kernel", "--kind", "potts", "--M", "1e200"), "height"),
+            (("check-kernel", "--kind", "potts", "--M", "1e-200"), "height"),
+        ],
+        ids=[
+            "check_kappa_1e300", "check_mass_cap_1e300", "bounds_kappa_1e200", "bounds_potts_mass_cap_1e200",
+            "bounds_potts_mass_cap_1e-200", "check_potts_mass_cap_1e200", "check_potts_mass_cap_1e-200",
+        ],
+    )
+    def test_constants_out_of_float_range_exit_2(self, capsys, argv, param):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error")
+        assert f"{param}=" in err and "mass_cap=" in err
+        assert out == ""
+        assert caught == []
+
+
 class TestExact:
     def test_critical_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "critical-lambda", "--L", "1")
@@ -284,6 +324,15 @@ class TestOracleSolve:
         assert out == ""
         assert caught == []
 
+    @pytest.mark.parametrize("domain", [5, [0], [0, 1, 2]], ids=["number", "one_end", "three_ends"])
+    def test_malformed_domain_exits_2(self, capsys, tmp_path, domain):
+        cfg = self.write_config(tmp_path, data={"kind": "linear", "domain": domain})
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error")
+        assert "domain" in err
+        assert out == ""
+
     def test_flat_kernel_config_accepted(self, capsys, tmp_path):
         cfg = self.write_config(
             tmp_path, kernel={"kind": "potts", "height": 1.0}, endpoint_pin=None
@@ -346,8 +395,12 @@ class TestFlowRun:
             {"output_stride": 0},
             {"output_stride": 2.5},
             {"cp_iters": 200},
+            {"steady_tol": -1.0},
         ],
-        ids=["lam_nan", "sigma_inf", "lam_text", "output_stride_0", "output_stride_fraction", "stale_cp_iters"],
+        ids=[
+            "lam_nan", "sigma_inf", "lam_text", "output_stride_0", "output_stride_fraction", "stale_cp_iters",
+            "steady_tol_negative",
+        ],
     )
     def test_bad_params_exit_2(self, capsys, tmp_path, params):
         cfg = self.write_config(tmp_path, **params)
@@ -355,6 +408,18 @@ class TestFlowRun:
         assert code == 2
         assert err.startswith("config error")
         assert out == ""
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, None], ids=["nan", "negative", "null"])
+    def test_bad_census_threshold_exits_2_before_the_run(self, capsys, tmp_path, monkeypatch, threshold):
+        path = self.write_config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "census_threshold": threshold}))
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("the flow ran"))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error")
+        assert "census threshold" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("epsilon", [5e-324, 1e300], ids=["epsilon_subnormal", "epsilon_huge"])
     def test_out_of_range_epsilon_exits_2(self, capsys, tmp_path, epsilon):

@@ -72,6 +72,14 @@ class TestUniformStepEnergy:
         second = np.diff(f, 2)
         assert np.all(second > 0)
 
+    @pytest.mark.parametrize("kernel", [None, potts_kernel(1.0)], ids=["kappa_1_shortcut", "potts"])
+    @pytest.mark.parametrize("m", [0, -2, 1.5, 2.0], ids=["zero", "negative", "fraction", "float"])
+    def test_ladder_size_must_be_a_positive_integer(self, kernel, m):
+        with pytest.raises(ValueError, match="jump count m"):
+            uniform_step_energy(1.0, m, 1.0, kernel)
+        with pytest.raises(ValueError, match="jump count m"):
+            uniform_step_minimizer(1.0, m)
+
 
 class TestUniformStepMinimizer:
     def test_single_jump_structure(self):

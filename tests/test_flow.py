@@ -60,6 +60,10 @@ class TestValidation:
         res = run(g, g, FlowParams(model="rof", lam=1.0, n=50, dt=0.01, t_max=0.006))
         assert res.steps == 1
 
+    def test_negative_steady_tolerance_rejected(self):
+        with pytest.raises(ConfigError, match="steady_tol"):
+            FlowParams(model="rof", lam=1.0, n=50, steady_tol=-1.0).validate()
+
     def test_output_stride_must_be_positive(self):
         with pytest.raises(ConfigError):
             FlowParams(model="rof", lam=1.0, n=50, output_stride=0).validate()
@@ -392,6 +396,13 @@ class TestDivergenceHandling:
 
 
 class TestCensusTools:
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0, "0.1", None], ids=["nan", "negative", "text", "none"])
+    def test_threshold_must_be_a_non_negative_number(self, threshold):
+        u = unit_step(11)
+        for census in (jump_census, edges_above, plateau_flatness):
+            with pytest.raises(ConfigError, match="census threshold"):
+                census(u, threshold)
+
     def test_census_recovers_plateau_structure(self):
         n = 2001
         x = np.linspace(0, 1, n)
