@@ -157,10 +157,7 @@ def _problem_from_config(cfg: dict) -> oracle_mod.OracleProblem:
         pin = (float(data(a)), float(data(b)))
     elif pin is not None:
         pin = (float(pin[0]), float(pin[1]))
-    kwargs = {}
-    for key in ("n_cells", "n_levels"):
-        if cfg.get(key) is not None:
-            kwargs[key] = int(cfg[key])
+    kwargs = {key: cfg[key] for key in ("n_cells", "n_levels") if cfg.get(key) is not None}
     if cfg.get("levels") is not None:
         kwargs["levels"] = [float(v) for v in cfg["levels"]]
     if cfg.get("tie_tolerance") is not None:

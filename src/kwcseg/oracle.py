@@ -11,17 +11,26 @@ gradient-flow solvers on small instances.
 
 Complexity is O(n_cells * n_levels^2) for the free problem and an extra
 factor of the jump budget for the count-constrained variant; sizes are
-capped accordingly.  Both passes make every transition with one helper
-(``_relax``): it copies the source row into a buffer allocated once per
-pass and thread, adds the transposed kernel in place, reduces along
-contiguous rows and gathers the row minima with one flat take.  The free
-pass runs in the calling thread.  The budgeted pass splits the target
-levels of each cell's transitions between one thread per usable CPU when a
-cell's budget * n_levels^2 transitions are enough to pay for the per-cell
-barrier; its results do not depend on the number of threads.
+capped accordingly.  Every transition is made by one helper (``_relax``):
+it copies the source row into a buffer, adds the transposed kernel in
+place, reduces along contiguous rows and gathers the row minima with one
+flat take.  The free pass runs in the calling thread.  The dense budgeted
+pass splits the target levels of each cell's transitions between one
+thread per usable CPU when a cell's budget * n_levels^2 transitions are
+enough to pay for the per-cell barrier; its results do not depend on the
+number of threads.
+
+Budgeted passes (``best_with_m_jumps`` and the tie scan of ``solve``) are
+pruned by an exact forward-backward bound: a forward and a backward free
+pass, side by side on two threads, give each state (cell, level) the least
+cost of any path through it, and the budgeted DP visits only the states
+whose bound is within a threshold of the free optimum.  Its results are
+those of the dense pass (``_pruned_pass`` has the argument); when too many
+states survive, the dense pass runs instead.
 """
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -45,6 +54,32 @@ MAX_JUMP_BUDGET = 10
 # budgeted pass must get to beat its barrier: on 2 cores, L = 400 pays from
 # m = 2, L = 200 at m = 4 does not.
 _MIN_THREAD_WORK = 150_000
+# The two free passes behind a pruned pass's bounds run side by side when
+# a cell has L^2 >= 40 000 transitions: on 2 cores and 300 cells that took
+# 20 ms against 23 ms in one thread at L = 200 and 59 ms against 100 ms at
+# L = 400, but 20 ms against 18 ms at L = 150 (the passes trade the GIL).
+_MIN_SIDE_THREAD_WORK = 40_000
+# Budgeted passes are pruned (``_pruned_pass``) from a budget of 3 and
+# budget * L^2 = 20 000 transitions per cell.  The bounds cost two free
+# passes, about a 2-jump dense pass (at 2000 x 400: 0.37-0.42 s against
+# 0.44 s at m = 1 and 0.52 s at m = 2); below 20 000, on 300- and
+# 1000-cell random walks, the pruned and dense routes were even, above it
+# the pruned one won whenever it certified.  ``best_with_m_jumps`` tries
+# thresholds 1e-3 and 1e-2 (relative) above the free optimum; at 1e-1,
+# 20-51 % of the states of 2000 x 400 random walks survive.  Above 30 %
+# survivors the dense pass runs: a pruned pass over the 30 % of states
+# with the least bounds took 0.28-0.77 of the dense pass's time, over 50 %
+# 0.69-1.10.
+_MIN_PRUNE_BUDGET = 3
+_MIN_PRUNE_WORK = 20_000
+_WIDTHS = (1e-3, 1e-2)
+_MAX_SURVIVORS = 0.3
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Reject a count that is not an integer (a bool included) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +110,9 @@ class OracleProblem:
             raise ConfigError("tie_tolerance must be finite and non-negative")
         if isinstance(self.data, SampledData) and not np.all(np.isfinite(self.data.signal.samples)):
             raise ConfigError("sampled data must be finite")
+        if self.n_cells is not None:
+            _check_count("n_cells", self.n_cells, least=1)
+        _check_count("n_levels", self.n_levels, least=1)
 
     def resolved_cells(self) -> int:
         if self.n_cells is not None:
@@ -197,47 +235,87 @@ def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray
 def _relax(src: np.ndarray, kernel_t: np.ndarray, trans: np.ndarray, offs: np.ndarray) -> tuple:
     """Best predecessor of each target level: one dense DP transition.
 
-    Fills ``trans[l, k] = src[k] + kernel_t[l, k]`` in place and returns,
-    per row, the smallest k attaining the row minimum and that minimum.
-    ``kernel_t`` holds the kernel transposed, so every row is contiguous
-    (numpy reduces a strided axis through a copy).  ``offs`` is
-    ``arange(rows) * L``, the flat offset of each row of ``trans``.  The
-    copy and in-place add run about a third faster than a broadcast add
-    into ``trans``, and the flat take faster than a two-array gather.
+    Fills ``trans[..., l, k] = src[..., k] + kernel_t[l, k]`` in place and
+    returns, per row, the smallest k attaining the row minimum and that
+    minimum.  ``kernel_t`` holds the kernel transposed, so every row is
+    contiguous (numpy reduces a strided axis through a copy).  ``offs``
+    holds the flat offset of each row of ``trans`` (``arange(rows) * K``
+    for K sources).  The pruned pass stacks its budget rows on a leading
+    axis of ``src`` and ``trans``.  The copy and in-place add run about a
+    third faster than a broadcast add into ``trans``, and the flat take
+    faster than a two-array gather.
     """
     np.copyto(trans, src)
     trans += kernel_t
-    arg = trans.argmin(axis=1)
+    arg = trans.argmin(axis=-1)
     return arg, trans.take(arg + offs)
 
 
-def _solve_free(tab: _Tableau) -> np.ndarray:
-    n, L = tab.cost.shape
-    big = np.inf
-    D = tab.cost[0].copy()
-    if tab.pin is not None:
-        mask = np.full(L, big)
-        mask[tab.pin[0]] = 0.0
-        D = D + mask
-    kmat_t = np.ascontiguousarray(tab.kmat.T)
-    parents = np.zeros((n, L), dtype=np.int16)
+def _free_pass(cost, kmat_t, start, parents=None, values=None) -> np.ndarray:
+    """The free DP over the rows of ``cost`` from the ``start`` mask (None:
+    every level).  Returns the last row; fills ``parents`` with each cell's
+    best predecessors and ``values`` with every row, when they are given."""
+    n, L = cost.shape
+    D = cost[0] if start is None else cost[0] + start
     trans = np.empty((L, L))
     offs = np.arange(L) * L
+    if values is not None:
+        values[0] = D
     for i in range(1, n):
         arg, best = _relax(D, kmat_t, trans, offs)
-        parents[i] = arg
-        D = best + tab.cost[i]
-    if tab.pin is not None:
-        end = np.full(L, big)
-        end[tab.pin[1]] = 0.0
+        if parents is not None:
+            parents[i] = arg
+        D = best + cost[i]
+        if values is not None:
+            values[i] = D
+    return D
+
+
+def _solve_free(tab: _Tableau, bounds: bool = False) -> tuple:
+    """The free optimum: its level sequence (None when no sequence meets
+    the pins) and its energy as the DP sums it.  With ``bounds`` also the
+    path bound of every state (see ``_pruned_pass``): the backward pass,
+    the same pass on the reversed cells from the end pin, runs beside the
+    forward one on a second thread when the passes are big enough."""
+    n, L = tab.cost.shape
+    kmat_t = np.ascontiguousarray(tab.kmat.T)
+    start = end = None
+    if tab.pin is not None:  # 0 at the pinned level, inf elsewhere
+        start, end = np.full((2, L), np.inf)
+        start[tab.pin[0]] = end[tab.pin[1]] = 0.0
+    parents = np.zeros((n, L), dtype=np.int16)
+    bound = None
+    if not bounds:
+        D = _free_pass(tab.cost, kmat_t, start, parents)
+    else:
+        forward, backward = np.empty((n, L)), np.empty((n, L))
+        last = [None, None]
+        passes = (
+            lambda: _free_pass(tab.cost, kmat_t, start, parents, forward),
+            lambda: _free_pass(tab.cost[::-1], kmat_t, end, values=backward[::-1]),
+        )
+
+        def work(s, e, barrier=None):
+            last[s] = passes[s]()
+
+        if _usable_cpus() > 1 and L * L >= _MIN_SIDE_THREAD_WORK:
+            _run_split(work, [(0, 1), (1, 2)])
+        else:
+            work(0, 1)
+            work(1, 2)
+        D = last[0]
+        bound = forward
+        bound += backward
+        bound -= tab.cost
+    if end is not None:
         D = D + end
     if not np.isfinite(D).any():
-        raise ConfigError("a single cell cannot take two different pinned levels")
+        return None, math.inf, bound
     seq = np.empty(n, dtype=np.int64)
     seq[-1] = int(np.argmin(D))
     for i in range(n - 1, 0, -1):
         seq[i - 1] = parents[i, seq[i]]
-    return seq
+    return seq, float(D[seq[-1]]), bound
 
 
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
@@ -246,23 +324,36 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     With ``tie_scan_jumps`` set, also runs one jump-count-constrained pass
     for the budgets m = 0..tie_scan_jumps and returns, as ties, the
     m-optima whose energy is within tie_tolerance (relative) of the global
-    optimum and whose jump signature differs from the minimizer's.
+    optimum and whose jump signature differs from the minimizer's.  That
+    pass is pruned to the states whose path bound is within the tie window
+    T (see ``_pruned_pass``).  A row the dense pass keeps, of energy at
+    most T, has a DP cost within 1e-12 of it, so the pruned row is the
+    same; a row above T is above it in the pruned pass too, and is dropped
+    either way.
     """
-    if tie_scan_jumps is not None and tie_scan_jumps < 0:
-        raise ConfigError("tie_scan_jumps must be non-negative")
+    if tie_scan_jumps is not None:
+        _check_count("tie_scan_jumps", tie_scan_jumps)
     tab = _build_tableau(problem)
-    seq = _solve_free(tab)
+    n, L = tab.cost.shape
+    budget = None if tie_scan_jumps is None else min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
+    prune = budget is not None and _worth_pruning(budget, L)
+    seq, _, bound = _solve_free(tab, bounds=prune)
+    if seq is None:
+        raise ConfigError("a single cell cannot take two different pinned levels")
     best = _result_from_sequence(problem, tab, seq)
-    if tie_scan_jumps is None:
+    if budget is None:
         return best
 
-    n = tab.cost.shape[0]
     tol = problem.tie_tolerance * max(1.0, abs(best.energy.total))
+    if prune:
+        keep = _survivors(bound, best.energy.total + tol)
+        del bound
+        prune = keep.mean() <= _MAX_SURVIVORS
+    seqs = _pruned_pass(tab, budget, keep)[0] if prune else _budget_pass(tab, budget)
     cell = (problem.data.domain[1] - problem.data.domain[0]) / n
     seen = {_signature(best.minimizer, cell)}
     ties = []
-    budget = min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
-    for seq in _budget_pass(tab, budget):
+    for seq in seqs:
         if seq is None:
             continue  # no admissible sequence with this jump count (pins)
         res = _result_from_sequence(problem, tab, seq)
@@ -348,6 +439,101 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     return seqs
 
 
+def _worth_pruning(budget: int, L: int) -> bool:
+    return budget >= _MIN_PRUNE_BUDGET and budget * L * L >= _MIN_PRUNE_WORK
+
+
+def _survivors(bound: np.ndarray, threshold: float) -> np.ndarray:
+    """States that may lie on a path whose DP cost is at most ``threshold``."""
+    return bound <= threshold + 1e-9 * max(1.0, abs(threshold))
+
+
+def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
+    """``_budget_pass`` over the states (cell, level) that ``keep`` marks.
+
+    Returns the sequences (None where no kept sequence has that many jumps)
+    and each row's optimum as the DP sums it (inf there).
+
+    Exactness.  Any path through state (i, l), whatever its jump count,
+    costs at least ``bound[i, l] = F[i, l] + B[i, l] - cost[i, l]``, with F
+    and B the free forward and backward passes (``_solve_free``).  Let P be
+    the path the dense pass returns for m jumps and V its DP cost.  The
+    free passes add the same terms as the budgeted one (a stay adds K(0) =
+    0 exactly) and rounding is monotone, so F and B at a state of P are at
+    most P's float prefix and suffix sums.  Those and V are float sums of
+    at most 2000 terms that are non-negative up to their own rounding, each
+    within 2000 * 2**-53 < 3e-13 (relative) of P's exact cost, so every
+    state of P has a bound of at most V * (1 + 1e-12).  When V is at most
+    T * (1 + 1e-10), ``_survivors(bound, T)``, which keeps bounds up to
+    T + 1e-9 * max(1, |T|), keeps all of them.  Restricting a min to a
+    subset can only raise a float DP value, so by induction over the cells
+    every state of P has its dense value and its dense parent here: the
+    dense parent attains the dense minimum, every smaller index stays above
+    it, and ``jumped < stay`` compares two values that are each the dense
+    value, or above it on the side the dense pass did not take.  The final
+    argmin and backtrack then return P.  A pruned optimum of at most T
+    certifies itself: the dense one, V, is at most it.
+
+    Each cell keeps its survivor levels in ascending order, so the smallest
+    position is the smallest level index; its parents are positions among
+    the previous cell's survivors.  All budget rows of a cell make one
+    (budget, kept, kept before) sum, in the calling thread.
+    """
+    n, L = tab.cost.shape
+    big = np.inf
+    jump_t = np.ascontiguousarray(tab.kmat.T)
+    np.fill_diagonal(jump_t, big)
+    kept = [np.flatnonzero(row) for row in keep]
+    if any(s.size == 0 for s in kept):
+        return [None] * (budget + 1), np.full(budget + 1, big)
+    prev = kept[0]
+    V = np.full((budget + 1, prev.size), big)
+    V[0] = tab.cost[0, prev] if tab.pin is None else np.where(prev == tab.pin[0], tab.cost[0, prev], big)
+    at_level = np.empty(L, dtype=np.intp)  # position of a level among the previous cell's survivors
+    buf = np.empty(0)
+    parents = [None]
+    for i in range(1, n):
+        s = kept[i]
+        size = budget * s.size * prev.size
+        if buf.size < size:
+            buf = np.empty(size)
+        trans = buf[:size].reshape(budget, s.size, prev.size)
+        offs = np.arange(budget * s.size).reshape(budget, s.size) * prev.size
+        arg, jumped = _relax(V[:-1, None, :], jump_t.take(s[:, None] * L + prev), trans, offs)
+        at_level.fill(-1)
+        at_level[prev] = np.arange(prev.size)
+        pos = at_level[s]
+        stay = np.where(pos >= 0, V[:, pos], big)
+        # Strict <: an all-inf row (no admissible sequence yet) never jumps.
+        use_jump = jumped < stay[1:]
+        par = np.empty((budget + 1, s.size), dtype=np.int16)
+        par[0] = pos
+        par[1:] = np.where(use_jump, arg, pos)
+        stay[1:] = np.where(use_jump, jumped, stay[1:])
+        V = stay + tab.cost[i, s]
+        parents.append(par)
+        prev = s
+    if tab.pin is not None:
+        V = np.where(prev == tab.pin[1], V, big)
+    seqs, values = [], np.empty(budget + 1)
+    for m in range(budget + 1):
+        at = int(np.argmin(V[m]))
+        values[m] = V[m, at]
+        if not np.isfinite(values[m]):
+            seqs.append(None)
+            continue
+        seq = np.empty(n, dtype=np.int64)
+        seq[-1] = prev[at]
+        j = m
+        for i in range(n - 1, 0, -1):
+            at = parents[i][j, at]
+            seq[i - 1] = kept[i - 1][at]
+            if seq[i - 1] != seq[i]:
+                j -= 1
+        seqs.append(seq)
+    return seqs, values
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -398,19 +584,52 @@ def _run_split(work, slices) -> None:
 
 
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
-    """Global optimum among sequences with exactly m level changes."""
-    if m < 0:
-        raise ConfigError("jump count must be non-negative")
+    """Global optimum among sequences with exactly m level changes.
+
+    The budgeted pass is pruned to the states whose path bound is within a
+    threshold T of the free optimum, widened from ``_WIDTHS``; a pruned
+    m-optimum at most T certifies itself (see ``_pruned_pass``).  When too
+    many states survive, or no width certifies, the dense pass runs.
+    """
+    _check_count("jump count", m)
     if m > MAX_JUMP_BUDGET:
         raise ConfigError(f"jump budget {m} exceeds the limit {MAX_JUMP_BUDGET}")
     tab = _build_tableau(problem)
     n = tab.cost.shape[0]
     if m >= n:
         raise ConfigError(f"cannot place {m} jumps with only {n} cells")
-    seq = _budget_pass(tab, m)[m]
+    seq = _certified_row(tab, m)
     if seq is None:
         raise ConfigError(f"no admissible sequence with exactly {m} jumps")
     return _result_from_sequence(problem, tab, seq)
+
+
+def _certified_row(tab: _Tableau, m: int):
+    """The m-jump row of ``_budget_pass(tab, m)``, by pruned passes when one
+    certifies its result."""
+    if not _worth_pruning(m, tab.cost.shape[1]):
+        return _budget_pass(tab, m)[m]
+    _, free, bound = _solve_free(tab, bounds=True)
+    scale = max(1.0, abs(free))
+    widths = iter(_WIDTHS)
+    threshold = free + next(widths) * scale
+    while math.isfinite(threshold):
+        keep = _survivors(bound, threshold)
+        if keep.mean() > _MAX_SURVIVORS:
+            break
+        seqs, values = _pruned_pass(tab, m, keep)
+        if values[m] <= threshold:
+            return seqs[m]
+        if math.isfinite(values[m]):
+            # A feasible m-jump value: at it, the next pass certifies.
+            threshold = values[m]
+            continue
+        width = next(widths, None)
+        if width is None:
+            break
+        threshold = free + width * scale
+    del bound  # freed before the dense pass allocates its parent table
+    return _budget_pass(tab, m)[m]
 
 
 def cell_midpoints(problem: OracleProblem) -> np.ndarray:

@@ -185,13 +185,13 @@ class LinearData:
         return (min(va, vb), max(va, vb))
 
     def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
-        # integral of (value - g)^2 = [(s x + t - value)^3 / (3 s)]
-        s, t = self.slope, self.intercept
-        if s == 0.0:
-            return (t - value) ** 2 * (x1 - x0)
-        e1 = s * x1 + t - value
-        e0 = s * x0 + t - value
-        return (e1**3 - e0**3) / (3.0 * s)
+        # integral of (value - g)^2 = [(s x + t - value)^3 / (3 s)], with the
+        # difference of cubes divided out: e1 - e0 = s (x1 - x0).  The sum
+        # of squares left is at least (e0^2 + e1^2) / 2, so nothing cancels
+        # when the slope is small against the misfit.
+        e1 = self.slope * x1 + self.intercept - value
+        e0 = self.slope * x0 + self.intercept - value
+        return (x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0
 
     def moments(self, x0: float, x1: float) -> tuple:
         s, t = self.slope, self.intercept

@@ -286,6 +286,18 @@ class TestOracleSolve:
         assert err.startswith("config error")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_levels", 2.5), ("n_levels", -3), ("n_levels", True), ("n_levels", "51"), ("n_cells", 2.5), ("n_cells", 0)],
+    )
+    def test_grid_size_that_is_not_a_positive_integer_exits_2(self, capsys, tmp_path, key, value):
+        cfg = self.write_config(tmp_path, **{key: value})
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error")
+        assert key in err
+        assert out == ""
+
     def test_non_finite_csv_data_exits_2(self, capsys, tmp_path):
         csv_path = tmp_path / "g.csv"
         csv_path.write_text("x,value\n0,0\n0.5,nan\n1,1\n")

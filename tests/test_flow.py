@@ -1,10 +1,11 @@
 """Unit tests for the gradient flows, their inner solver, and diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 import kwcseg.flow as flow_mod
 from kwcseg.errors import ConfigError, DivergenceError
@@ -303,24 +304,57 @@ class TestEnergyDescent:
         assert e == pytest.approx(res.trace[-1][1], rel=1e-12)
 
 
-def split_form_reference(z, c, w, pins):
-    """SLSQP on  min w.s + (c/2)|u - z|^2  subject to  -s <= Du <= s."""
+def exact_prox_reference(z, c, w, pins):
+    """Exact prox by enumerating the sign of every edge: +, - or merged.
+
+    For a sign pattern s, the least of the objective with
+    w_k * s_k * (u_{k+1} - u_k) in place of w_k * |u_{k+1} - u_k| over the
+    u that are constant on merged blocks has a closed form: each block
+    takes its pin, or the mean of z shifted by the block's share of the
+    linear term.  At the pattern of the prox it is the prox, and its dual
+    (running sums of c (u - z), offset by a free constant with pins, as in
+    ``tv_prox_dual``) equals w_k * s_k on signed edges and lies in
+    [-w_k, w_k] on merged ones.  Of the patterns whose minimizer has the
+    signs of s, the one whose dual misses these conditions by the least is
+    returned: another pattern can win only by less than rounding, and its
+    minimizer is then as close to the prox.  3^(n-1) <= 243 patterns for
+    n <= 6.
+    """
     n = z.size
-    free = n if pins is None else n - 2
-
-    def full_u(v):
-        return v[:n] if pins is None else np.concatenate(([pins[0]], v[:free], [pins[1]]))
-
-    def objective(v):
-        return float(w @ v[free:]) + 0.5 * c * float(np.sum((full_u(v) - z) ** 2))
-
-    constraints = [
-        {"type": "ineq", "fun": lambda v: v[free:] - np.diff(full_u(v))},
-        {"type": "ineq", "fun": lambda v: v[free:] + np.diff(full_u(v))},
-    ]
-    start = np.concatenate((z[:free] if pins is None else z[1:-1], np.abs(np.diff(z)) + 1.0))
-    res = minimize(objective, start, method="SLSQP", constraints=constraints, options={"ftol": 1e-15, "maxiter": 1000})
-    return full_u(res.x)
+    best, best_u = np.inf, None
+    for signs in itertools.product((-1, 0, 1), repeat=n - 1):
+        s = np.array(signs)
+        linear = np.zeros(n)  # d/du of sum_k w_k s_k (u_{k+1} - u_k)
+        linear[:-1] -= w * s
+        linear[1:] += w * s
+        cuts = [0, *(int(k) + 1 for k in np.flatnonzero(s)), n]
+        u = np.empty(n)
+        for lo, hi in zip(cuts, cuts[1:]):
+            fixed = [] if pins is None else [pins[0]] * (lo == 0) + [pins[1]] * (hi == n)
+            if len(set(fixed)) > 1:
+                break  # one block holds both ends, pinned to different values
+            u[lo:hi] = fixed[0] if fixed else np.mean(z[lo:hi]) - np.sum(linear[lo:hi]) / (c * (hi - lo))
+        else:
+            if np.any(s * np.diff(u) < 0):
+                continue
+            r = c * (u - z)
+            if pins is None:
+                dual = np.cumsum(r)[:-1]
+                missed = abs(r.sum())  # the dual is zero past the last node
+            else:
+                dual = np.concatenate(([0.0], np.cumsum(r[1:-1])))
+                missed = 0.0
+            # Offsets q that put q + dual in [w s, w s] on signed edges and
+            # in [-w, w] on merged ones; none for free ends but q = 0.
+            lo_q = np.where(s == 0, -w, w * s) - dual
+            hi_q = np.where(s == 0, w, w * s) - dual
+            if pins is None:
+                missed = max(missed, lo_q.max(), -hi_q.min())
+            else:
+                missed = max(missed, lo_q.max() - hi_q.min())
+            if missed < best:
+                best, best_u = missed, u
+    return best_u
 
 
 values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -343,7 +377,7 @@ class TestInnerSolver:
     def test_prox_matches_split_form_reference(self, instance):
         z, c, w, pins = instance
         u = tv_prox(z, c, w, pins)
-        np.testing.assert_allclose(u, split_form_reference(z, c, w, pins), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(u, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
         p = tv_prox_dual(u, z, c, w, pins)
         assert np.all(np.abs(p) <= w)
         assert prox_gap(u, p, z, c, w, pins) <= 1e-10

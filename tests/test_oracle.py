@@ -3,6 +3,7 @@
 import itertools
 import math
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kwcseg.errors import ConfigError
 from kwcseg.exact import jump_bounds, uniform_step_minimizer
 from kwcseg.kernel import kwc_kernel, linear_kernel, potts_kernel
 from kwcseg.oracle import (
+    MAX_CELLS,
     MAX_JUMP_BUDGET,
     MAX_LEVELS,
     OracleProblem,
@@ -544,6 +546,27 @@ class TestProblemValidation:
                 data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=20, n_levels=11, tie_tolerance=tol
             )
 
+    @pytest.mark.parametrize("m", [2.5, "2", True, None, -1])
+    def test_jump_count_must_be_a_non_negative_integer(self, m):
+        with pytest.raises(ConfigError, match="jump count"):
+            best_with_m_jumps(tie_problem(n_cells=10, n_levels=5), m)
+
+    @pytest.mark.parametrize("scan", [2.5, "2", True, -1])
+    def test_tie_scan_must_be_a_non_negative_integer(self, scan):
+        with pytest.raises(ConfigError, match="tie_scan_jumps"):
+            solve(tie_problem(n_cells=10, n_levels=5), tie_scan_jumps=scan)
+
+    @pytest.mark.parametrize("value", [2.5, "5", True, 0, -3])
+    @pytest.mark.parametrize("key", ["n_cells", "n_levels"])
+    def test_grid_sizes_must_be_positive_integers(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, **{"n_cells": 10, key: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=20.0, n_cells=np.int64(10), n_levels=np.int32(5))
+        assert best_with_m_jumps(p, np.int64(1)).jump_count == 1
+        assert solve(p, tie_scan_jumps=np.int16(2)).to_json_dict() == solve(p, tie_scan_jumps=2).to_json_dict()
+
     def test_zero_tie_tolerance_accepted(self):
         p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=20, n_levels=11, tie_tolerance=0.0)
         best = solve(p, tie_scan_jumps=4)
@@ -639,3 +662,248 @@ class TestResultShape:
         assert r.jump_count >= 1
         assert r.energy.total < 20.0 / 24.0
         assert np.isfinite(r.energy.total)
+
+
+@contextmanager
+def oracle_constants(**values):
+    """Set module constants of the oracle for the block (names without the
+    leading underscore)."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(oracle_mod, f"_{name}", value)
+        yield mp
+
+
+# Every budgeted pass pruned, none sent to the dense pass for its survivor share.
+ALWAYS_PRUNE = {"MIN_PRUNE_BUDGET": 0, "MIN_PRUNE_WORK": 0, "MAX_SURVIVORS": 1.0}
+NEVER_PRUNE = {"MIN_PRUNE_WORK": math.inf}
+
+
+def spy_on(mp, name):
+    """Record the arguments and results of the oracle's function ``name``."""
+    calls = []
+    real = getattr(oracle_mod, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    mp.setattr(oracle_mod, name, spy)
+    return calls
+
+
+@st.composite
+def pruning_problems(draw):
+    """Random-walk data on <= 30 cells, <= 12 levels, any kernel, free or
+    pinned ends; dyadic data, levels and weight make exact ties common."""
+    n = draw(st.integers(1, 30))
+    n_levels = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
+    param = draw(st.floats(0.05, 5.0))
+    kernel = {"kwc": kwc_kernel(param), "potts": potts_kernel(param), "linear": linear_kernel()}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = np.cumsum(rng.normal(size=n + 1))
+    lam = draw(st.floats(0.1, 300.0))
+    extra = rng.uniform(samples.min(), samples.max(), size=n_levels - 1)
+    if draw(st.booleans()):
+        samples, extra, lam = np.round(2 * samples) / 2, np.round(4 * extra) / 4, float(round(lam) + 1)
+    lo, hi = samples.min(), samples.max()
+    levels = np.unique(np.concatenate(([lo], np.clip(extra, lo, hi))))
+    pin = None
+    if draw(st.booleans()):
+        pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
+    return OracleProblem(
+        data=SampledData(GridSignal((0.0, 1.0), samples)),
+        kernel=kernel,
+        lam=lam,
+        levels=levels,
+        endpoint_pin=pin,
+        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
+    )
+
+
+def outcome(call):
+    """``to_json_dict()`` of a result, or the message of its ConfigError."""
+    try:
+        return call().to_json_dict()
+    except ConfigError as err:
+        return f"ConfigError: {err}"
+
+
+class TestPrunedPass:
+    @settings(max_examples=150)
+    @given(pruning_problems(), st.floats(0.0, 1.0))
+    def test_rows_within_the_threshold_match_the_dense_pass_bit_for_bit(self, problem, where):
+        tab = _build_tableau(problem)
+        budget = min(MAX_JUMP_BUDGET, tab.cost.shape[0] - 1)
+        seq, free, bound = oracle_mod._solve_free(tab, bounds=True)
+        if seq is None:  # one cell pinned to two different levels
+            return
+        (_, free_seq), budgets = reference_dp(tab, budget)
+        assert np.array_equal(seq, free_seq)
+        dense = _budget_pass(tab, budget)
+        # The bound is tight: the free optimum passes through every cell.
+        np.testing.assert_allclose(bound.min(axis=1), free, rtol=1e-12, atol=0)
+        # With every state kept (pinned ends too), the pruned pass is the dense one.
+        kept_all = oracle_mod._pruned_pass(tab, budget, np.ones(bound.shape, dtype=bool))[0]
+        for seq_all, dense_seq in zip(kept_all, dense):
+            assert (seq_all is None and dense_seq is None) or np.array_equal(seq_all, dense_seq)
+        feasible = [ref[0] for ref in budgets if ref is not None]
+        # A threshold from the free optimum up to the largest row optimum:
+        # the rows at most it must come out as in the dense pass.
+        threshold = free + where * (max(feasible) - free)
+        seqs, values = oracle_mod._pruned_pass(tab, budget, oracle_mod._survivors(bound, threshold))
+        for m, (ref, dense_seq) in enumerate(zip(budgets, dense)):
+            if ref is None:
+                assert dense_seq is None and seqs[m] is None and values[m] == math.inf
+            elif ref[0] <= threshold:
+                assert np.array_equal(seqs[m], ref[1])
+                assert np.array_equal(seqs[m], dense_seq)
+                assert values[m] == ref[0]
+            else:
+                assert values[m] >= ref[0]
+
+    @settings(max_examples=100)
+    @given(pruning_problems(), st.sampled_from([(1e-3, 1e-2), (0.0,), (0.0, 1e-12, 1e-6)]))
+    def test_best_with_m_jumps_equals_the_dense_route(self, problem, widths):
+        n = problem.resolved_cells()
+        budgets = range(min(MAX_JUMP_BUDGET, n - 1) + 1)
+        with oracle_constants(**NEVER_PRUNE):
+            expected = [outcome(lambda: best_with_m_jumps(problem, m)) for m in budgets]
+        with oracle_constants(**ALWAYS_PRUNE, WIDTHS=widths):
+            assert [outcome(lambda: best_with_m_jumps(problem, m)) for m in budgets] == expected
+
+    @settings(max_examples=100)
+    @given(pruning_problems())
+    def test_tie_scan_equals_the_dense_route(self, problem):
+        scan = min(MAX_JUMP_BUDGET, problem.resolved_cells() - 1)
+        with oracle_constants(**NEVER_PRUNE):
+            expected = outcome(lambda: solve(problem, tie_scan_jumps=scan))
+        with oracle_constants(**ALWAYS_PRUNE):
+            assert outcome(lambda: solve(problem, tie_scan_jumps=scan)) == expected
+
+
+def walk_problem(n_cells, n_levels, seed=3, pinned=False):
+    """A normalised random walk at lam = 200; pinned to its end values."""
+    walk = np.cumsum(np.random.default_rng(seed).normal(size=n_cells + 1))
+    g = GridSignal((0.0, 1.0), (walk - walk.min()) / (walk.max() - walk.min()))
+    pin = (float(g.samples[0]), float(g.samples[-1])) if pinned else None
+    return signal_problem(g, K1, 200.0, n_levels=n_levels, endpoint_pin=pin)
+
+
+class TestPrunedRoutes:
+    def test_a_failed_certificate_still_ends_exact(self):
+        # At a zero width only states on a free optimum survive; the free
+        # optimum has 8 jumps, so no other count fits there at first.
+        problem = walk_problem(60, 100)
+        tab = _build_tableau(problem)
+        assert solve(problem).jump_count == 8
+        free = oracle_mod._solve_free(tab)[1]
+        dense = _budget_pass(tab, MAX_JUMP_BUDGET)
+        with oracle_constants(WIDTHS=(0.0, 1e-2)) as mp:
+            passes = spy_on(mp, "_pruned_pass")
+            for m in (5, 7, 9, 10):
+                passes.clear()
+                res = best_with_m_jumps(problem, m)
+                assert res.to_json_dict() == _result_from_sequence(problem, tab, dense[m]).to_json_dict()
+                (_, budget, keep), (_, values) = passes[0]
+                assert budget == m and not values[m] <= free
+                assert len(passes) >= 2  # widened, or re-run at the failed pass's value
+
+    def test_too_many_survivors_run_the_dense_pass(self):
+        problem = walk_problem(60, 100)
+        expected = [best_with_m_jumps(problem, m).to_json_dict() for m in (3, 10)]
+        with oracle_constants(MAX_SURVIVORS=0.0) as mp:
+            passes, dense = spy_on(mp, "_pruned_pass"), spy_on(mp, "_budget_pass")
+            assert [best_with_m_jumps(problem, m).to_json_dict() for m in (3, 10)] == expected
+            assert passes == [] and [args[1] for args, _ in dense] == [3, 10]
+            scan = solve(tie_problem(400, 101), tie_scan_jumps=4)
+            assert passes == [] and len(dense) == 3
+        with oracle_constants(**NEVER_PRUNE):
+            assert scan.to_json_dict() == solve(tie_problem(400, 101), tie_scan_jumps=4).to_json_dict()
+
+    def test_tie_scan_at_the_critical_weight_matches_the_dense_pass(self):
+        problem = tie_problem(400, 101)
+        with oracle_constants() as mp:
+            passes, dense = spy_on(mp, "_pruned_pass"), spy_on(mp, "_budget_pass")
+            scan = solve(problem, tie_scan_jumps=4)
+            assert len(passes) == 1 and dense == []
+            (_, budget, keep), _ = passes[0]
+            assert budget == 4 and keep.mean() < oracle_mod._MAX_SURVIVORS
+        with oracle_constants(**NEVER_PRUNE):
+            assert scan.to_json_dict() == solve(problem, tie_scan_jumps=4).to_json_dict()
+        assert {scan.jump_count} | {t.jump_count for t in scan.ties} == {1, 2}
+
+    def test_ten_jumps_at_the_cap(self):
+        problem = walk_problem(MAX_CELLS, MAX_LEVELS, seed=0)
+        tab = _build_tableau(problem)
+        with oracle_constants() as mp:
+            passes = spy_on(mp, "_pruned_pass")
+            res = best_with_m_jumps(problem, MAX_JUMP_BUDGET)
+            # Certified on the first width, with a few percent of the states.
+            (_, _, keep), _ = passes[0]
+            assert len(passes) == 1 and keep.mean() < 0.1
+        seq = _budget_pass(tab, MAX_JUMP_BUDGET)[MAX_JUMP_BUDGET]
+        assert np.array_equal(np.searchsorted(tab.levels, sequence_from_result(res, problem)), seq)
+        assert res.to_json_dict() == _result_from_sequence(problem, tab, seq).to_json_dict()
+
+    def test_pruning_threshold(self):
+        worth = oracle_mod._worth_pruning
+        assert worth(MAX_JUMP_BUDGET, MAX_LEVELS) and worth(4, 101) and worth(3, 82)
+        assert not worth(2, MAX_LEVELS) and not worth(MAX_JUMP_BUDGET, 44) and not worth(3, 81)
+
+    def test_bounds_do_not_depend_on_the_thread_count(self, monkeypatch):
+        tab = _build_tableau(walk_problem(50, 120, pinned=True))
+        splits = spy_on(monkeypatch, "_run_split")
+        monkeypatch.setattr(oracle_mod, "_MIN_SIDE_THREAD_WORK", 0)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda c=cpus: c)
+            seq, free, bound = oracle_mod._solve_free(tab, bounds=True)
+            results.append((seq.tobytes(), free, bound.tobytes()))
+        assert len(splits) == 1
+        assert results[0] == results[1]
+
+
+@st.composite
+def linear_problems(draw):
+    """Linear data, whose cell moments are exact, on <= 40 cells and <= 30
+    uniform levels; any kernel, free or pinned to the data's end values."""
+    slope, intercept = draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 2.0))
+    kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
+    param = draw(st.floats(0.05, 5.0))
+    kernel = {"kwc": kwc_kernel(param), "potts": potts_kernel(param), "linear": linear_kernel()}[kind]
+    return OracleProblem(
+        data=LinearData((0.0, 1.0), slope, intercept),
+        kernel=kernel,
+        lam=draw(st.floats(0.0, 300.0)),
+        n_cells=draw(st.integers(1, 40)),
+        n_levels=draw(st.integers(1, 30)),
+        endpoint_pin=(intercept, slope + intercept) if draw(st.booleans()) else None,
+        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
+    )
+
+
+class TestEnergyBreakdown:
+    @settings(max_examples=150)
+    @given(linear_problems())
+    def test_terms_add_up_and_match_the_energy_of_the_minimizer(self, problem):
+        n = problem.resolved_cells()
+        try:
+            best = solve(problem, tie_scan_jumps=min(4, n - 1))
+        except ConfigError:  # one cell pinned to two different levels
+            return
+        results = [best, *best.ties]
+        for m in range(min(MAX_JUMP_BUDGET, n - 1) + 1):
+            try:
+                results.append(best_with_m_jumps(problem, m))
+            except ConfigError:  # no sequence with m jumps meets the pins
+                pass
+        for res in results:
+            parts = res.energy
+            assert parts.tv_k + parts.fidelity == parts.total
+            expected = energy(res.minimizer, problem.data, problem.kernel, problem.lam)
+            for name in ("tv_k", "fidelity", "total"):
+                gap = abs(getattr(parts, name) - getattr(expected, name))
+                assert gap <= 1e-12 * max(1.0, abs(expected.total))
