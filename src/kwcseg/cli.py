@@ -197,6 +197,7 @@ def _cmd_flow_run(args) -> int:
         params = FlowParams(**pcfg)
     except TypeError as err:
         raise ConfigError(f"bad flow params: {err}")
+    params.validate()  # before the data's size can replace a bad n
     if "data" not in cfg:
         raise ConfigError("flow config needs 'data'")
     g = signal_from_config(cfg["data"], n_default=params.n)

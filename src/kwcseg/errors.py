@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one count check."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -20,3 +22,9 @@ class DivergenceError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """An output violated a bound that the theory guarantees."""
+
+
+def check_count(name: str, value, least: int = 0) -> None:
+    """Reject a count that is not an integer (a bool included) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")

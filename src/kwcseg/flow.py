@@ -17,10 +17,15 @@ non-increasing up to rounding.
 
 Time stepping is implicit (proximal), and rof, at and kwc share one step:
 u with v frozen, then v with u frozen.  The non-smooth TV subproblems (rof,
-kwc) are solved exactly by the fused-lasso dynamic program, each with a
-duality-gap certificate from the dual recovered from its solution; the
-quadratic u-subproblem (at) and the damage subproblem are tridiagonal
-solves, the latter also giving the exact steady damage for a frozen u.
+kwc) are solved exactly, each with a duality-gap certificate from the dual
+recovered from its solution.  KWC and ROF iterates are piecewise constant
+with few jumps, and along a flow the jump set of u mostly stays put, so a
+TV step is first solved in closed form on the previous step's jump
+pattern (vectorised, O(n)) and accepted only when its optimality
+conditions hold to rounding; otherwise the fused-lasso dynamic program (a
+pure-Python O(n) loop) solves it.  The quadratic u-subproblem (at) and the
+damage subproblem are tridiagonal solves, the latter also giving the exact
+steady damage for a frozen u.
 
 Resolution note: the half-to-each-node lumping biases the steady v at an
 isolated jump by O(h/eps) (about +5% of the depth at n = 1000 and
@@ -35,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_count
 from .pwc import GridSignal
 
 MODELS = ("rof", "at", "kwc")
@@ -64,8 +69,7 @@ class FlowParams:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.bc_u not in ("neumann", "dirichlet"):
             raise ConfigError("bc_u must be 'neumann' or 'dirichlet'")
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
-            raise ConfigError("n must be an integer of at least two grid nodes")
+        check_count("n", self.n, least=2)
         for name in ("lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
@@ -79,8 +83,7 @@ class FlowParams:
             raise ConfigError("lam and sigma must be non-negative")
         if self.steady_tol < 0:
             raise ConfigError("steady_tol must be non-negative")
-        if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:
-            raise ConfigError("output_stride must be an integer of at least 1")
+        check_count("output_stride", self.output_stride, least=1)
 
 
 @dataclass
@@ -149,6 +152,10 @@ def tv_prox(z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
     jump of 2 w_0 at the pin (two coincident knots); a pinned last node
     starts the backward pass at the pin, and a free one at the zero of
     h_{n-1}, found by one more pass with weight 0.
+
+    The flow calls it only when the closed form on the previous step's
+    jump pattern (``_prox_from_pattern``) fails its check; it is also the
+    reference the tests hold that closed form to.
     """
     n = z.size
     zs, ws = z.tolist(), w.tolist() + [0.0]
@@ -203,22 +210,81 @@ def tv_prox(z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
     return np.array(u)
 
 
-def tv_prox_dual(u: np.ndarray, z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
-    """Edge dual p (|p| <= w) recovered from the minimizer u.
+def _running_dual(u: np.ndarray, z: np.ndarray, c: float, pins=None):
+    """The unclipped edge dual of u, up to an offset, and its end residual.
 
     Optimality gives r = D^T p = c (z - u) at every free node, which fixes p
-    by a running sum.  With pins the end rows drop out and p keeps a free
-    offset; the dual is linear in it with slope u_{n-1} - u_0, so it is
-    taken at the end of its feasible interval that slope points to.
+    by a running sum q.  Free ends fix the offset at 0 and leave the
+    residual -sum(r), which vanishes at the minimizer; with pins the end
+    rows drop out, p = q + offset for any offset, and the residual is 0.
     """
     r = c * (z - u)
     if pins is None:
-        return np.clip(-np.cumsum(r)[:-1], -w, w)
-    q = np.concatenate(([0.0], -np.cumsum(r[1:-1])))
+        q = -np.cumsum(r)
+        return q[:-1], float(q[-1])
+    return np.concatenate(([0.0], -np.cumsum(r[1:-1]))), 0.0
+
+
+def tv_prox_dual(u: np.ndarray, z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
+    """Edge dual p (|p| <= w) recovered from the minimizer u.
+
+    The running sums of ``_running_dual``, clipped to [-w, w].  With pins
+    the dual is linear in the free offset with slope u_{n-1} - u_0, so the
+    offset is taken at the end of its feasible interval that slope points to.
+    """
+    q, _ = _running_dual(u, z, c, pins)
+    if pins is None:
+        return np.clip(q, -w, w)
     lo, hi = float(np.max(-w - q)), float(np.min(w - q))
     slope = u[-1] - u[0]
     offset = hi if slope > 0 else lo if slope < 0 else 0.5 * (lo + hi)
     return np.clip(q + offset, -w, w)
+
+
+def _prox_from_pattern(z: np.ndarray, c: float, w: np.ndarray, pins, hint: np.ndarray):
+    """The prox in closed form for the jump pattern of ``hint``, or None.
+
+    Segments are the maximal runs where diff(hint) == 0, and each jump edge
+    e keeps the sign s_e of its hint difference.  A free segment takes
+    (sum z + (s_r w_r - s_l w_l) / c) / length, with s_l w_l and s_r w_r the
+    terms of its left and right jump edges; a pinned end segment takes its
+    pin.  The answer is returned only when it meets the optimality
+    conditions to rounding: every jump has its sign, and the running-sum
+    dual of ``_running_dual`` equals s_e w_e on jump edges and lies in
+    [-w_e, w_e] on flat ones, at offset 0 with a vanishing end residual for
+    free ends, at one common offset with pins.  c > 0 makes the prox unique,
+    so an accepted answer is ``tv_prox``'s to rounding.
+    """
+    n = z.size
+    d = np.diff(hint)
+    jumps = np.flatnonzero(d)
+    starts = np.concatenate(([0], jumps + 1))
+    lengths = np.diff(np.append(starts, n))
+    sw = np.sign(d[jumps]) * w[jumps]
+    shift = np.zeros(starts.size)
+    shift[:-1] += sw
+    shift[1:] -= sw
+    values = (np.add.reduceat(z, starts) + shift / c) / lengths
+    if pins is not None:
+        if starts.size == 1 and pins[0] != pins[1]:
+            return None
+        values[0], values[-1] = pins
+    if np.any(sw * np.diff(values) < 0):
+        return None
+    u = np.repeat(values, lengths)
+    q, residual = _running_dual(u, z, c, pins)
+    # Offsets that put q + offset in [-w, w] on flat edges and at s w on jump
+    # edges; a forward-error bound of running sums of n terms whose sizes
+    # add to at most `scale` is the only slack.
+    lo, hi = -w - q, w - q
+    lo[jumps] = hi[jumps] = sw - q[jumps]
+    scale = c * float(np.sum(np.abs(z)) + np.sum(np.abs(u))) + float(np.sum(w))
+    tol = n * np.finfo(float).eps * scale
+    if pins is None:
+        ok = abs(residual) <= tol and lo.max() <= tol and hi.min() >= -tol
+    else:
+        ok = lo.max() - hi.min() <= 2.0 * tol
+    return u if ok else None
 
 
 def prox_gap(u, p, z, c, w, pins=None) -> float:
@@ -289,12 +355,21 @@ def _damage_solve(coupling: np.ndarray, h: float, params: FlowParams, v0=None) -
 
 
 def _prox_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams):
-    """Implicit TV step of u: the exact prox and its duality gap."""
+    """Implicit TV step of u: the exact prox and its duality gap.
+
+    Along a flow the jump set of u rarely changes from one step to the
+    next, so the prox is first taken in closed form on the jump pattern of
+    u0, the previous step's solution (``_prox_from_pattern``, vectorised);
+    when that answer fails its optimality check, ``tv_prox`` solves the
+    step.  Either way the gap comes from the dual of the answer.
+    """
     mu = params.lam + 1.0 / params.dt
     z = (params.lam * g.samples + u0 / params.dt) / mu
     c = mu * g.h
     pins = _pins(g.samples, params)
-    u1 = tv_prox(z, c, w, pins)
+    u1 = _prox_from_pattern(z, c, w, pins, u0)
+    if u1 is None:
+        u1 = tv_prox(z, c, w, pins)
     return u1, prox_gap(u1, tv_prox_dual(u1, z, c, w, pins), z, c, w, pins)
 
 
@@ -321,7 +396,18 @@ def step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
     u takes an implicit step with v frozen: the exact TV prox for rof
     (weights sigma) and kwc (weights sigma v^2), a tridiagonal solve for at.
     Then v, when the model has one, takes an implicit step with u frozen.
+    The inputs get ``run``'s checks, and at and kwc need a finite damage
+    field on the same grid; anything else is a ConfigError.
     """
+    _check_inputs(g, state.u, params)
+    v = state.v
+    if params.model != "rof" and (v is None or v.n != params.n or not np.all(np.isfinite(v.samples))):
+        raise ConfigError(f"the {params.model} model needs a finite damage field v on the {params.n}-node grid")
+    return _step(state, g, params)
+
+
+def _step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
+    """``step`` on inputs already checked: the loop of ``run``."""
     model, h = params.model, g.h
     u0 = state.u.samples
     v0 = None if model == "rof" else state.v.samples
@@ -386,6 +472,15 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
     return GridSignal(u.domain, _damage_solve(coupling, u.h, params))
 
 
+def _check_inputs(g: GridSignal, u: GridSignal, params: FlowParams) -> None:
+    """The parameters on the data's spacing, one grid size, finite samples."""
+    _validate_on(params, g.h)
+    if u.n != g.n or u.n != params.n:
+        raise ConfigError(f"grid mismatch: g has {g.n} nodes, u has {u.n}, params.n = {params.n}")
+    if not (np.all(np.isfinite(g.samples)) and np.all(np.isfinite(u.samples))):
+        raise ConfigError("g and u must have finite samples")
+
+
 def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     """Integrate the flow until steadiness or t_max.
 
@@ -393,11 +488,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     below steady_tol.  Non-finite values abort with the last finite state
     and the trace kept on the error for post-mortem.
     """
-    _validate_on(params, g.h)
-    if u0.n != g.n or u0.n != params.n:
-        raise ConfigError(f"grid mismatch: g has {g.n} nodes, u0 has {u0.n}, params.n = {params.n}")
-    if not (np.all(np.isfinite(g.samples)) and np.all(np.isfinite(u0.samples))):
-        raise ConfigError("g and u0 must have finite samples")
+    _check_inputs(g, u0, params)
     u = u0.samples.copy()
     pins = _pins(g.samples, params)
     if pins is not None:
@@ -419,7 +510,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     quiet_steps = 0
     n_steps = int(round(params.t_max / params.dt))
     for _ in range(n_steps):
-        new_state = step(state, g, params)
+        new_state = _step(state, g, params)
         if not (np.all(np.isfinite(new_state.u.samples)) and math.isfinite(new_state.energy)):
             raise DivergenceError(
                 f"flow produced non-finite values at t = {new_state.t:.6g}",
@@ -492,9 +583,11 @@ def plateau_flatness(u: GridSignal, threshold: float, margin: int = 2) -> list:
     """Sup-variation of u inside each plateau between censused jumps.
 
     Plateaus are the node ranges between merged jump groups at the given
-    threshold, shrunk by ``margin`` cells on each side; returns a list of
-    (start_node, end_node, variation) for the non-empty ones.
+    threshold, shrunk by ``margin`` cells on each side (an integer >= 0);
+    returns a list of (start_node, end_node, variation) for the non-empty
+    ones.
     """
+    check_count("margin", margin)
     groups = _census_groups(u, threshold)
     cuts = [0]
     for i, j, _pos, _size in groups:

@@ -30,14 +30,13 @@ states survive, the dense pass runs instead.
 """
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .kernel import JumpKernel
 from .pwc import (
     EnergyBreakdown,
@@ -76,12 +75,6 @@ _WIDTHS = (1e-3, 1e-2)
 _MAX_SURVIVORS = 0.3
 
 
-def _check_count(name: str, value, least: int = 0) -> None:
-    """Reject a count that is not an integer (a bool included) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OracleProblem:
     """A discretized instance: data, kernel, fidelity weight, level grid.
@@ -111,8 +104,8 @@ class OracleProblem:
         if isinstance(self.data, SampledData) and not np.all(np.isfinite(self.data.signal.samples)):
             raise ConfigError("sampled data must be finite")
         if self.n_cells is not None:
-            _check_count("n_cells", self.n_cells, least=1)
-        _check_count("n_levels", self.n_levels, least=1)
+            check_count("n_cells", self.n_cells, least=1)
+        check_count("n_levels", self.n_levels, least=1)
 
     def resolved_cells(self) -> int:
         if self.n_cells is not None:
@@ -332,7 +325,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     either way.
     """
     if tie_scan_jumps is not None:
-        _check_count("tie_scan_jumps", tie_scan_jumps)
+        check_count("tie_scan_jumps", tie_scan_jumps)
     tab = _build_tableau(problem)
     n, L = tab.cost.shape
     budget = None if tie_scan_jumps is None else min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
@@ -591,7 +584,7 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     m-optimum at most T certifies itself (see ``_pruned_pass``).  When too
     many states survive, or no width certifies, the dense pass runs.
     """
-    _check_count("jump count", m)
+    check_count("jump count", m)
     if m > MAX_JUMP_BUDGET:
         raise ConfigError(f"jump budget {m} exceeds the limit {MAX_JUMP_BUDGET}")
     tab = _build_tableau(problem)

@@ -406,12 +406,13 @@ class TestFlowRun:
             {"lam": "50"},
             {"output_stride": 0},
             {"output_stride": 2.5},
+            {"output_stride": True},
             {"cp_iters": 200},
             {"steady_tol": -1.0},
         ],
         ids=[
-            "lam_nan", "sigma_inf", "lam_text", "output_stride_0", "output_stride_fraction", "stale_cp_iters",
-            "steady_tol_negative",
+            "lam_nan", "sigma_inf", "lam_text", "output_stride_0", "output_stride_fraction", "output_stride_bool",
+            "stale_cp_iters", "steady_tol_negative",
         ],
     )
     def test_bad_params_exit_2(self, capsys, tmp_path, params):
@@ -419,6 +420,16 @@ class TestFlowRun:
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
         assert err.startswith("config error")
+        assert out == ""
+
+    def test_bool_grid_size_exits_2_though_the_data_sets_the_size(self, capsys, tmp_path):
+        # A data size different from params.n replaces it; a bad n must fail first.
+        path = tmp_path / "flow.json"
+        cfg = {"data": {"generator": "step", "n": 50}, "params": {"model": "rof", "lam": 30.0, "n": True, "t_max": 0.1}}
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "n must be an integer" in err
         assert out == ""
 
     @pytest.mark.parametrize("threshold", [math.nan, -1.0, None], ids=["nan", "negative", "null"])
@@ -482,7 +493,7 @@ class TestFlowRun:
         assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_3(self, capsys, tmp_path, monkeypatch):
-        orig = flow_mod.step
+        orig = flow_mod._step
 
         def corrupting(state, g, params):
             st = orig(state, g, params)
@@ -492,7 +503,7 @@ class TestFlowRun:
                 st.u = GridSignal(g.domain, u)
             return st
 
-        monkeypatch.setattr(flow_mod, "step", corrupting)
+        monkeypatch.setattr(flow_mod, "_step", corrupting)
         cfg = self.write_config(tmp_path, lam=200.0, t_max=5.0)
         code, _, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 3

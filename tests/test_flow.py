@@ -1,6 +1,7 @@
 """Unit tests for the gradient flows, their inner solver, and diagnostics."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import kwcseg.flow as flow_mod
 from kwcseg.errors import ConfigError, DivergenceError
+from kwcseg.exact import lambda_for_jump_count, uniform_step_minimizer
+from kwcseg.experiments import ExperimentSpec, generate_signal, run_experiment
 from kwcseg.flow import (
     TRACE_COLUMNS,
     FlowParams,
@@ -69,6 +72,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FlowParams(model="rof", lam=1.0, n=50, output_stride=0).validate()
 
+    @pytest.mark.parametrize("name", ["n", "output_stride"])
+    def test_counts_reject_a_bool(self, name):
+        with pytest.raises(ConfigError, match=name):
+            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True}).validate()
+
     def test_unknown_boundary_condition(self):
         with pytest.raises(ConfigError):
             FlowParams(model="rof", lam=1.0, n=50, bc_u="mixed").validate()
@@ -128,6 +136,43 @@ class TestValidation:
         u0 = GridSignal((0, 1), np.zeros(60))
         with pytest.raises(ConfigError):
             run(g, u0, FlowParams(model="rof", lam=1.0, n=50))
+
+
+class TestStepValidation:
+    """The public ``step`` checks its inputs as ``run`` does."""
+
+    @staticmethod
+    def kwc_state(n=50):
+        g = unit_step(n)
+        return g, FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [({"dt": 0.0}, "dt"), ({"model": "xx"}, "model"), ({"lam": np.nan}, "lam")],
+        ids=["zero_dt", "unknown_model", "nan_weight"],
+    )
+    def test_bad_params(self, change, match):
+        g, state = self.kwc_state()
+        with pytest.raises(ConfigError, match=match):
+            flow_mod.step(state, g, replace(FlowParams(model="kwc", lam=10.0, n=50), **change))
+
+    def test_damage_model_needs_a_damage_field(self):
+        g, state = self.kwc_state()
+        with pytest.raises(ConfigError, match="damage field"):
+            flow_mod.step(replace(state, v=None), g, FlowParams(model="kwc", lam=10.0, n=50))
+
+    def test_grid_size_mismatch(self):
+        g, state = self.kwc_state()
+        with pytest.raises(ConfigError, match="grid mismatch"):
+            flow_mod.step(state, unit_step(60), FlowParams(model="kwc", lam=10.0, n=50))
+
+    def test_checked_step_equals_the_loop_step(self):
+        g, state = self.kwc_state()
+        params = FlowParams(model="kwc", lam=10.0, n=50)
+        checked, loop = flow_mod.step(state, g, params), flow_mod._step(state, g, params)
+        assert np.array_equal(checked.u.samples, loop.u.samples)
+        assert np.array_equal(checked.v.samples, loop.v.samples)
+        assert (checked.t, checked.energy, checked.prox_gap) == (loop.t, loop.energy, loop.prox_gap)
 
 
 class TestFixedPoints:
@@ -408,11 +453,153 @@ class TestInnerSolver:
                 assert max(gaps) <= 1e-8
 
 
+def pattern_hint(signs):
+    """A signal whose jump pattern is the given edge signs (-1, 0 or 1)."""
+    return np.concatenate(([0.0], np.cumsum(np.asarray(signs, dtype=float))))
+
+
+# z = (0, 0, 0, -1, 0, 0), c = 0.5, w = (0, 0, 1, 1e-12, 0): a wrong sign
+# pattern's objective is 5e-25 above the prox's, below float resolution.
+TINY_WEIGHT_CASE = (np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.0]), 0.5, np.array([0.0, 0.0, 1.0, 1e-12, 0.0]))
+
+
+@st.composite
+def long_prox_instances(draw):
+    """Step-like data on up to 40 nodes: few levels, so the prox has long flat runs."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    levels = draw(st.lists(values, min_size=1, max_size=4))
+    z = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    z = z + np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n)))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3))
+    w = np.array(draw(st.lists(weight, min_size=n - 1, max_size=n - 1)))
+    c = draw(st.floats(min_value=0.1, max_value=10.0))
+    pins = draw(st.one_of(st.none(), st.tuples(values, values)))
+    return z, c, w, pins
+
+
+class TestPatternProx:
+    """The flow's closed-form prox on a guessed jump pattern (``_prox_from_pattern``)."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(prox_instances(), long_prox_instances()))
+    def test_the_dp_pattern_is_always_accepted(self, instance):
+        z, c, w, pins = instance
+        u = tv_prox(z, c, w, pins)
+        fast = flow_mod._prox_from_pattern(z, c, w, pins, u)
+        assert fast is not None
+        np.testing.assert_allclose(fast, u, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pins", [None, (0.0, 0.0), (0.0, -1.0)])
+    def test_tiny_weight_case_is_accepted(self, pins):
+        z, c, w = TINY_WEIGHT_CASE
+        u = tv_prox(z, c, w, pins)
+        fast = flow_mod._prox_from_pattern(z, c, w, pins, u)
+        assert fast is not None
+        np.testing.assert_allclose(fast, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
+
+    @settings(max_examples=400)
+    @given(prox_instances(), st.data())
+    def test_a_perturbed_pattern_falls_back_or_is_exact(self, instance, data):
+        z, c, w, pins = instance
+        signs = np.sign(np.diff(tv_prox(z, c, w, pins)))
+        edge = data.draw(st.integers(min_value=0, max_value=signs.size - 1))
+        signs[edge] = data.draw(st.sampled_from([s for s in (-1.0, 0.0, 1.0) if s != signs[edge]]))
+        fast = flow_mod._prox_from_pattern(z, c, w, pins, pattern_hint(signs))
+        if fast is not None:
+            np.testing.assert_allclose(fast, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pins", [None, (0.0, 0.0)])
+    @pytest.mark.parametrize("signs", [(1, 0, 0, 0, 1), (0, 0, -1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 0)])
+    def test_every_pattern_on_the_tiny_weight_case(self, pins, signs):
+        z, c, w = TINY_WEIGHT_CASE
+        fast = flow_mod._prox_from_pattern(z, c, w, pins, pattern_hint(signs))
+        if fast is not None:
+            np.testing.assert_allclose(fast, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
+
+    def test_wrong_sign_is_rejected(self):
+        # The prox jumps up by 0.8; with the sign flipped the closed form
+        # still jumps up (by 1.2) and its dual equals -w on the edge.
+        z, w = np.array([0.0, 1.0]), np.array([0.1])
+        assert flow_mod._prox_from_pattern(z, 1.0, w, None, np.array([1.0, 0.0])) is None
+        np.testing.assert_allclose(flow_mod._prox_from_pattern(z, 1.0, w, None, z), [0.1, 0.9], rtol=0, atol=1e-15)
+
+    def test_pinned_pattern_needs_one_common_offset(self):
+        # Flat between equal pins: each edge alone has a feasible offset,
+        # but no one offset fits both ends of the rise in the middle.
+        z, w = np.array([0.0, 2.0, 2.0, 0.0]), np.full(3, 0.1)
+        assert flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.zeros(4)) is None
+        u = flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.array([0.0, 1.0, 1.0, 0.0]))
+        np.testing.assert_allclose(u, tv_prox(z, 1.0, w, (0.0, 0.0)), rtol=0, atol=1e-15)
+
+    def test_previous_pattern_answers_most_flow_steps(self, monkeypatch):
+        hits = []
+        fast = flow_mod._prox_from_pattern
+
+        def counting(*args):
+            u = fast(*args)
+            hits.append(u is not None)
+            return u
+
+        monkeypatch.setattr(flow_mod, "_prox_from_pattern", counting)
+        g = generate_signal("noisy_steps", n=1000, seed=0)
+        res = run(g, g, FlowParams(model="kwc", lam=50.0))
+        assert len(hits) == res.steps
+        assert sum(hits) >= 0.9 * res.steps
+
+
+def forced_dp(monkeypatch):
+    monkeypatch.setattr(flow_mod, "_prox_from_pattern", lambda *args: None)
+
+
+class TestFastPathKeepsResults:
+    """The flow with the closed-form path against the flow with the DP alone."""
+
+    @staticmethod
+    def assert_same_run(fast, slow):
+        assert fast.steps == slow.steps
+        assert fast.steady == slow.steady
+        assert fast.state.energy == pytest.approx(slow.state.energy, rel=1e-12, abs=0)
+        np.testing.assert_allclose(fast.state.u.samples, slow.state.u.samples, rtol=0, atol=1e-10)
+
+    def test_noisy_steps_runs(self, monkeypatch):
+        spec = ExperimentSpec(name="noisy_steps", seed=0)
+        fast = run_experiment(spec).results
+        forced_dp(monkeypatch)
+        slow = run_experiment(spec).results
+        assert sorted(fast) == ["at", "kwc", "rof"]
+        for model in fast:
+            self.assert_same_run(fast[model], slow[model])
+
+    def test_pre_relaxed_ladder(self, monkeypatch):
+        m = 4
+        g = generate_signal("linear", n=1000)
+        u0 = uniform_step_minimizer(1.0, m).sample(g.n)
+        params = FlowParams(model="kwc", lam=lambda_for_jump_count(1.0, m), bc_u="dirichlet", pre_relax=True)
+        fast = run(g, u0, params)
+        forced_dp(monkeypatch)
+        slow = run(g, u0, params)
+        assert fast.steady and len(jump_census(fast.state.u, 0.05)) == m
+        self.assert_same_run(fast, slow)
+
+
+class TestRofSteadyState:
+    def test_rof_steady_state_is_one_prox_of_the_data(self):
+        # rof's energy is sigma sum|Du| + (lam h / 2)|u - g|^2: its minimizer,
+        # the flow's steady state, is tv_prox(g, lam h, sigma).
+        spec = ExperimentSpec(name="noisy_steps", seed=0, models=("rof",))
+        record = run_experiment(spec)
+        res, g = record.results["rof"], record.g
+        assert res.steady and g.n == 1000
+        p = res.params
+        prox = tv_prox(g.samples, p.lam * g.h, np.full(g.n - 1, p.sigma))
+        assert np.max(np.abs(res.state.u.samples - prox)) <= 1e-10
+
+
 class TestDivergenceHandling:
     def test_nonfinite_state_raises_with_postmortem(self, monkeypatch):
         rng = np.random.default_rng(54)
         g = GridSignal((0, 1), rng.normal(0.5, 0.5, 50))
-        orig = flow_mod.step
+        orig = flow_mod._step
 
         def corrupting(state, gg, params):
             st = orig(state, gg, params)
@@ -422,7 +609,7 @@ class TestDivergenceHandling:
                 st.u = GridSignal(gg.domain, u)
             return st
 
-        monkeypatch.setattr(flow_mod, "step", corrupting)
+        monkeypatch.setattr(flow_mod, "_step", corrupting)
         with pytest.raises(DivergenceError) as err:
             run(g, g, FlowParams(model="rof", lam=1.0, n=50, t_max=1.0))
         assert err.value.state is not None
@@ -436,6 +623,11 @@ class TestCensusTools:
         for census in (jump_census, edges_above, plateau_flatness):
             with pytest.raises(ConfigError, match="census threshold"):
                 census(u, threshold)
+
+    @pytest.mark.parametrize("margin", [-3, 2.5, True], ids=["negative", "fraction", "bool"])
+    def test_plateau_margin_must_be_a_count(self, margin):
+        with pytest.raises(ConfigError, match="margin"):
+            plateau_flatness(unit_step(101), 0.1, margin)
 
     def test_census_recovers_plateau_structure(self):
         n = 2001
