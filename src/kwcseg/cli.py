@@ -14,7 +14,7 @@ import numpy as np
 
 from . import experiments as experiments_mod
 from . import oracle as oracle_mod
-from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
+from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation, check_count
 from .exact import (
     critical_lambda,
     equal_jump_verdict,
@@ -77,8 +77,7 @@ def data_from_config(cfg: dict):
     if kind == "csv":
         return SampledData(GridSignal.from_csv(cfg["path"]))
     if kind == "generator":
-        sig = generate_signal(cfg["name"], n=int(cfg.get("n", 1000)), seed=int(cfg.get("seed", 0)))
-        return SampledData(sig)
+        return SampledData(generate_signal(cfg["name"], n=cfg.get("n", 1000), seed=cfg.get("seed", 0)))
     raise ConfigError(f"unknown data kind {kind!r}")
 
 
@@ -86,15 +85,14 @@ def signal_from_config(cfg: dict, n_default: int = 1000) -> GridSignal:
     """Grid-signal description -> GridSignal (generator, csv, or sampled pwc)."""
     if not isinstance(cfg, dict):
         raise ConfigError("signal config must be an object")
+    n = cfg.get("n", n_default)
     if "generator" in cfg:
-        return generate_signal(
-            cfg["generator"], n=int(cfg.get("n", n_default)), seed=int(cfg.get("seed", 0))
-        )
+        return generate_signal(cfg["generator"], n=n, seed=cfg.get("seed", 0))
     if "csv" in cfg:
         return GridSignal.from_csv(cfg["csv"])
     if "pwc" in cfg:
-        pwc = PiecewiseConstant.from_json_dict(cfg["pwc"])
-        return pwc.sample(int(cfg.get("n", n_default)))
+        check_count("n", n, least=2)
+        return PiecewiseConstant.from_json_dict(cfg["pwc"]).sample(n)
     raise ConfigError("signal config needs one of: generator, csv, pwc")
 
 
@@ -161,11 +159,11 @@ def _problem_from_config(cfg: dict) -> oracle_mod.OracleProblem:
     if cfg.get("levels") is not None:
         kwargs["levels"] = [float(v) for v in cfg["levels"]]
     if cfg.get("tie_tolerance") is not None:
-        kwargs["tie_tolerance"] = float(cfg["tie_tolerance"])
+        kwargs["tie_tolerance"] = cfg["tie_tolerance"]
     return oracle_mod.OracleProblem(
         data=data,
         kernel=JumpKernel.from_config(cfg["kernel"]),
-        lam=float(cfg["lam"]),
+        lam=cfg["lam"],
         endpoint_pin=pin,
         **kwargs,
     )

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one count check."""
+"""Exception types shared across the package, and the count and real-number checks."""
 
 import numbers
 
@@ -28,3 +28,8 @@ def check_count(name: str, value, least: int = 0) -> None:
     """Reject a count that is not an integer (a bool included) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool: what every real-valued input must be."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

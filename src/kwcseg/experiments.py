@@ -26,7 +26,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import svgplot
-from .errors import ConfigError, DivergenceError, InvariantViolation
+from .errors import ConfigError, DivergenceError, InvariantViolation, check_count
 from .exact import (
     critical_lambda,
     jump_bounds,
@@ -67,7 +67,9 @@ def true_steps() -> PiecewiseConstant:
 
 
 def generate_signal(name: str, n: int = 1000, seed: int = 0) -> GridSignal:
-    """Deterministic test signals on (0, 1); noise is seeded."""
+    """Deterministic test signals on n >= 2 nodes of (0, 1); noise is seeded."""
+    check_count("n", n, least=2)
+    check_count("seed", seed)
     x = np.linspace(0.0, 1.0, n)
     if name == "linear":
         y = x.copy()
@@ -183,7 +185,7 @@ def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> FlowP
 
 def _grid(spec: ExperimentSpec, name: str) -> GridSignal:
     """The protocol's data signal on the spec's grid (FlowParams.n by default)."""
-    return generate_signal(name, n=int(spec.overrides.get("n", FlowParams.n)), seed=spec.seed)
+    return generate_signal(name, n=spec.overrides.get("n", FlowParams.n), seed=spec.seed)
 
 
 def _max_energy_rise(trace) -> float:

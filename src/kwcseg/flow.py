@@ -17,15 +17,15 @@ non-increasing up to rounding.
 
 Time stepping is implicit (proximal), and rof, at and kwc share one step:
 u with v frozen, then v with u frozen.  The non-smooth TV subproblems (rof,
-kwc) are solved exactly, each with a duality-gap certificate from the dual
-recovered from its solution.  KWC and ROF iterates are piecewise constant
-with few jumps, and along a flow the jump set of u mostly stays put, so a
-TV step is first solved in closed form on the previous step's jump
-pattern (vectorised, O(n)) and accepted only when its optimality
-conditions hold to rounding; otherwise the fused-lasso dynamic program (a
-pure-Python O(n) loop) solves it.  The quadratic u-subproblem (at) and the
-damage subproblem are tridiagonal solves, the latter also giving the exact
-steady damage for a frozen u.
+kwc) are solved exactly.  KWC and ROF iterates are piecewise constant with
+few jumps, and along a flow the jump set of u mostly stays put, so a TV
+step is first solved in closed form on the previous step's jump pattern
+(vectorised, O(n)); otherwise the fused-lasso dynamic program (a
+pure-Python O(n) loop) solves it.  Each answer gets one certificate from
+its own jump set: the miss of its optimality conditions accepts or
+rejects the closed form, and its dual gives the step's duality gap.  The
+quadratic u-subproblem (at) and the damage subproblem are tridiagonal
+solves, the latter also giving the exact steady damage for a frozen u.
 
 Resolution note: the half-to-each-node lumping biases the steady v at an
 isolated jump by O(h/eps) (about +5% of the depth at n = 1000 and
@@ -34,13 +34,12 @@ use grids with h well below eps.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ConfigError, DivergenceError, check_count
+from .errors import ConfigError, DivergenceError, check_count, is_real
 from .pwc import GridSignal
 
 MODELS = ("rof", "at", "kwc")
@@ -72,8 +71,8 @@ class FlowParams:
         check_count("n", self.n, least=2)
         for name in ("lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be finite")
+            if not (is_real(value) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and a real number, got {value!r}")
         for name in ("dt", "epsilon", "t_max"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -210,50 +209,52 @@ def tv_prox(z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
     return np.array(u)
 
 
-def _running_dual(u: np.ndarray, z: np.ndarray, c: float, pins=None):
-    """The unclipped edge dual of u, up to an offset, and its end residual.
+def prox_certificate(u: np.ndarray, z: np.ndarray, c: float, w: np.ndarray, pins=None):
+    """Duality gap and optimality miss of u as the prox of z.
 
-    Optimality gives r = D^T p = c (z - u) at every free node, which fixes p
-    by a running sum q.  Free ends fix the offset at 0 and leave the
-    residual -sum(r), which vanishes at the minimizer; with pins the end
-    rows drop out, p = q + offset for any offset, and the residual is 0.
+    Optimality asks for an edge dual p with D^T p = c (z - u) at every free
+    node, p_e = sign(du_e) w_e on the edges where u jumps and |p_e| <= w_e on
+    the flat ones.  The first condition fixes p as a running sum q plus an
+    offset: free ends take offset 0 and leave an end residual, which
+    vanishes at the minimizer; with pins the end rows drop out and the
+    offset is the middle of the interval the other two conditions leave.
+    The miss is the largest violation of the three.  The gap, a bound on
+    the suboptimality of u, is primal minus dual objective at the feasible
+    p = clip(q + offset, -w, w): sum(w |du| - p du) plus
+    |c (z - u) - D^T p|^2 / (2 c) over the free nodes.
     """
+    du = np.diff(u)
     r = c * (z - u)
     if pins is None:
         q = -np.cumsum(r)
-        return q[:-1], float(q[-1])
-    return np.concatenate(([0.0], -np.cumsum(r[1:-1]))), 0.0
-
-
-def tv_prox_dual(u: np.ndarray, z: np.ndarray, c: float, w: np.ndarray, pins=None) -> np.ndarray:
-    """Edge dual p (|p| <= w) recovered from the minimizer u.
-
-    The running sums of ``_running_dual``, clipped to [-w, w].  With pins
-    the dual is linear in the free offset with slope u_{n-1} - u_0, so the
-    offset is taken at the end of its feasible interval that slope points to.
-    """
-    q, _ = _running_dual(u, z, c, pins)
-    if pins is None:
-        return np.clip(q, -w, w)
-    lo, hi = float(np.max(-w - q)), float(np.min(w - q))
-    slope = u[-1] - u[0]
-    offset = hi if slope > 0 else lo if slope < 0 else 0.5 * (lo + hi)
-    return np.clip(q + offset, -w, w)
+        q, end = q[:-1], abs(float(q[-1]))
+    else:
+        q, end = np.concatenate(([0.0], -np.cumsum(r[1:-1]))), 0.0
+    jump = du != 0
+    target = np.sign(du) * w
+    lo, hi = float(np.max(np.where(jump, target, -w) - q)), float(np.min(np.where(jump, target, w) - q))
+    offset = 0.0 if pins is None else 0.5 * (lo + hi)
+    p = np.clip(q + offset, -w, w)
+    residual = r + np.diff(np.concatenate(([0.0], p, [0.0])))
+    if pins is not None:
+        residual = residual[1:-1]
+    gap = float(np.sum(w * np.abs(du) - p * du)) + float(np.sum(residual * residual)) / (2.0 * c)
+    return gap, max(end, lo - offset, offset - hi)
 
 
 def _prox_from_pattern(z: np.ndarray, c: float, w: np.ndarray, pins, hint: np.ndarray):
-    """The prox in closed form for the jump pattern of ``hint``, or None.
+    """The prox in closed form for the jump pattern of ``hint`` and its gap, or None.
 
     Segments are the maximal runs where diff(hint) == 0, and each jump edge
     e keeps the sign s_e of its hint difference.  A free segment takes
     (sum z + (s_r w_r - s_l w_l) / c) / length, with s_l w_l and s_r w_r the
     terms of its left and right jump edges; a pinned end segment takes its
-    pin.  The answer is returned only when it meets the optimality
-    conditions to rounding: every jump has its sign, and the running-sum
-    dual of ``_running_dual`` equals s_e w_e on jump edges and lies in
-    [-w_e, w_e] on flat ones, at offset 0 with a vanishing end residual for
-    free ends, at one common offset with pins.  c > 0 makes the prox unique,
-    so an accepted answer is ``tv_prox``'s to rounding.
+    pin, so one segment between unequal pins has no answer.  The answer is
+    returned only when ``prox_certificate``, judging it on its own jumps,
+    finds it optimal to rounding: a jump whose sign flipped has a dual of
+    s_e w_e where it needs -s_e w_e, and a hinted jump that vanished is held
+    to the flat-edge bound.  c > 0 makes the prox unique, so an accepted
+    answer is ``tv_prox``'s to rounding.
     """
     n = z.size
     d = np.diff(hint)
@@ -269,38 +270,14 @@ def _prox_from_pattern(z: np.ndarray, c: float, w: np.ndarray, pins, hint: np.nd
         if starts.size == 1 and pins[0] != pins[1]:
             return None
         values[0], values[-1] = pins
-    if np.any(sw * np.diff(values) < 0):
-        return None
     u = np.repeat(values, lengths)
-    q, residual = _running_dual(u, z, c, pins)
-    # Offsets that put q + offset in [-w, w] on flat edges and at s w on jump
-    # edges; a forward-error bound of running sums of n terms whose sizes
-    # add to at most `scale` is the only slack.
-    lo, hi = -w - q, w - q
-    lo[jumps] = hi[jumps] = sw - q[jumps]
+    gap, miss = prox_certificate(u, z, c, w, pins)
+    # The only slack: a forward-error bound of running sums of n terms whose
+    # sizes add to at most `scale`, each term also off by up to c + 1 units
+    # of the least subnormal where it underflows.
     scale = c * float(np.sum(np.abs(z)) + np.sum(np.abs(u))) + float(np.sum(w))
-    tol = n * np.finfo(float).eps * scale
-    if pins is None:
-        ok = abs(residual) <= tol and lo.max() <= tol and hi.min() >= -tol
-    else:
-        ok = lo.max() - hi.min() <= 2.0 * tol
-    return u if ok else None
-
-
-def prox_gap(u, p, z, c, w, pins=None) -> float:
-    """Primal minus dual objective: a bound on the suboptimality of u."""
-    primal = float(np.sum(w * np.abs(np.diff(u)))) + 0.5 * c * float(np.sum((u - z) ** 2))
-    r = np.empty_like(u)
-    r[0] = -p[0]
-    r[1:-1] = p[:-1] - p[1:]
-    r[-1] = p[-1]
-    if pins is None:
-        dual = float(np.sum(z * r)) - float(np.sum(r * r)) / (2.0 * c)
-    else:
-        dual = float(np.sum(z[1:-1] * r[1:-1])) - float(np.sum(r[1:-1] ** 2)) / (2.0 * c)
-        for idx, val in ((0, pins[0]), (-1, pins[1])):
-            dual += val * r[idx] + 0.5 * c * (val - z[idx]) ** 2
-    return primal - dual
+    tiny = np.finfo(float).smallest_subnormal
+    return (u, gap) if miss <= n * (np.finfo(float).eps * scale + (1.0 + c) * tiny) else None
 
 
 def _pins(g: np.ndarray, params: FlowParams):
@@ -360,17 +337,18 @@ def _prox_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowPa
     Along a flow the jump set of u rarely changes from one step to the
     next, so the prox is first taken in closed form on the jump pattern of
     u0, the previous step's solution (``_prox_from_pattern``, vectorised);
-    when that answer fails its optimality check, ``tv_prox`` solves the
-    step.  Either way the gap comes from the dual of the answer.
+    when ``prox_certificate`` rejects that answer, ``tv_prox`` solves the
+    step.  Either way the one certificate of the answer gives the gap.
     """
     mu = params.lam + 1.0 / params.dt
     z = (params.lam * g.samples + u0 / params.dt) / mu
     c = mu * g.h
     pins = _pins(g.samples, params)
-    u1 = _prox_from_pattern(z, c, w, pins, u0)
-    if u1 is None:
-        u1 = tv_prox(z, c, w, pins)
-    return u1, prox_gap(u1, tv_prox_dual(u1, z, c, w, pins), z, c, w, pins)
+    found = _prox_from_pattern(z, c, w, pins, u0)
+    if found is not None:
+        return found
+    u1 = tv_prox(z, c, w, pins)
+    return u1, prox_certificate(u1, z, c, w, pins)[0]
 
 
 def _quadratic_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams) -> np.ndarray:
@@ -493,15 +471,15 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     pins = _pins(g.samples, params)
     if pins is not None:
         u[0], u[-1] = pins
-    v = None
-    if params.model != "rof":
-        v = GridSignal(g.domain, np.ones(params.n))
-    state = FlowState(t=0.0, u=GridSignal(g.domain, u), v=v)
-    h = g.h
-    if params.pre_relax:
-        state = pre_relax_v(state, g, params)
-    state.energy = flow_energy(
-        params.model, state.u.samples, None if state.v is None else state.v.samples, g.samples, h, params
+    model, h, v = params.model, g.h, None
+    if model != "rof":
+        # pre_relax_v's steady damage, on inputs already checked.
+        v = _damage_solve(_coupling(model, u, params.sigma, h), h, params) if params.pre_relax else np.ones(params.n)
+    state = FlowState(
+        t=0.0,
+        u=GridSignal(g.domain, u),
+        v=None if v is None else GridSignal(g.domain, v),
+        energy=flow_energy(model, u, v, g.samples, h, params),
     )
 
     trace = [(0.0, state.energy, math.nan, math.nan)]
@@ -538,7 +516,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
 
 def check_threshold(threshold) -> float:
     """The census threshold as a float; anything but a number >= 0 is a ConfigError."""
-    if not (isinstance(threshold, numbers.Real) and threshold >= 0):
+    if not (is_real(threshold) and threshold >= 0):
         raise ConfigError(f"census threshold must be a number >= 0, got {threshold!r}")
     return float(threshold)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, is_real
 from .kernel import JumpKernel
 from .pwc import (
     EnergyBreakdown,
@@ -83,8 +83,9 @@ class OracleProblem:
     range.  ``endpoint_pin`` forces the first and last cell to the levels
     nearest the given values (boundary conditions of the continuum problem);
     a pin outside the level range is a ``ConfigError``.
-    ``tie_tolerance`` (finite, non-negative) is the relative energy window
-    within which alternative minimizers count as ties.
+    ``tie_tolerance`` is the relative energy window within which alternative
+    minimizers count as ties; it and ``lam`` are finite non-negative
+    numbers (not bools).
     """
 
     data: object
@@ -97,10 +98,10 @@ class OracleProblem:
     tie_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError("lam must be finite and non-negative")
-        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0):
-            raise ConfigError("tie_tolerance must be finite and non-negative")
+        for name in ("lam", "tie_tolerance"):
+            value = getattr(self, name)
+            if not (is_real(value) and math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite non-negative number, got {value!r}")
         if isinstance(self.data, SampledData) and not np.all(np.isfinite(self.data.signal.samples)):
             raise ConfigError("sampled data must be finite")
         if self.n_cells is not None:

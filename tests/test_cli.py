@@ -336,6 +336,24 @@ class TestOracleSolve:
         assert out == ""
         assert caught == []
 
+    @pytest.mark.parametrize(
+        "field, extra",
+        [
+            ("lam", {"lam": True}),
+            ("tie_tolerance", {"tie_tolerance": True}),
+            ("n", {"data": {"kind": "generator", "name": "step", "n": 7.9}}),
+            ("seed", {"data": {"kind": "generator", "name": "noisy_steps", "n": 50, "seed": 2.5}}),
+        ],
+        ids=["lam_bool", "tie_tolerance_bool", "generator_n_fraction", "generator_seed_fraction"],
+    )
+    def test_bool_or_fractional_input_exits_2(self, capsys, tmp_path, field, extra):
+        cfg = self.write_config(tmp_path, **extra)
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error")
+        assert f"{field} must be" in err
+        assert out == ""
+
     @pytest.mark.parametrize("domain", [5, [0], [0, 1, 2]], ids=["number", "one_end", "three_ends"])
     def test_malformed_domain_exits_2(self, capsys, tmp_path, domain):
         cfg = self.write_config(tmp_path, data={"kind": "linear", "domain": domain})
@@ -404,6 +422,7 @@ class TestFlowRun:
             {"lam": float("nan")},
             {"sigma": float("inf")},
             {"lam": "50"},
+            {"lam": True},
             {"output_stride": 0},
             {"output_stride": 2.5},
             {"output_stride": True},
@@ -411,8 +430,8 @@ class TestFlowRun:
             {"steady_tol": -1.0},
         ],
         ids=[
-            "lam_nan", "sigma_inf", "lam_text", "output_stride_0", "output_stride_fraction", "output_stride_bool",
-            "stale_cp_iters", "steady_tol_negative",
+            "lam_nan", "sigma_inf", "lam_text", "lam_bool", "output_stride_0", "output_stride_fraction",
+            "output_stride_bool", "stale_cp_iters", "steady_tol_negative",
         ],
     )
     def test_bad_params_exit_2(self, capsys, tmp_path, params):
@@ -432,7 +451,24 @@ class TestFlowRun:
         assert "n must be an integer" in err
         assert out == ""
 
-    @pytest.mark.parametrize("threshold", [math.nan, -1.0, None], ids=["nan", "negative", "null"])
+    @pytest.mark.parametrize(
+        "field, data",
+        [
+            ("n", {"generator": "step", "n": 7.9}),
+            ("seed", {"generator": "noisy_steps", "n": 101, "seed": 2.5}),
+            ("n", {"pwc": {"domain": [0.0, 1.0], "breakpoints": [0.5], "values": [0.0, 1.0]}, "n": 7.9}),
+        ],
+        ids=["generator_n_fraction", "generator_seed_fraction", "pwc_n_fraction"],
+    )
+    def test_fractional_data_size_or_seed_exits_2(self, capsys, tmp_path, field, data):
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps({"data": data, "params": {"model": "rof", "lam": 30.0, "n": 101, "t_max": 0.1}}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{field} must be an integer" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, None, True], ids=["nan", "negative", "null", "bool"])
     def test_bad_census_threshold_exits_2_before_the_run(self, capsys, tmp_path, monkeypatch, threshold):
         path = self.write_config(tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), "census_threshold": threshold}))

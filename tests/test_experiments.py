@@ -122,6 +122,14 @@ class TestSignalGenerators:
         with pytest.raises(ConfigError):
             xp.generate_signal("wat")
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [("n", {"n": 7.9}), ("n", {"n": 1}), ("n", {"n": True}), ("seed", {"seed": 2.5}), ("seed", {"seed": -1})],
+    )
+    def test_size_and_seed_must_be_counts(self, field, kwargs):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            xp.generate_signal("noisy_steps", **kwargs)
+
 
 class TestCensusFit:
     def test_recovers_plateaus_from_wiggly_data(self):

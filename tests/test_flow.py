@@ -21,11 +21,10 @@ from kwcseg.flow import (
     jump_census,
     plateau_flatness,
     pre_relax_v,
-    prox_gap,
+    prox_certificate,
     run,
     steady_damage_profile,
     tv_prox,
-    tv_prox_dual,
 )
 from kwcseg.pwc import GridSignal
 
@@ -74,6 +73,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", ["n", "output_stride"])
     def test_counts_reject_a_bool(self, name):
+        with pytest.raises(ConfigError, match=name):
+            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True}).validate()
+
+    @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"])
+    def test_reals_reject_a_bool(self, name):
         with pytest.raises(ConfigError, match=name):
             FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True}).validate()
 
@@ -349,6 +353,53 @@ class TestEnergyDescent:
         assert e == pytest.approx(res.trace[-1][1], rel=1e-12)
 
 
+def energy_terms(model, u, v, g, h, params):
+    """The TV/kernel, well and fidelity terms of the flow energy, node by node."""
+    tv = well = fidelity = 0.0
+    for i in range(len(u)):
+        fidelity += 0.5 * params.lam * h * (u[i] - g[i]) ** 2
+        if model != "rof":
+            well += 0.5 * h / params.epsilon * (v[i] - 1.0) ** 2
+        if i + 1 == len(u):
+            break
+        du = u[i + 1] - u[i]
+        if model == "rof":
+            tv += params.sigma * abs(du)
+            continue
+        weight = params.sigma * 0.5 * (v[i] ** 2 + v[i + 1] ** 2)
+        tv += weight * (abs(du) if model == "kwc" else du * du / h)
+        well += 0.5 * params.epsilon * (v[i + 1] - v[i]) ** 2 / h
+    return tv, well, fidelity
+
+
+class TestEnergyBreakdown:
+    """``flow_energy`` is the sum of its three terms, free and pinned."""
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from(["rof", "at", "kwc"]),
+        st.sampled_from(["neumann", "dirichlet"]),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_energy_is_the_sum_of_its_terms(self, model, bc, n, seed):
+        rng = np.random.default_rng(seed)
+        g = GridSignal((0.0, rng.uniform(0.5, 2.0)), rng.normal(0.0, 1.0, n))
+        params = FlowParams(
+            model=model, lam=rng.uniform(0.0, 50.0), n=n, sigma=rng.uniform(0.0, 2.0),
+            epsilon=rng.uniform(0.01, 1.0), bc_u=bc,
+        )
+        v = None if model == "rof" else GridSignal(g.domain, rng.uniform(0.0, 1.0, n))
+        state = FlowState(t=0.0, u=GridSignal(g.domain, rng.normal(0.0, 1.0, n)), v=v)
+        # A drawn state, and the state one step later (pinned with dirichlet).
+        for state in (state, flow_mod.step(state, g, params)):
+            u = state.u.samples
+            v = None if state.v is None else state.v.samples
+            total = sum(energy_terms(model, u, v, g.samples, g.h, params))
+            assert flow_energy(model, u, v, g.samples, g.h, params) == pytest.approx(total, rel=1e-12, abs=1e-14)
+        assert state.energy == pytest.approx(total, rel=1e-12, abs=1e-14)
+
+
 def exact_prox_reference(z, c, w, pins):
     """Exact prox by enumerating the sign of every edge: +, - or merged.
 
@@ -358,7 +409,7 @@ def exact_prox_reference(z, c, w, pins):
     takes its pin, or the mean of z shifted by the block's share of the
     linear term.  At the pattern of the prox it is the prox, and its dual
     (running sums of c (u - z), offset by a free constant with pins, as in
-    ``tv_prox_dual``) equals w_k * s_k on signed edges and lies in
+    ``prox_certificate``) equals w_k * s_k on signed edges and lies in
     [-w_k, w_k] on merged ones.  Of the patterns whose minimizer has the
     signs of s, the one whose dual misses these conditions by the least is
     returned: another pattern can win only by less than rounding, and its
@@ -416,6 +467,63 @@ def prox_instances(draw):
     return z, c, w, pins
 
 
+def primal_dual_gap(u, p, z, c, w, pins):
+    """Primal minus dual objective of the prox at u and the edge dual p."""
+    primal = float(np.sum(w * np.abs(np.diff(u)))) + 0.5 * c * float(np.sum((u - z) ** 2))
+    r = np.empty_like(u)  # D^T p
+    r[0] = -p[0]
+    r[1:-1] = p[:-1] - p[1:]
+    r[-1] = p[-1]
+    if pins is None:
+        return primal - (float(np.sum(z * r)) - float(np.sum(r * r)) / (2.0 * c))
+    dual = float(np.sum(z[1:-1] * r[1:-1])) - float(np.sum(r[1:-1] ** 2)) / (2.0 * c)
+    for idx, val in ((0, pins[0]), (-1, pins[1])):
+        dual += val * r[idx] + 0.5 * c * (val - z[idx]) ** 2
+    return primal - dual
+
+
+def certificate_dual(u, z, c, w, pins):
+    """The unclipped edge dual ``prox_certificate`` judges, built edge by edge.
+
+    p_0 = -r_0 and p_k = p_{k-1} - r_k for r = c (z - u), so that D^T p = r
+    at every node but the last; with pins p_0 is the offset that centres
+    the edges' allowed intervals, p_e = sign(du_e) w_e on jumps and
+    [-w_e, w_e] on flat edges, and the rows of the pinned ends are skipped.
+    """
+    n = u.size
+    r = c * (z - u)
+    if pins is None:
+        p = [-r[0]]
+    else:
+        offsets = []
+        q = 0.0
+        for k in range(n - 1):
+            q -= r[k] if k > 0 else 0.0
+            du = u[k + 1] - u[k]
+            allowed = (np.sign(du) * w[k],) * 2 if du != 0 else (-w[k], w[k])
+            offsets.append((allowed[0] - q, allowed[1] - q))
+        p = [0.5 * (max(lo for lo, _ in offsets) + min(hi for _, hi in offsets))]
+    for k in range(1, n - 1):
+        p.append(p[-1] - r[k])
+    return np.array(p)
+
+
+def rounding_bound(u, z, c, w):
+    """``_prox_from_pattern``'s slack: n eps times the sizes the running sums
+    add, plus c + 1 units of the least subnormal per term for underflow."""
+    scale = c * float(np.sum(np.abs(z)) + np.sum(np.abs(u))) + float(np.sum(w))
+    return u.size * (np.finfo(float).eps * scale + (1.0 + c) * np.finfo(float).smallest_subnormal)
+
+
+def assert_certified(u, z, c, w, pins):
+    """A DP answer: its dual is feasible to rounding, its gap <= 1e-10 and its miss within the rounding bound."""
+    bound = rounding_bound(u, z, c, w)
+    assert np.all(np.abs(certificate_dual(u, z, c, w, pins)) <= w + bound)
+    gap, miss = prox_certificate(u, z, c, w, pins)
+    assert gap <= 1e-10
+    assert miss <= bound
+
+
 class TestInnerSolver:
     @settings(max_examples=300)
     @given(prox_instances())
@@ -423,9 +531,7 @@ class TestInnerSolver:
         z, c, w, pins = instance
         u = tv_prox(z, c, w, pins)
         np.testing.assert_allclose(u, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
-        p = tv_prox_dual(u, z, c, w, pins)
-        assert np.all(np.abs(p) <= w)
-        assert prox_gap(u, p, z, c, w, pins) <= 1e-10
+        assert_certified(u, z, c, w, pins)
         if pins is not None:
             assert (u[0], u[-1]) == pins
 
@@ -436,10 +542,7 @@ class TestInnerSolver:
         n = 400
         z = rng.integers(-2, 3, size=n) * 0.5
         w = rng.integers(0, 3, size=n - 1) * 0.25
-        u = tv_prox(z, 1.0, w, pins)
-        p = tv_prox_dual(u, z, 1.0, w, pins)
-        assert np.all(np.abs(p) <= w)
-        assert prox_gap(u, p, z, 1.0, w, pins) <= 1e-10
+        assert_certified(tv_prox(z, 1.0, w, pins), z, 1.0, w, pins)
 
     def test_gap_reported_small_with_accurate_settings(self):
         n = 201
@@ -451,6 +554,43 @@ class TestInnerSolver:
                 gaps = [row[3] for row in res.trace[1:]]
                 assert len(gaps) >= 20
                 assert max(gaps) <= 1e-8
+
+
+class TestProxCertificate:
+    """``prox_certificate``'s gap against primal minus dual, and its miss."""
+
+    @settings(max_examples=300)
+    @given(prox_instances(), st.lists(values, min_size=6, max_size=6), st.booleans())
+    def test_gap_is_primal_minus_dual(self, instance, guess, at_the_prox):
+        z, c, w, pins = instance
+        u = tv_prox(z, c, w, pins) if at_the_prox else np.array(guess[: z.size])
+        if pins is not None:
+            u[0], u[-1] = pins
+        p = np.clip(certificate_dual(u, z, c, w, pins), -w, w)
+        gap, miss = prox_certificate(u, z, c, w, pins)
+        assert gap == pytest.approx(primal_dual_gap(u, p, z, c, w, pins), rel=1e-12, abs=1e-12)
+        assert gap >= -1e-12
+        assert miss >= 0.0
+
+    def test_free_end_residual_counts_toward_the_miss(self):
+        # u = z + 0.5 keeps every edge flat with a feasible running sum; only
+        # the end residual, the sum of c (z - u), shows it is not the prox.
+        z, w = np.zeros(2), np.array([1.0])
+        gap, miss = prox_certificate(z + 0.5, z, 1.0, w)
+        assert miss == 1.0
+        assert gap == 0.5  # twice the true suboptimality, 0.25
+
+    def test_pinned_dual_takes_the_middle_offset(self):
+        # Flat between equal pins: every offset in [-w, w] meets the
+        # conditions, and the middle one, 0, is exact.
+        z, w = np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0])
+        assert prox_certificate(np.zeros(3), z, 1.0, w, (0.0, 0.0)) == (0.0, 0.0)
+        # A rise then a fall pins the offset to w, where p = (w, -w); with any
+        # other offset the jump conditions miss.
+        u = np.array([0.0, 0.5, 0.0])
+        z = u + np.array([0.0, 2.0, 0.0])
+        gap, miss = prox_certificate(u, z, 1.0, w, (0.0, 0.0))
+        assert (gap, miss) == (0.0, 0.0)
 
 
 def pattern_hint(signs):
@@ -487,7 +627,8 @@ class TestPatternProx:
         u = tv_prox(z, c, w, pins)
         fast = flow_mod._prox_from_pattern(z, c, w, pins, u)
         assert fast is not None
-        np.testing.assert_allclose(fast, u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast[0], u, rtol=0, atol=1e-12)
+        assert fast[1] <= 1e-10
 
     @pytest.mark.parametrize("pins", [None, (0.0, 0.0), (0.0, -1.0)])
     def test_tiny_weight_case_is_accepted(self, pins):
@@ -495,7 +636,7 @@ class TestPatternProx:
         u = tv_prox(z, c, w, pins)
         fast = flow_mod._prox_from_pattern(z, c, w, pins, u)
         assert fast is not None
-        np.testing.assert_allclose(fast, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fast[0], exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
 
     @settings(max_examples=400)
     @given(prox_instances(), st.data())
@@ -506,7 +647,7 @@ class TestPatternProx:
         signs[edge] = data.draw(st.sampled_from([s for s in (-1.0, 0.0, 1.0) if s != signs[edge]]))
         fast = flow_mod._prox_from_pattern(z, c, w, pins, pattern_hint(signs))
         if fast is not None:
-            np.testing.assert_allclose(fast, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fast[0], exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pins", [None, (0.0, 0.0)])
     @pytest.mark.parametrize("signs", [(1, 0, 0, 0, 1), (0, 0, -1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 0)])
@@ -514,21 +655,47 @@ class TestPatternProx:
         z, c, w = TINY_WEIGHT_CASE
         fast = flow_mod._prox_from_pattern(z, c, w, pins, pattern_hint(signs))
         if fast is not None:
-            np.testing.assert_allclose(fast, exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fast[0], exact_prox_reference(z, c, w, pins), rtol=0, atol=1e-12)
+
+    def test_subnormal_data_is_certified_and_accepted(self):
+        # Relative rounding bounds vanish below the normal range.  The prox
+        # is flat at 2.5e-324, which rounds to 0, so the end residual misses
+        # by c times the least subnormal.
+        z, c, w = np.array([0.0, 5e-324]), 4.0, np.array([1e-323])
+        u = tv_prox(z, c, w)
+        assert np.array_equal(u, [0.0, 0.0]) and prox_certificate(u, z, c, w)[1] == 2e-323
+        assert_certified(u, z, c, w, None)
+        fast = flow_mod._prox_from_pattern(z, c, w, None, u)
+        assert fast is not None and np.array_equal(fast[0], u)
 
     def test_wrong_sign_is_rejected(self):
         # The prox jumps up by 0.8; with the sign flipped the closed form
-        # still jumps up (by 1.2) and its dual equals -w on the edge.
+        # still jumps up (by 1.2) and its dual equals -w on the edge, which
+        # misses the +w its own jump needs by 2 w.
         z, w = np.array([0.0, 1.0]), np.array([0.1])
         assert flow_mod._prox_from_pattern(z, 1.0, w, None, np.array([1.0, 0.0])) is None
-        np.testing.assert_allclose(flow_mod._prox_from_pattern(z, 1.0, w, None, z), [0.1, 0.9], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(flow_mod._prox_from_pattern(z, 1.0, w, None, z)[0], [0.1, 0.9], rtol=0, atol=1e-15)
+
+    def test_one_segment_between_unequal_pins_has_no_answer(self):
+        # The pinned end rows drop out of the certificate, so only this
+        # guard keeps the single segment from breaking the first pin.
+        z, w = np.zeros(2), np.array([1.0])
+        assert flow_mod._prox_from_pattern(z, 1.0, w, (1.0, 0.0), np.zeros(2)) is None
+        np.testing.assert_allclose(flow_mod._prox_from_pattern(z, 1.0, w, (1.0, 0.0), z + [0.0, 1.0])[0], [1.0, 0.0])
+
+    def test_a_hinted_jump_that_vanishes_is_judged_flat(self):
+        # The hinted rise closes up: both segments take 0.5, the prox.
+        z, w = np.array([0.0, 1.0]), np.array([0.5])
+        u, gap = flow_mod._prox_from_pattern(z, 1.0, w, None, z)
+        assert np.array_equal(u, [0.5, 0.5])
+        assert gap == 0.0
 
     def test_pinned_pattern_needs_one_common_offset(self):
         # Flat between equal pins: each edge alone has a feasible offset,
         # but no one offset fits both ends of the rise in the middle.
         z, w = np.array([0.0, 2.0, 2.0, 0.0]), np.full(3, 0.1)
         assert flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.zeros(4)) is None
-        u = flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.array([0.0, 1.0, 1.0, 0.0]))
+        u, _ = flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.array([0.0, 1.0, 1.0, 0.0]))
         np.testing.assert_allclose(u, tv_prox(z, 1.0, w, (0.0, 0.0)), rtol=0, atol=1e-15)
 
     def test_previous_pattern_answers_most_flow_steps(self, monkeypatch):
@@ -536,9 +703,9 @@ class TestPatternProx:
         fast = flow_mod._prox_from_pattern
 
         def counting(*args):
-            u = fast(*args)
-            hits.append(u is not None)
-            return u
+            found = fast(*args)
+            hits.append(found is not None)
+            return found
 
         monkeypatch.setattr(flow_mod, "_prox_from_pattern", counting)
         g = generate_signal("noisy_steps", n=1000, seed=0)
@@ -617,7 +784,9 @@ class TestDivergenceHandling:
 
 
 class TestCensusTools:
-    @pytest.mark.parametrize("threshold", [np.nan, -1.0, "0.1", None], ids=["nan", "negative", "text", "none"])
+    @pytest.mark.parametrize(
+        "threshold", [np.nan, -1.0, "0.1", None, True], ids=["nan", "negative", "text", "none", "bool"]
+    )
     def test_threshold_must_be_a_non_negative_number(self, threshold):
         u = unit_step(11)
         for census in (jump_census, edges_above, plateau_flatness):
