@@ -25,7 +25,8 @@ pure-Python O(n) loop) solves it.  Each answer gets one certificate from
 its own jump set: the miss of its optimality conditions accepts or
 rejects the closed form, and its dual gives the step's duality gap.  The
 quadratic u-subproblem (at) and the damage subproblem are tridiagonal
-solves, the latter also giving the exact steady damage for a frozen u.
+solves, one direct call of LAPACK's gtsv each, the latter also giving the
+exact steady damage for a frozen u.
 
 Resolution note: the half-to-each-node lumping biases the steady v at an
 isolated jump by O(h/eps) (about +5% of the depth at n = 1000 and
@@ -37,7 +38,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, DivergenceError, check_count, is_real
 from .pwc import GridSignal
@@ -107,29 +109,28 @@ class FlowResult:
 # Energies.
 
 
-def _edge_weights(v: np.ndarray, sigma: float) -> np.ndarray:
-    return sigma * 0.5 * (v[:-1] ** 2 + v[1:] ** 2)
-
-
-def _well_energy(v: np.ndarray, h: float, eps: float) -> float:
-    grad = np.diff(v)
-    return 0.5 * eps * float(np.sum(grad * grad)) / h + 0.5 * h / eps * float(np.sum((v - 1.0) ** 2))
-
-
-def _fidelity_energy(u: np.ndarray, g: np.ndarray, h: float, lam: float) -> float:
-    return 0.5 * lam * h * float(np.sum((u - g) ** 2))
+def _edge_weights(v: np.ndarray | None, params: FlowParams) -> np.ndarray:
+    """The TV weights sigma (v_i^2 + v_(i+1)^2) / 2, or sigma with no damage field."""
+    if v is None:
+        return np.full(params.n - 1, params.sigma)
+    square = v * v
+    return params.sigma * 0.5 * (square[:-1] + square[1:])
 
 
 def flow_energy(model: str, u: np.ndarray, v: np.ndarray | None, g: np.ndarray, h: float, params: FlowParams) -> float:
-    du = np.diff(u)
-    fid = _fidelity_energy(u, g, h, params.lam)
+    return _energy(model, u, u[1:] - u[:-1], v, None if v is None else _edge_weights(v, params), g, h, params)
+
+
+def _energy(model, u, du, v, w, g, h, params) -> float:
+    """``flow_energy`` given du = diff(u) and the edge weights w of v."""
+    fid = 0.5 * params.lam * h * float(np.square(u - g).sum())
     if model == "rof":
-        return params.sigma * float(np.sum(np.abs(du))) + fid
-    w = _edge_weights(v, params.sigma)
-    well = _well_energy(v, h, params.epsilon)
+        return params.sigma * float(np.abs(du).sum()) + fid
+    eps = params.epsilon
+    well = 0.5 * eps * float(np.square(v[1:] - v[:-1]).sum()) / h + 0.5 * h / eps * float(np.square(v - 1.0).sum())
     if model == "kwc":
-        return float(np.sum(w * np.abs(du))) + well + fid
-    return float(np.sum(w * du * du)) / h + well + fid
+        return float((w * np.abs(du)).sum()) + well + fid
+    return float((w * du * du).sum()) / h + well + fid
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +224,32 @@ def prox_certificate(u: np.ndarray, z: np.ndarray, c: float, w: np.ndarray, pins
     p = clip(q + offset, -w, w): sum(w |du| - p du) plus
     |c (z - u) - D^T p|^2 / (2 c) over the free nodes.
     """
-    du = np.diff(u)
+    return _certificate(u, u[1:] - u[:-1], z, c, w, pins)
+
+
+def _certificate(u, du, z, c, w, pins):
+    """``prox_certificate`` given du = diff(u)."""
     r = c * (z - u)
     if pins is None:
-        q = -np.cumsum(r)
+        q = -r.cumsum()
         q, end = q[:-1], abs(float(q[-1]))
     else:
-        q, end = np.concatenate(([0.0], -np.cumsum(r[1:-1]))), 0.0
+        q, end = np.concatenate(([0.0], -r[1:-1].cumsum())), 0.0
     jump = du != 0
     target = np.sign(du) * w
-    lo, hi = float(np.max(np.where(jump, target, -w) - q)), float(np.min(np.where(jump, target, w) - q))
+    lo, hi = float((np.where(jump, target, -w) - q).max()), float((np.where(jump, target, w) - q).min())
     offset = 0.0 if pins is None else 0.5 * (lo + hi)
-    p = np.clip(q + offset, -w, w)
-    residual = r + np.diff(np.concatenate(([0.0], p, [0.0])))
-    if pins is not None:
-        residual = residual[1:-1]
-    gap = float(np.sum(w * np.abs(du) - p * du)) + float(np.sum(residual * residual)) / (2.0 * c)
+    p = (q + offset).clip(-w, w)
+    # r + D^T p: D^T p is p_0 - 0 at the first node, p_k - p_(k-1) inside and 0 - p_(n-2) at the last.
+    residual = r[1:-1] + (p[1:] - p[:-1])
+    if pins is None:
+        residual = np.concatenate(([r[0] + p[0]], residual, [r[-1] + (0.0 - p[-1])]))
+    gap = float((w * np.abs(du) - p * du).sum()) + float(np.square(residual).sum()) / (2.0 * c)
     return gap, max(end, lo - offset, offset - hi)
 
 
 def _prox_from_pattern(z: np.ndarray, c: float, w: np.ndarray, pins, hint: np.ndarray):
-    """The prox in closed form for the jump pattern of ``hint`` and its gap, or None.
+    """The prox in closed form for the jump pattern of ``hint``, its gap and its differences, or None.
 
     Segments are the maximal runs where diff(hint) == 0, and each jump edge
     e keeps the sign s_e of its hint difference.  A free segment takes
@@ -257,10 +263,10 @@ def _prox_from_pattern(z: np.ndarray, c: float, w: np.ndarray, pins, hint: np.nd
     answer is ``tv_prox``'s to rounding.
     """
     n = z.size
-    d = np.diff(hint)
-    jumps = np.flatnonzero(d)
-    starts = np.concatenate(([0], jumps + 1))
-    lengths = np.diff(np.append(starts, n))
+    d = hint[1:] - hint[:-1]
+    jumps = d.nonzero()[0]
+    cuts = np.concatenate(([0], jumps + 1, [n]))
+    starts, lengths = cuts[:-1], cuts[1:] - cuts[:-1]
     sw = np.sign(d[jumps]) * w[jumps]
     shift = np.zeros(starts.size)
     shift[:-1] += sw
@@ -270,14 +276,15 @@ def _prox_from_pattern(z: np.ndarray, c: float, w: np.ndarray, pins, hint: np.nd
         if starts.size == 1 and pins[0] != pins[1]:
             return None
         values[0], values[-1] = pins
-    u = np.repeat(values, lengths)
-    gap, miss = prox_certificate(u, z, c, w, pins)
+    u = values.repeat(lengths)
+    du = u[1:] - u[:-1]
+    gap, miss = _certificate(u, du, z, c, w, pins)
     # The only slack: a forward-error bound of running sums of n terms whose
     # sizes add to at most `scale`, each term also off by up to c + 1 units
     # of the least subnormal where it underflows.
-    scale = c * float(np.sum(np.abs(z)) + np.sum(np.abs(u))) + float(np.sum(w))
+    scale = c * float(np.abs(z).sum() + np.abs(u).sum()) + float(w.sum())
     tiny = np.finfo(float).smallest_subnormal
-    return (u, gap) if miss <= n * (np.finfo(float).eps * scale + (1.0 + c) * tiny) else None
+    return (u, gap, du) if miss <= n * (np.finfo(float).eps * scale + (1.0 + c) * tiny) else None
 
 
 def _pins(g: np.ndarray, params: FlowParams):
@@ -291,24 +298,24 @@ def _pins(g: np.ndarray, params: FlowParams):
 
 
 def _solve_tridiag(diag, lower, upper, rhs) -> np.ndarray:
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs)
+    """``solve_banded((1, 1), ...)``'s LAPACK gtsv call, unchecked; overwrites diag and rhs only."""
+    if diag.size < 2:
+        return rhs / diag
+    x, info = dgtsv(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)[3:]
+    if info:
+        raise LinAlgError("singular matrix")
+    return x
 
 
-def _coupling(model: str, u: np.ndarray, sigma: float, h: float) -> np.ndarray:
-    """Coefficient of v_i in the damage equation for a frozen signal u.
+def _coupling(model: str, du: np.ndarray, sigma: float, h: float) -> np.ndarray:
+    """Coefficient of v_i in the damage equation for a frozen signal u with du = diff(u).
 
     It is 2*sigma times the half-to-each-node lumping of the edge jump
     |Du| (kwc) or of the edge squared slope |Du|^2 / h (at).
     """
-    du = np.diff(u)
-    edge = np.abs(du) if model == "kwc" else du * du
-    lumped = np.zeros(u.size)
-    lumped[:-1] += 0.5 * edge
-    lumped[1:] += 0.5 * edge
+    half = 0.5 * (np.abs(du) if model == "kwc" else du * du)
+    lumped = np.concatenate((half, [0.0]))
+    lumped[1:] += half
     c = 2.0 * sigma * lumped
     return c if model == "kwc" else c / h
 
@@ -320,19 +327,19 @@ def _damage_solve(coupling: np.ndarray, h: float, params: FlowParams, v0=None) -
     with natural ends: one implicit step from v0, or, when v0 is None, the
     steady state, which drops both h/dt terms.
     """
-    n = coupling.size
-    eps, dt = params.epsilon, params.dt
-    neighbours = np.full(n, 2.0)
-    neighbours[[0, -1]] = 1.0
-    shift = h / eps if v0 is None else h / dt + h / eps
-    diag = shift + coupling + (eps / h) * neighbours
+    n, eps, dt = coupling.size, params.epsilon, params.dt
+    stiff = eps / h
+    diag = (h / eps if v0 is None else h / dt + h / eps) + coupling
+    diag[1:-1] += 2.0 * stiff
+    diag[[0, -1]] += stiff
     rhs = np.full(n, h / eps) if v0 is None else h * v0 / dt + h / eps
-    off = np.full(n - 1, -eps / h)
-    return np.clip(_solve_tridiag(diag, off, off, rhs), 0.0, 1.0)
+    off = np.full(n - 1, -stiff)
+    v = _solve_tridiag(diag, off, off, rhs)
+    return v.clip(0.0, 1.0, out=v)
 
 
 def _prox_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams):
-    """Implicit TV step of u: the exact prox and its duality gap.
+    """Implicit TV step of u: the exact prox, its duality gap and its differences.
 
     Along a flow the jump set of u rarely changes from one step to the
     next, so the prox is first taken in closed form on the jump pattern of
@@ -348,24 +355,28 @@ def _prox_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowPa
     if found is not None:
         return found
     u1 = tv_prox(z, c, w, pins)
-    return u1, prox_certificate(u1, z, c, w, pins)[0]
+    du1 = u1[1:] - u1[:-1]
+    return u1, _certificate(u1, du1, z, c, w, pins)[0], du1
 
 
-def _quadratic_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams) -> np.ndarray:
-    """Implicit step of u for the at model: one tridiagonal solve."""
+def _quadratic_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: FlowParams):
+    """Implicit step of u for the at model, as ``_prox_half_step`` returns it
+    (with no gap): one tridiagonal solve, over the interior nodes with the
+    pins' terms moved to the right-hand side when the ends are pinned."""
     h = g.h
     coeff = 2.0 * w / h
     diag = np.full(u0.size, h / params.dt + params.lam * h)
     diag[:-1] += coeff
     diag[1:] += coeff
-    lower, upper = -coeff, -coeff
     rhs = h * (u0 / params.dt + params.lam * g.samples)
     pins = _pins(g.samples, params)
+    inner = slice(None) if pins is None else slice(1, -1)
     if pins is not None:
-        diag[[0, -1]] = 1.0
-        upper[0] = lower[-1] = 0.0
-        rhs[[0, -1]] = pins
-    return _solve_tridiag(diag, lower, upper, rhs)
+        rhs[1] += coeff[0] * pins[0]
+        rhs[-2] += coeff[-1] * pins[1]
+        rhs[0], rhs[-1] = pins
+    rhs[inner] = _solve_tridiag(diag[inner], -coeff[inner], -coeff[inner], rhs[inner])
+    return rhs, None, rhs[1:] - rhs[:-1]
 
 
 def step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
@@ -381,28 +392,23 @@ def step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
     v = state.v
     if params.model != "rof" and (v is None or v.n != params.n or not np.all(np.isfinite(v.samples))):
         raise ConfigError(f"the {params.model} model needs a finite damage field v on the {params.n}-node grid")
-    return _step(state, g, params)
+    return _step(state, g, params, _edge_weights(None if params.model == "rof" else v.samples, params))[0]
 
 
-def _step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    """``step`` on inputs already checked: the loop of ``run``."""
+def _step(state: FlowState, g: GridSignal, params: FlowParams, w: np.ndarray):
+    """``step`` on inputs already checked and the edge weights w of its v:
+    the loop of ``run``.  Returns the new state and its edge weights."""
     model, h = params.model, g.h
-    u0 = state.u.samples
-    v0 = None if model == "rof" else state.v.samples
-    w = np.full(u0.size - 1, params.sigma) if v0 is None else _edge_weights(v0, params.sigma)
-    if model == "at":
-        u1, gap = _quadratic_half_step(u0, g, w, params), None
-    else:
-        u1, gap = _prox_half_step(u0, g, w, params)
-    v1 = None if v0 is None else _damage_solve(_coupling(model, u1, params.sigma, h), h, params, v0)
-    return replace(
-        state,
+    u1, gap, du1 = (_quadratic_half_step if model == "at" else _prox_half_step)(state.u.samples, g, w, params)
+    v1 = None if model == "rof" else _damage_solve(_coupling(model, du1, params.sigma, h), h, params, state.v.samples)
+    w1 = w if v1 is None else _edge_weights(v1, params)
+    return FlowState(
         t=state.t + params.dt,
         u=GridSignal(g.domain, u1),
         v=None if v1 is None else GridSignal(g.domain, v1),
-        energy=flow_energy(model, u1, v1, g.samples, h, params),
+        energy=_energy(model, u1, du1, v1, w1, g.samples, h, params),
         prox_gap=gap,
-    )
+    ), w1
 
 
 def pre_relax_v(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
@@ -446,7 +452,7 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
         raise ConfigError("the rof model has no damage field")
     if u.n != params.n:
         raise ConfigError(f"grid mismatch: u has {u.n} nodes, params.n = {params.n}")
-    coupling = _coupling(params.model, u.samples, params.sigma, u.h)
+    coupling = _coupling(params.model, np.diff(u.samples), params.sigma, u.h)
     return GridSignal(u.domain, _damage_solve(coupling, u.h, params))
 
 
@@ -473,13 +479,15 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
         u[0], u[-1] = pins
     model, h, v = params.model, g.h, None
     if model != "rof":
-        # pre_relax_v's steady damage, on inputs already checked.
-        v = _damage_solve(_coupling(model, u, params.sigma, h), h, params) if params.pre_relax else np.ones(params.n)
+        v = np.ones(params.n)
+        if params.pre_relax:  # pre_relax_v's steady damage, on inputs already checked
+            v = _damage_solve(_coupling(model, np.diff(u), params.sigma, h), h, params)
+    w = _edge_weights(v, params)
     state = FlowState(
         t=0.0,
         u=GridSignal(g.domain, u),
         v=None if v is None else GridSignal(g.domain, v),
-        energy=flow_energy(model, u, v, g.samples, h, params),
+        energy=_energy(model, u, np.diff(u), v, w, g.samples, h, params),
     )
 
     trace = [(0.0, state.energy, math.nan, math.nan)]
@@ -488,15 +496,16 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     quiet_steps = 0
     n_steps = int(round(params.t_max / params.dt))
     for _ in range(n_steps):
-        new_state = _step(state, g, params)
-        if not (np.all(np.isfinite(new_state.u.samples)) and math.isfinite(new_state.energy)):
+        new_state, w = _step(state, g, params, w)
+        size = float(np.abs(new_state.u.samples).max())  # not finite exactly when a sample is not
+        if not (math.isfinite(size) and math.isfinite(new_state.energy)):
             raise DivergenceError(
                 f"flow produced non-finite values at t = {new_state.t:.6g}",
                 state=state,
                 trace=trace,
             )
-        change = float(np.max(np.abs(new_state.u.samples - state.u.samples)))
-        rate = change / (params.dt * max(1.0, float(np.max(np.abs(new_state.u.samples)))))
+        change = float(np.abs(new_state.u.samples - state.u.samples).max())
+        rate = change / (params.dt * max(1.0, size))
         gap = math.nan if new_state.prox_gap is None else new_state.prox_gap
         trace.append((new_state.t, new_state.energy, rate, gap))
         state = new_state

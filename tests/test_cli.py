@@ -531,13 +531,13 @@ class TestFlowRun:
     def test_divergence_exits_3(self, capsys, tmp_path, monkeypatch):
         orig = flow_mod._step
 
-        def corrupting(state, g, params):
-            st = orig(state, g, params)
+        def corrupting(state, g, params, w):
+            st, w = orig(state, g, params, w)
             if st.t > 0.05:
                 u = st.u.samples.copy()
                 u[1] = np.nan
                 st.u = GridSignal(g.domain, u)
-            return st
+            return st, w
 
         monkeypatch.setattr(flow_mod, "_step", corrupting)
         cfg = self.write_config(tmp_path, lam=200.0, t_max=5.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
 import kwcseg.flow as flow_mod
 from kwcseg.errors import ConfigError, DivergenceError
@@ -173,7 +174,9 @@ class TestStepValidation:
     def test_checked_step_equals_the_loop_step(self):
         g, state = self.kwc_state()
         params = FlowParams(model="kwc", lam=10.0, n=50)
-        checked, loop = flow_mod.step(state, g, params), flow_mod._step(state, g, params)
+        checked = flow_mod.step(state, g, params)
+        loop, w = flow_mod._step(state, g, params, flow_mod._edge_weights(state.v.samples, params))
+        assert np.array_equal(w, flow_mod._edge_weights(loop.v.samples, params))
         assert np.array_equal(checked.u.samples, loop.u.samples)
         assert np.array_equal(checked.v.samples, loop.v.samples)
         assert (checked.t, checked.energy, checked.prox_gap) == (loop.t, loop.energy, loop.prox_gap)
@@ -244,11 +247,12 @@ class TestDamageModels:
             assert v.min() >= 0.0
             assert v.max() <= 1.0
 
-    def test_dirichlet_pins_are_exact_after_every_step(self):
+    @pytest.mark.parametrize("model", ["at", "kwc"])
+    def test_dirichlet_pins_are_exact_after_every_step(self, model):
         rng = np.random.default_rng(52)
         n = 101
         g = GridSignal((0.0, 1.0), rng.normal(0.5, 0.3, n))
-        params = FlowParams(model="kwc", lam=30.0, n=n, bc_u="dirichlet", t_max=0.05)
+        params = FlowParams(model=model, lam=30.0, n=n, bc_u="dirichlet", t_max=0.05)
         state = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
         for _ in range(5):
             state = flow_mod.step(state, g, params)
@@ -300,7 +304,7 @@ class TestDamageModels:
         assert np.array_equal(relaxed.v.samples, steady)
         assert steady.min() < 0.9
         # One implicit damage step with u frozen leaves the steady state put.
-        coupling = flow_mod._coupling(model, g.samples, params.sigma, g.h)
+        coupling = flow_mod._coupling(model, np.diff(g.samples), params.sigma, g.h)
         stepped = flow_mod._damage_solve(coupling, g.h, params, v0=steady)
         assert np.max(np.abs(stepped - steady)) <= 1e-12
 
@@ -398,6 +402,137 @@ class TestEnergyBreakdown:
             total = sum(energy_terms(model, u, v, g.samples, g.h, params))
             assert flow_energy(model, u, v, g.samples, g.h, params) == pytest.approx(total, rel=1e-12, abs=1e-14)
         assert state.energy == pytest.approx(total, rel=1e-12, abs=1e-14)
+
+
+def banded_solve(diag, lower, upper, rhs):
+    """The tridiagonal system solved by ``solve_banded`` from its 3 x n banded form."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1, :] = diag
+    ab[2, :-1] = lower
+    return solve_banded((1, 1), ab, rhs)
+
+
+def reference_energy(model, u, v, g, h, params):
+    """``flow_energy`` written with np.diff and np.sum, term by term."""
+    du = np.diff(u)
+    fid = 0.5 * params.lam * h * float(np.sum((u - g) ** 2))
+    if model == "rof":
+        return params.sigma * float(np.sum(np.abs(du))) + fid
+    w = params.sigma * 0.5 * (v[:-1] ** 2 + v[1:] ** 2)
+    grad = np.diff(v)
+    eps = params.epsilon
+    well = 0.5 * eps * float(np.sum(grad * grad)) / h + 0.5 * h / eps * float(np.sum((v - 1.0) ** 2))
+    if model == "kwc":
+        return float(np.sum(w * np.abs(du))) + well + fid
+    return float(np.sum(w * du * du)) / h + well + fid
+
+
+def reference_damage(model, u, h, params, v0=None):
+    """The damage step (steady when v0 is None) from the lumped coupling and a banded solve."""
+    du = np.diff(u)
+    edge = np.abs(du) if model == "kwc" else du * du
+    lumped = np.zeros(u.size)
+    lumped[:-1] += 0.5 * edge
+    lumped[1:] += 0.5 * edge
+    coupling = 2.0 * params.sigma * lumped
+    if model != "kwc":
+        coupling = coupling / h
+    eps, dt = params.epsilon, params.dt
+    neighbours = np.full(u.size, 2.0)
+    neighbours[[0, -1]] = 1.0
+    shift = h / eps if v0 is None else h / dt + h / eps
+    diag = shift + coupling + (eps / h) * neighbours
+    rhs = np.full(u.size, h / eps) if v0 is None else h * v0 / dt + h / eps
+    off = np.full(u.size - 1, -eps / h)
+    return np.clip(banded_solve(diag, off, off, rhs), 0.0, 1.0)
+
+
+def reference_quadratic(u0, g, w, params):
+    """The at model's u-step: a banded solve over every node, or over the
+    interior ones with the pins' terms on the right-hand side."""
+    n, h = u0.size, g.h
+    coeff = 2.0 * w / h
+    diag = np.full(n, h / params.dt + params.lam * h)
+    diag[:-1] += coeff
+    diag[1:] += coeff
+    rhs = h * (u0 / params.dt + params.lam * g.samples)
+    if params.bc_u == "neumann":
+        return banded_solve(diag, -coeff, -coeff, rhs)
+    u = np.empty(n)
+    u[0], u[-1] = g.samples[0], g.samples[-1]
+    if n > 2:
+        rhs[1] += coeff[0] * u[0]
+        rhs[-2] += coeff[-1] * u[-1]
+        u[1:-1] = banded_solve(diag[1:-1], -coeff[1:-1], -coeff[1:-1], rhs[1:-1])
+    return u
+
+
+class TestArithmeticIsPinned:
+    """The step's energy, damage solve and at solve do the float operations
+    of the plain formulas, in their order: equal bit for bit, so a change to
+    the arithmetic fails here before it moves a flow's trajectory."""
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from(["rof", "at", "kwc"]),
+        st.sampled_from(["neumann", "dirichlet"]),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_step_parts_equal_the_plain_formulas(self, model, bc, n, seed):
+        rng = np.random.default_rng(seed)
+        g = GridSignal((0.0, rng.uniform(0.5, 2.0)), rng.normal(0.0, 1.0, n))
+        params = FlowParams(
+            model=model, lam=rng.uniform(0.0, 50.0), n=n, sigma=rng.uniform(0.0, 2.0),
+            epsilon=rng.uniform(0.01, 1.0), dt=rng.uniform(1e-3, 0.1), bc_u=bc,
+        )
+        u = rng.normal(0.0, 1.0, n)
+        v = None if model == "rof" else rng.uniform(0.0, 1.0, n)
+        h = g.h
+        energy = flow_mod.flow_energy(model, u, v, g.samples, h, params)
+        assert energy == reference_energy(model, u, v, g.samples, h, params)
+        start = FlowState(t=0.0, u=GridSignal(g.domain, u), v=None if v is None else GridSignal(g.domain, v))
+        state = flow_mod.step(start, g, params)
+        u1 = state.u.samples
+        v1 = None if v is None else state.v.samples
+        assert state.energy == reference_energy(model, u1, v1, g.samples, h, params)
+        if model == "rof":
+            return
+        w = params.sigma * 0.5 * (v[:-1] ** 2 + v[1:] ** 2)
+        if model == "at":
+            assert np.array_equal(u1, reference_quadratic(u, g, w, params))
+            assert np.array_equal(flow_mod._quadratic_half_step(u, g, w, params)[0], u1)
+        assert np.array_equal(v1, reference_damage(model, u1, h, params, v))
+        coupling = flow_mod._coupling(model, np.diff(u), params.sigma, h)
+        assert np.array_equal(flow_mod._damage_solve(coupling, h, params), reference_damage(model, u, h, params))
+
+
+class TestSolveTridiag:
+    """``_solve_tridiag`` is LAPACK's gtsv as ``solve_banded`` calls it."""
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=1, max_value=30), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_equals_solve_banded_bit_for_bit(self, n, dominant, seed):
+        # Diagonally dominant systems, as the flow solves, or ones whose
+        # elimination swaps rows, which rewrites gtsv's superdiagonal.
+        rng = np.random.default_rng(seed)
+        lower, upper = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.uniform(2.0 if dominant else 0.05, 5.0, n) * rng.choice([-1.0, 1.0], n)
+        rhs = rng.normal(0.0, 1.0, n)
+        low, up = lower.copy(), upper.copy()
+        x = flow_mod._solve_tridiag(diag.copy(), low, up, rhs.copy())
+        assert np.array_equal(x, banded_solve(diag, lower, upper, rhs))
+        assert np.array_equal(low, lower) and np.array_equal(up, upper)
+        # So one array can be both off-diagonals.
+        off = lower.copy()
+        x = flow_mod._solve_tridiag(diag.copy(), off, off, rhs.copy())
+        assert np.array_equal(off, lower)
+        assert np.array_equal(x, banded_solve(diag, lower, lower, rhs))
+
+    def test_singular_system_raises(self):
+        with pytest.raises(LinAlgError, match="singular"):
+            flow_mod._solve_tridiag(np.zeros(3), np.zeros(2), np.zeros(2), np.ones(3))
 
 
 def exact_prox_reference(z, c, w, pins):
@@ -686,7 +821,7 @@ class TestPatternProx:
     def test_a_hinted_jump_that_vanishes_is_judged_flat(self):
         # The hinted rise closes up: both segments take 0.5, the prox.
         z, w = np.array([0.0, 1.0]), np.array([0.5])
-        u, gap = flow_mod._prox_from_pattern(z, 1.0, w, None, z)
+        u, gap, _du = flow_mod._prox_from_pattern(z, 1.0, w, None, z)
         assert np.array_equal(u, [0.5, 0.5])
         assert gap == 0.0
 
@@ -695,7 +830,7 @@ class TestPatternProx:
         # but no one offset fits both ends of the rise in the middle.
         z, w = np.array([0.0, 2.0, 2.0, 0.0]), np.full(3, 0.1)
         assert flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.zeros(4)) is None
-        u, _ = flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.array([0.0, 1.0, 1.0, 0.0]))
+        u, _gap, _du = flow_mod._prox_from_pattern(z, 1.0, w, (0.0, 0.0), np.array([0.0, 1.0, 1.0, 0.0]))
         np.testing.assert_allclose(u, tv_prox(z, 1.0, w, (0.0, 0.0)), rtol=0, atol=1e-15)
 
     def test_previous_pattern_answers_most_flow_steps(self, monkeypatch):
@@ -768,13 +903,13 @@ class TestDivergenceHandling:
         g = GridSignal((0, 1), rng.normal(0.5, 0.5, 50))
         orig = flow_mod._step
 
-        def corrupting(state, gg, params):
-            st = orig(state, gg, params)
+        def corrupting(state, gg, params, w):
+            st, w = orig(state, gg, params, w)
             if st.t > 0.05:
                 u = st.u.samples.copy()
                 u[3] = np.nan
                 st.u = GridSignal(gg.domain, u)
-            return st
+            return st, w
 
         monkeypatch.setattr(flow_mod, "_step", corrupting)
         with pytest.raises(DivergenceError) as err:
