@@ -14,7 +14,10 @@ factor of the jump budget for the count-constrained variant; sizes are
 capped accordingly.  Every transition is made by one helper (``_relax``):
 it copies the source row into a buffer, adds the transposed kernel in
 place, reduces along contiguous rows and gathers the row minima with one
-flat take.  The free pass runs in the calling thread.  The dense budgeted
+flat take.  The free pass runs in the calling thread; from 250 levels it
+skips the source levels that a witness level beats for every target (the
+kernel is a metric on the levels), which leaves each transition one dense
+``_relax`` on a column block with the same results.  The dense budgeted
 pass splits the target levels of each cell's transitions between one
 thread per usable CPU when a cell's budget * n_levels^2 transitions are
 enough to pay for the per-cell barrier; its results do not depend on the
@@ -54,10 +57,19 @@ MAX_JUMP_BUDGET = 10
 # m = 2, L = 200 at m = 4 does not.
 _MIN_THREAD_WORK = 150_000
 # The two free passes behind a pruned pass's bounds run side by side when
-# a cell has L^2 >= 40 000 transitions: on 2 cores and 300 cells that took
-# 20 ms against 23 ms in one thread at L = 200 and 59 ms against 100 ms at
-# L = 400, but 20 ms against 18 ms at L = 150 (the passes trade the GIL).
+# a cell has L^2 >= 40 000 transitions.  On 2 cores, medians of 11 runs:
+# 22 ms against 24 ms in one thread at 300 x 200 and 68 ms against 72 ms
+# at 800 x 201 (the tie scan), but 24 ms against 19 ms at 300 x 150 (the
+# passes trade the GIL).  With skipped levels the gain is smaller: 308 ms
+# against 402 ms at 2000 x 400 (the cap), and even or slower between 250
+# and 350 levels (2000 x 300: 271 ms against 267 ms).
 _MIN_SIDE_THREAD_WORK = 40_000
+# Free passes skip dominated source levels (``_free_pass``) from 250
+# levels.  On 1000-cell random walks the skipping pass took 1.07 of the
+# dense pass's time at L = 200, 0.96-1.04 at 220 and 240, 0.83-0.87 at
+# 260, 0.65 at 300 and 0.47 at 400; on the tie scans' linear data
+# (pinned), 1.75 at 400 x 101 and 1.30-1.37 at 800 x 201.
+_MIN_SKIP_LEVELS = 250
 # Budgeted passes are pruned (``_pruned_pass``) from a budget of 3 and
 # budget * L^2 = 20 000 transitions per cell.  The bounds cost two free
 # passes, about a 2-jump dense pass (at 2000 x 400: 0.37-0.42 s against
@@ -248,15 +260,65 @@ def _relax(src: np.ndarray, kernel_t: np.ndarray, trans: np.ndarray, offs: np.nd
 def _free_pass(cost, kmat_t, start, parents=None, values=None) -> np.ndarray:
     """The free DP over the rows of ``cost`` from the ``start`` mask (None:
     every level).  Returns the last row; fills ``parents`` with each cell's
-    best predecessors and ``values`` with every row, when they are given."""
+    best predecessors and ``values`` with every row, when they are given.
+
+    From ``_MIN_SKIP_LEVELS`` levels, each transition after the first reads
+    only the column block [lo, hi) of the source levels that no witness
+    rules out.  Source k is dominated when ``D[k] >= D[w] + K(k, w) +
+    slack``, with w the level k's own best predecessor in the previous
+    transition.  The dominated levels are mostly those far from the data,
+    at both ends, so the block is narrow and the transition stays one dense
+    ``_relax``.
+
+    Exactness.  Every kernel kind is non-decreasing and subadditive (kwc is
+    concave with K(0) = 0, linear additive, Potts flat), so K(|x - y|) is a
+    metric on the levels: K(w, l) <= K(w, k) + K(k, l) for every target l.
+    A dominated k thus has D[k] + K(k, l) > D[w] + K(w, l), its own stay
+    included, and attains no row minimum.  The block holds every level that
+    attains one, and its levels get the same float additions as in the
+    dense pass, so the minima, the smallest-index argmins, every row and
+    every parent are bit-identical to the dense pass's.
+
+    The slack covers the rounding.  Let u = 2**-53, C = max |cost|, Kmax =
+    max kmat and A = n * C + Kmax.  Every finite D is at most the float sum
+    along a path that stays at its level (after one jump from a pinned
+    start) and at least -n * C, up to a factor 1 + n * u.  A kmat entry is
+    within 4u (relative) of the exact kernel at the exact level distance:
+    one rounding in the distance, which moves a concave K with K(0) = 0 by
+    at most the same relative amount, and three in kwc's formula (linear
+    and Potts have fewer).  So the float entries obey the triangle
+    inequality up to 17u * Kmax.  The two roundings of the check and those
+    of D[k] + K(k, l) and D[w] + K(w, l) are each at most u * (|D| + Kmax +
+    slack).  Together that is below 30u * A, and the slack is 64u * A; for
+    w = k the check then fails, as it must.  Outside 1e-280 < A < 1e300
+    (the slack could underflow, a sum overflow) the pass stays dense.
+    """
     n, L = cost.shape
     D = cost[0] if start is None else cost[0] + start
-    trans = np.empty((L, L))
-    offs = np.arange(L) * L
+    buf = np.empty(L * L)
+    trans = buf.reshape(L, L)
+    rows = np.arange(L)
+    offs = rows * L
+    slack = 0.0
+    if L >= _MIN_SKIP_LEVELS:
+        bound = n * max(cost.max(), -cost.min()) + kmat_t.max()
+        if 1e-280 < bound < 1e300:
+            slack = 64 * 2.0**-53 * bound
     if values is not None:
         values[0] = D
+    arg = None
     for i in range(1, n):
-        arg, best = _relax(D, kmat_t, trans, offs)
+        if slack and arg is not None:
+            ahead = D.take(arg)
+            ahead += kmat_t.take(offs + arg)
+            ahead += slack
+            kept = np.flatnonzero(D < ahead)
+            lo, hi = kept[0], kept[-1] + 1
+            w = hi - lo
+            arg, best = _relax(D[lo:hi], kmat_t[:, lo:hi], buf[: L * w].reshape(L, w), rows * w)
+            arg += lo
+        else:
+            arg, best = _relax(D, kmat_t, trans, offs)
         if parents is not None:
             parents[i] = arg
         D = best + cost[i]
@@ -265,9 +327,10 @@ def _free_pass(cost, kmat_t, start, parents=None, values=None) -> np.ndarray:
     return D
 
 
-def _solve_free(tab: _Tableau, bounds: bool = False) -> tuple:
+def _solve_free(tab: _Tableau, bounds: bool = False, sequence: bool = True) -> tuple:
     """The free optimum: its level sequence (None when no sequence meets
-    the pins) and its energy as the DP sums it.  With ``bounds`` also the
+    the pins, or not ``sequence``, which skips the parent table and the
+    backtrack) and its energy as the DP sums it.  With ``bounds`` also the
     path bound of every state (see ``_pruned_pass``): the backward pass,
     the same pass on the reversed cells from the end pin, runs beside the
     forward one on a second thread when the passes are big enough."""
@@ -277,7 +340,7 @@ def _solve_free(tab: _Tableau, bounds: bool = False) -> tuple:
     if tab.pin is not None:  # 0 at the pinned level, inf elsewhere
         start, end = np.full((2, L), np.inf)
         start[tab.pin[0]] = end[tab.pin[1]] = 0.0
-    parents = np.zeros((n, L), dtype=np.int16)
+    parents = np.zeros((n, L), dtype=np.int16) if sequence else None
     bound = None
     if not bounds:
         D = _free_pass(tab.cost, kmat_t, start, parents)
@@ -305,11 +368,14 @@ def _solve_free(tab: _Tableau, bounds: bool = False) -> tuple:
         D = D + end
     if not np.isfinite(D).any():
         return None, math.inf, bound
+    last = int(np.argmin(D))
+    if not sequence:
+        return None, float(D[last]), bound
     seq = np.empty(n, dtype=np.int64)
-    seq[-1] = int(np.argmin(D))
+    seq[-1] = last
     for i in range(n - 1, 0, -1):
         seq[i - 1] = parents[i, seq[i]]
-    return seq, float(D[seq[-1]]), bound
+    return seq, float(D[last]), bound
 
 
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
@@ -603,7 +669,7 @@ def _certified_row(tab: _Tableau, m: int):
     certifies its result."""
     if not _worth_pruning(m, tab.cost.shape[1]):
         return _budget_pass(tab, m)[m]
-    _, free, bound = _solve_free(tab, bounds=True)
+    _, free, bound = _solve_free(tab, bounds=True, sequence=False)
     scale = max(1.0, abs(free))
     widths = iter(_WIDTHS)
     threshold = free + next(widths) * scale

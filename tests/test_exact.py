@@ -1,11 +1,14 @@
 """Unit tests for closed-form energies, tie points, and jump-count bounds
 on linear data."""
 
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwcseg.exact import (
@@ -274,26 +277,48 @@ class TestEqualJumpVerdict:
         c=LOG_UNIFORM,
         lam=st.one_of(st.just(0.0), st.floats(-5.0, 8.0).map(math.exp)),
     )
+    @example(kind="kwc", p=1.0, c=math.exp(1e-14), lam=1.0)
     def test_sign_pattern_matches_a_dense_scan(self, kind, p, c, lam):
         # Brute force: the compressed signs of E'(z) on a dense grid of (0, c),
-        # refined around the crossing z* (phi(z*) = lam / 2) and skipping
-        # samples within a relative 1e-9 of it.
+        # skipping samples whose |E'| is within 1e-10 of the sizes of its two
+        # terms, where rounding may decide the sign.  A sign region can be too
+        # thin for any float sample to resolve: at kappa = lam = 1 and
+        # c = exp(1e-14), E' > 0 only below z* = 1.7e-7, by at most 1e-21.  So
+        # the scan also takes exact signs on both sides of the crossing z*
+        # (``exact_kwc_signs``).
         kernel = {"kwc": kwc_kernel, "linear": lambda _: linear_kernel(), "potts": potts_kernel}[kind](p)
         z = np.concatenate((c * np.linspace(0.0, 1.0, 4001)[1:-1], c * np.geomspace(1e-6, 1.0, 2001)[:-1]))
+        z = z[(z > 0) & (z < c)]
+        slope, split = 0.5 * lam * z, split_cost_derivative(kernel, c, z)
+        deriv, size = slope + split, np.abs(slope) + np.abs(split)
+        samples = [(x, d > 0) for x, d, s in zip(z, deriv, size) if abs(d) > 1e-10 * s]
         if kind == "kwc" and lam > 0:
-            cp = c + 1.0 / p
-            star_sq = cp * cp - math.sqrt(8.0 * cp / lam) / p
-            if star_sq > 0:
-                star = math.sqrt(star_sq)
-                z = np.concatenate((z, [star * (1 - 1e-6), star * (1 + 1e-6)]))
-                z = z[np.abs(z - star) > 1e-9 * star]
-        z = np.sort(z[(z > 0) & (z < c)])
-        deriv = 0.5 * lam * z + split_cost_derivative(kernel, c, z)
-        signs = [("+" if d > 0 else "-") for d in deriv if d != 0]
+            samples += exact_kwc_signs(p, c, lam)
+        signs = [("+" if positive else "-") for _, positive in sorted(samples)]
         pattern = "".join(s for i, s in enumerate(signs) if i == 0 or s != signs[i - 1])
         rep = equal_jump_verdict(kernel, c, lam)
         assert rep.sign_pattern == pattern
         assert rep.forced == (pattern in ("+", "-", "+-"))
+
+
+def exact_kwc_signs(kappa, c, lam):
+    """[(z, E'(z) > 0)] at z*/2 and (z* + c)/2 for the rational kernel, in
+    exact arithmetic on the float inputs, when the crossing z* lies in (0, c).
+
+    E'(z) / z = lam / 2 - 4 c' / (kappa^2 (c'^2 - z^2)^2) with c' = c + 1/kappa,
+    so z*^2 = c'^2 - sqrt(8 c' / lam) / kappa, here to 60 digits.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        k, cd = Decimal(kappa), Decimal(c)
+        cp = cd + 1 / k
+        t = cp * cp - (8 * cp / Decimal(lam)).sqrt() / k
+        if not 0 < t < cd * cd:
+            return []
+        star = t.sqrt()
+        points = (float(star / 2), float((star + cd) / 2))
+    k, cp = Fraction(kappa), Fraction(c) + 1 / Fraction(kappa)
+    return [(z, Fraction(lam) / 2 > 4 * cp / (k * k * (cp * cp - Fraction(z) ** 2) ** 2)) for z in points]
 
 
 class TestJumpBounds:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
@@ -735,6 +735,8 @@ def pattern_hint(signs):
 
 # z = (0, 0, 0, -1, 0, 0), c = 0.5, w = (0, 0, 1, 1e-12, 0): a wrong sign
 # pattern's objective is 5e-25 above the prox's, below float resolution.
+# (z, c, w, pins) whose DP prox jumps by -4.5e-198 on its last edge.
+ROUNDING_JUMP_CASE = (np.array([0.0, -7.0035523e-153, 0.0]), 1.0, np.ones(2), (1.0, -4.526481456370663e-198))
 TINY_WEIGHT_CASE = (np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.0]), 0.5, np.array([0.0, 0.0, 1.0, 1e-12, 0.0]))
 
 
@@ -757,13 +759,32 @@ class TestPatternProx:
 
     @settings(max_examples=300)
     @given(st.one_of(prox_instances(), long_prox_instances()))
-    def test_the_dp_pattern_is_always_accepted(self, instance):
+    @example(ROUNDING_JUMP_CASE)
+    def test_the_dp_pattern_is_accepted_unless_a_jump_is_rounding(self, instance):
+        # A DP jump no larger than the rounding bound may carry the wrong
+        # sign; the closed form on that pattern may then miss, and the flow
+        # keeps the DP answer, which is certified.
         z, c, w, pins = instance
         u = tv_prox(z, c, w, pins)
         fast = flow_mod._prox_from_pattern(z, c, w, pins, u)
+        du = np.diff(u)
+        if np.any((du != 0) & (np.abs(du) <= rounding_bound(u, z, c, w))):
+            assert_certified(u, z, c, w, pins)
+            if fast is None:
+                return
         assert fast is not None
         np.testing.assert_allclose(fast[0], u, rtol=0, atol=1e-12)
         assert fast[1] <= 1e-10
+
+    def test_a_rounding_sized_dp_jump_can_take_the_wrong_sign(self):
+        # tv_prox gives (1, 0, -4.5e-198); the exact prox is flat at the
+        # second pin after its first cell.  The closed form on a falling
+        # last edge flips that jump's sign and is rejected.
+        z, c, w, pins = ROUNDING_JUMP_CASE
+        u = tv_prox(z, c, w, pins)
+        assert u[1] == 0.0 and u[2] == pins[1]
+        assert flow_mod._prox_from_pattern(z, c, w, pins, u) is None
+        assert_certified(u, z, c, w, pins)
 
     @pytest.mark.parametrize("pins", [None, (0.0, 0.0), (0.0, -1.0)])
     def test_tiny_weight_case_is_accepted(self, pins):

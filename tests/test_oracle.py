@@ -1,5 +1,6 @@
 """Unit tests for the discrete global minimizer (dynamic program)."""
 
+import functools
 import itertools
 import math
 import threading
@@ -350,8 +351,22 @@ def random_problem(seed):
     )
 
 
+def also_skipping_every_level(test):
+    """Run ``test`` as it is, then with every free pass skipping dominated
+    source levels (``_free_pass`` from one level on)."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        test(*args, **kwargs)
+        with oracle_constants(MIN_SKIP_LEVELS=1):
+            test(*args, **kwargs)
+
+    return run
+
+
 class TestAgainstReferenceDP:
     @pytest.mark.parametrize("seed", range(30))
+    @also_skipping_every_level
     def test_free_solve_and_every_budget(self, seed):
         problem = random_problem(seed)
         tab = _build_tableau(problem)
@@ -734,6 +749,7 @@ def outcome(call):
 class TestPrunedPass:
     @settings(max_examples=150)
     @given(pruning_problems(), st.floats(0.0, 1.0))
+    @also_skipping_every_level
     def test_rows_within_the_threshold_match_the_dense_pass_bit_for_bit(self, problem, where):
         tab = _build_tableau(problem)
         budget = min(MAX_JUMP_BUDGET, tab.cost.shape[0] - 1)
@@ -766,6 +782,7 @@ class TestPrunedPass:
 
     @settings(max_examples=100)
     @given(pruning_problems(), st.sampled_from([(1e-3, 1e-2), (0.0,), (0.0, 1e-12, 1e-6)]))
+    @also_skipping_every_level
     def test_best_with_m_jumps_equals_the_dense_route(self, problem, widths):
         n = problem.resolved_cells()
         budgets = range(min(MAX_JUMP_BUDGET, n - 1) + 1)
@@ -776,6 +793,7 @@ class TestPrunedPass:
 
     @settings(max_examples=100)
     @given(pruning_problems())
+    @also_skipping_every_level
     def test_tie_scan_equals_the_dense_route(self, problem):
         scan = min(MAX_JUMP_BUDGET, problem.resolved_cells() - 1)
         with oracle_constants(**NEVER_PRUNE):
@@ -864,6 +882,85 @@ class TestPrunedRoutes:
             results.append((seq.tobytes(), free, bound.tobytes()))
         assert len(splits) == 1
         assert results[0] == results[1]
+
+
+@st.composite
+def free_pass_problems(draw):
+    """Instances for one free pass, on explicit non-uniform levels (L = 1
+    and 2 among them), free or pinned ends: random-walk or constant data
+    with any kernel, or dyadic data, levels, weight and cell width with a
+    linear or Potts kernel, where K(w, k) + K(k, l) = K(w, l) is exact and
+    exact ties are common."""
+    kind = draw(st.sampled_from(["walk", "constant", "dyadic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_levels = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)))
+    if kind == "dyadic":
+        n = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))
+        samples = rng.integers(0, 16, size=n + 1) / 4
+        grid = np.arange(samples.min(), samples.max() + 1 / 16, 1 / 8)
+        levels = np.unique(np.concatenate(([grid[0]], rng.choice(grid, size=n_levels - 1))))
+        kernel = draw(st.sampled_from([linear_kernel(), potts_kernel(0.25), potts_kernel(0.5), potts_kernel(1.0)]))
+        lam = float(draw(st.integers(0, 64)))
+    else:
+        n = draw(st.integers(1, 40))
+        if kind == "walk":
+            samples = np.cumsum(rng.normal(size=n + 1))
+            lo, hi = samples.min(), samples.max()
+        else:
+            samples = np.full(n + 1, rng.normal())
+            lo, hi = samples[0] - 0.5, samples[0] + 0.5
+        levels = np.unique(np.concatenate(([lo], rng.uniform(lo, hi, size=n_levels - 1))))
+        param = draw(st.floats(0.05, 5.0))
+        kernel = draw(st.sampled_from([kwc_kernel(param), linear_kernel(), potts_kernel(param)]))
+        lam = draw(st.floats(0.0, 300.0))
+    pin = None
+    if draw(st.booleans()):
+        pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
+    return OracleProblem(
+        data=SampledData(GridSignal((0.0, 1.0), samples)), kernel=kernel, lam=lam, levels=levels, endpoint_pin=pin
+    )
+
+
+def free_pass_outputs(tab, backward):
+    """Last row, every row and the parent table of one free pass, forward
+    from the first pin or backward over the reversed cells from the last."""
+    n, L = tab.cost.shape
+    cost = tab.cost[::-1] if backward else tab.cost
+    start = None
+    if tab.pin is not None:
+        start = np.full(L, np.inf)
+        start[tab.pin[1 if backward else 0]] = 0.0
+    parents, values = np.zeros((n, L), dtype=np.int16), np.empty((n, L))
+    last = oracle_mod._free_pass(cost, np.ascontiguousarray(tab.kmat.T), start, parents, values)
+    return last.tobytes(), values.tobytes(), parents.tobytes()
+
+
+class TestSkippingFreePass:
+    @settings(max_examples=400)
+    @given(free_pass_problems(), st.booleans())
+    def test_equals_the_dense_pass_bit_for_bit(self, problem, backward):
+        tab = _build_tableau(problem)
+        outputs = []
+        for levels in (math.inf, 1):
+            with oracle_constants(MIN_SKIP_LEVELS=levels):
+                outputs.append(free_pass_outputs(tab, backward))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_skips_most_levels_of_a_random_walk(self, pinned):
+        tab = _build_tableau(walk_problem(300, 300, pinned=pinned))
+        with oracle_constants() as mp:
+            relaxed = spy_on(mp, "_relax")
+            skipped = free_pass_outputs(tab, backward=pinned)
+            widths = [args[0].size for args, _ in relaxed]
+        with oracle_constants(MIN_SKIP_LEVELS=math.inf):
+            assert free_pass_outputs(tab, backward=pinned) == skipped
+        # The first transition has no witnesses and reads every level.
+        assert len(widths) == 299 and widths[0] == 300 and np.mean(widths) < 100
+
+    def test_skipping_threshold(self):
+        # The battery (61 levels) and the tie scans (101, 201) stay dense.
+        assert 201 < oracle_mod._MIN_SKIP_LEVELS <= MAX_LEVELS
 
 
 @st.composite
