@@ -392,23 +392,30 @@ def step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
     v = state.v
     if params.model != "rof" and (v is None or v.n != params.n or not np.all(np.isfinite(v.samples))):
         raise ConfigError(f"the {params.model} model needs a finite damage field v on the {params.n}-node grid")
-    return _step(state, g, params, _edge_weights(None if params.model == "rof" else v.samples, params))[0]
+    v0 = None if params.model == "rof" else v.samples
+    u1, v1, _, energy, gap = _step(state.u.samples, v0, g, params, _edge_weights(v0, params))
+    return _flow_state(g, state.t + params.dt, u1, v1, energy, gap)
 
 
-def _step(state: FlowState, g: GridSignal, params: FlowParams, w: np.ndarray):
-    """``step`` on inputs already checked and the edge weights w of its v:
-    the loop of ``run``.  Returns the new state and its edge weights."""
+def _step(u: np.ndarray, v: np.ndarray | None, g: GridSignal, params: FlowParams, w: np.ndarray):
+    """``step`` on the samples of u and v (None for rof), already checked,
+    and the edge weights w of v: the loop of ``run``.  Returns the new u, v
+    and edge weights, the new energy and the prox gap."""
     model, h = params.model, g.h
-    u1, gap, du1 = (_quadratic_half_step if model == "at" else _prox_half_step)(state.u.samples, g, w, params)
-    v1 = None if model == "rof" else _damage_solve(_coupling(model, du1, params.sigma, h), h, params, state.v.samples)
+    u1, gap, du1 = (_quadratic_half_step if model == "at" else _prox_half_step)(u, g, w, params)
+    v1 = None if model == "rof" else _damage_solve(_coupling(model, du1, params.sigma, h), h, params, v)
     w1 = w if v1 is None else _edge_weights(v1, params)
+    return u1, v1, w1, _energy(model, u1, du1, v1, w1, g.samples, h, params), gap
+
+
+def _flow_state(g: GridSignal, t: float, u: np.ndarray, v: np.ndarray | None, energy: float, gap) -> FlowState:
     return FlowState(
-        t=state.t + params.dt,
-        u=GridSignal(g.domain, u1),
-        v=None if v1 is None else GridSignal(g.domain, v1),
-        energy=_energy(model, u1, du1, v1, w1, g.samples, h, params),
+        t=t,
+        u=GridSignal(g.domain, u),
+        v=None if v is None else GridSignal(g.domain, v),
+        energy=energy,
         prox_gap=gap,
-    ), w1
+    )
 
 
 def pre_relax_v(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
@@ -483,32 +490,27 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
         if params.pre_relax:  # pre_relax_v's steady damage, on inputs already checked
             v = _damage_solve(_coupling(model, np.diff(u), params.sigma, h), h, params)
     w = _edge_weights(v, params)
-    state = FlowState(
-        t=0.0,
-        u=GridSignal(g.domain, u),
-        v=None if v is None else GridSignal(g.domain, v),
-        energy=_energy(model, u, np.diff(u), v, w, g.samples, h, params),
-    )
+    t, energy, gap = 0.0, _energy(model, u, np.diff(u), v, w, g.samples, h, params), None
 
-    trace = [(0.0, state.energy, math.nan, math.nan)]
+    trace = [(0.0, energy, math.nan, math.nan)]
     steady = False
     steps = 0
     quiet_steps = 0
     n_steps = int(round(params.t_max / params.dt))
     for _ in range(n_steps):
-        new_state, w = _step(state, g, params, w)
-        size = float(np.abs(new_state.u.samples).max())  # not finite exactly when a sample is not
-        if not (math.isfinite(size) and math.isfinite(new_state.energy)):
+        u1, v1, w, energy1, gap1 = _step(u, v, g, params, w)
+        t1 = t + params.dt
+        size = float(np.abs(u1).max())  # not finite exactly when a sample is not
+        if not (math.isfinite(size) and math.isfinite(energy1)):
             raise DivergenceError(
-                f"flow produced non-finite values at t = {new_state.t:.6g}",
-                state=state,
+                f"flow produced non-finite values at t = {t1:.6g}",
+                state=_flow_state(g, t, u, v, energy, gap),
                 trace=trace,
             )
-        change = float(np.abs(new_state.u.samples - state.u.samples).max())
+        change = float(np.abs(u1 - u).max())
         rate = change / (params.dt * max(1.0, size))
-        gap = math.nan if new_state.prox_gap is None else new_state.prox_gap
-        trace.append((new_state.t, new_state.energy, rate, gap))
-        state = new_state
+        trace.append((t1, energy1, rate, math.nan if gap1 is None else gap1))
+        u, v, t, energy, gap = u1, v1, t1, energy1, gap1
         steps += 1
         # Two consecutive quiet steps: a cold-started damage field can stall
         # u for exactly one step while v is still forming.
@@ -516,7 +518,9 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
         if quiet_steps >= 2:
             steady = True
             break
-    return FlowResult(state=state, steady=steady, steps=steps, trace=trace, params=params)
+    return FlowResult(
+        state=_flow_state(g, t, u, v, energy, gap), steady=steady, steps=steps, trace=trace, params=params
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,27 +14,28 @@ factor of the jump budget for the count-constrained variant; sizes are
 capped accordingly.  Every transition is made by one helper (``_relax``):
 it copies the source row into a buffer, adds the transposed kernel in
 place, reduces along contiguous rows and gathers the row minima with one
-flat take.  The free pass runs in the calling thread; from 250 levels it
-skips the source levels that a witness level beats for every target (the
-kernel is a metric on the levels), which leaves each transition one dense
-``_relax`` on a column block with the same results.  The dense budgeted
-pass splits the target levels of each cell's transitions between one
-thread per usable CPU when a cell's budget * n_levels^2 transitions are
-enough to pay for the per-cell barrier; its results do not depend on the
-number of threads.
+flat take.  From 250 levels the free pass skips the source levels that a
+witness level beats for every target (the kernel is a metric on the
+levels), which leaves each transition one dense ``_relax`` on a column
+block with the same results.
+
+One thread rule: every pass runs in the calling thread, except that the
+backward free pass behind a pruned pass's bounds runs on one helper
+thread beside the forward one, from 200 levels when more than one CPU is
+usable.  No result depends on which route ran.
 
 Budgeted passes (``best_with_m_jumps`` and the tie scan of ``solve``) are
 pruned by an exact forward-backward bound: a forward and a backward free
-pass, side by side on two threads, give each state (cell, level) the least
-cost of any path through it, and the budgeted DP visits only the states
-whose bound is within a threshold of the free optimum.  Its results are
+pass give each state (cell, level) the least cost of any path through it,
+and the budgeted DP visits only the states whose bound is within a
+threshold of the free optimum.  Its results are
 those of the dense pass (``_pruned_pass`` has the argument); when too many
 states survive, the dense pass runs instead.
 """
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,18 +53,14 @@ MAX_CELLS = 2000
 MAX_LEVELS = 400
 assert MAX_LEVELS <= np.iinfo(np.int16).max  # parent tables hold int16 level indices
 MAX_JUMP_BUDGET = 10
-# Dense transitions per cell (budget * L^2) that one extra thread of the
-# budgeted pass must get to beat its barrier: on 2 cores, L = 400 pays from
-# m = 2, L = 200 at m = 4 does not.
-_MIN_THREAD_WORK = 150_000
-# The two free passes behind a pruned pass's bounds run side by side when
-# a cell has L^2 >= 40 000 transitions.  On 2 cores, medians of 11 runs:
+# The two free passes behind a pruned pass's bounds run side by side from
+# 200 levels.  On 2 cores, medians of 11 runs:
 # 22 ms against 24 ms in one thread at 300 x 200 and 68 ms against 72 ms
 # at 800 x 201 (the tie scan), but 24 ms against 19 ms at 300 x 150 (the
 # passes trade the GIL).  With skipped levels the gain is smaller: 308 ms
 # against 402 ms at 2000 x 400 (the cap), and even or slower between 250
 # and 350 levels (2000 x 300: 271 ms against 267 ms).
-_MIN_SIDE_THREAD_WORK = 40_000
+_MIN_SIDE_THREAD_LEVELS = 200
 # Free passes skip dominated source levels (``_free_pass``) from 250
 # levels.  On 1000-cell random walks the skipping pass took 1.07 of the
 # dense pass's time at L = 200, 0.96-1.04 at 220 and 240, 0.83-0.87 at
@@ -333,7 +330,8 @@ def _solve_free(tab: _Tableau, bounds: bool = False, sequence: bool = True) -> t
     backtrack) and its energy as the DP sums it.  With ``bounds`` also the
     path bound of every state (see ``_pruned_pass``): the backward pass,
     the same pass on the reversed cells from the end pin, runs beside the
-    forward one on a second thread when the passes are big enough."""
+    forward one on a helper thread from ``_MIN_SIDE_THREAD_LEVELS`` levels.
+    A failing pass raises here once both passes have ended."""
     n, L = tab.cost.shape
     kmat_t = np.ascontiguousarray(tab.kmat.T)
     start = end = None
@@ -346,21 +344,15 @@ def _solve_free(tab: _Tableau, bounds: bool = False, sequence: bool = True) -> t
         D = _free_pass(tab.cost, kmat_t, start, parents)
     else:
         forward, backward = np.empty((n, L)), np.empty((n, L))
-        last = [None, None]
-        passes = (
-            lambda: _free_pass(tab.cost, kmat_t, start, parents, forward),
-            lambda: _free_pass(tab.cost[::-1], kmat_t, end, values=backward[::-1]),
-        )
-
-        def work(s, e, barrier=None):
-            last[s] = passes[s]()
-
-        if _usable_cpus() > 1 and L * L >= _MIN_SIDE_THREAD_WORK:
-            _run_split(work, [(0, 1), (1, 2)])
+        backward_args = (tab.cost[::-1], kmat_t, end, None, backward[::-1])
+        if _usable_cpus() > 1 and L >= _MIN_SIDE_THREAD_LEVELS:
+            with ThreadPoolExecutor(1) as helper:
+                behind = helper.submit(_free_pass, *backward_args)
+                D = _free_pass(tab.cost, kmat_t, start, parents, forward)
+                behind.result()
         else:
-            work(0, 1)
-            work(1, 2)
-        D = last[0]
+            D = _free_pass(tab.cost, kmat_t, start, parents, forward)
+            _free_pass(*backward_args)
         bound = forward
         bound += backward
         bound -= tab.cost
@@ -438,9 +430,7 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     One DP over (cell, jumps used, level).  Row m only reads rows m and
     m - 1, so rows 0..m equal those of a pass with budget m.  Entry m of
     the result is the optimal sequence with exactly m jumps, or None when
-    no sequence has that many (pins).  The target levels are split into
-    contiguous slices, one per thread (see ``_thread_count``); every entry
-    is computed by the same float operations whatever the split.
+    no sequence has that many (pins).
     """
     n, L = tab.cost.shape
     big = np.inf
@@ -448,38 +438,21 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     np.fill_diagonal(jump_t, big)
 
     cols = np.arange(L)
-    # Double-buffered by cell parity: cell i reads D[(i - 1) % 2], writes D[i % 2].
-    D = np.full((2, budget + 1, L), big)
-    D[0, 0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
+    offs = cols * L
+    trans = np.empty((L, L))
+    D = np.full((budget + 1, L), big)
+    D[0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
+    jumped = np.full((budget + 1, L), big)  # row 0 never jumps
+    arg = np.zeros((budget + 1, L), dtype=np.int16)
     parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int16)
+    for i in range(1, n):
+        for j in range(1, budget + 1):
+            arg[j], jumped[j] = _relax(D[j - 1], jump_t, trans, offs)
+        # Strict <: an all-inf row (no admissible sequence yet) never jumps.
+        use_jump = jumped < D
+        parent_lvl[i] = np.where(use_jump, arg, cols)
+        D = np.where(use_jump, jumped, D) + tab.cost[i]
 
-    def cells(s, e, barrier=None):
-        own = cols[s:e]
-        offs = np.arange(e - s) * L
-        jump_own = jump_t[s:e]
-        trans = np.empty((e - s, L))
-        jumped = np.full((budget + 1, e - s), big)  # row 0 never jumps
-        arg = np.zeros((budget + 1, e - s), dtype=np.int16)
-        for i in range(1, n):
-            prev, nxt = D[(i - 1) % 2], D[i % 2]
-            for j in range(1, budget + 1):
-                arg[j], jumped[j] = _relax(prev[j - 1], jump_own, trans, offs)
-            stay = prev[:, s:e]
-            # Strict <: an all-inf row (no admissible sequence yet) never jumps.
-            use_jump = jumped < stay
-            parent_lvl[i, :, s:e] = np.where(use_jump, arg, own)
-            nxt[:, s:e] = np.where(use_jump, jumped, stay) + tab.cost[i, s:e]
-            if barrier is not None:
-                barrier.wait()
-
-    threads = _thread_count(budget, L)
-    if threads == 1:
-        cells(0, L)
-    else:
-        bounds = np.linspace(0, L, threads + 1).astype(int)
-        _run_split(cells, list(zip(bounds[:-1], bounds[1:])))
-
-    D = D[(n - 1) % 2]
     if tab.pin is not None:
         D = np.where(cols == tab.pin[1], D, big)
     seqs = []
@@ -599,48 +572,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _thread_count(budget: int, L: int) -> int:
-    """Threads for a budgeted pass: one per usable CPU, as long as each
-    thread's share of a cell's transitions (budget * L^2 in total) pays for
-    the per-cell barrier.  numpy releases the GIL in the add and argmin."""
-    return max(1, min(_usable_cpus(), budget * L * L // _MIN_THREAD_WORK))
-
-
-def _run_split(work, slices) -> None:
-    """Run ``work(s, e, barrier)`` for each slice in its own thread.
-
-    The first exception a worker raises aborts the barrier, which releases
-    the others, and is re-raised here once every thread has ended.
-    """
-    barrier = threading.Barrier(len(slices))
-    errors = []
-
-    def run(s, e):
-        try:
-            work(s, e, barrier)
-        except threading.BrokenBarrierError:
-            pass  # another worker failed, or the caller was interrupted
-        except BaseException as exc:
-            errors.append(exc)
-            barrier.abort()
-
-    threads = []
-    try:
-        for sl in slices:
-            t = threading.Thread(target=run, args=sl)
-            t.start()
-            threads.append(t)
-        for t in threads:
-            t.join()
-    except BaseException:
-        barrier.abort()
-        for t in threads:
-            t.join()
-        raise
-    if errors:
-        raise errors[0]
 
 
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:

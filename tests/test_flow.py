@@ -175,11 +175,12 @@ class TestStepValidation:
         g, state = self.kwc_state()
         params = FlowParams(model="kwc", lam=10.0, n=50)
         checked = flow_mod.step(state, g, params)
-        loop, w = flow_mod._step(state, g, params, flow_mod._edge_weights(state.v.samples, params))
-        assert np.array_equal(w, flow_mod._edge_weights(loop.v.samples, params))
-        assert np.array_equal(checked.u.samples, loop.u.samples)
-        assert np.array_equal(checked.v.samples, loop.v.samples)
-        assert (checked.t, checked.energy, checked.prox_gap) == (loop.t, loop.energy, loop.prox_gap)
+        v = state.v.samples
+        u1, v1, w, energy, gap = flow_mod._step(state.u.samples, v, g, params, flow_mod._edge_weights(v, params))
+        assert np.array_equal(w, flow_mod._edge_weights(v1, params))
+        assert np.array_equal(checked.u.samples, u1)
+        assert np.array_equal(checked.v.samples, v1)
+        assert (checked.t, checked.energy, checked.prox_gap) == (state.t + params.dt, energy, gap)
 
 
 class TestFixedPoints:
@@ -922,21 +923,24 @@ class TestDivergenceHandling:
     def test_nonfinite_state_raises_with_postmortem(self, monkeypatch):
         rng = np.random.default_rng(54)
         g = GridSignal((0, 1), rng.normal(0.5, 0.5, 50))
-        orig = flow_mod._step
+        orig, calls = flow_mod._step, []
 
-        def corrupting(state, gg, params, w):
-            st, w = orig(state, gg, params, w)
-            if st.t > 0.05:
-                u = st.u.samples.copy()
-                u[3] = np.nan
-                st.u = GridSignal(gg.domain, u)
-            return st, w
+        def corrupting(u, v, gg, params, w):
+            u1, *rest = orig(u, v, gg, params, w)
+            calls.append(u1)
+            if len(calls) > 5:
+                u1 = u1.copy()
+                u1[3] = np.nan
+            return (u1, *rest)
 
         monkeypatch.setattr(flow_mod, "_step", corrupting)
         with pytest.raises(DivergenceError) as err:
             run(g, g, FlowParams(model="rof", lam=1.0, n=50, t_max=1.0))
-        assert err.value.state is not None
-        assert len(err.value.trace) >= 1
+        # The error carries the last finite state, after the fifth step.
+        state, trace = err.value.state, err.value.trace
+        assert len(trace) == 6
+        assert np.array_equal(state.u.samples, calls[4]) and state.v is None
+        assert (state.t, state.energy, state.prox_gap) == (trace[-1][0], trace[-1][1], trace[-1][3])
 
 
 class TestCensusTools:

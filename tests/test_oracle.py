@@ -24,7 +24,6 @@ from kwcseg.oracle import (
     _build_tableau,
     _relax,
     _result_from_sequence,
-    _run_split,
     best_with_m_jumps,
     sequence_from_result,
     signal_problem,
@@ -139,6 +138,15 @@ class TestTieInstance:
         )
         r = solve(p, tie_scan_jumps=5)
         assert all(t.jump_count != 0 for t in r.ties)
+        # A budget above the 7 edges of 8 pinned cells: m = 0 misses the
+        # pins, m = 8..10 has no sequence.
+        samples = np.cumsum(np.random.default_rng(7).normal(size=9))
+        pinned = signal_problem(
+            GridSignal((0.0, 1.0), samples), K1, 200.0, n_levels=MAX_LEVELS,
+            endpoint_pin=(float(samples[0]), float(samples[-1])),
+        )
+        seqs = _budget_pass(_build_tableau(pinned), MAX_JUMP_BUDGET)
+        assert [seq is None for seq in seqs] == [True] + [False] * 7 + [True] * 3
 
 
 class TestMonotoneBattery:
@@ -462,92 +470,6 @@ class TestRelax:
         assert not np.any(best < np.full(L, np.inf))
 
 
-def wide_problem(kind):
-    """Instances whose budgeted pass at budget 10 is above the thread threshold."""
-    rng = np.random.default_rng(7)
-    if kind == "dyadic":
-        # 64 cells, quarter-step data, 277 levels k/16 and an integer weight
-        # with a flat kernel: every cost is a dyadic rational, so argmin ties
-        # are exact.
-        samples = np.round(4 * np.cumsum(rng.normal(size=65))) / 4
-        levels = np.arange(samples.min(), samples.max() + 1 / 32, 1 / 16)
-        return OracleProblem(
-            data=SampledData(GridSignal((0.0, 1.0), samples)), kernel=potts_kernel(0.25), lam=8.0, levels=levels
-        )
-    n = 8 if kind == "few_cells" else 60
-    samples = np.cumsum(rng.normal(size=n + 1))
-    pin = None if kind == "free" else (float(samples[0]), float(samples[-1]))
-    return signal_problem(
-        GridSignal((0.0, 1.0), samples), K1, 200.0, n_levels=MAX_LEVELS, endpoint_pin=pin
-    )
-
-
-class TestThreadedBudgetPass:
-    @pytest.mark.parametrize("kind", ["free", "pinned", "dyadic", "few_cells"])
-    def test_results_do_not_depend_on_the_thread_count(self, kind, monkeypatch):
-        problem = wide_problem(kind)
-        tab = _build_tableau(problem)
-        budget = MAX_JUMP_BUDGET
-        splits = []
-
-        def spy(work, slices):
-            splits.append(len(slices))
-            _run_split(work, slices)
-
-        monkeypatch.setattr(oracle_mod, "_run_split", spy)
-        monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda: 1)
-        serial = _budget_pass(tab, budget)
-        assert splits == []
-
-        def outcome(seqs):
-            return [
-                None if seq is None else (seq.tobytes(), _result_from_sequence(problem, tab, seq).to_json_dict())
-                for seq in seqs
-            ]
-
-        expected = outcome(serial)
-        if kind == "few_cells":
-            assert [e is None for e in expected] == [True] + [False] * 7 + [True] * 3
-        # At the module's threshold (these instances are above it) and at any size.
-        for cpus in (2, 3):
-            monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda c=cpus: c)
-            for min_work in (oracle_mod._MIN_THREAD_WORK, 1):
-                monkeypatch.setattr(oracle_mod, "_MIN_THREAD_WORK", min_work)
-                assert outcome(_budget_pass(tab, budget)) == expected
-        assert splits == [2, 2, 3, 3]
-
-    def test_thread_threshold(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda: 2)
-        assert oracle_mod._thread_count(MAX_JUMP_BUDGET, MAX_LEVELS) == 2
-        assert oracle_mod._thread_count(2, 400) == 2
-        for budget, levels in ((4, 201), (4, 200), (10, 61), (0, MAX_LEVELS)):
-            assert oracle_mod._thread_count(budget, levels) == 1
-
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_a_failing_worker_raises_in_the_caller(self, failing):
-        def work(s, e, barrier):
-            for i in range(20):
-                if s == failing and i == 5:
-                    raise RuntimeError(f"slice {s} failed")
-                barrier.wait()
-
-        before = set(threading.enumerate())
-        raised = []
-
-        def call():
-            try:
-                _run_split(work, [(0, 1), (1, 2), (2, 3)])
-            except RuntimeError as exc:
-                raised.append(str(exc))
-
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=30)
-        assert not caller.is_alive()
-        assert raised == [f"slice {failing} failed"]
-        assert set(threading.enumerate()) == before
-
-
 class TestProblemValidation:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
     def test_weight_must_be_finite_and_non_negative(self, lam):
@@ -784,10 +706,17 @@ class TestPrunedPass:
     @given(pruning_problems(), st.sampled_from([(1e-3, 1e-2), (0.0,), (0.0, 1e-12, 1e-6)]))
     @also_skipping_every_level
     def test_best_with_m_jumps_equals_the_dense_route(self, problem, widths):
-        n = problem.resolved_cells()
+        tab = _build_tableau(problem)
+        n = tab.cost.shape[0]
         budgets = range(min(MAX_JUMP_BUDGET, n - 1) + 1)
-        with oracle_constants(**NEVER_PRUNE):
-            expected = [outcome(lambda: best_with_m_jumps(problem, m)) for m in budgets]
+        # The dense route's answers: rows 0..m of one dense pass are those
+        # of a pass with budget m.
+        expected = [
+            f"ConfigError: no admissible sequence with exactly {m} jumps"
+            if seq is None
+            else _result_from_sequence(problem, tab, seq).to_json_dict()
+            for m, seq in enumerate(_budget_pass(tab, budgets[-1]))
+        ]
         with oracle_constants(**ALWAYS_PRUNE, WIDTHS=widths):
             assert [outcome(lambda: best_with_m_jumps(problem, m)) for m in budgets] == expected
 
@@ -873,15 +802,47 @@ class TestPrunedRoutes:
 
     def test_bounds_do_not_depend_on_the_thread_count(self, monkeypatch):
         tab = _build_tableau(walk_problem(50, 120, pinned=True))
-        splits = spy_on(monkeypatch, "_run_split")
-        monkeypatch.setattr(oracle_mod, "_MIN_SIDE_THREAD_WORK", 0)
+        ran_on = []
+        real = oracle_mod._free_pass
+
+        def spy(*args):
+            ran_on.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(oracle_mod, "_free_pass", spy)
+        monkeypatch.setattr(oracle_mod, "_MIN_SIDE_THREAD_LEVELS", 0)
         results = []
         for cpus in (1, 2):
             monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda c=cpus: c)
             seq, free, bound = oracle_mod._solve_free(tab, bounds=True)
             results.append((seq.tobytes(), free, bound.tobytes()))
-        assert len(splits) == 1
+        # Four passes, one of them (the backward pass on 2 CPUs) on the helper thread.
+        assert len(ran_on) == 4 and ran_on.count(threading.get_ident()) == 3
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("failing", ["forward", "backward", "both"])
+    def test_a_failing_bound_pass_raises_in_the_caller(self, failing, monkeypatch):
+        tab = _build_tableau(walk_problem(50, 120, pinned=True))
+        real = oracle_mod._free_pass
+        failed = threading.Event()
+
+        def flaky(cost, *args):
+            side = "forward" if cost is tab.cost else "backward"
+            if failing in (side, "both"):
+                failed.set()
+                raise RuntimeError(f"{side} pass failed")
+            failed.wait(timeout=5)  # still running when the other pass fails
+            return real(cost, *args)
+
+        monkeypatch.setattr(oracle_mod, "_free_pass", flaky)
+        monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oracle_mod, "_MIN_SIDE_THREAD_LEVELS", 0)
+        before = set(threading.enumerate())
+        # The caller's own (forward) failure wins when both fail.
+        raised = "backward" if failing == "backward" else "forward"
+        with pytest.raises(RuntimeError, match=f"^{raised} pass failed$"):
+            oracle_mod._solve_free(tab, bounds=True)
+        assert set(threading.enumerate()) == before
 
 
 @st.composite
