@@ -34,9 +34,7 @@ from .flow import (
     flow_energy,
     jump_census,
     plateau_flatness,
-    pre_relax_v,
     steady_damage_profile,
-    step,
 )
 from .flow import run as run_flow
 from .kernel import (
@@ -48,8 +46,6 @@ from .kernel import (
     kwc_kernel,
     linear_kernel,
     potts_kernel,
-    split_cost,
-    split_cost_derivative,
 )
 from .oracle import OracleProblem, OracleResult, best_with_m_jumps, signal_problem
 from .oracle import solve as oracle_solve
@@ -61,12 +57,8 @@ from .pwc import (
     SampledData,
     SineData,
     StepListData,
-    clamp,
-    dispersion,
     energy,
     fidelity,
-    quantize,
-    tv,
     tv_kernel,
 )
 
@@ -101,10 +93,8 @@ __all__ = [
     "best_with_m_jumps",
     "census_fit",
     "check_conditions",
-    "clamp",
     "critical_lambda",
     "derive_constants",
-    "dispersion",
     "edges_above",
     "energy",
     "equal_jump_verdict",
@@ -120,17 +110,11 @@ __all__ = [
     "oracle_solve",
     "plateau_flatness",
     "potts_kernel",
-    "pre_relax_v",
-    "quantize",
     "run_experiment",
     "run_flow",
     "signal_problem",
-    "split_cost",
-    "split_cost_derivative",
     "steady_damage_profile",
-    "step",
     "transition_lambda",
-    "tv",
     "tv_kernel",
     "uniform_step_energy",
     "uniform_step_minimizer",

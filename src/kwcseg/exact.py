@@ -236,7 +236,7 @@ def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float) -> VerdictRepor
 
     The energy of an uneven split z (jumps c - z and c + z, with the
     half-cell fidelity correction for linear data) has derivative
-    E'(z) = (lam / 2) z + split_cost_derivative(c, z) = z (lam / 2 - phi(z)).
+    E'(z) = (lam / 2) z + d/dz [K(c - z) + K(c + z)] = z (lam / 2 - phi(z)).
     phi is 4 c' / (kappa^2 (c'^2 - z^2)^2) with c' = c + 1/kappa for kwc and
     0 for linear and Potts, non-decreasing on (0, c] either way, so the sign
     pattern of E' on (0, c] follows from lam / 2 against phi(0) and phi(c).

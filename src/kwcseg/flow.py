@@ -35,7 +35,7 @@ use grids with h well below eps.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -307,26 +307,21 @@ def _solve_tridiag(diag, lower, upper, rhs) -> np.ndarray:
     return x
 
 
-def _coupling(model: str, du: np.ndarray, sigma: float, h: float) -> np.ndarray:
-    """Coefficient of v_i in the damage equation for a frozen signal u with du = diff(u).
-
-    It is 2*sigma times the half-to-each-node lumping of the edge jump
-    |Du| (kwc) or of the edge squared slope |Du|^2 / h (at).
-    """
-    half = 0.5 * (np.abs(du) if model == "kwc" else du * du)
-    lumped = np.concatenate((half, [0.0]))
-    lumped[1:] += half
-    c = 2.0 * sigma * lumped
-    return c if model == "kwc" else c / h
-
-
-def _damage_solve(coupling: np.ndarray, h: float, params: FlowParams, v0=None) -> np.ndarray:
-    """Damage field for a frozen signal, clipped to [0, 1].
+def _damage_solve(du: np.ndarray, h: float, params: FlowParams, v0=None) -> np.ndarray:
+    """Damage field for a frozen signal u with du = diff(u), clipped to [0, 1].
 
     Solves (h/dt + h/eps + coupling_i) v_i + stiffness = h v0_i/dt + h/eps
     with natural ends: one implicit step from v0, or, when v0 is None, the
-    steady state, which drops both h/dt terms.
+    steady state, which drops both h/dt terms.  The coupling is 2*sigma
+    times the half-to-each-node lumping of the edge jump |Du| (kwc) or of
+    the edge squared slope |Du|^2 / h (at).
     """
+    half = 0.5 * (np.abs(du) if params.model == "kwc" else du * du)
+    lumped = np.concatenate((half, [0.0]))
+    lumped[1:] += half
+    coupling = 2.0 * params.sigma * lumped
+    if params.model != "kwc":
+        coupling = coupling / h
     n, eps, dt = coupling.size, params.epsilon, params.dt
     stiff = eps / h
     diag = (h / eps if v0 is None else h / dt + h / eps) + coupling
@@ -379,31 +374,19 @@ def _quadratic_half_step(u0: np.ndarray, g: GridSignal, w: np.ndarray, params: F
     return rhs, None, rhs[1:] - rhs[:-1]
 
 
-def step(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    """One step of the alternating scheme, shared by rof, at and kwc.
+def _step(u: np.ndarray, v: np.ndarray | None, g: GridSignal, params: FlowParams, w: np.ndarray):
+    """One step of the alternating scheme, shared by rof, at and kwc: the
+    loop of ``run``, on the samples of u and v (None for rof), already
+    checked, and the edge weights w of v.
 
     u takes an implicit step with v frozen: the exact TV prox for rof
     (weights sigma) and kwc (weights sigma v^2), a tridiagonal solve for at.
     Then v, when the model has one, takes an implicit step with u frozen.
-    The inputs get ``run``'s checks, and at and kwc need a finite damage
-    field on the same grid; anything else is a ConfigError.
+    Returns the new u, v and edge weights, the new energy and the prox gap.
     """
-    _check_inputs(g, state.u, params)
-    v = state.v
-    if params.model != "rof" and (v is None or v.n != params.n or not np.all(np.isfinite(v.samples))):
-        raise ConfigError(f"the {params.model} model needs a finite damage field v on the {params.n}-node grid")
-    v0 = None if params.model == "rof" else v.samples
-    u1, v1, _, energy, gap = _step(state.u.samples, v0, g, params, _edge_weights(v0, params))
-    return _flow_state(g, state.t + params.dt, u1, v1, energy, gap)
-
-
-def _step(u: np.ndarray, v: np.ndarray | None, g: GridSignal, params: FlowParams, w: np.ndarray):
-    """``step`` on the samples of u and v (None for rof), already checked,
-    and the edge weights w of v: the loop of ``run``.  Returns the new u, v
-    and edge weights, the new energy and the prox gap."""
     model, h = params.model, g.h
     u1, gap, du1 = (_quadratic_half_step if model == "at" else _prox_half_step)(u, g, w, params)
-    v1 = None if model == "rof" else _damage_solve(_coupling(model, du1, params.sigma, h), h, params, v)
+    v1 = None if model == "rof" else _damage_solve(du1, h, params, v)
     w1 = w if v1 is None else _edge_weights(v1, params)
     return u1, v1, w1, _energy(model, u1, du1, v1, w1, g.samples, h, params), gap
 
@@ -415,22 +398,6 @@ def _flow_state(g: GridSignal, t: float, u: np.ndarray, v: np.ndarray | None, en
         v=None if v is None else GridSignal(g.domain, v),
         energy=energy,
         prox_gap=gap,
-    )
-
-
-def pre_relax_v(state: FlowState, g: GridSignal, params: FlowParams) -> FlowState:
-    """Set the damage field to its exact steady state for the frozen signal.
-
-    Gives an initial v consistent with the jumps of u0, so a theoretical
-    start is not destroyed by the first few coupled steps.
-    """
-    if params.model == "rof":
-        return state
-    v = steady_damage_profile(state.u, params)
-    return replace(
-        state,
-        v=v,
-        energy=flow_energy(params.model, state.u.samples, v.samples, g.samples, g.h, params),
     )
 
 
@@ -452,15 +419,15 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
     """Steady damage field for a frozen signal (kwc or at coupling).
 
     Solves the linear steadiness system directly instead of time stepping:
-    (h/eps + coupling_i) v_i + stiffness = h/eps with natural ends.
+    (h/eps + coupling_i) v_i + stiffness = h/eps with natural ends.  A run
+    with ``pre_relax`` starts from this field of its u0, pins set.
     """
     _validate_on(params, u.h)
     if params.model == "rof":
         raise ConfigError("the rof model has no damage field")
     if u.n != params.n:
         raise ConfigError(f"grid mismatch: u has {u.n} nodes, params.n = {params.n}")
-    coupling = _coupling(params.model, np.diff(u.samples), params.sigma, u.h)
-    return GridSignal(u.domain, _damage_solve(coupling, u.h, params))
+    return GridSignal(u.domain, _damage_solve(np.diff(u.samples), u.h, params))
 
 
 def _check_inputs(g: GridSignal, u: GridSignal, params: FlowParams) -> None:
@@ -487,8 +454,8 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     model, h, v = params.model, g.h, None
     if model != "rof":
         v = np.ones(params.n)
-        if params.pre_relax:  # pre_relax_v's steady damage, on inputs already checked
-            v = _damage_solve(_coupling(model, np.diff(u), params.sigma, h), h, params)
+        if params.pre_relax:  # steady_damage_profile's solve, on inputs already checked
+            v = _damage_solve(np.diff(u), h, params)
     w = _edge_weights(v, params)
     t, energy, gap = 0.0, _energy(model, u, np.diff(u), v, w, g.samples, h, params), None
 

@@ -227,44 +227,3 @@ def check_conditions(kernel: JumpKernel, mass_cap: float) -> ConditionReport:
         split_gain=split_gain,
         linear_floor=linear_floor,
     )
-
-
-def _check_split_domain(c, z):
-    if not c > 0:
-        raise ValueError("half-width c must be positive")
-    if np.any(np.abs(np.asarray(z, dtype=float)) > c * (1 + 1e-9)):
-        raise ValueError("offset z must satisfy |z| <= c")
-
-
-def split_cost(kernel: JumpKernel, c: float, z):
-    """Total cost K(c - z) + K(c + z) of splitting a jump of size 2c unevenly.
-
-    z = 0 is the even split; |z| = c degenerates to a single jump plus a
-    zero jump.  Even in z.
-    """
-    _check_split_domain(c, z)
-    zc = np.clip(np.asarray(z, dtype=float), -c, c)
-    out = kernel.eval(c - zc) + kernel.eval(c + zc)
-    if np.asarray(z).ndim == 0:
-        return float(out)
-    return out
-
-
-def split_cost_derivative(kernel: JumpKernel, c: float, z):
-    """d/dz of split_cost, exact for every kind.
-
-    Rational kernel: with c' = c + 1/kappa, -4 c' z / (kappa^2 (c'^2 - z^2)^2).
-    Linear and Potts: 0, since the cost is 2c and 2h for |z| < c; the Potts
-    cost drops to h at |z| = c by a jump, not with a slope.
-    """
-    _check_split_domain(c, z)
-    arr = np.clip(np.asarray(z, dtype=float), -c, c)
-    if kernel.kind == "kwc":
-        k = kernel.kappa
-        cp = c + 1.0 / k
-        out = -4.0 * cp * arr / (k * k * (cp * cp - arr * arr) ** 2)
-    else:
-        out = np.zeros_like(arr)
-    if np.asarray(z).ndim == 0:
-        return float(out)
-    return out

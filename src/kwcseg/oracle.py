@@ -630,11 +630,6 @@ def cell_midpoints(problem: OracleProblem) -> np.ndarray:
     return (np.arange(n) + 0.5) * (b - a) / n + a
 
 
-def sequence_from_result(result: OracleResult, problem: OracleProblem) -> np.ndarray:
-    """Cell-value vector of a result, for grid-level comparisons."""
-    return result.minimizer(cell_midpoints(problem))
-
-
 def signal_problem(
     signal: GridSignal,
     kernel: JumpKernel,

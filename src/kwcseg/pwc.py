@@ -5,8 +5,8 @@ The energy of a step function u against data g is
     energy(u) = sum_jumps K(|jump|)  +  (lam / 2) * integral (u - g)^2,
 
 with K a jump kernel.  Fidelity integrals are closed-form per plateau for
-linear and step-list data, adaptive quadrature for sine data, and a
-trapezoid sum on the sample grid for sampled data.
+linear, sine and step-list data, and a trapezoid sum on the sample grid
+for sampled data.
 """
 
 import csv
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError
 from .kernel import JumpKernel
@@ -226,8 +225,9 @@ class SineData:
         return (float(v.min()), float(v.max()))
 
     def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
-        val, _err = quad(lambda x: (value - self(x)) ** 2, x0, x1, epsabs=1e-10, limit=200)
-        return val
+        # integral of (value - g)^2 from the exact moments of g.
+        m1, m2 = self.moments(x0, x1)
+        return value * value * (x1 - x0) - 2.0 * value * m1 + m2
 
     def moments(self, x0: float, x1: float) -> tuple:
         a, w = self.amplitude, self.omega
@@ -286,9 +286,6 @@ class SampledData:
         return (float(self.signal.samples.min()), float(self.signal.samples.max()))
 
 
-ANALYTIC_DATA = (LinearData, SineData, StepListData)
-
-
 def _require_same_domain(u: PiecewiseConstant, data) -> None:
     if abs(u.domain[0] - data.domain[0]) > _DOMAIN_TOL or abs(u.domain[1] - data.domain[1]) > _DOMAIN_TOL:
         raise ValueError(f"domain mismatch: u on {u.domain}, data on {data.domain}")
@@ -310,11 +307,6 @@ class EnergyBreakdown:
 
     def to_json_dict(self) -> dict:
         return {"tv_k": self.tv_k, "fidelity": self.fidelity, "total": self.total}
-
-
-def tv(u: PiecewiseConstant) -> float:
-    """Plain total variation: sum of absolute jump sizes."""
-    return float(np.sum(np.abs(u.jump_sizes)))
 
 
 def tv_kernel(u: PiecewiseConstant, kernel: JumpKernel) -> float:
@@ -343,113 +335,5 @@ def fidelity(u: PiecewiseConstant, data, lam: float) -> float:
     return 0.5 * lam * integral
 
 
-def fidelity_by_quadrature(u: PiecewiseConstant, data, lam: float) -> float:
-    """Reference fidelity path: adaptive quadrature on every plateau.
-
-    Slow; kept as an independent check of the closed-form integrals.
-    """
-    _require_same_domain(u, data)
-    integral = 0.0
-    for lo, hi, val in _plateau_edges(u):
-        piece, _err = quad(lambda x: (val - data(x)) ** 2, lo, hi, epsabs=1e-10, limit=200)
-        integral += piece
-    return 0.5 * lam * integral
-
-
 def energy(u: PiecewiseConstant, data, kernel: JumpKernel, lam: float) -> EnergyBreakdown:
     return EnergyBreakdown.of(tv_kernel(u, kernel), fidelity(u, data, lam))
-
-
-# ---------------------------------------------------------------------------
-# Constructions.
-
-
-def clamp(u: PiecewiseConstant, lo: float, hi: float) -> PiecewiseConstant:
-    """Clip plateau values to [lo, hi]; collapsed jumps are merged away."""
-    if not lo <= hi:
-        raise ValueError("need lo <= hi")
-    vals = np.clip(np.asarray(u.values, dtype=float), lo, hi)
-    return PiecewiseConstant(u.domain, u.breakpoints, tuple(vals))
-
-
-def _bisect_level(data, x0: float, x1: float, level: float, increasing: bool) -> float:
-    """Leftmost crossing of g through ``level`` inside [x0, x1]."""
-    lo, hi = x0, x1
-    for _ in range(80):
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        val = float(data(mid))
-        reached = val >= level if increasing else val <= level
-        if reached:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def quantize(data, eta: float) -> PiecewiseConstant:
-    """Round continuous data down to the level grid {k * eta}.
-
-    Returns the step function u(x) = k*eta on {k*eta <= g(x) < (k+1)*eta},
-    with crossings located by bisection.  Plateaus whose level is attained
-    only at isolated points (grazing contact at an extremum, or the far
-    endpoint of the domain) carry no length and are dropped.
-    """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    if not (callable(data) and hasattr(data, "domain")):
-        raise TypeError("quantize needs callable data with a domain")
-    if isinstance(data, (StepListData, SampledData)):
-        raise TypeError("quantize needs continuous analytic data")
-    a, b = data.domain
-    n_scan = 4096
-    if isinstance(data, SineData):
-        cycles = abs(data.omega) * (b - a) / (2 * np.pi)
-        n_scan = max(n_scan, int(256 * (cycles + 1)))
-    xs = np.linspace(a, b, n_scan + 1)
-    lv = np.floor(data(xs) / eta).astype(np.int64)
-
-    bps: list = []
-    vals: list = [int(lv[0])]
-    for i in np.flatnonzero(np.diff(lv) != 0):
-        x0, x1 = float(xs[i]), float(xs[i + 1])
-        if lv[i + 1] > lv[i]:
-            levels = range(int(lv[i]) + 1, int(lv[i + 1]) + 1)
-            for L in levels:
-                bps.append(_bisect_level(data, x0, x1, L * eta, increasing=True))
-                vals.append(L)
-        else:
-            levels = range(int(lv[i]) - 1, int(lv[i + 1]) - 1, -1)
-            for L in levels:
-                bps.append(_bisect_level(data, x0, x1, (L + 1) * eta, increasing=False))
-                vals.append(L)
-
-    # Drop crossings that collide with the domain ends (zero-length plateau).
-    keep_bp, keep_vals = [], [vals[0]]
-    edge_tol = 1e-12 * max(1.0, abs(a), abs(b))
-    for x, v in zip(bps, vals[1:]):
-        if x - a <= edge_tol:
-            keep_vals = [v]
-            continue
-        if b - x <= edge_tol:
-            break
-        keep_bp.append(x)
-        keep_vals.append(v)
-    return PiecewiseConstant((a, b), tuple(keep_bp), tuple(v * eta for v in keep_vals))
-
-
-def dispersion(u: PiecewiseConstant, rho: float) -> float:
-    """How far the jumps of a non-decreasing u are from one jump of size rho.
-
-    With jump sizes r_i and s = sum r_i this is
-    s^2 - sum r_i^2 + (rho - s)^2: zero exactly when u has a single jump of
-    size rho, and at least 2 * r_i * r_j as soon as two jumps coexist.
-    """
-    jumps = u.jump_sizes
-    if np.any(jumps < 0):
-        raise ValueError("dispersion is defined for non-decreasing step functions")
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
-    s = float(jumps.sum())
-    return s * s - float(np.sum(jumps * jumps)) + (rho - s) ** 2

@@ -11,7 +11,9 @@ import kwcseg.cli as cli
 import kwcseg.flow as flow_mod
 from kwcseg.cli import main
 from kwcseg.errors import InvariantViolation
-from kwcseg.oracle import sequence_from_result, solve
+from kwcseg.oracle import solve
+
+from proof_devices import sequence_from_result
 
 
 def run_cli(capsys, *argv):

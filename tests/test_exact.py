@@ -22,8 +22,10 @@ from kwcseg.exact import (
     uniform_step_energy,
     uniform_step_minimizer,
 )
-from kwcseg.kernel import derive_constants, kwc_kernel, linear_kernel, potts_kernel, split_cost_derivative
-from kwcseg.pwc import LinearData, PiecewiseConstant, SineData, dispersion, energy
+from kwcseg.kernel import derive_constants, kwc_kernel, linear_kernel, potts_kernel
+from kwcseg.pwc import LinearData, PiecewiseConstant, SineData, energy
+
+from proof_devices import dispersion, split_cost_derivative
 
 LOG_UNIFORM = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
 

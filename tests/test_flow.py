@@ -16,12 +16,10 @@ from kwcseg.experiments import ExperimentSpec, generate_signal, run_experiment
 from kwcseg.flow import (
     TRACE_COLUMNS,
     FlowParams,
-    FlowState,
     edges_above,
     flow_energy,
     jump_census,
     plateau_flatness,
-    pre_relax_v,
     prox_certificate,
     run,
     steady_damage_profile,
@@ -143,46 +141,6 @@ class TestValidation:
             run(g, u0, FlowParams(model="rof", lam=1.0, n=50))
 
 
-class TestStepValidation:
-    """The public ``step`` checks its inputs as ``run`` does."""
-
-    @staticmethod
-    def kwc_state(n=50):
-        g = unit_step(n)
-        return g, FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
-
-    @pytest.mark.parametrize(
-        "change, match",
-        [({"dt": 0.0}, "dt"), ({"model": "xx"}, "model"), ({"lam": np.nan}, "lam")],
-        ids=["zero_dt", "unknown_model", "nan_weight"],
-    )
-    def test_bad_params(self, change, match):
-        g, state = self.kwc_state()
-        with pytest.raises(ConfigError, match=match):
-            flow_mod.step(state, g, replace(FlowParams(model="kwc", lam=10.0, n=50), **change))
-
-    def test_damage_model_needs_a_damage_field(self):
-        g, state = self.kwc_state()
-        with pytest.raises(ConfigError, match="damage field"):
-            flow_mod.step(replace(state, v=None), g, FlowParams(model="kwc", lam=10.0, n=50))
-
-    def test_grid_size_mismatch(self):
-        g, state = self.kwc_state()
-        with pytest.raises(ConfigError, match="grid mismatch"):
-            flow_mod.step(state, unit_step(60), FlowParams(model="kwc", lam=10.0, n=50))
-
-    def test_checked_step_equals_the_loop_step(self):
-        g, state = self.kwc_state()
-        params = FlowParams(model="kwc", lam=10.0, n=50)
-        checked = flow_mod.step(state, g, params)
-        v = state.v.samples
-        u1, v1, w, energy, gap = flow_mod._step(state.u.samples, v, g, params, flow_mod._edge_weights(v, params))
-        assert np.array_equal(w, flow_mod._edge_weights(v1, params))
-        assert np.array_equal(checked.u.samples, u1)
-        assert np.array_equal(checked.v.samples, v1)
-        assert (checked.t, checked.energy, checked.prox_gap) == (state.t + params.dt, energy, gap)
-
-
 class TestFixedPoints:
     def test_constant_data_is_steady_for_all_models(self):
         n = 101
@@ -254,11 +212,12 @@ class TestDamageModels:
         n = 101
         g = GridSignal((0.0, 1.0), rng.normal(0.5, 0.3, n))
         params = FlowParams(model=model, lam=30.0, n=n, bc_u="dirichlet", t_max=0.05)
-        state = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
+        u, v = g.samples, np.ones(n)
+        w = flow_mod._edge_weights(v, params)
         for _ in range(5):
-            state = flow_mod.step(state, g, params)
-            assert state.u.samples[0] == g.samples[0]
-            assert state.u.samples[-1] == g.samples[-1]
+            u, v, w, _energy, _gap = flow_mod._step(u, v, g, params, w)
+            assert u[0] == g.samples[0]
+            assert u[-1] == g.samples[-1]
 
     def test_damage_dips_at_jump(self):
         eps = 0.01
@@ -275,23 +234,24 @@ class TestDamageModels:
             steady_damage_profile(unit_step(201), FlowParams(model="rof", lam=50.0, n=201))
 
     def test_pre_relax_reaches_equilibrium_and_is_idempotent(self):
+        # Implicit damage steps with u frozen leave the steady profile put.
         eps = 0.01
         n = 1 + int(np.ceil(1.0 / (4 * eps * eps)))
         g = unit_step(n)
         params = FlowParams(model="kwc", lam=50.0, n=n, epsilon=eps)
-        st = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
-        relaxed = pre_relax_v(st, g, params)
-        assert relaxed.v.samples.min() == pytest.approx(0.5, rel=0.03)
-        again = pre_relax_v(relaxed, g, params)
-        assert np.max(np.abs(again.v.samples - relaxed.v.samples)) <= 1e-9
+        relaxed = steady_damage_profile(g, params).samples
+        assert relaxed.min() == pytest.approx(0.5, rel=0.03)
+        again = relaxed
+        for _ in range(10):
+            again = flow_mod._damage_solve(np.diff(g.samples), g.h, params, v0=again)
+        assert np.max(np.abs(again - relaxed)) <= 1e-9
 
     def test_pre_relax_on_constant_data_keeps_damage_whole(self):
         n = 201
         g = GridSignal((0.0, 1.0), np.full(n, 0.3))
         params = FlowParams(model="kwc", lam=50.0, n=n)
-        st = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
-        relaxed = pre_relax_v(st, g, params)
-        assert relaxed.v.samples.min() >= 1.0 - 1e-9
+        relaxed = steady_damage_profile(g, params)
+        assert relaxed.samples.min() >= 1.0 - 1e-9
 
     @pytest.mark.parametrize("model", ["kwc", "at"])
     def test_pre_relax_is_the_steady_profile_and_a_fixed_point(self, model):
@@ -299,26 +259,37 @@ class TestDamageModels:
         n = 201
         g = GridSignal((0.0, 1.0), unit_step(n).samples + rng.normal(0.0, 0.05, n))
         params = FlowParams(model=model, lam=50.0, n=n, epsilon=0.02)
-        st = FlowState(t=0.0, u=g, v=GridSignal(g.domain, np.ones(n)))
-        relaxed = pre_relax_v(st, g, params)
         steady = steady_damage_profile(g, params).samples
-        assert np.array_equal(relaxed.v.samples, steady)
         assert steady.min() < 0.9
         # One implicit damage step with u frozen leaves the steady state put.
-        coupling = flow_mod._coupling(model, np.diff(g.samples), params.sigma, g.h)
-        stepped = flow_mod._damage_solve(coupling, g.h, params, v0=steady)
+        stepped = flow_mod._damage_solve(np.diff(g.samples), g.h, params, v0=steady)
         assert np.max(np.abs(stepped - steady)) <= 1e-12
+
+    @pytest.mark.parametrize("model", ["kwc", "at"])
+    def test_a_pre_relaxed_run_starts_from_the_steady_profile(self, model):
+        # u0 is not the data, so the starting energy has all three terms.
+        rng = np.random.default_rng(57)
+        n = 201
+        u0 = unit_step(n)
+        g = GridSignal((0.0, 1.0), u0.samples + rng.normal(0.0, 0.05, n))
+        params = FlowParams(model=model, lam=50.0, n=n, epsilon=0.02, t_max=0.01, pre_relax=True)
+        steady = steady_damage_profile(u0, params).samples
+        start = flow_energy(model, u0.samples, steady, g.samples, g.h, params)
+        assert run(g, u0, params).trace[0][1] == start
+        cold = run(g, u0, replace(params, pre_relax=False)).trace[0][1]
+        assert cold == flow_energy(model, u0.samples, np.ones(n), g.samples, g.h, params) != start
 
     def test_rof_step_has_no_damage_field(self):
         rng = np.random.default_rng(56)
         n = 101
         g = GridSignal((0.0, 1.0), rng.normal(0.5, 0.3, n))
-        params = FlowParams(model="rof", lam=30.0, n=n)
-        state = flow_mod.step(FlowState(t=0.0, u=g), g, params)
-        assert state.v is None
-        assert np.isfinite(state.prox_gap)
-        assert state.prox_gap <= 1e-8
-        assert state.t == pytest.approx(params.dt)
+        params = FlowParams(model="rof", lam=30.0, n=n, t_max=0.01)
+        res = run(g, g, params)
+        assert res.steps == 1
+        assert res.state.v is None
+        assert np.isfinite(res.state.prox_gap)
+        assert res.state.prox_gap <= 1e-8
+        assert res.state.t == pytest.approx(params.dt)
 
 
 class TestNonFiniteInput:
@@ -394,15 +365,14 @@ class TestEnergyBreakdown:
             model=model, lam=rng.uniform(0.0, 50.0), n=n, sigma=rng.uniform(0.0, 2.0),
             epsilon=rng.uniform(0.01, 1.0), bc_u=bc,
         )
-        v = None if model == "rof" else GridSignal(g.domain, rng.uniform(0.0, 1.0, n))
-        state = FlowState(t=0.0, u=GridSignal(g.domain, rng.normal(0.0, 1.0, n)), v=v)
+        u = rng.normal(0.0, 1.0, n)
+        v = None if model == "rof" else rng.uniform(0.0, 1.0, n)
         # A drawn state, and the state one step later (pinned with dirichlet).
-        for state in (state, flow_mod.step(state, g, params)):
-            u = state.u.samples
-            v = None if state.v is None else state.v.samples
+        u1, v1, _w, energy, _gap = flow_mod._step(u, v, g, params, flow_mod._edge_weights(v, params))
+        for u, v in ((u, v), (u1, v1)):
             total = sum(energy_terms(model, u, v, g.samples, g.h, params))
             assert flow_energy(model, u, v, g.samples, g.h, params) == pytest.approx(total, rel=1e-12, abs=1e-14)
-        assert state.energy == pytest.approx(total, rel=1e-12, abs=1e-14)
+        assert energy == pytest.approx(total, rel=1e-12, abs=1e-14)
 
 
 def banded_solve(diag, lower, upper, rhs):
@@ -493,11 +463,8 @@ class TestArithmeticIsPinned:
         h = g.h
         energy = flow_mod.flow_energy(model, u, v, g.samples, h, params)
         assert energy == reference_energy(model, u, v, g.samples, h, params)
-        start = FlowState(t=0.0, u=GridSignal(g.domain, u), v=None if v is None else GridSignal(g.domain, v))
-        state = flow_mod.step(start, g, params)
-        u1 = state.u.samples
-        v1 = None if v is None else state.v.samples
-        assert state.energy == reference_energy(model, u1, v1, g.samples, h, params)
+        u1, v1, _w, energy1, _gap = flow_mod._step(u, v, g, params, flow_mod._edge_weights(v, params))
+        assert energy1 == reference_energy(model, u1, v1, g.samples, h, params)
         if model == "rof":
             return
         w = params.sigma * 0.5 * (v[:-1] ** 2 + v[1:] ** 2)
@@ -505,8 +472,7 @@ class TestArithmeticIsPinned:
             assert np.array_equal(u1, reference_quadratic(u, g, w, params))
             assert np.array_equal(flow_mod._quadratic_half_step(u, g, w, params)[0], u1)
         assert np.array_equal(v1, reference_damage(model, u1, h, params, v))
-        coupling = flow_mod._coupling(model, np.diff(u), params.sigma, h)
-        assert np.array_equal(flow_mod._damage_solve(coupling, h, params), reference_damage(model, u, h, params))
+        assert np.array_equal(flow_mod._damage_solve(np.diff(u), h, params), reference_damage(model, u, h, params))
 
 
 class TestSolveTridiag:

@@ -15,9 +15,9 @@ from kwcseg.kernel import (
     kwc_kernel,
     linear_kernel,
     potts_kernel,
-    split_cost,
-    split_cost_derivative,
 )
+
+from proof_devices import split_cost, split_cost_derivative
 
 
 class TestKwcKernelValues:

@@ -25,11 +25,12 @@ from kwcseg.oracle import (
     _relax,
     _result_from_sequence,
     best_with_m_jumps,
-    sequence_from_result,
     signal_problem,
     solve,
 )
-from kwcseg.pwc import GridSignal, LinearData, SampledData, energy, quantize
+from kwcseg.pwc import GridSignal, LinearData, SampledData, energy
+
+from proof_devices import quantize, sequence_from_result
 
 K1 = kwc_kernel(1.0)
 

@@ -16,15 +16,12 @@ from kwcseg.pwc import (
     SampledData,
     SineData,
     StepListData,
-    clamp,
-    dispersion,
     energy,
     fidelity,
-    fidelity_by_quadrature,
-    quantize,
-    tv,
     tv_kernel,
 )
+
+from proof_devices import clamp, dispersion, fidelity_by_quadrature, quantize, tv
 
 
 def random_pwc(rng, domain=(0.0, 1.0), max_jumps=6):
