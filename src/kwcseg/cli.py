@@ -7,14 +7,15 @@ Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments as experiments_mod
 from . import oracle as oracle_mod
-from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation, check_count
+from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
+from .errors import check_count, check_keys, check_real
 from .exact import (
     critical_lambda,
     equal_jump_verdict,
@@ -22,7 +23,7 @@ from .exact import (
     uniform_step_energy,
 )
 from .experiments import EXPERIMENTS, ExperimentSpec, generate_signal, plot_record, run_experiment
-from .flow import MODELS, FlowParams, check_threshold, run
+from .flow import MODELS, FlowParams, run
 from .kernel import JumpKernel, check_conditions, derive_constants
 from .pwc import (
     GridSignal,
@@ -40,12 +41,7 @@ def _print_json(obj) -> None:
 
 
 def _kernel_from_args(args) -> JumpKernel:
-    cfg = {"kind": args.kind}
-    if args.kind == "kwc":
-        cfg["kappa"] = args.kappa
-    elif args.kind == "potts":
-        cfg["height"] = args.height
-    return JumpKernel.from_config(cfg)
+    return JumpKernel(args.kind, kappa=args.kappa, height=args.height)
 
 
 def _load_json(path) -> dict:
@@ -58,11 +54,26 @@ def _load_json(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {err}")
 
 
+# The keys of each data kind besides "kind": (required, optional).
+_DATA_KEYS = {
+    "linear": ((), ("domain", "slope", "intercept")),
+    "sine": ((), ("domain", "amplitude", "omega")),
+    "steps": (("steps",), ()),
+    "csv": (("path",), ()),
+    "generator": (("name",), ("n", "seed")),
+}
+# The keys of each grid-signal source besides the source itself.
+_SIGNAL_KEYS = {"generator": ("n", "seed"), "csv": (), "pwc": ("n",)}
+_ORACLE_KEYS = ("n_cells", "n_levels", "levels", "endpoint_pin", "tie_tolerance")
+
+
 def data_from_config(cfg: dict):
     """Analytic or sampled data description -> data object."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("data config must be an object with a 'kind'")
-    kind = cfg["kind"]
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in _DATA_KEYS:
+        raise ConfigError(f"data config needs a 'kind' in {sorted(_DATA_KEYS)}, got {cfg!r}")
+    required, optional = _DATA_KEYS[kind]
+    check_keys(f"{kind} data config", cfg, ("kind", *required), optional)
     domain = cfg.get("domain", (0.0, 1.0))
     if kind == "linear":
         return LinearData(domain, slope=cfg.get("slope", 1.0), intercept=cfg.get("intercept", 0.0))
@@ -76,24 +87,22 @@ def data_from_config(cfg: dict):
         return StepListData(PiecewiseConstant.from_json_dict(cfg["steps"]))
     if kind == "csv":
         return SampledData(GridSignal.from_csv(cfg["path"]))
-    if kind == "generator":
-        return SampledData(generate_signal(cfg["name"], n=cfg.get("n", 1000), seed=cfg.get("seed", 0)))
-    raise ConfigError(f"unknown data kind {kind!r}")
+    return SampledData(generate_signal(cfg["name"], n=cfg.get("n", 1000), seed=cfg.get("seed", 0)))
 
 
 def signal_from_config(cfg: dict, n_default: int = 1000) -> GridSignal:
     """Grid-signal description -> GridSignal (generator, csv, or sampled pwc)."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("signal config must be an object")
+    source = next((key for key in _SIGNAL_KEYS if key in cfg), None) if isinstance(cfg, dict) else None
+    if source is None:
+        raise ConfigError(f"signal config needs one of {list(_SIGNAL_KEYS)}, got {cfg!r}")
+    check_keys(f"{source} signal config", cfg, (source,), _SIGNAL_KEYS[source])
     n = cfg.get("n", n_default)
-    if "generator" in cfg:
+    if source == "generator":
         return generate_signal(cfg["generator"], n=n, seed=cfg.get("seed", 0))
-    if "csv" in cfg:
+    if source == "csv":
         return GridSignal.from_csv(cfg["csv"])
-    if "pwc" in cfg:
-        check_count("n", n, least=2)
-        return PiecewiseConstant.from_json_dict(cfg["pwc"]).sample(n)
-    raise ConfigError("signal config needs one of: generator, csv, pwc")
+    check_count("n", n, least=2)
+    return PiecewiseConstant.from_json_dict(cfg["pwc"]).sample(n)
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +154,13 @@ def _cmd_exact_verdict(args) -> int:
 
 
 def _problem_from_config(cfg: dict) -> oracle_mod.OracleProblem:
-    for key in ("kernel", "lam", "data"):
-        if key not in cfg:
-            raise ConfigError(f"oracle config needs '{key}'")
+    """An oracle config -> problem; a null optional field takes its default."""
+    check_keys("oracle config", cfg, ("kernel", "lam", "data"), _ORACLE_KEYS)
     data = data_from_config(cfg["data"])
-    pin = cfg.get("endpoint_pin")
-    if pin is True:
-        a, b = data.domain
-        pin = (float(data(a)), float(data(b)))
-    elif pin is not None:
-        pin = (float(pin[0]), float(pin[1]))
-    kwargs = {key: cfg[key] for key in ("n_cells", "n_levels") if cfg.get(key) is not None}
-    if cfg.get("levels") is not None:
-        kwargs["levels"] = [float(v) for v in cfg["levels"]]
-    if cfg.get("tie_tolerance") is not None:
-        kwargs["tie_tolerance"] = cfg["tie_tolerance"]
-    return oracle_mod.OracleProblem(
-        data=data,
-        kernel=JumpKernel.from_config(cfg["kernel"]),
-        lam=cfg["lam"],
-        endpoint_pin=pin,
-        **kwargs,
-    )
+    kwargs = {key: cfg[key] for key in _ORACLE_KEYS if cfg.get(key) is not None}
+    if cfg.get("endpoint_pin") is True:
+        kwargs["endpoint_pin"] = tuple(data(x) for x in data.domain)
+    return oracle_mod.OracleProblem(data=data, kernel=JumpKernel.from_config(cfg["kernel"]), lam=cfg["lam"], **kwargs)
 
 
 def _cmd_oracle_solve(args) -> int:
@@ -184,25 +178,17 @@ def _cmd_oracle_solve(args) -> int:
 
 
 def _cmd_flow_run(args) -> int:
-    cfg = _load_json(args.config)
-    if "params" not in cfg:
-        raise ConfigError("flow config needs 'params'")
-    pcfg = dict(cfg["params"])
-    if "model" not in pcfg:
-        raise ConfigError("flow params need 'model'")
+    cfg = check_keys("flow config", _load_json(args.config), ("params", "data"), ("u0", "census_threshold"))
+    pcfg = dict(check_keys("flow params", cfg["params"], ("model", "lam"), [f.name for f in fields(FlowParams)]))
     pcfg["model"] = str(pcfg["model"]).lower()
-    try:
-        params = FlowParams(**pcfg)
-    except TypeError as err:
-        raise ConfigError(f"bad flow params: {err}")
+    params = FlowParams(**pcfg)
     params.validate()  # before the data's size can replace a bad n
-    if "data" not in cfg:
-        raise ConfigError("flow config needs 'data'")
+    threshold = cfg.get("census_threshold", experiments_mod.STRUCTURE_THRESHOLD)
+    threshold = check_real("census threshold", threshold, least=0)
     g = signal_from_config(cfg["data"], n_default=params.n)
     if g.n != params.n:
         params = FlowParams(**{**pcfg, "n": g.n})
     u0 = signal_from_config(cfg["u0"], n_default=params.n) if "u0" in cfg else g
-    threshold = check_threshold(cfg.get("census_threshold", experiments_mod.STRUCTURE_THRESHOLD))
     result = run(g, u0, params)
     paths = experiments_mod.write_flow_artifacts(result, args.out, census_threshold=threshold)
     _print_json({"steady": result.steady, "steps": result.steps, "artifacts": paths})

@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the count and real-number checks."""
+"""Exception types shared across the package, and the checks every input goes through.
 
+Each check names the input it rejects and raises ConfigError, so an invalid
+value fails before any work with a message that says which field is wrong.
+"""
+
+import math
 import numbers
 
 
@@ -33,3 +38,31 @@ def check_count(name: str, value, least: int = 0) -> None:
 def is_real(value) -> bool:
     """A real number that is not a bool: what every real-valued input must be."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(name: str, value, least: float | None = None, positive: bool = False) -> float:
+    """A finite real number that is not a bool, as a float: at least ``least``
+    when it is given, and above 0 when ``positive``."""
+    try:
+        x = float(value) if is_real(value) else math.nan
+    except OverflowError:  # an integer beyond float range
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite and a real number, got {value!r}")
+    if positive and not x > 0 or least is not None and x < least:
+        raise ConfigError(f"{name} must be {'positive' if positive else f'at least {least}'}, got {value!r}")
+    return x
+
+
+def check_keys(name: str, cfg, required, optional) -> dict:
+    """``cfg`` itself, when it is an object with every key of ``required`` and
+    no key outside ``required`` and ``optional``."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{name} must be an object, got {cfg!r}")
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"{name} needs {key!r}")
+    unknown = [key for key in cfg if key not in required and key not in optional]
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    return cfg

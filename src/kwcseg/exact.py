@@ -7,35 +7,19 @@ jump-count bounds hold for any data once the kernel constants exist.
 """
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConditionError
+from .errors import ConditionError, ConfigError, check_count, check_real
 from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
 from .pwc import LinearData, PiecewiseConstant, SampledData, energy
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite")
-
-
-def _check_weight(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lam must be finite and non-negative")
-
-
-def _check_jump_count(m) -> None:
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise ValueError(f"jump count m must be an integer of at least 1, got {m!r}")
-
-
 def _int_part(r: float) -> int:
     if not math.isfinite(r):
-        raise ValueError(f"jump bound {r} is not finite")
+        raise ConfigError(f"jump bound {r} is not finite")
     # Snap up a ratio within a few ulps of the next integer, so exact-integer
     # ratios are not knocked down by float roundoff.
     k = math.floor(r)
@@ -51,15 +35,16 @@ def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -
     x.  Constant data returns alpha by the same convention.  Sampled data
     that is not monotone on [alpha, beta] is rejected.
     """
-    if not alpha < beta:
-        raise ValueError("need alpha < beta")
+    if not check_real("alpha", alpha) < check_real("beta", beta):
+        raise ConfigError("need alpha < beta")
+    check_real("tol", tol, positive=True)
     ga, gb = float(data(alpha)), float(data(beta))
     if isinstance(data, SampledData):
         xs = data.signal.x()
         seg = data.signal.samples[(xs >= alpha - 1e-12) & (xs <= beta + 1e-12)]
         d = np.diff(seg)
         if not (np.all(d >= -1e-12) or np.all(d <= 1e-12)):
-            raise ValueError("sampled data is not monotone on [alpha, beta]")
+            raise ConfigError("sampled data is not monotone on [alpha, beta]")
     sign = 1.0
     if gb < ga:
         sign = -1.0
@@ -71,12 +56,13 @@ def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -
     if f(alpha) >= target:
         return alpha
     lo, hi = alpha, beta
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:  # stop at adjacent floats, whatever tol is
         if f(mid) >= target:
             hi = mid
         else:
             lo = mid
+        mid = 0.5 * (lo + hi)
     return hi
 
 
@@ -86,8 +72,8 @@ def uniform_step_minimizer(L: float, m: int) -> PiecewiseConstant:
     Plateau values k * d for k = 0..m with d = L/m; jumps at (k - 1/2) * d,
     so the first and last plateaus have half width.
     """
-    _check_positive("L", L)
-    _check_jump_count(m)
+    check_real("L", L, positive=True)
+    check_count("jump count m", m, least=1)
     d = L / m
     bps = tuple((k - 0.5) * d for k in range(1, m + 1))
     vals = tuple(k * d for k in range(m + 1))
@@ -101,9 +87,9 @@ def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None 
     kernel with kappa = 1; any other kernel is evaluated exactly through the
     piecewise-constant energy.
     """
-    _check_positive("L", L)
-    _check_weight(lam)
-    _check_jump_count(m)
+    check_real("L", L, positive=True)
+    check_real("lam", lam, least=0)
+    check_count("jump count m", m, least=1)
     if kernel is None:
         kernel = kwc_kernel(1.0)
     d = L / m
@@ -134,20 +120,21 @@ def critical_lambda(L: float) -> CriticalLambda:
     lam = 2^5 / (L (L+1) (L+2)); at that weight
     uniform_step_energy(L, 1) == uniform_step_energy(L, 2).
     """
-    _check_positive("L", L)
-    return CriticalLambda(length=float(L), lam=32.0 / (L * (L + 1.0) * (L + 2.0)))
+    L = check_real("L", L, positive=True)
+    return CriticalLambda(length=L, lam=32.0 / (L * (L + 1.0) * (L + 2.0)))
 
 
 def transition_lambda(L: float, m: int) -> float:
     """Weight where the m- and (m+1)-jump ladders tie (kappa = 1 kernel)."""
-    _check_positive("L", L)
-    _check_jump_count(m)
+    check_real("L", L, positive=True)
+    check_count("jump count m", m, least=1)
     d1, d2 = L / m, L / (m + 1)
     return 24.0 / ((d1 + d2) * (1 + d1) * (1 + d2))
 
 
 def lambda_for_jump_count(L: float, m: int) -> float:
     """A weight at which the m-jump ladder is the strict energy minimizer."""
+    check_count("jump count m", m, least=1)
     if m == 1:
         return 0.5 * transition_lambda(L, 1)
     return math.sqrt(transition_lambda(L, m - 1) * transition_lambda(L, m))
@@ -197,9 +184,9 @@ def jump_bounds(
     constants are exact; grid_resolution is ignored, kept so callers that
     still pass it keep working.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError("need finite a < b")
-    _check_weight(lam)
+    if not check_real("a", a) < check_real("b", b):
+        raise ConfigError("need a < b")
+    check_real("lam", lam, least=0)
     try:
         constants = derive_constants(kernel, mass_cap)
     except ConditionError as exc:
@@ -244,8 +231,8 @@ def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float) -> VerdictRepor
     split z = 0 as the only interior minimum, so equal jumps are forced.
     E' = 0 throughout (lam = 0 with phi = 0) ties every split: inconclusive.
     """
-    _check_positive("c", c)
-    _check_weight(lam)
+    check_real("c", c, positive=True)
+    check_real("lam", lam, least=0)
     if kernel.kind == "kwc":
         k = kernel.kappa
         phi_0 = 4.0 * k / (1.0 + k * c) ** 3

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from . import svgplot
-from .errors import ConfigError, DivergenceError, InvariantViolation, check_count
+from .errors import ConfigError, DivergenceError, InvariantViolation, check_count, check_keys
 from .exact import (
     critical_lambda,
     jump_bounds,
@@ -106,11 +106,10 @@ class ExperimentSpec:
         if self.name not in EXPERIMENTS + ("custom",):
             raise ConfigError(f"unknown experiment {self.name!r}")
         object.__setattr__(self, "models", tuple(self.models))
-        unknown = set(self.overrides) - {f.name for f in dataclasses.fields(FlowParams)}
-        if unknown:
-            raise ConfigError(f"overrides name no FlowParams field: {sorted(unknown)}")
+        check_keys("overrides", self.overrides, (), [f.name for f in dataclasses.fields(FlowParams)])
         if "model" in self.overrides:
             raise ConfigError("the model is fixed by the protocol; use models=")
+        check_count("seed", self.seed)
         if self.name == "custom":
             if not self.data or not self.models:
                 raise ConfigError("custom experiments need data and models")
@@ -128,17 +127,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentSpec":
-        known = {"name", "data", "models", "overrides", "seed"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown experiment fields: {sorted(extra)}")
-        return cls(
-            name=d["name"],
-            data=d.get("data", ""),
-            models=tuple(d.get("models", ())),
-            overrides=dict(d.get("overrides", {})),
-            seed=int(d.get("seed", 0)),
-        )
+        check_keys("experiment spec", d, ("name",), ("data", "models", "overrides", "seed"))
+        return cls(**d)
 
 
 @dataclass

@@ -41,8 +41,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .errors import ConfigError, DivergenceError, check_count, is_real
-from .pwc import GridSignal
+from .errors import ConfigError, DivergenceError, check_count, check_real
+from .pwc import GridSignal, _require_same_domain
 
 MODELS = ("rof", "at", "kwc")
 
@@ -70,21 +70,16 @@ class FlowParams:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.bc_u not in ("neumann", "dirichlet"):
             raise ConfigError("bc_u must be 'neumann' or 'dirichlet'")
+        if not isinstance(self.pre_relax, bool):
+            raise ConfigError(f"pre_relax must be true or false, got {self.pre_relax!r}")
         check_count("n", self.n, least=2)
-        for name in ("lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be finite and a real number, got {value!r}")
-        for name in ("dt", "epsilon", "t_max"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if round(self.t_max / self.dt) < 1:
-            raise ConfigError(f"t_max = {self.t_max} is less than one time step dt = {self.dt}")
-        if self.lam < 0 or self.sigma < 0:
-            raise ConfigError("lam and sigma must be non-negative")
-        if self.steady_tol < 0:
-            raise ConfigError("steady_tol must be non-negative")
         check_count("output_stride", self.output_stride, least=1)
+        for name in ("lam", "sigma", "steady_tol"):
+            check_real(name, getattr(self, name), least=0)
+        for name in ("dt", "epsilon", "t_max"):
+            check_real(name, getattr(self, name), positive=True)
+        if not 0.5 < self.t_max / self.dt < math.inf:  # round(t_max / dt) >= 1, and finite
+            raise ConfigError(f"t_max = {self.t_max} must be at least one time step dt = {self.dt}, in finitely many")
 
 
 @dataclass
@@ -431,10 +426,11 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
 
 
 def _check_inputs(g: GridSignal, u: GridSignal, params: FlowParams) -> None:
-    """The parameters on the data's spacing, one grid size, finite samples."""
+    """The parameters on the data's spacing, one grid, finite samples."""
     _validate_on(params, g.h)
     if u.n != g.n or u.n != params.n:
         raise ConfigError(f"grid mismatch: g has {g.n} nodes, u has {u.n}, params.n = {params.n}")
+    _require_same_domain(u, g)
     if not (np.all(np.isfinite(g.samples)) and np.all(np.isfinite(u.samples))):
         raise ConfigError("g and u must have finite samples")
 
@@ -494,16 +490,9 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
 # Census of the jumps of a grid signal.
 
 
-def check_threshold(threshold) -> float:
-    """The census threshold as a float; anything but a number >= 0 is a ConfigError."""
-    if not (is_real(threshold) and threshold >= 0):
-        raise ConfigError(f"census threshold must be a number >= 0, got {threshold!r}")
-    return float(threshold)
-
-
 def _census_groups(u: GridSignal, threshold: float) -> list:
     d = np.diff(u.samples)
-    mask = np.abs(d) > check_threshold(threshold)
+    mask = np.abs(d) > check_real("census threshold", threshold, least=0)
     x = u.x()
     mids = 0.5 * (x[:-1] + x[1:])
     groups = []
@@ -534,7 +523,7 @@ def jump_census(u: GridSignal, threshold: float) -> list:
 
 def edges_above(u: GridSignal, threshold: float) -> int:
     """Number of individual edges whose difference exceeds the threshold."""
-    return int(np.sum(np.abs(np.diff(u.samples)) > check_threshold(threshold)))
+    return int(np.sum(np.abs(np.diff(u.samples)) > check_real("census threshold", threshold, least=0)))
 
 
 def plateau_flatness(u: GridSignal, threshold: float, margin: int = 2) -> list:

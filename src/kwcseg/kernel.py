@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionError, ConfigError
+from .errors import ConditionError, ConfigError, check_keys, check_real
 
 VALID_KINDS = ("kwc", "linear", "potts")
 
@@ -49,16 +49,12 @@ class JumpKernel:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}; expected one of {VALID_KINDS}")
-        if self.kind == "kwc" and not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ConfigError("rational kernel needs a finite kappa > 0")
-        if self.kind == "potts" and not (self.height > 0 and math.isfinite(self.height)):
-            raise ConfigError("flat kernel needs a finite height > 0")
+        kappa = check_real("kappa", self.kappa, positive=True)
+        height = check_real("height", self.height, positive=True)
         # A field the kind does not use takes its default, so kernels that
         # cost the same compare equal and survive the to_config round trip.
-        if self.kind != "kwc":
-            object.__setattr__(self, "kappa", 1.0)
-        if self.kind != "potts":
-            object.__setattr__(self, "height", 1.0)
+        object.__setattr__(self, "kappa", kappa if self.kind == "kwc" else 1.0)
+        object.__setattr__(self, "height", height if self.kind == "potts" else 1.0)
 
     @property
     def unit_slope_at_zero(self) -> bool:
@@ -69,7 +65,7 @@ class JumpKernel:
         """Cost of a jump of size rho (scalar or array, rho >= 0)."""
         arr = np.asarray(rho, dtype=float)
         if np.any(arr < 0):
-            raise ValueError("jump size must be non-negative")
+            raise ConfigError("jump size must be non-negative")
         if self.kind == "kwc":
             out = arr / (1.0 + arr * self.kappa)
         elif self.kind == "linear":
@@ -89,14 +85,7 @@ class JumpKernel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "JumpKernel":
-        if not isinstance(cfg, dict) or "kind" not in cfg:
-            raise ConfigError("kernel config must be an object with a 'kind' key")
-        kind = cfg["kind"]
-        known = {"kind", "kappa", "height"}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown kernel config keys: {sorted(extra)}")
-        return cls(kind=kind, kappa=float(cfg.get("kappa", 1.0)), height=float(cfg.get("height", 1.0)))
+        return cls(**check_keys("kernel config", cfg, ("kind",), ("kappa", "height")))
 
 
 def kwc_kernel(kappa: float = 1.0) -> JumpKernel:
@@ -127,7 +116,7 @@ class KernelConstants:
 
 
 def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
-    """(split_gain, linear_floor) on [0, mass_cap] in closed form.
+    """(mass_cap as a float, split_gain, linear_floor) on [0, mass_cap] in closed form.
 
     With s = r1 + r2 the split ratio (K(r1) + K(r2) - K(s)) / (r1 * r2) is
     kappa (2 + kappa s) / ((1 + kappa r1)(1 + kappa r2)(1 + kappa s)) for
@@ -137,12 +126,11 @@ def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
     so linear_floor = K(mass_cap)/mass_cap.  split_gain is None for the
     linear kernel, whose gain is 0.  A kwc or Potts constant, or
     linear_floor / mass_cap, that is not a finite positive float is out of
-    float range: ValueError.
+    float range: ConfigError.
     """
-    if not (math.isfinite(mass_cap) and mass_cap > 0):
-        raise ValueError("mass_cap must be positive and finite")
+    mass_cap = check_real("mass_cap", mass_cap, positive=True)
     if kernel.kind == "linear":
-        return None, 1.0
+        return mass_cap, None, 1.0
     try:
         if kernel.kind == "kwc":
             k = kernel.kappa
@@ -155,8 +143,8 @@ def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
         split_gain = linear_floor = math.nan
     if not all(math.isfinite(c) and c > 0 for c in (split_gain, linear_floor, linear_floor / mass_cap)):
         param = f"kappa={kernel.kappa!r}" if kernel.kind == "kwc" else f"height={kernel.height!r}"
-        raise ValueError(f"{kernel.kind} kernel constants out of float range at {param}, mass_cap={mass_cap!r}")
-    return split_gain, linear_floor
+        raise ConfigError(f"{kernel.kind} kernel constants out of float range at {param}, mass_cap={mass_cap!r}")
+    return mass_cap, split_gain, linear_floor
 
 
 def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
@@ -165,14 +153,14 @@ def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
     Raises ConditionError for the linear kernel, whose strengthened-
     subadditivity gain is 0, since then no jump-count bound exists.
     """
-    split_gain, linear_floor = _exact_constants(kernel, mass_cap)
+    mass_cap, split_gain, linear_floor = _exact_constants(kernel, mass_cap)
     if kernel.kind == "linear":
         raise ConditionError(
             f"strengthened subadditivity fails for kernel {kernel.kind!r} on [0, {mass_cap}]: "
             "no positive split gain"
         )
     return KernelConstants(
-        mass_cap=float(mass_cap),
+        mass_cap=mass_cap,
         split_gain=split_gain,
         linear_floor=linear_floor,
         bound_rate=min(linear_floor / mass_cap, split_gain),
@@ -215,10 +203,10 @@ def check_conditions(kernel: JumpKernel, mass_cap: float) -> ConditionReport:
     _exact_constants).  Only the linear kernel lacks the strengthened gain,
     and only the Potts kernel lacks unit slope at zero.
     """
-    split_gain, linear_floor = _exact_constants(kernel, mass_cap)
+    mass_cap, split_gain, linear_floor = _exact_constants(kernel, mass_cap)
     return ConditionReport(
         kernel=kernel,
-        mass_cap=float(mass_cap),
+        mass_cap=mass_cap,
         monotone=True,
         strengthened_subadditive=kernel.kind != "linear",
         unit_slope_at_zero=kernel.unit_slope_at_zero,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, check_count, is_real
+from .errors import ConfigError, check_count, check_real
 from .kernel import JumpKernel
 from .pwc import (
     EnergyBreakdown,
@@ -90,8 +90,8 @@ class OracleProblem:
 
     ``levels`` defaults to ``n_levels`` uniform values spanning the data
     range.  ``endpoint_pin`` forces the first and last cell to the levels
-    nearest the given values (boundary conditions of the continuum problem);
-    a pin outside the level range is a ``ConfigError``.
+    nearest the given two numbers (boundary conditions of the continuum
+    problem); a pin outside the level range is a ``ConfigError`` at solve.
     ``tie_tolerance`` is the relative energy window within which alternative
     minimizers count as ties; it and ``lam`` are finite non-negative
     numbers (not bools).
@@ -107,10 +107,8 @@ class OracleProblem:
     tie_tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name in ("lam", "tie_tolerance"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be a finite non-negative number, got {value!r}")
+        check_real("lam", self.lam, least=0)
+        check_real("tie_tolerance", self.tie_tolerance, least=0)
         if isinstance(self.data, SampledData) and not np.all(np.isfinite(self.data.signal.samples)):
             raise ConfigError("sampled data must be finite")
         if self.n_cells is not None:
@@ -124,8 +122,6 @@ class OracleProblem:
             n = self.data.signal.n - 1
         else:
             raise ConfigError("n_cells is required for analytic data")
-        if n < 1:
-            raise ConfigError("need at least one cell")
         if n > MAX_CELLS:
             raise ConfigError(f"n_cells = {n} exceeds the limit {MAX_CELLS}")
         return n
@@ -136,12 +132,12 @@ class OracleProblem:
             # Degenerate (constant) data: widen symmetrically so a level
             # grid exists and still contains the data value.
             lo, hi = lo - 0.5, hi + 0.5
-        if self.levels is not None:
-            lv = np.asarray(self.levels, dtype=float)
-        else:
+        if self.levels is None:
             lv = np.linspace(lo, hi, int(self.n_levels))
-        if lv.ndim != 1 or lv.size == 0:
-            raise ConfigError("levels must be a non-empty 1D array")
+        elif not isinstance(self.levels, (list, tuple, np.ndarray)) or len(self.levels) == 0:
+            raise ConfigError(f"levels must be a non-empty list of numbers, got {self.levels!r}")
+        else:
+            lv = np.array([check_real("levels", v) for v in self.levels])
         if np.any(np.diff(lv) <= 0):
             raise ConfigError("levels must be strictly increasing")
         if lv.size > MAX_LEVELS:
@@ -209,12 +205,16 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
 
     pin = None
     if problem.endpoint_pin is not None:
-        va, vb = problem.endpoint_pin
+        try:
+            va, vb = problem.endpoint_pin
+        except (TypeError, ValueError):
+            raise ConfigError(f"endpoint_pin must be two numbers, got {problem.endpoint_pin!r}") from None
+        va, vb = check_real("endpoint_pin", va), check_real("endpoint_pin", vb)
         lo, hi = problem.data.value_range()
         slack = 1e-9 * max(hi - lo, 1.0)
         if not all(levels[0] - slack <= p <= levels[-1] + slack for p in (va, vb)):
             raise ConfigError(
-                f"endpoint_pin {problem.endpoint_pin} lies outside the level range "
+                f"endpoint_pin ({va}, {vb}) lies outside the level range "
                 f"[{levels[0]}, {levels[-1]}]"
             )
         pin = (int(np.argmin(np.abs(levels - va))), int(np.argmin(np.abs(levels - vb))))

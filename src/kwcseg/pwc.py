@@ -10,24 +10,15 @@ for sampled data.
 """
 
 import csv
-import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_keys, check_real
 from .kernel import JumpKernel
 
 _DOMAIN_TOL = 1e-9
-
-
-def _check_finite(name: str, *values) -> None:
-    try:
-        finite = all(math.isfinite(v) for v in values)
-    except TypeError:
-        finite = False
-    if not finite:
-        raise ConfigError(f"{name} must be finite numbers, got {', '.join(map(repr, values))}")
 
 
 def _check_domain(dom) -> tuple:
@@ -35,10 +26,9 @@ def _check_domain(dom) -> tuple:
         a, b = dom
     except (TypeError, ValueError):
         raise ConfigError(f"domain must be two numbers (a, b), got {dom!r}") from None
-    _check_finite("domain", a, b)
-    a, b = float(a), float(b)
+    a, b = check_real("domain", a), check_real("domain", b)
     if not a < b:
-        raise ValueError(f"domain must satisfy a < b, got ({a}, {b})")
+        raise ConfigError(f"domain must satisfy a < b, got ({a}, {b})")
     return (a, b)
 
 
@@ -57,15 +47,14 @@ class PiecewiseConstant:
 
     def __post_init__(self):
         dom = _check_domain(self.domain)
-        bp = [float(x) for x in self.breakpoints]
-        vals = [float(v) for v in self.values]
-        _check_finite("values", *vals)
+        bp = [check_real("breakpoints", x) for x in self.breakpoints]
+        vals = [check_real("values", v) for v in self.values]
         if len(vals) != len(bp) + 1:
-            raise ValueError("need exactly one more value than breakpoints")
+            raise ConfigError("need exactly one more value than breakpoints")
         if any(not dom[0] < x < dom[1] for x in bp):
-            raise ValueError("breakpoints must lie strictly inside the domain")
+            raise ConfigError("breakpoints must lie strictly inside the domain")
         if any(x2 <= x1 for x1, x2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ConfigError("breakpoints must be strictly increasing")
         merged_bp, merged_vals = [], [vals[0]]
         for x, v in zip(bp, vals[1:]):
             if v == merged_vals[-1]:
@@ -104,9 +93,10 @@ class PiecewiseConstant:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PiecewiseConstant":
+        check_keys("piecewise-constant object", d, ("domain", "breakpoints", "values"), ())
         try:
             return cls(tuple(d["domain"]), tuple(d["breakpoints"]), tuple(d["values"]))
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise ConfigError(f"bad piecewise-constant object: {exc}") from exc
 
 
@@ -121,7 +111,7 @@ class GridSignal:
         dom = _check_domain(self.domain)
         arr = np.array(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("need a 1D array of at least two samples")
+            raise ConfigError("need a 1D array of at least two samples")
         arr.setflags(write=False)
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "samples", arr)
@@ -139,6 +129,8 @@ class GridSignal:
 
     @classmethod
     def from_csv(cls, path) -> "GridSignal":
+        if not isinstance(path, (str, os.PathLike)):
+            raise ConfigError(f"csv path must be a string, got {path!r}")
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
@@ -173,8 +165,8 @@ class LinearData:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _check_domain(self.domain))
-        _check_finite("slope", self.slope)
-        _check_finite("intercept", self.intercept)
+        check_real("slope", self.slope)
+        check_real("intercept", self.intercept)
 
     def __call__(self, x):
         return self.slope * np.asarray(x, dtype=float) + self.intercept
@@ -213,8 +205,8 @@ class SineData:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _check_domain(self.domain))
-        _check_finite("amplitude", self.amplitude)
-        _check_finite("omega", self.omega)
+        check_real("amplitude", self.amplitude)
+        check_real("omega", self.omega)
 
     def __call__(self, x):
         return self.amplitude * np.sin(self.omega * np.asarray(x, dtype=float))
@@ -286,9 +278,9 @@ class SampledData:
         return (float(self.signal.samples.min()), float(self.signal.samples.max()))
 
 
-def _require_same_domain(u: PiecewiseConstant, data) -> None:
+def _require_same_domain(u, data) -> None:
     if abs(u.domain[0] - data.domain[0]) > _DOMAIN_TOL or abs(u.domain[1] - data.domain[1]) > _DOMAIN_TOL:
-        raise ValueError(f"domain mismatch: u on {u.domain}, data on {data.domain}")
+        raise ConfigError(f"domain mismatch: u on {u.domain}, data on {data.domain}")
 
 
 # ---------------------------------------------------------------------------

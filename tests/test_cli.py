@@ -529,6 +529,16 @@ class TestFlowRun:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    def test_u0_on_another_domain_exits_2(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, model="kwc", n=21, t_max=0.05)
+        u0 = {"pwc": {"domain": [0.0, 5.0], "breakpoints": [2.5], "values": [0.0, 1.0]}}
+        path.write_text(json.dumps({**json.loads(path.read_text()), "u0": u0}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error: domain mismatch")
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_exits_3(self, capsys, tmp_path, monkeypatch):
         orig, calls = flow_mod._step, []
 
@@ -545,6 +555,70 @@ class TestFlowRun:
         code, _, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 3
         assert "divergence" in err
+
+
+ORACLE_BASE = {
+    "data": {"kind": "linear", "domain": [0.0, 1.0]},
+    "kernel": {"kind": "kwc", "kappa": 1.0},
+    "lam": 5.0,
+    "n_cells": 10,
+    "n_levels": 5,
+    "endpoint_pin": True,
+}
+FLOW_BASE = {"params": {"model": "kwc", "lam": 10.0, "n": 21, "t_max": 0.05}, "data": {"generator": "step", "n": 21}}
+
+
+class TestConfigsThatUsedToEscape:
+    """Configs that once ended in a traceback or were run with a key ignored:
+    each exits 2 with a config error that names the field."""
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"kernel": {"kind": "kwc", "kappa": None}}, "kappa"),
+            ({"levels": [None, 0.5]}, "levels"),
+            ({"levels": [0.0, math.nan, 1.0], "endpoint_pin": None}, "levels must be finite"),
+            ({"endpoint_pin": 5}, "endpoint_pin"),
+            ({"endpoint_pin": [None, 1]}, "endpoint_pin"),
+            ({"n_level": 5}, "n_level"),
+            ({"endpoint_pinn": True}, "endpoint_pinn"),
+            ({"data": {"kind": "linear", "slop": 2.0}}, "slop"),
+            ({"data": {"kind": "generator", "name": "step", "n": 11, "sed": 2}}, "sed"),
+            ({"data": {"kind": "csv", "path": None}}, "csv path"),
+        ],
+        ids=["kappa_null", "level_null", "level_nan", "pin_number", "pin_null", "n_level", "endpoint_pinn", "slop",
+             "sed", "csv_path_null"],
+    )
+    def test_oracle_config(self, capsys, tmp_path, change, field):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps({**ORACLE_BASE, **change}))
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(path))
+        assert code == 2
+        assert err.startswith("config error: ") and field in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"params": [1, 2]}, "flow params"),
+            ({"census_treshold": 0.1}, "census_treshold"),
+            ({"data": {"generator": "noisy_steps", "n": 21, "sed": 3}}, "sed"),
+            ({"params": {**FLOW_BASE["params"], "pre_relax": "yes"}}, "pre_relax"),
+            ({"census_threshold": math.inf}, "census threshold"),
+            ({"params": {**FLOW_BASE["params"], "dt": 1e-300, "t_max": 1e10}}, "time step"),
+        ],
+        ids=[
+            "params_list", "census_treshold", "sed", "pre_relax_text", "census_threshold_inf", "infinitely_many_steps",
+        ],
+    )
+    def test_flow_config(self, capsys, tmp_path, change, field):
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps({**FLOW_BASE, **change}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error: ") and field in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
 
 
 class TestExperimentCommand:

@@ -203,6 +203,10 @@ class TestOptimalJumpLocation:
             0.5, abs=1e-12
         )
 
+    def test_tolerance_below_the_float_spacing_ends_at_adjacent_floats(self):
+        loc = optimal_jump_location(LinearData((0, 1)), 0.0, 1.0, tol=1e-300)
+        assert math.nextafter(loc, 0.0) < 0.5 <= loc
+
     def test_constant_data_degenerates_to_left_end(self):
         loc = optimal_jump_location(LinearData((0, 1), 0.0, 0.5), 0.2, 0.9)
         assert loc == pytest.approx(0.2, abs=1e-12)

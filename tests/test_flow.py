@@ -52,7 +52,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match=name):
             FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: value}).validate()
 
-    @pytest.mark.parametrize("dt, t_max", [(0.01, 0.004), (0.01, 0.005), (2.0, 1.0)])
+    @pytest.mark.parametrize("dt, t_max", [(0.01, 0.004), (0.01, 0.005), (2.0, 1.0), (1e-300, 1e10)])
     def test_fewer_than_one_time_step_rejected(self, dt, t_max):
         with pytest.raises(ConfigError, match="time step"):
             FlowParams(model="rof", lam=1.0, n=50, dt=dt, t_max=t_max).validate()
@@ -133,6 +133,13 @@ class TestValidation:
     def test_steady_damage_profile_grid_mismatch(self):
         with pytest.raises(ConfigError, match="grid mismatch"):
             steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=51))
+
+    def test_domain_mismatch(self):
+        # Same node count, but u0 lives on (0, 5): its samples are not on the data's grid.
+        g = unit_step(51)
+        u0 = GridSignal((0.0, 5.0), g.samples)
+        with pytest.raises(ConfigError, match="domain mismatch"):
+            run(g, u0, FlowParams(model="kwc", lam=10.0, n=51, t_max=0.05))
 
     def test_grid_mismatch(self):
         g = GridSignal((0, 1), np.zeros(50))

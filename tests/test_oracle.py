@@ -559,6 +559,20 @@ class TestProblemValidation:
         with pytest.raises(ConfigError, match="endpoint_pin"):
             best_with_m_jumps(p, 1)
 
+    @pytest.mark.parametrize("pin", [5, True, [None, 1.0], (0.0, 0.5, 1.0), "ab"], ids=str)
+    def test_pin_that_is_not_two_finite_numbers_rejected(self, pin):
+        p = OracleProblem(
+            data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=10, n_levels=11, endpoint_pin=pin
+        )
+        with pytest.raises(ConfigError, match="endpoint_pin"):
+            solve(p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, None, True, "0.5"], ids=str)
+    def test_levels_must_be_finite_numbers(self, bad):
+        p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=10, levels=[0.0, bad, 1.0])
+        with pytest.raises(ConfigError, match="levels must be finite"):
+            solve(p)
+
     def test_pin_inside_level_range_goes_to_nearest_level(self):
         # Within the 1e-9 slack of the end levels, and between levels.
         for pin, ends in (((-1e-12, 1.0 + 1e-12), (0.0, 1.0)), ((0.04, 0.96), (0.0, 1.0)), ((0.26, 0.74), (0.3, 0.7))):
