@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver divergence,
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -15,7 +16,7 @@ import numpy as np
 from . import experiments as experiments_mod
 from . import oracle as oracle_mod
 from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
-from .errors import check_count, check_keys, check_real
+from .errors import check_keys, check_real
 from .exact import (
     critical_lambda,
     equal_jump_verdict,
@@ -101,7 +102,6 @@ def signal_from_config(cfg: dict, n_default: int = 1000) -> GridSignal:
         return generate_signal(cfg["generator"], n=n, seed=cfg.get("seed", 0))
     if source == "csv":
         return GridSignal.from_csv(cfg["csv"])
-    check_count("n", n, least=2)
     return PiecewiseConstant.from_json_dict(cfg["pwc"]).sample(n)
 
 
@@ -219,7 +219,11 @@ def _cmd_experiment(args) -> int:
 # Parser.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and in-process callers (tests, benchmarks) call ``main``
+    many times."""
     parser = argparse.ArgumentParser(
         prog="kwcseg",
         description="1D variational segmentation: kernels, exact results, oracle, flows.",
@@ -295,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DivergenceError as err:

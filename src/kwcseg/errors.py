@@ -29,10 +29,13 @@ class InvariantViolation(RuntimeError):
     """An output violated a bound that the theory guarantees."""
 
 
-def check_count(name: str, value, least: int = 0) -> None:
-    """Reject a count that is not an integer (a bool included) of at least ``least``."""
+def check_count(name: str, value, least: int = 0, most: int | None = None) -> None:
+    """Reject a count that is not an integer (a bool included) of at least
+    ``least``, and of at most ``most`` when it is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} = {value} exceeds the limit {most}")
 
 
 def is_real(value) -> bool:

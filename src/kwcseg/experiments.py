@@ -45,7 +45,7 @@ from .flow import (
     run,
 )
 from .kernel import kwc_kernel
-from .pwc import GridSignal, LinearData, PiecewiseConstant, SineData, energy
+from .pwc import MAX_NODES, GridSignal, LinearData, PiecewiseConstant, SineData, energy
 
 EXPERIMENTS = ("linear_steady", "nonuniqueness", "sine_segmentation", "noisy_steps")
 GENERATORS = ("linear", "sine", "step", "steps", "noisy_steps")
@@ -68,7 +68,7 @@ def true_steps() -> PiecewiseConstant:
 
 def generate_signal(name: str, n: int = 1000, seed: int = 0) -> GridSignal:
     """Deterministic test signals on n >= 2 nodes of (0, 1); noise is seeded."""
-    check_count("n", n, least=2)
+    check_count("n", n, least=2, most=MAX_NODES)
     check_count("seed", seed)
     x = np.linspace(0.0, 1.0, n)
     if name == "linear":

@@ -42,9 +42,13 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, DivergenceError, check_count, check_real
-from .pwc import GridSignal, _require_same_domain
+from .pwc import MAX_NODES, GridSignal, _require_same_domain
 
 MODELS = ("rof", "at", "kwc")
+# The most time steps of one run, round(t_max / dt): far above every run
+# the protocols and the benchmark make (10^4 steps at most), and far below
+# one that would run for days.
+MAX_STEPS = 10**7
 
 TRACE_COLUMNS = ("t", "energy", "change_rate", "prox_gap")
 
@@ -72,14 +76,17 @@ class FlowParams:
             raise ConfigError("bc_u must be 'neumann' or 'dirichlet'")
         if not isinstance(self.pre_relax, bool):
             raise ConfigError(f"pre_relax must be true or false, got {self.pre_relax!r}")
-        check_count("n", self.n, least=2)
+        check_count("n", self.n, least=2, most=MAX_NODES)
         check_count("output_stride", self.output_stride, least=1)
         for name in ("lam", "sigma", "steady_tol"):
             check_real(name, getattr(self, name), least=0)
         for name in ("dt", "epsilon", "t_max"):
             check_real(name, getattr(self, name), positive=True)
-        if not 0.5 < self.t_max / self.dt < math.inf:  # round(t_max / dt) >= 1, and finite
-            raise ConfigError(f"t_max = {self.t_max} must be at least one time step dt = {self.dt}, in finitely many")
+        if not 0.5 < self.t_max / self.dt < MAX_STEPS + 0.5:  # 1 <= round(t_max / dt) <= MAX_STEPS
+            raise ConfigError(
+                f"t_max = {self.t_max} must be at least one time step dt = {self.dt}, "
+                f"in at most the limit of {MAX_STEPS} steps"
+            )
 
 
 @dataclass

@@ -12,12 +12,13 @@ gradient-flow solvers on small instances.
 Complexity is O(n_cells * n_levels^2) for the free problem and an extra
 factor of the jump budget for the count-constrained variant; sizes are
 capped accordingly.  Every transition is made by one helper (``_relax``):
-it copies the source row into a buffer, adds the transposed kernel in
-place, reduces along contiguous rows and gathers the row minima with one
-flat take.  From 250 levels the free pass skips the source levels that a
-witness level beats for every target (the kernel is a metric on the
-levels), which leaves each transition one dense ``_relax`` on a column
-block with the same results.
+it copies the source row into a buffer, adds the kernel matrix in place
+(it is symmetric, so its rows are the targets' rows), reduces along
+contiguous rows and gathers the row minima with one flat take.  From 250
+levels the free pass skips the source levels that a witness level beats
+for every target (the kernel is a metric on the levels), which leaves
+each transition one dense ``_relax`` on a column block with the same
+results.
 
 One thread rule: every pass runs in the calling thread, except that the
 backward free pass behind a pruned pass's bounds runs on one helper
@@ -28,13 +29,15 @@ Budgeted passes (``best_with_m_jumps`` and the tie scan of ``solve``) are
 pruned by an exact forward-backward bound: a forward and a backward free
 pass give each state (cell, level) the least cost of any path through it,
 and the budgeted DP visits only the states whose bound is within a
-threshold of the free optimum.  Its results are
-those of the dense pass (``_pruned_pass`` has the argument); when too many
-states survive, the dense pass runs instead.
+threshold of the free optimum.  Both free passes write into one
+(cells x levels) table of bounds.  The pruned pass's results are those of
+the dense pass (``_pruned_pass`` has the argument); when too many states
+survive, the dense pass runs instead.
 """
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -132,18 +135,15 @@ class OracleProblem:
             # Degenerate (constant) data: widen symmetrically so a level
             # grid exists and still contains the data value.
             lo, hi = lo - 0.5, hi + 0.5
-        if self.levels is None:
-            lv = np.linspace(lo, hi, int(self.n_levels))
-        elif not isinstance(self.levels, (list, tuple, np.ndarray)) or len(self.levels) == 0:
+        uniform = self.levels is None
+        if not uniform and (not isinstance(self.levels, (list, tuple, np.ndarray)) or len(self.levels) == 0):
             raise ConfigError(f"levels must be a non-empty list of numbers, got {self.levels!r}")
-        else:
-            lv = np.array([check_real("levels", v) for v in self.levels])
+        size = int(self.n_levels) if uniform else len(self.levels)
+        if size > MAX_LEVELS:  # before the grid is built
+            raise ConfigError(f"{size} levels exceeds the limit {MAX_LEVELS}; use a coarser level grid")
+        lv = np.linspace(lo, hi, size) if uniform else np.array([check_real("levels", v) for v in self.levels])
         if np.any(np.diff(lv) <= 0):
             raise ConfigError("levels must be strictly increasing")
-        if lv.size > MAX_LEVELS:
-            raise ConfigError(
-                f"{lv.size} levels exceeds the limit {MAX_LEVELS}; use a coarser level grid"
-            )
         span = max(hi - lo, 1.0)
         if lv[0] < lo - 1e-9 * span or lv[-1] > hi + 1e-9 * span:
             raise ConfigError("levels must lie within the data range")
@@ -173,7 +173,7 @@ class _Tableau:
     edges: np.ndarray
     levels: np.ndarray
     cost: np.ndarray       # (n_cells, n_levels) fidelity cost per cell and level
-    kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change
+    kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change, symmetric
     pin: tuple | None      # (first level index, last level index) or None
 
 
@@ -235,29 +235,31 @@ def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray
     )
 
 
-def _relax(src: np.ndarray, kernel_t: np.ndarray, trans: np.ndarray, offs: np.ndarray) -> tuple:
+def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarray) -> tuple:
     """Best predecessor of each target level: one dense DP transition.
 
-    Fills ``trans[..., l, k] = src[..., k] + kernel_t[l, k]`` in place and
+    Fills ``trans[..., l, k] = src[..., k] + kmat[l, k]`` in place and
     returns, per row, the smallest k attaining the row minimum and that
-    minimum.  ``kernel_t`` holds the kernel transposed, so every row is
-    contiguous (numpy reduces a strided axis through a copy).  ``offs``
-    holds the flat offset of each row of ``trans`` (``arange(rows) * K``
-    for K sources).  The pruned pass stacks its budget rows on a leading
-    axis of ``src`` and ``trans``.  The copy and in-place add run about a
-    third faster than a broadcast add into ``trans``, and the flat take
-    faster than a two-array gather.
+    minimum.  ``kmat[l, k]`` is the cost of a change from source k to
+    target l; the kernel matrix is symmetric, so its rows serve as they
+    are and every row is contiguous (numpy reduces a strided axis through
+    a copy).  ``offs`` holds the flat offset of each row of ``trans``
+    (``arange(rows) * K`` for K sources).  The pruned pass stacks its
+    budget rows on a leading axis of ``src`` and ``trans``.  The copy and
+    in-place add run about a third faster than a broadcast add into
+    ``trans``, and the flat take faster than a two-array gather.
     """
     np.copyto(trans, src)
-    trans += kernel_t
+    trans += kmat
     arg = trans.argmin(axis=-1)
     return arg, trans.take(arg + offs)
 
 
-def _free_pass(cost, kmat_t, start, parents=None, values=None) -> np.ndarray:
+def _free_pass(cost, kmat, start, parents=None, on_row=None) -> np.ndarray:
     """The free DP over the rows of ``cost`` from the ``start`` mask (None:
     every level).  Returns the last row; fills ``parents`` with each cell's
-    best predecessors and ``values`` with every row, when they are given.
+    best predecessors and hands each cell's row D to ``on_row(i, D)``, when
+    they are given (``table.__setitem__`` fills a table).
 
     From ``_MIN_SKIP_LEVELS`` levels, each transition after the first reads
     only the column block [lo, hi) of the source levels that no witness
@@ -298,29 +300,29 @@ def _free_pass(cost, kmat_t, start, parents=None, values=None) -> np.ndarray:
     offs = rows * L
     slack = 0.0
     if L >= _MIN_SKIP_LEVELS:
-        bound = n * max(cost.max(), -cost.min()) + kmat_t.max()
+        bound = n * max(cost.max(), -cost.min()) + kmat.max()
         if 1e-280 < bound < 1e300:
             slack = 64 * 2.0**-53 * bound
-    if values is not None:
-        values[0] = D
+    if on_row is not None:
+        on_row(0, D)
     arg = None
     for i in range(1, n):
         if slack and arg is not None:
             ahead = D.take(arg)
-            ahead += kmat_t.take(offs + arg)
+            ahead += kmat.take(offs + arg)
             ahead += slack
             kept = np.flatnonzero(D < ahead)
             lo, hi = kept[0], kept[-1] + 1
             w = hi - lo
-            arg, best = _relax(D[lo:hi], kmat_t[:, lo:hi], buf[: L * w].reshape(L, w), rows * w)
+            arg, best = _relax(D[lo:hi], kmat[:, lo:hi], buf[: L * w].reshape(L, w), rows * w)
             arg += lo
         else:
-            arg, best = _relax(D, kmat_t, trans, offs)
+            arg, best = _relax(D, kmat, trans, offs)
         if parents is not None:
             parents[i] = arg
         D = best + cost[i]
-        if values is not None:
-            values[i] = D
+        if on_row is not None:
+            on_row(i, D)
     return D
 
 
@@ -328,12 +330,14 @@ def _solve_free(tab: _Tableau, bounds: bool = False, sequence: bool = True) -> t
     """The free optimum: its level sequence (None when no sequence meets
     the pins, or not ``sequence``, which skips the parent table and the
     backtrack) and its energy as the DP sums it.  With ``bounds`` also the
-    path bound of every state (see ``_pruned_pass``): the backward pass,
-    the same pass on the reversed cells from the end pin, runs beside the
-    forward one on a helper thread from ``_MIN_SIDE_THREAD_LEVELS`` levels.
-    A failing pass raises here once both passes have ended."""
+    path bound F + B - cost of every state (see ``_pruned_pass``): the
+    backward pass B, the same pass on the reversed cells from the end pin,
+    runs beside the forward one F on a helper thread from
+    ``_MIN_SIDE_THREAD_LEVELS`` levels.  Both write into one table: the
+    first to reach a cell stores its row and the second adds its own,
+    which is F + B bit for bit in either order.  A failing pass raises
+    here once both passes have ended."""
     n, L = tab.cost.shape
-    kmat_t = np.ascontiguousarray(tab.kmat.T)
     start = end = None
     if tab.pin is not None:  # 0 at the pinned level, inf elsewhere
         start, end = np.full((2, L), np.inf)
@@ -341,20 +345,29 @@ def _solve_free(tab: _Tableau, bounds: bool = False, sequence: bool = True) -> t
     parents = np.zeros((n, L), dtype=np.int16) if sequence else None
     bound = None
     if not bounds:
-        D = _free_pass(tab.cost, kmat_t, start, parents)
+        D = _free_pass(tab.cost, tab.kmat, start, parents)
     else:
-        forward, backward = np.empty((n, L)), np.empty((n, L))
-        backward_args = (tab.cost[::-1], kmat_t, end, None, backward[::-1])
+        bound = np.empty((n, L))
+        stored = np.zeros(n, dtype=bool)
+        lock = threading.Lock()
+
+        def add_row(i, row):
+            with lock:
+                if stored[i]:
+                    bound[i] += row
+                else:
+                    bound[i] = row
+                    stored[i] = True
+
+        backward_args = (tab.cost[::-1], tab.kmat, end, None, lambda i, row: add_row(n - 1 - i, row))
         if _usable_cpus() > 1 and L >= _MIN_SIDE_THREAD_LEVELS:
             with ThreadPoolExecutor(1) as helper:
                 behind = helper.submit(_free_pass, *backward_args)
-                D = _free_pass(tab.cost, kmat_t, start, parents, forward)
+                D = _free_pass(tab.cost, tab.kmat, start, parents, add_row)
                 behind.result()
         else:
-            D = _free_pass(tab.cost, kmat_t, start, parents, forward)
+            D = _free_pass(tab.cost, tab.kmat, start, parents, add_row)
             _free_pass(*backward_args)
-        bound = forward
-        bound += backward
         bound -= tab.cost
     if end is not None:
         D = D + end
@@ -434,8 +447,8 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     """
     n, L = tab.cost.shape
     big = np.inf
-    jump_t = np.ascontiguousarray(tab.kmat.T)
-    np.fill_diagonal(jump_t, big)
+    jump = tab.kmat.copy()
+    np.fill_diagonal(jump, big)
 
     cols = np.arange(L)
     offs = cols * L
@@ -447,7 +460,7 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
     parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int16)
     for i in range(1, n):
         for j in range(1, budget + 1):
-            arg[j], jumped[j] = _relax(D[j - 1], jump_t, trans, offs)
+            arg[j], jumped[j] = _relax(D[j - 1], jump, trans, offs)
         # Strict <: an all-inf row (no admissible sequence yet) never jumps.
         use_jump = jumped < D
         parent_lvl[i] = np.where(use_jump, arg, cols)
@@ -465,7 +478,7 @@ def _budget_pass(tab: _Tableau, budget: int) -> list:
         j = m
         for i in range(n - 1, 0, -1):
             seq[i - 1] = parent_lvl[i, j, seq[i]]
-            # A jump always changes level: jump_t has inf on its diagonal.
+            # A jump always changes level: jump has inf on its diagonal.
             if seq[i - 1] != seq[i]:
                 j -= 1
         seqs.append(seq)
@@ -514,8 +527,8 @@ def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
     """
     n, L = tab.cost.shape
     big = np.inf
-    jump_t = np.ascontiguousarray(tab.kmat.T)
-    np.fill_diagonal(jump_t, big)
+    jump = tab.kmat.copy()
+    np.fill_diagonal(jump, big)
     kept = [np.flatnonzero(row) for row in keep]
     if any(s.size == 0 for s in kept):
         return [None] * (budget + 1), np.full(budget + 1, big)
@@ -532,7 +545,7 @@ def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
             buf = np.empty(size)
         trans = buf[:size].reshape(budget, s.size, prev.size)
         offs = np.arange(budget * s.size).reshape(budget, s.size) * prev.size
-        arg, jumped = _relax(V[:-1, None, :], jump_t.take(s[:, None] * L + prev), trans, offs)
+        arg, jumped = _relax(V[:-1, None, :], jump.take(s[:, None] * L + prev), trans, offs)
         at_level.fill(-1)
         at_level[prev] = np.arange(prev.size)
         pos = at_level[s]

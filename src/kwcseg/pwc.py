@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_keys, check_real
+from .errors import ConfigError, check_count, check_keys, check_real
 from .kernel import JumpKernel
 
 _DOMAIN_TOL = 1e-9
+# The most nodes of a generated or sampled grid: far above every grid the
+# protocols and the benchmark use (1201 nodes at most), and far below one
+# that would exhaust memory before it fails.
+MAX_NODES = 10**6
 
 
 def _check_domain(dom) -> tuple:
@@ -81,6 +85,8 @@ class PiecewiseConstant:
         return len(self.breakpoints)
 
     def sample(self, n: int) -> "GridSignal":
+        """The function on n >= 2 uniform nodes spanning the domain."""
+        check_count("n", n, least=2, most=MAX_NODES)
         x = np.linspace(self.domain[0], self.domain[1], n)
         return GridSignal(self.domain, self(x))
 

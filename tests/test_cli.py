@@ -585,9 +585,12 @@ class TestConfigsThatUsedToEscape:
             ({"data": {"kind": "linear", "slop": 2.0}}, "slop"),
             ({"data": {"kind": "generator", "name": "step", "n": 11, "sed": 2}}, "sed"),
             ({"data": {"kind": "csv", "path": None}}, "csv path"),
+            ({"n_levels": 2**63}, "levels exceeds the limit 400"),
+            ({"n_levels": 10**8}, "levels exceeds the limit 400"),
+            ({"data": {"kind": "generator", "name": "step", "n": 2**63}}, "exceeds the limit 1000000"),
         ],
         ids=["kappa_null", "level_null", "level_nan", "pin_number", "pin_null", "n_level", "endpoint_pinn", "slop",
-             "sed", "csv_path_null"],
+             "sed", "csv_path_null", "n_levels_2_63", "n_levels_1e8", "generator_n_2_63"],
     )
     def test_oracle_config(self, capsys, tmp_path, change, field):
         path = tmp_path / "oracle.json"
@@ -606,9 +609,15 @@ class TestConfigsThatUsedToEscape:
             ({"params": {**FLOW_BASE["params"], "pre_relax": "yes"}}, "pre_relax"),
             ({"census_threshold": math.inf}, "census threshold"),
             ({"params": {**FLOW_BASE["params"], "dt": 1e-300, "t_max": 1e10}}, "time step"),
+            ({"params": {**FLOW_BASE["params"], "t_max": 2**63}}, "limit of 10000000 steps"),
+            ({"params": {**FLOW_BASE["params"], "n": 2**63}}, "exceeds the limit 1000000"),
+            ({"data": {"generator": "step", "n": 2**63}}, "exceeds the limit 1000000"),
+            ({"data": {"pwc": {"domain": [0, 1], "breakpoints": [0.5], "values": [0, 1]}, "n": 2**63}},
+             "exceeds the limit 1000000"),
         ],
         ids=[
             "params_list", "census_treshold", "sed", "pre_relax_text", "census_threshold_inf", "infinitely_many_steps",
+            "t_max_2_63", "params_n_2_63", "generator_n_2_63", "pwc_n_2_63",
         ],
     )
     def test_flow_config(self, capsys, tmp_path, change, field):
@@ -619,6 +628,17 @@ class TestConfigsThatUsedToEscape:
         assert err.startswith("config error: ") and field in err
         assert out == ""
         assert not (tmp_path / "o").exists()
+
+
+class TestParser:
+    def test_main_builds_its_parser_once(self, capsys):
+        cli.build_parser.cache_clear()
+        critical = ("exact", "critical-lambda", "--L", "1")
+        first = run_cli(capsys, *critical)
+        other = run_cli(capsys, "check-kernel", "--kind", "linear", "--M", "2")
+        assert first[0] == other[0] == 0
+        assert run_cli(capsys, *critical) == first
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestExperimentCommand:

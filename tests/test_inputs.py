@@ -92,7 +92,7 @@ def test_every_real_parameter_rejects_a_bool_none_and_text(call, value):
 # ---------------------------------------------------------------------------
 # The command line on fuzzed configs.
 
-JUNK = st.sampled_from([None, "1", True, [1.0], math.nan, -1])
+JUNK = st.sampled_from([None, "1", True, [1.0], math.nan, -1, 2**63])
 MISSPELT = object()  # the key is written with its last letter doubled
 OMITTED = object()
 BAD = st.one_of(JUNK, st.just(MISSPELT))

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -520,6 +521,18 @@ class TestProblemValidation:
         with pytest.raises(ConfigError):
             solve(p)
 
+    @pytest.mark.parametrize("n_levels", [10**8, 2**63])
+    def test_level_limit_is_checked_before_the_grid_is_built(self, n_levels):
+        p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=50, n_levels=n_levels)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^{n_levels} levels exceeds the limit {MAX_LEVELS}"):
+                p.resolved_levels()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
     def test_analytic_data_requires_cell_count(self):
         p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0)
         with pytest.raises(ConfigError):
@@ -907,7 +920,7 @@ def free_pass_outputs(tab, backward):
         start = np.full(L, np.inf)
         start[tab.pin[1 if backward else 0]] = 0.0
     parents, values = np.zeros((n, L), dtype=np.int16), np.empty((n, L))
-    last = oracle_mod._free_pass(cost, np.ascontiguousarray(tab.kmat.T), start, parents, values)
+    last = oracle_mod._free_pass(cost, tab.kmat, start, parents, values.__setitem__)
     return last.tobytes(), values.tobytes(), parents.tobytes()
 
 
@@ -937,6 +950,64 @@ class TestSkippingFreePass:
     def test_skipping_threshold(self):
         # The battery (61 levels) and the tie scans (101, 201) stay dense.
         assert 201 < oracle_mod._MIN_SKIP_LEVELS <= MAX_LEVELS
+
+
+def two_table_bound(tab):
+    """F + B - cost from a forward and a backward free pass, each into a
+    table of its own."""
+    n, L = tab.cost.shape
+    start = end = None
+    if tab.pin is not None:
+        start, end = np.full((2, L), np.inf)
+        start[tab.pin[0]] = end[tab.pin[1]] = 0.0
+    forward, backward = np.empty((n, L)), np.empty((n, L))
+    oracle_mod._free_pass(tab.cost, tab.kmat, start, None, forward.__setitem__)
+    oracle_mod._free_pass(tab.cost[::-1], tab.kmat, end, None, backward[::-1].__setitem__)
+    return forward + backward - tab.cost
+
+
+class TestBoundTable:
+    """Both bound passes write into one table (``_solve_free``)."""
+
+    @settings(max_examples=200)
+    @given(free_pass_problems())
+    def test_one_table_equals_two_tables_bit_for_bit(self, problem):
+        tab = _build_tableau(problem)
+        expected = two_table_bound(tab).tobytes()
+        for cpus in (1, 2):
+            with oracle_constants(usable_cpus=lambda c=cpus: c, MIN_SIDE_THREAD_LEVELS=0):
+                assert oracle_mod._solve_free(tab, bounds=True)[2].tobytes() == expected
+
+    @settings(max_examples=200)
+    @given(free_pass_problems())
+    def test_the_kernel_matrix_is_symmetric_bit_for_bit(self, problem):
+        # The passes read kmat[l, k] as the cost from source k to target l.
+        kmat = _build_tableau(problem).kmat
+        assert kmat.tobytes() == kmat.T.tobytes()
+
+    def test_budgeted_passes_leave_the_kernel_matrix_as_it_is(self):
+        # Each puts inf on the diagonal of its own copy; the free passes read tab.kmat.
+        tab = _build_tableau(walk_problem(30, 40))
+        before = tab.kmat.tobytes()
+        _budget_pass(tab, 3)
+        oracle_mod._pruned_pass(tab, 3, np.ones(tab.cost.shape, dtype=bool))
+        assert tab.kmat.tobytes() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_bounds_hold_one_table(self, cpus):
+        tab = _build_tableau(walk_problem(2000, 250))
+        table = tab.cost.nbytes
+        with oracle_constants(usable_cpus=lambda: cpus, MIN_SIDE_THREAD_LEVELS=0):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                oracle_mod._solve_free(tab, bounds=True, sequence=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # One n x L float table and two L x L transition buffers; two tables
+        # would be above 2.
+        assert peak < 1.6 * table
 
 
 @st.composite
