@@ -16,7 +16,7 @@ import numpy as np
 from . import experiments as experiments_mod
 from . import oracle as oracle_mod
 from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
-from .errors import check_keys, check_real
+from .errors import check_count, check_keys, check_real
 from .exact import (
     critical_lambda,
     equal_jump_verdict,
@@ -85,24 +85,24 @@ def data_from_config(cfg: dict):
             omega=cfg.get("omega", 3.0 * np.pi),
         )
     if kind == "steps":
-        return StepListData(PiecewiseConstant.from_json_dict(cfg["steps"]))
+        return StepListData(PiecewiseConstant.from_json_dict(cfg["steps"], "steps"))
     if kind == "csv":
         return SampledData(GridSignal.from_csv(cfg["path"]))
     return SampledData(generate_signal(cfg["name"], n=cfg.get("n", 1000), seed=cfg.get("seed", 0)))
 
 
-def signal_from_config(cfg: dict, n_default: int = 1000) -> GridSignal:
-    """Grid-signal description -> GridSignal (generator, csv, or sampled pwc)."""
+def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
+    """Grid-signal description (the config field ``name``) -> GridSignal (generator, csv, or sampled pwc)."""
     source = next((key for key in _SIGNAL_KEYS if key in cfg), None) if isinstance(cfg, dict) else None
     if source is None:
-        raise ConfigError(f"signal config needs one of {list(_SIGNAL_KEYS)}, got {cfg!r}")
+        raise ConfigError(f"{name} needs one of {list(_SIGNAL_KEYS)}, got {cfg!r}")
     check_keys(f"{source} signal config", cfg, (source,), _SIGNAL_KEYS[source])
     n = cfg.get("n", n_default)
     if source == "generator":
         return generate_signal(cfg["generator"], n=n, seed=cfg.get("seed", 0))
     if source == "csv":
         return GridSignal.from_csv(cfg["csv"])
-    return PiecewiseConstant.from_json_dict(cfg["pwc"]).sample(n)
+    return PiecewiseConstant.from_json_dict(cfg["pwc"], "pwc").sample(n)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,7 @@ def _cmd_exact_critical(args) -> int:
 
 def _cmd_exact_energy_table(args) -> int:
     kernel = _kernel_from_args(args)
+    check_count("m_max", args.m_max, least=1)
     lines = ["m,E"]
     for m in range(1, args.m_max + 1):
         lines.append(f"{m},{uniform_step_energy(args.L, m, args.lam, kernel):.17g}")
@@ -184,11 +185,11 @@ def _cmd_flow_run(args) -> int:
     params = FlowParams(**pcfg)
     params.validate()  # before the data's size can replace a bad n
     threshold = cfg.get("census_threshold", experiments_mod.STRUCTURE_THRESHOLD)
-    threshold = check_real("census threshold", threshold, least=0)
-    g = signal_from_config(cfg["data"], n_default=params.n)
+    threshold = check_real("census_threshold", threshold, least=0)
+    g = signal_from_config(cfg["data"], "data", params.n)
     if g.n != params.n:
         params = FlowParams(**{**pcfg, "n": g.n})
-    u0 = signal_from_config(cfg["u0"], n_default=params.n) if "u0" in cfg else g
+    u0 = signal_from_config(cfg["u0"], "u0", params.n) if "u0" in cfg else g
     result = run(g, u0, params)
     paths = experiments_mod.write_flow_artifacts(result, args.out, census_threshold=threshold)
     _print_json({"steady": result.steady, "steps": result.steps, "artifacts": paths})

@@ -11,6 +11,10 @@ bounds), and optionally persists everything under an output directory:
       <label>/result.json  the run's summary.json block, plus its params
       <label>.svg          data / signal / damage overlay
 
+The plots are drawn from the run record (the data and each run's final
+state), not from the files: the layer writes its artifacts and never reads
+them back.
+
 The noisy three-plateau signal is fixed here (plateaus 0.2, 0.8, 0.35 on
 thirds, Gaussian noise of standard deviation 0.1, seeded); the comparison
 for that run is structural, not pointwise.
@@ -83,7 +87,7 @@ def generate_signal(name: str, n: int = 1000, seed: int = 0) -> GridSignal:
         rng = np.random.default_rng(seed)
         y = true_steps()(x) + rng.normal(0.0, NOISE_SD, size=n)
     else:
-        raise ConfigError(f"unknown signal generator {name!r}; expected one of {GENERATORS}")
+        raise ConfigError(f"unknown signal generator name {name!r}; expected one of {GENERATORS}")
     return GridSignal((0.0, 1.0), y)
 
 
@@ -210,14 +214,40 @@ def run_summary(result: FlowResult, census_threshold: float) -> dict:
     }
 
 
+def _run_all(g: GridSignal, runs: dict, threshold: float):
+    """Run each label's ``(u0, FlowParams)`` against the data g.
+
+    Returns the results and their ``run_summary`` blocks, both keyed by
+    label in the order of ``runs``; a protocol adds its extras to the blocks.
+    """
+    results = {label: run(g, u0, params) for label, (u0, params) in runs.items()}
+    return results, {label: run_summary(result, threshold) for label, result in results.items()}
+
+
 def _sweep(spec: ExperimentSpec, data: str, lam: float, threshold: float, **proto):
     """Run every model of the spec (default: all of ``MODELS``) from u0 = g."""
     g = _grid(spec, data)
-    results, blocks = {}, {}
-    for model in spec.models or MODELS:
-        results[model] = run(g, g, _flow_params(model, lam, spec, **proto))
-        blocks[model] = run_summary(results[model], threshold)
-    return g, results, blocks
+    runs = {model: (g, _flow_params(model, lam, spec, **proto)) for model in spec.models or MODELS}
+    return (g, *_run_all(g, runs, threshold))
+
+
+def _oracle_row(problem: oracle_mod.OracleProblem, tie_scan_jumps: int | None = None):
+    """One summary row of an oracle solve, and the solve's ``OracleResult``.
+
+    The row holds the grid, the minimizer's jump count and its energy; with
+    a tie scan it also holds ``tie_jump_counts``, the sorted set of the jump
+    counts of the minimizer and of its ties.
+    """
+    result = oracle_mod.solve(problem, tie_scan_jumps=tie_scan_jumps)
+    row = {
+        "n_cells": problem.n_cells,
+        "n_levels": problem.n_levels,
+        "jump_count": result.jump_count,
+        "energy": result.energy.total,
+    }
+    if tie_scan_jumps is not None:
+        row["tie_jump_counts"] = sorted({result.jump_count, *(t.jump_count for t in result.ties)})
+    return row, result
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +256,33 @@ def _sweep(spec: ExperimentSpec, data: str, lam: float, threshold: float, **prot
 
 def _bound_block(lam: float, observed: int, applies: bool) -> dict:
     report = jump_bounds(kwc_kernel(1.0), 0.0, 1.0, lam, mass_cap=1.0)
-    block = {
+    return {
         "jumps_monotone_data": report.jumps_monotone_data,
         "jumps_any_data": report.jumps_any_data,
         "observed": observed,
         "applies": applies,
         "violated": bool(applies and observed > report.jumps_monotone_data),
     }
-    return block
+
+
+def _bound_violations(blocks: dict) -> list:
+    return [label for label, block in blocks.items() if block["bound"]["violated"]]
 
 
 def _linear_steady(spec: ExperimentSpec) -> RunRecord:
     m = 4
     lam = lambda_for_jump_count(1.0, m)
     g = _grid(spec, "linear")
-    um = uniform_step_minimizer(1.0, m)
-    starts = {
-        "naive": (g, False),
-        "theory": (um.sample(g.n), True),
+    runs = {
+        "naive": (g, _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=False)),
+        "theory": (
+            uniform_step_minimizer(1.0, m).sample(g.n),
+            _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True),
+        ),
     }
-    results, blocks = {}, {}
-    for label, (u0, relax) in starts.items():
-        params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=relax)
-        results[label] = run(g, u0, params)
-        block = run_summary(results[label], STRUCTURE_THRESHOLD)
+    results, blocks = _run_all(g, runs, STRUCTURE_THRESHOLD)
+    for label, block in blocks.items():
         block["bound"] = _bound_block(lam, block["jump_count"], applies=(label == "theory"))
-        blocks[label] = block
 
     d = 1.0 / m
     theory = blocks["theory"]
@@ -275,8 +306,8 @@ def _linear_steady(spec: ExperimentSpec) -> RunRecord:
         "m_target": m,
         "lam": lam,
         "runs": blocks,
+        "bound_violations": _bound_violations(blocks),
     }
-    summary["bound_violations"] = ["theory"] if theory["bound"]["violated"] else []
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
 
 
@@ -287,33 +318,28 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
     kernel = kwc_kernel(1.0)
     data = LinearData((0.0, 1.0))
 
-    results, blocks = {}, {}
-    fit_energies = {}
+    params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True)
+    runs = {}
     for m in (1, 2):
-        label = f"m{m}"
         um = uniform_step_minimizer(1.0, m).sample(g.n)
-        u0 = GridSignal(g.domain, 0.5 * g.samples + 0.5 * um.samples)
-        params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True)
-        results[label] = run(g, u0, params)
-        block = run_summary(results[label], STRUCTURE_THRESHOLD)
+        runs[f"m{m}"] = (GridSignal(g.domain, 0.5 * g.samples + 0.5 * um.samples), params)
+    results, blocks = _run_all(g, runs, STRUCTURE_THRESHOLD)
+    for label, block in blocks.items():
         fit = census_fit(results[label].state.u, STRUCTURE_THRESHOLD)
         fit_total = energy(fit, data, kernel, lam).total
-        fit_energies[label] = fit_total
         block["fit_jump_count"] = fit.jump_count
         block["fit_energy"] = fit_total
         block["analytic_energy"] = 13.0 / 18.0
         block["fit_rel_gap"] = abs(fit_total - 13.0 / 18.0) / (13.0 / 18.0)
         block["bound"] = _bound_block(lam, block["jump_count"], applies=True)
-        blocks[label] = block
 
     problem = oracle_mod.OracleProblem(
         data=data, kernel=kernel, lam=lam, n_cells=400, n_levels=101,
         endpoint_pin=(0.0, 1.0),
     )
-    oracle_result = oracle_mod.solve(problem, tie_scan_jumps=3)
-    tie_counts = sorted({t.jump_count for t in oracle_result.ties})
+    oracle_row, oracle_result = _oracle_row(problem, tie_scan_jumps=3)
 
-    e1, e2 = fit_energies["m1"], fit_energies["m2"]
+    e1, e2 = blocks["m1"]["fit_energy"], blocks["m2"]["fit_energy"]
     summary = {
         "experiment": "nonuniqueness",
         "seed": spec.seed,
@@ -324,16 +350,9 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
             "rel_diff": abs(e1 - e2) / max(abs(e1), abs(e2)),
             "tol": 1e-2,
         },
-        "oracle": {
-            "n_cells": 400,
-            "n_levels": 101,
-            "tie_jump_counts": tie_counts,
-            "energy": oracle_result.energy.total,
-        },
+        "oracle": oracle_row,
+        "bound_violations": _bound_violations(blocks),
     }
-    summary["bound_violations"] = [
-        label for label in ("m1", "m2") if blocks[label]["bound"]["violated"]
-    ]
     return RunRecord(spec=spec, g=g, results=results, summary=summary, oracle=oracle_result)
 
 
@@ -356,31 +375,14 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
         "models": blocks,
     }
     if "kwc" in blocks:
-        summary["oracle_check"] = _sine_oracle_check(lam)
+        # The exact minimizer of the sharp-interface limit on this instance
+        # is itself fine-grained at this weight: the flow's fine-grained
+        # steady state is not a solver failure.
+        problem = oracle_mod.OracleProblem(
+            data=SineData(domain=(0.0, 1.0)), kernel=kwc_kernel(1.0), lam=lam, n_cells=500, n_levels=201,
+        )
+        summary["oracle_check"] = _oracle_row(problem)[0]
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
-
-
-def _sine_oracle_check(lam: float, n_cells: int = 500, n_levels: int = 201) -> dict:
-    """Exact minimizer of the sharp-interface limit on the sine instance.
-
-    Documents that the fine-grained steady state of the accurate flow is not a
-    solver failure: the global optimum over level-quantized step functions is
-    itself fine-grained at this fidelity weight.
-    """
-    problem = oracle_mod.OracleProblem(
-        data=SineData(domain=(0.0, 1.0)),
-        kernel=kwc_kernel(1.0),
-        lam=lam,
-        n_cells=n_cells,
-        n_levels=n_levels,
-    )
-    best = oracle_mod.solve(problem)
-    return {
-        "n_cells": n_cells,
-        "n_levels": n_levels,
-        "jump_count": len(best.minimizer.values) - 1,
-        "energy": best.energy.total,
-    }
 
 
 def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
@@ -520,31 +522,20 @@ def write_artifacts(record: RunRecord, out_dir) -> None:
 
 
 def plot_record(record: RunRecord, out_dir) -> list:
-    """One SVG per run from the persisted final.csv artifacts.
-
-    Raises FileNotFoundError listing any absent artifact files.
-    """
+    """One SVG per persisted run (each label in ``record.artifacts``),
+    drawn from the record's data and the run's final state."""
     path = Path(out_dir)
-    labels = [k for k in record.artifacts if k != "summary"]
-    missing = [
-        record.artifacts[label]["final"]
-        for label in labels
-        if not Path(record.artifacts[label]["final"]).exists()
-    ]
-    if missing:
-        raise FileNotFoundError("missing artifacts: " + ", ".join(sorted(missing)))
     written = []
-    for label in sorted(labels):
-        table = np.genfromtxt(record.artifacts[label]["final"], delimiter=",", names=True)
-        x = np.atleast_1d(table["x"])
+    for label in sorted(k for k in record.artifacts if k != "summary"):
+        u, v = record.results[label].state.u, record.results[label].state.v
         curves = [
             svgplot.Curve(record.g.x(), record.g.samples, "#bbbbbb", width=1.0, label="data"),
-            svgplot.Curve(x, np.atleast_1d(table["u"]), "#1f4e9c", width=1.8, label="signal"),
+            svgplot.Curve(u.x(), u.samples, "#1f4e9c", width=1.8, label="signal"),
         ]
-        if "v" in (table.dtype.names or ()):
+        if v is not None:
             curves.append(
                 svgplot.Curve(
-                    x, np.atleast_1d(table["v"]), "#c25400", width=1.2,
+                    u.x(), v.samples, "#c25400", width=1.2,
                     dash="5,3", secondary=True, label="damage",
                 )
             )

@@ -140,9 +140,12 @@ class OracleProblem:
             raise ConfigError(f"levels must be a non-empty list of numbers, got {self.levels!r}")
         size = int(self.n_levels) if uniform else len(self.levels)
         if size > MAX_LEVELS:  # before the grid is built
-            raise ConfigError(f"{size} levels exceeds the limit {MAX_LEVELS}; use a coarser level grid")
+            fewer = "a smaller n_levels" if uniform else "fewer levels"
+            raise ConfigError(f"{size} levels exceeds the limit {MAX_LEVELS}; use a coarser level grid ({fewer})")
         lv = np.linspace(lo, hi, size) if uniform else np.array([check_real("levels", v) for v in self.levels])
         if np.any(np.diff(lv) <= 0):
+            if uniform:  # a range too narrow for its magnitude, e.g. [2**63, 2**63 + 1]
+                raise ConfigError(f"the data range [{lo}, {hi}] cannot hold n_levels = {size} distinct floats")
             raise ConfigError("levels must be strictly increasing")
         span = max(hi - lo, 1.0)
         if lv[0] < lo - 1e-9 * span or lv[-1] > hi + 1e-9 * span:

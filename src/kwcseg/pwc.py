@@ -54,7 +54,7 @@ class PiecewiseConstant:
         bp = [check_real("breakpoints", x) for x in self.breakpoints]
         vals = [check_real("values", v) for v in self.values]
         if len(vals) != len(bp) + 1:
-            raise ConfigError("need exactly one more value than breakpoints")
+            raise ConfigError("values must have exactly one more entry than breakpoints")
         if any(not dom[0] < x < dom[1] for x in bp):
             raise ConfigError("breakpoints must lie strictly inside the domain")
         if any(x2 <= x1 for x1, x2 in zip(bp, bp[1:])):
@@ -98,12 +98,13 @@ class PiecewiseConstant:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "PiecewiseConstant":
-        check_keys("piecewise-constant object", d, ("domain", "breakpoints", "values"), ())
-        try:
-            return cls(tuple(d["domain"]), tuple(d["breakpoints"]), tuple(d["values"]))
-        except TypeError as exc:
-            raise ConfigError(f"bad piecewise-constant object: {exc}") from exc
+    def from_json_dict(cls, d: dict, name: str = "piecewise-constant object") -> "PiecewiseConstant":
+        """The step function of ``d``; ``name`` is the input that holds it."""
+        check_keys(name, d, ("domain", "breakpoints", "values"), ())
+        for key in ("domain", "breakpoints", "values"):
+            if not isinstance(d[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {d[key]!r}")
+        return cls(tuple(d["domain"]), tuple(d["breakpoints"]), tuple(d["values"]))
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,11 @@ class GridSignal:
     def from_csv(cls, path) -> "GridSignal":
         if not isinstance(path, (str, os.PathLike)):
             raise ConfigError(f"csv path must be a string, got {path!r}")
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+        try:
+            with open(path, newline="") as f:
+                rows = list(csv.reader(f))
+        except OSError as exc:
+            raise ConfigError(f"csv path {path!r} cannot be read: {exc.strerror or exc}") from exc
         if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
             raise ConfigError(f"{path}: expected header 'x,value'")
         body = [r for r in rows[1:] if r]

@@ -165,6 +165,33 @@ class TestExact:
         assert table[1] == pytest.approx(table[2], rel=1e-12)
         assert table[3] > table[1]
 
+    @pytest.mark.parametrize("m_max", ["0", "-3"])
+    def test_energy_table_needs_a_row(self, capsys, m_max):
+        code, out, err = run_cli(capsys, "exact", "energy-table", "--L", "1", "--lambda", "5", "--m-max", m_max)
+        assert code == 2
+        assert err.startswith("config error: ") and "m_max" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags, cost",
+        [
+            (("--kind", "potts"), lambda d: 1.0),
+            (("--kind", "potts", "--height", "0.3"), lambda d: 0.3),
+            (("--kind", "linear"), lambda d: d),
+            (("--kappa", "2"), lambda d: d / (1.0 + 2.0 * d)),
+        ],
+        ids=["potts", "potts_height_0.3", "linear", "kwc_kappa_2"],
+    )
+    def test_energy_table_of_any_kernel(self, capsys, flags, cost):
+        # E/L = K(d)/d + lam d^2 / 24 for the m-jump ladder, d = L/m.
+        code, out, _ = run_cli(capsys, "exact", "energy-table", *flags, "--L", "2", "--lambda", "5", "--m-max", "4")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(m) for m, _ in rows] == [1, 2, 3, 4]
+        for m, e in rows:
+            d = 2.0 / int(m)
+            assert float(e) == pytest.approx(cost(d) / d + 5.0 * d * d / 24.0, rel=1e-12)
+
     def test_verdict(self, capsys):
         code, out, _ = run_cli(
             capsys, "exact", "verdict", "--c", "1", "--lambda", str(16 / 3)
@@ -477,7 +504,7 @@ class TestFlowRun:
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert err.startswith("config error")
-        assert "census threshold" in err
+        assert "census_threshold" in err
         assert out == ""
         assert not (tmp_path / "o").exists()
 
@@ -569,8 +596,9 @@ FLOW_BASE = {"params": {"model": "kwc", "lam": 10.0, "n": 21, "t_max": 0.05}, "d
 
 
 class TestConfigsThatUsedToEscape:
-    """Configs that once ended in a traceback or were run with a key ignored:
-    each exits 2 with a config error that names the field."""
+    """Configs that once ended in a traceback or were run with a key ignored,
+    and input errors no other test reached: each exits 2 with a config error
+    that names the field."""
 
     @pytest.mark.parametrize(
         "change, field",
@@ -588,9 +616,12 @@ class TestConfigsThatUsedToEscape:
             ({"n_levels": 2**63}, "levels exceeds the limit 400"),
             ({"n_levels": 10**8}, "levels exceeds the limit 400"),
             ({"data": {"kind": "generator", "name": "step", "n": 2**63}}, "exceeds the limit 1000000"),
+            ({"levels": [0.0, 0.5, 0.5, 1.0]}, "levels must be strictly increasing"),
+            ({"levels": [1.0, 0.5, 0.0]}, "levels must be strictly increasing"),
         ],
         ids=["kappa_null", "level_null", "level_nan", "pin_number", "pin_null", "n_level", "endpoint_pinn", "slop",
-             "sed", "csv_path_null", "n_levels_2_63", "n_levels_1e8", "generator_n_2_63"],
+             "sed", "csv_path_null", "n_levels_2_63", "n_levels_1e8", "generator_n_2_63", "levels_repeated",
+             "levels_decreasing"],
     )
     def test_oracle_config(self, capsys, tmp_path, change, field):
         path = tmp_path / "oracle.json"
@@ -607,7 +638,7 @@ class TestConfigsThatUsedToEscape:
             ({"census_treshold": 0.1}, "census_treshold"),
             ({"data": {"generator": "noisy_steps", "n": 21, "sed": 3}}, "sed"),
             ({"params": {**FLOW_BASE["params"], "pre_relax": "yes"}}, "pre_relax"),
-            ({"census_threshold": math.inf}, "census threshold"),
+            ({"census_threshold": math.inf}, "census_threshold"),
             ({"params": {**FLOW_BASE["params"], "dt": 1e-300, "t_max": 1e10}}, "time step"),
             ({"params": {**FLOW_BASE["params"], "t_max": 2**63}}, "limit of 10000000 steps"),
             ({"params": {**FLOW_BASE["params"], "n": 2**63}}, "exceeds the limit 1000000"),
@@ -628,6 +659,35 @@ class TestConfigsThatUsedToEscape:
         assert err.startswith("config error: ") and field in err
         assert out == ""
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n0,0\n1,1\n", "expected header 'x,value'"),
+            ("x,value\n0,0\n0.5\n1,1\n", "bad row"),
+            ("x,value\n0,0\n0.5,high\n1,1\n", "bad row"),
+            ("x,value\n0,0\n", "need at least two rows"),
+            ("x,value\n0,0\n0.1,0\n1,1\n", "nodes are not uniformly spaced"),
+        ],
+        ids=["header", "short_row", "text_value", "single_row", "non_uniform"],
+    )
+    @pytest.mark.parametrize("command", ["oracle", "flow"])
+    def test_csv_data(self, capsys, tmp_path, command, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        path = tmp_path / "config.json"
+        if command == "oracle":
+            cfg = {**ORACLE_BASE, "data": {"kind": "csv", "path": str(data)}, "n_cells": None}
+            argv = ("oracle", "solve", "--config", str(path))
+        else:
+            cfg = {**FLOW_BASE, "data": {"csv": str(data)}}
+            argv = ("flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"config error: {data}: {message}")
+        assert out == ""
 
 
 class TestParser:

@@ -23,7 +23,8 @@ from kwcseg.exact import (
     uniform_step_minimizer,
 )
 from kwcseg.kernel import derive_constants, kwc_kernel, linear_kernel, potts_kernel
-from kwcseg.pwc import LinearData, PiecewiseConstant, SineData, energy
+from kwcseg.errors import ConfigError
+from kwcseg.pwc import GridSignal, LinearData, PiecewiseConstant, SampledData, SineData, energy
 
 from proof_devices import dispersion, split_cost_derivative
 
@@ -76,6 +77,26 @@ class TestUniformStepEnergy:
         f = 1.0 / (d + 1.0) + lam * d * d / 24.0
         second = np.diff(f, 2)
         assert np.all(second > 0)
+
+    @pytest.mark.parametrize(
+        "kernel, cost",
+        [
+            (potts_kernel(1.0), lambda d: 1.0),
+            (potts_kernel(0.3), lambda d: 0.3),
+            (linear_kernel(), lambda d: d),
+            (kwc_kernel(2.0), lambda d: d / (1.0 + 2.0 * d)),
+        ],
+        ids=["potts", "potts_height_0.3", "linear", "kwc_kappa_2"],
+    )
+    def test_any_other_kernel_follows_the_ladder_formula(self, kernel, cost):
+        # m jumps of size d = L/m cost m K(d); the m - 1 full plateaus and the
+        # two half ones misfit by m d^3 / 12 in all, so E/L = K(d)/d + lam d^2 / 24.
+        for L in (0.5, 1.0, 3.0):
+            for m in (1, 2, 5):
+                for lam in (0.0, 16 / 3, 40.0):
+                    d = L / m
+                    expected = cost(d) / d + lam * d * d / 24.0
+                    assert uniform_step_energy(L, m, lam, kernel) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", [None, potts_kernel(1.0)], ids=["kappa_1_shortcut", "potts"])
     @pytest.mark.parametrize("m", [0, -2, 1.5, 2.0], ids=["zero", "negative", "fraction", "float"])
@@ -173,6 +194,18 @@ class TestCriticalLambda:
             vals = {j: uniform_step_energy(1.0, j, lam) for j in range(1, 4 * m)}
             assert min(vals, key=vals.get) == m
 
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, 5.0])
+    def test_lambda_for_one_jump_makes_the_one_jump_ladder_strict(self, L):
+        # Exact ladder energies 1/(d + 1) + lam d^2 / 24 at d = L/m, in rationals.
+        lam = Fraction(lambda_for_jump_count(L, 1))
+
+        def exact(m):
+            d = Fraction(L) / m
+            return 1 / (d + 1) + lam * d * d / 24
+
+        assert all(exact(1) < exact(m) for m in range(2, 200))
+        assert all(uniform_step_energy(L, 1, float(lam)) < uniform_step_energy(L, m, float(lam)) for m in range(2, 200))
+
     def test_weight_ordering_of_transitions(self):
         lams = [transition_lambda(1.0, m) for m in range(1, 8)]
         assert all(b > a for a, b in zip(lams, lams[1:]))
@@ -223,6 +256,32 @@ class TestOptimalJumpLocation:
             mid = (math.sin(3 * math.pi * alpha) + math.sin(3 * math.pi * beta)) / 2
             assert math.sin(3 * math.pi * star) == pytest.approx(mid, abs=1e-9)
             assert alpha <= star <= beta
+
+
+    def test_decreasing_data(self):
+        # g = 1 - 2x on (0.1, 0.7) runs from 0.8 to -0.4; it crosses the mid-level 0.2 at 0.4.
+        loc = optimal_jump_location(LinearData((0, 1), slope=-2.0, intercept=1.0), 0.1, 0.7)
+        assert loc == pytest.approx(0.4, abs=1e-12)
+        # The wave falls from 1 to -1 on (1/6, 1/2); it crosses 0 at 1/3.
+        assert optimal_jump_location(SineData((0.0, 1.0)), 1 / 6, 1 / 2) == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+    def test_sampled_data_crosses_its_interpolated_mid_level(self, sign):
+        xs = np.linspace(0.0, 1.0, 11)
+        ys = sign * xs**2
+        data = SampledData(GridSignal((0.0, 1.0), ys))
+        alpha, beta = 0.05, 0.95
+        mid = 0.5 * (data(alpha) + data(beta))
+        # The inverse of the piecewise-linear interpolant, read off increasing samples.
+        expected = np.interp(sign * mid, sign * ys, xs)
+        assert optimal_jump_location(data, alpha, beta) == pytest.approx(expected, abs=1e-12)
+
+    def test_sampled_data_that_is_not_monotone_is_rejected(self):
+        wave = GridSignal((0.0, 1.0), np.sin(3 * np.pi * np.linspace(0.0, 1.0, 31)))
+        with pytest.raises(ConfigError, match="not monotone"):
+            optimal_jump_location(SampledData(wave), 0.0, 0.5)
+        # The rising stretch alone is monotone.
+        assert 0.0 < optimal_jump_location(SampledData(wave), 0.0, 1 / 6) < 1 / 6
 
 
 class TestEqualJumpVerdict:
@@ -358,6 +417,14 @@ class TestJumpBounds:
         rep = jump_bounds(potts_kernel(1.0), 0.0, 1.0, 16 / 3, mass_cap=1.0)
         assert rep.restricted_to_step_functions is True
         assert rep.jumps_any_data >= rep.jumps_monotone_data
+
+    def test_linear_kernel_gets_no_bounds_and_says_why(self):
+        # K(a) + K(b) = K(a + b): splitting a jump gains nothing, so there is no split gain.
+        rep = jump_bounds(linear_kernel(), 0.0, 1.0, 16 / 3, mass_cap=1.0)
+        assert (rep.jumps_any_data, rep.jumps_monotone_data, rep.constants) == (None, None, None)
+        assert "no positive split gain" in rep.failure
+        assert rep.to_json_dict()["failure"] == rep.failure
+        assert "constants" not in rep.to_json_dict()
 
     def test_monotone_bound_scales_with_oscillation(self):
         small = jump_bounds(kwc_kernel(1.0), 0.0, 1.0, 10.0, mass_cap=0.5)

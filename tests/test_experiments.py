@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import kwcseg.experiments as xp
-from kwcseg.errors import ConfigError
+import kwcseg.flow as flow_mod
+from kwcseg.errors import ConfigError, DivergenceError, InvariantViolation
+from kwcseg.exact import BoundReport
 from kwcseg.pwc import GridSignal
 
 
@@ -194,15 +196,75 @@ class TestRunAndArtifacts:
         assert [open(p, "rb").read() for p in second] == payload
         assert all(p.endswith(".svg") for p in first)
 
-    def test_plot_reports_missing_artifacts_by_path(self, tmp_path):
-        rec = xp.run_experiment(tiny_spec(), out_dir=tmp_path)
-        victim = rec.artifacts["rof"]["final"]
-        os.remove(victim)
-        with pytest.raises(FileNotFoundError) as err:
-            xp.plot_record(rec, tmp_path)
-        assert victim in str(err.value)
+    def test_plots_are_drawn_from_the_record_not_the_files(self, tmp_path):
+        rec = xp.run_experiment(tiny_spec(models=("rof", "kwc")), out_dir=tmp_path)
+        first = [open(p, "rb").read() for p in xp.plot_record(rec, tmp_path)]
+        for label in ("rof", "kwc"):
+            os.remove(rec.artifacts[label]["final"])
+        assert [open(p, "rb").read() for p in xp.plot_record(rec, tmp_path)] == first
 
     def test_plot_without_artifacts_is_empty(self, tmp_path):
         rec = xp.run_experiment(tiny_spec())
         assert rec.artifacts == {}
         assert xp.plot_record(rec, tmp_path) == []
+
+
+class TestNonuniqueness:
+    """The protocol behind the paper's non-uniqueness claim, end to end."""
+
+    @pytest.fixture(scope="class")
+    def persisted(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ties")
+        return xp.run_experiment(xp.ExperimentSpec(name="nonuniqueness"), out_dir=out), out
+
+    def test_the_oracle_ties_the_theory_counts(self, persisted):
+        summary = persisted[0].summary
+        oracle = summary["oracle"]
+        assert oracle["tie_jump_counts"] == summary["tied_jump_counts_theory"] == [1, 2]
+        assert oracle["jump_count"] in oracle["tie_jump_counts"]
+        assert oracle["energy"] == pytest.approx(13 / 18, rel=1e-9)
+        assert set(oracle) == {"n_cells", "n_levels", "jump_count", "energy", "tie_jump_counts"}
+
+    def test_both_ladders_reach_the_same_energy(self, persisted):
+        summary = persisted[0].summary
+        match = summary["energy_match"]
+        assert match["rel_diff"] <= match["tol"]
+        assert [summary["runs"][label]["fit_jump_count"] for label in ("m1", "m2")] == [1, 2]
+        assert summary["bound_violations"] == []
+
+    def test_summary_json_holds_the_oracle_result(self, persisted):
+        record, out = persisted
+        saved = json.loads((out / "summary.json").read_text())
+        assert saved["oracle_result"] == record.oracle.to_json_dict()
+        assert saved["oracle_result"]["jump_count"] == saved["oracle"]["jump_count"]
+        assert saved["oracle"] == record.summary["oracle"]
+
+
+class TestRunFailures:
+    def test_a_diverged_run_leaves_its_trace(self, tmp_path, monkeypatch):
+        orig, calls = flow_mod._step, []
+
+        def corrupting(u, v, g, params, w):
+            u1, *rest = orig(u, v, g, params, w)
+            calls.append(None)
+            if len(calls) > 3:
+                u1 = u1.copy()
+                u1[1] = np.nan
+            return (u1, *rest)
+
+        monkeypatch.setattr(flow_mod, "_step", corrupting)
+        with pytest.raises(DivergenceError) as err:
+            xp.run_experiment(tiny_spec(), out_dir=tmp_path)
+        rows = (tmp_path / "diverged_trace.csv").read_text().splitlines()
+        assert rows[0] == ",".join(flow_mod.TRACE_COLUMNS)
+        assert len(rows) == 1 + len(err.value.trace)
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_a_bound_violation_raises_after_the_artifacts_are_written(self, tmp_path, monkeypatch):
+        # A bound of 0 jumps is exceeded by every ladder run.
+        monkeypatch.setattr(xp, "jump_bounds", lambda *args, **kw: BoundReport(0, 0, None))
+        with pytest.raises(InvariantViolation, match="m1, m2"):
+            xp.run_experiment(xp.ExperimentSpec(name="nonuniqueness"), out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["bound_violations"] == ["m1", "m2"]
+        assert all(summary["runs"][label]["bound"]["violated"] for label in ("m1", "m2"))

@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def run_main(workdir, cfg, *argv):
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("config error: ") and out.getvalue() == ""
-    return code
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +208,128 @@ def test_oracle_solve_exits_0_or_2_on_any_config(workdir, cfg, tie_scan):
 @given(cfg=FLOW)
 def test_flow_run_exits_0_or_2_on_any_config(workdir, cfg):
     run_main(workdir, cfg, "flow", "run", "--out", str(workdir / "run"))
+
+
+# ---------------------------------------------------------------------------
+# One fault at a time: every field of every CLI config object, each set to
+# one junk value (or left out, or misspelt) in a config that is otherwise
+# valid.  The fuzz above draws combinations; this table reaches the faults
+# that a single bad field exposes only when every other field is valid.
+
+ONE_FAULT = {
+    "null": None, "text": "x", "bool": True, "list": [1.0], "nan": math.nan,
+    "minus_1": -1, "2_63": 2**63, "missing": OMITTED, "misspelt": MISSPELT,
+}
+CSV = "<csv>"  # stands for the path of a valid 21-node "x,value" file
+STEPS_OBJECT = {"domain": [0.0, 1.0], "breakpoints": [0.5], "values": [0.2, 0.8]}
+ORACLE_DATA = {
+    "linear": {"kind": "linear", "domain": [0.0, 1.0], "slope": 1.0, "intercept": 0.0},
+    "sine": {"kind": "sine", "domain": [0.0, 1.0], "amplitude": 1.0, "omega": 9.0},
+    "steps": {"kind": "steps", "steps": STEPS_OBJECT},
+    "csv": {"kind": "csv", "path": CSV},
+    "generator": {"kind": "generator", "name": "noisy_steps", "n": 11, "seed": 0},
+}
+ORACLE_CONFIG = {
+    "data": ORACLE_DATA["linear"], "kernel": {"kind": "kwc", "kappa": 1.0, "height": 1.0}, "lam": 5.0,
+    "n_cells": 10, "n_levels": 5, "endpoint_pin": True, "tie_tolerance": 1e-9,
+}
+SIGNALS = {
+    "generator": {"generator": "noisy_steps", "n": 21, "seed": 0},
+    "pwc": {"pwc": STEPS_OBJECT, "n": 21},
+    "csv": {"csv": CSV},
+}
+FLOW_CONFIG = {
+    "params": {
+        "model": "kwc", "lam": 10.0, "n": 21, "dt": 0.01, "sigma": 1.0, "epsilon": 0.05, "t_max": 0.05,
+        "steady_tol": 1e-9, "bc_u": "neumann", "pre_relax": False, "output_stride": 2,
+    },
+    "data": SIGNALS["generator"], "u0": SIGNALS["pwc"], "census_threshold": 0.05,
+}
+# The keys whose absence is a configuration error, by object (n_cells, as
+# the oracle's base data is analytic).
+REQUIRED = {
+    "oracle.data", "oracle.kernel", "oracle.lam", "oracle.n_cells", "kernel.kind",
+    *(f"{kind}.kind" for kind in ORACLE_DATA), "steps.steps", "csv.path", "generator.name",
+    "step_object.domain", "step_object.breakpoints", "step_object.values",
+    "flow.params", "flow.data", "params.model", "params.lam", *(f"{source}.{source}" for source in SIGNALS),
+}
+# The junk values that are also valid values of a field, or that a field
+# reads as its default (a null optional oracle field): these cases must exit
+# 0 or 2, with no traceback.
+CAN_BE_VALID = {
+    "oracle.lam": {"2_63"}, "oracle.n_levels": {"null"},
+    "oracle.endpoint_pin": {"null", "bool"}, "oracle.tie_tolerance": {"null", "2_63"},
+    "oracle.levels": {"null", "list"},
+    "kernel.kappa": {"2_63"}, "kernel.height": {"2_63"},
+    "linear.slope": {"minus_1", "2_63"}, "linear.intercept": {"minus_1", "2_63"},
+    "sine.amplitude": {"minus_1", "2_63"}, "sine.omega": {"minus_1", "2_63"},
+    "generator.seed": {"2_63"},
+    "flow.census_threshold": {"2_63"},
+    "params.lam": {"2_63"}, "params.sigma": {"2_63"}, "params.steady_tol": {"2_63"},
+    "params.output_stride": {"2_63"}, "params.pre_relax": {"bool"},
+}
+
+
+def one_fault_targets():
+    """(id, command, valid config, path to the object, object kind, field)."""
+    yield from (("oracle", "oracle", ORACLE_CONFIG, (), "oracle", f) for f in ORACLE_CONFIG)
+    levels = {**{k: v for k, v in ORACLE_CONFIG.items() if k != "n_levels"}, "levels": [0.0, 0.25, 0.5, 0.75, 1.0]}
+    yield "oracle", "oracle", levels, (), "oracle", "levels"
+    yield from (("oracle.kernel", "oracle", ORACLE_CONFIG, ("kernel",), "kernel", f) for f in ORACLE_CONFIG["kernel"])
+    for kind, data in ORACLE_DATA.items():
+        cfg = {**ORACLE_CONFIG, "data": data}
+        yield from ((f"oracle.data[{kind}]", "oracle", cfg, ("data",), kind, f) for f in data)
+    cfg = {**ORACLE_CONFIG, "data": ORACLE_DATA["steps"]}
+    yield from (("oracle.data.steps", "oracle", cfg, ("data", "steps"), "step_object", f) for f in STEPS_OBJECT)
+    yield from (("flow", "flow", FLOW_CONFIG, (), "flow", f) for f in FLOW_CONFIG)
+    yield from (("flow.params", "flow", FLOW_CONFIG, ("params",), "params", f) for f in FLOW_CONFIG["params"])
+    for where in ("data", "u0"):
+        for source, signal in SIGNALS.items():
+            cfg = {**FLOW_CONFIG, where: signal}
+            yield from ((f"flow.{where}[{source}]", "flow", cfg, (where,), source, f) for f in signal)
+        cfg = {**FLOW_CONFIG, where: SIGNALS["pwc"]}
+        yield from ((f"flow.{where}.pwc", "flow", cfg, (where, "pwc"), "step_object", f) for f in STEPS_OBJECT)
+
+
+def with_one_fault(cfg, path, field, junk):
+    """A deep copy of ``cfg`` with ``field`` of the object at ``path`` set to
+    ``junk``, left out, or written under a misspelt key."""
+    cfg = json.loads(json.dumps(cfg))
+    obj = cfg
+    for key in path:
+        obj = obj[key]
+    value = obj.pop(field)
+    if junk is MISSPELT:
+        obj[field + field[-1]] = value
+    elif junk is not OMITTED:
+        obj[field] = junk
+    return cfg
+
+
+ONE_FAULT_CASES = [
+    pytest.param(command, cfg, path, f"{kind}.{field}", field, label, id=f"{where}.{field}-{label}")
+    for where, command, cfg, path, kind, field in one_fault_targets()
+    for label in ONE_FAULT
+]
+
+
+@pytest.fixture(scope="module")
+def csv_path(workdir):
+    path = workdir / "signal.csv"
+    x = np.linspace(0.0, 1.0, 21)
+    path.write_text("x,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, np.where(x < 0.5, 0.2, 0.8))))
+    return path
+
+
+@pytest.mark.parametrize("command, cfg, path, name, field, label", ONE_FAULT_CASES)
+def test_one_fault_in_a_valid_config_is_named(workdir, csv_path, command, cfg, path, name, field, label):
+    junk = ONE_FAULT[label]
+    cfg = json.loads(json.dumps(with_one_fault(cfg, path, field, junk)).replace(f'"{CSV}"', json.dumps(str(csv_path))))
+    argv = ("oracle", "solve") if command == "oracle" else ("flow", "run", "--out", str(workdir / "run"))
+    code, err = run_main(workdir, cfg, *argv)
+    valid = label in CAN_BE_VALID.get(name, ()) or (junk is OMITTED and name not in REQUIRED)
+    if not valid:
+        assert code == 2
+        # A misspelt key is named as written, or a missing required one by its name.
+        keys = (field, field + field[-1]) if junk is MISSPELT else (field,)
+        assert any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err) for key in keys), err

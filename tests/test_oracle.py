@@ -490,6 +490,25 @@ class TestProblemValidation:
         with pytest.raises(ConfigError, match="jump count"):
             best_with_m_jumps(tie_problem(n_cells=10, n_levels=5), m)
 
+    @pytest.mark.parametrize(
+        "n_cells, m, message",
+        [
+            (20, 11, "jump budget 11 exceeds the limit 10"),
+            (10, 10, "cannot place 10 jumps with only 10 cells"),
+            (5, 7, "cannot place 7 jumps with only 5 cells"),
+        ],
+        ids=["budget_above_10", "m_equals_cells", "m_above_cells"],
+    )
+    def test_jump_budget_limits(self, n_cells, m, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            best_with_m_jumps(tie_problem(n_cells=n_cells, n_levels=5), m)
+        assert best_with_m_jumps(tie_problem(n_cells=n_cells, n_levels=5), min(n_cells - 1, 10)).jump_count > 0
+
+    @pytest.mark.parametrize("levels", [[0.0, 0.5, 0.5, 1.0], [1.0, 0.5, 0.0]], ids=["repeated", "decreasing"])
+    def test_levels_must_be_strictly_increasing(self, levels):
+        with pytest.raises(ConfigError, match="levels must be strictly increasing"):
+            solve(OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=10, levels=levels))
+
     @pytest.mark.parametrize("scan", [2.5, "2", True, -1])
     def test_tie_scan_must_be_a_non_negative_integer(self, scan):
         with pytest.raises(ConfigError, match="tie_scan_jumps"):
