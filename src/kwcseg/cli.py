@@ -23,7 +23,7 @@ from .exact import (
     jump_bounds,
     uniform_step_energy,
 )
-from .experiments import EXPERIMENTS, ExperimentSpec, generate_signal, plot_record, run_experiment
+from .experiments import EXPERIMENTS, GENERATORS, ExperimentSpec, generate_signal, plot_record, run_experiment
 from .flow import MODELS, FlowParams, run
 from .kernel import JumpKernel, check_conditions, derive_constants
 from .pwc import (
@@ -182,8 +182,7 @@ def _cmd_flow_run(args) -> int:
     cfg = check_keys("flow config", _load_json(args.config), ("params", "data"), ("u0", "census_threshold"))
     pcfg = dict(check_keys("flow params", cfg["params"], ("model", "lam"), [f.name for f in fields(FlowParams)]))
     pcfg["model"] = str(pcfg["model"]).lower()
-    params = FlowParams(**pcfg)
-    params.validate()  # before the data's size can replace a bad n
+    params = FlowParams(**pcfg)  # checked before the data's size can replace a bad n
     threshold = cfg.get("census_threshold", experiments_mod.STRUCTURE_THRESHOLD)
     threshold = check_real("census_threshold", threshold, least=0)
     g = signal_from_config(cfg["data"], "data", params.n)
@@ -289,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("name", choices=EXPERIMENTS + ("custom",))
     px.add_argument("--seed", type=int, default=0)
     px.add_argument("--out", default=None)
-    px.add_argument("--models", nargs="*", choices=MODELS, default=None)
-    px.add_argument("--data", default=None, help="generator name (custom only)")
+    px.add_argument("--models", nargs="*", default=None, help=f"any of {', '.join(MODELS)}")
+    px.add_argument("--data", default=None, help=f"custom only: one of {', '.join(GENERATORS)}")
     px.add_argument("--lam", type=float, default=None)
     px.add_argument("--n", type=int, default=None)
     px.add_argument("--t-max", dest="t_max", type=float, default=None)

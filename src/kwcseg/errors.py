@@ -58,14 +58,15 @@ def check_real(name: str, value, least: float | None = None, positive: bool = Fa
 
 
 def check_keys(name: str, cfg, required, optional) -> dict:
-    """``cfg`` itself, when it is an object with every key of ``required`` and
-    no key outside ``required`` and ``optional``."""
+    """``cfg`` itself, when it is an object with no key outside ``required``
+    and ``optional`` and every key of ``required``.  Unknown keys are named
+    first, so a misspelt required key is named as it was written."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{name} must be an object, got {cfg!r}")
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"{name} needs {key!r}")
     unknown = [key for key in cfg if key not in required and key not in optional]
     if unknown:
         raise ConfigError(f"unknown {name} keys: {unknown}")
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"{name} needs {key!r}")
     return cfg

@@ -95,9 +95,10 @@ def generate_signal(name: str, n: int = 1000, seed: int = 0) -> GridSignal:
 class ExperimentSpec:
     """A named protocol plus reproducibility knobs.
 
-    Named experiments fully determine their data, models, and parameters;
-    ``overrides`` tweaks FlowParams fields (n, t_max, ...).  ``custom``
-    requires a generator name, a model list, and a lam override.
+    Named experiments fix their data and weight, and ``linear_steady`` and
+    ``nonuniqueness`` their model (kwc); a spec that sets these is rejected.
+    ``overrides`` tweaks the other FlowParams fields (n, t_max, ...).
+    ``custom`` requires a generator name, a model list, and a lam override.
     """
 
     name: str
@@ -114,11 +115,22 @@ class ExperimentSpec:
         if "model" in self.overrides:
             raise ConfigError("the model is fixed by the protocol; use models=")
         check_count("seed", self.seed)
+        unknown = [m for m in self.models if m not in MODELS]
+        if unknown:
+            raise ConfigError(f"unknown models {unknown}; expected some of {MODELS}")
         if self.name == "custom":
             if not self.data or not self.models:
                 raise ConfigError("custom experiments need data and models")
+            if self.data not in GENERATORS:
+                raise ConfigError(f"unknown data generator {self.data!r}; expected one of {GENERATORS}")
             if "lam" not in self.overrides:
                 raise ConfigError("custom experiments need a lam override")
+        else:
+            kwc_only = self.name in ("linear_steady", "nonuniqueness")
+            given = {"data": self.data, "lam": "lam" in self.overrides, "models": kwc_only and self.models}
+            fixed = [key for key, value in given.items() if value]
+            if fixed:
+                raise ConfigError(f"the {self.name} protocol fixes its own {', '.join(fixed)}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -28,6 +28,9 @@ quadratic u-subproblem (at) and the damage subproblem are tridiagonal
 solves, one direct call of LAPACK's gtsv each, the latter also giving the
 exact steady damage for a frozen u.
 
+A FlowParams checks its fields and a GridSignal its samples when built;
+``run`` and ``steady_damage_profile`` share one check of the grid.
+
 Resolution note: the half-to-each-node lumping biases the steady v at an
 isolated jump by O(h/eps) (about +5% of the depth at n = 1000 and
 eps = 0.005); quantitative checks against the sharp-interface value should
@@ -55,7 +58,7 @@ TRACE_COLUMNS = ("t", "energy", "change_rate", "prox_gap")
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Model choice, grid, and time stepping for one flow run."""
+    """Model choice, grid, and time stepping for one flow run, checked when built."""
 
     model: str
     lam: float
@@ -69,7 +72,7 @@ class FlowParams:
     pre_relax: bool = False
     output_stride: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.bc_u not in ("neumann", "dirichlet"):
@@ -403,12 +406,17 @@ def _flow_state(g: GridSignal, t: float, u: np.ndarray, v: np.ndarray | None, en
     )
 
 
-def _validate_on(params: FlowParams, h: float) -> None:
-    """``params.validate()`` plus the interface-width check on the spacing
-    ``h`` of the grid solved on: the data's own, 1/(n - 1) only on [0, 1]."""
-    params.validate()
+def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
+    """u and the data g (u itself for a lone signal) on one grid of
+    ``params.n`` nodes, whose spacing h (the data's own, 1/(n - 1) only on
+    [0, 1]) the interface width resolves."""
+    if u.n != g.n or u.n != params.n:
+        nodes = f"u has {u.n} nodes" if u is g else f"g has {g.n} nodes, u has {u.n}"
+        raise ConfigError(f"grid mismatch: {nodes}, params.n = {params.n}")
+    _require_same_domain(u, g)
     # The steady damage matrix has diagonal h/eps + 2 eps/h + coupling and
     # off-diagonals -eps/h; h/eps must survive the sum or it is singular.
+    h = g.h
     shift, stiff = h / params.epsilon, params.epsilon / h
     if not (math.isfinite(shift) and math.isfinite(stiff) and shift + 2.0 * stiff > 2.0 * stiff):
         raise ConfigError(
@@ -424,22 +432,10 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
     (h/eps + coupling_i) v_i + stiffness = h/eps with natural ends.  A run
     with ``pre_relax`` starts from this field of its u0, pins set.
     """
-    _validate_on(params, u.h)
+    _check_grid(params, u, u)
     if params.model == "rof":
         raise ConfigError("the rof model has no damage field")
-    if u.n != params.n:
-        raise ConfigError(f"grid mismatch: u has {u.n} nodes, params.n = {params.n}")
     return GridSignal(u.domain, _damage_solve(np.diff(u.samples), u.h, params))
-
-
-def _check_inputs(g: GridSignal, u: GridSignal, params: FlowParams) -> None:
-    """The parameters on the data's spacing, one grid, finite samples."""
-    _validate_on(params, g.h)
-    if u.n != g.n or u.n != params.n:
-        raise ConfigError(f"grid mismatch: g has {g.n} nodes, u has {u.n}, params.n = {params.n}")
-    _require_same_domain(u, g)
-    if not (np.all(np.isfinite(g.samples)) and np.all(np.isfinite(u.samples))):
-        raise ConfigError("g and u must have finite samples")
 
 
 def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
@@ -449,7 +445,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     below steady_tol.  Non-finite values abort with the last finite state
     and the trace kept on the error for post-mortem.
     """
-    _check_inputs(g, u0, params)
+    _check_grid(params, u0, g)
     u = u0.samples.copy()
     pins = _pins(g.samples, params)
     if pins is not None:

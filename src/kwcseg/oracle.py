@@ -32,7 +32,9 @@ and the budgeted DP visits only the states whose bound is within a
 threshold of the free optimum.  Both free passes write into one
 (cells x levels) table of bounds.  The pruned pass's results are those of
 the dense pass (``_pruned_pass`` has the argument); when too many states
-survive, the dense pass runs instead.
+survive, the dense pass runs instead.  The two passes differ only in
+their inner loops: one ``_start`` and one ``_read_rows`` serve both, the
+dense pass keeping every level of every cell.
 """
 
 import math
@@ -112,8 +114,6 @@ class OracleProblem:
     def __post_init__(self):
         check_real("lam", self.lam, least=0)
         check_real("tie_tolerance", self.tie_tolerance, least=0)
-        if isinstance(self.data, SampledData) and not np.all(np.isfinite(self.data.signal.samples)):
-            raise ConfigError("sampled data must be finite")
         if self.n_cells is not None:
             check_count("n_cells", self.n_cells, least=1)
         check_count("n_levels", self.n_levels, least=1)
@@ -392,12 +392,11 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     With ``tie_scan_jumps`` set, also runs one jump-count-constrained pass
     for the budgets m = 0..tie_scan_jumps and returns, as ties, the
     m-optima whose energy is within tie_tolerance (relative) of the global
-    optimum and whose jump signature differs from the minimizer's.  That
-    pass is pruned to the states whose path bound is within the tie window
-    T (see ``_pruned_pass``).  A row the dense pass keeps, of energy at
-    most T, has a DP cost within 1e-12 of it, so the pruned row is the
-    same; a row above T is above it in the pruned pass too, and is dropped
-    either way.
+    optimum and whose jump set differs from the minimizer's.  That pass is
+    pruned to the states whose path bound is within the tie window T (see
+    ``_pruned_pass``).  A row the dense pass keeps, of energy at most T,
+    has a DP cost within 1e-12 of it, so the pruned row is the same; a row
+    above T is above it in the pruned pass too, and is dropped either way.
     """
     if tie_scan_jumps is not None:
         check_count("tie_scan_jumps", tie_scan_jumps)
@@ -413,79 +412,88 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
         return best
 
     tol = problem.tie_tolerance * max(1.0, abs(best.energy.total))
+    rows = None
     if prune:
         keep = _survivors(bound, best.energy.total + tol)
         del bound
-        prune = keep.mean() <= _MAX_SURVIVORS
-    seqs = _pruned_pass(tab, budget, keep)[0] if prune else _budget_pass(tab, budget)
-    cell = (problem.data.domain[1] - problem.data.domain[0]) / n
-    seen = {_signature(best.minimizer, cell)}
+        rows = _pruned_rows(tab, budget, keep)
+    seqs, _ = _budget_pass(tab, budget) if rows is None else rows
+    # Row m has exactly m jumps, so only the minimizer's row can repeat its jump set.
+    own = tuple(np.flatnonzero(np.diff(seq)))
     ties = []
     for seq in seqs:
-        if seq is None:
-            continue  # no admissible sequence with this jump count (pins)
+        # None: no admissible sequence with this jump count (pins).
+        if seq is None or tuple(np.flatnonzero(np.diff(seq))) == own:
+            continue
         res = _result_from_sequence(problem, tab, seq)
-        if res.energy.total > best.energy.total + tol:
-            continue
-        sig = _signature(res.minimizer, cell)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        ties.append(res)
+        if res.energy.total <= best.energy.total + tol:
+            ties.append(res)
     return replace(best, ties=tuple(ties))
 
 
-def _signature(u: PiecewiseConstant, cell: float) -> tuple:
-    a = u.domain[0]
-    return (u.jump_count, tuple(int(round((b - a) / cell)) for b in u.breakpoints))
+def _start(tab: _Tableau, budget: int, levels: np.ndarray) -> tuple:
+    """The budgeted passes' jump matrix (inf on its diagonal: a jump always
+    changes level) and first cell's rows over ``levels``: row 0 the cost
+    there (inf off the start pin), every other row inf."""
+    jump = tab.kmat.copy()
+    np.fill_diagonal(jump, np.inf)
+    V = np.full((budget + 1, levels.size), np.inf)
+    cost = tab.cost[0, levels]
+    V[0] = cost if tab.pin is None else np.where(levels == tab.pin[0], cost, np.inf)
+    return jump, V
 
 
-def _budget_pass(tab: _Tableau, budget: int) -> list:
-    """Optimal level sequences with exactly m = 0..budget level changes.
+def _read_rows(tab: _Tableau, parents, V: np.ndarray, kept: list) -> tuple:
+    """Each budget row's level sequence and optimum (None and inf where no
+    sequence meets the end pin), from the last cell's rows V.  Columns and
+    parents are positions among each cell's ascending ``kept`` levels:
+    ``parents[i][j, p]`` is cell i - 1's position before p in row j."""
+    last = kept[-1]
+    if tab.pin is not None:
+        V = np.where(last == tab.pin[1], V, np.inf)
+    seqs, values = [], np.empty(V.shape[0])
+    for m in range(V.shape[0]):
+        at = int(np.argmin(V[m]))
+        values[m] = V[m, at]
+        if not np.isfinite(values[m]):
+            seqs.append(None)
+            continue
+        seq = np.empty(len(kept), dtype=np.int64)
+        seq[-1] = last[at]
+        j = m
+        for i in range(len(kept) - 1, 0, -1):
+            at = parents[i][j, at]
+            seq[i - 1] = kept[i - 1][at]
+            if seq[i - 1] != seq[i]:
+                j -= 1
+        seqs.append(seq)
+    return seqs, values
 
-    One DP over (cell, jumps used, level).  Row m only reads rows m and
-    m - 1, so rows 0..m equal those of a pass with budget m.  Entry m of
-    the result is the optimal sequence with exactly m jumps, or None when
-    no sequence has that many (pins).
+
+def _budget_pass(tab: _Tableau, budget: int) -> tuple:
+    """Optimal level sequences with exactly m = 0..budget level changes,
+    and their optima, as ``_read_rows`` returns them.
+
+    One DP over (cell, jumps used, level), with every level kept, so
+    positions are level indices.  Row m only reads rows m and m - 1, so
+    rows 0..m equal those of a pass with budget m.
     """
     n, L = tab.cost.shape
-    big = np.inf
-    jump = tab.kmat.copy()
-    np.fill_diagonal(jump, big)
-
     cols = np.arange(L)
+    jump, D = _start(tab, budget, cols)
     offs = cols * L
     trans = np.empty((L, L))
-    D = np.full((budget + 1, L), big)
-    D[0] = tab.cost[0] if tab.pin is None else np.where(cols == tab.pin[0], tab.cost[0], big)
-    jumped = np.full((budget + 1, L), big)  # row 0 never jumps
+    jumped = np.full((budget + 1, L), np.inf)  # row 0 never jumps
     arg = np.zeros((budget + 1, L), dtype=np.int16)
-    parent_lvl = np.zeros((n, budget + 1, L), dtype=np.int16)
+    parents = np.zeros((n, budget + 1, L), dtype=np.int16)
     for i in range(1, n):
         for j in range(1, budget + 1):
             arg[j], jumped[j] = _relax(D[j - 1], jump, trans, offs)
         # Strict <: an all-inf row (no admissible sequence yet) never jumps.
         use_jump = jumped < D
-        parent_lvl[i] = np.where(use_jump, arg, cols)
+        parents[i] = np.where(use_jump, arg, cols)
         D = np.where(use_jump, jumped, D) + tab.cost[i]
-
-    if tab.pin is not None:
-        D = np.where(cols == tab.pin[1], D, big)
-    seqs = []
-    for m in range(budget + 1):
-        if not np.isfinite(D[m]).any():
-            seqs.append(None)
-            continue
-        seq = np.empty(n, dtype=np.int64)
-        seq[-1] = int(np.argmin(D[m]))
-        j = m
-        for i in range(n - 1, 0, -1):
-            seq[i - 1] = parent_lvl[i, j, seq[i]]
-            # A jump always changes level: jump has inf on its diagonal.
-            if seq[i - 1] != seq[i]:
-                j -= 1
-        seqs.append(seq)
-    return seqs
+    return _read_rows(tab, parents, D, [cols] * n)
 
 
 def _worth_pruning(budget: int, L: int) -> bool:
@@ -497,11 +505,14 @@ def _survivors(bound: np.ndarray, threshold: float) -> np.ndarray:
     return bound <= threshold + 1e-9 * max(1.0, abs(threshold))
 
 
+def _pruned_rows(tab: _Tableau, budget: int, keep: np.ndarray):
+    """``_pruned_pass`` over ``keep``, or None (run the dense pass) when more
+    than ``_MAX_SURVIVORS`` of the states survive."""
+    return None if keep.mean() > _MAX_SURVIVORS else _pruned_pass(tab, budget, keep)
+
+
 def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
     """``_budget_pass`` over the states (cell, level) that ``keep`` marks.
-
-    Returns the sequences (None where no kept sequence has that many jumps)
-    and each row's optimum as the DP sums it (inf there).
 
     Exactness.  Any path through state (i, l), whatever its jump count,
     costs at least ``bound[i, l] = F[i, l] + B[i, l] - cost[i, l]``, with F
@@ -529,15 +540,11 @@ def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
     (budget, kept, kept before) sum, in the calling thread.
     """
     n, L = tab.cost.shape
-    big = np.inf
-    jump = tab.kmat.copy()
-    np.fill_diagonal(jump, big)
     kept = [np.flatnonzero(row) for row in keep]
     if any(s.size == 0 for s in kept):
-        return [None] * (budget + 1), np.full(budget + 1, big)
+        return [None] * (budget + 1), np.full(budget + 1, np.inf)
     prev = kept[0]
-    V = np.full((budget + 1, prev.size), big)
-    V[0] = tab.cost[0, prev] if tab.pin is None else np.where(prev == tab.pin[0], tab.cost[0, prev], big)
+    jump, V = _start(tab, budget, prev)
     at_level = np.empty(L, dtype=np.intp)  # position of a level among the previous cell's survivors
     buf = np.empty(0)
     parents = [None]
@@ -552,7 +559,7 @@ def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
         at_level.fill(-1)
         at_level[prev] = np.arange(prev.size)
         pos = at_level[s]
-        stay = np.where(pos >= 0, V[:, pos], big)
+        stay = np.where(pos >= 0, V[:, pos], np.inf)
         # Strict <: an all-inf row (no admissible sequence yet) never jumps.
         use_jump = jumped < stay[1:]
         par = np.empty((budget + 1, s.size), dtype=np.int16)
@@ -562,25 +569,7 @@ def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
         V = stay + tab.cost[i, s]
         parents.append(par)
         prev = s
-    if tab.pin is not None:
-        V = np.where(prev == tab.pin[1], V, big)
-    seqs, values = [], np.empty(budget + 1)
-    for m in range(budget + 1):
-        at = int(np.argmin(V[m]))
-        values[m] = V[m, at]
-        if not np.isfinite(values[m]):
-            seqs.append(None)
-            continue
-        seq = np.empty(n, dtype=np.int64)
-        seq[-1] = prev[at]
-        j = m
-        for i in range(n - 1, 0, -1):
-            at = parents[i][j, at]
-            seq[i - 1] = kept[i - 1][at]
-            if seq[i - 1] != seq[i]:
-                j -= 1
-        seqs.append(seq)
-    return seqs, values
+    return _read_rows(tab, parents, V, kept)
 
 
 def _usable_cpus() -> int:
@@ -614,29 +603,28 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
 def _certified_row(tab: _Tableau, m: int):
     """The m-jump row of ``_budget_pass(tab, m)``, by pruned passes when one
     certifies its result."""
-    if not _worth_pruning(m, tab.cost.shape[1]):
-        return _budget_pass(tab, m)[m]
-    _, free, bound = _solve_free(tab, bounds=True, sequence=False)
-    scale = max(1.0, abs(free))
-    widths = iter(_WIDTHS)
-    threshold = free + next(widths) * scale
-    while math.isfinite(threshold):
-        keep = _survivors(bound, threshold)
-        if keep.mean() > _MAX_SURVIVORS:
-            break
-        seqs, values = _pruned_pass(tab, m, keep)
-        if values[m] <= threshold:
-            return seqs[m]
-        if math.isfinite(values[m]):
-            # A feasible m-jump value: at it, the next pass certifies.
-            threshold = values[m]
-            continue
-        width = next(widths, None)
-        if width is None:
-            break
-        threshold = free + width * scale
-    del bound  # freed before the dense pass allocates its parent table
-    return _budget_pass(tab, m)[m]
+    if _worth_pruning(m, tab.cost.shape[1]):
+        _, free, bound = _solve_free(tab, bounds=True, sequence=False)
+        scale = max(1.0, abs(free))
+        widths = iter(_WIDTHS)
+        threshold = free + next(widths) * scale
+        while math.isfinite(threshold):
+            rows = _pruned_rows(tab, m, _survivors(bound, threshold))
+            if rows is None:
+                break
+            seqs, values = rows
+            if values[m] <= threshold:
+                return seqs[m]
+            if math.isfinite(values[m]):
+                # A feasible m-jump value: at it, the next pass certifies.
+                threshold = values[m]
+                continue
+            width = next(widths, None)
+            if width is None:
+                break
+            threshold = free + width * scale
+        del bound  # freed before the dense pass allocates its parent table
+    return _budget_pass(tab, m)[0][m]
 
 
 def cell_midpoints(problem: OracleProblem) -> np.ndarray:

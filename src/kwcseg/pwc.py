@@ -109,7 +109,7 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class GridSignal:
-    """Samples on n >= 2 uniformly spaced nodes spanning the domain."""
+    """Finite samples on n >= 2 uniformly spaced nodes spanning the domain."""
 
     domain: tuple
     samples: np.ndarray
@@ -119,6 +119,8 @@ class GridSignal:
         arr = np.array(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ConfigError("need a 1D array of at least two samples")
+        if not np.isfinite(arr).all():
+            raise ConfigError("grid samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "samples", arr)

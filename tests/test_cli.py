@@ -755,6 +755,25 @@ class TestExperimentCommand:
         assert code == 2
         assert "lam must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("linear_steady", "--lam", "2000"), "lam"),
+            (("noisy_steps", "--data", "linear"), "data"),
+            (("linear_steady", "--models", "rof"), "models"),
+            (("nonuniqueness", "--models", "kwc"), "models"),
+            (("custom", "--models", "wat", "--data", "step", "--lam", "1"), "models"),
+            (("custom", "--models", "rof", "--data", "wat", "--lam", "1"), "data"),
+        ],
+        ids=["lam_outside_custom", "data_outside_custom", "models_linear_steady", "models_nonuniqueness",
+             "unknown_model", "unknown_generator"],
+    )
+    def test_what_a_protocol_ignores_or_misreports_exits_2(self, capsys, monkeypatch, argv, field):
+        monkeypatch.setattr(cli, "run_experiment", lambda spec, out_dir=None: pytest.fail("ran the protocol"))
+        code, out, err = run_cli(capsys, "experiment", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and field in err
+
     def test_custom_without_models_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "custom", "--lam", "1")
         assert code == 2

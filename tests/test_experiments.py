@@ -56,19 +56,17 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             xp.ExperimentSpec.from_json_dict({"name": "custom", "data": "step", "models": ["rof"]})
 
-    def test_unknown_generator_rejected_at_run(self):
-        spec = xp.ExperimentSpec.from_json_dict(
-            {"name": "custom", "data": "wat", "models": ["rof"], "overrides": {"lam": 1.0}}
-        )
-        with pytest.raises(ConfigError):
-            xp.run_experiment(spec)
+    def test_unknown_generator_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="data generator 'wat'"):
+            xp.ExperimentSpec.from_json_dict(
+                {"name": "custom", "data": "wat", "models": ["rof"], "overrides": {"lam": 1.0}}
+            )
 
-    def test_unknown_model_rejected_at_run(self):
-        spec = xp.ExperimentSpec.from_json_dict(
-            {"name": "custom", "data": "step", "models": ["wat"], "overrides": {"lam": 1.0}}
-        )
-        with pytest.raises(ConfigError):
-            xp.run_experiment(spec)
+    def test_unknown_model_rejected_when_built(self):
+        with pytest.raises(ConfigError, match=r"models \['wat'\]"):
+            xp.ExperimentSpec.from_json_dict(
+                {"name": "custom", "data": "step", "models": ["wat"], "overrides": {"lam": 1.0}}
+            )
 
     def test_custom_requires_data_and_models(self):
         with pytest.raises(ConfigError):

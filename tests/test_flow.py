@@ -36,26 +36,26 @@ def unit_step(n):
 class TestValidation:
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
-            FlowParams(model="bogus", lam=1.0, n=50).validate()
+            FlowParams(model="bogus", lam=1.0, n=50)
 
     def test_too_few_nodes(self):
         with pytest.raises(ConfigError):
-            FlowParams(model="rof", lam=1.0, n=1).validate()
+            FlowParams(model="rof", lam=1.0, n=1)
 
     def test_negative_time_step(self):
         with pytest.raises(ConfigError):
-            FlowParams(model="rof", lam=1.0, n=50, dt=-1.0).validate()
+            FlowParams(model="rof", lam=1.0, n=50, dt=-1.0)
 
     @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
-            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: value}).validate()
+            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: value})
 
     @pytest.mark.parametrize("dt, t_max", [(0.01, 0.004), (0.01, 0.005), (2.0, 1.0), (1e-300, 1e10)])
     def test_fewer_than_one_time_step_rejected(self, dt, t_max):
         with pytest.raises(ConfigError, match="time step"):
-            FlowParams(model="rof", lam=1.0, n=50, dt=dt, t_max=t_max).validate()
+            FlowParams(model="rof", lam=1.0, n=50, dt=dt, t_max=t_max)
 
     def test_one_time_step_runs(self):
         g = unit_step(50)
@@ -64,29 +64,29 @@ class TestValidation:
 
     def test_negative_steady_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="steady_tol"):
-            FlowParams(model="rof", lam=1.0, n=50, steady_tol=-1.0).validate()
+            FlowParams(model="rof", lam=1.0, n=50, steady_tol=-1.0)
 
     def test_output_stride_must_be_positive(self):
         with pytest.raises(ConfigError):
-            FlowParams(model="rof", lam=1.0, n=50, output_stride=0).validate()
+            FlowParams(model="rof", lam=1.0, n=50, output_stride=0)
 
     @pytest.mark.parametrize("name", ["n", "output_stride"])
     def test_counts_reject_a_bool(self, name):
         with pytest.raises(ConfigError, match=name):
-            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True}).validate()
+            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True})
 
     @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"])
     def test_reals_reject_a_bool(self, name):
         with pytest.raises(ConfigError, match=name):
-            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True}).validate()
+            FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True})
 
     def test_unknown_boundary_condition(self):
         with pytest.raises(ConfigError):
-            FlowParams(model="rof", lam=1.0, n=50, bc_u="mixed").validate()
+            FlowParams(model="rof", lam=1.0, n=50, bc_u="mixed")
 
     def test_interface_width_must_be_positive(self):
         with pytest.raises(ConfigError):
-            FlowParams(model="at", lam=1.0, n=50, epsilon=0.0).validate()
+            FlowParams(model="at", lam=1.0, n=50, epsilon=0.0)
 
     @pytest.mark.parametrize("model", ["at", "kwc"])
     @pytest.mark.parametrize("epsilon", [5e-324, 1e-320, 1e20, 1e300])
@@ -304,9 +304,9 @@ class TestNonFiniteInput:
     def test_run_rejects_non_finite_samples(self, which):
         n = 11
         good = unit_step(n)
-        bad = GridSignal(good.domain, np.where(np.arange(n) == 4, np.nan, good.samples))
-        g, u0 = (bad, good) if which == "g" else (good, bad)
         with pytest.raises(ConfigError, match="finite"):
+            bad = GridSignal(good.domain, np.where(np.arange(n) == 4, np.nan, good.samples))
+            g, u0 = (bad, good) if which == "g" else (good, bad)
             run(g, u0, FlowParams(model="kwc", lam=10.0, n=n))
 
 

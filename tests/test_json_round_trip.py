@@ -49,12 +49,17 @@ scalars = st.one_of(finite, st.integers(-(2**70), 2**70), st.booleans(), st.samp
 
 @st.composite
 def experiment_specs(draw):
+    """Any valid spec: data and a lam override for custom alone, and no
+    models for the protocols that run kwc alone."""
     name = draw(st.sampled_from((*EXPERIMENTS, "custom")))
-    overrides = draw(st.dictionaries(st.sampled_from(OVERRIDE_FIELDS), scalars, max_size=4))
+    fields = OVERRIDE_FIELDS if name == "custom" else [f for f in OVERRIDE_FIELDS if f != "lam"]
+    overrides = draw(st.dictionaries(st.sampled_from(fields), scalars, max_size=4))
     if name == "custom":
         overrides["lam"] = draw(finite)
-    models = draw(st.lists(st.sampled_from(MODELS), min_size=1 if name == "custom" else 0, max_size=3))
-    data = draw(st.sampled_from(GENERATORS if name == "custom" else ("", *GENERATORS)))
+    kwc_only = name in ("linear_steady", "nonuniqueness")
+    most = 0 if kwc_only else 3
+    models = draw(st.lists(st.sampled_from(MODELS), min_size=1 if name == "custom" else 0, max_size=most))
+    data = draw(st.sampled_from(GENERATORS if name == "custom" else ("",)))
     return ExperimentSpec(
         name=name, data=data, models=tuple(models), overrides=overrides, seed=draw(st.integers(0, 2**63))
     )

@@ -38,9 +38,8 @@ K1 = kwc_kernel(1.0)
 
 class TestValidation:
     def test_non_finite_sampled_data_rejected(self):
-        g = GridSignal((0.0, 1.0), np.array([0.0, np.nan, 1.0]))
         with pytest.raises(ConfigError, match="finite"):
-            signal_problem(g, K1, 5.0)
+            signal_problem(GridSignal((0.0, 1.0), np.array([0.0, np.nan, 1.0])), K1, 5.0)
 
     def test_negative_tie_scan_rejected(self):
         with pytest.raises(ConfigError, match="tie_scan_jumps"):
@@ -147,7 +146,7 @@ class TestTieInstance:
             GridSignal((0.0, 1.0), samples), K1, 200.0, n_levels=MAX_LEVELS,
             endpoint_pin=(float(samples[0]), float(samples[-1])),
         )
-        seqs = _budget_pass(_build_tableau(pinned), MAX_JUMP_BUDGET)
+        seqs = _budget_pass(_build_tableau(pinned), MAX_JUMP_BUDGET)[0]
         assert [seq is None for seq in seqs] == [True] + [False] * 7 + [True] * 3
 
 
@@ -385,7 +384,7 @@ class TestAgainstReferenceDP:
         best = solve(problem)
         assert np.array_equal(sequence_from_result(best, problem), tab.levels[free_seq])
         assert_close(best.energy.total, free_energy)
-        seqs = _budget_pass(tab, budget)
+        seqs = _budget_pass(tab, budget)[0]
         assert len(seqs) == len(budgets)
         for seq, ref in zip(seqs, budgets):
             if ref is None:
@@ -727,13 +726,14 @@ class TestPrunedPass:
             return
         (_, free_seq), budgets = reference_dp(tab, budget)
         assert np.array_equal(seq, free_seq)
-        dense = _budget_pass(tab, budget)
+        dense, dense_values = _budget_pass(tab, budget)
         # The bound is tight: the free optimum passes through every cell.
         np.testing.assert_allclose(bound.min(axis=1), free, rtol=1e-12, atol=0)
         # With every state kept (pinned ends too), the pruned pass is the dense one.
-        kept_all = oracle_mod._pruned_pass(tab, budget, np.ones(bound.shape, dtype=bool))[0]
+        kept_all, kept_all_values = oracle_mod._pruned_pass(tab, budget, np.ones(bound.shape, dtype=bool))
         for seq_all, dense_seq in zip(kept_all, dense):
             assert (seq_all is None and dense_seq is None) or np.array_equal(seq_all, dense_seq)
+        assert kept_all_values.tobytes() == dense_values.tobytes()
         feasible = [ref[0] for ref in budgets if ref is not None]
         # A threshold from the free optimum up to the largest row optimum:
         # the rows at most it must come out as in the dense pass.
@@ -762,7 +762,7 @@ class TestPrunedPass:
             f"ConfigError: no admissible sequence with exactly {m} jumps"
             if seq is None
             else _result_from_sequence(problem, tab, seq).to_json_dict()
-            for m, seq in enumerate(_budget_pass(tab, budgets[-1]))
+            for m, seq in enumerate(_budget_pass(tab, budgets[-1])[0])
         ]
         with oracle_constants(**ALWAYS_PRUNE, WIDTHS=widths):
             assert [outcome(lambda: best_with_m_jumps(problem, m)) for m in budgets] == expected
@@ -794,7 +794,7 @@ class TestPrunedRoutes:
         tab = _build_tableau(problem)
         assert solve(problem).jump_count == 8
         free = oracle_mod._solve_free(tab)[1]
-        dense = _budget_pass(tab, MAX_JUMP_BUDGET)
+        dense = _budget_pass(tab, MAX_JUMP_BUDGET)[0]
         with oracle_constants(WIDTHS=(0.0, 1e-2)) as mp:
             passes = spy_on(mp, "_pruned_pass")
             for m in (5, 7, 9, 10):
@@ -838,7 +838,7 @@ class TestPrunedRoutes:
             # Certified on the first width, with a few percent of the states.
             (_, _, keep), _ = passes[0]
             assert len(passes) == 1 and keep.mean() < 0.1
-        seq = _budget_pass(tab, MAX_JUMP_BUDGET)[MAX_JUMP_BUDGET]
+        seq = _budget_pass(tab, MAX_JUMP_BUDGET)[0][MAX_JUMP_BUDGET]
         assert np.array_equal(np.searchsorted(tab.levels, sequence_from_result(res, problem)), seq)
         assert res.to_json_dict() == _result_from_sequence(problem, tab, seq).to_json_dict()
 

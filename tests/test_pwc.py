@@ -9,6 +9,7 @@ import pytest
 from kwcseg.errors import ConfigError
 from kwcseg.experiments import write_csv
 from kwcseg.kernel import kwc_kernel, linear_kernel
+from kwcseg.oracle import signal_problem
 from kwcseg.pwc import (
     GridSignal,
     LinearData,
@@ -130,6 +131,16 @@ class TestGridSignal:
         path.write_text(f"x,value\n0,0\n0.5,{bad}\n1,1\n")
         with pytest.raises(ConfigError, match="finite"):
             GridSignal.from_csv(path)
+
+    @pytest.mark.parametrize("through_oracle", [False, True], ids=["direct", "signal_problem"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_samples(self, bad, through_oracle):
+        samples = [0.0, bad, 1.0]
+        with pytest.raises(ConfigError, match="finite"):
+            if through_oracle:
+                signal_problem(GridSignal((0.0, 1.0), samples), kwc_kernel(1.0), 5.0)
+            else:
+                GridSignal((0.0, 1.0), samples)
 
 
 class TestTotalVariation:
