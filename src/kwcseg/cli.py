@@ -134,9 +134,13 @@ def _cmd_exact_critical(args) -> int:
     return 0
 
 
+# The most rows of ``exact energy-table``: 10^5 rows take about a second.
+MAX_TABLE_JUMPS = 100_000
+
+
 def _cmd_exact_energy_table(args) -> int:
     kernel = _kernel_from_args(args)
-    check_count("m_max", args.m_max, least=1)
+    check_count("m_max", args.m_max, least=1, most=MAX_TABLE_JUMPS)
     lines = ["m,E"]
     for m in range(1, args.m_max + 1):
         lines.append(f"{m},{uniform_step_energy(args.L, m, args.lam, kernel):.17g}")

@@ -43,6 +43,7 @@ from .flow import (
     FlowParams,
     FlowResult,
     _census_groups,
+    check_flow_field,
     edges_above,
     jump_census,
     plateau_flatness,
@@ -110,10 +111,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENTS + ("custom",):
             raise ConfigError(f"unknown experiment {self.name!r}")
+        if not isinstance(self.models, (list, tuple)):
+            raise ConfigError(f"models must be a list of model names, got {self.models!r}")
         object.__setattr__(self, "models", tuple(self.models))
         check_keys("overrides", self.overrides, (), [f.name for f in dataclasses.fields(FlowParams)])
         if "model" in self.overrides:
             raise ConfigError("the model is fixed by the protocol; use models=")
+        for key, value in self.overrides.items():
+            check_flow_field(key, value)
         check_count("seed", self.seed)
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
@@ -424,7 +429,7 @@ def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
 
 
 def _custom(spec: ExperimentSpec) -> RunRecord:
-    lam = float(spec.overrides["lam"])
+    lam = spec.overrides["lam"]
     g, results, blocks = _sweep(spec, spec.data, lam, STRUCTURE_THRESHOLD)
     summary = {
         "experiment": "custom",

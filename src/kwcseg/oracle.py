@@ -18,29 +18,32 @@ contiguous rows and gathers the row minima with one flat take.  From 250
 levels the free pass skips the source levels that a witness level beats
 for every target (the kernel is a metric on the levels), which leaves
 each transition one dense ``_relax`` on a column block with the same
-results.
+results; a free solve that keeps only its sequence also forms only the
+target rows that the next witness test can keep.
 
-One thread rule: every pass runs in the calling thread, except that the
-backward free pass behind a pruned pass's bounds runs on one helper
-thread beside the forward one, from 200 levels when more than one CPU is
-usable.  No result depends on which route ran.
+Memory.  No (cells x levels) table of fidelity costs is held: the tableau
+keeps each cell's three moments, and every pass makes its cost rows
+``_BLOCK_CELLS`` cells at a time with one expression (``_cost``), so every
+float is the one a whole table would hold.  The passes run one after
+another in the caller, and each oracle question holds at most one
+(cells x levels) float table, the bounds below.
 
 Budgeted passes (``best_with_m_jumps`` and the tie scan of ``solve``) are
-pruned by an exact forward-backward bound: a forward and a backward free
-pass give each state (cell, level) the least cost of any path through it,
-and the budgeted DP visits only the states whose bound is within a
-threshold of the free optimum.  Both free passes write into one
-(cells x levels) table of bounds.  The pruned pass's results are those of
-the dense pass (``_pruned_pass`` has the argument); when too many states
-survive, the dense pass runs instead.  The two passes differ only in
-their inner loops: one ``_start`` and one ``_read_rows`` serve both, the
-dense pass keeping every level of every cell.
+pruned by an exact forward-backward bound: each state (cell, level) gets
+the least cost F + B - cost of any path through it, with F and B the
+forward and backward free passes.  The backward pass runs once, in full,
+into one (cells x levels) table of its rows B; a forward pass then forms
+only the states whose bound is within a threshold of the free optimum
+(``_forward_pass``, which also finds the free minimizer), and the budgeted
+DP visits only those.  The pruned pass's results are those of the dense
+pass (``_pruned_pass`` has the argument); when too many states survive,
+the dense pass runs instead.  The two budgeted passes differ only in their
+inner loops: one ``_start`` and one ``_read_rows`` serve both, the dense
+pass keeping every level of every cell.
 """
 
+import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,14 +61,9 @@ MAX_CELLS = 2000
 MAX_LEVELS = 400
 assert MAX_LEVELS <= np.iinfo(np.int16).max  # parent tables hold int16 level indices
 MAX_JUMP_BUDGET = 10
-# The two free passes behind a pruned pass's bounds run side by side from
-# 200 levels.  On 2 cores, medians of 11 runs:
-# 22 ms against 24 ms in one thread at 300 x 200 and 68 ms against 72 ms
-# at 800 x 201 (the tie scan), but 24 ms against 19 ms at 300 x 150 (the
-# passes trade the GIL).  With skipped levels the gain is smaller: 308 ms
-# against 402 ms at 2000 x 400 (the cap), and even or slower between 250
-# and 350 levels (2000 x 300: 271 ms against 267 ms).
-_MIN_SIDE_THREAD_LEVELS = 200
+# Cost rows are made this many cells at a time: one block covers a
+# 160-cell battery instance, and at the cap a block is 0.5 MB.
+_BLOCK_CELLS = 160
 # Free passes skip dominated source levels (``_free_pass``) from 250
 # levels.  On 1000-cell random walks the skipping pass took 1.07 of the
 # dense pass's time at L = 200, 0.96-1.04 at 220 and 240, 0.83-0.87 at
@@ -73,11 +71,13 @@ _MIN_SIDE_THREAD_LEVELS = 200
 # (pinned), 1.75 at 400 x 101 and 1.30-1.37 at 800 x 201.
 _MIN_SKIP_LEVELS = 250
 # Budgeted passes are pruned (``_pruned_pass``) from a budget of 3 and
-# budget * L^2 = 20 000 transitions per cell.  The bounds cost two free
-# passes, about a 2-jump dense pass (at 2000 x 400: 0.37-0.42 s against
-# 0.44 s at m = 1 and 0.52 s at m = 2); below 20 000, on 300- and
-# 1000-cell random walks, the pruned and dense routes were even, above it
-# the pruned one won whenever it certified.  ``best_with_m_jumps`` tries
+# budget * L^2 = 20 000 transitions per cell.  These were set when the
+# bounds cost two free passes, about a 2-jump dense pass (at 2000 x 400:
+# 0.37-0.42 s against 0.44 s at m = 1 and 0.52 s at m = 2); below 20 000,
+# on 300- and 1000-cell random walks, the pruned and dense routes were
+# even, above it the pruned one won whenever it certified.  The bounds now
+# cost one backward pass (0.16-0.22 s at 2000 x 400) and a forward pass
+# over the kept states for each threshold (0.06-0.09 s).  ``best_with_m_jumps`` tries
 # thresholds 1e-3 and 1e-2 (relative) above the free optimum; at 1e-1,
 # 20-51 % of the states of 2000 x 400 random walks survive.  Above 30 %
 # survivors the dense pass runs: a pruned pass over the 30 % of states
@@ -175,9 +175,35 @@ class _Tableau:
 
     edges: np.ndarray
     levels: np.ndarray
-    cost: np.ndarray       # (n_cells, n_levels) fidelity cost per cell and level
+    moments: np.ndarray    # (3, n_cells): each cell's m0, m1, m2 (see ``_cost``)
+    lam: float
     kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change, symmetric
     pin: tuple | None      # (first level index, last level index) or None
+
+    @property
+    def shape(self) -> tuple:
+        """(cells, levels)."""
+        return self.moments.shape[1], self.levels.size
+
+
+def _cost(lam, m0, m1, m2, lv):
+    """Fidelity cost (lam / 2) * (m0 v^2 - 2 m1 v + m2) of the cells with
+    moments m0, m1, m2 at levels v = lv, elementwise with broadcasting.
+    Every cost the oracle uses is made here, so it is the same float
+    wherever it is made."""
+    return 0.5 * lam * (m0 * lv * lv - 2.0 * m1 * lv + m2)
+
+
+def _cost_rows(tab: _Tableau, backward: bool = False):
+    """The cost rows of the cells in order, or of the reversed cells, made
+    ``_BLOCK_CELLS`` cells at a time.  Iterating a block yields its rows,
+    so a pass takes each row with no Python call of its own."""
+    m = tab.moments[:, ::-1] if backward else tab.moments
+    blocks = (
+        _cost(tab.lam, *m[:, lo:lo + _BLOCK_CELLS, None], tab.levels)
+        for lo in range(0, m.shape[1], _BLOCK_CELLS)
+    )
+    return itertools.chain.from_iterable(blocks)
 
 
 def _build_tableau(problem: OracleProblem) -> _Tableau:
@@ -187,21 +213,17 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     edges = np.linspace(a, b, n + 1)
     h = (b - a) / n
 
+    moments = np.empty((3, n))
+    moments[0] = h
     if isinstance(problem.data, SampledData):
         mids = 0.5 * (edges[:-1] + edges[1:])
         gmid = problem.data(mids)
         # (lam/2) * h * (v - g_mid)^2, expanded in v
-        m1 = h * gmid
-        m2 = h * gmid * gmid
-        m0 = np.full(n, h)
+        moments[1] = h * gmid
+        moments[2] = h * gmid * gmid
     else:
-        m0 = np.full(n, h)
-        m1 = np.empty(n)
-        m2 = np.empty(n)
         for i in range(n):
-            m1[i], m2[i] = problem.data.moments(edges[i], edges[i + 1])
-    lv = levels[None, :]
-    cost = 0.5 * problem.lam * (m0[:, None] * lv * lv - 2.0 * m1[:, None] * lv + m2[:, None])
+            moments[1:, i] = problem.data.moments(edges[i], edges[i + 1])
 
     diffs = np.abs(levels[:, None] - levels[None, :])
     kmat = problem.kernel.eval(diffs)
@@ -221,7 +243,7 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
                 f"[{levels[0]}, {levels[-1]}]"
             )
         pin = (int(np.argmin(np.abs(levels - va))), int(np.argmin(np.abs(levels - vb))))
-    return _Tableau(edges=edges, levels=levels, cost=cost, kmat=kmat, pin=pin)
+    return _Tableau(edges=edges, levels=levels, moments=moments, lam=problem.lam, kmat=kmat, pin=pin)
 
 
 def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray) -> OracleResult:
@@ -229,7 +251,7 @@ def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray
     change = np.flatnonzero(np.diff(seq) != 0)
     bps = tuple(tab.edges[i + 1] for i in change)
     u = PiecewiseConstant(tuple(problem.data.domain), bps, tuple(vals[[0, *list(change + 1)]]))
-    fid = float(tab.cost[np.arange(seq.size), seq].sum())
+    fid = float(_cost(tab.lam, *tab.moments, vals).sum())
     tvk = float(np.sum(problem.kernel.eval(np.abs(np.diff(vals))))) if seq.size > 1 else 0.0
     return OracleResult(
         minimizer=u,
@@ -258,11 +280,36 @@ def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarra
     return arg, trans.take(arg + offs)
 
 
-def _free_pass(cost, kmat, start, parents=None, on_row=None) -> np.ndarray:
-    """The free DP over the rows of ``cost`` from the ``start`` mask (None:
-    every level).  Returns the last row; fills ``parents`` with each cell's
-    best predecessors and hands each cell's row D to ``on_row(i, D)``, when
-    they are given (``table.__setitem__`` fills a table).
+def _slack(tab: _Tableau) -> float:
+    """64u * A, the rounding slack of the witness test (``_free_pass``) and
+    of the forward pass's screen (``_forward_pass``), or 0 (no skipping, no
+    screen) outside 1e-280 < A < 1e300.  A = n * C + max kmat, with C the
+    upper bound 0.5 * lam * max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the
+    largest |level|."""
+    n, _ = tab.shape
+    m0, m1, m2 = np.abs(tab.moments)
+    v = max(abs(tab.levels[0]), abs(tab.levels[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: no slack
+        bound = n * (0.5 * tab.lam * float((m0 * v * v + 2.0 * m1 * v + m2).max())) + tab.kmat.max()
+    return 64 * 2.0**-53 * bound if 1e-280 < bound < 1e300 else 0.0
+
+
+def _pins(tab: _Tableau) -> tuple:
+    """The start and end rows, 0 at the pinned level and inf elsewhere, or
+    (None, None) with free ends."""
+    if tab.pin is None:
+        return None, None
+    start, end = np.full((2, tab.levels.size), np.inf)
+    start[tab.pin[0]] = end[tab.pin[1]] = 0.0
+    return start, end
+
+
+def _free_pass(tab: _Tableau, start, parents=None, on_row=None, backward=False) -> np.ndarray:
+    """The free DP over the cells (the reversed cells when ``backward``)
+    from the ``start`` row (None: every level at no cost).  Returns the
+    last row; fills ``parents`` with each cell's best predecessors and
+    hands each cell's row D to ``on_row(i, D)``, when they are given
+    (``table.__setitem__`` fills a table).
 
     From ``_MIN_SKIP_LEVELS`` levels, each transition after the first reads
     only the column block [lo, hi) of the source levels that no witness
@@ -282,108 +329,199 @@ def _free_pass(cost, kmat, start, parents=None, on_row=None) -> np.ndarray:
     every parent are bit-identical to the dense pass's.
 
     The slack covers the rounding.  Let u = 2**-53, C = max |cost|, Kmax =
-    max kmat and A = n * C + Kmax.  Every finite D is at most the float sum
-    along a path that stays at its level (after one jump from a pinned
-    start) and at least -n * C, up to a factor 1 + n * u.  A kmat entry is
-    within 4u (relative) of the exact kernel at the exact level distance:
-    one rounding in the distance, which moves a concave K with K(0) = 0 by
-    at most the same relative amount, and three in kwc's formula (linear
-    and Potts have fewer).  So the float entries obey the triangle
-    inequality up to 17u * Kmax.  The two roundings of the check and those
-    of D[k] + K(k, l) and D[w] + K(w, l) are each at most u * (|D| + Kmax +
-    slack).  Together that is below 30u * A, and the slack is 64u * A; for
-    w = k the check then fails, as it must.  Outside 1e-280 < A < 1e300
-    (the slack could underflow, a sum overflow) the pass stays dense.
+    max kmat and A = n * C + Kmax (``_slack`` takes C from the moments, an
+    upper bound up to its own few roundings).  Every finite D is at most
+    the float sum along a path that stays at its level (after one jump from
+    a pinned start) and at least -n * C, up to a factor 1 + n * u.  A kmat
+    entry is within 4u (relative) of the exact kernel at the exact level
+    distance: one rounding in the distance, which moves a concave K with
+    K(0) = 0 by at most the same relative amount, and three in kwc's
+    formula (linear and Potts have fewer).  So the float entries obey the
+    triangle inequality up to 17u * Kmax.  The two roundings of the check
+    and those of D[k] + K(k, l) and D[w] + K(w, l) are each at most u *
+    (|D| + Kmax + slack).  Together that is below 30u * A, and the slack is
+    64u * A; for w = k the check then fails, as it must.  Outside 1e-280 <
+    A < 1e300 (the slack could underflow, a sum overflow) the pass stays
+    dense.
+
+    Windowed rows.  When only the parents are kept (no ``on_row``), a
+    transition that reads the block [lo, hi) forms only the target rows
+    whose cost at this cell is below cmax + slack, cmax the largest cost
+    there over [lo, hi), and leaves every other row inf; the last cell
+    forms every row, for the end pin and the final argmin.  A target l left
+    out lies outside the block, so its best source w is another level, a
+    jump: D[l] = D'[w] + K(w, l) + c[l] with D' the previous row and c[l]
+    >= c[w] + slack, while D[w] <= D'[w] + c[w] (w can stay).  So the next
+    witness test finds D[l] >= D[w] + K(l, w) + slack up to the same
+    roundings as above, which the slack covers: l attains no row minimum at
+    the next transition and is no parent of any state, and the rows, minima
+    and parents of the levels that do are those of the dense pass.
     """
-    n, L = cost.shape
-    D = cost[0] if start is None else cost[0] + start
+    n, L = tab.shape
+    kmat = tab.kmat
+    rows = _cost_rows(tab, backward)
+    c = next(rows)
+    D = c if start is None else c + start
     buf = np.empty(L * L)
     trans = buf.reshape(L, L)
-    rows = np.arange(L)
-    offs = rows * L
-    slack = 0.0
-    if L >= _MIN_SKIP_LEVELS:
-        bound = n * max(cost.max(), -cost.min()) + kmat.max()
-        if 1e-280 < bound < 1e300:
-            slack = 64 * 2.0**-53 * bound
+    targets = np.arange(L)
+    offs = targets * L
+    slack = _slack(tab) if L >= _MIN_SKIP_LEVELS else 0.0
+    windowed = slack > 0 and on_row is None
     if on_row is not None:
         on_row(0, D)
     arg = None
-    for i in range(1, n):
+    first, last = 0, L  # the rows of D that were formed
+    for i, c in enumerate(rows, 1):
         if slack and arg is not None:
             ahead = D.take(arg)
-            ahead += kmat.take(offs + arg)
+            ahead += kmat.take(offs[first:last] + arg)
             ahead += slack
-            kept = np.flatnonzero(D < ahead)
+            kept = (D[first:last] < ahead).nonzero()[0] + first
             lo, hi = kept[0], kept[-1] + 1
-            w = hi - lo
-            arg, best = _relax(D[lo:hi], kmat[:, lo:hi], buf[: L * w].reshape(L, w), rows * w)
+            if windowed and i < n - 1:
+                formed = (c < c[lo:hi].max() + slack).nonzero()[0]
+                first, last = formed[0], formed[-1] + 1
+            else:
+                first, last = 0, L
+            w, size = hi - lo, last - first
+            arg, best = _relax(D[lo:hi], kmat[first:last, lo:hi], buf[: size * w].reshape(size, w), targets[:size] * w)
             arg += lo
         else:
             arg, best = _relax(D, kmat, trans, offs)
         if parents is not None:
-            parents[i] = arg
-        D = best + cost[i]
+            parents[i, first:last] = arg
+        if last - first == L:
+            D = best + c
+        else:
+            D = np.full(L, np.inf)
+            np.add(best, c[first:last], out=D[first:last])
         if on_row is not None:
             on_row(i, D)
     return D
 
 
-def _solve_free(tab: _Tableau, bounds: bool = False, sequence: bool = True) -> tuple:
-    """The free optimum: its level sequence (None when no sequence meets
-    the pins, or not ``sequence``, which skips the parent table and the
-    backtrack) and its energy as the DP sums it.  With ``bounds`` also the
-    path bound F + B - cost of every state (see ``_pruned_pass``): the
-    backward pass B, the same pass on the reversed cells from the end pin,
-    runs beside the forward one F on a helper thread from
-    ``_MIN_SIDE_THREAD_LEVELS`` levels.  Both write into one table: the
-    first to reach a cell stores its row and the second adds its own,
-    which is F + B bit for bit in either order.  A failing pass raises
-    here once both passes have ended."""
-    n, L = tab.cost.shape
-    start = end = None
-    if tab.pin is not None:  # 0 at the pinned level, inf elsewhere
-        start, end = np.full((2, L), np.inf)
-        start[tab.pin[0]] = end[tab.pin[1]] = 0.0
-    parents = np.zeros((n, L), dtype=np.int16) if sequence else None
-    bound = None
-    if not bounds:
-        D = _free_pass(tab.cost, tab.kmat, start, parents)
-    else:
-        bound = np.empty((n, L))
-        stored = np.zeros(n, dtype=bool)
-        lock = threading.Lock()
-
-        def add_row(i, row):
-            with lock:
-                if stored[i]:
-                    bound[i] += row
-                else:
-                    bound[i] = row
-                    stored[i] = True
-
-        backward_args = (tab.cost[::-1], tab.kmat, end, None, lambda i, row: add_row(n - 1 - i, row))
-        if _usable_cpus() > 1 and L >= _MIN_SIDE_THREAD_LEVELS:
-            with ThreadPoolExecutor(1) as helper:
-                behind = helper.submit(_free_pass, *backward_args)
-                D = _free_pass(tab.cost, tab.kmat, start, parents, add_row)
-                behind.result()
-        else:
-            D = _free_pass(tab.cost, tab.kmat, start, parents, add_row)
-            _free_pass(*backward_args)
-        bound -= tab.cost
+def _solve_free(tab: _Tableau) -> np.ndarray | None:
+    """The free optimum's level sequence, or None when no sequence meets
+    the pins."""
+    n, L = tab.shape
+    start, end = _pins(tab)
+    parents = np.zeros((n, L), dtype=np.int16)
+    D = _free_pass(tab, start, parents)
     if end is not None:
         D = D + end
     if not np.isfinite(D).any():
-        return None, math.inf, bound
-    last = int(np.argmin(D))
-    if not sequence:
-        return None, float(D[last]), bound
+        return None
     seq = np.empty(n, dtype=np.int64)
-    seq[-1] = last
+    seq[-1] = np.argmin(D)
     for i in range(n - 1, 0, -1):
         seq[i - 1] = parents[i, seq[i]]
-    return seq, float(D[last]), bound
+    return seq
+
+
+def _behind(tab: _Tableau) -> tuple:
+    """The backward free pass's rows, as one (cells x levels) table B (row
+    i: the least cost of cells i..n-1 from each level at cell i, the end
+    pin met), and the free optimum, min(B[0] + start)."""
+    n, L = tab.shape
+    start, end = _pins(tab)
+    behind = np.empty((n, L))
+    first = _free_pass(tab, end, None, behind[::-1].__setitem__, backward=True)
+    if start is not None:
+        first = first + start
+    return behind, float(first.min())
+
+
+def _cut(threshold: float) -> float:
+    """The largest bound kept at ``threshold`` (see ``_pruned_pass``)."""
+    return threshold + 1e-9 * max(1.0, abs(threshold))
+
+
+def _forward_pass(tab: _Tableau, behind: np.ndarray, threshold: float) -> tuple:
+    """The states that may lie on a path whose DP cost is at most
+    ``threshold``: each cell's kept levels (ascending), their bounds, and
+    the free minimizer's level sequence through them (None if it is not
+    kept).
+
+    A state is kept when its bound F + B - cost is at most
+    ``_cut(threshold)``, with B the backward pass's row (``_behind``) and
+    the float operations of a bound table filled by two dense passes.  The
+    forward free pass F here forms only what that needs: each transition
+    reads the sources in the block spanned by the previous cell's kept
+    levels, and forms the targets in the block spanned by the candidates.
+
+    Exactness.  By induction over the cells, every F formed here is at
+    least the dense pass's (a min over fewer sources of values at least
+    the dense ones), and equals it at a state the dense table keeps: the
+    predecessor on that state's best forward path has a bound no larger
+    than the state's own (up to rounding at the cut itself), so it is kept
+    and has its dense F.  A state the dense table drops has a bound at
+    least its dense one here, so the kept levels are the dense table's
+    survivors.  In the same way the states of the dense free minimizer
+    keep their dense values and their smallest-index parents, and the
+    final argmin is the dense one, so the sequence is the free pass's, ties
+    broken alike.
+
+    Candidates are screened: a target's bound is at least min F + B[target]
+    over the sources it reads (every kernel entry is at least 0), so a
+    target whose screen value exceeds the cut by the slack of ``_slack``,
+    widened by 64u of the cut, is above the cut in floats too (its few
+    roundings stay below that slack) and is not formed.
+    """
+    n, L = tab.shape
+    start, end = _pins(tab)
+    cut = _cut(threshold)
+    slack = _slack(tab)
+    screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
+    rows = _cost_rows(tab)
+    c = next(rows)
+    F, base = (c if start is None else c + start), 0  # F over the levels from base on
+    bound = F + behind[0]
+    bound -= c
+    keep = (bound <= cut).nonzero()[0]
+    kept, bounds, parents = [keep], [bound.take(keep)], [None]
+    buf = np.empty(0)
+    targets = np.arange(L)
+    for i, c in enumerate(rows, 1):
+        prev = kept[-1]
+        if prev.size == 0:
+            break
+        lo, hi = prev[0], prev[-1] + 1
+        src = F[lo - base : hi - base]
+        B = behind[i]
+        cand = (src.min() + B <= screen).nonzero()[0]
+        if cand.size == 0:
+            kept.append(cand)
+            break
+        first, last = cand[0], cand[-1] + 1
+        w, size = hi - lo, last - first
+        if buf.size < size * w:
+            buf = np.empty(size * w)
+        arg, best = _relax(src, tab.kmat[first:last, lo:hi], buf[: size * w].reshape(size, w), targets[:size] * w)
+        cost = c[first:last]
+        F, base = best + cost, first
+        bound = F + B[first:last]
+        bound -= cost
+        keep = (bound <= cut).nonzero()[0]
+        kept.append(keep + first)
+        bounds.append(bound.take(keep))
+        parents.append((lo, arg.take(keep)))  # each kept state's parent, less lo
+    kept += [np.empty(0, dtype=np.intp)] * (n - len(kept))
+    bounds += [np.empty(0)] * (n - len(bounds))
+    last = kept[-1]
+    D = F.take(last - base)
+    if end is not None:
+        D += end.take(last)
+    if not np.isfinite(D).any():
+        return kept, bounds, None
+    seq = np.empty(n, dtype=np.int64)
+    at = np.argmin(D)  # positions among the kept levels
+    seq[-1] = last[at]
+    for i in range(n - 1, 0, -1):
+        lo, arg = parents[i]
+        seq[i - 1] = arg[at] + lo
+        at = kept[i - 1].searchsorted(seq[i - 1])
+    return kept, bounds, seq
 
 
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
@@ -397,14 +535,27 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     ``_pruned_pass``).  A row the dense pass keeps, of energy at most T,
     has a DP cost within 1e-12 of it, so the pruned row is the same; a row
     above T is above it in the pruned pass too, and is dropped either way.
+
+    The pruned scan's forward pass also finds the minimizer, before T is
+    known: it keeps the states within twice the window above the free
+    optimum, and the states within T are then taken from those (the
+    minimizer's energy is within 1e-12 of the free optimum; were T past
+    the first cut, the pass runs again at T).
     """
     if tie_scan_jumps is not None:
         check_count("tie_scan_jumps", tie_scan_jumps)
     tab = _build_tableau(problem)
-    n, L = tab.cost.shape
+    n, L = tab.shape
     budget = None if tie_scan_jumps is None else min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
-    prune = budget is not None and _worth_pruning(budget, L)
-    seq, _, bound = _solve_free(tab, bounds=prune)
+    behind = None
+    if budget is not None and _worth_pruning(budget, L):
+        behind, free = _behind(tab)
+        seq = None
+        if math.isfinite(free):
+            reach = free + 2.0 * (problem.tie_tolerance + 1e-9) * max(1.0, abs(free))
+            kept, bounds, seq = _forward_pass(tab, behind, reach)
+    else:
+        seq = _solve_free(tab)
     if seq is None:
         raise ConfigError("a single cell cannot take two different pinned levels")
     best = _result_from_sequence(problem, tab, seq)
@@ -412,11 +563,14 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
         return best
 
     tol = problem.tie_tolerance * max(1.0, abs(best.energy.total))
+    threshold = best.energy.total + tol
     rows = None
-    if prune:
-        keep = _survivors(bound, best.energy.total + tol)
-        del bound
-        rows = _pruned_rows(tab, budget, keep)
+    if behind is not None:
+        cut = _cut(threshold)
+        if not cut <= _cut(reach):
+            kept, bounds, _ = _forward_pass(tab, behind, threshold)
+        del behind
+        rows = _pruned_rows(tab, budget, [s[b <= cut] for s, b in zip(kept, bounds)])
     seqs, _ = _budget_pass(tab, budget) if rows is None else rows
     # Row m has exactly m jumps, so only the minimizer's row can repeat its jump set.
     own = tuple(np.flatnonzero(np.diff(seq)))
@@ -431,14 +585,15 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     return replace(best, ties=tuple(ties))
 
 
-def _start(tab: _Tableau, budget: int, levels: np.ndarray) -> tuple:
+def _start(tab: _Tableau, budget: int, levels: np.ndarray, cost: np.ndarray) -> tuple:
     """The budgeted passes' jump matrix (inf on its diagonal: a jump always
-    changes level) and first cell's rows over ``levels``: row 0 the cost
-    there (inf off the start pin), every other row inf."""
+    changes level) and first cell's rows over ``levels``: row 0 the first
+    cell's ``cost`` row there (inf off the start pin), every other row
+    inf."""
     jump = tab.kmat.copy()
     np.fill_diagonal(jump, np.inf)
     V = np.full((budget + 1, levels.size), np.inf)
-    cost = tab.cost[0, levels]
+    cost = cost[levels]
     V[0] = cost if tab.pin is None else np.where(levels == tab.pin[0], cost, np.inf)
     return jump, V
 
@@ -478,21 +633,22 @@ def _budget_pass(tab: _Tableau, budget: int) -> tuple:
     positions are level indices.  Row m only reads rows m and m - 1, so
     rows 0..m equal those of a pass with budget m.
     """
-    n, L = tab.cost.shape
+    n, L = tab.shape
     cols = np.arange(L)
-    jump, D = _start(tab, budget, cols)
+    rows = _cost_rows(tab)
+    jump, D = _start(tab, budget, cols, next(rows))
     offs = cols * L
     trans = np.empty((L, L))
     jumped = np.full((budget + 1, L), np.inf)  # row 0 never jumps
     arg = np.zeros((budget + 1, L), dtype=np.int16)
     parents = np.zeros((n, budget + 1, L), dtype=np.int16)
-    for i in range(1, n):
+    for i, c in enumerate(rows, 1):
         for j in range(1, budget + 1):
             arg[j], jumped[j] = _relax(D[j - 1], jump, trans, offs)
         # Strict <: an all-inf row (no admissible sequence yet) never jumps.
         use_jump = jumped < D
         parents[i] = np.where(use_jump, arg, cols)
-        D = np.where(use_jump, jumped, D) + tab.cost[i]
+        D = np.where(use_jump, jumped, D) + c
     return _read_rows(tab, parents, D, [cols] * n)
 
 
@@ -500,32 +656,30 @@ def _worth_pruning(budget: int, L: int) -> bool:
     return budget >= _MIN_PRUNE_BUDGET and budget * L * L >= _MIN_PRUNE_WORK
 
 
-def _survivors(bound: np.ndarray, threshold: float) -> np.ndarray:
-    """States that may lie on a path whose DP cost is at most ``threshold``."""
-    return bound <= threshold + 1e-9 * max(1.0, abs(threshold))
+def _pruned_rows(tab: _Tableau, budget: int, kept: list):
+    """``_pruned_pass`` over the ``kept`` levels, or None (run the dense
+    pass) when more than ``_MAX_SURVIVORS`` of the states survive."""
+    n, L = tab.shape
+    return None if sum(s.size for s in kept) / (n * L) > _MAX_SURVIVORS else _pruned_pass(tab, budget, kept)
 
 
-def _pruned_rows(tab: _Tableau, budget: int, keep: np.ndarray):
-    """``_pruned_pass`` over ``keep``, or None (run the dense pass) when more
-    than ``_MAX_SURVIVORS`` of the states survive."""
-    return None if keep.mean() > _MAX_SURVIVORS else _pruned_pass(tab, budget, keep)
-
-
-def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
-    """``_budget_pass`` over the states (cell, level) that ``keep`` marks.
+def _pruned_pass(tab: _Tableau, budget: int, kept: list) -> tuple:
+    """``_budget_pass`` over each cell's ``kept`` levels (ascending).
 
     Exactness.  Any path through state (i, l), whatever its jump count,
     costs at least ``bound[i, l] = F[i, l] + B[i, l] - cost[i, l]``, with F
-    and B the free forward and backward passes (``_solve_free``).  Let P be
-    the path the dense pass returns for m jumps and V its DP cost.  The
-    free passes add the same terms as the budgeted one (a stay adds K(0) =
-    0 exactly) and rounding is monotone, so F and B at a state of P are at
-    most P's float prefix and suffix sums.  Those and V are float sums of
-    at most 2000 terms that are non-negative up to their own rounding, each
-    within 2000 * 2**-53 < 3e-13 (relative) of P's exact cost, so every
-    state of P has a bound of at most V * (1 + 1e-12).  When V is at most
-    T * (1 + 1e-10), ``_survivors(bound, T)``, which keeps bounds up to
-    T + 1e-9 * max(1, |T|), keeps all of them.  Restricting a min to a
+    and B the free forward and backward passes.  Let P be the path the
+    dense pass returns for m jumps and V its DP cost.  The free passes add
+    the same terms as the budgeted one (a stay adds K(0) = 0 exactly) and
+    rounding is monotone, so F and B at a state of P are at most P's float
+    prefix and suffix sums.  Those and V are float sums of at most 2000
+    terms that are non-negative up to their own rounding, each within 2000
+    * 2**-53 < 3e-13 (relative) of P's exact cost, so every state of P has
+    a bound of at most V * (1 + 1e-12).  When V is at most T * (1 +
+    1e-10), the cut at T (``_cut``), which keeps bounds up to T + 1e-9 *
+    max(1, |T|), keeps all of them (``_forward_pass`` forms F over the kept
+    states only: P's state at each cell keeps F at most P's prefix sum by
+    induction, as P's previous state is kept).  Restricting a min to a
     subset can only raise a float DP value, so by induction over the cells
     every state of P has its dense value and its dense parent here: the
     dense parent attains the dense minimum, every smaller index stays above
@@ -534,21 +688,21 @@ def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
     argmin and backtrack then return P.  A pruned optimum of at most T
     certifies itself: the dense one, V, is at most it.
 
-    Each cell keeps its survivor levels in ascending order, so the smallest
-    position is the smallest level index; its parents are positions among
-    the previous cell's survivors.  All budget rows of a cell make one
-    (budget, kept, kept before) sum, in the calling thread.
+    Positions are among each cell's kept levels, so the smallest position
+    is the smallest level index; parents are positions among the previous
+    cell's kept levels.  All budget rows of a cell make one (budget, kept,
+    kept before) sum.
     """
-    n, L = tab.cost.shape
-    kept = [np.flatnonzero(row) for row in keep]
+    n, L = tab.shape
     if any(s.size == 0 for s in kept):
         return [None] * (budget + 1), np.full(budget + 1, np.inf)
+    rows = _cost_rows(tab)
     prev = kept[0]
-    jump, V = _start(tab, budget, prev)
+    jump, V = _start(tab, budget, prev, next(rows))
     at_level = np.empty(L, dtype=np.intp)  # position of a level among the previous cell's survivors
     buf = np.empty(0)
     parents = [None]
-    for i in range(1, n):
+    for i, c in enumerate(rows, 1):
         s = kept[i]
         size = budget * s.size * prev.size
         if buf.size < size:
@@ -566,17 +720,10 @@ def _pruned_pass(tab: _Tableau, budget: int, keep: np.ndarray) -> tuple:
         par[0] = pos
         par[1:] = np.where(use_jump, arg, pos)
         stay[1:] = np.where(use_jump, jumped, stay[1:])
-        V = stay + tab.cost[i, s]
+        V = stay + c.take(s)
         parents.append(par)
         prev = s
     return _read_rows(tab, parents, V, kept)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
@@ -591,7 +738,7 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     if m > MAX_JUMP_BUDGET:
         raise ConfigError(f"jump budget {m} exceeds the limit {MAX_JUMP_BUDGET}")
     tab = _build_tableau(problem)
-    n = tab.cost.shape[0]
+    n = tab.shape[0]
     if m >= n:
         raise ConfigError(f"cannot place {m} jumps with only {n} cells")
     seq = _certified_row(tab, m)
@@ -603,13 +750,13 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
 def _certified_row(tab: _Tableau, m: int):
     """The m-jump row of ``_budget_pass(tab, m)``, by pruned passes when one
     certifies its result."""
-    if _worth_pruning(m, tab.cost.shape[1]):
-        _, free, bound = _solve_free(tab, bounds=True, sequence=False)
+    if _worth_pruning(m, tab.shape[1]):
+        behind, free = _behind(tab)
         scale = max(1.0, abs(free))
         widths = iter(_WIDTHS)
         threshold = free + next(widths) * scale
         while math.isfinite(threshold):
-            rows = _pruned_rows(tab, m, _survivors(bound, threshold))
+            rows = _pruned_rows(tab, m, _forward_pass(tab, behind, threshold)[0])
             if rows is None:
                 break
             seqs, values = rows
@@ -623,7 +770,7 @@ def _certified_row(tab: _Tableau, m: int):
             if width is None:
                 break
             threshold = free + width * scale
-        del bound  # freed before the dense pass allocates its parent table
+        del behind  # freed before the dense pass allocates its parent table
     return _budget_pass(tab, m)[0][m]
 
 

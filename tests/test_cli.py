@@ -172,6 +172,16 @@ class TestExact:
         assert err.startswith("config error: ") and "m_max" in err
         assert out == ""
 
+    @pytest.mark.parametrize("m_max", [cli.MAX_TABLE_JUMPS + 1, 100_000_000])
+    def test_energy_table_rows_are_bounded(self, capsys, tmp_path, m_max):
+        out_file = tmp_path / "table.csv"
+        code, out, err = run_cli(
+            capsys, "exact", "energy-table", "--L", "1", "--lambda", "5", "--m-max", str(m_max), "--out", str(out_file)
+        )
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("config error: ")
+        assert f"m_max = {m_max} exceeds the limit {cli.MAX_TABLE_JUMPS}" in err
+
     @pytest.mark.parametrize(
         "flags, cost",
         [

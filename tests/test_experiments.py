@@ -1,6 +1,7 @@
 """Unit tests for experiment specs, signal generators, and artifact output."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -73,6 +74,25 @@ class TestExperimentSpec:
             xp.ExperimentSpec.from_json_dict(
                 {"name": "custom", "data": "step", "models": [], "overrides": {"lam": 1.0}}
             )
+
+    @pytest.mark.parametrize("models", [5, None, "rof", {"rof": 1}])
+    def test_models_must_be_a_list_of_names(self, models):
+        with pytest.raises(ConfigError, match="models must be a list of model names"):
+            xp.ExperimentSpec.from_json_dict(
+                {"name": "custom", "data": "step", "models": models, "overrides": {"lam": 1.0}}
+            )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", "x"), ("lam", -1.0), ("n", 1), ("n", 2.5), ("t_max", 0.0), ("dt", math.inf),
+         ("bc_u", "periodic"), ("pre_relax", 1), ("output_stride", 0)],
+    )
+    def test_each_override_is_checked_by_its_flow_rule(self, field, value):
+        overrides = {"lam": 1.0, field: value}
+        with pytest.raises(ConfigError, match=field):
+            xp.ExperimentSpec.from_json_dict({"name": "custom", "data": "step", "models": ["rof"], "overrides": overrides})
+        with pytest.raises(ConfigError, match=field):
+            flow_mod.FlowParams(model="rof", **overrides)
 
     def test_protocol_names_are_registered(self):
         assert xp.EXPERIMENTS == (

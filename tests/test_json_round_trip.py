@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kwcseg.experiments import EXPERIMENTS, GENERATORS, ExperimentSpec
 from kwcseg.flow import MODELS, FlowParams
 from kwcseg.kernel import VALID_KINDS, JumpKernel
-from kwcseg.pwc import PiecewiseConstant
+from kwcseg.pwc import MAX_NODES, PiecewiseConstant
 
 
 def through_json(d):
@@ -44,18 +44,28 @@ def step_functions(draw):
 
 
 OVERRIDE_FIELDS = sorted(f.name for f in dataclasses.fields(FlowParams) if f.name != "model")
-scalars = st.one_of(finite, st.integers(-(2**70), 2**70), st.booleans(), st.sampled_from(["neumann", "dirichlet"]))
+non_negative = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**70))
+# A value of each override field that its FlowParams rule accepts.
+OVERRIDE_VALUES = {
+    **dict.fromkeys(("lam", "sigma", "steady_tol"), non_negative),
+    **dict.fromkeys(("dt", "epsilon", "t_max"), st.one_of(positive, st.integers(1, 2**70))),
+    "n": st.integers(2, MAX_NODES),
+    "output_stride": st.integers(1, 2**70),
+    "bc_u": st.sampled_from(["neumann", "dirichlet"]),
+    "pre_relax": st.booleans(),
+}
 
 
 @st.composite
 def experiment_specs(draw):
-    """Any valid spec: data and a lam override for custom alone, and no
-    models for the protocols that run kwc alone."""
+    """Any valid spec: data and a lam override for custom alone, no
+    models for the protocols that run kwc alone, and override values that
+    their FlowParams rules accept."""
     name = draw(st.sampled_from((*EXPERIMENTS, "custom")))
     fields = OVERRIDE_FIELDS if name == "custom" else [f for f in OVERRIDE_FIELDS if f != "lam"]
-    overrides = draw(st.dictionaries(st.sampled_from(fields), scalars, max_size=4))
+    overrides = {key: draw(OVERRIDE_VALUES[key]) for key in sorted(draw(st.sets(st.sampled_from(fields), max_size=4)))}
     if name == "custom":
-        overrides["lam"] = draw(finite)
+        overrides["lam"] = draw(OVERRIDE_VALUES["lam"])
     kwc_only = name in ("linear_steady", "nonuniqueness")
     most = 0 if kwc_only else 3
     models = draw(st.lists(st.sampled_from(MODELS), min_size=1 if name == "custom" else 0, max_size=most))

@@ -1,9 +1,9 @@
 """Unit tests for the discrete global minimizer (dynamic program)."""
 
+import dataclasses
 import functools
 import itertools
 import math
-import threading
 import tracemalloc
 from contextlib import contextmanager
 
@@ -261,6 +261,12 @@ class TestAgainstEnumeration:
             assert tie.energy.total <= best.energy.total + window
 
 
+def cost_table(tab):
+    """The (cells x levels) table of fidelity costs: every cost row the
+    passes read, stacked."""
+    return np.stack(list(oracle_mod._cost_rows(tab)))
+
+
 def reference_dp(tab, budget):
     """The oracle's dynamic programs as plain loops over cells, levels k -> l
     and jump counts j.
@@ -270,9 +276,10 @@ def reference_dp(tab, budget):
     than staying.  Returns ((energy, sequence) of the free problem,
     [(energy, sequence) or None for m = 0..budget]).
     """
-    n, L = tab.cost.shape
+    cost = cost_table(tab)
+    n, L = cost.shape
     inf = math.inf
-    first = [tab.cost[0, l] if tab.pin is None or l == tab.pin[0] else inf for l in range(L)]
+    first = [cost[0, l] if tab.pin is None or l == tab.pin[0] else inf for l in range(L)]
     ends = range(L) if tab.pin is None else [tab.pin[1]]
 
     def best_end(values):
@@ -292,7 +299,7 @@ def reference_dp(tab, budget):
                 if t < best:
                     best, arg = t, k
             parent[i, l] = arg
-            new.append(best + tab.cost[i, l])
+            new.append(best + cost[i, l])
         D = new
     end, free_energy = best_end(D)
     seq = [end]
@@ -318,7 +325,7 @@ def reference_dp(tab, budget):
                     if jumped < best:
                         best, prev = jumped, (j - 1, arg)
                 back[i, j, l] = prev
-                row.append(best + tab.cost[i, l])
+                row.append(best + cost[i, l])
             new.append(row)
         E = new
     budgets = []
@@ -379,7 +386,7 @@ class TestAgainstReferenceDP:
     def test_free_solve_and_every_budget(self, seed):
         problem = random_problem(seed)
         tab = _build_tableau(problem)
-        budget = min(MAX_JUMP_BUDGET, tab.cost.shape[0] - 1)
+        budget = min(MAX_JUMP_BUDGET, tab.shape[0] - 1)
         (free_energy, free_seq), budgets = reference_dp(tab, budget)
         best = solve(problem)
         assert np.array_equal(sequence_from_result(best, problem), tab.levels[free_seq])
@@ -396,13 +403,14 @@ class TestAgainstReferenceDP:
 
 def budget_optimum(tab, m):
     """Optimal energy with exactly m jumps by a value-only DP: no parent tables."""
-    n, L = tab.cost.shape
+    cost = cost_table(tab)
+    n, L = cost.shape
     jump = tab.kmat + np.diag(np.full(L, np.inf))
     E = np.full((m + 1, L), np.inf)
-    E[0, tab.pin[0]] = tab.cost[0, tab.pin[0]]
+    E[0, tab.pin[0]] = cost[0, tab.pin[0]]
     for i in range(1, n):
         E[1:] = np.minimum(E[1:], np.min(E[:-1, :, None] + jump, axis=1))
-        E += tab.cost[i]
+        E += cost[i]
     return E[m, tab.pin[1]]
 
 
@@ -455,7 +463,7 @@ class TestRelax:
         ref_min = ref[np.arange(L), ref_arg]
         if kind == "dyadic":
             assert np.sum(ref == ref_min[:, None]) > 2 * L  # exact ties to break
-        # All rows, a block of rows as one thread's slice holds them, the last row.
+        # All rows, a block of rows, the last row.
         for s, e in ((0, L), (5, 23), (L - 1, L)):
             trans = np.full((e - s, L), np.nan)
             arg, best = _relax(src, kernel_t[s:e], trans, np.arange(e - s) * L)
@@ -720,17 +728,20 @@ class TestPrunedPass:
     @also_skipping_every_level
     def test_rows_within_the_threshold_match_the_dense_pass_bit_for_bit(self, problem, where):
         tab = _build_tableau(problem)
-        budget = min(MAX_JUMP_BUDGET, tab.cost.shape[0] - 1)
-        seq, free, bound = oracle_mod._solve_free(tab, bounds=True)
+        n, L = tab.shape
+        budget = min(MAX_JUMP_BUDGET, n - 1)
+        seq = oracle_mod._solve_free(tab)
         if seq is None:  # one cell pinned to two different levels
             return
+        behind, free = oracle_mod._behind(tab)
+        bound = two_table_bound(tab)
         (_, free_seq), budgets = reference_dp(tab, budget)
         assert np.array_equal(seq, free_seq)
         dense, dense_values = _budget_pass(tab, budget)
         # The bound is tight: the free optimum passes through every cell.
         np.testing.assert_allclose(bound.min(axis=1), free, rtol=1e-12, atol=0)
         # With every state kept (pinned ends too), the pruned pass is the dense one.
-        kept_all, kept_all_values = oracle_mod._pruned_pass(tab, budget, np.ones(bound.shape, dtype=bool))
+        kept_all, kept_all_values = oracle_mod._pruned_pass(tab, budget, [np.arange(L)] * n)
         for seq_all, dense_seq in zip(kept_all, dense):
             assert (seq_all is None and dense_seq is None) or np.array_equal(seq_all, dense_seq)
         assert kept_all_values.tobytes() == dense_values.tobytes()
@@ -738,7 +749,9 @@ class TestPrunedPass:
         # A threshold from the free optimum up to the largest row optimum:
         # the rows at most it must come out as in the dense pass.
         threshold = free + where * (max(feasible) - free)
-        seqs, values = oracle_mod._pruned_pass(tab, budget, oracle_mod._survivors(bound, threshold))
+        kept, _, scan_seq = oracle_mod._forward_pass(tab, behind, threshold)
+        assert np.array_equal(scan_seq, seq)
+        seqs, values = oracle_mod._pruned_pass(tab, budget, kept)
         for m, (ref, dense_seq) in enumerate(zip(budgets, dense)):
             if ref is None:
                 assert dense_seq is None and seqs[m] is None and values[m] == math.inf
@@ -754,7 +767,7 @@ class TestPrunedPass:
     @also_skipping_every_level
     def test_best_with_m_jumps_equals_the_dense_route(self, problem, widths):
         tab = _build_tableau(problem)
-        n = tab.cost.shape[0]
+        n = tab.shape[0]
         budgets = range(min(MAX_JUMP_BUDGET, n - 1) + 1)
         # The dense route's answers: rows 0..m of one dense pass are those
         # of a pass with budget m.
@@ -786,6 +799,11 @@ def walk_problem(n_cells, n_levels, seed=3, pinned=False):
     return signal_problem(g, K1, 200.0, n_levels=n_levels, endpoint_pin=pin)
 
 
+def kept_share(kept, n_levels):
+    """The share of the states (cell, level) that ``kept`` keeps."""
+    return sum(s.size for s in kept) / (len(kept) * n_levels)
+
+
 class TestPrunedRoutes:
     def test_a_failed_certificate_still_ends_exact(self):
         # At a zero width only states on a free optimum survive; the free
@@ -793,7 +811,7 @@ class TestPrunedRoutes:
         problem = walk_problem(60, 100)
         tab = _build_tableau(problem)
         assert solve(problem).jump_count == 8
-        free = oracle_mod._solve_free(tab)[1]
+        free = oracle_mod._behind(tab)[1]
         dense = _budget_pass(tab, MAX_JUMP_BUDGET)[0]
         with oracle_constants(WIDTHS=(0.0, 1e-2)) as mp:
             passes = spy_on(mp, "_pruned_pass")
@@ -823,8 +841,8 @@ class TestPrunedRoutes:
             passes, dense = spy_on(mp, "_pruned_pass"), spy_on(mp, "_budget_pass")
             scan = solve(problem, tie_scan_jumps=4)
             assert len(passes) == 1 and dense == []
-            (_, budget, keep), _ = passes[0]
-            assert budget == 4 and keep.mean() < oracle_mod._MAX_SURVIVORS
+            (_, budget, kept), _ = passes[0]
+            assert budget == 4 and kept_share(kept, 101) < oracle_mod._MAX_SURVIVORS
         with oracle_constants(**NEVER_PRUNE):
             assert scan.to_json_dict() == solve(problem, tie_scan_jumps=4).to_json_dict()
         assert {scan.jump_count} | {t.jump_count for t in scan.ties} == {1, 2}
@@ -836,60 +854,32 @@ class TestPrunedRoutes:
             passes = spy_on(mp, "_pruned_pass")
             res = best_with_m_jumps(problem, MAX_JUMP_BUDGET)
             # Certified on the first width, with a few percent of the states.
-            (_, _, keep), _ = passes[0]
-            assert len(passes) == 1 and keep.mean() < 0.1
+            (_, _, kept), _ = passes[0]
+            assert len(passes) == 1 and kept_share(kept, MAX_LEVELS) < 0.1
         seq = _budget_pass(tab, MAX_JUMP_BUDGET)[0][MAX_JUMP_BUDGET]
         assert np.array_equal(np.searchsorted(tab.levels, sequence_from_result(res, problem)), seq)
         assert res.to_json_dict() == _result_from_sequence(problem, tab, seq).to_json_dict()
+
+    def test_a_tie_window_past_the_first_cut_forms_the_states_again(self):
+        # The scan's first forward pass keeps the states within twice the
+        # window above the free optimum.  Understated by 1.5 windows, that
+        # optimum still lets the pass find the minimizer, but the window
+        # above the minimizer's energy then ends past its cut.
+        problem = dataclasses.replace(tie_problem(400, 101), tie_tolerance=0.05)
+        with oracle_constants(**NEVER_PRUNE):
+            expected = solve(problem, tie_scan_jumps=4).to_json_dict()
+        real = oracle_mod._behind
+        with oracle_constants() as mp:
+            mp.setattr(oracle_mod, "_behind", lambda tab: (lambda behind, free: (behind, free - 0.075))(*real(tab)))
+            passes = spy_on(mp, "_forward_pass")
+            assert solve(problem, tie_scan_jumps=4).to_json_dict() == expected
+        (_, _, first), (_, _, again) = [args for args, _ in passes]
+        assert first < oracle_mod._cut(again)
 
     def test_pruning_threshold(self):
         worth = oracle_mod._worth_pruning
         assert worth(MAX_JUMP_BUDGET, MAX_LEVELS) and worth(4, 101) and worth(3, 82)
         assert not worth(2, MAX_LEVELS) and not worth(MAX_JUMP_BUDGET, 44) and not worth(3, 81)
-
-    def test_bounds_do_not_depend_on_the_thread_count(self, monkeypatch):
-        tab = _build_tableau(walk_problem(50, 120, pinned=True))
-        ran_on = []
-        real = oracle_mod._free_pass
-
-        def spy(*args):
-            ran_on.append(threading.get_ident())
-            return real(*args)
-
-        monkeypatch.setattr(oracle_mod, "_free_pass", spy)
-        monkeypatch.setattr(oracle_mod, "_MIN_SIDE_THREAD_LEVELS", 0)
-        results = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda c=cpus: c)
-            seq, free, bound = oracle_mod._solve_free(tab, bounds=True)
-            results.append((seq.tobytes(), free, bound.tobytes()))
-        # Four passes, one of them (the backward pass on 2 CPUs) on the helper thread.
-        assert len(ran_on) == 4 and ran_on.count(threading.get_ident()) == 3
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize("failing", ["forward", "backward", "both"])
-    def test_a_failing_bound_pass_raises_in_the_caller(self, failing, monkeypatch):
-        tab = _build_tableau(walk_problem(50, 120, pinned=True))
-        real = oracle_mod._free_pass
-        failed = threading.Event()
-
-        def flaky(cost, *args):
-            side = "forward" if cost is tab.cost else "backward"
-            if failing in (side, "both"):
-                failed.set()
-                raise RuntimeError(f"{side} pass failed")
-            failed.wait(timeout=5)  # still running when the other pass fails
-            return real(cost, *args)
-
-        monkeypatch.setattr(oracle_mod, "_free_pass", flaky)
-        monkeypatch.setattr(oracle_mod, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oracle_mod, "_MIN_SIDE_THREAD_LEVELS", 0)
-        before = set(threading.enumerate())
-        # The caller's own (forward) failure wins when both fail.
-        raised = "backward" if failing == "backward" else "forward"
-        with pytest.raises(RuntimeError, match=f"^{raised} pass failed$"):
-            oracle_mod._solve_free(tab, bounds=True)
-        assert set(threading.enumerate()) == before
 
 
 @st.composite
@@ -932,15 +922,34 @@ def free_pass_problems(draw):
 def free_pass_outputs(tab, backward):
     """Last row, every row and the parent table of one free pass, forward
     from the first pin or backward over the reversed cells from the last."""
-    n, L = tab.cost.shape
-    cost = tab.cost[::-1] if backward else tab.cost
-    start = None
-    if tab.pin is not None:
-        start = np.full(L, np.inf)
-        start[tab.pin[1 if backward else 0]] = 0.0
+    n, L = tab.shape
+    start = oracle_mod._pins(tab)[1 if backward else 0]
     parents, values = np.zeros((n, L), dtype=np.int16), np.empty((n, L))
-    last = oracle_mod._free_pass(cost, tab.kmat, start, parents, values.__setitem__)
+    last = oracle_mod._free_pass(tab, start, parents, values.__setitem__, backward=backward)
     return last.tobytes(), values.tobytes(), parents.tobytes()
+
+
+def windowed_outputs(tab):
+    """The free solve's sequence and its pass's last row, by the pass that
+    keeps only the parents (no ``on_row``)."""
+    n, L = tab.shape
+    last = oracle_mod._free_pass(tab, oracle_mod._pins(tab)[0], np.zeros((n, L), dtype=np.int16))
+    return oracle_mod._solve_free(tab).tobytes(), last.tobytes()
+
+
+@st.composite
+def wide_walks(draw):
+    """Random walks on <= 120 cells over 250-400 uniform levels, any kernel,
+    free or pinned to the walk's end values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    walk = np.cumsum(rng.normal(size=draw(st.integers(2, 120)) + 1))
+    param = draw(st.floats(0.05, 5.0))
+    kernel = draw(st.sampled_from([kwc_kernel(param), linear_kernel(), potts_kernel(param)]))
+    pin = (float(walk[0]), float(walk[-1])) if draw(st.booleans()) else None
+    return signal_problem(
+        GridSignal((0.0, 1.0), walk), kernel, draw(st.floats(0.5, 1000.0)),
+        n_levels=draw(st.integers(oracle_mod._MIN_SKIP_LEVELS, MAX_LEVELS)), endpoint_pin=pin,
+    )
 
 
 class TestSkippingFreePass:
@@ -970,32 +979,65 @@ class TestSkippingFreePass:
         # The battery (61 levels) and the tie scans (101, 201) stay dense.
         assert 201 < oracle_mod._MIN_SKIP_LEVELS <= MAX_LEVELS
 
+    @settings(max_examples=40)
+    @given(wide_walks())
+    def test_the_windowed_free_solve_equals_the_dense_pass(self, problem):
+        tab = _build_tableau(problem)
+        windowed = windowed_outputs(tab)
+        with oracle_constants(MIN_SKIP_LEVELS=math.inf):
+            assert windowed_outputs(tab) == windowed
+
+    @settings(max_examples=400)
+    @given(free_pass_problems())
+    def test_windowed_rows_at_any_level_count(self, problem):
+        tab = _build_tableau(problem)
+        if oracle_mod._solve_free(tab) is None:  # one cell pinned to two different levels
+            return
+        outputs = []
+        for levels in (math.inf, 1):
+            with oracle_constants(MIN_SKIP_LEVELS=levels):
+                outputs.append(windowed_outputs(tab))
+        assert outputs[0] == outputs[1]
+
+    def test_the_free_solve_forms_few_rows_of_a_random_walk(self):
+        tab = _build_tableau(walk_problem(300, 300))
+        with oracle_constants() as mp:
+            relaxed = spy_on(mp, "_relax")
+            oracle_mod._solve_free(tab)
+            rows = [args[2].shape[0] for args, _ in relaxed]
+        # The first and the last transition form every row.
+        assert len(rows) == 299 and rows[0] == rows[-1] == 300 and np.mean(rows) < 150
+
 
 def two_table_bound(tab):
     """F + B - cost from a forward and a backward free pass, each into a
     table of its own."""
-    n, L = tab.cost.shape
-    start = end = None
-    if tab.pin is not None:
-        start, end = np.full((2, L), np.inf)
-        start[tab.pin[0]] = end[tab.pin[1]] = 0.0
+    n, L = tab.shape
+    start, end = oracle_mod._pins(tab)
     forward, backward = np.empty((n, L)), np.empty((n, L))
-    oracle_mod._free_pass(tab.cost, tab.kmat, start, None, forward.__setitem__)
-    oracle_mod._free_pass(tab.cost[::-1], tab.kmat, end, None, backward[::-1].__setitem__)
-    return forward + backward - tab.cost
+    oracle_mod._free_pass(tab, start, None, forward.__setitem__)
+    oracle_mod._free_pass(tab, end, None, backward[::-1].__setitem__, backward=True)
+    return forward + backward - cost_table(tab)
 
 
 class TestBoundTable:
-    """Both bound passes write into one table (``_solve_free``)."""
+    """The bounds come from one table of backward rows (``_behind``) and a
+    forward pass over the kept states (``_forward_pass``)."""
 
     @settings(max_examples=200)
-    @given(free_pass_problems())
-    def test_one_table_equals_two_tables_bit_for_bit(self, problem):
+    @given(free_pass_problems(), st.floats(-0.1, 1.1))
+    def test_one_table_equals_two_tables_bit_for_bit(self, problem, where):
         tab = _build_tableau(problem)
-        expected = two_table_bound(tab).tobytes()
-        for cpus in (1, 2):
-            with oracle_constants(usable_cpus=lambda c=cpus: c, MIN_SIDE_THREAD_LEVELS=0):
-                assert oracle_mod._solve_free(tab, bounds=True)[2].tobytes() == expected
+        bound = two_table_bound(tab)
+        behind, free = oracle_mod._behind(tab)
+        thresholds = [math.inf]
+        if math.isfinite(free):
+            thresholds.append(free + where * (bound[np.isfinite(bound)].max() - free))
+        for threshold in thresholds:
+            kept, bounds, _ = oracle_mod._forward_pass(tab, behind, threshold)
+            mask = bound <= oracle_mod._cut(threshold)
+            assert [s.tolist() for s in kept] == [np.flatnonzero(row).tolist() for row in mask]
+            assert np.concatenate(bounds).tobytes() == bound[mask].tobytes()
 
     @settings(max_examples=200)
     @given(free_pass_problems())
@@ -1009,24 +1051,53 @@ class TestBoundTable:
         tab = _build_tableau(walk_problem(30, 40))
         before = tab.kmat.tobytes()
         _budget_pass(tab, 3)
-        oracle_mod._pruned_pass(tab, 3, np.ones(tab.cost.shape, dtype=bool))
+        oracle_mod._pruned_pass(tab, 3, [np.arange(40)] * 30)
         assert tab.kmat.tobytes() == before
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_the_bounds_hold_one_table(self, cpus):
-        tab = _build_tableau(walk_problem(2000, 250))
-        table = tab.cost.nbytes
-        with oracle_constants(usable_cpus=lambda: cpus, MIN_SIDE_THREAD_LEVELS=0):
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                oracle_mod._solve_free(tab, bounds=True, sequence=False)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # One n x L float table and two L x L transition buffers; two tables
-        # would be above 2.
-        assert peak < 1.6 * table
+    @staticmethod
+    def peak_tables(ask, n_cells, n_levels):
+        """The traced peak of ``ask()`` in n x L float tables."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ask()
+            return tracemalloc.get_traced_memory()[1] / (n_cells * n_levels * 8)
+        finally:
+            tracemalloc.stop()
+
+    def test_the_free_solve_holds_no_cost_table(self):
+        # Its int16 parent table (a quarter of one) and L x L buffers.
+        problem = walk_problem(2000, 250)
+        assert self.peak_tables(lambda: solve(problem), 2000, 250) < 1.25
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_bounds_hold_one_table(self, seed):
+        # A budgeted question adds the one table of backward rows to what a
+        # free solve holds; two tables would be above 2.
+        problem = walk_problem(2000, 250, seed=seed)
+        assert self.peak_tables(lambda: best_with_m_jumps(problem, 10), 2000, 250) < 2.0
+        assert self.peak_tables(lambda: solve(problem, tie_scan_jumps=10), 2000, 250) < 2.0
+
+
+class TestCostRows:
+    @pytest.mark.parametrize(
+        "n", [1, oracle_mod._BLOCK_CELLS - 1, oracle_mod._BLOCK_CELLS, oracle_mod._BLOCK_CELLS + 1, MAX_CELLS]
+    )
+    def test_rows_equal_the_whole_table_bit_for_bit(self, n):
+        sampled = walk_problem(n, 37)
+        analytic = OracleProblem(data=LinearData((0.0, 1.0), 2.0, -0.5), kernel=K1, lam=7.0, n_cells=n, n_levels=37)
+        for problem in (sampled, analytic):
+            tab = _build_tableau(problem)
+            m0, m1, m2 = (m[:, None] for m in tab.moments)
+            lv = tab.levels[None, :]
+            table = 0.5 * problem.lam * (m0 * lv * lv - 2.0 * m1 * lv + m2)
+            assert cost_table(tab).tobytes() == table.tobytes()
+            backward = np.stack(list(oracle_mod._cost_rows(tab, backward=True)))
+            assert backward.tobytes() == table[::-1].tobytes()
+            # A minimizer's fidelity is priced from the same floats.
+            seq = np.random.default_rng(n).integers(0, 37, size=n)
+            fidelity = _result_from_sequence(problem, tab, seq).energy.fidelity
+            assert fidelity == float(table[np.arange(n), seq].sum())
 
 
 @st.composite
