@@ -202,7 +202,7 @@ def _cmd_flow_run(args) -> int:
 def _cmd_experiment(args) -> int:
     overrides = {}
     for key in ("lam", "n", "t_max"):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key)
         if value is not None:
             overrides[key] = value
     spec = ExperimentSpec(

@@ -168,8 +168,9 @@ def census_fit(u: GridSignal, threshold: float, margin: int = 5) -> PiecewiseCon
 
     Breakpoints at censused jump positions; plateau values are means of the
     samples between jump groups, shaving ``margin`` cells next to each jump
-    to keep transition cells out of the averages.
+    to keep transition cells out of the averages (an integer >= 0).
     """
+    check_count("margin", margin)
     groups = _census_groups(u, threshold)
     values = []
     breakpoints = []

@@ -32,14 +32,12 @@ Budgeted passes (``best_with_m_jumps`` and the tie scan of ``solve``) are
 pruned by an exact forward-backward bound: each state (cell, level) gets
 the least cost F + B - cost of any path through it, with F and B the
 forward and backward free passes.  The backward pass runs once, in full,
-into one (cells x levels) table of its rows B; a forward pass then forms
-only the states whose bound is within a threshold of the free optimum
-(``_forward_pass``, which also finds the free minimizer), and the budgeted
-DP visits only those.  The pruned pass's results are those of the dense
-pass (``_pruned_pass`` has the argument); when too many states survive,
-the dense pass runs instead.  The two budgeted passes differ only in their
-inner loops: one ``_start`` and one ``_read_rows`` serve both, the dense
-pass keeping every level of every cell.
+into one (cells x levels) table of its rows B.  One pass over the cells
+(``_pruned_pass``) then forms F where the bound can keep a state, keeps
+the states within a threshold of the free optimum, runs the budgeted DP
+over them with the dense pass's results and finds the free minimizer; it
+stops, and the dense pass runs, once too many states survive.  Both
+budgeted passes start with ``_start`` and end with ``_read_rows``.
 """
 
 import itertools
@@ -76,13 +74,13 @@ _MIN_SKIP_LEVELS = 250
 # 0.37-0.42 s against 0.44 s at m = 1 and 0.52 s at m = 2); below 20 000,
 # on 300- and 1000-cell random walks, the pruned and dense routes were
 # even, above it the pruned one won whenever it certified.  The bounds now
-# cost one backward pass (0.16-0.22 s at 2000 x 400) and a forward pass
-# over the kept states for each threshold (0.06-0.09 s).  ``best_with_m_jumps`` tries
-# thresholds 1e-3 and 1e-2 (relative) above the free optimum; at 1e-1,
-# 20-51 % of the states of 2000 x 400 random walks survive.  Above 30 %
-# survivors the dense pass runs: a pruned pass over the 30 % of states
-# with the least bounds took 0.28-0.77 of the dense pass's time, over 50 %
-# 0.69-1.10.
+# cost one backward pass (0.16-0.22 s at 2000 x 400) and, in the one
+# pruned pass for each threshold, free rows over the kept states only
+# (0.06-0.09 s).  ``best_with_m_jumps`` tries thresholds 1e-3 and 1e-2
+# (relative) above the free optimum; at 1e-1, 20-51 % of the states of
+# 2000 x 400 random walks survive.  Above 30 % survivors the dense pass
+# runs: a pruned pass over the 30 % of states with the least bounds took
+# 0.28-0.77 of the dense pass's time, over 50 % 0.69-1.10.
 _MIN_PRUNE_BUDGET = 3
 _MIN_PRUNE_WORK = 20_000
 _WIDTHS = (1e-3, 1e-2)
@@ -282,7 +280,7 @@ def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarra
 
 def _slack(tab: _Tableau) -> float:
     """64u * A, the rounding slack of the witness test (``_free_pass``) and
-    of the forward pass's screen (``_forward_pass``), or 0 (no skipping, no
+    of the pruned pass's screen (``_pruned_pass``), or 0 (no skipping, no
     screen) outside 1e-280 < A < 1e300.  A = n * C + max kmat, with C the
     upper bound 0.5 * lam * max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the
     largest |level|."""
@@ -437,125 +435,38 @@ def _cut(threshold: float) -> float:
     return threshold + 1e-9 * max(1.0, abs(threshold))
 
 
-def _forward_pass(tab: _Tableau, behind: np.ndarray, threshold: float) -> tuple:
-    """The states that may lie on a path whose DP cost is at most
-    ``threshold``: each cell's kept levels (ascending), their bounds, and
-    the free minimizer's level sequence through them (None if it is not
-    kept).
-
-    A state is kept when its bound F + B - cost is at most
-    ``_cut(threshold)``, with B the backward pass's row (``_behind``) and
-    the float operations of a bound table filled by two dense passes.  The
-    forward free pass F here forms only what that needs: each transition
-    reads the sources in the block spanned by the previous cell's kept
-    levels, and forms the targets in the block spanned by the candidates.
-
-    Exactness.  By induction over the cells, every F formed here is at
-    least the dense pass's (a min over fewer sources of values at least
-    the dense ones), and equals it at a state the dense table keeps: the
-    predecessor on that state's best forward path has a bound no larger
-    than the state's own (up to rounding at the cut itself), so it is kept
-    and has its dense F.  A state the dense table drops has a bound at
-    least its dense one here, so the kept levels are the dense table's
-    survivors.  In the same way the states of the dense free minimizer
-    keep their dense values and their smallest-index parents, and the
-    final argmin is the dense one, so the sequence is the free pass's, ties
-    broken alike.
-
-    Candidates are screened: a target's bound is at least min F + B[target]
-    over the sources it reads (every kernel entry is at least 0), so a
-    target whose screen value exceeds the cut by the slack of ``_slack``,
-    widened by 64u of the cut, is above the cut in floats too (its few
-    roundings stay below that slack) and is not formed.
-    """
-    n, L = tab.shape
-    start, end = _pins(tab)
-    cut = _cut(threshold)
-    slack = _slack(tab)
-    screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
-    rows = _cost_rows(tab)
-    c = next(rows)
-    F, base = (c if start is None else c + start), 0  # F over the levels from base on
-    bound = F + behind[0]
-    bound -= c
-    keep = (bound <= cut).nonzero()[0]
-    kept, bounds, parents = [keep], [bound.take(keep)], [None]
-    buf = np.empty(0)
-    targets = np.arange(L)
-    for i, c in enumerate(rows, 1):
-        prev = kept[-1]
-        if prev.size == 0:
-            break
-        lo, hi = prev[0], prev[-1] + 1
-        src = F[lo - base : hi - base]
-        B = behind[i]
-        cand = (src.min() + B <= screen).nonzero()[0]
-        if cand.size == 0:
-            kept.append(cand)
-            break
-        first, last = cand[0], cand[-1] + 1
-        w, size = hi - lo, last - first
-        if buf.size < size * w:
-            buf = np.empty(size * w)
-        arg, best = _relax(src, tab.kmat[first:last, lo:hi], buf[: size * w].reshape(size, w), targets[:size] * w)
-        cost = c[first:last]
-        F, base = best + cost, first
-        bound = F + B[first:last]
-        bound -= cost
-        keep = (bound <= cut).nonzero()[0]
-        kept.append(keep + first)
-        bounds.append(bound.take(keep))
-        parents.append((lo, arg.take(keep)))  # each kept state's parent, less lo
-    kept += [np.empty(0, dtype=np.intp)] * (n - len(kept))
-    bounds += [np.empty(0)] * (n - len(bounds))
-    last = kept[-1]
-    D = F.take(last - base)
-    if end is not None:
-        D += end.take(last)
-    if not np.isfinite(D).any():
-        return kept, bounds, None
-    seq = np.empty(n, dtype=np.int64)
-    at = np.argmin(D)  # positions among the kept levels
-    seq[-1] = last[at]
-    for i in range(n - 1, 0, -1):
-        lo, arg = parents[i]
-        seq[i - 1] = arg[at] + lo
-        at = kept[i - 1].searchsorted(seq[i - 1])
-    return kept, bounds, seq
-
-
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
     """Global optimum over the level-quantized class.
 
     With ``tie_scan_jumps`` set, also runs one jump-count-constrained pass
     for the budgets m = 0..tie_scan_jumps and returns, as ties, the
     m-optima whose energy is within tie_tolerance (relative) of the global
-    optimum and whose jump set differs from the minimizer's.  That pass is
-    pruned to the states whose path bound is within the tie window T (see
-    ``_pruned_pass``).  A row the dense pass keeps, of energy at most T,
-    has a DP cost within 1e-12 of it, so the pruned row is the same; a row
-    above T is above it in the pruned pass too, and is dropped either way.
+    optimum and whose jump set differs from the minimizer's.
 
-    The pruned scan's forward pass also finds the minimizer, before T is
-    known: it keeps the states within twice the window above the free
-    optimum, and the states within T are then taken from those (the
-    minimizer's energy is within 1e-12 of the free optimum; were T past
-    the first cut, the pass runs again at T).
+    That pass is pruned (``_pruned_pass``) at one threshold, T = free + 2
+    (tie_tolerance + 1e-9) s with s = max(1, |free|), and also finds the
+    minimizer.  T covers the window best + tie_tolerance max(1, |best|):
+    the minimizer's energy best is within 1e-12 s of free (the same terms
+    summed in another order), so the window ends below free +
+    (tie_tolerance (1 + 1e-12) + 1e-12) s, which T's margin of 2e-9 s
+    keeps below T, its own roundings included.  A row of dense energy
+    within the window has a DP cost within 1e-12 of it, so the pruned row
+    is the dense one; a row above the window is at least as high pruned,
+    and is dropped either way.  When too many states survive, the
+    minimizer comes from the free solve and the dense pass runs.
     """
     if tie_scan_jumps is not None:
         check_count("tie_scan_jumps", tie_scan_jumps)
     tab = _build_tableau(problem)
     n, L = tab.shape
     budget = None if tie_scan_jumps is None else min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
-    behind = None
+    rows = None
     if budget is not None and _worth_pruning(budget, L):
         behind, free = _behind(tab)
-        seq = None
         if math.isfinite(free):
-            reach = free + 2.0 * (problem.tie_tolerance + 1e-9) * max(1.0, abs(free))
-            kept, bounds, seq = _forward_pass(tab, behind, reach)
-    else:
-        seq = _solve_free(tab)
+            rows = _pruned_pass(tab, budget, behind, free + 2.0 * (problem.tie_tolerance + 1e-9) * max(1.0, abs(free)))
+        del behind  # freed before the free solve and the dense pass
+    seqs, _, seq = (None, None, _solve_free(tab)) if rows is None else rows
     if seq is None:
         raise ConfigError("a single cell cannot take two different pinned levels")
     best = _result_from_sequence(problem, tab, seq)
@@ -563,15 +474,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
         return best
 
     tol = problem.tie_tolerance * max(1.0, abs(best.energy.total))
-    threshold = best.energy.total + tol
-    rows = None
-    if behind is not None:
-        cut = _cut(threshold)
-        if not cut <= _cut(reach):
-            kept, bounds, _ = _forward_pass(tab, behind, threshold)
-        del behind
-        rows = _pruned_rows(tab, budget, [s[b <= cut] for s, b in zip(kept, bounds)])
-    seqs, _ = _budget_pass(tab, budget) if rows is None else rows
+    seqs = _budget_pass(tab, budget)[0] if seqs is None else seqs
     # Row m has exactly m jumps, so only the minimizer's row can repeat its jump set.
     own = tuple(np.flatnonzero(np.diff(seq)))
     ties = []
@@ -656,59 +559,101 @@ def _worth_pruning(budget: int, L: int) -> bool:
     return budget >= _MIN_PRUNE_BUDGET and budget * L * L >= _MIN_PRUNE_WORK
 
 
-def _pruned_rows(tab: _Tableau, budget: int, kept: list):
-    """``_pruned_pass`` over the ``kept`` levels, or None (run the dense
-    pass) when more than ``_MAX_SURVIVORS`` of the states survive."""
-    n, L = tab.shape
-    return None if sum(s.size for s in kept) / (n * L) > _MAX_SURVIVORS else _pruned_pass(tab, budget, kept)
+def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: float):
+    """``_budget_pass`` over the states that may lie on a path of DP cost
+    at most ``threshold``, with the free minimizer: the rows as
+    ``_read_rows`` returns them and the free level sequence (None if not
+    kept), or None (run the dense pass) once more than ``_MAX_SURVIVORS``
+    of the states have survived.
 
+    Kept states.  A state is kept when its bound F + B - cost is at most
+    ``_cut(threshold)``, in the float operations of a bound table filled by
+    two dense passes (B from ``_behind``).  A transition of F reads the
+    sources spanned by the previous cell's kept levels and forms the
+    targets spanned by the candidates.  A target's bound is at least min F
+    + B[target] over its sources (kernel entries are at least 0), so a
+    target whose screen value exceeds the cut by the slack of ``_slack``,
+    widened by 64u of the cut, is above the cut in floats too (its few
+    roundings stay below that slack) and is no candidate.  By induction
+    over the cells, every F formed here is at least the dense pass's (a min
+    over fewer sources), and equals it at a state the dense table keeps:
+    the predecessor on that state's best forward path has a bound no larger
+    than the state's own (up to rounding at the cut itself), so it is kept
+    with its dense F.  So the kept levels are the dense table's survivors;
+    likewise the states of the dense free minimizer keep their dense values
+    and smallest-index parents, and the free sequence is the free pass's,
+    ties broken alike.
 
-def _pruned_pass(tab: _Tableau, budget: int, kept: list) -> tuple:
-    """``_budget_pass`` over each cell's ``kept`` levels (ascending).
+    Exactness of the rows.  Any path through state (i, l), whatever its
+    jump count, costs at least its bound.  Let P be the path the dense pass
+    returns for m jumps and V its DP cost.  The free passes add the same
+    terms as the budgeted one (a stay adds K(0) = 0 exactly) and rounding
+    is monotone, so F and B at a state of P are at most P's float prefix
+    and suffix sums (for F by induction along P, whose previous state is
+    kept).  Those and V are float sums of at most 2000 terms that are
+    non-negative up to their own rounding, each within 2000 * 2**-53 <
+    3e-13 (relative) of P's exact cost, so every state of P has a bound of
+    at most V * (1 + 1e-12).  When V is at most T * (1 + 1e-10), the cut at
+    T, which keeps bounds up to T + 1e-9 * max(1, |T|), keeps all of them.
+    Restricting a min to a subset can only raise a float DP value, so by
+    induction over the cells every state of P has its dense value and its
+    dense parent here: the dense parent attains the dense minimum, every
+    smaller index stays above it, and ``jumped < stay`` compares two values
+    that are each the dense value, or above it on the side the dense pass
+    did not take.  The final argmin and backtrack then return P.  A pruned
+    optimum of at most T certifies itself: the dense one, V, is at most it.
 
-    Exactness.  Any path through state (i, l), whatever its jump count,
-    costs at least ``bound[i, l] = F[i, l] + B[i, l] - cost[i, l]``, with F
-    and B the free forward and backward passes.  Let P be the path the
-    dense pass returns for m jumps and V its DP cost.  The free passes add
-    the same terms as the budgeted one (a stay adds K(0) = 0 exactly) and
-    rounding is monotone, so F and B at a state of P are at most P's float
-    prefix and suffix sums.  Those and V are float sums of at most 2000
-    terms that are non-negative up to their own rounding, each within 2000
-    * 2**-53 < 3e-13 (relative) of P's exact cost, so every state of P has
-    a bound of at most V * (1 + 1e-12).  When V is at most T * (1 +
-    1e-10), the cut at T (``_cut``), which keeps bounds up to T + 1e-9 *
-    max(1, |T|), keeps all of them (``_forward_pass`` forms F over the kept
-    states only: P's state at each cell keeps F at most P's prefix sum by
-    induction, as P's previous state is kept).  Restricting a min to a
-    subset can only raise a float DP value, so by induction over the cells
-    every state of P has its dense value and its dense parent here: the
-    dense parent attains the dense minimum, every smaller index stays above
-    it, and ``jumped < stay`` compares two values that are each the dense
-    value, or above it on the side the dense pass did not take.  The final
-    argmin and backtrack then return P.  A pruned optimum of at most T
-    certifies itself: the dense one, V, is at most it.
-
-    Positions are among each cell's kept levels, so the smallest position
-    is the smallest level index; parents are positions among the previous
-    cell's kept levels.  All budget rows of a cell make one (budget, kept,
-    kept before) sum.
+    Positions are among each cell's kept levels (the smallest position is
+    the smallest level), parents among the previous cell's; all budget rows
+    of a cell make one (budget, kept, kept before) sum.  The parent table's
+    last row, which ``_read_rows`` does not read, holds free parent levels.
     """
     n, L = tab.shape
-    if any(s.size == 0 for s in kept):
-        return [None] * (budget + 1), np.full(budget + 1, np.inf)
+    start, end = _pins(tab)
+    cut = _cut(threshold)
+    slack = _slack(tab)
+    screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
+    no_rows = [None] * (budget + 1), np.full(budget + 1, np.inf), None
     rows = _cost_rows(tab)
-    prev = kept[0]
-    jump, V = _start(tab, budget, prev, next(rows))
+    c = next(rows)
+    F, base = (c if start is None else c + start), 0  # F over the levels from base on
+    prev = (F + behind[0] - c <= cut).nonzero()[0]
+    survivors = prev.size
+    if survivors / (n * L) > _MAX_SURVIVORS:
+        return None
+    if survivors == 0:
+        return no_rows
+    jump, V = _start(tab, budget, prev, c)
+    kept, parents = [prev], [None]
     at_level = np.empty(L, dtype=np.intp)  # position of a level among the previous cell's survivors
     buf = np.empty(0)
-    parents = [None]
+    index = np.arange(max(budget, 1) * L)  # row offsets of both transitions, before scaling
     for i, c in enumerate(rows, 1):
-        s = kept[i]
+        lo, hi = prev[0], prev[-1] + 1
+        src = F[lo - base : hi - base]
+        B = behind[i]
+        cand = (src.min() + B <= screen).nonzero()[0]
+        if cand.size == 0:
+            return no_rows
+        first, last = cand[0], cand[-1] + 1
+        w, size = hi - lo, last - first
+        if buf.size < size * w:
+            buf = np.empty(size * w)
+        free_arg, best = _relax(src, tab.kmat[first:last, lo:hi], buf[: size * w].reshape(size, w), index[:size] * w)
+        cost = c[first:last]
+        F, base = best + cost, first
+        keep = (F + B[first:last] - cost <= cut).nonzero()[0]
+        s = keep + first
+        survivors += s.size
+        if survivors / (n * L) > _MAX_SURVIVORS:
+            return None
+        if s.size == 0:
+            return no_rows
         size = budget * s.size * prev.size
         if buf.size < size:
             buf = np.empty(size)
         trans = buf[:size].reshape(budget, s.size, prev.size)
-        offs = np.arange(budget * s.size).reshape(budget, s.size) * prev.size
+        offs = index[: budget * s.size].reshape(budget, s.size) * prev.size
         arg, jumped = _relax(V[:-1, None, :], jump.take(s[:, None] * L + prev), trans, offs)
         at_level.fill(-1)
         at_level[prev] = np.arange(prev.size)
@@ -716,14 +661,28 @@ def _pruned_pass(tab: _Tableau, budget: int, kept: list) -> tuple:
         stay = np.where(pos >= 0, V[:, pos], np.inf)
         # Strict <: an all-inf row (no admissible sequence yet) never jumps.
         use_jump = jumped < stay[1:]
-        par = np.empty((budget + 1, s.size), dtype=np.int16)
+        par = np.empty((budget + 2, s.size), dtype=np.int16)
         par[0] = pos
-        par[1:] = np.where(use_jump, arg, pos)
+        par[1:-1] = np.where(use_jump, arg, pos)
+        par[-1] = free_arg.take(keep) + lo
         stay[1:] = np.where(use_jump, jumped, stay[1:])
         V = stay + c.take(s)
+        kept.append(s)
         parents.append(par)
         prev = s
-    return _read_rows(tab, parents, V, kept)
+    seqs, values = _read_rows(tab, parents, V, kept)
+    D = F.take(prev - base)
+    if end is not None:
+        D += end.take(prev)
+    if not np.isfinite(D).any():
+        return seqs, values, None
+    seq = np.empty(n, dtype=np.int64)
+    at = np.argmin(D)  # positions among the kept levels
+    seq[-1] = prev[at]
+    for i in range(n - 1, 0, -1):
+        seq[i - 1] = parents[i][-1, at]
+        at = kept[i - 1].searchsorted(seq[i - 1])
+    return seqs, values, seq
 
 
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
@@ -756,10 +715,10 @@ def _certified_row(tab: _Tableau, m: int):
         widths = iter(_WIDTHS)
         threshold = free + next(widths) * scale
         while math.isfinite(threshold):
-            rows = _pruned_rows(tab, m, _forward_pass(tab, behind, threshold)[0])
+            rows = _pruned_pass(tab, m, behind, threshold)
             if rows is None:
                 break
-            seqs, values = rows
+            seqs, values, _ = rows
             if values[m] <= threshold:
                 return seqs[m]
             if math.isfinite(values[m]):

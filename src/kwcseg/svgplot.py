@@ -27,7 +27,7 @@ def _tick_label(value: float) -> str:
 class Curve:
     """One polyline: x/y arrays plus stroke styling."""
 
-    def __init__(self, x, y, stroke, width=1.5, dash=None, opacity=1.0, secondary=False, label=""):
+    def __init__(self, x, y, stroke, width=1.5, dash=None, secondary=False, label=""):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         if self.x.shape != self.y.shape or self.x.ndim != 1:
@@ -35,7 +35,6 @@ class Curve:
         self.stroke = stroke
         self.width = width
         self.dash = dash
-        self.opacity = opacity
         self.secondary = secondary
         self.label = label
 
@@ -114,7 +113,7 @@ def render(curves, title="") -> str:
         dash = f' stroke-dasharray="{c.dash}"' if c.dash else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{c.stroke}" '
-            f'stroke-width="{c.width}" opacity="{_fmt(c.opacity)}"{dash}/>'
+            f'stroke-width="{c.width}" opacity="1"{dash}/>'
         )
         if c.label:
             parts.append(

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -709,6 +713,16 @@ class TestParser:
         assert first[0] == other[0] == 0
         assert run_cli(capsys, *critical) == first
         assert cli.build_parser.cache_info().misses == 1
+
+
+class TestImportFootprint:
+    def test_the_command_line_loads_no_heavy_scipy_module(self):
+        # Together these added about 24 MB to the resident memory of a run.
+        code = "import sys, kwcseg.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy.')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert "scipy.linalg" in loaded.stdout.split()  # the probe sees scipy modules
+        assert not {"scipy.integrate", "scipy.sparse", "scipy.optimize"} & set(loaded.stdout.split())
 
 
 class TestExperimentCommand:

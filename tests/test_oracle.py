@@ -740,18 +740,23 @@ class TestPrunedPass:
         dense, dense_values = _budget_pass(tab, budget)
         # The bound is tight: the free optimum passes through every cell.
         np.testing.assert_allclose(bound.min(axis=1), free, rtol=1e-12, atol=0)
-        # With every state kept (pinned ends too), the pruned pass is the dense one.
-        kept_all, kept_all_values = oracle_mod._pruned_pass(tab, budget, [np.arange(L)] * n)
+        # At an infinite threshold every state is kept (pinned ends too), and
+        # the pruned pass is the dense one.
+        with oracle_constants(MAX_SURVIVORS=1.0) as mp:
+            read = spy_on(mp, "_read_rows")
+            kept_all, kept_all_values, all_seq = oracle_mod._pruned_pass(tab, budget, behind, math.inf)
+            assert [s.tolist() for s in read_kept(read)[0]] == [list(range(L))] * n
         for seq_all, dense_seq in zip(kept_all, dense):
             assert (seq_all is None and dense_seq is None) or np.array_equal(seq_all, dense_seq)
         assert kept_all_values.tobytes() == dense_values.tobytes()
+        assert np.array_equal(all_seq, seq)
         feasible = [ref[0] for ref in budgets if ref is not None]
         # A threshold from the free optimum up to the largest row optimum:
         # the rows at most it must come out as in the dense pass.
         threshold = free + where * (max(feasible) - free)
-        kept, _, scan_seq = oracle_mod._forward_pass(tab, behind, threshold)
+        with oracle_constants(MAX_SURVIVORS=1.0):
+            seqs, values, scan_seq = oracle_mod._pruned_pass(tab, budget, behind, threshold)
         assert np.array_equal(scan_seq, seq)
-        seqs, values = oracle_mod._pruned_pass(tab, budget, kept)
         for m, (ref, dense_seq) in enumerate(zip(budgets, dense)):
             if ref is None:
                 assert dense_seq is None and seqs[m] is None and values[m] == math.inf
@@ -804,6 +809,11 @@ def kept_share(kept, n_levels):
     return sum(s.size for s in kept) / (len(kept) * n_levels)
 
 
+def read_kept(calls):
+    """The kept levels of each ``_read_rows`` call recorded by ``spy_on``."""
+    return [args[3] for args, _ in calls]
+
+
 class TestPrunedRoutes:
     def test_a_failed_certificate_still_ends_exact(self):
         # At a zero width only states on a free optimum survive; the free
@@ -814,24 +824,29 @@ class TestPrunedRoutes:
         free = oracle_mod._behind(tab)[1]
         dense = _budget_pass(tab, MAX_JUMP_BUDGET)[0]
         with oracle_constants(WIDTHS=(0.0, 1e-2)) as mp:
-            passes = spy_on(mp, "_pruned_pass")
+            passes, read = spy_on(mp, "_pruned_pass"), spy_on(mp, "_read_rows")
             for m in (5, 7, 9, 10):
                 passes.clear()
+                read.clear()
                 res = best_with_m_jumps(problem, m)
                 assert res.to_json_dict() == _result_from_sequence(problem, tab, dense[m]).to_json_dict()
-                (_, budget, keep), (_, values) = passes[0]
+                (_, budget, _, _), (_, values, _) = passes[0]
                 assert budget == m and not values[m] <= free
                 assert len(passes) >= 2  # widened, or re-run at the failed pass's value
+                # At the zero width only the free optimum's states are kept.
+                assert kept_share(read_kept(read)[0], 100) <= 0.02
 
     def test_too_many_survivors_run_the_dense_pass(self):
         problem = walk_problem(60, 100)
         expected = [best_with_m_jumps(problem, m).to_json_dict() for m in (3, 10)]
         with oracle_constants(MAX_SURVIVORS=0.0) as mp:
             passes, dense = spy_on(mp, "_pruned_pass"), spy_on(mp, "_budget_pass")
+            read = spy_on(mp, "_read_rows")
             assert [best_with_m_jumps(problem, m).to_json_dict() for m in (3, 10)] == expected
-            assert passes == [] and [args[1] for args, _ in dense] == [3, 10]
+            assert [out for _, out in passes] == [None, None] and [args[1] for args, _ in dense] == [3, 10]
             scan = solve(tie_problem(400, 101), tie_scan_jumps=4)
-            assert passes == [] and len(dense) == 3
+            assert [out for _, out in passes] == [None] * 3 and len(dense) == 3
+            assert len(read) == len(dense)  # no pruned pass reached its rows
         with oracle_constants(**NEVER_PRUNE):
             assert scan.to_json_dict() == solve(tie_problem(400, 101), tie_scan_jumps=4).to_json_dict()
 
@@ -839,10 +854,11 @@ class TestPrunedRoutes:
         problem = tie_problem(400, 101)
         with oracle_constants() as mp:
             passes, dense = spy_on(mp, "_pruned_pass"), spy_on(mp, "_budget_pass")
+            read = spy_on(mp, "_read_rows")
             scan = solve(problem, tie_scan_jumps=4)
             assert len(passes) == 1 and dense == []
-            (_, budget, kept), _ = passes[0]
-            assert budget == 4 and kept_share(kept, 101) < oracle_mod._MAX_SURVIVORS
+            (_, budget, _, _), _ = passes[0]
+            assert budget == 4 and kept_share(read_kept(read)[0], 101) < oracle_mod._MAX_SURVIVORS
         with oracle_constants(**NEVER_PRUNE):
             assert scan.to_json_dict() == solve(problem, tie_scan_jumps=4).to_json_dict()
         assert {scan.jump_count} | {t.jump_count for t in scan.ties} == {1, 2}
@@ -851,30 +867,63 @@ class TestPrunedRoutes:
         problem = walk_problem(MAX_CELLS, MAX_LEVELS, seed=0)
         tab = _build_tableau(problem)
         with oracle_constants() as mp:
-            passes = spy_on(mp, "_pruned_pass")
+            passes, read = spy_on(mp, "_pruned_pass"), spy_on(mp, "_read_rows")
             res = best_with_m_jumps(problem, MAX_JUMP_BUDGET)
             # Certified on the first width, with a few percent of the states.
-            (_, _, kept), _ = passes[0]
-            assert len(passes) == 1 and kept_share(kept, MAX_LEVELS) < 0.1
+            assert len(passes) == 1 and kept_share(read_kept(read)[0], MAX_LEVELS) < 0.1
         seq = _budget_pass(tab, MAX_JUMP_BUDGET)[0][MAX_JUMP_BUDGET]
         assert np.array_equal(np.searchsorted(tab.levels, sequence_from_result(res, problem)), seq)
         assert res.to_json_dict() == _result_from_sequence(problem, tab, seq).to_json_dict()
 
-    def test_a_tie_window_past_the_first_cut_forms_the_states_again(self):
-        # The scan's first forward pass keeps the states within twice the
-        # window above the free optimum.  Understated by 1.5 windows, that
-        # optimum still lets the pass find the minimizer, but the window
-        # above the minimizer's energy then ends past its cut.
-        problem = dataclasses.replace(tie_problem(400, 101), tie_tolerance=0.05)
+    @staticmethod
+    def tie_thresholds(problem, scan):
+        """The thresholds of the tie scan's pruned passes, and the scan's
+        tie window best + tol."""
+        with oracle_constants(**ALWAYS_PRUNE) as mp:
+            passes = spy_on(mp, "_pruned_pass")
+            best = solve(problem, tie_scan_jumps=scan).energy.total
+        return [args[3] for args, _ in passes], best + problem.tie_tolerance * max(1.0, abs(best))
+
+    @settings(max_examples=150)
+    @given(pruning_problems())
+    def test_the_tie_threshold_covers_the_tie_window(self, problem):
+        scan = min(MAX_JUMP_BUDGET, problem.resolved_cells() - 1)
+        try:
+            thresholds, window = self.tie_thresholds(problem, scan)
+        except ConfigError:  # one cell pinned to two different levels: no pass
+            return
+        assert len(thresholds) == 1 and thresholds[0] >= window
+
+    @pytest.mark.parametrize("size", [(400, 101), (800, 201), (1000, 400), (2000, 400)])
+    @pytest.mark.parametrize("scan", [3, 4])
+    def test_the_tie_threshold_covers_the_window_of_the_critical_weight(self, size, scan):
+        thresholds, window = self.tie_thresholds(tie_problem(*size), scan)
+        assert len(thresholds) == 1 and thresholds[0] >= window
+
+    def test_too_many_survivors_stop_the_pass_partway(self):
+        problem = dataclasses.replace(walk_problem(60, 100), tie_tolerance=5e-3)
+        tab = _build_tableau(problem)
+        with oracle_constants(MAX_SURVIVORS=1.0) as mp:
+            passes = spy_on(mp, "_pruned_pass")
+            solve(problem, tie_scan_jumps=3)
+            [((_, _, behind, threshold), _)] = passes
+            relaxed, read = spy_on(mp, "_relax"), spy_on(mp, "_read_rows")
+            oracle_mod._pruned_pass(tab, 3, behind, threshold)
+            full, share = len(relaxed), kept_share(read_kept(read)[0], 100)
+        assert full == 2 * 59 and share > 0.05  # a free and a budgeted transition per cell
+        # A limit at half the survivors is crossed about halfway.
+        with oracle_constants(MAX_SURVIVORS=share / 2) as mp:
+            relaxed = spy_on(mp, "_relax")
+            assert oracle_mod._pruned_pass(tab, 3, behind, threshold) is None
+            assert 0 < len(relaxed) < full
+            passes = spy_on(mp, "_pruned_pass")
+            scans = [outcome(lambda: solve(problem, tie_scan_jumps=m)) for m in (3, 10)]
+            answers = [outcome(lambda: best_with_m_jumps(problem, m)) for m in range(3, 11)]
+            stopped = [out is None for _, out in passes]
+        assert stopped[:2] == [True, True] and any(stopped[2:])
         with oracle_constants(**NEVER_PRUNE):
-            expected = solve(problem, tie_scan_jumps=4).to_json_dict()
-        real = oracle_mod._behind
-        with oracle_constants() as mp:
-            mp.setattr(oracle_mod, "_behind", lambda tab: (lambda behind, free: (behind, free - 0.075))(*real(tab)))
-            passes = spy_on(mp, "_forward_pass")
-            assert solve(problem, tie_scan_jumps=4).to_json_dict() == expected
-        (_, _, first), (_, _, again) = [args for args, _ in passes]
-        assert first < oracle_mod._cut(again)
+            assert scans == [outcome(lambda: solve(problem, tie_scan_jumps=m)) for m in (3, 10)]
+            assert answers == [outcome(lambda: best_with_m_jumps(problem, m)) for m in range(3, 11)]
 
     def test_pruning_threshold(self):
         worth = oracle_mod._worth_pruning
@@ -1020,9 +1069,19 @@ def two_table_bound(tab):
     return forward + backward - cost_table(tab)
 
 
+def pruned_kept(tab, behind, threshold):
+    """The kept levels of each cell (None when the pass stops at a cell
+    that keeps none) and the output of the pruned pass at ``threshold``,
+    which never stops for its survivors here."""
+    with oracle_constants(MAX_SURVIVORS=1.0) as mp:
+        read = spy_on(mp, "_read_rows")
+        rows = oracle_mod._pruned_pass(tab, min(2, tab.shape[0] - 1), behind, threshold)
+    return (read_kept(read)[0] if read else None), rows
+
+
 class TestBoundTable:
-    """The bounds come from one table of backward rows (``_behind``) and a
-    forward pass over the kept states (``_forward_pass``)."""
+    """The bounds come from one table of backward rows (``_behind``) and
+    free rows over the kept states only (``_pruned_pass``)."""
 
     @settings(max_examples=200)
     @given(free_pass_problems(), st.floats(-0.1, 1.1))
@@ -1034,10 +1093,32 @@ class TestBoundTable:
         if math.isfinite(free):
             thresholds.append(free + where * (bound[np.isfinite(bound)].max() - free))
         for threshold in thresholds:
-            kept, bounds, _ = oracle_mod._forward_pass(tab, behind, threshold)
+            kept, rows = pruned_kept(tab, behind, threshold)
             mask = bound <= oracle_mod._cut(threshold)
-            assert [s.tolist() for s in kept] == [np.flatnonzero(row).tolist() for row in mask]
-            assert np.concatenate(bounds).tobytes() == bound[mask].tobytes()
+            if kept is None:  # a cell keeps no level: no rows
+                assert not mask.any(axis=1).all() and rows[2] is None and np.isinf(rows[1]).all()
+            else:
+                assert [s.tolist() for s in kept] == [np.flatnonzero(row).tolist() for row in mask]
+
+    @settings(max_examples=100)
+    @given(free_pass_problems())
+    def test_the_screen_drops_no_state_that_the_cut_keeps(self, problem):
+        # At a threshold whose cut is the bound of a state, with no float
+        # between them, the pass keeps what it keeps with no screen at all;
+        # for each of the 16 least bounds.
+        tab = _build_tableau(problem)
+        bound = two_table_bound(tab)
+        behind = oracle_mod._behind(tab)[0]
+        for at in np.unique(bound[np.isfinite(bound)])[:16]:
+            threshold = at - 1e-9 * max(1.0, abs(at))
+            while oracle_mod._cut(threshold) < at:
+                threshold = np.nextafter(threshold, math.inf)
+            while oracle_mod._cut(np.nextafter(threshold, -math.inf)) >= at:
+                threshold = np.nextafter(threshold, -math.inf)
+            screened = pruned_kept(tab, behind, float(threshold))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle_mod, "_slack", lambda tab: 0.0)  # no screen
+                assert repr(pruned_kept(tab, behind, float(threshold))) == repr(screened)
 
     @settings(max_examples=200)
     @given(free_pass_problems())
@@ -1051,7 +1132,8 @@ class TestBoundTable:
         tab = _build_tableau(walk_problem(30, 40))
         before = tab.kmat.tobytes()
         _budget_pass(tab, 3)
-        oracle_mod._pruned_pass(tab, 3, [np.arange(40)] * 30)
+        with oracle_constants(MAX_SURVIVORS=1.0):
+            oracle_mod._pruned_pass(tab, 3, oracle_mod._behind(tab)[0], math.inf)
         assert tab.kmat.tobytes() == before
 
     @staticmethod
