@@ -11,38 +11,24 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments as experiments_mod
 from . import oracle as oracle_mod
 from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
 from .errors import check_count, check_keys, check_real
-from .exact import (
-    critical_lambda,
-    equal_jump_verdict,
-    jump_bounds,
-    uniform_step_energy,
-)
-from .experiments import EXPERIMENTS, GENERATORS, ExperimentSpec, generate_signal, plot_record, run_experiment
+from .exact import critical_lambda, equal_jump_verdict, jump_bounds, uniform_step_energy
+from .experiments import GENERATORS, PROTOCOLS, ExperimentSpec, dump_json, generate_signal, plot_record, run_experiment
 from .flow import MODELS, FlowParams, run
-from .kernel import JumpKernel, check_conditions, derive_constants
-from .pwc import (
-    GridSignal,
-    LinearData,
-    PiecewiseConstant,
-    SampledData,
-    SineData,
-    StepListData,
-)
+from .kernel import VALID_KINDS, JumpKernel, check_conditions, derive_constants
+from .pwc import GridSignal, LinearData, PiecewiseConstant, SampledData, SineData, StepListData
 
 
-def _print_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that the user gave; the library's defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _kernel_from_args(args) -> JumpKernel:
-    return JumpKernel(args.kind, kappa=args.kappa, height=args.height)
+    return JumpKernel(args.kind, **_given(args, "kappa", "height"))
 
 
 def _load_json(path) -> dict:
@@ -55,7 +41,8 @@ def _load_json(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {err}")
 
 
-# The keys of each data kind besides "kind": (required, optional).
+# The keys of each data kind besides "kind": (required, optional).  An
+# optional key left out takes the data object's default; a domain, (0, 1).
 _DATA_KEYS = {
     "linear": ((), ("domain", "slope", "intercept")),
     "sine": ((), ("domain", "amplitude", "omega")),
@@ -63,6 +50,7 @@ _DATA_KEYS = {
     "csv": (("path",), ()),
     "generator": (("name",), ("n", "seed")),
 }
+_ANALYTIC_DATA = {"linear": LinearData, "sine": SineData}
 # The keys of each grid-signal source besides the source itself.
 _SIGNAL_KEYS = {"generator": ("n", "seed"), "csv": (), "pwc": ("n",)}
 _ORACLE_KEYS = ("n_cells", "n_levels", "levels", "endpoint_pin", "tie_tolerance")
@@ -75,20 +63,14 @@ def data_from_config(cfg: dict):
         raise ConfigError(f"data config needs a 'kind' in {sorted(_DATA_KEYS)}, got {cfg!r}")
     required, optional = _DATA_KEYS[kind]
     check_keys(f"{kind} data config", cfg, ("kind", *required), optional)
-    domain = cfg.get("domain", (0.0, 1.0))
-    if kind == "linear":
-        return LinearData(domain, slope=cfg.get("slope", 1.0), intercept=cfg.get("intercept", 0.0))
-    if kind == "sine":
-        return SineData(
-            domain,
-            amplitude=cfg.get("amplitude", 1.0),
-            omega=cfg.get("omega", 3.0 * np.pi),
-        )
+    given = {key: cfg[key] for key in optional if key in cfg}
+    if kind in _ANALYTIC_DATA:
+        return _ANALYTIC_DATA[kind](**{"domain": (0.0, 1.0), **given})
     if kind == "steps":
         return StepListData(PiecewiseConstant.from_json_dict(cfg["steps"], "steps"))
     if kind == "csv":
         return SampledData(GridSignal.from_csv(cfg["path"]))
-    return SampledData(generate_signal(cfg["name"], n=cfg.get("n", 1000), seed=cfg.get("seed", 0)))
+    return SampledData(generate_signal(cfg["name"], **given))
 
 
 def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
@@ -97,12 +79,12 @@ def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
     if source is None:
         raise ConfigError(f"{name} needs one of {list(_SIGNAL_KEYS)}, got {cfg!r}")
     check_keys(f"{source} signal config", cfg, (source,), _SIGNAL_KEYS[source])
-    n = cfg.get("n", n_default)
+    given = {"n": n_default, **{key: cfg[key] for key in _SIGNAL_KEYS[source] if key in cfg}}
     if source == "generator":
-        return generate_signal(cfg["generator"], n=n, seed=cfg.get("seed", 0))
+        return generate_signal(cfg["generator"], **given)
     if source == "csv":
         return GridSignal.from_csv(cfg["csv"])
-    return PiecewiseConstant.from_json_dict(cfg["pwc"], "pwc").sample(n)
+    return PiecewiseConstant.from_json_dict(cfg["pwc"], "pwc").sample(given["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +100,19 @@ def _cmd_check_kernel(args) -> int:
     except ConditionError as err:
         out["constants"] = None
         out["constants_error"] = str(err)
-    _print_json(out)
+    dump_json(sys.stdout, out)
     return 0
 
 
 def _cmd_exact_bounds(args) -> int:
     kernel = _kernel_from_args(args)
     report = jump_bounds(kernel, args.a, args.b, args.lam, args.M)
-    _print_json(report.to_json_dict())
+    dump_json(sys.stdout, report.to_json_dict())
     return 0
 
 
 def _cmd_exact_critical(args) -> int:
-    _print_json(critical_lambda(args.L).to_json_dict())
+    dump_json(sys.stdout, critical_lambda(args.L).to_json_dict())
     return 0
 
 
@@ -141,20 +123,18 @@ MAX_TABLE_JUMPS = 100_000
 def _cmd_exact_energy_table(args) -> int:
     kernel = _kernel_from_args(args)
     check_count("m_max", args.m_max, least=1, most=MAX_TABLE_JUMPS)
-    lines = ["m,E"]
-    for m in range(1, args.m_max + 1):
-        lines.append(f"{m},{uniform_step_energy(args.L, m, args.lam, kernel):.17g}")
-    text = "\n".join(lines) + "\n"
+    ms = range(1, args.m_max + 1)
+    columns = (ms, [uniform_step_energy(args.L, m, args.lam, kernel) for m in ms])
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        experiments_mod.write_csv(args.out, ("m", "E"), columns)
     else:
-        sys.stdout.write(text)
+        experiments_mod.dump_csv(sys.stdout, ("m", "E"), columns)
     return 0
 
 
 def _cmd_exact_verdict(args) -> int:
     kernel = _kernel_from_args(args)
-    _print_json(equal_jump_verdict(kernel, args.c, args.lam).to_json_dict())
+    dump_json(sys.stdout, equal_jump_verdict(kernel, args.c, args.lam).to_json_dict())
     return 0
 
 
@@ -172,7 +152,7 @@ def _cmd_oracle_solve(args) -> int:
     cfg = _load_json(args.config)
     problem = _problem_from_config(cfg)
     result = oracle_mod.solve(problem, tie_scan_jumps=args.tie_scan)
-    _print_json(result.to_json_dict())
+    dump_json(sys.stdout, result.to_json_dict())
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -187,35 +167,29 @@ def _cmd_flow_run(args) -> int:
     pcfg = dict(check_keys("flow params", cfg["params"], ("model", "lam"), [f.name for f in fields(FlowParams)]))
     pcfg["model"] = str(pcfg["model"]).lower()
     params = FlowParams(**pcfg)  # checked before the data's size can replace a bad n
-    threshold = cfg.get("census_threshold", experiments_mod.STRUCTURE_THRESHOLD)
-    threshold = check_real("census_threshold", threshold, least=0)
+    census = {}
+    if "census_threshold" in cfg:
+        census["census_threshold"] = check_real("census_threshold", cfg["census_threshold"], least=0)
     g = signal_from_config(cfg["data"], "data", params.n)
     if g.n != params.n:
         params = FlowParams(**{**pcfg, "n": g.n})
     u0 = signal_from_config(cfg["u0"], "u0", params.n) if "u0" in cfg else g
     result = run(g, u0, params)
-    paths = experiments_mod.write_flow_artifacts(result, args.out, census_threshold=threshold)
-    _print_json({"steady": result.steady, "steps": result.steps, "artifacts": paths})
+    paths = experiments_mod.write_flow_artifacts(result, args.out, **census)
+    dump_json(sys.stdout, {"steady": result.steady, "steps": result.steps, "artifacts": paths})
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    for key in ("lam", "n", "t_max"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
     spec = ExperimentSpec(
         name=args.name,
-        data=args.data or "",
-        models=tuple(args.models or ()),
-        overrides=overrides,
-        seed=args.seed,
+        overrides=_given(args, "lam", "n", "t_max"),
+        **_given(args, "data", "models", "seed"),
     )
     record = run_experiment(spec, out_dir=args.out)
     if args.out:
         plot_record(record, args.out)
-    _print_json(record.summary)
+    dump_json(sys.stdout, record.summary)
     return 0
 
 
@@ -235,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_kernel_flags(p, need_m=True):
-        p.add_argument("--kind", choices=("kwc", "linear", "potts"), default="kwc")
-        p.add_argument("--kappa", type=float, default=1.0, help="kwc curvature parameter")
-        p.add_argument("--height", type=float, default=1.0, help="potts jump cost")
+        p.add_argument("--kind", choices=VALID_KINDS, default="kwc")
+        p.add_argument("--kappa", type=float, help="kwc curvature parameter")
+        p.add_argument("--height", type=float, help="potts jump cost")
         if need_m:
             p.add_argument("--M", type=float, required=True, help="jump-mass cap (data oscillation)")
 
@@ -289,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_flow_run)
 
     px = sub.add_parser("experiment", help="named experiment protocols")
-    px.add_argument("name", choices=EXPERIMENTS + ("custom",))
-    px.add_argument("--seed", type=int, default=0)
+    px.add_argument("name", choices=tuple(PROTOCOLS))
+    px.add_argument("--seed", type=int)
     px.add_argument("--out", default=None)
     px.add_argument("--models", nargs="*", default=None, help=f"any of {', '.join(MODELS)}")
     px.add_argument("--data", default=None, help=f"custom only: one of {', '.join(GENERATORS)}")

@@ -52,9 +52,6 @@ from .flow import (
 from .kernel import kwc_kernel
 from .pwc import MAX_NODES, GridSignal, LinearData, PiecewiseConstant, SineData, energy
 
-EXPERIMENTS = ("linear_steady", "nonuniqueness", "sine_segmentation", "noisy_steps")
-GENERATORS = ("linear", "sine", "step", "steps", "noisy_steps")
-
 NOISE_SD = 0.1
 STEP_PLATEAUS = (0.2, 0.8, 0.35)
 STEP_EDGES = (1.0 / 3.0, 2.0 / 3.0)
@@ -66,29 +63,37 @@ MICRO_THRESHOLD = 1e-3
 DENOISE_THRESHOLD = 0.1
 
 
-def true_steps() -> PiecewiseConstant:
-    """The clean three-plateau signal behind the noisy experiment."""
-    return PiecewiseConstant((0.0, 1.0), STEP_EDGES, STEP_PLATEAUS)
+def _step(x):
+    # Its own formula, not a PiecewiseConstant: the step is 1 from x = 0.5
+    # on, so at odd n the middle node x = 0.5 is 1, where a left-continuous
+    # step function gives 0.
+    return np.where(x < 0.5, 0.0, 1.0)
+
+
+_STEPS = PiecewiseConstant((0.0, 1.0), STEP_EDGES, STEP_PLATEAUS)
+# The clean data behind each generator, in the order that messages and
+# --help list them; a protocol's flow samples the object its oracle solves.
+CLEAN_DATA = {
+    "linear": LinearData((0.0, 1.0)),
+    "sine": SineData((0.0, 1.0)),
+    "step": _step,
+    "steps": _STEPS,
+    "noisy_steps": _STEPS,
+}
+GENERATORS = tuple(CLEAN_DATA)
 
 
 def generate_signal(name: str, n: int = 1000, seed: int = 0) -> GridSignal:
-    """Deterministic test signals on n >= 2 nodes of (0, 1); noise is seeded."""
+    """``CLEAN_DATA[name]`` on n >= 2 nodes of (0, 1): ``LinearData((0, 1))``,
+    ``SineData((0, 1))``, the unit step at 0.5, or the plateaus on thirds;
+    ``noisy_steps`` adds noise of standard deviation ``NOISE_SD`` drawn from ``seed``."""
     check_count("n", n, least=2, most=MAX_NODES)
     check_count("seed", seed)
-    x = np.linspace(0.0, 1.0, n)
-    if name == "linear":
-        y = x.copy()
-    elif name == "sine":
-        y = np.sin(3.0 * np.pi * x)
-    elif name == "step":
-        y = np.where(x < 0.5, 0.0, 1.0)
-    elif name == "steps":
-        y = true_steps()(x)
-    elif name == "noisy_steps":
-        rng = np.random.default_rng(seed)
-        y = true_steps()(x) + rng.normal(0.0, NOISE_SD, size=n)
-    else:
+    if name not in GENERATORS:
         raise ConfigError(f"unknown signal generator name {name!r}; expected one of {GENERATORS}")
+    y = CLEAN_DATA[name](np.linspace(0.0, 1.0, n))
+    if name == "noisy_steps":
+        y = y + np.random.default_rng(seed).normal(0.0, NOISE_SD, size=n)
     return GridSignal((0.0, 1.0), y)
 
 
@@ -109,7 +114,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in EXPERIMENTS + ("custom",):
+        if not isinstance(self.name, str) or self.name not in PROTOCOLS:
             raise ConfigError(f"unknown experiment {self.name!r}")
         if not isinstance(self.models, (list, tuple)):
             raise ConfigError(f"models must be a list of model names, got {self.models!r}")
@@ -334,7 +339,7 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
     lam = crit.lam
     g = _grid(spec, "linear")
     kernel = kwc_kernel(1.0)
-    data = LinearData((0.0, 1.0))
+    data = CLEAN_DATA["linear"]
 
     params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True)
     runs = {}
@@ -397,7 +402,7 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
         # is itself fine-grained at this weight: the flow's fine-grained
         # steady state is not a solver failure.
         problem = oracle_mod.OracleProblem(
-            data=SineData(domain=(0.0, 1.0)), kernel=kwc_kernel(1.0), lam=lam, n_cells=500, n_levels=201,
+            data=CLEAN_DATA["sine"], kernel=kwc_kernel(1.0), lam=lam, n_cells=500, n_levels=201,
         )
         summary["oracle_check"] = _oracle_row(problem)[0]
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
@@ -442,20 +447,22 @@ def _custom(spec: ExperimentSpec) -> RunRecord:
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
 
 
-_PROTOCOLS = {
+PROTOCOLS = {
     "linear_steady": _linear_steady,
     "nonuniqueness": _nonuniqueness,
     "sine_segmentation": _sine_segmentation,
     "noisy_steps": _noisy_steps,
     "custom": _custom,
 }
+# The named protocols: all but custom, which takes its data from the spec.
+EXPERIMENTS = tuple(name for name in PROTOCOLS if name != "custom")
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> RunRecord:
     """Execute a named protocol; optionally persist artifacts under out_dir."""
     start = time.perf_counter()
     try:
-        record = _PROTOCOLS[spec.name](spec)
+        record = PROTOCOLS[spec.name](spec)
     except DivergenceError as err:
         if out_dir is not None and err.trace:
             path = Path(out_dir)
@@ -478,19 +485,27 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> RunRecord:
 # Artifact writers.
 
 
-def write_csv(path, header, columns) -> None:
+def dump_csv(stream, header, columns) -> None:
     """A header line, then one row per index of ``columns``, every value as .17g."""
+    stream.write(",".join(header) + "\n")
+    for row in zip(*columns):
+        stream.write(",".join(f"{value:.17g}" for value in row) + "\n")
+
+
+def write_csv(path, header, columns) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{value:.17g}" for value in row) + "\n")
+        dump_csv(fh, header, columns)
+
+
+def dump_json(stream, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    json.dump(obj, stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
 def write_json(path, obj) -> None:
-    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        dump_json(fh, obj)
 
 
 def _write_trace(path, trace, stride) -> None:

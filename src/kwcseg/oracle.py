@@ -214,8 +214,7 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     moments = np.empty((3, n))
     moments[0] = h
     if isinstance(problem.data, SampledData):
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        gmid = problem.data(mids)
+        gmid = problem.data(cell_midpoints(problem))
         # (lam/2) * h * (v - g_mid)^2, expanded in v
         moments[1] = h * gmid
         moments[2] = h * gmid * gmid
@@ -734,10 +733,10 @@ def _certified_row(tab: _Tableau, m: int):
 
 
 def cell_midpoints(problem: OracleProblem) -> np.ndarray:
-    """Midpoints of the problem's uniform cells."""
-    n = problem.resolved_cells()
+    """Midpoints of the problem's uniform cells, where sampled data are read."""
     a, b = problem.data.domain
-    return (np.arange(n) + 0.5) * (b - a) / n + a
+    edges = np.linspace(a, b, problem.resolved_cells() + 1)
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
 def signal_problem(

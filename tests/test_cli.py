@@ -15,7 +15,10 @@ import kwcseg.cli as cli
 import kwcseg.flow as flow_mod
 from kwcseg.cli import main
 from kwcseg.errors import InvariantViolation
+from kwcseg.experiments import generate_signal
+from kwcseg.kernel import JumpKernel
 from kwcseg.oracle import solve
+from kwcseg.pwc import LinearData, SineData
 
 from proof_devices import sequence_from_result
 
@@ -713,6 +716,43 @@ class TestParser:
         assert first[0] == other[0] == 0
         assert run_cli(capsys, *critical) == first
         assert cli.build_parser.cache_info().misses == 1
+
+
+class TestLibraryDefaults:
+    """An option left out takes the library's default, not a copy in the CLI."""
+
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            ({"kind": "linear"}, LinearData((0.0, 1.0))),
+            ({"kind": "sine"}, SineData((0.0, 1.0))),
+            ({"kind": "sine", "domain": [-1, 3]}, SineData((-1.0, 3.0))),
+        ],
+        ids=["linear", "sine", "sine_on_a_domain"],
+    )
+    def test_analytic_data_without_optional_keys(self, cfg, expected):
+        assert cli.data_from_config(cfg) == expected
+
+    @pytest.mark.parametrize("name", ["sine", "noisy_steps"])
+    def test_generator_data_without_optional_keys(self, name):
+        data = cli.data_from_config({"kind": "generator", "name": name})
+        assert np.array_equal(data.signal.samples, generate_signal(name).samples)
+        signal = cli.signal_from_config({"generator": name}, "data", 50)
+        assert np.array_equal(signal.samples, generate_signal(name, n=50).samples)
+
+    @pytest.mark.parametrize("command", [("check-kernel", "--M", "1"), ("exact", "verdict", "--c", "1", "--lambda", "5")])
+    @pytest.mark.parametrize("kind", ["kwc", "linear", "potts"])
+    def test_kernel_flags_left_out(self, command, kind):
+        args = cli.build_parser().parse_args([*command, "--kind", kind])
+        assert cli._kernel_from_args(args) == JumpKernel(kind)
+
+    def test_experiment_without_a_seed_reports_seed_0(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "experiment", "custom", "--models", "rof", "--data", "noisy_steps",
+            "--lam", "30", "--n", "21", "--t-max", "0.1",
+        )
+        assert code == 0
+        assert parse_json(out)["seed"] == 0
 
 
 class TestImportFootprint:

@@ -138,6 +138,24 @@ class TestSignalGenerators:
         assert a.samples[third : 2 * third].mean() == pytest.approx(0.8, abs=0.05)
         assert a.samples[2 * third :].mean() == pytest.approx(0.35, abs=0.05)
 
+    def test_the_generators_are_the_names_of_the_data_table(self):
+        assert xp.GENERATORS == tuple(xp.CLEAN_DATA) == ("linear", "sine", "step", "steps", "noisy_steps")
+
+    @pytest.mark.parametrize("n", [2, 9, 101, 1000])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", ["linear", "sine", "step", "steps", "noisy_steps"])
+    def test_samples_equal_the_plain_formulas_bit_for_bit(self, name, n, seed):
+        x = np.linspace(0.0, 1.0, n)
+        steps = np.select([x <= 1.0 / 3.0, x <= 2.0 / 3.0], [0.2, 0.8], 0.35)
+        expected = {
+            "linear": x.copy(),
+            "sine": np.sin(3.0 * np.pi * x),
+            "step": np.where(x < 0.5, 0.0, 1.0),
+            "steps": steps,
+            "noisy_steps": steps + np.random.default_rng(seed).normal(0.0, 0.1, size=n),
+        }[name]
+        assert np.array_equal(xp.generate_signal(name, n=n, seed=seed).samples, expected)
+
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
             xp.generate_signal("wat")

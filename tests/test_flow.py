@@ -979,3 +979,32 @@ class TestGridRefinement:
         xs = np.linspace(0.02, 0.45, 50)
         diff = np.abs(np.interp(xs, coarse.x(), coarse.samples) - np.interp(xs, fine.x(), fine.samples))
         assert diff.max() < 5e-3
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize("data", ["sine", "noisy_steps", "linear"])
+    def test_negated_and_reflected_data(self, data, model, bc):
+        """Negated data give -u bit for bit, and reflected data the reflected
+        run up to rounding, each in as many steps."""
+        g = generate_signal(data, n=400, seed=1)
+        params = FlowParams(model=model, lam=30.0, n=400, t_max=5.0, bc_u=bc)
+        base = run(g, g, params)
+        negated = GridSignal(g.domain, -g.samples)
+        neg = run(negated, negated, params)
+        assert neg.steps == base.steps
+        assert np.array_equal(neg.state.u.samples, -base.state.u.samples)
+        if base.state.v is not None:
+            assert np.array_equal(neg.state.v.samples, base.state.v.samples)
+        if model == "kwc" and data == "linear":
+            # The ramp is an unstable state of the kwc flow, so rounding
+            # chooses where a run from it ends: the reflected runs end about
+            # 0.2 apart, after different step counts.
+            return
+        reflected = GridSignal(g.domain, g.samples[::-1])
+        ref = run(reflected, reflected, params)
+        assert ref.steps == base.steps
+        np.testing.assert_allclose(ref.state.u.samples[::-1], base.state.u.samples, rtol=0, atol=1e-12)
+        if base.state.v is not None:
+            np.testing.assert_allclose(ref.state.v.samples[::-1], base.state.v.samples, rtol=0, atol=1e-12)

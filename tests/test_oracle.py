@@ -1223,3 +1223,58 @@ class TestEnergyBreakdown:
             for name in ("tv_k", "fidelity", "total"):
                 gap = abs(getattr(parts, name) - getattr(expected, name))
                 assert gap <= 1e-12 * max(1.0, abs(expected.total))
+
+
+def walk_instance(seed, kernel, lam, pinned):
+    """A seeded random walk of 40-243 cells on 30-117 explicit levels: the
+    samples, the levels, and a problem builder that the maps below reuse."""
+    rng = np.random.default_rng(seed)
+    n_cells, n_levels = int(rng.integers(40, 244)), int(rng.integers(30, 118))
+    samples = np.cumsum(rng.normal(size=n_cells + 1))
+    levels = np.linspace(samples.min(), samples.max(), n_levels)
+
+    def problem(samples, levels, lam=lam, domain=(0.0, 1.0)):
+        pin = (samples[0], samples[-1]) if pinned else None
+        return signal_problem(GridSignal(domain, samples), kernel, lam, levels=levels, endpoint_pin=pin)
+
+    return samples, levels, problem
+
+
+def assert_same_optimum(a, b, rtol):
+    assert a.jump_count == b.jump_count
+    if rtol == 0:
+        assert a.energy.total == b.energy.total
+    else:
+        assert a.energy.total == pytest.approx(b.energy.total, rel=rtol, abs=0)
+
+
+class TestMetamorphic:
+    """Maps of the data that the minimum commutes with, each moving the levels
+    with the data: equal jump counts, and energies bit-equal where the map is
+    exact in floats, within 1e-12 where it reorders sums."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    @pytest.mark.parametrize("lam", [20.0, 200.0])
+    @pytest.mark.parametrize("kernel", [K1, linear_kernel(), potts_kernel(0.3)], ids=["kwc", "linear", "potts"])
+    def test_reflection_negation_shift_and_scaling(self, kernel, lam, pinned, seed):
+        g, levels, problem = walk_instance(seed, kernel, lam, pinned)
+        base = solve(problem(g, levels))
+        assert_same_optimum(solve(problem(g[::-1], levels)), base, rtol=1e-12)
+        assert_same_optimum(solve(problem(-g, -levels[::-1])), base, rtol=0)
+        assert_same_optimum(solve(problem(g + 3.0, levels + 3.0)), base, rtol=1e-12)
+        assert_same_optimum(solve(problem(g, levels, lam=lam / 4, domain=(0.0, 4.0))), base, rtol=0)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    @pytest.mark.parametrize("lam", [20.0, 200.0])
+    @pytest.mark.parametrize("kernel", [K1, linear_kernel(), potts_kernel(0.3)], ids=["kwc", "linear", "potts"])
+    def test_jump_budget_under_reflection(self, kernel, lam, pinned, m):
+        g, levels, problem = walk_instance(0, kernel, lam, pinned)
+        base = outcome(lambda: best_with_m_jumps(problem(g, levels), m))
+        reflected = outcome(lambda: best_with_m_jumps(problem(g[::-1], levels), m))
+        if isinstance(base, str):
+            assert reflected == base
+        else:
+            assert reflected["jump_count"] == base["jump_count"] == m
+            assert reflected["energy"]["total"] == pytest.approx(base["energy"]["total"], rel=1e-12, abs=0)
