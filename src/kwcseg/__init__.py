@@ -25,11 +25,12 @@ from .exact import (
     uniform_step_energy,
     uniform_step_minimizer,
 )
-from .experiments import ExperimentSpec, RunRecord, census_fit, generate_signal, run_experiment
+from .experiments import ExperimentSpec, RunRecord, generate_signal, run_experiment
 from .flow import (
     FlowParams,
     FlowResult,
     FlowState,
+    census_fit,
     edges_above,
     flow_energy,
     jump_census,

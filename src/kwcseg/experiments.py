@@ -42,7 +42,7 @@ from .flow import (
     TRACE_COLUMNS,
     FlowParams,
     FlowResult,
-    _census_groups,
+    census_fit,
     check_flow_field,
     edges_above,
     jump_census,
@@ -166,34 +166,6 @@ class RunRecord:
     oracle: object = None
     artifacts: dict = field(default_factory=dict)
     wall_time: float = 0.0
-
-
-def census_fit(u: GridSignal, threshold: float, margin: int = 5) -> PiecewiseConstant:
-    """Piecewise-constant fit of a grid signal from its jump census.
-
-    Breakpoints at censused jump positions; plateau values are means of the
-    samples between jump groups, shaving ``margin`` cells next to each jump
-    to keep transition cells out of the averages (an integer >= 0).
-    """
-    check_count("margin", margin)
-    groups = _census_groups(u, threshold)
-    values = []
-    breakpoints = []
-    prev = 0
-    for i, j, pos, _size in groups:
-        seg = u.samples[prev : i + 1]
-        values.append(_trimmed_mean(seg, margin if prev > 0 else 0, margin))
-        breakpoints.append(pos)
-        prev = j + 1
-    seg = u.samples[prev:]
-    values.append(_trimmed_mean(seg, margin if prev > 0 else 0, 0))
-    return PiecewiseConstant(u.domain, tuple(breakpoints), tuple(values))
-
-
-def _trimmed_mean(seg: np.ndarray, lo: int, hi: int) -> float:
-    if seg.size > lo + hi + 1:
-        seg = seg[lo : seg.size - hi] if hi else seg[lo:]
-    return float(seg.mean())
 
 
 def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> FlowParams:

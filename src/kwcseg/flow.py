@@ -45,7 +45,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, DivergenceError, check_count, check_real
-from .pwc import MAX_NODES, GridSignal, _require_same_domain
+from .pwc import MAX_NODES, GridSignal, PiecewiseConstant, _require_same_domain
 
 MODELS = ("rof", "at", "kwc")
 # The most time steps of one run, round(t_max / dt): far above every run
@@ -515,6 +515,11 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
 # ---------------------------------------------------------------------------
 # Census of the jumps of a grid signal.
 
+# Cells left out next to each jump group: by ``plateau_flatness`` on each
+# side of a plateau, and by ``census_fit``'s plateau means.
+_FLATNESS_MARGIN = 2
+_FIT_MARGIN = 5
+
 
 def _census_groups(u: GridSignal, threshold: float) -> list:
     d = np.diff(u.samples)
@@ -552,15 +557,14 @@ def edges_above(u: GridSignal, threshold: float) -> int:
     return int(np.sum(np.abs(np.diff(u.samples)) > check_real("census threshold", threshold, least=0)))
 
 
-def plateau_flatness(u: GridSignal, threshold: float, margin: int = 2) -> list:
+def plateau_flatness(u: GridSignal, threshold: float) -> list:
     """Sup-variation of u inside each plateau between censused jumps.
 
     Plateaus are the node ranges between merged jump groups at the given
-    threshold, shrunk by ``margin`` cells on each side (an integer >= 0);
+    threshold, shrunk by ``_FLATNESS_MARGIN`` = 2 cells on each side;
     returns a list of (start_node, end_node, variation) for the non-empty
     ones.
     """
-    check_count("margin", margin)
     groups = _census_groups(u, threshold)
     cuts = [0]
     for i, j, _pos, _size in groups:
@@ -569,9 +573,36 @@ def plateau_flatness(u: GridSignal, threshold: float, margin: int = 2) -> list:
     cuts.append(u.n)
     out = []
     for lo, hi in zip(cuts[::2], cuts[1::2]):
-        lo2, hi2 = lo + margin, hi - margin
+        lo2, hi2 = lo + _FLATNESS_MARGIN, hi - _FLATNESS_MARGIN
         if hi2 - lo2 < 2:
             continue
         seg = u.samples[lo2:hi2]
         out.append((lo2, hi2, float(seg.max() - seg.min())))
     return out
+
+
+def census_fit(u: GridSignal, threshold: float) -> PiecewiseConstant:
+    """Piecewise-constant fit of a grid signal from its jump census.
+
+    Breakpoints at censused jump positions; plateau values are means of the
+    samples between jump groups, shaving ``_FIT_MARGIN`` = 5 cells next to
+    each jump to keep transition cells out of the averages.
+    """
+    groups = _census_groups(u, threshold)
+    values = []
+    breakpoints = []
+    prev = 0
+    for i, j, pos, _size in groups:
+        seg = u.samples[prev : i + 1]
+        values.append(_trimmed_mean(seg, _FIT_MARGIN if prev > 0 else 0, _FIT_MARGIN))
+        breakpoints.append(pos)
+        prev = j + 1
+    seg = u.samples[prev:]
+    values.append(_trimmed_mean(seg, _FIT_MARGIN if prev > 0 else 0, 0))
+    return PiecewiseConstant(u.domain, tuple(breakpoints), tuple(values))
+
+
+def _trimmed_mean(seg: np.ndarray, lo: int, hi: int) -> float:
+    if seg.size > lo + hi + 1:
+        seg = seg[lo : seg.size - hi] if hi else seg[lo:]
+    return float(seg.mean())

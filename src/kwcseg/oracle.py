@@ -69,16 +69,15 @@ _BLOCK_CELLS = 160
 # (pinned), 1.75 at 400 x 101 and 1.30-1.37 at 800 x 201.
 _MIN_SKIP_LEVELS = 250
 # Budgeted passes are pruned (``_pruned_pass``) from a budget of 3 and
-# budget * L^2 = 20 000 transitions per cell.  These were set when the
-# bounds cost two free passes, about a 2-jump dense pass (at 2000 x 400:
-# 0.37-0.42 s against 0.44 s at m = 1 and 0.52 s at m = 2); below 20 000,
-# on 300- and 1000-cell random walks, the pruned and dense routes were
-# even, above it the pruned one won whenever it certified.  The bounds now
-# cost one backward pass (0.16-0.22 s at 2000 x 400) and, in the one
-# pruned pass for each threshold, free rows over the kept states only
-# (0.06-0.09 s).  ``best_with_m_jumps`` tries thresholds 1e-3 and 1e-2
-# (relative) above the free optimum; at 1e-1, 20-51 % of the states of
-# 2000 x 400 random walks survive.  Above 30 % survivors the dense pass
+# budget * L^2 = 20 000 transitions per cell, where the two routes were
+# even on 300- and 1000-cell random walks when the bounds cost two free
+# passes.  They now cost one backward pass (0.16-0.28 s at 2000 x 400)
+# and free rows over each threshold's kept states; the m = 4 tie scans
+# still gain: 36-38 ms pruned against 44 ms dense at 400 x 101, 102-110
+# against 192-201 ms at 800 x 201 (medians of 21 interleaved rounds, 2
+# cores, NumPy 2.4.6).  ``best_with_m_jumps`` tries thresholds 1e-3 and
+# 1e-2 (relative) above the free optimum; at 1e-1, 20-51 % of the states
+# of 2000 x 400 random walks survive.  Above 30 % survivors the dense pass
 # runs: a pruned pass over the 30 % of states with the least bounds took
 # 0.28-0.77 of the dense pass's time, over 50 % 0.69-1.10.
 _MIN_PRUNE_BUDGET = 3
@@ -450,8 +449,9 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     (tie_tolerance (1 + 1e-12) + 1e-12) s, which T's margin of 2e-9 s
     keeps below T, its own roundings included.  A row of dense energy
     within the window has a DP cost within 1e-12 of it, so the pruned row
-    is the dense one; a row above the window is at least as high pruned,
-    and is dropped either way.  When too many states survive, the
+    is the dense one.  The pass reads the minimizer and the rows of cost
+    at most T only: a row above T is above T dense too, so its energy is
+    above the window either way.  When too many states survive, the
     minimizer comes from the free solve and the dense pass runs.
     """
     if tie_scan_jumps is not None:
@@ -463,7 +463,10 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     if budget is not None and _worth_pruning(budget, L):
         behind, free = _behind(tab)
         if math.isfinite(free):
-            rows = _pruned_pass(tab, budget, behind, free + 2.0 * (problem.tie_tolerance + 1e-9) * max(1.0, abs(free)))
+            T = free + 2.0 * (problem.tie_tolerance + 1e-9) * max(1.0, abs(free))
+            rows = _pruned_pass(  # reads the rows of cost at most T and the free row, the last
+                tab, budget, behind, T, read=lambda values: [*np.flatnonzero(values[:-1] <= T), budget + 1]
+            )
         del behind  # freed before the free solve and the dense pass
     seqs, _, seq = (None, None, _solve_free(tab)) if rows is None else rows
     if seq is None:
@@ -500,36 +503,38 @@ def _start(tab: _Tableau, budget: int, levels: np.ndarray, cost: np.ndarray) -> 
     return jump, V
 
 
-def _read_rows(tab: _Tableau, parents, V: np.ndarray, kept: list) -> tuple:
-    """Each budget row's level sequence and optimum (None and inf where no
-    sequence meets the end pin), from the last cell's rows V.  Columns and
+def _read_rows(tab: _Tableau, parents, V: np.ndarray, kept: list, read=None, free=False) -> tuple:
+    """Each of the last cell's rows V: its optimum (inf where no sequence
+    meets the end pin) and, if ``read(optima)`` picks it (every row when
+    None), its level sequence, else None.  A jump moves row j to row j - 1,
+    except in the last row with ``free`` (the free pass's).  Columns and
     parents are positions among each cell's ascending ``kept`` levels:
     ``parents[i][j, p]`` is cell i - 1's position before p in row j."""
     last = kept[-1]
     if tab.pin is not None:
         V = np.where(last == tab.pin[1], V, np.inf)
-    seqs, values = [], np.empty(V.shape[0])
-    for m in range(V.shape[0]):
-        at = int(np.argmin(V[m]))
-        values[m] = V[m, at]
+    ends = V.argmin(axis=1)
+    values = V[np.arange(len(V)), ends]
+    free_row = len(V) - 1 if free else None
+    seqs = [None] * len(V)
+    for m in range(len(V)) if read is None else read(values):
         if not np.isfinite(values[m]):
-            seqs.append(None)
             continue
+        at, j = ends[m], m
         seq = np.empty(len(kept), dtype=np.int64)
         seq[-1] = last[at]
-        j = m
         for i in range(len(kept) - 1, 0, -1):
             at = parents[i][j, at]
             seq[i - 1] = kept[i - 1][at]
-            if seq[i - 1] != seq[i]:
+            if seq[i - 1] != seq[i] and m != free_row:
                 j -= 1
-        seqs.append(seq)
+        seqs[m] = seq
     return seqs, values
 
 
-def _budget_pass(tab: _Tableau, budget: int) -> tuple:
+def _budget_pass(tab: _Tableau, budget: int, read=None) -> tuple:
     """Optimal level sequences with exactly m = 0..budget level changes,
-    and their optima, as ``_read_rows`` returns them.
+    and their optima, as ``_read_rows`` returns them with ``read``.
 
     One DP over (cell, jumps used, level), with every level kept, so
     positions are level indices.  Row m only reads rows m and m - 1, so
@@ -551,19 +556,19 @@ def _budget_pass(tab: _Tableau, budget: int) -> tuple:
         use_jump = jumped < D
         parents[i] = np.where(use_jump, arg, cols)
         D = np.where(use_jump, jumped, D) + c
-    return _read_rows(tab, parents, D, [cols] * n)
+    return _read_rows(tab, parents, D, [cols] * n, read)
 
 
 def _worth_pruning(budget: int, L: int) -> bool:
     return budget >= _MIN_PRUNE_BUDGET and budget * L * L >= _MIN_PRUNE_WORK
 
 
-def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: float):
+def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: float, read=None):
     """``_budget_pass`` over the states that may lie on a path of DP cost
-    at most ``threshold``, with the free minimizer: the rows as
-    ``_read_rows`` returns them and the free level sequence (None if not
-    kept), or None (run the dense pass) once more than ``_MAX_SURVIVORS``
-    of the states have survived.
+    at most ``threshold``, with the free minimizer as one more row (the
+    last for ``read``): the rows as ``_read_rows`` returns them and the
+    free level sequence, or None (run the dense pass) once more than
+    ``_MAX_SURVIVORS`` of the states have survived.
 
     Kept states.  A state is kept when its bound F + B - cost is at most
     ``_cut(threshold)``, in the float operations of a bound table filled by
@@ -605,10 +610,12 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     Positions are among each cell's kept levels (the smallest position is
     the smallest level), parents among the previous cell's; all budget rows
     of a cell make one (budget, kept, kept before) sum.  The parent table's
-    last row, which ``_read_rows`` does not read, holds free parent levels.
+    last row holds the free parents, -1 where one is not kept; at a
+    threshold of at least the free optimum, the free minimizer's states
+    are all kept (as above), so its read never meets a -1.
     """
     n, L = tab.shape
-    start, end = _pins(tab)
+    start = _pins(tab)[0]
     cut = _cut(threshold)
     slack = _slack(tab)
     screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
@@ -663,25 +670,14 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
         par = np.empty((budget + 2, s.size), dtype=np.int16)
         par[0] = pos
         par[1:-1] = np.where(use_jump, arg, pos)
-        par[-1] = free_arg.take(keep) + lo
+        par[-1] = at_level.take(free_arg.take(keep) + lo)
         stay[1:] = np.where(use_jump, jumped, stay[1:])
         V = stay + c.take(s)
         kept.append(s)
         parents.append(par)
         prev = s
-    seqs, values = _read_rows(tab, parents, V, kept)
-    D = F.take(prev - base)
-    if end is not None:
-        D += end.take(prev)
-    if not np.isfinite(D).any():
-        return seqs, values, None
-    seq = np.empty(n, dtype=np.int64)
-    at = np.argmin(D)  # positions among the kept levels
-    seq[-1] = prev[at]
-    for i in range(n - 1, 0, -1):
-        seq[i - 1] = parents[i][-1, at]
-        at = kept[i - 1].searchsorted(seq[i - 1])
-    return seqs, values, seq
+    seqs, values = _read_rows(tab, parents, np.vstack((V, F.take(prev - base))), kept, read, free=True)
+    return seqs[:-1], values[:-1], seqs[-1]
 
 
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
@@ -707,14 +703,15 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
 
 def _certified_row(tab: _Tableau, m: int):
     """The m-jump row of ``_budget_pass(tab, m)``, by pruned passes when one
-    certifies its result."""
+    certifies its result.  Each pass reads row m alone, a pruned pass only
+    when it certifies."""
     if _worth_pruning(m, tab.shape[1]):
         behind, free = _behind(tab)
         scale = max(1.0, abs(free))
         widths = iter(_WIDTHS)
         threshold = free + next(widths) * scale
         while math.isfinite(threshold):
-            rows = _pruned_pass(tab, m, behind, threshold)
+            rows = _pruned_pass(tab, m, behind, threshold, read=lambda values: [m] if values[m] <= threshold else [])
             if rows is None:
                 break
             seqs, values, _ = rows
@@ -729,7 +726,7 @@ def _certified_row(tab: _Tableau, m: int):
                 break
             threshold = free + width * scale
         del behind  # freed before the dense pass allocates its parent table
-    return _budget_pass(tab, m)[0][m]
+    return _budget_pass(tab, m, read=lambda values: [m])[0][m]
 
 
 def cell_midpoints(problem: OracleProblem) -> np.ndarray:

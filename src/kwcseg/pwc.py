@@ -224,9 +224,14 @@ class SineData:
         return self.amplitude * np.sin(self.omega * np.asarray(x, dtype=float))
 
     def value_range(self) -> tuple:
-        xs = np.linspace(self.domain[0], self.domain[1], 4097)
-        v = self(xs)
-        return (float(v.min()), float(v.max()))
+        # The end values, and +-amplitude where omega * x passes a crest
+        # pi/2 + 2k pi or a trough -pi/2 + 2k pi inside the domain.
+        lo, hi = sorted(self.omega * x for x in self.domain)
+        values = [float(self(x)) for x in self.domain]
+        for phase, value in ((0.5 * np.pi, self.amplitude), (-0.5 * np.pi, -self.amplitude)):
+            if np.floor((hi - phase) / (2.0 * np.pi)) >= np.ceil((lo - phase) / (2.0 * np.pi)):
+                values.append(float(value))
+        return (min(values), max(values))
 
     def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
         # integral of (value - g)^2 from the exact moments of g.

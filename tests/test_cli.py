@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -753,6 +754,22 @@ class TestLibraryDefaults:
         )
         assert code == 0
         assert parse_json(out)["seed"] == 0
+
+
+class TestConsoleScript:
+    def test_every_script_target_is_a_callable(self):
+        # The tests call ``main`` in process; this checks the installed
+        # command's entry point, which CI runs once after ``pip install .``.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"kwcseg": "kwcseg.cli:main"}
+        for target in scripts.values():
+            module, _, name = target.partition(":")
+            target = importlib.import_module(module)
+            for part in name.split("."):
+                target = getattr(target, part)
+            assert callable(target)
 
 
 class TestImportFootprint:

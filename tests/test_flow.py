@@ -12,7 +12,7 @@ from scipy.linalg import LinAlgError, solve_banded
 import kwcseg.flow as flow_mod
 from kwcseg.errors import ConfigError, DivergenceError
 from kwcseg.exact import lambda_for_jump_count, uniform_step_minimizer
-from kwcseg.experiments import ExperimentSpec, census_fit, generate_signal, run_experiment
+from kwcseg.experiments import ExperimentSpec, generate_signal, run_experiment
 from kwcseg.flow import (
     TRACE_COLUMNS,
     FlowParams,
@@ -925,18 +925,6 @@ class TestCensusTools:
         for census in (jump_census, edges_above, plateau_flatness):
             with pytest.raises(ConfigError, match="census threshold"):
                 census(u, threshold)
-
-    @pytest.mark.parametrize(
-        "census, margin",
-        [
-            pytest.param(census, margin, id=prefix + name)
-            for census, prefix in ((plateau_flatness, ""), (census_fit, "census_fit-"))
-            for margin, name in ((-3, "negative"), (2.5, "fraction"), (True, "bool"), (None, "none"))
-        ],
-    )
-    def test_plateau_margin_must_be_a_count(self, census, margin):
-        with pytest.raises(ConfigError, match="margin"):
-            census(unit_step(101), 0.1, margin)
 
     def test_census_recovers_plateau_structure(self):
         n = 2001

@@ -29,7 +29,7 @@ from kwcseg.oracle import (
     signal_problem,
     solve,
 )
-from kwcseg.pwc import GridSignal, LinearData, SampledData, energy
+from kwcseg.pwc import GridSignal, LinearData, SampledData, SineData, energy
 
 from proof_devices import quantize, sequence_from_result
 
@@ -44,6 +44,14 @@ class TestValidation:
     def test_negative_tie_scan_rejected(self):
         with pytest.raises(ConfigError, match="tie_scan_jumps"):
             solve(tie_problem(n_cells=10, n_levels=5), tie_scan_jumps=-3)
+
+    def test_sine_levels_and_pins_may_reach_the_crest(self):
+        # sin(3 pi x) is 1 at x = 1/6, so 1 lies in the data range.
+        sine = SineData((0.0, 1.0))
+        on_levels = OracleProblem(data=sine, kernel=K1, lam=150.0, n_cells=50, levels=[-1, 0, 1])
+        assert set(solve(on_levels).minimizer.values) <= {-1.0, 0.0, 1.0}
+        pinned = OracleProblem(data=sine, kernel=K1, lam=150.0, n_cells=50, n_levels=21, endpoint_pin=(0.0, 1.0))
+        assert solve(pinned).minimizer.values[-1] == 1.0
 
 
 def tie_problem(n_cells=100, n_levels=51):
@@ -671,12 +679,13 @@ NEVER_PRUNE = {"MIN_PRUNE_WORK": math.inf}
 
 
 def spy_on(mp, name):
-    """Record the arguments and results of the oracle's function ``name``."""
+    """Record the positional arguments and results of the oracle's function
+    ``name``."""
     calls = []
     real = getattr(oracle_mod, name)
 
-    def spy(*args):
-        out = real(*args)
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
         calls.append((args, out))
         return out
 
@@ -814,6 +823,44 @@ def read_kept(calls):
     return [args[3] for args, _ in calls]
 
 
+def rows_read(calls):
+    """The rows that each ``_read_rows`` call recorded by ``spy_on``
+    backtracked (the rows it returned a sequence for)."""
+    return [[m for m, seq in enumerate(out[0]) if seq is not None] for _, out in calls]
+
+
+def assert_reads_only_what_is_returned(problem, budgets, scan):
+    """``best_with_m_jumps(problem, m)`` for each m in ``budgets`` reads row
+    m alone in every pass, dense or pruned (there only when it certifies),
+    and never the free row; the tie scan of ``scan`` jumps reads the free
+    row and, on the pruned route, only the rows of value at most its
+    threshold."""
+    with oracle_constants() as mp:
+        passes, read = spy_on(mp, "_pruned_pass"), spy_on(mp, "_read_rows")
+        for m in budgets:
+            passes.clear()
+            read.clear()
+            outcome(lambda: best_with_m_jumps(problem, m))
+            assert all(rows in ([], [m]) for rows in rows_read(read))
+            for (_, _, _, threshold), out in passes:
+                if out is not None:
+                    seqs, values, free_seq = out
+                    read_m = [m] if values[m] <= threshold else []
+                    assert free_seq is None and [k for k, seq in enumerate(seqs) if seq is not None] == read_m
+        passes.clear()
+        read.clear()
+        if isinstance(outcome(lambda: solve(problem, tie_scan_jumps=scan)), str):
+            return  # one cell pinned to two different levels
+    pruned = [(args[3], out) for args, out in passes if out is not None]
+    if not pruned:  # the dense route reads every row
+        assert len(read) == 1 and rows_read(read)[0] == [m for m, v in enumerate(read[0][1][1]) if v < math.inf]
+        return
+    [(threshold, _)] = pruned
+    [rows], [(_, values)] = rows_read(read), [out for _, out in read]
+    free = len(values) - 1
+    assert rows == [m for m in range(free) if values[m] <= threshold] + [free]
+
+
 class TestPrunedRoutes:
     def test_a_failed_certificate_still_ends_exact(self):
         # At a zero width only states on a free optimum survive; the free
@@ -924,6 +971,19 @@ class TestPrunedRoutes:
         with oracle_constants(**NEVER_PRUNE):
             assert scans == [outcome(lambda: solve(problem, tie_scan_jumps=m)) for m in (3, 10)]
             assert answers == [outcome(lambda: best_with_m_jumps(problem, m)) for m in range(3, 11)]
+
+    @settings(max_examples=100)
+    @given(pruning_problems())
+    @also_skipping_every_level
+    def test_each_question_reads_only_the_rows_it_returns(self, problem):
+        budget = min(MAX_JUMP_BUDGET, problem.resolved_cells() - 1)
+        with oracle_constants(**ALWAYS_PRUNE):
+            assert_reads_only_what_is_returned(problem, range(budget + 1), budget)
+        with oracle_constants(**NEVER_PRUNE):
+            assert_reads_only_what_is_returned(problem, range(budget + 1), budget)
+
+    def test_a_cap_walk_reads_only_the_rows_it_returns(self):
+        assert_reads_only_what_is_returned(walk_problem(MAX_CELLS, MAX_LEVELS, seed=0), [6, 10], MAX_JUMP_BUDGET)
 
     def test_pruning_threshold(self):
         worth = oracle_mod._worth_pruning

@@ -106,6 +106,35 @@ class TestAnalyticData:
         with pytest.raises(ConfigError, match=field):
             SineData(**kwargs)
 
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.0, 2.0), (0.2, 0.3), (-3.0, -1.0), (1 / 6, 0.5), (0.0, 1 / 6)])
+    @pytest.mark.parametrize("omega", [3.0 * math.pi, -3.0 * math.pi, 0.0, 1.0, 7.5, -0.2, 40.0])
+    @pytest.mark.parametrize("amplitude", [1.0, -2.5, 0.3])
+    def test_sine_range_holds_the_data_and_is_attained(self, domain, omega, amplitude):
+        data = SineData(domain, amplitude, omega)
+        lo, hi = data.value_range()
+        x = np.linspace(*domain, 20001)
+        v = data(x)
+        slack = 4 * 2.0**-52 * abs(amplitude)
+        assert lo - slack <= v.min() and v.max() <= hi + slack
+        assert refined_extreme(data, x, int(v.argmin()), -1.0) == pytest.approx(lo, rel=0, abs=slack)
+        assert refined_extreme(data, x, int(v.argmax()), 1.0) == pytest.approx(hi, rel=0, abs=slack)
+
+
+def refined_extreme(data, x, i, sign):
+    """The extreme value (sign 1: the largest, -1: the least) of ``data``
+    between the samples on either side of x[i], by ternary search."""
+    def f(t):
+        return sign * float(data(t))
+
+    lo, hi = x[max(i - 1, 0)], x[min(i + 1, x.size - 1)]
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if f(a) < f(b):
+            lo = a
+        else:
+            hi = b
+    return sign * max(f(lo), f(hi), f(x[i]))
+
 
 class TestGridSignal:
     def test_uniform_grid(self):
