@@ -55,9 +55,7 @@ from .pwc import (
     GridSignal,
     LinearData,
     PiecewiseConstant,
-    SampledData,
     SineData,
-    StepListData,
     energy,
     fidelity,
     tv_kernel,
@@ -87,9 +85,7 @@ __all__ = [
     "OracleResult",
     "PiecewiseConstant",
     "RunRecord",
-    "SampledData",
     "SineData",
-    "StepListData",
     "VerdictReport",
     "best_with_m_jumps",
     "census_fit",

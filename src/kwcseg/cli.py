@@ -11,6 +11,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments as experiments_mod
 from . import oracle as oracle_mod
 from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
@@ -19,7 +21,7 @@ from .exact import critical_lambda, equal_jump_verdict, jump_bounds, uniform_ste
 from .experiments import GENERATORS, PROTOCOLS, ExperimentSpec, dump_json, generate_signal, plot_record, run_experiment
 from .flow import MODELS, FlowParams, run
 from .kernel import VALID_KINDS, JumpKernel, check_conditions, derive_constants
-from .pwc import GridSignal, LinearData, PiecewiseConstant, SampledData, SineData, StepListData
+from .pwc import GridSignal, LinearData, PiecewiseConstant, SineData
 
 
 def _given(args, *names) -> dict:
@@ -57,7 +59,7 @@ _ORACLE_KEYS = ("n_cells", "n_levels", "levels", "endpoint_pin", "tie_tolerance"
 
 
 def data_from_config(cfg: dict):
-    """Analytic or sampled data description -> data object."""
+    """Data description -> ``LinearData``, ``SineData``, ``PiecewiseConstant`` or ``GridSignal``."""
     kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in _DATA_KEYS:
         raise ConfigError(f"data config needs a 'kind' in {sorted(_DATA_KEYS)}, got {cfg!r}")
@@ -67,10 +69,10 @@ def data_from_config(cfg: dict):
     if kind in _ANALYTIC_DATA:
         return _ANALYTIC_DATA[kind](**{"domain": (0.0, 1.0), **given})
     if kind == "steps":
-        return StepListData(PiecewiseConstant.from_json_dict(cfg["steps"], "steps"))
+        return PiecewiseConstant.from_json_dict(cfg["steps"], "steps")
     if kind == "csv":
-        return SampledData(GridSignal.from_csv(cfg["path"]))
-    return SampledData(generate_signal(cfg["name"], **given))
+        return GridSignal.from_csv(cfg["path"])
+    return generate_signal(cfg["name"], **given)
 
 
 def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
@@ -144,7 +146,8 @@ def _problem_from_config(cfg: dict) -> oracle_mod.OracleProblem:
     data = data_from_config(cfg["data"])
     kwargs = {key: cfg[key] for key in _ORACLE_KEYS if cfg.get(key) is not None}
     if cfg.get("endpoint_pin") is True:
-        kwargs["endpoint_pin"] = tuple(data(x) for x in data.domain)
+        with np.errstate(all="ignore"):  # data that overflow are named at solve
+            kwargs["endpoint_pin"] = tuple(data(x) for x in data.domain)
     return oracle_mod.OracleProblem(data=data, kernel=JumpKernel.from_config(cfg["kernel"]), lam=cfg["lam"], **kwargs)
 
 

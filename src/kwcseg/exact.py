@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConditionError, ConfigError, check_count, check_real
 from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
-from .pwc import LinearData, PiecewiseConstant, SampledData, energy
+from .pwc import GridSignal, LinearData, PiecewiseConstant, energy
 
 
 def _int_part(r: float) -> int:
@@ -32,16 +32,16 @@ def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -
     The fidelity-optimal location gamma satisfies
     g(gamma) = (g(alpha) + g(beta)) / 2.  For monotone data the level set is
     an interval; this returns its infimum, found by bisection to ``tol`` in
-    x.  Constant data returns alpha by the same convention.  Sampled data
+    x.  Constant data returns alpha by the same convention.  A ``GridSignal``
     that is not monotone on [alpha, beta] is rejected.
     """
     if not check_real("alpha", alpha) < check_real("beta", beta):
         raise ConfigError("need alpha < beta")
     check_real("tol", tol, positive=True)
     ga, gb = float(data(alpha)), float(data(beta))
-    if isinstance(data, SampledData):
-        xs = data.signal.x()
-        seg = data.signal.samples[(xs >= alpha - 1e-12) & (xs <= beta + 1e-12)]
+    if isinstance(data, GridSignal):
+        xs = data.x()
+        seg = data.samples[(xs >= alpha - 1e-12) & (xs <= beta + 1e-12)]
         d = np.diff(seg)
         if not (np.all(d >= -1e-12) or np.all(d <= 1e-12)):
             raise ConfigError("sampled data is not monotone on [alpha, beta]")

@@ -2,9 +2,10 @@
 
 The continuum energy is restricted to functions that are constant on each of
 n_cells uniform cells and take values on a fixed level grid.  Per-cell
-fidelity is the exact integral of (u - g)^2 for analytic data (quadratic in
-the level value, so only three moments per cell are needed) and the
-midpoint-sampled approximation for sampled data.  Within this finite class
+fidelity is the exact integral of (u - g)^2 for a ``LinearData``,
+``SineData`` or ``PiecewiseConstant`` g (quadratic in the level value, so
+only three moments per cell are needed) and the midpoint-sampled
+approximation for a ``GridSignal`` g.  Within this finite class
 dynamic programming over (cell, level) finds the global optimum, which makes
 the module usable as ground truth for both the closed-form theory and the
 gradient-flow solvers on small instances.
@@ -48,12 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, check_count, check_real
 from .kernel import JumpKernel
-from .pwc import (
-    EnergyBreakdown,
-    GridSignal,
-    PiecewiseConstant,
-    SampledData,
-)
+from .pwc import EnergyBreakdown, GridSignal, PiecewiseConstant
 
 MAX_CELLS = 2000
 MAX_LEVELS = 400
@@ -118,8 +114,8 @@ class OracleProblem:
     def resolved_cells(self) -> int:
         if self.n_cells is not None:
             n = int(self.n_cells)
-        elif isinstance(self.data, SampledData):
-            n = self.data.signal.n - 1
+        elif isinstance(self.data, GridSignal):
+            n = self.data.n - 1
         else:
             raise ConfigError("n_cells is required for analytic data")
         if n > MAX_CELLS:
@@ -127,7 +123,10 @@ class OracleProblem:
         return n
 
     def resolved_levels(self) -> np.ndarray:
-        lo, hi = self.data.value_range()
+        with np.errstate(all="ignore"):  # data that overflow are named below
+            lo, hi = self.data.value_range()
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"the data overflow floats: their range [{lo}, {hi}] is not a finite interval")
         if not hi > lo:
             # Degenerate (constant) data: widen symmetrically so a level
             # grid exists and still contains the data value.
@@ -207,19 +206,24 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     n = problem.resolved_cells()
     levels = problem.resolved_levels()
     a, b = problem.data.domain
-    edges = np.linspace(a, b, n + 1)
-    h = (b - a) / n
-
     moments = np.empty((3, n))
-    moments[0] = h
-    if isinstance(problem.data, SampledData):
-        gmid = problem.data(cell_midpoints(problem))
-        # (lam/2) * h * (v - g_mid)^2, expanded in v
-        moments[1] = h * gmid
-        moments[2] = h * gmid * gmid
-    else:
-        for i in range(n):
-            moments[1:, i] = problem.data.moments(edges[i], edges[i + 1])
+    with np.errstate(all="ignore"):  # data that overflow are named below
+        edges = np.linspace(a, b, n + 1)
+        h = (b - a) / n
+        moments[0] = h
+        if isinstance(problem.data, GridSignal):
+            gmid = problem.data(cell_midpoints(problem))
+            # (lam/2) * h * (v - g_mid)^2, expanded in v
+            moments[1] = h * gmid
+            moments[2] = h * gmid * gmid
+        else:
+            for i in range(n):
+                moments[1:, i] = problem.data.moments(edges[i], edges[i + 1])
+    bad = np.argwhere(~np.isfinite(moments))
+    if bad.size:
+        k, i = bad[0]
+        what = ("the width of", "the integral of g over", "the integral of g^2 over")[k]
+        raise ConfigError(f"the data overflow floats: {what} the cell [{edges[i]}, {edges[i + 1]}] is {moments[k, i]}")
 
     diffs = np.abs(levels[:, None] - levels[None, :])
     kmat = problem.kernel.eval(diffs)
@@ -730,7 +734,7 @@ def _certified_row(tab: _Tableau, m: int):
 
 
 def cell_midpoints(problem: OracleProblem) -> np.ndarray:
-    """Midpoints of the problem's uniform cells, where sampled data are read."""
+    """Midpoints of the problem's uniform cells, where a ``GridSignal`` is read."""
     a, b = problem.data.domain
     edges = np.linspace(a, b, problem.resolved_cells() + 1)
     return 0.5 * (edges[:-1] + edges[1:])
@@ -742,5 +746,5 @@ def signal_problem(
     lam: float,
     **kwargs,
 ) -> OracleProblem:
-    """Convenience: wrap a sampled signal as an oracle instance."""
-    return OracleProblem(data=SampledData(signal), kernel=kernel, lam=lam, **kwargs)
+    """Convenience: an oracle instance on a sampled signal."""
+    return OracleProblem(data=signal, kernel=kernel, lam=lam, **kwargs)

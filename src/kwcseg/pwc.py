@@ -4,9 +4,11 @@ The energy of a step function u against data g is
 
     energy(u) = sum_jumps K(|jump|)  +  (lam / 2) * integral (u - g)^2,
 
-with K a jump kernel.  Fidelity integrals are closed-form per plateau for
-linear, sine and step-list data, and a trapezoid sum on the sample grid
-for sampled data.
+with K a jump kernel.  The data g is a ``LinearData``, a ``SineData``, a
+``PiecewiseConstant`` (clean step data) or a ``GridSignal`` (samples, read
+by linear interpolation).  Fidelity integrals are closed-form per plateau
+for the first three, and a trapezoid sum on the sample grid for a
+``GridSignal``.
 """
 
 import csv
@@ -76,6 +78,22 @@ class PiecewiseConstant:
             return float(out)
         return out
 
+    def value_range(self) -> tuple:
+        return (min(self.values), max(self.values))
+
+    def _pieces(self, x0: float, x1: float):
+        cuts = [x0] + [b for b in self.breakpoints if x0 < b < x1] + [x1]
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield lo, hi, float(self(0.5 * (lo + hi)))
+
+    def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
+        return sum((value - gv) ** 2 * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
+
+    def moments(self, x0: float, x1: float) -> tuple:
+        m1 = sum(gv * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
+        m2 = sum(gv * gv * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
+        return m1, m2
+
     @property
     def jump_sizes(self) -> np.ndarray:
         return np.diff(np.asarray(self.values, dtype=float))
@@ -109,7 +127,10 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class GridSignal:
-    """Finite samples on n >= 2 uniformly spaced nodes spanning the domain."""
+    """Finite samples on n >= 2 uniformly spaced nodes spanning the domain.
+
+    As data, a grid signal is read by linear interpolation between its
+    nodes."""
 
     domain: tuple
     samples: np.ndarray
@@ -135,6 +156,15 @@ class GridSignal:
 
     def x(self) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], self.n)
+
+    def __call__(self, x):
+        out = np.interp(np.asarray(x, dtype=float), self.x(), self.samples)
+        if np.asarray(x).ndim == 0:
+            return float(out)
+        return out
+
+    def value_range(self) -> tuple:
+        return (float(self.samples.min()), float(self.samples.max()))
 
     @classmethod
     def from_csv(cls, path) -> "GridSignal":
@@ -164,7 +194,8 @@ class GridSignal:
 
 
 # ---------------------------------------------------------------------------
-# Data functions: the clean signal g the energy is measured against.
+# Analytic data: the clean signal g the energy is measured against, with
+# closed-form moments.  A ``PiecewiseConstant`` serves as data too.
 
 
 @dataclass(frozen=True)
@@ -245,56 +276,6 @@ class SineData:
         return float(m1), float(m2)
 
 
-@dataclass(frozen=True)
-class StepListData:
-    """Piecewise-constant data, e.g. a clean multi-plateau signal."""
-
-    steps: PiecewiseConstant
-
-    @property
-    def domain(self) -> tuple:
-        return self.steps.domain
-
-    def __call__(self, x):
-        return self.steps(x)
-
-    def value_range(self) -> tuple:
-        return (min(self.steps.values), max(self.steps.values))
-
-    def _pieces(self, x0: float, x1: float):
-        cuts = [x0] + [b for b in self.steps.breakpoints if x0 < b < x1] + [x1]
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield lo, hi, float(self.steps(0.5 * (lo + hi)))
-
-    def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
-        return sum((value - gv) ** 2 * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
-
-    def moments(self, x0: float, x1: float) -> tuple:
-        m1 = sum(gv * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
-        m2 = sum(gv * gv * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
-        return m1, m2
-
-
-@dataclass(frozen=True)
-class SampledData:
-    """Data known only through samples; evaluated by linear interpolation."""
-
-    signal: GridSignal
-
-    @property
-    def domain(self) -> tuple:
-        return self.signal.domain
-
-    def __call__(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.signal.x(), self.signal.samples)
-        if np.asarray(x).ndim == 0:
-            return float(out)
-        return out
-
-    def value_range(self) -> tuple:
-        return (float(self.signal.samples.min()), float(self.signal.samples.max()))
-
-
 def _require_same_domain(u, data) -> None:
     if abs(u.domain[0] - data.domain[0]) > _DOMAIN_TOL or abs(u.domain[1] - data.domain[1]) > _DOMAIN_TOL:
         raise ConfigError(f"domain mismatch: u on {u.domain}, data on {data.domain}")
@@ -335,9 +316,9 @@ def _plateau_edges(u: PiecewiseConstant):
 def fidelity(u: PiecewiseConstant, data, lam: float) -> float:
     """(lam / 2) * integral over the domain of (u - g)^2."""
     _require_same_domain(u, data)
-    if isinstance(data, SampledData):
-        xs = data.signal.x()
-        diff = u(xs) - data.signal.samples
+    if isinstance(data, GridSignal):
+        xs = data.x()
+        diff = u(xs) - data.samples
         integral = float(np.trapezoid(diff * diff, xs))
     else:
         integral = sum(data.plateau_misfit(lo, hi, val) for lo, hi, val in _plateau_edges(u))

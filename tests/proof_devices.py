@@ -15,14 +15,7 @@ from scipy.integrate import quad
 
 from kwcseg.kernel import JumpKernel
 from kwcseg.oracle import OracleProblem, OracleResult, cell_midpoints
-from kwcseg.pwc import (
-    PiecewiseConstant,
-    SampledData,
-    SineData,
-    StepListData,
-    _plateau_edges,
-    _require_same_domain,
-)
+from kwcseg.pwc import GridSignal, PiecewiseConstant, SineData, _plateau_edges, _require_same_domain
 
 
 def tv(u: PiecewiseConstant) -> float:
@@ -79,7 +72,7 @@ def quantize(data, eta: float) -> PiecewiseConstant:
         raise ValueError("eta must be positive")
     if not (callable(data) and hasattr(data, "domain")):
         raise TypeError("quantize needs callable data with a domain")
-    if isinstance(data, (StepListData, SampledData)):
+    if isinstance(data, (PiecewiseConstant, GridSignal)):
         raise TypeError("quantize needs continuous analytic data")
     a, b = data.domain
     n_scan = 4096

@@ -737,7 +737,7 @@ class TestLibraryDefaults:
     @pytest.mark.parametrize("name", ["sine", "noisy_steps"])
     def test_generator_data_without_optional_keys(self, name):
         data = cli.data_from_config({"kind": "generator", "name": name})
-        assert np.array_equal(data.signal.samples, generate_signal(name).samples)
+        assert np.array_equal(data.samples, generate_signal(name).samples)
         signal = cli.signal_from_config({"generator": name}, "data", 50)
         assert np.array_equal(signal.samples, generate_signal(name, n=50).samples)
 

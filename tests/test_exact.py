@@ -24,7 +24,7 @@ from kwcseg.exact import (
 )
 from kwcseg.kernel import derive_constants, kwc_kernel, linear_kernel, potts_kernel
 from kwcseg.errors import ConfigError
-from kwcseg.pwc import GridSignal, LinearData, PiecewiseConstant, SampledData, SineData, energy
+from kwcseg.pwc import GridSignal, LinearData, PiecewiseConstant, SineData, energy
 
 from proof_devices import dispersion, split_cost_derivative
 
@@ -269,7 +269,7 @@ class TestOptimalJumpLocation:
     def test_sampled_data_crosses_its_interpolated_mid_level(self, sign):
         xs = np.linspace(0.0, 1.0, 11)
         ys = sign * xs**2
-        data = SampledData(GridSignal((0.0, 1.0), ys))
+        data = GridSignal((0.0, 1.0), ys)
         alpha, beta = 0.05, 0.95
         mid = 0.5 * (data(alpha) + data(beta))
         # The inverse of the piecewise-linear interpolant, read off increasing samples.
@@ -279,9 +279,9 @@ class TestOptimalJumpLocation:
     def test_sampled_data_that_is_not_monotone_is_rejected(self):
         wave = GridSignal((0.0, 1.0), np.sin(3 * np.pi * np.linspace(0.0, 1.0, 31)))
         with pytest.raises(ConfigError, match="not monotone"):
-            optimal_jump_location(SampledData(wave), 0.0, 0.5)
+            optimal_jump_location(wave, 0.0, 0.5)
         # The rising stretch alone is monotone.
-        assert 0.0 < optimal_jump_location(SampledData(wave), 0.0, 1 / 6) < 1 / 6
+        assert 0.0 < optimal_jump_location(wave, 0.0, 1 / 6) < 1 / 6
 
 
 class TestEqualJumpVerdict:

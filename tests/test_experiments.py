@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,18 +227,18 @@ class TestRunAndArtifacts:
     def test_plots_are_deterministic(self, tmp_path):
         rec = xp.run_experiment(tiny_spec(), out_dir=tmp_path)
         first = xp.plot_record(rec, tmp_path)
-        payload = [open(p, "rb").read() for p in first]
+        payload = [Path(p).read_bytes() for p in first]
         second = xp.plot_record(rec, tmp_path)
         assert first == second
-        assert [open(p, "rb").read() for p in second] == payload
+        assert [Path(p).read_bytes() for p in second] == payload
         assert all(p.endswith(".svg") for p in first)
 
     def test_plots_are_drawn_from_the_record_not_the_files(self, tmp_path):
         rec = xp.run_experiment(tiny_spec(models=("rof", "kwc")), out_dir=tmp_path)
-        first = [open(p, "rb").read() for p in xp.plot_record(rec, tmp_path)]
+        first = [Path(p).read_bytes() for p in xp.plot_record(rec, tmp_path)]
         for label in ("rof", "kwc"):
             os.remove(rec.artifacts[label]["final"])
-        assert [open(p, "rb").read() for p in xp.plot_record(rec, tmp_path)] == first
+        assert [Path(p).read_bytes() for p in xp.plot_record(rec, tmp_path)] == first
 
     def test_plot_without_artifacts_is_empty(self, tmp_path):
         rec = xp.run_experiment(tiny_spec())

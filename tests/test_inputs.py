@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -333,3 +334,21 @@ def test_one_fault_in_a_valid_config_is_named(workdir, csv_path, command, cfg, p
         # A misspelt key is named as written, any other fault by the field's name.
         key = field + field[-1] if junk is MISSPELT else field
         assert re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err), err
+
+
+OVERFLOWING_DATA = {
+    "sine_phase": {"kind": "sine", "domain": [0, 1e300], "omega": 1e10},
+    "linear_values": {"kind": "linear", "domain": [0, 1e300], "slope": 1e10},
+    "linear_cube": {"kind": "linear", "domain": [0, 1e200]},
+    "steps_square": {"kind": "steps", "steps": {"domain": [0, 1], "breakpoints": [0.5], "values": [0, 1e308]}},
+}
+
+
+@pytest.mark.parametrize("pin", [{}, {"endpoint_pin": True}], ids=["free", "pinned_to_the_data"])
+@pytest.mark.parametrize("data", list(OVERFLOWING_DATA.values()), ids=list(OVERFLOWING_DATA))
+def test_data_that_overflow_floats_exit_2_with_no_warning(workdir, data, pin):
+    cfg = {"data": data, "kernel": {"kind": "kwc"}, "lam": 5.0, "n_cells": 10, "n_levels": 5, **pin}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_main(workdir, cfg, "oracle", "solve", "--tie-scan", "2")
+    assert code == 2 and err.startswith("config error: the data overflow floats: "), err

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import kwcseg.oracle as oracle_mod
 from kwcseg.errors import ConfigError
 from kwcseg.exact import jump_bounds, uniform_step_minimizer
+from kwcseg.experiments import generate_signal
 from kwcseg.kernel import kwc_kernel, linear_kernel, potts_kernel
 from kwcseg.oracle import (
     MAX_CELLS,
@@ -29,7 +31,7 @@ from kwcseg.oracle import (
     signal_problem,
     solve,
 )
-from kwcseg.pwc import GridSignal, LinearData, SampledData, SineData, energy
+from kwcseg.pwc import GridSignal, LinearData, PiecewiseConstant, SineData, energy
 
 from proof_devices import quantize, sequence_from_result
 
@@ -86,6 +88,17 @@ class TestBasicRecovery:
         # Data is recovered exactly, so only the jump cost remains.
         assert r.energy.total == pytest.approx(K1.eval(1.0), abs=1e-12)
         assert r.energy.fidelity == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_protocol_signal_is_oracle_data_as_it_is(self):
+        g = generate_signal("noisy_steps", n=121, seed=3)
+        direct = OracleProblem(data=g, kernel=K1, lam=50.0, n_levels=41)
+        assert direct == signal_problem(g, K1, 50.0, n_levels=41)
+        r = solve(direct, tie_scan_jumps=3)
+        assert r.to_json_dict() == solve(signal_problem(g, K1, 50.0, n_levels=41), tie_scan_jumps=3).to_json_dict()
+        assert r.jump_count == 2 and direct.resolved_cells() == 120
+        assert best_with_m_jumps(direct, 4).to_json_dict() == best_with_m_jumps(
+            signal_problem(g, K1, 50.0, n_levels=41), 4
+        ).to_json_dict()
 
     def test_best_constant_is_data_mean(self):
         p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=2.0, n_cells=100, n_levels=51)
@@ -194,7 +207,7 @@ def tiny_problems(draw):
     if draw(st.booleans()):
         pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
     return OracleProblem(
-        data=SampledData(GridSignal((0.0, 1.0), samples)),
+        data=GridSignal((0.0, 1.0), samples),
         kernel=kernel,
         lam=draw(st.floats(0.1, 100.0)),
         levels=levels,
@@ -208,7 +221,7 @@ def enumerate_optima(problem):
 
     Returns (optimum by jump count, evaluator of a cell-value vector).
     """
-    samples = problem.data.signal.samples
+    samples = problem.data.samples
     n = samples.size - 1
     levels = np.asarray(problem.levels)
     gmid = 0.5 * (samples[:-1] + samples[1:])
@@ -367,7 +380,7 @@ def random_problem(seed):
     levels = np.unique(np.concatenate(([lo, hi], np.clip(extra, lo, hi))))
     kernel = (kwc_kernel(rng.uniform(0.2, 5.0)), linear_kernel(), potts_kernel(rng.uniform(0.05, 1.0)))[seed % 3]
     return OracleProblem(
-        data=SampledData(GridSignal((0.0, 1.0), samples)),
+        data=GridSignal((0.0, 1.0), samples),
         kernel=kernel,
         lam=lam,
         levels=levels,
@@ -620,6 +633,29 @@ class TestProblemValidation:
         with pytest.raises(ConfigError, match="levels must be finite"):
             solve(p)
 
+    @pytest.mark.parametrize(
+        "data, cause",
+        [
+            (SineData((0.0, 1e300), omega=1e10), r"integral of g over the cell \[0.0, .*\] is nan"),
+            (LinearData((0.0, 1e300), slope=1e10), r"range \[0.0, inf\] is not a finite interval"),
+            (LinearData((0.0, 1e200)), r"integral of g over the cell \[0.0, .*\] is inf"),
+            (PiecewiseConstant((0.0, 1.0), (0.5,), (0.0, 1e308)), r"integral of g\^2 over the cell \[0.5, .*\] is inf"),
+        ],
+        ids=["sine_phase", "linear_values", "linear_cube", "steps_square"],
+    )
+    def test_data_that_overflow_floats_are_named(self, data, cause):
+        p = OracleProblem(data=data, kernel=K1, lam=5.0, n_cells=10, n_levels=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for question in (solve, functools.partial(solve, tie_scan_jumps=2), lambda q: best_with_m_jumps(q, 1)):
+                with pytest.raises(ConfigError, match=f"^the data overflow floats: .*{cause}"):
+                    question(p)
+
+    def test_one_cell_with_two_pins_is_named(self):
+        p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=1, n_levels=3, endpoint_pin=(0.0, 1.0))
+        with pytest.raises(ConfigError, match="^a single cell cannot take two different pinned levels$"):
+            solve(p)
+
     def test_pin_inside_level_range_goes_to_nearest_level(self):
         # Within the 1e-9 slack of the end levels, and between levels.
         for pin, ends in (((-1e-12, 1.0 + 1e-12), (0.0, 1.0)), ((0.04, 0.96), (0.0, 1.0)), ((0.26, 0.74), (0.3, 0.7))):
@@ -714,7 +750,7 @@ def pruning_problems(draw):
     if draw(st.booleans()):
         pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
     return OracleProblem(
-        data=SampledData(GridSignal((0.0, 1.0), samples)),
+        data=GridSignal((0.0, 1.0), samples),
         kernel=kernel,
         lam=lam,
         levels=levels,
@@ -1024,7 +1060,7 @@ def free_pass_problems(draw):
     if draw(st.booleans()):
         pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
     return OracleProblem(
-        data=SampledData(GridSignal((0.0, 1.0), samples)), kernel=kernel, lam=lam, levels=levels, endpoint_pin=pin
+        data=GridSignal((0.0, 1.0), samples), kernel=kernel, lam=lam, levels=levels, endpoint_pin=pin
     )
 
 
@@ -1261,9 +1297,34 @@ def linear_problems(draw):
     )
 
 
+@st.composite
+def step_problems(draw):
+    """Step data (a ``PiecewiseConstant``, whose cell moments are exact) with
+    up to 3 jumps, one at a cell edge half the time, on <= 40 cells and
+    <= 30 uniform levels; any kernel, free or pinned to the data's end values."""
+    n_cells = draw(st.integers(1, 40))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), max_size=3, unique=True))
+    if n_cells > 1 and draw(st.booleans()):
+        cuts.append(draw(st.integers(1, n_cells - 1)) / n_cells)
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(set(cuts)) + 1, max_size=len(set(cuts)) + 1))
+    steps = PiecewiseConstant((0.0, 1.0), tuple(sorted(set(cuts))), tuple(values))
+    kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
+    param = draw(st.floats(0.05, 5.0))
+    kernel = {"kwc": kwc_kernel(param), "potts": potts_kernel(param), "linear": linear_kernel()}[kind]
+    return OracleProblem(
+        data=steps,
+        kernel=kernel,
+        lam=draw(st.floats(0.0, 300.0)),
+        n_cells=n_cells,
+        n_levels=draw(st.integers(1, 30)),
+        endpoint_pin=(steps.values[0], steps.values[-1]) if draw(st.booleans()) else None,
+        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
+    )
+
+
 class TestEnergyBreakdown:
     @settings(max_examples=150)
-    @given(linear_problems())
+    @given(st.one_of(linear_problems(), step_problems()))
     def test_terms_add_up_and_match_the_energy_of_the_minimizer(self, problem):
         n = problem.resolved_cells()
         try:

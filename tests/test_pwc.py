@@ -14,9 +14,7 @@ from kwcseg.pwc import (
     GridSignal,
     LinearData,
     PiecewiseConstant,
-    SampledData,
     SineData,
-    StepListData,
     energy,
     fidelity,
     tv_kernel,
@@ -209,7 +207,7 @@ class TestTotalVariation:
 class TestFidelity:
     def test_matching_data_costs_nothing(self):
         u = PiecewiseConstant((0, 1), (0.25, 0.5), (0.0, 2.0, -1.0))
-        assert fidelity(u, StepListData(u), 7.0) == 0.0
+        assert fidelity(u, u, 7.0) == 0.0
 
     def test_symmetric_step_against_ramp(self):
         # One step of half-height s against slope-one data costs (2s)^3/12.
@@ -365,14 +363,14 @@ class TestEnergyGapBounds:
             assert ed - e0 >= floor - 1e-12
 
 
-class TestSampledData:
+class TestGridSignalData:
     def test_sampled_matches_exact_on_grid_functions(self):
         # Midpoint integration of sampled data agrees with the closed form
         # once the underlying signal is itself piecewise constant on cells.
         n = 400
         x = np.linspace(0, 1, n)
         samples = np.where(x < 0.5, 0.0, 1.0)
-        data = SampledData(GridSignal((0.0, 1.0), samples))
+        data = GridSignal((0.0, 1.0), samples)
         u = PiecewiseConstant((0, 1), (), (0.5,))
         val = fidelity(u, data, 2.0)
         assert val == pytest.approx(0.25, rel=1e-2)
