@@ -8,7 +8,17 @@ Layers:
 * oracle  - brute-force discretized global minimization (level-grid DP)
 * flow    - gradient-flow solvers (plain TV, phase-field quadratic/TV)
 * experiments, svgplot, cli - reproduction harness and artifact emission
+
+``import kwcseg`` runs kernel, pwc, exact and oracle.  flow (and with it
+SciPy), experiments and svgplot are in ``sys.modules`` from the start but
+run on first attribute access, so closed-form and oracle work never loads
+them.  The package's names from those three layers are looked up in their
+module on every access, never stored here.  The command line
+(``kwcseg.cli.main``) still loads every layer.
 """
+
+import importlib.util
+import sys
 
 from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
 from .exact import (
@@ -25,19 +35,6 @@ from .exact import (
     uniform_step_energy,
     uniform_step_minimizer,
 )
-from .experiments import ExperimentSpec, RunRecord, generate_signal, run_experiment
-from .flow import (
-    FlowParams,
-    FlowResult,
-    FlowState,
-    census_fit,
-    edges_above,
-    flow_energy,
-    jump_census,
-    plateau_flatness,
-    steady_damage_profile,
-)
-from .flow import run as run_flow
 from .kernel import (
     ConditionReport,
     JumpKernel,
@@ -62,6 +59,54 @@ from .pwc import (
 )
 
 __version__ = "0.1.0"
+
+
+def _lazy(name):
+    """The module ``kwcseg.<name>``, in ``sys.modules``; its code runs on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# experiments first: it binds names of flow and svgplot when it runs, so a
+# tool that rebinds a function in every loaded module, in sys.modules order,
+# loads it before rebinding flow's and svgplot's functions.
+experiments = _lazy("experiments")
+flow = _lazy("flow")
+svgplot = _lazy("svgplot")
+
+# The package's names from the lazy layers: name -> (module, name there).
+_LAZY_NAMES = {
+    **{name: (experiments, name) for name in ("ExperimentSpec", "RunRecord", "generate_signal", "run_experiment")},
+    **{
+        name: (flow, name)
+        for name in (
+            "FlowParams",
+            "FlowResult",
+            "FlowState",
+            "census_fit",
+            "edges_above",
+            "flow_energy",
+            "jump_census",
+            "plateau_flatness",
+            "steady_damage_profile",
+        )
+    },
+    "run_flow": (flow, "run"),
+}
+
+
+def __getattr__(name):
+    # Not cached: a function rebound in its module (a test's monkeypatch, a
+    # tracing wrapper) is what the package returns, and only while it is bound.
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY_NAMES[name]
+    return getattr(module, attr)
+
 
 __all__ = [
     "BoundReport",

@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as experiments_mod
+from . import flow as flow_mod
 from . import oracle as oracle_mod
 from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
 from .errors import check_count, check_keys, check_real
 from .exact import critical_lambda, equal_jump_verdict, jump_bounds, uniform_step_energy
-from .experiments import GENERATORS, PROTOCOLS, ExperimentSpec, dump_json, generate_signal, plot_record, run_experiment
-from .flow import MODELS, FlowParams, run
 from .kernel import VALID_KINDS, JumpKernel, check_conditions, derive_constants
 from .pwc import GridSignal, LinearData, PiecewiseConstant, SineData
 
@@ -72,7 +71,7 @@ def data_from_config(cfg: dict):
         return PiecewiseConstant.from_json_dict(cfg["steps"], "steps")
     if kind == "csv":
         return GridSignal.from_csv(cfg["path"])
-    return generate_signal(cfg["name"], **given)
+    return experiments_mod.generate_signal(cfg["name"], **given)
 
 
 def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
@@ -83,7 +82,7 @@ def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
     check_keys(f"{source} signal config", cfg, (source,), _SIGNAL_KEYS[source])
     given = {"n": n_default, **{key: cfg[key] for key in _SIGNAL_KEYS[source] if key in cfg}}
     if source == "generator":
-        return generate_signal(cfg["generator"], **given)
+        return experiments_mod.generate_signal(cfg["generator"], **given)
     if source == "csv":
         return GridSignal.from_csv(cfg["csv"])
     return PiecewiseConstant.from_json_dict(cfg["pwc"], "pwc").sample(given["n"])
@@ -102,19 +101,19 @@ def _cmd_check_kernel(args) -> int:
     except ConditionError as err:
         out["constants"] = None
         out["constants_error"] = str(err)
-    dump_json(sys.stdout, out)
+    experiments_mod.dump_json(sys.stdout, out)
     return 0
 
 
 def _cmd_exact_bounds(args) -> int:
     kernel = _kernel_from_args(args)
     report = jump_bounds(kernel, args.a, args.b, args.lam, args.M)
-    dump_json(sys.stdout, report.to_json_dict())
+    experiments_mod.dump_json(sys.stdout, report.to_json_dict())
     return 0
 
 
 def _cmd_exact_critical(args) -> int:
-    dump_json(sys.stdout, critical_lambda(args.L).to_json_dict())
+    experiments_mod.dump_json(sys.stdout, critical_lambda(args.L).to_json_dict())
     return 0
 
 
@@ -136,7 +135,7 @@ def _cmd_exact_energy_table(args) -> int:
 
 def _cmd_exact_verdict(args) -> int:
     kernel = _kernel_from_args(args)
-    dump_json(sys.stdout, equal_jump_verdict(kernel, args.c, args.lam).to_json_dict())
+    experiments_mod.dump_json(sys.stdout, equal_jump_verdict(kernel, args.c, args.lam).to_json_dict())
     return 0
 
 
@@ -155,7 +154,7 @@ def _cmd_oracle_solve(args) -> int:
     cfg = _load_json(args.config)
     problem = _problem_from_config(cfg)
     result = oracle_mod.solve(problem, tie_scan_jumps=args.tie_scan)
-    dump_json(sys.stdout, result.to_json_dict())
+    experiments_mod.dump_json(sys.stdout, result.to_json_dict())
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -167,32 +166,33 @@ def _cmd_oracle_solve(args) -> int:
 
 def _cmd_flow_run(args) -> int:
     cfg = check_keys("flow config", _load_json(args.config), ("params", "data"), ("u0", "census_threshold"))
-    pcfg = dict(check_keys("flow params", cfg["params"], ("model", "lam"), [f.name for f in fields(FlowParams)]))
+    known = [f.name for f in fields(flow_mod.FlowParams)]
+    pcfg = dict(check_keys("flow params", cfg["params"], ("model", "lam"), known))
     pcfg["model"] = str(pcfg["model"]).lower()
-    params = FlowParams(**pcfg)  # checked before the data's size can replace a bad n
+    params = flow_mod.FlowParams(**pcfg)  # checked before the data's size can replace a bad n
     census = {}
     if "census_threshold" in cfg:
         census["census_threshold"] = check_real("census_threshold", cfg["census_threshold"], least=0)
     g = signal_from_config(cfg["data"], "data", params.n)
     if g.n != params.n:
-        params = FlowParams(**{**pcfg, "n": g.n})
+        params = flow_mod.FlowParams(**{**pcfg, "n": g.n})
     u0 = signal_from_config(cfg["u0"], "u0", params.n) if "u0" in cfg else g
-    result = run(g, u0, params)
+    result = flow_mod.run(g, u0, params)
     paths = experiments_mod.write_flow_artifacts(result, args.out, **census)
-    dump_json(sys.stdout, {"steady": result.steady, "steps": result.steps, "artifacts": paths})
+    experiments_mod.dump_json(sys.stdout, {"steady": result.steady, "steps": result.steps, "artifacts": paths})
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    spec = ExperimentSpec(
+    spec = experiments_mod.ExperimentSpec(
         name=args.name,
         overrides=_given(args, "lam", "n", "t_max"),
         **_given(args, "data", "models", "seed"),
     )
-    record = run_experiment(spec, out_dir=args.out)
+    record = experiments_mod.run_experiment(spec, out_dir=args.out)
     if args.out:
-        plot_record(record, args.out)
-    dump_json(sys.stdout, record.summary)
+        experiments_mod.plot_record(record, args.out)
+    experiments_mod.dump_json(sys.stdout, record.summary)
     return 0
 
 
@@ -266,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_flow_run)
 
     px = sub.add_parser("experiment", help="named experiment protocols")
-    px.add_argument("name", choices=tuple(PROTOCOLS))
+    px.add_argument("name", choices=tuple(experiments_mod.PROTOCOLS))
     px.add_argument("--seed", type=int)
     px.add_argument("--out", default=None)
-    px.add_argument("--models", nargs="*", default=None, help=f"any of {', '.join(MODELS)}")
-    px.add_argument("--data", default=None, help=f"custom only: one of {', '.join(GENERATORS)}")
+    px.add_argument("--models", nargs="*", default=None, help=f"any of {', '.join(flow_mod.MODELS)}")
+    px.add_argument("--data", default=None, help=f"custom only: one of {', '.join(experiments_mod.GENERATORS)}")
     px.add_argument("--lam", type=float, default=None)
     px.add_argument("--n", type=int, default=None)
     px.add_argument("--t-max", dest="t_max", type=float, default=None)

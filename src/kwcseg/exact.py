@@ -17,6 +17,13 @@ from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
 from .pwc import GridSignal, LinearData, PiecewiseConstant, energy
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, a result that must be a finite float; ``what`` names it and its inputs."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} is {value}, not a finite float")
+    return value
+
+
 def _int_part(r: float) -> int:
     if not math.isfinite(r):
         raise ConfigError(f"jump bound {r} is not finite")
@@ -93,11 +100,12 @@ def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None 
     if kernel is None:
         kernel = kwc_kernel(1.0)
     d = L / m
-    if kernel.kind == "kwc" and kernel.kappa == 1.0:
-        return 1.0 / (d + 1.0) + lam * d * d / 24.0
-    u = uniform_step_minimizer(L, m)
-    g = LinearData((0.0, L))
-    return energy(u, g, kernel, lam).total / L
+    with np.errstate(all="ignore"):  # a result that overflows is named below
+        if kernel.kind == "kwc" and kernel.kappa == 1.0:
+            value = 1.0 / (d + 1.0) + lam * d * d / 24.0
+        else:
+            value = energy(uniform_step_minimizer(L, m), LinearData((0.0, L)), kernel, lam).total / L
+    return _finite(value, f"the energy of the {m}-jump ladder at L = {L}, lam = {lam} with kernel {kernel.to_config()}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ def critical_lambda(L: float) -> CriticalLambda:
     uniform_step_energy(L, 1) == uniform_step_energy(L, 2).
     """
     L = check_real("L", L, positive=True)
-    return CriticalLambda(length=L, lam=32.0 / (L * (L + 1.0) * (L + 2.0)))
+    return CriticalLambda(length=L, lam=_finite(32.0 / (L * (L + 1.0) * (L + 2.0)), f"the critical lambda at L = {L}"))
 
 
 def transition_lambda(L: float, m: int) -> float:
@@ -129,7 +137,7 @@ def transition_lambda(L: float, m: int) -> float:
     check_real("L", L, positive=True)
     check_count("jump count m", m, least=1)
     d1, d2 = L / m, L / (m + 1)
-    return 24.0 / ((d1 + d2) * (1 + d1) * (1 + d2))
+    return _finite(24.0 / ((d1 + d2) * (1 + d1) * (1 + d2)), f"the {m}-to-{m + 1}-jump transition lambda at L = {L}")
 
 
 def lambda_for_jump_count(L: float, m: int) -> float:

@@ -12,6 +12,7 @@ for the first three, and a trapezoid sum on the sample grid for a
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -87,7 +88,10 @@ class PiecewiseConstant:
             yield lo, hi, float(self(0.5 * (lo + hi)))
 
     def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
-        return sum((value - gv) ** 2 * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
+        try:
+            return sum((value - gv) ** 2 * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
+        except OverflowError:  # float ** raises on overflow; the misfit is inf, as for analytic data
+            return math.inf
 
     def moments(self, x0: float, x1: float) -> tuple:
         m1 = sum(gv * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kwcseg
 import kwcseg.cli as cli
+import kwcseg.experiments as experiments_mod
 import kwcseg.flow as flow_mod
 from kwcseg.cli import main
 from kwcseg.errors import InvariantViolation
@@ -30,8 +32,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def parse_json(out):
-    return json.loads(out)
+    """The command's JSON output; NaN and Infinity, which Python writes but JSON has not, fail."""
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 class TestCheckKernel:
@@ -518,7 +525,7 @@ class TestFlowRun:
     def test_bad_census_threshold_exits_2_before_the_run(self, capsys, tmp_path, monkeypatch, threshold):
         path = self.write_config(tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), "census_threshold": threshold}))
-        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("the flow ran"))
+        monkeypatch.setattr(flow_mod, "run", lambda *args: pytest.fail("the flow ran"))
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2
         assert err.startswith("config error")
@@ -773,13 +780,51 @@ class TestConsoleScript:
 
 
 class TestImportFootprint:
-    def test_the_command_line_loads_no_heavy_scipy_module(self):
-        # Together these added about 24 MB to the resident memory of a run.
-        code = "import sys, kwcseg.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    # The layers that ``import kwcseg`` registers but does not run, each with
+    # a name its code defines.
+    LAZY_LAYERS = {"kwcseg.flow": "run", "kwcseg.experiments": "run_experiment", "kwcseg.svgplot": "write_svg"}
+
+    def probe(self, code):
+        """After ``code`` in a fresh interpreter: the lazy layers whose code
+        has run, and the scipy modules loaded."""
+        report = (
+            "import json, sys\n"
+            f"ran = [m for m, name in {self.LAZY_LAYERS!r}.items()\n"
+            "       if name in object.__getattribute__(sys.modules[m], '__dict__')]\n"
+            "print(json.dumps([ran, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))\n"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert "scipy.linalg" in loaded.stdout.split()  # the probe sees scipy modules
-        assert not {"scipy.integrate", "scipy.sparse", "scipy.optimize"} & set(loaded.stdout.split())
+        done = subprocess.run([sys.executable, "-c", code + report], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_the_command_line_loads_no_heavy_scipy_module(self):
+        # Importing the command line runs none of flow, experiments and
+        # svgplot, and so loads no scipy module at all.
+        ran, scipy_modules = self.probe("import kwcseg.cli\n")
+        assert ran == [] and scipy_modules == []
+
+    def test_a_flow_run_loads_scipy_linalg_only(self):
+        # Together the heavy modules added about 24 MB to the resident memory of a run.
+        ran, scipy_modules = self.probe(
+            "import kwcseg\n"
+            "g = kwcseg.generate_signal('step', n=11)\n"
+            "kwcseg.run_flow(g, g, kwcseg.FlowParams(model='kwc', lam=10.0, n=11, t_max=0.02))\n"
+        )
+        assert {"kwcseg.flow", "kwcseg.experiments"} <= set(ran)  # the probe sees a layer run
+        assert "scipy.linalg" in scipy_modules  # the probe sees scipy modules
+        assert not {"scipy.integrate", "scipy.sparse", "scipy.optimize"} & set(scipy_modules)
+
+    def test_the_package_looks_up_each_lazy_name_in_its_module(self, monkeypatch):
+        assert kwcseg.run_flow is flow_mod.run
+        assert kwcseg.ExperimentSpec is experiments_mod.ExperimentSpec
+        # Resolving a name stores no binding of it in the package, so a
+        # function rebound in its module is seen there while it is bound.
+        assert not {"run_flow", "ExperimentSpec", "FlowParams", "run_experiment"} & set(vars(kwcseg))
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_mod, "run", print)
+            assert kwcseg.run_flow is print
+        assert kwcseg.run_flow is flow_mod.run
 
 
 class TestExperimentCommand:
@@ -850,7 +895,9 @@ class TestExperimentCommand:
              "unknown_model", "unknown_generator"],
     )
     def test_what_a_protocol_ignores_or_misreports_exits_2(self, capsys, monkeypatch, argv, field):
-        monkeypatch.setattr(cli, "run_experiment", lambda spec, out_dir=None: pytest.fail("ran the protocol"))
+        monkeypatch.setattr(
+            experiments_mod, "run_experiment", lambda spec, out_dir=None: pytest.fail("ran the protocol")
+        )
         code, out, err = run_cli(capsys, "experiment", *argv)
         assert code == 2 and out == ""
         assert err.startswith("config error: ") and field in err
@@ -864,7 +911,7 @@ class TestExperimentCommand:
         def explode(spec, out_dir=None):
             raise InvariantViolation("observed jump count exceeds the proven bound")
 
-        monkeypatch.setattr(cli, "run_experiment", explode)
+        monkeypatch.setattr(experiments_mod, "run_experiment", explode)
         code, _, err = run_cli(capsys, "experiment", "linear_steady")
         assert code == 4
         assert "invariant violation" in err

@@ -224,6 +224,11 @@ class TestCriticalLambda:
             with pytest.raises(ValueError):
                 call()
 
+    def test_a_weight_beyond_float_range_is_rejected(self):
+        # 24 / ((d1 + d2)(1 + d1)(1 + d2)) with d1 = L / m overflows for a subnormal L.
+        with pytest.raises(ConfigError, match="L = 5e-324 is inf, not a finite float"):
+            transition_lambda(5e-324, 1)
+
 
 class TestOptimalJumpLocation:
     def test_ramp_midpoint(self):

@@ -352,3 +352,28 @@ def test_data_that_overflow_floats_exit_2_with_no_warning(workdir, data, pin):
         warnings.simplefilter("error")
         code, err = run_main(workdir, cfg, "oracle", "solve", "--tie-scan", "2")
     assert code == 2 and err.startswith("config error: the data overflow floats: "), err
+
+
+# Closed forms whose result is not a finite float, each with a field it names.
+OVERFLOWING_CLOSED_FORMS = {
+    "critical_lambda_L_5e-324": (("critical-lambda", "--L", "5e-324"), "L"),
+    "linear_table_L_1e300": (
+        ("energy-table", "--L", "1e300", "--lambda", "1", "--m-max", "2", "--kind", "linear"), "L"
+    ),
+    "kwc_table_lam_1e10": (("energy-table", "--L", "1e200", "--lambda", "1e10", "--m-max", "2"), "lam"),
+    "potts_table_height_1e308": (
+        ("energy-table", "--L", "1", "--lambda", "5", "--m-max", "3", "--kind", "potts", "--height", "1e308"), "height"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, field", list(OVERFLOWING_CLOSED_FORMS.values()), ids=list(OVERFLOWING_CLOSED_FORMS))
+def test_closed_forms_that_overflow_floats_exit_2_with_no_warning(argv, field):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err):
+            code = main(["exact", *argv])
+    assert code == 2 and out.getvalue() == "" and caught == []
+    assert err.getvalue().startswith("config error: ") and "not a finite float" in err.getvalue()
+    assert re.search(rf"(?<!\w){field}(?!\w)", err.getvalue()), err.getvalue()

@@ -244,6 +244,15 @@ class TestFidelity:
         assert e.total == pytest.approx(e.tv_k + e.fidelity, abs=1e-15)
         assert e.total == pytest.approx(13.0 / 18.0, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "data", [PiecewiseConstant((0, 1), (0.5,), (0, 1)), LinearData((0, 1))], ids=["steps", "linear"]
+    )
+    def test_a_misfit_beyond_float_range_is_an_infinite_energy(self, data):
+        # Step data squares its misfit with float **, which raises on
+        # overflow; the energy is inf for it as for analytic data.
+        e = energy(PiecewiseConstant((0, 1), (), (1e200,)), data, kwc_kernel(1.0), 1.0)
+        assert e.fidelity == math.inf and e.total == math.inf
+
 
 class TestQuantize:
     def test_ramp_quarter_levels(self):

@@ -7,6 +7,9 @@ traced benchmark runs, so the names are checked here.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kwcseg
@@ -25,6 +28,26 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(module_name), fn_name, None))
     ]
     assert missing == []
+
+
+def test_a_traced_block_that_runs_the_lazy_layers_leaves_no_wrapper():
+    # In a fresh interpreter flow, experiments and svgplot first run inside
+    # the tracer's ``with``; every wrapper must be unbound when it ends.
+    code = f"""
+import importlib.util, sys
+import kwcseg.cli
+spec = importlib.util.spec_from_file_location("kwcseg_bench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+with tracing.Tracer():
+    pass
+traced = {{id(getattr(sys.modules[m], f)) for m, fns in tracing.TARGETS.items() for f in fns}}
+modules = [(k, m) for k, m in sys.modules.items() if k.partition(".")[0] == "kwcseg"]
+print([f"{{k}}.{{a}}" for k, m in modules for a, v in vars(m).items() if id(getattr(v, "__wrapped__", None)) in traced])
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(kwcseg.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_public_names_resolve():
