@@ -184,11 +184,7 @@ def _cmd_flow_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = experiments_mod.ExperimentSpec(
-        name=args.name,
-        overrides=_given(args, "lam", "n", "t_max"),
-        **_given(args, "data", "models", "seed"),
-    )
+    spec = experiments_mod.ExperimentSpec(args.name, **_given(args, "data", "models", "lam", "n", "t_max", "seed"))
     record = experiments_mod.run_experiment(spec, out_dir=args.out)
     if args.out:
         experiments_mod.plot_record(record, args.out)

@@ -35,6 +35,7 @@ from .exact import (
     critical_lambda,
     jump_bounds,
     lambda_for_jump_count,
+    uniform_step_energy,
     uniform_step_minimizer,
 )
 from .flow import (
@@ -43,7 +44,6 @@ from .flow import (
     FlowParams,
     FlowResult,
     census_fit,
-    check_flow_field,
     edges_above,
     jump_census,
     plateau_flatness,
@@ -99,18 +99,21 @@ def generate_signal(name: str, n: int = 1000, seed: int = 0) -> GridSignal:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named protocol plus reproducibility knobs.
+    """A named protocol plus the settings a run may choose, checked when built.
 
     Named experiments fix their data and weight, and ``linear_steady`` and
     ``nonuniqueness`` their model (kwc); a spec that sets these is rejected.
-    ``overrides`` tweaks the other FlowParams fields (n, t_max, ...).
-    ``custom`` requires a generator name, a model list, and a lam override.
+    Every protocol takes the grid size ``n`` and the end time ``t_max`` of
+    its flows, and the other FlowParams fields keep the protocol's values.
+    ``custom`` requires a generator name, a model list, and ``lam``.
     """
 
     name: str
     data: str = ""
     models: tuple = ()
-    overrides: dict = field(default_factory=dict)
+    lam: float | None = None
+    n: int = FlowParams.n
+    t_max: float = FlowParams.t_max
     seed: int = 0
 
     def __post_init__(self):
@@ -119,41 +122,35 @@ class ExperimentSpec:
         if not isinstance(self.models, (list, tuple)):
             raise ConfigError(f"models must be a list of model names, got {self.models!r}")
         object.__setattr__(self, "models", tuple(self.models))
-        check_keys("overrides", self.overrides, (), [f.name for f in dataclasses.fields(FlowParams)])
-        if "model" in self.overrides:
-            raise ConfigError("the model is fixed by the protocol; use models=")
-        for key, value in self.overrides.items():
-            check_flow_field(key, value)
+        # The rules of these FlowParams fields, t_max against the default dt.
+        FlowParams(MODELS[0], 0.0 if self.lam is None else self.lam, n=self.n, t_max=self.t_max)
         check_count("seed", self.seed)
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
             raise ConfigError(f"unknown models {unknown}; expected some of {MODELS}")
+        repeated = sorted({m for m in self.models if self.models.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"repeated models {repeated}; list each model once")
         if self.name == "custom":
             if not self.data or not self.models:
                 raise ConfigError("custom experiments need data and models")
             if self.data not in GENERATORS:
                 raise ConfigError(f"unknown data generator {self.data!r}; expected one of {GENERATORS}")
-            if "lam" not in self.overrides:
+            if self.lam is None:
                 raise ConfigError("custom experiments need a lam override")
         else:
             kwc_only = self.name in ("linear_steady", "nonuniqueness")
-            given = {"data": self.data, "lam": "lam" in self.overrides, "models": kwc_only and self.models}
+            given = {"data": self.data, "lam": self.lam is not None, "models": kwc_only and self.models}
             fixed = [key for key, value in given.items() if value]
             if fixed:
                 raise ConfigError(f"the {self.name} protocol fixes its own {', '.join(fixed)}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "data": self.data,
-            "models": list(self.models),
-            "overrides": dict(self.overrides),
-            "seed": self.seed,
-        }
+        return {**dataclasses.asdict(self), "models": list(self.models)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentSpec":
-        check_keys("experiment spec", d, ("name",), ("data", "models", "overrides", "seed"))
+        check_keys("experiment spec", d, ("name",), [f.name for f in dataclasses.fields(cls) if f.name != "name"])
         return cls(**d)
 
 
@@ -169,12 +166,12 @@ class RunRecord:
 
 
 def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> FlowParams:
-    return FlowParams(**{"model": model, "lam": lam, **proto, **spec.overrides})
+    return FlowParams(model, lam, n=spec.n, t_max=spec.t_max, **proto)
 
 
 def _grid(spec: ExperimentSpec, name: str) -> GridSignal:
-    """The protocol's data signal on the spec's grid (FlowParams.n by default)."""
-    return generate_signal(name, n=spec.overrides.get("n", FlowParams.n), seed=spec.seed)
+    """The protocol's data signal on the spec's grid."""
+    return generate_signal(name, n=spec.n, seed=spec.seed)
 
 
 def _max_energy_rise(trace) -> float:
@@ -312,6 +309,7 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
     g = _grid(spec, "linear")
     kernel = kwc_kernel(1.0)
     data = CLEAN_DATA["linear"]
+    tied = uniform_step_energy(1.0, 1, lam)  # the energy of the 1-jump ladder, tied with the 2-jump one
 
     params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True)
     runs = {}
@@ -324,8 +322,8 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
         fit_total = energy(fit, data, kernel, lam).total
         block["fit_jump_count"] = fit.jump_count
         block["fit_energy"] = fit_total
-        block["analytic_energy"] = 13.0 / 18.0
-        block["fit_rel_gap"] = abs(fit_total - 13.0 / 18.0) / (13.0 / 18.0)
+        block["analytic_energy"] = tied
+        block["fit_rel_gap"] = abs(fit_total - tied) / tied
         block["bound"] = _bound_block(lam, block["jump_count"], applies=True)
 
     problem = oracle_mod.OracleProblem(
@@ -407,13 +405,12 @@ def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
 
 
 def _custom(spec: ExperimentSpec) -> RunRecord:
-    lam = spec.overrides["lam"]
-    g, results, blocks = _sweep(spec, spec.data, lam, STRUCTURE_THRESHOLD)
+    g, results, blocks = _sweep(spec, spec.data, spec.lam, STRUCTURE_THRESHOLD)
     summary = {
         "experiment": "custom",
         "data": spec.data,
         "seed": spec.seed,
-        "lam": lam,
+        "lam": spec.lam,
         "models": blocks,
     }
     return RunRecord(spec=spec, g=g, results=results, summary=summary)

@@ -73,46 +73,23 @@ class FlowParams:
     output_stride: int = 10
 
     def __post_init__(self):
-        for name, rule in _FIELD_RULES.items():
-            rule(getattr(self, name))
+        if self.model not in MODELS:
+            raise ConfigError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        if self.bc_u not in ("neumann", "dirichlet"):
+            raise ConfigError("bc_u must be 'neumann' or 'dirichlet'")
+        if not isinstance(self.pre_relax, bool):
+            raise ConfigError(f"pre_relax must be true or false, got {self.pre_relax!r}")
+        check_count("n", self.n, least=2, most=MAX_NODES)
+        check_count("output_stride", self.output_stride, least=1)
+        for name in ("lam", "sigma", "steady_tol"):
+            check_real(name, getattr(self, name), least=0)
+        for name in ("dt", "epsilon", "t_max"):
+            check_real(name, getattr(self, name), positive=True)
         if not 0.5 < self.t_max / self.dt < MAX_STEPS + 0.5:  # 1 <= round(t_max / dt) <= MAX_STEPS
             raise ConfigError(
                 f"t_max = {self.t_max} must be at least one time step dt = {self.dt}, "
                 f"in at most the limit of {MAX_STEPS} steps"
             )
-
-
-def _check_model(value):
-    if value not in MODELS:
-        raise ConfigError(f"unknown model {value!r}; expected one of {MODELS}")
-
-
-def _check_bc_u(value):
-    if value not in ("neumann", "dirichlet"):
-        raise ConfigError("bc_u must be 'neumann' or 'dirichlet'")
-
-
-def _check_pre_relax(value):
-    if not isinstance(value, bool):
-        raise ConfigError(f"pre_relax must be true or false, got {value!r}")
-
-
-# The rule of each FlowParams field, in the order a FlowParams checks them.
-_FIELD_RULES = {
-    "model": _check_model,
-    "bc_u": _check_bc_u,
-    "pre_relax": _check_pre_relax,
-    "n": lambda value: check_count("n", value, least=2, most=MAX_NODES),
-    "output_stride": lambda value: check_count("output_stride", value, least=1),
-    **{name: lambda value, name=name: check_real(name, value, least=0) for name in ("lam", "sigma", "steady_tol")},
-    **{name: lambda value, name=name: check_real(name, value, positive=True) for name in ("dt", "epsilon", "t_max")},
-}
-
-
-def check_flow_field(name: str, value) -> None:
-    """Apply the FlowParams rule of field ``name`` to ``value``: a
-    ConfigError that names the field when it breaks the rule."""
-    _FIELD_RULES[name](value)
 
 
 @dataclass

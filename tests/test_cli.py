@@ -890,9 +890,12 @@ class TestExperimentCommand:
             (("nonuniqueness", "--models", "kwc"), "models"),
             (("custom", "--models", "wat", "--data", "step", "--lam", "1"), "models"),
             (("custom", "--models", "rof", "--data", "wat", "--lam", "1"), "data"),
+            (("custom", "--data", "step", "--models", "rof", "rof", "--lam", "5", "--n", "11"),
+             "repeated models ['rof']"),
+            (("sine_segmentation", "--models", "kwc", "kwc"), "repeated models ['kwc']"),
         ],
         ids=["lam_outside_custom", "data_outside_custom", "models_linear_steady", "models_nonuniqueness",
-             "unknown_model", "unknown_generator"],
+             "unknown_model", "unknown_generator", "repeated_model_custom", "repeated_model_protocol"],
     )
     def test_what_a_protocol_ignores_or_misreports_exits_2(self, capsys, monkeypatch, argv, field):
         monkeypatch.setattr(

@@ -491,3 +491,49 @@ class TestSplitPenaltyLowerBound:
                 ev = energy(v, g, k, lam).total
                 floor = (margin / 2) * dispersion(v, rho) * rho**2
                 assert ev - e0 >= floor - 1e-12
+
+
+def random_steps(rng, domain, jumps):
+    """A step function on ``domain`` with up to ``jumps`` jumps at seeded places and heights."""
+    a, b = domain
+    breakpoints = np.unique(rng.uniform(a, b, size=rng.integers(0, jumps + 1)))
+    return PiecewiseConstant(domain, tuple(breakpoints), tuple(rng.uniform(-2.0, 2.0, size=breakpoints.size + 1)))
+
+
+def scaled(u, scale):
+    """The step function u(x / scale) on the domain scaled by ``scale``."""
+    return PiecewiseConstant(tuple(scale * x for x in u.domain), tuple(scale * x for x in u.breakpoints), u.values)
+
+
+class TestMetamorphic:
+    """The domain scaled by 4 or 1/4 with lam scaled inversely.  Powers of
+    two scale floats exactly, so the closed forms must give the same
+    results bit for bit, as the oracle does (tests/test_oracle.py)."""
+
+    @pytest.mark.parametrize("scale", [4.0, 0.25])
+    @pytest.mark.parametrize("kernel", [kwc_kernel(1.0), linear_kernel(), potts_kernel(0.3)], ids=["kwc", "linear", "potts"])
+    def test_jump_bounds_keep_their_counts(self, kernel, scale):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            a = rng.uniform(-10.0, 10.0)
+            b = a + rng.uniform(0.01, 10.0)
+            lam, mass_cap = rng.uniform(0.0, 500.0), rng.uniform(0.1, 5.0)
+            base = jump_bounds(kernel, a, b, lam, mass_cap)
+            image = jump_bounds(kernel, scale * a, scale * b, lam / scale, mass_cap)
+            assert (image.jumps_monotone_data, image.jumps_any_data) == (base.jumps_monotone_data, base.jumps_any_data)
+
+    @pytest.mark.parametrize("scale", [4.0, 0.25])
+    def test_step_function_energy_is_bit_equal(self, scale):
+        rng = np.random.default_rng(18)
+        kernel = kwc_kernel(1.0)
+        for _ in range(300):
+            a = rng.uniform(-5.0, 5.0)
+            domain = (a, a + rng.uniform(0.1, 5.0))
+            u, lam = random_steps(rng, domain, 6), rng.uniform(0.0, 200.0)
+            image = scaled(u, scale)
+            slope, intercept = rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)
+            ramp = LinearData(domain, slope, intercept)
+            ramp_image = LinearData(image.domain, slope / scale, intercept)
+            assert energy(image, ramp_image, kernel, lam / scale) == energy(u, ramp, kernel, lam)
+            steps = random_steps(rng, domain, 4)
+            assert energy(image, scaled(steps, scale), kernel, lam / scale) == energy(u, steps, kernel, lam)

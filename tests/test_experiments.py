@@ -20,7 +20,9 @@ def tiny_spec(models=("rof",), n=101):
         name="custom",
         data="step",
         models=tuple(models),
-        overrides={"n": n, "lam": 30.0, "t_max": 0.5},
+        lam=30.0,
+        n=n,
+        t_max=0.5,
         seed=3,
     )
 
@@ -36,17 +38,32 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             xp.ExperimentSpec.from_json_dict({"name": "nope", "data": "step", "models": ["rof"]})
 
-    def test_model_override_rejected(self):
-        with pytest.raises(ConfigError):
+    def test_model_field_rejected(self):
+        with pytest.raises(ConfigError, match=r"keys: \['model'\]"):
             xp.ExperimentSpec.from_json_dict(
-                {"name": "custom", "data": "step", "models": ["rof"], "overrides": {"model": "at"}}
+                {"name": "custom", "data": "step", "models": ["rof"], "lam": 1.0, "model": "at"}
             )
 
-    def test_unknown_override_rejected(self):
+    def test_unknown_setting_rejected(self):
         with pytest.raises(ConfigError, match="cp_iters"):
-            xp.ExperimentSpec.from_json_dict(
-                {"name": "noisy_steps", "overrides": {"cp_iters": 200}}
-            )
+            xp.ExperimentSpec.from_json_dict({"name": "noisy_steps", "cp_iters": 200})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("overrides", {"pre_relax": True}), ("bc_u", "neumann"), ("pre_relax", True), ("sigma", 3.0),
+         ("epsilon", 0.01)],
+    )
+    def test_a_flow_setting_the_protocol_fixes_is_rejected(self, key, value):
+        # Such a setting would change the run the summary describes: a
+        # pre-relaxed "naive" run, or free ends on the pinned ladder.
+        with pytest.raises(ConfigError, match=rf"keys: \['{key}'\]"):
+            xp.ExperimentSpec.from_json_dict({"name": "linear_steady", key: value})
+
+    @pytest.mark.parametrize("name, models", [("custom", ["rof", "rof"]), ("sine_segmentation", ["kwc", "at", "kwc"])])
+    def test_repeated_models_rejected(self, name, models):
+        extra = {"data": "step", "lam": 5.0} if name == "custom" else {}
+        with pytest.raises(ConfigError, match=rf"repeated models \['{models[0]}'\]"):
+            xp.ExperimentSpec.from_json_dict({"name": name, "models": models, **extra})
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
@@ -61,39 +78,39 @@ class TestExperimentSpec:
     def test_unknown_generator_rejected_when_built(self):
         with pytest.raises(ConfigError, match="data generator 'wat'"):
             xp.ExperimentSpec.from_json_dict(
-                {"name": "custom", "data": "wat", "models": ["rof"], "overrides": {"lam": 1.0}}
+                {"name": "custom", "data": "wat", "models": ["rof"], "lam": 1.0}
             )
 
     def test_unknown_model_rejected_when_built(self):
         with pytest.raises(ConfigError, match=r"models \['wat'\]"):
             xp.ExperimentSpec.from_json_dict(
-                {"name": "custom", "data": "step", "models": ["wat"], "overrides": {"lam": 1.0}}
+                {"name": "custom", "data": "step", "models": ["wat"], "lam": 1.0}
             )
 
     def test_custom_requires_data_and_models(self):
         with pytest.raises(ConfigError):
             xp.ExperimentSpec.from_json_dict(
-                {"name": "custom", "data": "step", "models": [], "overrides": {"lam": 1.0}}
+                {"name": "custom", "data": "step", "models": [], "lam": 1.0}
             )
 
     @pytest.mark.parametrize("models", [5, None, "rof", {"rof": 1}])
     def test_models_must_be_a_list_of_names(self, models):
         with pytest.raises(ConfigError, match="models must be a list of model names"):
             xp.ExperimentSpec.from_json_dict(
-                {"name": "custom", "data": "step", "models": models, "overrides": {"lam": 1.0}}
+                {"name": "custom", "data": "step", "models": models, "lam": 1.0}
             )
 
     @pytest.mark.parametrize(
         "field, value",
-        [("lam", "x"), ("lam", -1.0), ("n", 1), ("n", 2.5), ("t_max", 0.0), ("dt", math.inf),
-         ("bc_u", "periodic"), ("pre_relax", 1), ("output_stride", 0)],
+        [("lam", "x"), ("lam", -1.0), ("lam", math.nan), ("n", 1), ("n", 2.5), ("n", 10**7), ("t_max", 0.0),
+         ("t_max", math.inf), ("t_max", 0.004), ("t_max", 1e6)],
     )
-    def test_each_override_is_checked_by_its_flow_rule(self, field, value):
-        overrides = {"lam": 1.0, field: value}
+    def test_each_flow_setting_is_checked_by_its_flow_rule(self, field, value):
+        settings = {"lam": 1.0, field: value}
         with pytest.raises(ConfigError, match=field):
-            xp.ExperimentSpec.from_json_dict({"name": "custom", "data": "step", "models": ["rof"], "overrides": overrides})
+            xp.ExperimentSpec.from_json_dict({"name": "custom", "data": "step", "models": ["rof"], **settings})
         with pytest.raises(ConfigError, match=field):
-            flow_mod.FlowParams(model="rof", **overrides)
+            flow_mod.FlowParams(model="rof", **settings)
 
     def test_protocol_names_are_registered(self):
         assert xp.EXPERIMENTS == (
@@ -202,7 +219,7 @@ class TestRunAndArtifacts:
 
     def test_result_json_is_the_protocol_block_plus_params(self, tmp_path):
         # noisy_steps censuses at DENOISE_THRESHOLD, not the writer's default.
-        spec = xp.ExperimentSpec(name="noisy_steps", overrides={"n": 101, "t_max": 0.5})
+        spec = xp.ExperimentSpec(name="noisy_steps", n=101, t_max=0.5)
         xp.run_experiment(spec, out_dir=tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         for model, block in summary["models"].items():

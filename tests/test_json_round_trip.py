@@ -5,7 +5,6 @@ Each object is written with its own serializer, passed through
 original.
 """
 
-import dataclasses
 import json
 import math
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwcseg.experiments import EXPERIMENTS, GENERATORS, ExperimentSpec
-from kwcseg.flow import MODELS, FlowParams
+from kwcseg.flow import MODELS
 from kwcseg.kernel import VALID_KINDS, JumpKernel
 from kwcseg.pwc import MAX_NODES, PiecewiseConstant
 
@@ -43,36 +42,25 @@ def step_functions(draw):
     return PiecewiseConstant((a, b), tuple(breakpoints), tuple(values))
 
 
-OVERRIDE_FIELDS = sorted(f.name for f in dataclasses.fields(FlowParams) if f.name != "model")
-non_negative = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**70))
-# A value of each override field that its FlowParams rule accepts.
-OVERRIDE_VALUES = {
-    **dict.fromkeys(("lam", "sigma", "steady_tol"), non_negative),
-    **dict.fromkeys(("dt", "epsilon", "t_max"), st.one_of(positive, st.integers(1, 2**70))),
-    "n": st.integers(2, MAX_NODES),
-    "output_stride": st.integers(1, 2**70),
-    "bc_u": st.sampled_from(["neumann", "dirichlet"]),
-    "pre_relax": st.booleans(),
-}
-
-
 @st.composite
 def experiment_specs(draw):
-    """Any valid spec: data and a lam override for custom alone, no
-    models for the protocols that run kwc alone, and override values that
-    their FlowParams rules accept."""
+    """Any valid spec: data and lam for custom alone, no models for the
+    protocols that run kwc alone, each model at most once, and a grid size
+    and end time that the FlowParams rules accept (t_max between one and
+    10^7 steps of the default dt = 0.01)."""
     name = draw(st.sampled_from((*EXPERIMENTS, "custom")))
-    fields = OVERRIDE_FIELDS if name == "custom" else [f for f in OVERRIDE_FIELDS if f != "lam"]
-    overrides = {key: draw(OVERRIDE_VALUES[key]) for key in sorted(draw(st.sets(st.sampled_from(fields), max_size=4)))}
+    chosen = {}
+    if draw(st.booleans()):
+        chosen["n"] = draw(st.integers(2, MAX_NODES))
+    if draw(st.booleans()):
+        chosen["t_max"] = draw(st.one_of(st.floats(0.006, 99_999.0), st.integers(1, 99_999)))
     if name == "custom":
-        overrides["lam"] = draw(OVERRIDE_VALUES["lam"])
+        chosen["lam"] = draw(st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**70)))
     kwc_only = name in ("linear_steady", "nonuniqueness")
     most = 0 if kwc_only else 3
-    models = draw(st.lists(st.sampled_from(MODELS), min_size=1 if name == "custom" else 0, max_size=most))
+    models = draw(st.lists(st.sampled_from(MODELS), min_size=1 if name == "custom" else 0, max_size=most, unique=True))
     data = draw(st.sampled_from(GENERATORS if name == "custom" else ("",)))
-    return ExperimentSpec(
-        name=name, data=data, models=tuple(models), overrides=overrides, seed=draw(st.integers(0, 2**63))
-    )
+    return ExperimentSpec(name=name, data=data, models=tuple(models), seed=draw(st.integers(0, 2**63)), **chosen)
 
 
 @settings(max_examples=200)
