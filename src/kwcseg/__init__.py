@@ -9,12 +9,13 @@ Layers:
 * flow    - gradient-flow solvers (plain TV, phase-field quadratic/TV)
 * experiments, svgplot, cli - reproduction harness and artifact emission
 
-``import kwcseg`` runs kernel, pwc, exact and oracle.  flow (and with it
-SciPy), experiments and svgplot are in ``sys.modules`` from the start but
-run on first attribute access, so closed-form and oracle work never loads
-them.  The package's names from those three layers are looked up in their
-module on every access, never stored here.  The command line
-(``kwcseg.cli.main``) still loads every layer.
+``import kwcseg`` runs kernel, pwc, exact and oracle.  flow, experiments
+and svgplot are in ``sys.modules`` from the start but run on first
+attribute access, so closed-form and oracle work never loads them; flow
+loads SciPy only at its first tridiagonal solve.  The package's names from
+those three layers are looked up in their module on every access, never
+stored here.  The command line (``kwcseg.cli.main``) still runs every
+layer, but no SciPy module unless a command runs a flow.
 """
 
 import importlib.util

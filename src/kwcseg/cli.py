@@ -1,7 +1,8 @@
 """Command-line surface: kernel checks, closed forms, oracle, flows, experiments.
 
-Exit codes: 0 success, 2 configuration error, 3 solver divergence,
-4 invariant violation (e.g. a jump-count bound exceeded).
+Exit codes: 0 success, 2 configuration error (a ConfigError or OSError),
+3 solver divergence, 4 invariant violation (e.g. a jump-count bound
+exceeded).  Any other exception is a fault of the program: a traceback.
 """
 
 import argparse
@@ -92,7 +93,7 @@ def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
 # Subcommand handlers.
 
 
-def _cmd_check_kernel(args) -> int:
+def _cmd_check_kernel(args) -> dict:
     kernel = _kernel_from_args(args)
     report = check_conditions(kernel, args.M)
     out = {"report": report.to_json_dict()}
@@ -101,27 +102,23 @@ def _cmd_check_kernel(args) -> int:
     except ConditionError as err:
         out["constants"] = None
         out["constants_error"] = str(err)
-    experiments_mod.dump_json(sys.stdout, out)
-    return 0
+    return out
 
 
-def _cmd_exact_bounds(args) -> int:
+def _cmd_exact_bounds(args) -> dict:
     kernel = _kernel_from_args(args)
-    report = jump_bounds(kernel, args.a, args.b, args.lam, args.M)
-    experiments_mod.dump_json(sys.stdout, report.to_json_dict())
-    return 0
+    return jump_bounds(kernel, args.a, args.b, args.lam, args.M).to_json_dict()
 
 
-def _cmd_exact_critical(args) -> int:
-    experiments_mod.dump_json(sys.stdout, critical_lambda(args.L).to_json_dict())
-    return 0
+def _cmd_exact_critical(args) -> dict:
+    return critical_lambda(args.L).to_json_dict()
 
 
 # The most rows of ``exact energy-table``: 10^5 rows take about a second.
 MAX_TABLE_JUMPS = 100_000
 
 
-def _cmd_exact_energy_table(args) -> int:
+def _cmd_exact_energy_table(args) -> None:
     kernel = _kernel_from_args(args)
     check_count("m_max", args.m_max, least=1, most=MAX_TABLE_JUMPS)
     ms = range(1, args.m_max + 1)
@@ -130,13 +127,11 @@ def _cmd_exact_energy_table(args) -> int:
         experiments_mod.write_csv(args.out, ("m", "E"), columns)
     else:
         experiments_mod.dump_csv(sys.stdout, ("m", "E"), columns)
-    return 0
 
 
-def _cmd_exact_verdict(args) -> int:
+def _cmd_exact_verdict(args) -> dict:
     kernel = _kernel_from_args(args)
-    experiments_mod.dump_json(sys.stdout, equal_jump_verdict(kernel, args.c, args.lam).to_json_dict())
-    return 0
+    return equal_jump_verdict(kernel, args.c, args.lam).to_json_dict()
 
 
 def _problem_from_config(cfg: dict) -> oracle_mod.OracleProblem:
@@ -150,21 +145,20 @@ def _problem_from_config(cfg: dict) -> oracle_mod.OracleProblem:
     return oracle_mod.OracleProblem(data=data, kernel=JumpKernel.from_config(cfg["kernel"]), lam=cfg["lam"], **kwargs)
 
 
-def _cmd_oracle_solve(args) -> int:
+def _cmd_oracle_solve(args) -> dict:
     cfg = _load_json(args.config)
     problem = _problem_from_config(cfg)
     result = oracle_mod.solve(problem, tie_scan_jumps=args.tie_scan)
-    experiments_mod.dump_json(sys.stdout, result.to_json_dict())
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         experiments_mod.write_json(out / "result.json", result.to_json_dict())
         mids = oracle_mod.cell_midpoints(problem)
         experiments_mod.write_csv(out / "minimizer.csv", ("x", "u"), (mids, result.minimizer(mids)))
-    return 0
+    return result.to_json_dict()
 
 
-def _cmd_flow_run(args) -> int:
+def _cmd_flow_run(args) -> dict:
     cfg = check_keys("flow config", _load_json(args.config), ("params", "data"), ("u0", "census_threshold"))
     known = [f.name for f in fields(flow_mod.FlowParams)]
     pcfg = dict(check_keys("flow params", cfg["params"], ("model", "lam"), known))
@@ -179,17 +173,15 @@ def _cmd_flow_run(args) -> int:
     u0 = signal_from_config(cfg["u0"], "u0", params.n) if "u0" in cfg else g
     result = flow_mod.run(g, u0, params)
     paths = experiments_mod.write_flow_artifacts(result, args.out, **census)
-    experiments_mod.dump_json(sys.stdout, {"steady": result.steady, "steps": result.steps, "artifacts": paths})
-    return 0
+    return {"steady": result.steady, "steps": result.steps, "artifacts": paths}
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> dict:
     spec = experiments_mod.ExperimentSpec(args.name, **_given(args, "data", "models", "lam", "n", "t_max", "seed"))
     record = experiments_mod.run_experiment(spec, out_dir=args.out)
     if args.out:
         experiments_mod.plot_record(record, args.out)
-    experiments_mod.dump_json(sys.stdout, record.summary)
-    return 0
+    return record.summary
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +268,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print the JSON object it returns (None: the command wrote its output)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        if out is not None:
+            experiments_mod.dump_json(sys.stdout, out)
+    except (ConfigError, OSError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return 3
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError, KeyError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,9 +18,11 @@ from .pwc import GridSignal, LinearData, PiecewiseConstant, energy
 
 
 def _finite(value: float, what: str) -> float:
-    """``value``, a result that must be a finite float; ``what`` names it and its inputs."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} is {value}, not a finite float")
+    """``value``, a closed-form result that must be a finite float above 0
+    (each is positive in exact arithmetic, so 0.0 is an underflow); ``what``
+    names it and its inputs."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} is {value}, not a finite float above 0")
     return value
 
 
@@ -137,15 +139,21 @@ def transition_lambda(L: float, m: int) -> float:
     check_real("L", L, positive=True)
     check_count("jump count m", m, least=1)
     d1, d2 = L / m, L / (m + 1)
-    return _finite(24.0 / ((d1 + d2) * (1 + d1) * (1 + d2)), f"the {m}-to-{m + 1}-jump transition lambda at L = {L}")
+    try:
+        lam = 24.0 / ((d1 + d2) * (1 + d1) * (1 + d2))
+    except ZeroDivisionError:  # L / m underflowed to 0
+        lam = math.inf
+    return _finite(lam, f"the {m}-to-{m + 1}-jump transition lambda at L = {L}")
 
 
 def lambda_for_jump_count(L: float, m: int) -> float:
     """A weight at which the m-jump ladder is the strict energy minimizer."""
     check_count("jump count m", m, least=1)
     if m == 1:
-        return 0.5 * transition_lambda(L, 1)
-    return math.sqrt(transition_lambda(L, m - 1) * transition_lambda(L, m))
+        lam = 0.5 * transition_lambda(L, 1)
+    else:
+        lam = math.sqrt(transition_lambda(L, m - 1) * transition_lambda(L, m))
+    return _finite(lam, f"the weight of the {m}-jump ladder at L = {L}")
 
 
 @dataclass(frozen=True)
@@ -243,8 +251,13 @@ def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float) -> VerdictRepor
     check_real("lam", lam, least=0)
     if kernel.kind == "kwc":
         k = kernel.kappa
-        phi_0 = 4.0 * k / (1.0 + k * c) ** 3
-        phi_c = 4.0 * k * (1.0 + k * c) / (1.0 + 2.0 * k * c) ** 2
+        try:
+            phi_0 = 4.0 * k / (1.0 + k * c) ** 3
+            phi_c = 4.0 * k * (1.0 + k * c) / (1.0 + 2.0 * k * c) ** 2
+        except OverflowError:  # float ** raises where the power leaves float range
+            phi_0 = phi_c = math.nan
+        if not all(math.isfinite(phi) and phi > 0 for phi in (phi_0, phi_c)):
+            raise ConfigError(f"kwc verdict terms phi(0), phi(c) out of float range at kappa={k!r}, c={c!r}")
     else:
         phi_0 = phi_c = 0.0
     half = 0.5 * lam

@@ -162,7 +162,6 @@ class RunRecord:
     summary: dict
     oracle: object = None
     artifacts: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
 
 def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> FlowParams:
@@ -293,8 +292,6 @@ def _linear_steady(spec: ExperimentSpec) -> RunRecord:
             float(abs((1.0 - positions[-1]) - d / 2.0) / h),
         ]
     summary = {
-        "experiment": "linear_steady",
-        "seed": spec.seed,
         "m_target": m,
         "lam": lam,
         "runs": blocks,
@@ -334,8 +331,6 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
 
     e1, e2 = blocks["m1"]["fit_energy"], blocks["m2"]["fit_energy"]
     summary = {
-        "experiment": "nonuniqueness",
-        "seed": spec.seed,
         "lam": lam,
         "tied_jump_counts_theory": list(crit.tied_jump_counts),
         "runs": blocks,
@@ -361,8 +356,6 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
             block["plateau_count"] = block["jump_count"] + 1
             block["max_plateau_variation"] = max((v for _a, _b, v in flat), default=0.0)
     summary = {
-        "experiment": "sine_segmentation",
-        "seed": spec.seed,
         "lam": lam,
         "thresholds": {"structure": STRUCTURE_THRESHOLD, "micro": MICRO_THRESHOLD},
         "models": blocks,
@@ -389,8 +382,6 @@ def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
                 abs(p - e) for (p, _s), e in zip(kwc["jump_census"], STEP_EDGES)
             ]
     summary = {
-        "experiment": "noisy_steps",
-        "seed": spec.seed,
         "lam": lam,
         "threshold": DENOISE_THRESHOLD,
         "noise": {
@@ -406,13 +397,7 @@ def _noisy_steps(spec: ExperimentSpec) -> RunRecord:
 
 def _custom(spec: ExperimentSpec) -> RunRecord:
     g, results, blocks = _sweep(spec, spec.data, spec.lam, STRUCTURE_THRESHOLD)
-    summary = {
-        "experiment": "custom",
-        "data": spec.data,
-        "seed": spec.seed,
-        "lam": spec.lam,
-        "models": blocks,
-    }
+    summary = {"data": spec.data, "lam": spec.lam, "models": blocks}
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
 
 
@@ -438,8 +423,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> RunRecord:
             path.mkdir(parents=True, exist_ok=True)
             _write_trace(path / "diverged_trace.csv", err.trace, 1)
         raise
-    record.wall_time = time.perf_counter() - start
-    record.summary["wall_time_seconds"] = record.wall_time
+    # The keys every protocol summary shares.
+    record.summary.update(experiment=spec.name, seed=spec.seed, wall_time_seconds=time.perf_counter() - start)
     if out_dir is not None:
         write_artifacts(record, out_dir)
     violated = record.summary.get("bound_violations")

@@ -26,7 +26,8 @@ its own jump set: the miss of its optimality conditions accepts or
 rejects the closed form, and its dual gives the step's duality gap.  The
 quadratic u-subproblem (at) and the damage subproblem are tridiagonal
 solves, one direct call of LAPACK's gtsv each, the latter also giving the
-exact steady damage for a frozen u.
+exact steady damage for a frozen u.  SciPy, which provides gtsv, is
+imported at the first solve, so loading this module loads no SciPy.
 
 A FlowParams checks its fields and a GridSignal its samples when built;
 ``run`` and ``steady_damage_profile`` share one check of the grid.
@@ -41,8 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, DivergenceError, check_count, check_real
 from .pwc import MAX_NODES, GridSignal, PiecewiseConstant, _require_same_domain
@@ -306,9 +305,11 @@ def _solve_tridiag(diag, lower, upper, rhs) -> np.ndarray:
     """``solve_banded((1, 1), ...)``'s LAPACK gtsv call, unchecked; overwrites diag and rhs only."""
     if diag.size < 2:
         return rhs / diag
+    from scipy.linalg.lapack import dgtsv  # here, so that loading flow loads no SciPy
+
     x, info = dgtsv(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)[3:]
     if info:
-        raise LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     return x
 
 

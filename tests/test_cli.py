@@ -292,6 +292,16 @@ class TestOracleSolve:
         assert csv_lines[0] == "x,u"
         assert len(csv_lines) == 101
 
+    def test_a_failed_write_prints_nothing(self, capsys, tmp_path):
+        # The result is printed after its files are written, so exit 2 comes
+        # with an empty stdout.
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        cfg = self.write_config(tmp_path)
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg), "--out", str(blocker / "out"))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and "a_file" in err
+
     def test_minimizer_csv_holds_cell_midpoints_and_the_cell_values(self, capsys, tmp_path):
         cfg_path = self.write_config(tmp_path)
         out_dir = tmp_path / "out"
@@ -726,6 +736,21 @@ class TestParser:
         assert cli.build_parser.cache_info().misses == 1
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("fault", [KeyError("lambda"), ValueError("a fault"), ZeroDivisionError()])
+    def test_a_fault_of_the_program_is_not_a_config_error(self, capsys, monkeypatch, fault):
+        # Only ConfigError and OSError exit 2: any other exception of a
+        # handler is a fault and reaches the caller as it was raised.
+        def broken(L):
+            raise fault
+
+        monkeypatch.setattr(cli, "critical_lambda", broken)
+        with pytest.raises(type(fault)) as caught:
+            main(["exact", "critical-lambda", "--L", "1"])
+        assert caught.value is fault
+        assert capsys.readouterr() == ("", "")
+
+
 class TestLibraryDefaults:
     """An option left out takes the library's default, not a copy in the CLI."""
 
@@ -803,6 +828,17 @@ class TestImportFootprint:
         # svgplot, and so loads no scipy module at all.
         ran, scipy_modules = self.probe("import kwcseg.cli\n")
         assert ran == [] and scipy_modules == []
+
+    def test_a_closed_form_command_loads_no_scipy_module(self):
+        # The parser runs flow and experiments, and flow loads SciPy only at
+        # its first tridiagonal solve.
+        ran, scipy_modules = self.probe(
+            "import contextlib, io, kwcseg.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert kwcseg.cli.main(['exact', 'critical-lambda', '--L', '1']) == 0\n"
+        )
+        assert "kwcseg.flow" in ran  # the probe sees the layer run
+        assert scipy_modules == []
 
     def test_a_flow_run_loads_scipy_linalg_only(self):
         # Together the heavy modules added about 24 MB to the resident memory of a run.

@@ -3,6 +3,7 @@ on linear data."""
 
 import decimal
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -228,6 +229,28 @@ class TestCriticalLambda:
         # 24 / ((d1 + d2)(1 + d1)(1 + d2)) with d1 = L / m overflows for a subnormal L.
         with pytest.raises(ConfigError, match="L = 5e-324 is inf, not a finite float"):
             transition_lambda(5e-324, 1)
+        # At m = 3 both L / m and L / (m + 1) round to 0.0, a zero divisor.
+        with pytest.raises(ConfigError, match="L = 5e-324 is inf, not a finite float"):
+            transition_lambda(5e-324, 3)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: critical_lambda(1e308), "the critical lambda at L = 1e+308"),
+            (lambda: critical_lambda(1e110), "the critical lambda at L = 1e+110"),
+            (lambda: transition_lambda(1e110, 3), "the 3-to-4-jump transition lambda at L = 1e+110"),
+            (lambda: lambda_for_jump_count(1e110, 2), "the 1-to-2-jump transition lambda at L = 1e+110"),
+            # Each transition weight is about 1e-179, so their product underflows.
+            (lambda: lambda_for_jump_count(1e60, 2), "the weight of the 2-jump ladder at L = 1e+60"),
+            (lambda: lambda_for_jump_count(1e-200, 2), "the weight of the 2-jump ladder at L = 1e-200"),
+        ],
+        ids=["critical_1e308", "critical_1e110", "transition_1e110", "weight_1e110", "weight_1e60", "weight_1e-200"],
+    )
+    def test_a_weight_that_rounds_to_zero_or_overflows_is_rejected(self, call, name):
+        # Each weight is positive in closed form, so 0.0 is an underflow, and
+        # at lambda = 0 no two ladders tie.
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} is (0.0|inf), not a finite float"):
+            call()
 
 
 class TestOptimalJumpLocation:
@@ -320,6 +343,14 @@ class TestEqualJumpVerdict:
     def test_rejects_non_finite_arguments(self, c, lam):
         with pytest.raises(ValueError, match="finite"):
             equal_jump_verdict(kwc_kernel(1.0), c, lam)
+
+    @pytest.mark.parametrize("kappa, c", [(1.0, 1e308), (1e200, 1e200)])
+    def test_terms_out_of_float_range_are_rejected(self, kappa, c):
+        # (1 + kappa c) ** 3 raises OverflowError at c = 1e308.  At kappa = c =
+        # 1e200, kappa c is inf, so phi(0) is 0.0 and phi(c) is inf / inf = nan,
+        # which read as the pattern "+-" where the true phi(c) ~ 1 / c gives "+".
+        with pytest.raises(ConfigError, match=re.escape(f"out of float range at kappa={kappa!r}, c={c!r}")):
+            equal_jump_verdict(kwc_kernel(kappa), c, 1.0)
 
     def test_flat_and_linear_kernels(self):
         # Both split costs are constant for |z| < c: any fidelity weight

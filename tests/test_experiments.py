@@ -202,7 +202,7 @@ class TestRunAndArtifacts:
     def test_artifact_files_exist_and_have_contracted_headers(self, tmp_path):
         rec = xp.run_experiment(tiny_spec(models=("rof", "kwc")), out_dir=tmp_path)
         assert list(rec.results) == ["rof", "kwc"]
-        assert rec.wall_time > 0
+        assert rec.summary["wall_time_seconds"] > 0
         for paths in rec.artifacts.values():
             if isinstance(paths, dict):
                 for p in paths.values():

@@ -5,7 +5,9 @@ The first test holds each public real-valued parameter to the rule of
 property tests run ``kwcseg oracle solve`` and ``kwcseg flow run`` in
 process on tiny configs whose every field is either a valid value, junk,
 missing or written under a misspelt key; each run must exit 0 or 2 and
-nothing may escape ``main``.
+nothing may escape ``main``.  The ``exact`` and ``check-kernel`` commands
+are fuzzed the same way on float flags at the edges of float range, and a
+run that exits 0 must print only finite positive numbers.
 """
 
 import contextlib
@@ -357,6 +359,7 @@ def test_data_that_overflow_floats_exit_2_with_no_warning(workdir, data, pin):
 # Closed forms whose result is not a finite float, each with a field it names.
 OVERFLOWING_CLOSED_FORMS = {
     "critical_lambda_L_5e-324": (("critical-lambda", "--L", "5e-324"), "L"),
+    "critical_lambda_L_1e308": (("critical-lambda", "--L", "1e308"), "L"),  # rounds to 0.0
     "linear_table_L_1e300": (
         ("energy-table", "--L", "1e300", "--lambda", "1", "--m-max", "2", "--kind", "linear"), "L"
     ),
@@ -377,3 +380,78 @@ def test_closed_forms_that_overflow_floats_exit_2_with_no_warning(argv, field):
     assert code == 2 and out.getvalue() == "" and caught == []
     assert err.getvalue().startswith("config error: ") and "not a finite float" in err.getvalue()
     assert re.search(rf"(?<!\w){field}(?!\w)", err.getvalue()), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--c", "1e308", "--lambda", "1"), ("--c", "1e200", "--kappa", "1e200", "--lambda", "1")],
+    ids=["power_overflows", "phi_c_is_nan"],
+)
+def test_a_verdict_out_of_float_range_exits_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["exact", "verdict", *argv])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("config error: ") and "kappa=" in err.getvalue() and "c=" in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# The closed-form commands on fuzzed flags: each float flag is drawn from the
+# edges of float range, or from a few ordinary values so that a run gets past
+# its first check.
+
+EDGE_FLOATS = ["0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1e-308", "-1e-308", "inf", "-inf", "nan"]
+FLOAT_FLAG = st.sampled_from(EDGE_FLOATS + ["0.5", "1", "3"])
+CLOSED_FORM_COMMANDS = {
+    "check-kernel": ("--M",),
+    "exact bounds": ("--M", "--a", "--b", "--lambda"),
+    "exact critical-lambda": ("--L",),
+    "exact energy-table": ("--L", "--lambda"),
+    "exact verdict": ("--c", "--lambda"),
+}
+
+
+def numbers(obj):
+    """Every number in a JSON value, bools left out."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from numbers(item)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", list(CLOSED_FORM_COMMANDS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_closed_form_commands_exit_0_or_2_on_any_float(command, data):
+    argv = command.split()
+    if command != "exact critical-lambda":
+        kind = data.draw(st.sampled_from(["kwc", "linear", "potts"]), label="kind")
+        argv += [f"--kind={kind}"]
+        for flag in ("--kappa", "--height"):
+            value = data.draw(st.one_of(st.none(), FLOAT_FLAG), label=flag)
+            argv += [] if value is None else [f"{flag}={value}"]
+    argv += [f"{flag}={data.draw(FLOAT_FLAG, label=flag)}" for flag in CLOSED_FORM_COMMANDS[command]]
+    if command == "exact energy-table":
+        argv += [f"--m-max={data.draw(st.integers(1, 3), label='m-max')}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error: ") and out.getvalue() == ""
+        return
+    if command == "exact energy-table":
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        values = [float(value) for row in rows for value in row]
+    else:
+        values = list(numbers(json.loads(out.getvalue(), parse_constant=_reject_constant)))
+    # Every number these commands print is a weight, a kernel parameter or
+    # constant, a jump count or an energy: each is finite and positive.
+    assert all(math.isfinite(v) and v > 0 for v in values), out.getvalue()
