@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count, check_real
-from .pwc import MAX_NODES, GridSignal, PiecewiseConstant, _require_same_domain
+from .pwc import MAX_NODES, GridSignal, PiecewiseConstant, _require_same_domain, midpoints
 
 MODELS = ("rof", "at", "kwc")
 # The most time steps of one run, round(t_max / dt): far above every run
@@ -502,22 +502,14 @@ _FIT_MARGIN = 5
 def _census_groups(u: GridSignal, threshold: float) -> list:
     d = np.diff(u.samples)
     mask = np.abs(d) > check_real("census threshold", threshold, least=0)
-    x = u.x()
-    mids = 0.5 * (x[:-1] + x[1:])
+    mids = midpoints(u.x())
+    bounds = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
     groups = []
-    i = 0
-    while i < d.size:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < d.size and mask[j + 1]:
-            j += 1
-        chunk = d[i : j + 1]
+    for i, end in zip(bounds[::2], bounds[1::2]):  # each run of edges above the threshold: mask[i:end]
+        chunk = d[i:end]
         weights = np.abs(chunk)
-        pos = float(np.sum(mids[i : j + 1] * weights) / np.sum(weights))
-        groups.append((i, j, pos, float(np.sum(chunk))))
-        i = j + 1
+        pos = float(np.sum(mids[i:end] * weights) / np.sum(weights))
+        groups.append((i, end - 1, pos, float(np.sum(chunk))))
     return groups
 
 
@@ -543,12 +535,8 @@ def plateau_flatness(u: GridSignal, threshold: float) -> list:
     returns a list of (start_node, end_node, variation) for the non-empty
     ones.
     """
-    groups = _census_groups(u, threshold)
-    cuts = [0]
-    for i, j, _pos, _size in groups:
-        cuts.append(i)          # plateau ends at the first edge of the group
-        cuts.append(j + 2)      # next plateau starts after the last edge
-    cuts.append(u.n)
+    # Each plateau ends at the first edge of a group, and the next starts after its last edge.
+    cuts = [0, *(c for i, j, _pos, _size in _census_groups(u, threshold) for c in (i, j + 2)), u.n]
     out = []
     for lo, hi in zip(cuts[::2], cuts[1::2]):
         lo2, hi2 = lo + _FLATNESS_MARGIN, hi - _FLATNESS_MARGIN

@@ -1,11 +1,11 @@
 """Exact global minimization over level-quantized step functions.
 
 The continuum energy is restricted to functions that are constant on each of
-n_cells uniform cells and take values on a fixed level grid.  Per-cell
-fidelity is the exact integral of (u - g)^2 for a ``LinearData``,
-``SineData`` or ``PiecewiseConstant`` g (quadratic in the level value, so
-only three moments per cell are needed) and the midpoint-sampled
-approximation for a ``GridSignal`` g.  Within this finite class
+n_cells uniform cells and take values on a fixed level grid.  A cell's
+fidelity is quadratic in its level, with the cell's width and the data's
+integrals of g and g^2 over it (``data.moments(edges)``) as coefficients:
+exact for a ``LinearData``, ``SineData`` or ``PiecewiseConstant`` g, the
+midpoint rule for a ``GridSignal`` g.  Within this finite class
 dynamic programming over (cell, level) finds the global optimum, which makes
 the module usable as ground truth for both the closed-form theory and the
 gradient-flow solvers on small instances.
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, check_count, check_real
 from .kernel import JumpKernel
-from .pwc import EnergyBreakdown, GridSignal, PiecewiseConstant
+from .pwc import EnergyBreakdown, GridSignal, PiecewiseConstant, midpoints
 
 MAX_CELLS = 2000
 MAX_LEVELS = 400
@@ -209,16 +209,8 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     moments = np.empty((3, n))
     with np.errstate(all="ignore"):  # data that overflow are named below
         edges = np.linspace(a, b, n + 1)
-        h = (b - a) / n
-        moments[0] = h
-        if isinstance(problem.data, GridSignal):
-            gmid = problem.data(cell_midpoints(problem))
-            # (lam/2) * h * (v - g_mid)^2, expanded in v
-            moments[1] = h * gmid
-            moments[2] = h * gmid * gmid
-        else:
-            for i in range(n):
-                moments[1:, i] = problem.data.moments(edges[i], edges[i + 1])
+        moments[0] = (b - a) / n
+        moments[1:] = problem.data.moments(edges)
     bad = np.argwhere(~np.isfinite(moments))
     if bad.size:
         k, i = bad[0]
@@ -735,9 +727,7 @@ def _certified_row(tab: _Tableau, m: int):
 
 def cell_midpoints(problem: OracleProblem) -> np.ndarray:
     """Midpoints of the problem's uniform cells, where a ``GridSignal`` is read."""
-    a, b = problem.data.domain
-    edges = np.linspace(a, b, problem.resolved_cells() + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
+    return midpoints(np.linspace(*problem.data.domain, problem.resolved_cells() + 1))
 
 
 def signal_problem(

@@ -8,7 +8,8 @@ with K a jump kernel.  The data g is a ``LinearData``, a ``SineData``, a
 ``PiecewiseConstant`` (clean step data) or a ``GridSignal`` (samples, read
 by linear interpolation).  Fidelity integrals are closed-form per plateau
 for the first three, and a trapezoid sum on the sample grid for a
-``GridSignal``.
+``GridSignal``.  Each kind's ``moments(edges)`` integrates g and g^2 over
+the cells between the edges (a ``GridSignal`` by the midpoint rule).
 """
 
 import csv
@@ -37,6 +38,11 @@ def _check_domain(dom) -> tuple:
     if not a < b:
         raise ConfigError(f"domain must satisfy a < b, got ({a}, {b})")
     return (a, b)
+
+
+def midpoints(edges: np.ndarray) -> np.ndarray:
+    """Midpoints of the cells between consecutive edges."""
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
 @dataclass(frozen=True)
@@ -82,20 +88,27 @@ class PiecewiseConstant:
     def value_range(self) -> tuple:
         return (min(self.values), max(self.values))
 
-    def _pieces(self, x0: float, x1: float):
-        cuts = [x0] + [b for b in self.breakpoints if x0 < b < x1] + [x1]
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield lo, hi, float(self(0.5 * (lo + hi)))
-
     def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
+        cuts = [x0] + [b for b in self.breakpoints if x0 < b < x1] + [x1]
         try:
-            return sum((value - gv) ** 2 * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
+            return sum((value - float(self(0.5 * (lo + hi)))) ** 2 * (hi - lo) for lo, hi in zip(cuts, cuts[1:]))
         except OverflowError:  # float ** raises on overflow; the misfit is inf, as for analytic data
             return math.inf
 
-    def moments(self, x0: float, x1: float) -> tuple:
-        m1 = sum(gv * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
-        m2 = sum(gv * gv * (hi - lo) for lo, hi, gv in self._pieces(x0, x1))
+    def moments(self, edges: np.ndarray) -> tuple:
+        """Integrals of g and g^2 over the cells between increasing edges:
+        each cell is cut at the breakpoints strictly inside it, each piece is
+        read at its midpoint, and ``np.add.at`` adds a cell's pieces left to
+        right from 0, as ``sum`` does."""
+        bp = np.asarray(self.breakpoints, dtype=float)
+        off_edges = np.searchsorted(edges, bp, side="left") == np.searchsorted(edges, bp, side="right")
+        cuts = np.concatenate([edges, bp[off_edges]])
+        order = np.argsort(cuts, kind="stable")
+        cuts, cell = cuts[order], np.cumsum(order < edges.size)[:-1] - 1  # each piece's cell
+        gv, width = self(midpoints(cuts)), np.diff(cuts)
+        m1, m2 = np.zeros(edges.size - 1), np.zeros(edges.size - 1)
+        np.add.at(m1, cell, gv * width)
+        np.add.at(m2, cell, gv * gv * width)
         return m1, m2
 
     @property
@@ -170,6 +183,12 @@ class GridSignal:
     def value_range(self) -> tuple:
         return (float(self.samples.min()), float(self.samples.max()))
 
+    def moments(self, edges: np.ndarray) -> tuple:
+        """The midpoint rule for the integrals of g and g^2 over uniform cells."""
+        h = (edges[-1] - edges[0]) / (edges.size - 1)
+        g = self(midpoints(edges))
+        return h * g, h * g * g
+
     @classmethod
     def from_csv(cls, path) -> "GridSignal":
         if not isinstance(path, (str, os.PathLike)):
@@ -231,14 +250,14 @@ class LinearData:
         e0 = self.slope * x0 + self.intercept - value
         return (x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0
 
-    def moments(self, x0: float, x1: float) -> tuple:
+    def moments(self, edges: np.ndarray) -> tuple:
+        """Integrals of g and g^2 over the cells between the edges."""
         s, t = self.slope, self.intercept
+        x0, x1 = edges[:-1], edges[1:]
+        # One scalar power per edge: an array's ** 3 may round otherwise.
+        cubes = np.array([x**3 for x in edges])
         m1 = s * (x1 * x1 - x0 * x0) / 2.0 + t * (x1 - x0)
-        m2 = (
-            s * s * (x1**3 - x0**3) / 3.0
-            + s * t * (x1 * x1 - x0 * x0)
-            + t * t * (x1 - x0)
-        )
+        m2 = s * s * (cubes[1:] - cubes[:-1]) / 3.0 + s * t * (x1 * x1 - x0 * x0) + t * t * (x1 - x0)
         return m1, m2
 
 
@@ -270,14 +289,16 @@ class SineData:
 
     def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
         # integral of (value - g)^2 from the exact moments of g.
-        m1, m2 = self.moments(x0, x1)
+        m1, m2 = (float(m[0]) for m in self.moments(np.array([x0, x1])))
         return value * value * (x1 - x0) - 2.0 * value * m1 + m2
 
-    def moments(self, x0: float, x1: float) -> tuple:
+    def moments(self, edges: np.ndarray) -> tuple:
+        """Integrals of g and g^2 over the cells between the edges."""
         a, w = self.amplitude, self.omega
-        m1 = a * (np.cos(w * x0) - np.cos(w * x1)) / w
-        m2 = a * a * ((x1 - x0) / 2.0 - (np.sin(2 * w * x1) - np.sin(2 * w * x0)) / (4.0 * w))
-        return float(m1), float(m2)
+        cos, sin2 = np.cos(w * edges), np.sin(2 * w * edges)
+        m1 = a * (cos[:-1] - cos[1:]) / w
+        m2 = a * a * (np.diff(edges) / 2.0 - (sin2[1:] - sin2[:-1]) / (4.0 * w))
+        return m1, m2
 
 
 def _require_same_domain(u, data) -> None:

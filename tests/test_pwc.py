@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwcseg.errors import ConfigError
 from kwcseg.experiments import write_csv
 from kwcseg.kernel import kwc_kernel, linear_kernel
-from kwcseg.oracle import signal_problem
+from kwcseg.oracle import OracleProblem, _build_tableau, signal_problem
 from kwcseg.pwc import (
     GridSignal,
     LinearData,
@@ -383,3 +385,88 @@ class TestGridSignalData:
         u = PiecewiseConstant((0, 1), (), (0.5,))
         val = fidelity(u, data, 2.0)
         assert val == pytest.approx(0.25, rel=1e-2)
+
+
+def cell_by_cell_moments(data, edges) -> list:
+    """The integrals of g and g^2 over each cell, one cell at a time on
+    Python floats; a step function's piece integrals are added left to
+    right from 0, and a grid signal is read at each cell's midpoint."""
+    edges = edges.tolist()
+    h = (edges[-1] - edges[0]) / (len(edges) - 1)
+    out = []
+    for x0, x1 in zip(edges, edges[1:]):
+        if isinstance(data, LinearData):
+            s, t = data.slope, data.intercept
+            m1 = s * (x1 * x1 - x0 * x0) / 2.0 + t * (x1 - x0)
+            m2 = s * s * (x1**3 - x0**3) / 3.0 + s * t * (x1 * x1 - x0 * x0) + t * t * (x1 - x0)
+        elif isinstance(data, SineData):
+            a, w = data.amplitude, data.omega
+            m1 = a * (np.cos(w * x0) - np.cos(w * x1)) / w
+            m2 = a * a * ((x1 - x0) / 2.0 - (np.sin(2 * w * x1) - np.sin(2 * w * x0)) / (4.0 * w))
+        elif isinstance(data, PiecewiseConstant):
+            cuts = [x0, *(b for b in data.breakpoints if x0 < b < x1), x1]
+            pieces = [(hi - lo, data(0.5 * (lo + hi))) for lo, hi in zip(cuts, cuts[1:])]
+            m1 = sum(gv * width for width, gv in pieces)
+            m2 = sum(gv * gv * width for width, gv in pieces)
+        else:
+            gv = data(0.5 * (x0 + x1))
+            m1, m2 = h * gv, h * gv * gv
+        out.append((float(m1), float(m2)))
+    return out
+
+
+def bits(pairs) -> list:
+    """Each float in hex: equal lists are equal bit for bit, signed zeros included."""
+    return [tuple(float(m).hex() for m in pair) for pair in pairs]
+
+
+@st.composite
+def data_on_cells(draw):
+    """Uniform cell edges over a domain, tiny cells far from the origin
+    among them, and data of one kind on that domain.  Step data hold 0 to
+    3 breakpoints inside each cell, and some breakpoints on edges."""
+    a = draw(st.sampled_from([0.0, -3.0, 1e6, -1e9]))
+    b = a + draw(st.sampled_from([1.0, 1e-3, 1e-6])) * draw(st.floats(0.5, 2.0))
+    n = draw(st.integers(1, 40))
+    edges = np.linspace(a, b, n + 1)
+    real = st.floats(-1e3, 1e3)
+    kind = draw(st.sampled_from(["linear", "sine", "steps", "grid"]))
+    if kind == "linear":
+        return edges, LinearData((a, b), draw(real), draw(real))
+    if kind == "sine":
+        return edges, SineData((a, b), draw(real), draw(st.floats(0.1, 30.0)) / (b - a))
+    if kind == "grid":
+        return edges, GridSignal((a, b), draw(st.lists(real, min_size=2, max_size=60)))
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    bps = set()
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        bps.update(x0 + f * (x1 - x0) for f in draw(st.lists(inside, max_size=3)))
+    bps.update(draw(st.lists(st.sampled_from(edges.tolist()), max_size=4)))
+    bps = sorted(float(x) for x in bps if a < x < b)
+    values = draw(st.lists(real, min_size=len(bps) + 1, max_size=len(bps) + 1))
+    return edges, PiecewiseConstant((a, b), tuple(bps), tuple(values))
+
+
+class TestCellMoments:
+    @settings(max_examples=300)
+    @given(data_on_cells())
+    def test_every_kind_gives_each_cell_its_own_moments_bit_for_bit(self, case):
+        edges, data = case
+        m1, m2 = data.moments(edges)
+        assert bits(zip(m1, m2)) == bits(cell_by_cell_moments(data, edges))
+
+    @settings(max_examples=100)
+    @given(data_on_cells())
+    def test_the_oracle_tableau_holds_the_data_moments(self, case):
+        edges, data = case
+        n = edges.size - 1
+        tab = _build_tableau(OracleProblem(data=data, kernel=kwc_kernel(1.0), lam=1.0, n_cells=n, n_levels=5))
+        a, b = data.domain
+        assert bits([(m,) for m in tab.moments[0]]) == bits([((b - a) / n,)] * n)
+        assert bits(tab.moments[1:].T) == bits(cell_by_cell_moments(data, edges))
+
+    def test_a_cell_of_three_pieces_adds_them_left_to_right(self):
+        # ((0 + p0) + p1) + p2 rounds otherwise than p0 + (p1 + p2) here.
+        data = PiecewiseConstant((0.0, 1.0), (0.1, 0.2), (1.0, 1e16, -1e16))
+        m1, _ = data.moments(np.array([0.0, 0.3]))
+        assert m1[0].hex() == sum([1.0 * 0.1, 1e16 * (0.2 - 0.1), -1e16 * (0.3 - 0.2)]).hex()
