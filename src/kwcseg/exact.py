@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConditionError, ConfigError, check_count, check_real
 from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
-from .pwc import GridSignal, LinearData, PiecewiseConstant, energy
+from .pwc import GridSignal, PiecewiseConstant
 
 
 def _finite(value: float, what: str) -> float:
@@ -92,9 +92,9 @@ def uniform_step_minimizer(L: float, m: int) -> PiecewiseConstant:
 def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None = None) -> float:
     """Energy per unit length of the m-jump ladder against g(x) = x.
 
-    Closed form 1/(d+1) + lam * d^2 / 24 with d = L/m for the rational
-    kernel with kappa = 1; any other kernel is evaluated exactly through the
-    piecewise-constant energy.
+    Closed form K(d)/d + lam * d^2 / 24 with d = L/m: the m jumps of size d
+    cost m K(d), and the m - 1 full plateaus and the two half ones misfit by
+    m d^3 / 12 in all.  The kernel defaults to kwc with kappa = 1.
     """
     check_real("L", L, positive=True)
     check_real("lam", lam, least=0)
@@ -102,11 +102,10 @@ def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None 
     if kernel is None:
         kernel = kwc_kernel(1.0)
     d = L / m
-    with np.errstate(all="ignore"):  # a result that overflows is named below
-        if kernel.kind == "kwc" and kernel.kappa == 1.0:
-            value = 1.0 / (d + 1.0) + lam * d * d / 24.0
-        else:
-            value = energy(uniform_step_minimizer(L, m), LinearData((0.0, L)), kernel, lam).total / L
+    try:
+        value = kernel.unit_cost(d) + lam * d * d / 24.0
+    except ZeroDivisionError:  # a Potts jump L / m that underflowed to 0
+        value = math.inf
     return _finite(value, f"the energy of the {m}-jump ladder at L = {L}, lam = {lam} with kernel {kernel.to_config()}")
 
 

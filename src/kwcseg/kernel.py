@@ -76,6 +76,12 @@ class JumpKernel:
             return float(out)
         return out
 
+    def unit_cost(self, rho: float) -> float:
+        """K(rho) / rho, the cost per unit size of a jump of size rho > 0."""
+        if self.kind == "kwc":
+            return 1 / (1 + self.kappa * rho)
+        return 1.0 if self.kind == "linear" else self.height / rho
+
     def to_config(self) -> dict:
         if self.kind == "kwc":
             return {"kind": "kwc", "kappa": self.kappa}
@@ -123,22 +129,20 @@ def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
     kwc, h / (r1 * r2) for potts and 0 for linear.  For fixed s it is
     smallest at r1 = r2, and along that diagonal it falls as s grows, so
     the infimum sits at r1 = r2 = mass_cap/2.  K(rho)/rho is non-increasing,
-    so linear_floor = K(mass_cap)/mass_cap.  split_gain is None for the
-    linear kernel, whose gain is 0.  A kwc or Potts constant, or
+    so linear_floor is the ``unit_cost`` K(mass_cap)/mass_cap.  split_gain is
+    None for the linear kernel, whose gain is 0.  A kwc or Potts constant, or
     linear_floor / mass_cap, that is not a finite positive float is out of
     float range: ConfigError.
     """
     mass_cap = check_real("mass_cap", mass_cap, positive=True)
+    linear_floor = kernel.unit_cost(mass_cap)
     if kernel.kind == "linear":
-        return mass_cap, None, 1.0
+        return mass_cap, None, linear_floor
     try:
         if kernel.kind == "kwc":
-            k = kernel.kappa
-            split_gain = 2 * k / ((1 + k * mass_cap / 2) * (1 + k * mass_cap))
-            linear_floor = 1 / (1 + k * mass_cap)
+            split_gain = 2 * kernel.kappa / ((1 + kernel.kappa * mass_cap / 2) * (1 + kernel.kappa * mass_cap))
         else:
             split_gain = 4 * kernel.height / mass_cap**2
-            linear_floor = kernel.height / mass_cap
     except (ZeroDivisionError, OverflowError):
         split_gain = linear_floor = math.nan
     if not all(math.isfinite(c) and c > 0 for c in (split_gain, linear_floor, linear_floor / mass_cap)):

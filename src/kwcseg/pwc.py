@@ -6,14 +6,13 @@ The energy of a step function u against data g is
 
 with K a jump kernel.  The data g is a ``LinearData``, a ``SineData``, a
 ``PiecewiseConstant`` (clean step data) or a ``GridSignal`` (samples, read
-by linear interpolation).  Fidelity integrals are closed-form per plateau
-for the first three, and a trapezoid sum on the sample grid for a
-``GridSignal``.  Each kind's ``moments(edges)`` integrates g and g^2 over
-the cells between the edges (a ``GridSignal`` by the midpoint rule).
+by linear interpolation).  Each kind's ``misfit(edges, values)`` integrates
+(v - g)^2 exactly over the cells between the edges, a ``GridSignal`` as its
+linear interpolant, and ``moments(edges)`` integrates g and g^2 over them
+(a ``GridSignal`` by the midpoint rule).
 """
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, check_count, check_keys, check_real
 from .kernel import JumpKernel
 
-_DOMAIN_TOL = 1e-9
+_DOMAIN_TOL = 1e-9  # how far u's domain ends may lie from the data's, per unit of its width
 # The most nodes of a generated or sampled grid: far above every grid the
 # protocols and the benchmark use (1201 nodes at most), and far below one
 # that would exhaust memory before it fails.
@@ -43,6 +42,24 @@ def _check_domain(dom) -> tuple:
 def midpoints(edges: np.ndarray) -> np.ndarray:
     """Midpoints of the cells between consecutive edges."""
     return 0.5 * (edges[:-1] + edges[1:])
+
+
+def _pieces(edges: np.ndarray, points: np.ndarray) -> tuple:
+    """The cells between increasing edges cut at the increasing points inside
+    them: the cuts, and each piece's cell.  ``np.bincount(cell, per_piece,
+    n_cells)`` adds a cell's pieces left to right from 0, as ``sum`` does."""
+    lo, hi = np.searchsorted(edges, points, side="left"), np.searchsorted(edges, points, side="right")
+    cuts = np.concatenate([edges, points[(lo == hi) & (lo > 0) & (lo < edges.size)]])
+    order = np.argsort(cuts, kind="stable")
+    return cuts[order], np.cumsum(order < edges.size)[:-1] - 1
+
+
+def _ramp_misfit(x0, x1, e0, e1):
+    # integral over (x0, x1) of e^2 for e linear from e0 to e1 =
+    # [e^3 / (3 e')], with the difference of cubes divided out: e1 - e0 =
+    # e' (x1 - x0).  The sum of squares left is at least (e0^2 + e1^2) / 2,
+    # so nothing cancels when the slope is small against the misfit.
+    return (x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0
 
 
 @dataclass(frozen=True)
@@ -88,28 +105,17 @@ class PiecewiseConstant:
     def value_range(self) -> tuple:
         return (min(self.values), max(self.values))
 
-    def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
-        cuts = [x0] + [b for b in self.breakpoints if x0 < b < x1] + [x1]
-        try:
-            return sum((value - float(self(0.5 * (lo + hi)))) ** 2 * (hi - lo) for lo, hi in zip(cuts, cuts[1:]))
-        except OverflowError:  # float ** raises on overflow; the misfit is inf, as for analytic data
-            return math.inf
+    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Integral of (values[i] - g)^2 over each cell, from its pieces between breakpoints."""
+        cuts, cell = _pieces(edges, np.asarray(self.breakpoints, dtype=float))
+        e = values[cell] - self(midpoints(cuts))
+        return np.bincount(cell, e * e * np.diff(cuts), edges.size - 1)
 
     def moments(self, edges: np.ndarray) -> tuple:
-        """Integrals of g and g^2 over the cells between increasing edges:
-        each cell is cut at the breakpoints strictly inside it, each piece is
-        read at its midpoint, and ``np.add.at`` adds a cell's pieces left to
-        right from 0, as ``sum`` does."""
-        bp = np.asarray(self.breakpoints, dtype=float)
-        off_edges = np.searchsorted(edges, bp, side="left") == np.searchsorted(edges, bp, side="right")
-        cuts = np.concatenate([edges, bp[off_edges]])
-        order = np.argsort(cuts, kind="stable")
-        cuts, cell = cuts[order], np.cumsum(order < edges.size)[:-1] - 1  # each piece's cell
+        """Integrals of g and g^2 over each cell, from its pieces between breakpoints."""
+        cuts, cell = _pieces(edges, np.asarray(self.breakpoints, dtype=float))
         gv, width = self(midpoints(cuts)), np.diff(cuts)
-        m1, m2 = np.zeros(edges.size - 1), np.zeros(edges.size - 1)
-        np.add.at(m1, cell, gv * width)
-        np.add.at(m2, cell, gv * gv * width)
-        return m1, m2
+        return np.bincount(cell, gv * width, edges.size - 1), np.bincount(cell, gv * gv * width, edges.size - 1)
 
     @property
     def jump_sizes(self) -> np.ndarray:
@@ -183,6 +189,12 @@ class GridSignal:
     def value_range(self) -> tuple:
         return (float(self.samples.min()), float(self.samples.max()))
 
+    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Integral of (values[i] - g)^2 over each cell, exact for the interpolant, linear between nodes."""
+        cuts, cell = _pieces(edges, self.x())
+        g, v = self(cuts), values[cell]
+        return np.bincount(cell, _ramp_misfit(cuts[:-1], cuts[1:], v - g[:-1], v - g[1:]), edges.size - 1)
+
     def moments(self, edges: np.ndarray) -> tuple:
         """The midpoint rule for the integrals of g and g^2 over uniform cells."""
         h = (edges[-1] - edges[0]) / (edges.size - 1)
@@ -241,14 +253,10 @@ class LinearData:
         va, vb = float(self(self.domain[0])), float(self(self.domain[1]))
         return (min(va, vb), max(va, vb))
 
-    def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
-        # integral of (value - g)^2 = [(s x + t - value)^3 / (3 s)], with the
-        # difference of cubes divided out: e1 - e0 = s (x1 - x0).  The sum
-        # of squares left is at least (e0^2 + e1^2) / 2, so nothing cancels
-        # when the slope is small against the misfit.
-        e1 = self.slope * x1 + self.intercept - value
-        e0 = self.slope * x0 + self.intercept - value
-        return (x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0
+    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Integral of (values[i] - g)^2 over each cell between the edges."""
+        g = self.slope * edges + self.intercept
+        return _ramp_misfit(edges[:-1], edges[1:], g[:-1] - values, g[1:] - values)
 
     def moments(self, edges: np.ndarray) -> tuple:
         """Integrals of g and g^2 over the cells between the edges."""
@@ -287,10 +295,10 @@ class SineData:
                 values.append(float(value))
         return (min(values), max(values))
 
-    def plateau_misfit(self, x0: float, x1: float, value: float) -> float:
-        # integral of (value - g)^2 from the exact moments of g.
-        m1, m2 = (float(m[0]) for m in self.moments(np.array([x0, x1])))
-        return value * value * (x1 - x0) - 2.0 * value * m1 + m2
+    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Integral of (values[i] - g)^2 over each cell, from the exact moments of g."""
+        m1, m2 = self.moments(edges)
+        return values * values * np.diff(edges) - 2.0 * values * m1 + m2
 
     def moments(self, edges: np.ndarray) -> tuple:
         """Integrals of g and g^2 over the cells between the edges."""
@@ -302,7 +310,8 @@ class SineData:
 
 
 def _require_same_domain(u, data) -> None:
-    if abs(u.domain[0] - data.domain[0]) > _DOMAIN_TOL or abs(u.domain[1] - data.domain[1]) > _DOMAIN_TOL:
+    tol = _DOMAIN_TOL * data.domain[1] - _DOMAIN_TOL * data.domain[0]  # the width's share, which cannot overflow
+    if abs(u.domain[0] - data.domain[0]) > tol or abs(u.domain[1] - data.domain[1]) > tol:
         raise ConfigError(f"domain mismatch: u on {u.domain}, data on {data.domain}")
 
 
@@ -332,22 +341,14 @@ def tv_kernel(u: PiecewiseConstant, kernel: JumpKernel) -> float:
     return float(np.sum(kernel.eval(sizes)))
 
 
-def _plateau_edges(u: PiecewiseConstant):
-    a, b = u.domain
-    cuts = (a,) + u.breakpoints + (b,)
-    return zip(cuts, cuts[1:], u.values)
-
-
 def fidelity(u: PiecewiseConstant, data, lam: float) -> float:
-    """(lam / 2) * integral over the domain of (u - g)^2."""
+    """(lam / 2) * integral over the domain of (u - g)^2; the plateaus'
+    misfits are added left to right from 0, and one beyond float range is inf."""
     _require_same_domain(u, data)
-    if isinstance(data, GridSignal):
-        xs = data.x()
-        diff = u(xs) - data.samples
-        integral = float(np.trapezoid(diff * diff, xs))
-    else:
-        integral = sum(data.plateau_misfit(lo, hi, val) for lo, hi, val in _plateau_edges(u))
-    return 0.5 * lam * integral
+    edges = np.array((u.domain[0], *u.breakpoints, u.domain[1]))
+    with np.errstate(over="ignore"):
+        misfits = data.misfit(edges, np.array(u.values))
+    return 0.5 * lam * sum(misfits.tolist())
 
 
 def energy(u: PiecewiseConstant, data, kernel: JumpKernel, lam: float) -> EnergyBreakdown:

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from kwcseg.kernel import JumpKernel
 from kwcseg.oracle import OracleProblem, OracleResult, cell_midpoints
-from kwcseg.pwc import GridSignal, PiecewiseConstant, SineData, _plateau_edges, _require_same_domain
+from kwcseg.pwc import GridSignal, PiecewiseConstant, SineData, _require_same_domain
 
 
 def tv(u: PiecewiseConstant) -> float:
@@ -24,14 +24,23 @@ def tv(u: PiecewiseConstant) -> float:
 
 
 def fidelity_by_quadrature(u: PiecewiseConstant, data, lam: float) -> float:
-    """Reference fidelity path: adaptive quadrature on every plateau.
+    """Reference fidelity path: adaptive quadrature on every plateau, told
+    where the data has kinks (a step function's breakpoints, a grid
+    signal's nodes).
 
     Slow; kept as an independent check of the closed-form integrals.
     """
     _require_same_domain(u, data)
+    kinks = np.array([])
+    if isinstance(data, PiecewiseConstant):
+        kinks = np.array(data.breakpoints)
+    elif isinstance(data, GridSignal):
+        kinks = data.x()
+    cuts = (u.domain[0], *u.breakpoints, u.domain[1])
     integral = 0.0
-    for lo, hi, val in _plateau_edges(u):
-        piece, _err = quad(lambda x: (val - data(x)) ** 2, lo, hi, epsabs=1e-10, limit=200)
+    for lo, hi, val in zip(cuts, cuts[1:], u.values):
+        points = kinks[(lo < kinks) & (kinks < hi)]
+        piece, _err = quad(lambda x: (val - data(x)) ** 2, lo, hi, epsabs=1e-10, limit=200, points=points)
         integral += piece
     return 0.5 * lam * integral
 

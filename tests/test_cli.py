@@ -601,6 +601,21 @@ class TestFlowRun:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    def test_u0_on_half_of_a_tiny_domain_exits_2(self, capsys, tmp_path):
+        # Domain ends may differ by a share of the data's width, not by 1e-9.
+        for name, b in (("g", 2e-10), ("u0", 1e-10)):
+            columns = (np.linspace(0.0, b, 11), np.linspace(0.0, 1.0, 11))
+            experiments_mod.write_csv(tmp_path / f"{name}.csv", ("x", "value"), columns)
+        params = {"model": "kwc", "lam": 5.0, "n": 11, "t_max": 0.05, "epsilon": 1e-12}
+        cfg = {"data": {"csv": str(tmp_path / "g.csv")}, "u0": {"csv": str(tmp_path / "u0.csv")}, "params": params}
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("config error: domain mismatch")
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_exits_3(self, capsys, tmp_path, monkeypatch):
         orig, calls = flow_mod._step, []
 

@@ -99,7 +99,12 @@ class TestUniformStepEnergy:
                     expected = cost(d) / d + lam * d * d / 24.0
                     assert uniform_step_energy(L, m, lam, kernel) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("kernel", [None, potts_kernel(1.0)], ids=["kappa_1_shortcut", "potts"])
+    def test_a_potts_jump_that_underflows_to_zero_is_rejected(self):
+        # L / m rounds to 0.0, so K(d) / d = height / 0.
+        with pytest.raises(ConfigError, match="2-jump ladder at L = 5e-324.* is inf, not a finite float"):
+            uniform_step_energy(5e-324, 2, 1.0, potts_kernel(1.0))
+
+    @pytest.mark.parametrize("kernel", [None, potts_kernel(1.0)], ids=["default", "potts"])
     @pytest.mark.parametrize("m", [0, -2, 1.5, 2.0], ids=["zero", "negative", "fraction", "float"])
     def test_ladder_size_must_be_a_positive_integer(self, kernel, m):
         with pytest.raises(ValueError, match="jump count m"):

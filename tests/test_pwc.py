@@ -229,14 +229,41 @@ class TestFidelity:
         g = LinearData((0, 1))
         assert fidelity(u, g, 10.0) == pytest.approx(5 * fidelity(u, g, 2.0), rel=1e-13)
 
-    def test_quadrature_agrees_with_closed_form(self):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            LinearData((0, 1), 1.3, -0.2),
+            SineData((0, 1)),
+            PiecewiseConstant((0, 1), (0.1, 0.35, 0.36, 0.8), (0.5, -1.0, 2.0, 0.0, 1.5)),
+            GridSignal((0, 1), np.random.default_rng(26).normal(size=23).cumsum()),
+        ],
+        ids=["linear", "sine", "steps", "grid"],
+    )
+    def test_quadrature_agrees_with_closed_form(self, data):
         rng = np.random.default_rng(23)
-        for data in (LinearData((0, 1), 1.3, -0.2), SineData((0, 1))):
-            for _ in range(10):
-                u = random_pwc(rng)
-                exact = fidelity(u, data, 3.0)
-                quad = fidelity_by_quadrature(u, data, 3.0)
-                assert quad == pytest.approx(exact, rel=1e-10, abs=1e-10)
+        for _ in range(10):
+            u = random_pwc(rng)
+            exact = fidelity(u, data, 3.0)
+            quad = fidelity_by_quadrature(u, data, 3.0)
+            assert quad == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (PiecewiseConstant((0, 1), (5e-13, 1 - 1e-12), (1.0, 0.0, 1.0)), 0.0),
+            (GridSignal((0, 1), [0.0, 0.0, 1.0]), pytest.approx(1 / 6, rel=1e-9)),
+        ],
+        ids=["steps", "grid"],
+    )
+    def test_kinks_beyond_the_ends_of_u_are_left_out(self, data, expected):
+        # u's ends lie within the domain tolerance inside the data's, and a
+        # breakpoint or node lies beyond each of them.
+        assert fidelity(PiecewiseConstant((1e-12, 1 - 2e-12), (), (0.0,)), data, 2.0) == expected
+
+    def test_a_domain_that_misses_half_of_a_tiny_one_is_rejected(self):
+        # The ends may differ by a share of the data's width, not by 1e-9.
+        with pytest.raises(ConfigError, match="domain mismatch"):
+            fidelity(PiecewiseConstant((0, 1e-10), (), (0.0,)), LinearData((0, 2e-10)), 1.0)
 
     def test_energy_breakdown_sums(self):
         u = PiecewiseConstant((0, 1), (0.5,), (0.0, 1.0))
@@ -247,11 +274,18 @@ class TestFidelity:
         assert e.total == pytest.approx(13.0 / 18.0, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "data", [PiecewiseConstant((0, 1), (0.5,), (0, 1)), LinearData((0, 1))], ids=["steps", "linear"]
+        "data",
+        [
+            PiecewiseConstant((0, 1), (0.5,), (0, 1)),
+            LinearData((0, 1)),
+            SineData((0, 1)),
+            GridSignal((0, 1), [0.0, 1.0, 0.5]),
+        ],
+        ids=["steps", "linear", "sine", "grid"],
     )
     def test_a_misfit_beyond_float_range_is_an_infinite_energy(self, data):
-        # Step data squares its misfit with float **, which raises on
-        # overflow; the energy is inf for it as for analytic data.
+        # A squared misfit beyond float range is inf for every kind of data,
+        # with no OverflowError and no warning.
         e = energy(PiecewiseConstant((0, 1), (), (1e200,)), data, kwc_kernel(1.0), 1.0)
         assert e.fidelity == math.inf and e.total == math.inf
 
@@ -376,15 +410,17 @@ class TestEnergyGapBounds:
 
 class TestGridSignalData:
     def test_sampled_matches_exact_on_grid_functions(self):
-        # Midpoint integration of sampled data agrees with the closed form
-        # once the underlying signal is itself piecewise constant on cells.
+        # Sampled data is integrated as its linear interpolant: a unit step
+        # sampled on 400 nodes ramps from 0 to 1 over one spacing h, where
+        # (1/2 - g)^2 integrates to h / 12, and misses 1/2 by 1/2 elsewhere.
         n = 400
         x = np.linspace(0, 1, n)
         samples = np.where(x < 0.5, 0.0, 1.0)
         data = GridSignal((0.0, 1.0), samples)
         u = PiecewiseConstant((0, 1), (), (0.5,))
         val = fidelity(u, data, 2.0)
-        assert val == pytest.approx(0.25, rel=1e-2)
+        h = 1.0 / (n - 1)
+        assert val == pytest.approx(0.25 * (1.0 - h) + h / 12.0, rel=1e-14)
 
 
 def cell_by_cell_moments(data, edges) -> list:
@@ -470,3 +506,60 @@ class TestCellMoments:
         data = PiecewiseConstant((0.0, 1.0), (0.1, 0.2), (1.0, 1e16, -1e16))
         m1, _ = data.moments(np.array([0.0, 0.3]))
         assert m1[0].hex() == sum([1.0 * 0.1, 1e16 * (0.2 - 0.1), -1e16 * (0.3 - 0.2)]).hex()
+
+
+def cell_by_cell_misfits(data, edges, values) -> list:
+    """The integral of (v - g)^2 over each cell, one cell at a time on
+    Python floats: linear data by its closed form with nothing to cancel,
+    sine data from its moments, and step data and a grid signal (read as
+    its interpolant) piece by piece between their kinks, with a cell's
+    pieces added left to right from 0."""
+    moments = cell_by_cell_moments(data, edges)
+    edges = edges.tolist()
+    kinks = data.x().tolist() if isinstance(data, GridSignal) else getattr(data, "breakpoints", ())
+    out = []
+    for (x0, x1), v, (m1, m2) in zip(zip(edges, edges[1:]), values, moments):
+        if isinstance(data, LinearData):
+            e0, e1 = data.slope * x0 + data.intercept - v, data.slope * x1 + data.intercept - v
+            out.append((x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0)
+            continue
+        if isinstance(data, SineData):
+            out.append(v * v * (x1 - x0) - 2.0 * v * m1 + m2)
+            continue
+        cuts = [x0, *(x for x in kinks if x0 < x < x1), x1]
+        total = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            if isinstance(data, PiecewiseConstant):
+                e = v - data(0.5 * (lo + hi))
+                total += e * e * (hi - lo)
+            else:
+                e0, e1 = v - data(lo), v - data(hi)
+                total += (hi - lo) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0
+        out.append(total)
+    return out
+
+
+@st.composite
+def plateaus_on_data(draw):
+    """Data and cell edges as ``data_on_cells`` draws them, one value per
+    cell, and, in some draws for a grid signal, every k-th node added to
+    the edges, so that nodes lie both on and between edges."""
+    edges, data = draw(data_on_cells())
+    if isinstance(data, GridSignal) and draw(st.booleans()):
+        edges = np.union1d(edges, data.x()[:: draw(st.integers(1, 3))])
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=edges.size - 1, max_size=edges.size - 1))
+    return edges, data, values
+
+
+class TestCellMisfits:
+    @settings(max_examples=300)
+    @given(plateaus_on_data())
+    def test_every_kind_gives_each_cell_its_own_misfit_bit_for_bit(self, case):
+        edges, data, values = case
+        expected = cell_by_cell_misfits(data, edges, values)
+        assert bits([(m,) for m in data.misfit(edges, np.array(values))]) == bits([(m,) for m in expected])
+        # Where the cells and values are a step function's plateaus, its
+        # fidelity adds their misfits left to right from 0.
+        if np.all(np.diff(edges) > 0) and all(v != w for v, w in zip(values, values[1:])):
+            u = PiecewiseConstant(data.domain, tuple(edges[1:-1].tolist()), tuple(values))
+            assert fidelity(u, data, 3.0).hex() == (0.5 * 3.0 * sum(expected)).hex()
