@@ -40,19 +40,25 @@ def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -
 
     The fidelity-optimal location gamma satisfies
     g(gamma) = (g(alpha) + g(beta)) / 2.  For monotone data the level set is
-    an interval; this returns its infimum, found by bisection to ``tol`` in
-    x.  Constant data returns alpha by the same convention.  A ``GridSignal``
-    that is not monotone on [alpha, beta] is rejected.
+    an interval; this returns its infimum, found by bisection in x to
+    ``tol`` times beta - alpha, so at any scale.  Constant data returns
+    alpha by the same convention.  A ``GridSignal`` that is not monotone on
+    [alpha, beta] is rejected: the test reads the nodes up to 1e-9 of the
+    node spacing outside [alpha, beta] and takes a fall or rise of at most
+    1e-12 of their samples' largest magnitude for rounding.
     """
     if not check_real("alpha", alpha) < check_real("beta", beta):
         raise ConfigError("need alpha < beta")
-    check_real("tol", tol, positive=True)
+    tol = check_real("tol", tol, positive=True)
+    width = tol * beta - tol * alpha  # tol's share of the window, finite for tol <= 1
     ga, gb = float(data(alpha)), float(data(beta))
     if isinstance(data, GridSignal):
         xs = data.x()
-        seg = data.samples[(xs >= alpha - 1e-12) & (xs <= beta + 1e-12)]
+        pad = 1e-9 * data.h
+        seg = data.samples[(xs >= alpha - pad) & (xs <= beta + pad)]
         d = np.diff(seg)
-        if not (np.all(d >= -1e-12) or np.all(d <= 1e-12)):
+        eps = 1e-12 * np.abs(seg).max() if seg.size else 0.0
+        if not (np.all(d >= -eps) or np.all(d <= eps)):
             raise ConfigError("sampled data is not monotone on [alpha, beta]")
     sign = 1.0
     if gb < ga:
@@ -66,7 +72,7 @@ def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -
         return alpha
     lo, hi = alpha, beta
     mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:  # stop at adjacent floats, whatever tol is
+    while hi - lo > width and lo < mid < hi:  # stop at adjacent floats, whatever tol is
         if f(mid) >= target:
             hi = mid
         else:

@@ -29,6 +29,13 @@ float is the one a whole table would hold.  The passes run one after
 another in the caller, and each oracle question holds at most one
 (cells x levels) float table, the bounds below.
 
+Pins.  ``_build_tableau`` resolves ``endpoint_pin`` once, into two rows
+over the levels, ``start`` for the first cell and ``end`` for the last: 0
+at the pinned level and inf elsewhere, or None with free ends.  Every pass
+applies a pin the same way, by adding its row (``_pinned``): the pin of
+its first cell to that cell's cost row, and the other pin to its last row
+before it reads an optimum there.
+
 Budgeted passes (``best_with_m_jumps`` and the tie scan of ``solve``) are
 pruned by an exact forward-backward bound: each state (cell, level) gets
 the least cost F + B - cost of any path through it, with F and B the
@@ -143,8 +150,7 @@ class OracleProblem:
             if uniform:  # a range too narrow for its magnitude, e.g. [2**63, 2**63 + 1]
                 raise ConfigError(f"the data range [{lo}, {hi}] cannot hold n_levels = {size} distinct floats")
             raise ConfigError("levels must be strictly increasing")
-        span = max(hi - lo, 1.0)
-        if lv[0] < lo - 1e-9 * span or lv[-1] > hi + 1e-9 * span:
+        if lv[0] < lo - 1e-9 * (hi - lo) or lv[-1] > hi + 1e-9 * (hi - lo):
             raise ConfigError("levels must lie within the data range")
         return lv
 
@@ -174,7 +180,8 @@ class _Tableau:
     moments: np.ndarray    # (3, n_cells): each cell's m0, m1, m2 (see ``_cost``)
     lam: float
     kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change, symmetric
-    pin: tuple | None      # (first level index, last level index) or None
+    start: np.ndarray | None  # first cell's pin row: 0 at the pinned level, inf elsewhere; None: free
+    end: np.ndarray | None    # last cell's pin row, likewise
 
     @property
     def shape(self) -> tuple:
@@ -220,22 +227,22 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     diffs = np.abs(levels[:, None] - levels[None, :])
     kmat = problem.kernel.eval(diffs)
 
-    pin = None
+    start = end = None
     if problem.endpoint_pin is not None:
         try:
             va, vb = problem.endpoint_pin
         except (TypeError, ValueError):
             raise ConfigError(f"endpoint_pin must be two numbers, got {problem.endpoint_pin!r}") from None
         va, vb = check_real("endpoint_pin", va), check_real("endpoint_pin", vb)
-        lo, hi = problem.data.value_range()
-        slack = 1e-9 * max(hi - lo, 1.0)
+        slack = 1e-9 * (levels[-1] - levels[0])
         if not all(levels[0] - slack <= p <= levels[-1] + slack for p in (va, vb)):
             raise ConfigError(
                 f"endpoint_pin ({va}, {vb}) lies outside the level range "
                 f"[{levels[0]}, {levels[-1]}]"
             )
-        pin = (int(np.argmin(np.abs(levels - va))), int(np.argmin(np.abs(levels - vb))))
-    return _Tableau(edges=edges, levels=levels, moments=moments, lam=problem.lam, kmat=kmat, pin=pin)
+        start, end = np.full((2, levels.size), np.inf)
+        start[np.argmin(np.abs(levels - va))] = end[np.argmin(np.abs(levels - vb))] = 0.0
+    return _Tableau(edges=edges, levels=levels, moments=moments, lam=problem.lam, kmat=kmat, start=start, end=end)
 
 
 def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray) -> OracleResult:
@@ -286,22 +293,18 @@ def _slack(tab: _Tableau) -> float:
     return 64 * 2.0**-53 * bound if 1e-280 < bound < 1e300 else 0.0
 
 
-def _pins(tab: _Tableau) -> tuple:
-    """The start and end rows, 0 at the pinned level and inf elsewhere, or
-    (None, None) with free ends."""
-    if tab.pin is None:
-        return None, None
-    start, end = np.full((2, tab.levels.size), np.inf)
-    start[tab.pin[0]] = end[tab.pin[1]] = 0.0
-    return start, end
+def _pinned(row: np.ndarray, pin, levels=slice(None)) -> np.ndarray:
+    """``row`` plus the pin row ``pin`` at ``levels``, or ``row`` itself at
+    a free end (``pin`` None)."""
+    return row if pin is None else row + pin[levels]
 
 
-def _free_pass(tab: _Tableau, start, parents=None, on_row=None, backward=False) -> np.ndarray:
-    """The free DP over the cells (the reversed cells when ``backward``)
-    from the ``start`` row (None: every level at no cost).  Returns the
-    last row; fills ``parents`` with each cell's best predecessors and
-    hands each cell's row D to ``on_row(i, D)``, when they are given
-    (``table.__setitem__`` fills a table).
+def _free_pass(tab: _Tableau, parents=None, on_row=None, backward=False) -> np.ndarray:
+    """The free DP over the cells (the reversed cells when ``backward``),
+    from the pin of its first cell.  Returns the last row with the other
+    pin added; fills ``parents`` with each cell's best predecessors and
+    hands each cell's row D, which carries no far pin, to ``on_row(i, D)``,
+    when they are given (``table.__setitem__`` fills a table).
 
     From ``_MIN_SKIP_LEVELS`` levels, each transition after the first reads
     only the column block [lo, hi) of the source levels that no witness
@@ -351,9 +354,9 @@ def _free_pass(tab: _Tableau, start, parents=None, on_row=None, backward=False) 
     """
     n, L = tab.shape
     kmat = tab.kmat
+    near, far = (tab.end, tab.start) if backward else (tab.start, tab.end)
     rows = _cost_rows(tab, backward)
-    c = next(rows)
-    D = c if start is None else c + start
+    D = _pinned(next(rows), near)
     buf = np.empty(L * L)
     trans = buf.reshape(L, L)
     targets = np.arange(L)
@@ -390,18 +393,15 @@ def _free_pass(tab: _Tableau, start, parents=None, on_row=None, backward=False) 
             np.add(best, c[first:last], out=D[first:last])
         if on_row is not None:
             on_row(i, D)
-    return D
+    return _pinned(D, far)
 
 
 def _solve_free(tab: _Tableau) -> np.ndarray | None:
     """The free optimum's level sequence, or None when no sequence meets
     the pins."""
     n, L = tab.shape
-    start, end = _pins(tab)
     parents = np.zeros((n, L), dtype=np.int16)
-    D = _free_pass(tab, start, parents)
-    if end is not None:
-        D = D + end
+    D = _free_pass(tab, parents)
     if not np.isfinite(D).any():
         return None
     seq = np.empty(n, dtype=np.int64)
@@ -415,12 +415,8 @@ def _behind(tab: _Tableau) -> tuple:
     """The backward free pass's rows, as one (cells x levels) table B (row
     i: the least cost of cells i..n-1 from each level at cell i, the end
     pin met), and the free optimum, min(B[0] + start)."""
-    n, L = tab.shape
-    start, end = _pins(tab)
-    behind = np.empty((n, L))
-    first = _free_pass(tab, end, None, behind[::-1].__setitem__, backward=True)
-    if start is not None:
-        first = first + start
+    behind = np.empty(tab.shape)
+    first = _free_pass(tab, None, behind[::-1].__setitem__, backward=True)
     return behind, float(first.min())
 
 
@@ -494,8 +490,7 @@ def _start(tab: _Tableau, budget: int, levels: np.ndarray, cost: np.ndarray) -> 
     jump = tab.kmat.copy()
     np.fill_diagonal(jump, np.inf)
     V = np.full((budget + 1, levels.size), np.inf)
-    cost = cost[levels]
-    V[0] = cost if tab.pin is None else np.where(levels == tab.pin[0], cost, np.inf)
+    V[0] = _pinned(cost[levels], tab.start, levels)
     return jump, V
 
 
@@ -507,8 +502,7 @@ def _read_rows(tab: _Tableau, parents, V: np.ndarray, kept: list, read=None, fre
     parents are positions among each cell's ascending ``kept`` levels:
     ``parents[i][j, p]`` is cell i - 1's position before p in row j."""
     last = kept[-1]
-    if tab.pin is not None:
-        V = np.where(last == tab.pin[1], V, np.inf)
+    V = _pinned(V, tab.end, last)
     ends = V.argmin(axis=1)
     values = V[np.arange(len(V)), ends]
     free_row = len(V) - 1 if free else None
@@ -611,14 +605,13 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     are all kept (as above), so its read never meets a -1.
     """
     n, L = tab.shape
-    start = _pins(tab)[0]
     cut = _cut(threshold)
     slack = _slack(tab)
     screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
     no_rows = [None] * (budget + 1), np.full(budget + 1, np.inf), None
     rows = _cost_rows(tab)
     c = next(rows)
-    F, base = (c if start is None else c + start), 0  # F over the levels from base on
+    F, base = _pinned(c, tab.start), 0  # F over the levels from base on
     prev = (F + behind[0] - c <= cut).nonzero()[0]
     survivors = prev.size
     if survivors / (n * L) > _MAX_SURVIVORS:

@@ -223,7 +223,7 @@ class GridSignal:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
             raise ConfigError(f"{path}: every x and value must be finite")
         h = np.diff(x)
-        if not np.allclose(h, h[0], rtol=1e-6, atol=1e-12):
+        if not np.allclose(h, h[0], rtol=1e-6, atol=0.0):  # relative to the spacing, at any scale
             raise ConfigError(f"{path}: nodes are not uniformly spaced")
         return cls((float(x[0]), float(x[-1])), v)
 
@@ -280,7 +280,8 @@ class SineData:
     def __post_init__(self):
         object.__setattr__(self, "domain", _check_domain(self.domain))
         check_real("amplitude", self.amplitude)
-        check_real("omega", self.omega)
+        if check_real("omega", self.omega) == 0:  # the moments divide by omega
+            raise ConfigError(f"omega must be nonzero, got {self.omega!r}")
 
     def __call__(self, x):
         return self.amplitude * np.sin(self.omega * np.asarray(x, dtype=float))

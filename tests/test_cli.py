@@ -668,10 +668,11 @@ class TestConfigsThatUsedToEscape:
             ({"data": {"kind": "generator", "name": "step", "n": 2**63}}, "exceeds the limit 1000000"),
             ({"levels": [0.0, 0.5, 0.5, 1.0]}, "levels must be strictly increasing"),
             ({"levels": [1.0, 0.5, 0.0]}, "levels must be strictly increasing"),
+            ({"data": {"kind": "sine", "omega": 0}}, "omega"),
         ],
         ids=["kappa_null", "level_null", "level_nan", "pin_number", "pin_null", "n_level", "endpoint_pinn", "slop",
              "sed", "csv_path_null", "n_levels_2_63", "n_levels_1e8", "generator_n_2_63", "levels_repeated",
-             "levels_decreasing"],
+             "levels_decreasing", "sine_omega_0"],
     )
     def test_oracle_config(self, capsys, tmp_path, change, field):
         path = tmp_path / "oracle.json"
@@ -719,8 +720,9 @@ class TestConfigsThatUsedToEscape:
             ("x,value\n0,0\n0.5,high\n1,1\n", "bad row"),
             ("x,value\n0,0\n", "need at least two rows"),
             ("x,value\n0,0\n0.1,0\n1,1\n", "nodes are not uniformly spaced"),
+            ("x,value\n0,0\n1e-14,1\n5e-13,2\n9e-13,3\n", "nodes are not uniformly spaced"),
         ],
-        ids=["header", "short_row", "text_value", "single_row", "non_uniform"],
+        ids=["header", "short_row", "text_value", "single_row", "non_uniform", "tiny_non_uniform"],
     )
     @pytest.mark.parametrize("command", ["oracle", "flow"])
     def test_csv_data(self, capsys, tmp_path, command, text, message):

@@ -316,6 +316,26 @@ class TestOptimalJumpLocation:
         # The rising stretch alone is monotone.
         assert 0.0 < optimal_jump_location(wave, 0.0, 1 / 6) < 1 / 6
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13], ids=["unit", "tiny", "huge"])
+    def test_the_monotone_test_is_relative_to_the_samples(self, scale):
+        zigzag = GridSignal((0.0, 1.0), scale * np.array([0.0, 1.0, 0.5, 2.0]))
+        with pytest.raises(ConfigError, match="not monotone"):
+            optimal_jump_location(zigzag, 0.0, 1.0)
+
+    @pytest.mark.parametrize("width", [3.0, 3e-12, 3e12], ids=["unit", "tiny", "huge"])
+    def test_the_default_tolerance_is_relative_to_the_window(self, width):
+        # Linear samples cross their mid-level on [width/3, 2 width/3] at width/2.
+        ramp = GridSignal((0.0, width), np.array([0.0, 1.0, 2.0, 3.0]))
+        loc = optimal_jump_location(ramp, width / 3, 2 * width / 3)
+        assert loc == pytest.approx(width / 2, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("width", [3.0, 3e-12, 3e12], ids=["unit", "tiny", "huge"])
+    def test_the_node_window_is_relative_to_the_spacing(self, width):
+        # The samples rise on [width/3, width]; the fall before it lies outside.
+        data = GridSignal((0.0, width), np.array([5.0, 0.0, 1.0, 2.0]))
+        loc = optimal_jump_location(data, width / 3, width)
+        assert loc == pytest.approx(2 * width / 3, rel=1e-11, abs=0)
+
 
 class TestEqualJumpVerdict:
     def test_forced_across_parameter_grid(self):

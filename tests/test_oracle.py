@@ -288,6 +288,17 @@ def cost_table(tab):
     return np.stack(list(oracle_mod._cost_rows(tab)))
 
 
+def pinned_levels(tab):
+    """The first and last pinned level indices, read off the tableau's pin
+    rows, each 0 at one level and inf at every other."""
+    pins = []
+    for row in (tab.start, tab.end):
+        (at,) = np.flatnonzero(row == 0)
+        assert np.isinf(np.delete(row, at)).all()
+        pins.append(int(at))
+    return tuple(pins)
+
+
 def reference_dp(tab, budget):
     """The oracle's dynamic programs as plain loops over cells, levels k -> l
     and jump counts j.
@@ -300,8 +311,9 @@ def reference_dp(tab, budget):
     cost = cost_table(tab)
     n, L = cost.shape
     inf = math.inf
-    first = [cost[0, l] if tab.pin is None or l == tab.pin[0] else inf for l in range(L)]
-    ends = range(L) if tab.pin is None else [tab.pin[1]]
+    pins = None if tab.start is None else pinned_levels(tab)
+    first = [cost[0, l] if pins is None or l == pins[0] else inf for l in range(L)]
+    ends = range(L) if pins is None else [pins[1]]
 
     def best_end(values):
         end, best = None, inf
@@ -427,12 +439,13 @@ def budget_optimum(tab, m):
     cost = cost_table(tab)
     n, L = cost.shape
     jump = tab.kmat + np.diag(np.full(L, np.inf))
+    first, last = pinned_levels(tab)
     E = np.full((m + 1, L), np.inf)
-    E[0, tab.pin[0]] = cost[0, tab.pin[0]]
+    E[0, first] = cost[0, first]
     for i in range(1, n):
         E[1:] = np.minimum(E[1:], np.min(E[:-1, :, None] + jump, axis=1))
         E += cost[i]
-    return E[m, tab.pin[1]]
+    return E[m, last]
 
 
 class TestParentTables:
@@ -446,11 +459,11 @@ class TestParentTables:
             n_levels=MAX_LEVELS, endpoint_pin=(0.0, 1.0),
         )
         tab = _build_tableau(problem)
-        assert tab.pin == (0, MAX_LEVELS - 1)
+        assert pinned_levels(tab) == (0, MAX_LEVELS - 1)
         res = best_with_m_jumps(problem, m)
         idx = np.searchsorted(tab.levels, sequence_from_result(res, problem))
         assert res.jump_count == m
-        assert (idx[0], idx[-1]) == tab.pin
+        assert (idx[0], idx[-1]) == pinned_levels(tab)
         # Backtracking reads level indices above 255 from the parent table.
         assert idx[:-1].max() > 255
         assert_close(res.energy.total, budget_optimum(tab, m))
@@ -664,6 +677,22 @@ class TestProblemValidation:
             )
             seq = sequence_from_result(solve(p), p)
             assert (seq[0], seq[-1]) == pytest.approx(ends, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12], ids=["unit", "tiny", "huge"])
+    def test_pin_and_level_slacks_are_relative_to_the_range(self, scale):
+        # The data and level range is [0, scale]: 1e-10 of it past an end is
+        # within the slack, 5e-4 of it is not, at every scale.
+        def problem(**kwargs):
+            return OracleProblem(data=LinearData((0.0, 1.0), slope=scale), kernel=K1, lam=1.0, n_cells=10, **kwargs)
+
+        near, far = (1 + 1e-10) * scale, (1 + 5e-4) * scale
+        pinned = problem(n_levels=11, endpoint_pin=(0.0, near))
+        assert sequence_from_result(solve(pinned), pinned)[-1] == scale
+        with pytest.raises(ConfigError, match="^endpoint_pin .* lies outside the level range"):
+            solve(problem(n_levels=11, endpoint_pin=(0.0, far)))
+        assert solve(problem(levels=[0.0, near])).energy.total >= 0
+        with pytest.raises(ConfigError, match="^levels must lie within the data range$"):
+            solve(problem(levels=[0.0, far]))
 
 
 class TestResultShape:
@@ -1066,19 +1095,22 @@ def free_pass_problems(draw):
 
 def free_pass_outputs(tab, backward):
     """Last row, every row and the parent table of one free pass, forward
-    from the first pin or backward over the reversed cells from the last."""
+    from the first pin or backward over the reversed cells from the last.
+    The pass runs without the far pin, so every level of its last row is
+    compared, pinned or not."""
     n, L = tab.shape
-    start = oracle_mod._pins(tab)[1 if backward else 0]
+    near = dataclasses.replace(tab, **{"start" if backward else "end": None})
     parents, values = np.zeros((n, L), dtype=np.int16), np.empty((n, L))
-    last = oracle_mod._free_pass(tab, start, parents, values.__setitem__, backward=backward)
+    last = oracle_mod._free_pass(near, parents, values.__setitem__, backward=backward)
     return last.tobytes(), values.tobytes(), parents.tobytes()
 
 
 def windowed_outputs(tab):
     """The free solve's sequence and its pass's last row, by the pass that
-    keeps only the parents (no ``on_row``)."""
+    keeps only the parents (no ``on_row``).  The pass runs without the end
+    pin, so every level of its last row is compared, pinned or not."""
     n, L = tab.shape
-    last = oracle_mod._free_pass(tab, oracle_mod._pins(tab)[0], np.zeros((n, L), dtype=np.int16))
+    last = oracle_mod._free_pass(dataclasses.replace(tab, end=None), np.zeros((n, L), dtype=np.int16))
     return oracle_mod._solve_free(tab).tobytes(), last.tobytes()
 
 
@@ -1158,10 +1190,9 @@ def two_table_bound(tab):
     """F + B - cost from a forward and a backward free pass, each into a
     table of its own."""
     n, L = tab.shape
-    start, end = oracle_mod._pins(tab)
     forward, backward = np.empty((n, L)), np.empty((n, L))
-    oracle_mod._free_pass(tab, start, None, forward.__setitem__)
-    oracle_mod._free_pass(tab, end, None, backward[::-1].__setitem__, backward=True)
+    oracle_mod._free_pass(tab, None, forward.__setitem__)
+    oracle_mod._free_pass(tab, None, backward[::-1].__setitem__, backward=True)
     return forward + backward - cost_table(tab)
 
 

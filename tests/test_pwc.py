@@ -106,8 +106,14 @@ class TestAnalyticData:
         with pytest.raises(ConfigError, match=field):
             SineData(**kwargs)
 
+    @pytest.mark.parametrize("omega", [0, 0.0, -0.0])
+    def test_sine_data_rejects_a_zero_omega(self, omega):
+        # The moments divide by omega: at 0 they would be nan.
+        with pytest.raises(ConfigError, match="^omega must be nonzero"):
+            SineData((0.0, 1.0), 1.0, omega)
+
     @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.0, 2.0), (0.2, 0.3), (-3.0, -1.0), (1 / 6, 0.5), (0.0, 1 / 6)])
-    @pytest.mark.parametrize("omega", [3.0 * math.pi, -3.0 * math.pi, 0.0, 1.0, 7.5, -0.2, 40.0])
+    @pytest.mark.parametrize("omega", [3.0 * math.pi, -3.0 * math.pi, 1e-6, 1.0, 7.5, -0.2, 40.0])
     @pytest.mark.parametrize("amplitude", [1.0, -2.5, 0.3])
     def test_sine_range_holds_the_data_and_is_attained(self, domain, omega, amplitude):
         data = SineData(domain, amplitude, omega)
@@ -153,6 +159,18 @@ class TestGridSignal:
         back = GridSignal.from_csv(path)
         assert back.domain == g.domain
         np.testing.assert_allclose(back.samples, g.samples, rtol=0, atol=1e-15)
+
+    def test_csv_spacing_is_checked_relative_to_the_spacing(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        # Spacings 1e-14, 4.9e-13 and 4e-13: not uniform, however small.
+        path.write_text("x,value\n0,0\n1e-14,1\n5e-13,2\n9e-13,3\n")
+        with pytest.raises(ConfigError, match="nodes are not uniformly spaced"):
+            GridSignal.from_csv(path)
+        path.write_text("x,value\n0,0\n3e-13,1\n6e-13,2\n9e-13,3\n")
+        g = GridSignal.from_csv(path)
+        assert g.domain == (0.0, 9e-13)
+        np.testing.assert_allclose(g.x(), [0.0, 3e-13, 6e-13, 9e-13], rtol=1e-15, atol=0)
+        assert g.samples.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_csv_rejects_non_finite_samples(self, tmp_path, bad):
