@@ -16,6 +16,9 @@ from .errors import ConditionError, ConfigError, check_count, check_real
 from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
 from .pwc import GridSignal, PiecewiseConstant
 
+# ``optimal_jump_location`` bisects to this share of its window.
+LOCATION_TOL = 1e-12
+
 
 def _finite(value: float, what: str) -> float:
     """``value``, a closed-form result that must be a finite float above 0
@@ -35,13 +38,14 @@ def _int_part(r: float) -> int:
     return k + 1 if k + 1 - r <= 8 * math.ulp(r) else k
 
 
-def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -> float:
+def optimal_jump_location(data, alpha: float, beta: float) -> float:
     """Where a single jump between plateau heights g(alpha), g(beta) must sit.
 
     The fidelity-optimal location gamma satisfies
     g(gamma) = (g(alpha) + g(beta)) / 2.  For monotone data the level set is
     an interval; this returns its infimum, found by bisection in x to
-    ``tol`` times beta - alpha, so at any scale.  Constant data returns
+    ``LOCATION_TOL`` = 1e-12 of beta - alpha, so at any scale, or to
+    adjacent floats where they are farther apart.  Constant data returns
     alpha by the same convention.  A ``GridSignal`` that is not monotone on
     [alpha, beta] is rejected: the test reads the nodes up to 1e-9 of the
     node spacing outside [alpha, beta] and takes a fall or rise of at most
@@ -49,8 +53,7 @@ def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -
     """
     if not check_real("alpha", alpha) < check_real("beta", beta):
         raise ConfigError("need alpha < beta")
-    tol = check_real("tol", tol, positive=True)
-    width = tol * beta - tol * alpha  # tol's share of the window, finite for tol <= 1
+    width = LOCATION_TOL * beta - LOCATION_TOL * alpha  # finite, as beta - alpha may not be
     ga, gb = float(data(alpha)), float(data(beta))
     if isinstance(data, GridSignal):
         xs = data.x()
@@ -72,7 +75,7 @@ def optimal_jump_location(data, alpha: float, beta: float, tol: float = 1e-12) -
         return alpha
     lo, hi = alpha, beta
     mid = 0.5 * (lo + hi)
-    while hi - lo > width and lo < mid < hi:  # stop at adjacent floats, whatever tol is
+    while hi - lo > width and lo < mid < hi:  # or stop at adjacent floats
         if f(mid) >= target:
             hi = mid
         else:

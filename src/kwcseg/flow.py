@@ -39,6 +39,7 @@ use grids with h well below eps.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ MODELS = ("rof", "at", "kwc")
 MAX_STEPS = 10**7
 
 TRACE_COLUMNS = ("t", "energy", "change_rate", "prox_gap")
+# A run is steady once two consecutive steps have a change rate (see
+# ``run``) below this: relative to max|u|, so the same at every data scale.
+STEADY_RATE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,6 @@ class FlowParams:
     sigma: float = 1.0
     epsilon: float = 0.005
     t_max: float = 100.0
-    steady_tol: float = 1e-9
     bc_u: str = "neumann"
     pre_relax: bool = False
     output_stride: int = 10
@@ -80,7 +83,7 @@ class FlowParams:
             raise ConfigError(f"pre_relax must be true or false, got {self.pre_relax!r}")
         check_count("n", self.n, least=2, most=MAX_NODES)
         check_count("output_stride", self.output_stride, least=1)
-        for name in ("lam", "sigma", "steady_tol"):
+        for name in ("lam", "sigma"):
             check_real(name, getattr(self, name), least=0)
         for name in ("dt", "epsilon", "t_max"):
             check_real(name, getattr(self, name), positive=True)
@@ -410,7 +413,17 @@ def _flow_state(g: GridSignal, t: float, u: np.ndarray, v: np.ndarray | None, en
 def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
     """u and the data g (u itself for a lone signal) on one grid of
     ``params.n`` nodes, whose spacing h (the data's own, 1/(n - 1) only on
-    [0, 1]) the interface width resolves."""
+    [0, 1]) the interface width resolves and whose u-step sigma keeps in
+    float range.
+
+    The u-step of every model has the shift s = (lam + 1/dt) h on its
+    diagonal and edge weights w <= sigma.  The at step's tridiagonal matrix
+    adds up to 4 sigma / h to a diagonal entry and takes it off the row
+    again, so s must survive that sum or the matrix is singular in floats.
+    The TV step's duality gap (``prox_certificate``) sums the squares of n
+    residuals, each up to 2 sigma from the dual and, with room for as much
+    again from the data, divides by 2 s: 8 n sigma^2 / s must be finite.
+    """
     if u.n != g.n or u.n != params.n:
         nodes = f"u has {u.n} nodes" if u is g else f"g has {g.n} nodes, u has {u.n}"
         raise ConfigError(f"grid mismatch: {nodes}, params.n = {params.n}")
@@ -424,6 +437,15 @@ def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
             f"epsilon = {params.epsilon} is out of range for the grid spacing h = {h}: "
             "h/epsilon and epsilon/h must be finite and the damage matrix diagonally dominant"
         )
+    sigma, shift = params.sigma, h / params.dt + params.lam * h
+    if params.model == "at":
+        coupling = 4.0 * sigma / h
+        fits, rule = shift + coupling > coupling, "the shift (lam + 1/dt) h must survive 4 sigma/h"
+    else:
+        fits = 8.0 * params.n * sigma * sigma < sys.float_info.max * shift
+        rule = "8 n sigma^2 / ((lam + 1/dt) h) must be finite"
+    if not fits:
+        raise ConfigError(f"sigma = {sigma} is out of range for the {params.model} step at h = {h}: {rule}")
 
 
 def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
@@ -442,9 +464,13 @@ def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:
 def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
     """Integrate the flow until steadiness or t_max.
 
-    Steadiness means the relative sup-norm change of u per unit time drops
-    below steady_tol.  Non-finite values abort with the last finite state
-    and the trace kept on the error for post-mortem.
+    A step's change rate (the trace's ``change_rate``) is the sup-norm
+    change of u per unit time divided by max|u| after the step, with no
+    floor, so it reads the same at every scale of the data: a step with no
+    change has rate 0, and a change when dt max|u| is 0 (u = 0) rate inf.
+    The run is steady once two consecutive steps have a rate below
+    ``STEADY_RATE`` = 1e-9.  Non-finite values abort with the last finite
+    state and the trace kept on the error for post-mortem.
     """
     _check_grid(params, u0, g)
     u = u0.samples.copy()
@@ -475,13 +501,14 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
                 trace=trace,
             )
         change = float(np.abs(u1 - u).max())
-        rate = change / (params.dt * max(1.0, size))
+        scale = params.dt * size
+        rate = change / scale if scale else math.inf if change else 0.0
         trace.append((t1, energy1, rate, math.nan if gap1 is None else gap1))
         u, v, t, energy, gap = u1, v1, t1, energy1, gap1
         steps += 1
         # Two consecutive quiet steps: a cold-started damage field can stall
         # u for exactly one step while v is still forming.
-        quiet_steps = quiet_steps + 1 if rate < params.steady_tol else 0
+        quiet_steps = quiet_steps + 1 if rate < STEADY_RATE else 0
         if quiet_steps >= 2:
             steady = True
             break

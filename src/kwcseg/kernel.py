@@ -62,12 +62,21 @@ class JumpKernel:
         return self.kind != "potts"
 
     def eval(self, rho):
-        """Cost of a jump of size rho (scalar or array, rho >= 0)."""
+        """Cost of a jump of size rho (scalar or array, rho >= 0).
+
+        kwc takes rho / (1 + kappa rho), and 1 / (1/rho + kappa) where
+        kappa rho overflows, so K stays non-decreasing up to 1/kappa.
+        """
         arr = np.asarray(rho, dtype=float)
         if np.any(arr < 0):
             raise ConfigError("jump size must be non-negative")
         if self.kind == "kwc":
-            out = arr / (1.0 + arr * self.kappa)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                den = 1.0 + arr * self.kappa
+                out = arr / den
+                over = np.isinf(den)
+                if over.any():
+                    out = np.where(over, 1.0 / (1.0 / arr + self.kappa), out)
         elif self.kind == "linear":
             out = arr.copy()
         else:
@@ -77,9 +86,12 @@ class JumpKernel:
         return out
 
     def unit_cost(self, rho: float) -> float:
-        """K(rho) / rho, the cost per unit size of a jump of size rho > 0."""
+        """K(rho) / rho, the cost per unit size of a jump of size rho > 0:
+        for kwc 1 / (1 + kappa rho), and (1/rho) / (1/rho + kappa) where
+        kappa rho overflows."""
         if self.kind == "kwc":
-            return 1 / (1 + self.kappa * rho)
+            den = 1 + self.kappa * rho
+            return 1 / den if math.isfinite(den) else (1 / rho) / (1 / rho + self.kappa)
         return 1.0 if self.kind == "linear" else self.height / rho
 
     def to_config(self) -> dict:

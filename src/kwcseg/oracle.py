@@ -279,18 +279,32 @@ def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarra
     return arg, trans.take(arg + offs)
 
 
-def _slack(tab: _Tableau) -> float:
-    """64u * A, the rounding slack of the witness test (``_free_pass``) and
-    of the pruned pass's screen (``_pruned_pass``), or 0 (no skipping, no
-    screen) outside 1e-280 < A < 1e300.  A = n * C + max kmat, with C the
-    upper bound 0.5 * lam * max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the
-    largest |level|."""
+def _size(tab: _Tableau) -> float:
+    """A = n * C + max kmat, a bound on the size of the terms a DP sum of a
+    path with at most one jump adds, with C the upper bound 0.5 * lam *
+    max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the largest |level|; inf or
+    nan where that bound overflows.  A finite free optimum is at most A: a
+    path that keeps its first level and jumps once at the end costs at most
+    that."""
     n, _ = tab.shape
     m0, m1, m2 = np.abs(tab.moments)
     v = max(abs(tab.levels[0]), abs(tab.levels[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: no slack
-        bound = n * (0.5 * tab.lam * float((m0 * v * v + 2.0 * m1 * v + m2).max())) + tab.kmat.max()
-    return 64 * 2.0**-53 * bound if 1e-280 < bound < 1e300 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return n * (0.5 * tab.lam * float((m0 * v * v + 2.0 * m1 * v + m2).max())) + float(tab.kmat.max())
+
+
+def _in_range(size: float) -> bool:
+    """1e-280 < size < 1e300: a multiple of ``size`` by a few hundred u or
+    by 1e-9 neither underflows nor overflows."""
+    return 1e-280 < size < 1e300
+
+
+def _slack(tab: _Tableau) -> float:
+    """64u * A (``_size``), the rounding slack of the witness test
+    (``_free_pass``) and of the pruned pass's screen (``_pruned_pass``), or
+    0 (no skipping, no screen) where A is out of range."""
+    size = _size(tab)
+    return 64 * 2.0**-53 * size if _in_range(size) else 0.0
 
 
 def _pinned(row: np.ndarray, pin, levels=slice(None)) -> np.ndarray:
@@ -434,16 +448,18 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     optimum and whose jump set differs from the minimizer's.
 
     That pass is pruned (``_pruned_pass``) at one threshold, T = free + 2
-    (tie_tolerance + 1e-9) s with s = max(1, |free|), and also finds the
-    minimizer.  T covers the window best + tie_tolerance max(1, |best|):
-    the minimizer's energy best is within 1e-12 s of free (the same terms
-    summed in another order), so the window ends below free +
-    (tie_tolerance (1 + 1e-12) + 1e-12) s, which T's margin of 2e-9 s
-    keeps below T, its own roundings included.  A row of dense energy
-    within the window has a DP cost within 1e-12 of it, so the pruned row
-    is the dense one.  The pass reads the minimizer and the rows of cost
-    at most T only: a row above T is above T dense too, so its energy is
-    above the window either way.  When too many states survive, the
+    (tie_tolerance |free| + 1e-9 (1 + tie_tolerance) A), with A the size of
+    the summed terms (``_size``), and also finds the minimizer.  The
+    minimizer's energy best is within 1e-12 A of free (the same terms
+    summed in another order), so the window best + tie_tolerance |best|
+    ends below free + tie_tolerance |free| + 1e-12 (1 + tie_tolerance) A.
+    A row of dense energy within the window has a DP cost within 1e-12 (1
+    + tie_tolerance) A of it (its terms add up to at most the window, which
+    is below (1 + tie_tolerance) A), so that cost is below T, whose margin
+    also covers its own roundings, and the pruned row is the dense one.
+    The pass reads the minimizer and the rows of cost at most T only: a row
+    above T is above T dense too, so its energy is above the window either
+    way.  When too many states survive, or A or T is out of range, the
     minimizer comes from the free solve and the dense pass runs.
     """
     if tie_scan_jumps is not None:
@@ -452,10 +468,11 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     n, L = tab.shape
     budget = None if tie_scan_jumps is None else min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
     rows = None
-    if budget is not None and _worth_pruning(budget, L):
+    if budget is not None and _worth_pruning(budget, L) and _in_range(size := _size(tab)):
         behind, free = _behind(tab)
-        if math.isfinite(free):
-            T = free + 2.0 * (problem.tie_tolerance + 1e-9) * max(1.0, abs(free))
+        tie = problem.tie_tolerance
+        T = free + 2.0 * (tie * abs(free) + 1e-9 * (1.0 + tie) * size)
+        if math.isfinite(T):
             rows = _pruned_pass(  # reads the rows of cost at most T and the free row, the last
                 tab, budget, behind, T, read=lambda values: [*np.flatnonzero(values[:-1] <= T), budget + 1]
             )
@@ -467,7 +484,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     if budget is None:
         return best
 
-    tol = problem.tie_tolerance * max(1.0, abs(best.energy.total))
+    tol = problem.tie_tolerance * abs(best.energy.total)
     seqs = _budget_pass(tab, budget)[0] if seqs is None else seqs
     # Row m has exactly m jumps, so only the minimizer's row can repeat its jump set.
     own = tuple(np.flatnonzero(np.diff(seq)))

@@ -342,6 +342,17 @@ class TestOracleSolve:
         assert "tie_tolerance" in err
         assert out == ""
 
+    def test_a_kappa_whose_jumps_overflow_costs_each_jump_about_one_over_kappa(self, capsys, tmp_path):
+        cfg = self.write_config(
+            tmp_path, data={"kind": "linear", "slope": 1e10}, kernel={"kind": "kwc", "kappa": 1e300},
+            lam=5.0, n_cells=20, n_levels=11, endpoint_pin=None,
+        )
+        code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 0 and err == ""
+        result = parse_json(out)
+        assert result["jump_count"] == 10
+        assert result["energy"]["tv_k"] == pytest.approx(10 / 1e300, rel=1e-12)
+
     def test_negative_tie_scan_exits_2(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
         code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg), "--tie-scan", "-3")
@@ -503,6 +514,29 @@ class TestFlowRun:
         assert code == 2
         assert err.startswith("config error")
         assert out == ""
+
+    def test_steady_tol_is_an_unknown_key(self, capsys, tmp_path):
+        # The stop rule is fixed: even the old default value is refused, by name.
+        cfg = self.write_config(tmp_path, steady_tol=1e-9)
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: unknown flow params keys") and "steady_tol" in err
+
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    def test_sigma_out_of_range_for_the_step_exits_2(self, capsys, tmp_path, model):
+        path = tmp_path / "flow.json"
+        params = {"model": model, "lam": 50.0, "n": 1000, "t_max": 0.05, "sigma": 1e300}
+        path.write_text(json.dumps({"data": {"generator": "noisy_steps", "n": 1000}, "params": params}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: sigma = 1e+300 is out of range")
+
+    def test_result_params_have_no_steady_tol(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, t_max=0.05)
+        code, _, _ = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 0
+        params = json.loads((tmp_path / "o" / "result.json").read_text())["params"]
+        assert "steady_tol" not in params and params["t_max"] == 0.05
 
     def test_bool_grid_size_exits_2_though_the_data_sets_the_size(self, capsys, tmp_path):
         # A data size different from params.n replaces it; a bad n must fail first.

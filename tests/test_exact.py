@@ -269,9 +269,18 @@ class TestOptimalJumpLocation:
             0.5, abs=1e-12
         )
 
-    def test_tolerance_below_the_float_spacing_ends_at_adjacent_floats(self):
-        loc = optimal_jump_location(LinearData((0, 1)), 0.0, 1.0, tol=1e-300)
-        assert math.nextafter(loc, 0.0) < 0.5 <= loc
+    def test_window_below_the_float_spacing_ends_at_adjacent_floats(self):
+        # 1e-12 of a window of 2^-40 lies far below the float spacing at 1
+        # (2^-52), so the stop at adjacent floats ends the bisection.
+        alpha, beta = 1.0, 1.0 + 2.0**-40
+        loc = optimal_jump_location(LinearData((0, 2)), alpha, beta)
+        mid = 1.0 + 2.0**-41
+        assert math.nextafter(loc, 0.0) < mid <= loc
+        assert alpha < loc < beta
+
+    def test_location_tolerance_is_no_argument(self):
+        with pytest.raises(TypeError, match="tol"):
+            optimal_jump_location(LinearData((0, 1)), 0.0, 1.0, tol=1e-12)
 
     def test_constant_data_degenerates_to_left_end(self):
         loc = optimal_jump_location(LinearData((0, 1), 0.0, 0.5), 0.2, 0.9)

@@ -1,6 +1,7 @@
 """Unit tests for the gradient flows, their inner solver, and diagnostics."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +47,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FlowParams(model="rof", lam=1.0, n=50, dt=-1.0)
 
-    @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"])
+    @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -62,9 +63,12 @@ class TestValidation:
         res = run(g, g, FlowParams(model="rof", lam=1.0, n=50, dt=0.01, t_max=0.006))
         assert res.steps == 1
 
-    def test_negative_steady_tolerance_rejected(self):
-        with pytest.raises(ConfigError, match="steady_tol"):
-            FlowParams(model="rof", lam=1.0, n=50, steady_tol=-1.0)
+    @pytest.mark.parametrize("value", [-1.0, 1e-9, np.nan, np.inf, True])
+    def test_steady_tol_is_no_field(self, value):
+        # The stop rule is fixed (flow.STEADY_RATE): no value of the old
+        # field is taken, a valid one no more than a bad one.
+        with pytest.raises(TypeError, match="steady_tol"):
+            FlowParams(model="rof", lam=1.0, n=50, steady_tol=value)
 
     def test_output_stride_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -75,7 +79,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match=name):
             FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True})
 
-    @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max", "steady_tol"])
+    @pytest.mark.parametrize("name", ["lam", "sigma", "dt", "epsilon", "t_max"])
     def test_reals_reject_a_bool(self, name):
         with pytest.raises(ConfigError, match=name):
             FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True})
@@ -129,6 +133,45 @@ class TestValidation:
         assert np.isfinite(res.state.energy)
         v = steady_damage_profile(g, params)
         assert np.all(np.isfinite(v.samples))
+
+    @pytest.mark.parametrize(
+        "model, sigma", [("at", 1e12), ("at", 1e300), ("kwc", 1e152), ("kwc", 1e305), ("rof", 1e152), ("rof", 1e300)]
+    )
+    def test_sigma_out_of_range_for_the_step_rejected(self, model, sigma):
+        # At n = 1000: at's matrix loses its shift from 1e12 on (singular by
+        # 1e15), and the TV step's duality gap overflows from 1e152 on.
+        g = generate_signal("noisy_steps", n=1000, seed=0)
+        params = FlowParams(model=model, lam=50.0, n=1000, t_max=0.05, sigma=sigma)
+        with pytest.raises(ConfigError, match="sigma"):
+            run(g, g, params)
+        if model != "rof":
+            with pytest.raises(ConfigError, match="sigma"):
+                steady_damage_profile(g, params)
+
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize("n, dt, lam", [(1000, 0.01, 50.0), (101, 1.0, 0.0), (12, 1e-4, 3e3)])
+    def test_largest_sigma_in_range_runs(self, model, n, dt, lam):
+        # The largest sigma the check takes, by bisection over the floats,
+        # runs with no warning (an error here) and a finite energy.
+        g = generate_signal("noisy_steps", n=n, seed=0)
+
+        def params(sigma):
+            return FlowParams(model=model, lam=lam, n=n, dt=dt, t_max=3 * dt, sigma=sigma)
+
+        def taken(sigma):
+            try:
+                flow_mod._check_grid(params(sigma), g, g)
+            except ConfigError:
+                return False
+            return True
+
+        lo, hi = 1.0, 1e308
+        assert taken(lo) and not taken(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            mid = mid if lo < mid < hi else 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if taken(mid) else (lo, mid)
+        assert np.isfinite(run(g, g, params(lo)).state.energy)
 
     def test_steady_damage_profile_grid_mismatch(self):
         with pytest.raises(ConfigError, match="grid mismatch"):
@@ -890,6 +933,44 @@ class TestRofSteadyState:
         p = res.params
         prox = tv_prox(g.samples, p.lam * g.h, np.full(g.n - 1, p.sigma))
         assert np.max(np.abs(res.state.u.samples - prox)) <= 1e-10
+
+
+class TestStopRule:
+    @staticmethod
+    def t_max_state(g, params):
+        """u after all round(t_max / dt) steps of a run from u0 = g with free
+        ends, whatever the stop rule."""
+        u, v = g.samples.copy(), None if params.model == "rof" else np.ones(g.n)
+        w = flow_mod._edge_weights(v, params)
+        for _ in range(round(params.t_max / params.dt)):
+            u, v, w, _, _ = flow_mod._step(u, v, g, params, w)
+        return u
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
+    def test_a_steady_run_ends_at_its_t_max_state_at_every_scale(self, scale):
+        # The rate is relative to max|u| with no floor: a run on data scaled
+        # by 1e-9 stops where the unit run does, not after a few steps.
+        base = generate_signal("noisy_steps", n=200, seed=1)
+        g = GridSignal(base.domain, scale * base.samples)
+        params = FlowParams(model="at", lam=5.0, n=200, t_max=50.0)
+        res = run(g, g, params)
+        assert res.steady and res.steps < 5000
+        assert np.max(np.abs(res.state.u.samples - self.t_max_state(g, params))) <= 1e-10 * scale
+
+    def test_a_step_with_no_change_is_quiet(self):
+        g = GridSignal((0.0, 1.0), np.zeros(11))
+        res = run(g, g, FlowParams(model="kwc", lam=1.0, n=11, t_max=1.0))
+        assert res.steady and res.steps == 2
+        assert [row[2] for row in res.trace[1:]] == [0.0, 0.0]
+
+    def test_a_change_onto_zero_is_not_quiet(self):
+        # Two nodes merge onto their mean 0 in the first step: an infinite
+        # relative rate, then two quiet steps.
+        g = GridSignal((0.0, 1.0), np.array([-1.0, 1.0]))
+        res = run(g, g, FlowParams(model="rof", lam=1.0, n=2, sigma=1e3, t_max=1.0))
+        assert np.array_equal(res.state.u.samples, [0.0, 0.0])
+        assert [row[2] for row in res.trace[1:]] == [math.inf, 0.0, 0.0]
+        assert res.steady and res.steps == 3
 
 
 class TestDivergenceHandling:

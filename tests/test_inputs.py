@@ -52,7 +52,6 @@ REAL_PARAMETERS = {
     "lambda_for_jump_count.L": lambda v: lambda_for_jump_count(v, 2),
     "optimal_jump_location.alpha": lambda v: optimal_jump_location(LINE, v, 2.0),
     "optimal_jump_location.beta": lambda v: optimal_jump_location(LINE, 0.0, v),
-    "optimal_jump_location.tol": lambda v: optimal_jump_location(LINE, 0.0, 1.0, v),
     "equal_jump_verdict.c": lambda v: equal_jump_verdict(K1, v, 1.0),
     "equal_jump_verdict.lam": lambda v: equal_jump_verdict(K1, 1.0, v),
     "jump_bounds.a": lambda v: jump_bounds(K1, v, 2.0, 1.0, 1.0),
@@ -172,7 +171,6 @@ FLOW = config({
         "t_max": fuzzed(st.sampled_from([0.02, 0.03]), optional=False),
         "sigma": fuzzed(unit(0.0, 2.0)),
         "epsilon": fuzzed(unit(0.01, 0.5)),
-        "steady_tol": fuzzed(unit(0.0, 1e-6)),
         "bc_u": fuzzed(st.sampled_from(["neumann", "dirichlet"])),
         "pre_relax": fuzzed(st.booleans()),
         "output_stride": fuzzed(st.integers(1, 5)),
@@ -244,7 +242,7 @@ SIGNALS = {
 FLOW_CONFIG = {
     "params": {
         "model": "kwc", "lam": 10.0, "n": 21, "dt": 0.01, "sigma": 1.0, "epsilon": 0.05, "t_max": 0.05,
-        "steady_tol": 1e-9, "bc_u": "neumann", "pre_relax": False, "output_stride": 2,
+        "bc_u": "neumann", "pre_relax": False, "output_stride": 2,
     },
     "data": SIGNALS["generator"], "u0": SIGNALS["pwc"], "census_threshold": 0.05,
 }
@@ -268,7 +266,7 @@ CAN_BE_VALID = {
     "sine.amplitude": {"minus_1", "2_63"}, "sine.omega": {"minus_1", "2_63"},
     "generator.seed": {"2_63"},
     "flow.census_threshold": {"2_63"},
-    "params.lam": {"2_63"}, "params.sigma": {"2_63"}, "params.steady_tol": {"2_63"},
+    "params.lam": {"2_63"}, "params.sigma": {"2_63"},
     "params.output_stride": {"2_63"}, "params.pre_relax": {"bool"},
 }
 

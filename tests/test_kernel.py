@@ -48,6 +48,28 @@ class TestKwcKernelValues:
         vals = k.eval(s)
         assert np.all(np.diff(vals) >= -1e-15)
 
+    @pytest.mark.parametrize("kappa", [1e300, 1.7e308])
+    def test_jumps_whose_kappa_rho_overflows_cost_about_one_over_kappa(self, kappa):
+        # kappa rho overflows at every jump here but 1: K = 1 / (1/rho +
+        # kappa) there, so K stays non-decreasing instead of falling to 0.
+        # An overflow warning would be an error here.
+        k = kwc_kernel(kappa)
+        s = np.array([0.0, 1.0, 2e10, 1e300, np.inf])
+        vals = k.eval(s)
+        assert k.eval(2e10) == vals[2] and k.eval(0.0) == 0.0
+        assert vals[1] == 1.0 / (1.0 + kappa) and np.all(np.diff(vals) >= 0)
+        np.testing.assert_allclose(vals[2:], 1.0 / kappa, rtol=1e-10, atol=0)
+        assert k.unit_cost(1.0) == 1.0 / (1.0 + kappa)
+        for rho in (2e10, 1e300, math.inf):
+            unit = k.unit_cost(rho)
+            assert unit == (1.0 / rho) / (1.0 / rho + kappa) and unit <= k.unit_cost(1.0)
+
+    def test_overflow_leaves_every_other_cost_bit_for_bit(self):
+        s = np.random.default_rng(13).uniform(0.0, 1e6, size=1000)
+        for kappa in (0.5, 1.0, 2.0):
+            assert np.array_equal(kwc_kernel(kappa).eval(s), s / (1.0 + s * kappa))
+            assert [kwc_kernel(kappa).unit_cost(r) for r in s[:50]] == [1 / (1 + kappa * r) for r in s[:50]]
+
     def test_vanishing_slope_gap_near_zero(self):
         # |K(r)/r - 1| <= kappa * r: the per-unit cost approaches the unit
         # slope at small jumps at a linear rate.

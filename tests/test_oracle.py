@@ -116,6 +116,17 @@ class TestTieInstance:
         for t in r.ties:
             assert t.energy.total == pytest.approx(13 / 18, rel=1e-12)
 
+    @pytest.mark.parametrize("slope", [1e-10, 1e-5, 1.0])
+    def test_the_tie_window_is_relative_at_every_scale(self, slope):
+        # The constant minimizer of a free ramp of slope up to 1 costs 2/9
+        # slope^2; its 1-, 2- and 3-jump rivals cost about slope / 20 (one
+        # level step) a jump, outside a window of 1e-9 of it, though below
+        # 1e-9 in absolute terms at slope 1e-10.
+        p = OracleProblem(data=LinearData((0.0, 1.0), slope), kernel=K1, lam=16 / 3, n_cells=40, n_levels=21)
+        r = solve(p, tie_scan_jumps=3)
+        assert r.jump_count == 0 and r.ties == ()
+        assert r.energy.total == pytest.approx(2 / 9 * slope**2, rel=1e-12)
+
     def test_restricted_minimizers_match_closed_forms(self):
         p = tie_problem()
         r1 = best_with_m_jumps(p, 1)
@@ -275,7 +286,7 @@ class TestAgainstEnumeration:
         if not optima:
             return
         best = solve(problem, tie_scan_jumps=problem.resolved_cells() - 1)
-        window = problem.tie_tolerance * max(1.0, abs(best.energy.total))
+        window = problem.tie_tolerance * abs(best.energy.total)
         for tie in best.ties:
             assert_close(tie.energy.total, optima[tie.jump_count])
             assert_close(evaluate(sequence_from_result(tie, problem)), tie.energy.total)
@@ -994,7 +1005,7 @@ class TestPrunedRoutes:
         with oracle_constants(**ALWAYS_PRUNE) as mp:
             passes = spy_on(mp, "_pruned_pass")
             best = solve(problem, tie_scan_jumps=scan).energy.total
-        return [args[3] for args, _ in passes], best + problem.tie_tolerance * max(1.0, abs(best))
+        return [args[3] for args, _ in passes], best + problem.tie_tolerance * abs(best)
 
     @settings(max_examples=150)
     @given(pruning_problems())
