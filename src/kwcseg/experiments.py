@@ -440,10 +440,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> RunRecord:
 
 
 def dump_csv(stream, header, columns) -> None:
-    """A header line, then one row per index of ``columns``, every value as .17g."""
+    """A header line, then one row per index of ``columns``, every value as
+    .17g.  Array columns are formatted as Python floats, which is faster
+    than NumPy's and gives the same text."""
     stream.write(",".join(header) + "\n")
-    for row in zip(*columns):
-        stream.write(",".join(f"{value:.17g}" for value in row) + "\n")
+    columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    stream.writelines(template % row for row in zip(*columns))
 
 
 def write_csv(path, header, columns) -> None:

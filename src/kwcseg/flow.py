@@ -423,6 +423,15 @@ def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
     The TV step's duality gap (``prox_certificate``) sums the squares of n
     residuals, each up to 2 sigma from the dual and, with room for as much
     again from the data, divides by 2 s: 8 n sigma^2 / s must be finite.
+
+    The data must fit the terms each model computes.  With R the range of
+    g and u together (every u of the flow stays within it, up to rounding),
+    the fidelity is at most lam |Omega| R^2, with |Omega| = (n - 1) h; the
+    TV or kernel sum at most sigma (n - 1) R for rof and kwc and sigma (n -
+    1) R^2 / h for at; and, for rof and kwc, the certificate's squared
+    residuals, whose data part s (z - u) is at most s R, sum to at most n
+    (s R)^2.  Each is formed as the flow forms it (R R before any weight),
+    and their sum must be finite.
     """
     if u.n != g.n or u.n != params.n:
         nodes = f"u has {u.n} nodes" if u is g else f"g has {g.n} nodes, u has {u.n}"
@@ -446,6 +455,20 @@ def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
         rule = "8 n sigma^2 / ((lam + 1/dt) h) must be finite"
     if not fits:
         raise ConfigError(f"sigma = {sigma} is out of range for the {params.model} step at h = {h}: {rule}")
+    lo = min(float(g.samples.min()), float(u.samples.min()))
+    hi = max(float(g.samples.max()), float(u.samples.max()))
+    R, n = hi - lo, params.n  # Python floats: an overflow is inf, with no warning
+    fidelity = params.lam * (n - 1) * h * (R * R)
+    if params.model == "at":
+        terms, rule = (fidelity, sigma * (n - 1) * (R * R) / h), "lam |Omega| R^2 + sigma (n - 1) R^2 / h"
+    else:
+        terms = (fidelity, sigma * (n - 1) * R, n * (shift * R) * (shift * R))
+        rule = "lam |Omega| R^2 + sigma (n - 1) R + n ((lam + 1/dt) h R)^2"
+    if not math.isfinite(sum(terms)):
+        raise ConfigError(
+            f"the data span [{lo}, {hi}], out of range for the {params.model} flow at h = {h}: "
+            f"with R = {R}, {rule} must be finite"
+        )
 
 
 def steady_damage_profile(u: GridSignal, params: FlowParams) -> GridSignal:

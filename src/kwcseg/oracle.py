@@ -78,11 +78,12 @@ _MIN_SKIP_LEVELS = 250
 # and free rows over each threshold's kept states; the m = 4 tie scans
 # still gain: 36-38 ms pruned against 44 ms dense at 400 x 101, 102-110
 # against 192-201 ms at 800 x 201 (medians of 21 interleaved rounds, 2
-# cores, NumPy 2.4.6).  ``best_with_m_jumps`` tries thresholds 1e-3 and
-# 1e-2 (relative) above the free optimum; at 1e-1, 20-51 % of the states
-# of 2000 x 400 random walks survive.  Above 30 % survivors the dense pass
-# runs: a pruned pass over the 30 % of states with the least bounds took
-# 0.28-0.77 of the dense pass's time, over 50 % 0.69-1.10.
+# cores, NumPy 2.4.6).  ``best_with_m_jumps`` tries the thresholds of
+# widths 1e-3 and 1e-2 of |free| above the free optimum (``_above``, so
+# the same states at every scale of the data); at 1e-1, 20-51 % of the
+# states of 2000 x 400 random walks survive.  Above 30 % survivors the
+# dense pass runs: a pruned pass over the 30 % of states with the least
+# bounds took 0.28-0.77 of the dense pass's time, over 50 % 0.69-1.10.
 _MIN_PRUNE_BUDGET = 3
 _MIN_PRUNE_WORK = 20_000
 _WIDTHS = (1e-3, 1e-2)
@@ -295,7 +296,7 @@ def _size(tab: _Tableau) -> float:
 
 def _in_range(size: float) -> bool:
     """1e-280 < size < 1e300: a multiple of ``size`` by a few hundred u or
-    by 1e-9 neither underflows nor overflows."""
+    by 2**-37 neither underflows nor overflows."""
     return 1e-280 < size < 1e300
 
 
@@ -434,9 +435,14 @@ def _behind(tab: _Tableau) -> tuple:
     return behind, float(first.min())
 
 
-def _cut(threshold: float) -> float:
-    """The largest bound kept at ``threshold`` (see ``_pruned_pass``)."""
-    return threshold + 1e-9 * max(1.0, abs(threshold))
+def _above(value: float, width: float, size: float) -> float:
+    """value + width |value| + (1 + width) (1e-9 |value| + 2**-37 size):
+    every threshold and cut of a pruned pass (``_pruned_pass``), from the
+    free optimum and a relative width (a threshold) or from a threshold
+    and width 0 (its cut), with size = A (``_size``).  It scales with the
+    problem: a power-of-two change of units scales it exactly."""
+    wide = 1.0 + width
+    return value + (width + wide * 1e-9) * abs(value) + wide * 2.0**-37 * size
 
 
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
@@ -447,20 +453,14 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     m-optima whose energy is within tie_tolerance (relative) of the global
     optimum and whose jump set differs from the minimizer's.
 
-    That pass is pruned (``_pruned_pass``) at one threshold, T = free + 2
-    (tie_tolerance |free| + 1e-9 (1 + tie_tolerance) A), with A the size of
-    the summed terms (``_size``), and also finds the minimizer.  The
-    minimizer's energy best is within 1e-12 A of free (the same terms
-    summed in another order), so the window best + tie_tolerance |best|
-    ends below free + tie_tolerance |free| + 1e-12 (1 + tie_tolerance) A.
-    A row of dense energy within the window has a DP cost within 1e-12 (1
-    + tie_tolerance) A of it (its terms add up to at most the window, which
-    is below (1 + tie_tolerance) A), so that cost is below T, whose margin
-    also covers its own roundings, and the pruned row is the dense one.
-    The pass reads the minimizer and the rows of cost at most T only: a row
-    above T is above T dense too, so its energy is above the window either
-    way.  When too many states survive, or A or T is out of range, the
-    minimizer comes from the free solve and the dense pass runs.
+    That pass is pruned (``_pruned_pass``) at one threshold, T =
+    ``_above(free, 2 tie_tolerance, A)``, and also finds the minimizer; it
+    reads the minimizer and the rows of cost at most T only.  Every row of
+    dense energy within the window has a DP cost below T (see
+    ``_pruned_pass``), so it is read and is the dense row, and a row above
+    T is above T dense too, so its energy is above the window either way.
+    When too many states survive, or A or T is out of range, the minimizer
+    comes from the free solve and the dense pass runs.
     """
     if tie_scan_jumps is not None:
         check_count("tie_scan_jumps", tie_scan_jumps)
@@ -470,8 +470,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     rows = None
     if budget is not None and _worth_pruning(budget, L) and _in_range(size := _size(tab)):
         behind, free = _behind(tab)
-        tie = problem.tie_tolerance
-        T = free + 2.0 * (tie * abs(free) + 1e-9 * (1.0 + tie) * size)
+        T = _above(free, 2.0 * problem.tie_tolerance, size)
         if math.isfinite(T):
             rows = _pruned_pass(  # reads the rows of cost at most T and the free row, the last
                 tab, budget, behind, T, read=lambda values: [*np.flatnonzero(values[:-1] <= T), budget + 1]
@@ -578,14 +577,14 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     ``_MAX_SURVIVORS`` of the states have survived.
 
     Kept states.  A state is kept when its bound F + B - cost is at most
-    ``_cut(threshold)``, in the float operations of a bound table filled by
-    two dense passes (B from ``_behind``).  A transition of F reads the
-    sources spanned by the previous cell's kept levels and forms the
-    targets spanned by the candidates.  A target's bound is at least min F
-    + B[target] over its sources (kernel entries are at least 0), so a
-    target whose screen value exceeds the cut by the slack of ``_slack``,
-    widened by 64u of the cut, is above the cut in floats too (its few
-    roundings stay below that slack) and is no candidate.  By induction
+    the cut ``_above(threshold, 0, A)``, in the float operations of a bound
+    table filled by two dense passes (B from ``_behind``).  A transition of
+    F reads the sources spanned by the previous cell's kept levels and
+    forms the targets spanned by the candidates.  A target's bound is at
+    least min F + B[target] over its sources (kernel entries are at least
+    0), so a target whose screen value exceeds the cut by the slack of
+    ``_slack``, widened by 64u of the cut, is above the cut in floats too
+    (its few roundings stay below that slack) and is no candidate.  By induction
     over the cells, every F formed here is at least the dense pass's (a min
     over fewer sources), and equals it at a state the dense table keeps:
     the predecessor on that state's best forward path has a bound no larger
@@ -601,18 +600,46 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     terms as the budgeted one (a stay adds K(0) = 0 exactly) and rounding
     is monotone, so F and B at a state of P are at most P's float prefix
     and suffix sums (for F by induction along P, whose previous state is
-    kept).  Those and V are float sums of at most 2000 terms that are
-    non-negative up to their own rounding, each within 2000 * 2**-53 <
-    3e-13 (relative) of P's exact cost, so every state of P has a bound of
-    at most V * (1 + 1e-12).  When V is at most T * (1 + 1e-10), the cut at
-    T, which keeps bounds up to T + 1e-9 * max(1, |T|), keeps all of them.
-    Restricting a min to a subset can only raise a float DP value, so by
-    induction over the cells every state of P has its dense value and its
-    dense parent here: the dense parent attains the dense minimum, every
-    smaller index stays above it, and ``jumped < stay`` compares two values
-    that are each the dense value, or above it on the side the dense pass
-    did not take.  The final argmin and backtrack then return P.  A pruned
-    optimum of at most T certifies itself: the dense one, V, is at most it.
+    kept).  Those two sums and V each add up P's float terms (n <= 2000
+    costs and m <= 10 kernel entries) in some order, so each is within
+    2010u S of their exact sum, with u = 2**-53 and S the sum of the
+    terms' sizes; with the two roundings of F + B - cost, every state of P
+    has a bound of at most V + 6100u S.  Kernel entries are at least 0 and
+    costs at least -C (C and A = n C + max kmat as in ``_size``), so S
+    exceeds the exact sum by at most 2 n C: S <= 1.01 |V| + 2.01 A.  That
+    A part is the cancellation in the cost sums: a cost that is 0 in
+    exact arithmetic comes out as a rounding of a few u C of either sign,
+    so V and the free optimum may be far below u A (data near a level)
+    while the rounding of their sums is not.  So a bound of P is at most V
+    + 7e-13 |V| + 1.4e-12 A, and two margins cover that: when V <= T, it
+    is at most the cut, T + 1e-9 |T| + 2**-37 A (for V >= 0, |V| <= |T|;
+    V < 0 needs negative costs, and V >= -1.01 A).  Restricting a min to a subset can only raise a float DP
+    value, so by induction over the cells every state of P has its dense
+    value and its dense parent here: the dense parent attains the dense
+    minimum, every smaller index stays above it, and ``jumped < stay``
+    compares two values that are each the dense value, or above it on the
+    side the dense pass did not take.  The final argmin and backtrack then
+    return P.  A pruned optimum of at most T certifies itself: the dense
+    one, V, is at most it.
+
+    Thresholds.  ``best_with_m_jumps`` tries T = ``_above(free, width,
+    A)`` for each of ``_WIDTHS``, and the tie scan of ``solve`` T =
+    ``_above(free, 2 tie_tolerance, A)``.  The scan's minimizer energy best
+    and a row's energy E add up the same float terms as the DP costs free
+    and V in another order (the fidelity pairwise, then the jumps), so each
+    is within 4.5e-13 |x| + 9e-13 A of the other, x either one.  A row
+    inside the window, E <= best + tie_tolerance |best|, then has V <= free
+    + tie_tolerance |free| + (1 + tie_tolerance) (1e-12 |free| + 2.3e-12 A),
+    below T.  At a free optimum of 0 (data on a level) the widths vanish,
+    and T is the A margin alone: the pass keeps the states of bound about
+    0, and a budget whose optimum lies above T is answered by a retry at a
+    pruned value or by the dense pass, exact either way.  A = 0 is outside ``_in_range``, where neither question
+    prunes, so T and its cut never both vanish.  The threshold, the cut and
+    the screen are sums of free (or a pruned optimum), A and the bounds,
+    times fixed constants, so a power-of-two change of units (samples,
+    levels and pins times s, lam / s, a kwc kappa / s, a Potts height s)
+    scales every one of them exactly: the same states survive and the same
+    passes run at every such scale.
 
     Positions are among each cell's kept levels (the smallest position is
     the smallest level), parents among the previous cell's; all budget rows
@@ -622,7 +649,7 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     are all kept (as above), so its read never meets a -1.
     """
     n, L = tab.shape
-    cut = _cut(threshold)
+    cut = _above(threshold, 0.0, _size(tab))
     slack = _slack(tab)
     screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
     no_rows = [None] * (budget + 1), np.full(budget + 1, np.inf), None
@@ -690,9 +717,11 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     """Global optimum among sequences with exactly m level changes.
 
     The budgeted pass is pruned to the states whose path bound is within a
-    threshold T of the free optimum, widened from ``_WIDTHS``; a pruned
-    m-optimum at most T certifies itself (see ``_pruned_pass``).  When too
-    many states survive, or no width certifies, the dense pass runs.
+    threshold T of the free optimum, T = ``_above(free, width, A)`` for
+    each width of ``_WIDTHS`` in turn; a pruned m-optimum at most T
+    certifies itself (see ``_pruned_pass``).  When too many states survive,
+    A (``_size``) is out of range, or no width certifies, the dense pass
+    runs.
     """
     check_count("jump count", m)
     if m > MAX_JUMP_BUDGET:
@@ -710,12 +739,12 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
 def _certified_row(tab: _Tableau, m: int):
     """The m-jump row of ``_budget_pass(tab, m)``, by pruned passes when one
     certifies its result.  Each pass reads row m alone, a pruned pass only
-    when it certifies."""
-    if _worth_pruning(m, tab.shape[1]):
+    when it certifies.  The pruned passes run where the tie scan's do:
+    from ``_worth_pruning`` and with A (``_size``) in range."""
+    if _worth_pruning(m, tab.shape[1]) and _in_range(size := _size(tab)):
         behind, free = _behind(tab)
-        scale = max(1.0, abs(free))
-        widths = iter(_WIDTHS)
-        threshold = free + next(widths) * scale
+        thresholds = (_above(free, width, size) for width in _WIDTHS)
+        threshold = next(thresholds)
         while math.isfinite(threshold):
             rows = _pruned_pass(tab, m, behind, threshold, read=lambda values: [m] if values[m] <= threshold else [])
             if rows is None:
@@ -723,14 +752,9 @@ def _certified_row(tab: _Tableau, m: int):
             seqs, values, _ = rows
             if values[m] <= threshold:
                 return seqs[m]
-            if math.isfinite(values[m]):
-                # A feasible m-jump value: at it, the next pass certifies.
-                threshold = values[m]
-                continue
-            width = next(widths, None)
-            if width is None:
-                break
-            threshold = free + width * scale
+            # A feasible m-jump value: at it, the next pass certifies; else
+            # the next width, and after the last the dense pass.
+            threshold = values[m] if math.isfinite(values[m]) else next(thresholds, math.inf)
         del behind  # freed before the dense pass allocates its parent table
     return _budget_pass(tab, m, read=lambda values: [m])[0][m]
 

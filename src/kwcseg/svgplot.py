@@ -109,7 +109,7 @@ def render(curves, title="") -> str:
         else:
             sy = _scale(c.y, y_lo, y_hi, px_b, px_t)
         sx = _scale(c.x, x_lo, x_hi, px_l, px_r)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(sx, sy))
+        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(sx.tolist(), sy.tolist()))  # Python floats format faster
         dash = f' stroke-dasharray="{c.dash}"' if c.dash else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{c.stroke}" '

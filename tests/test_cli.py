@@ -531,6 +531,17 @@ class TestFlowRun:
         assert code == 2 and out == ""
         assert err.startswith("config error: sigma = 1e+300 is out of range")
 
+    @pytest.mark.parametrize("model, top", [("at", 1e160), ("rof", 1e200), ("kwc", 1e200), ("at", 1e308)])
+    def test_data_out_of_range_for_the_flow_exit_2(self, capsys, tmp_path, model, top):
+        # A pwc step from 0 to top exited 3 after overflow warnings.
+        path = tmp_path / "flow.json"
+        data = {"pwc": {"domain": [0.0, 1.0], "breakpoints": [0.5], "values": [0.0, top]}, "n": 101}
+        path.write_text(json.dumps({"data": data, "params": {"model": model, "lam": 50.0, "n": 101, "t_max": 0.05}}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: the data span [0.0, {top!r}], out of range for the {model} flow")
+        assert err.count("\n") == 1
+
     def test_result_params_have_no_steady_tol(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, t_max=0.05)
         code, _, _ = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))

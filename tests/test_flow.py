@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,49 @@ class TestValidation:
             mid = mid if lo < mid < hi else 0.5 * (lo + hi)
             lo, hi = (mid, hi) if taken(mid) else (lo, mid)
         assert np.isfinite(run(g, g, params(lo)).state.energy)
+
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize("top", [1e160, 1e200, 1e308])
+    def test_data_out_of_range_for_the_flow_rejected(self, model, top):
+        # A pwc step from 0 to top (n = 101, lam = 50): an error naming the
+        # data before any step, with no overflow warning first.
+        g = GridSignal((0.0, 1.0), top * unit_step(101).samples)
+        params = FlowParams(model=model, lam=50.0, n=101, t_max=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"the data span \[0.0, 1e\+\d+\], out of range"):
+                run(g, g, params)
+            with pytest.raises(ConfigError, match=r"the data span \[0.0, 1e\+\d+\]"):
+                run(unit_step(101), g, params)  # u0 counts too
+            if model != "rof":
+                with pytest.raises(ConfigError, match="the data span"):
+                    steady_damage_profile(g, params)
+
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize("n, dt, lam", [(101, 0.01, 50.0), (101, 1.0, 0.0), (12, 1e-4, 3e3)])
+    def test_largest_data_range_in_range_runs(self, model, n, dt, lam):
+        # The largest step height the check takes, by bisection over the
+        # floats, runs with no warning (an error here) and a finite energy.
+        step = unit_step(n).samples
+        params = FlowParams(model=model, lam=lam, n=n, dt=dt, t_max=3 * dt)
+
+        def data(top):
+            return GridSignal((0.0, 1.0), top * step)
+
+        def taken(top):
+            try:
+                flow_mod._check_grid(params, data(top), data(top))
+            except ConfigError:
+                return False
+            return True
+
+        lo, hi = 1.0, 1e308
+        assert taken(lo) and not taken(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            mid = mid if lo < mid < hi else 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if taken(mid) else (lo, mid)
+        assert np.isfinite(run(data(lo), data(lo), params).state.energy)
 
     def test_steady_damage_profile_grid_mismatch(self):
         with pytest.raises(ConfigError, match="grid mismatch"):

@@ -769,10 +769,19 @@ def spy_on(mp, name):
     return calls
 
 
+def change_of_units(s, kernel, lam):
+    """The kernel and weight that, with the data, levels and pins times s,
+    make every energy s times the unit one (s a power of two: exactly)."""
+    scaled = {"kwc": lambda: kwc_kernel(kernel.kappa / s), "potts": lambda: potts_kernel(kernel.height * s)}
+    return scaled.get(kernel.kind, lambda: kernel)(), lam / s
+
+
 @st.composite
 def pruning_problems(draw):
     """Random-walk data on <= 30 cells, <= 12 levels, any kernel, free or
-    pinned ends; dyadic data, levels and weight make exact ties common."""
+    pinned ends; dyadic data, levels and weight make exact ties common.
+    Each is drawn in a change of units s = 2**k, k in [-30, 30]: samples,
+    levels and pins times s, lam / s, a kwc kappa / s, a Potts height s."""
     n = draw(st.integers(1, 30))
     n_levels = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
@@ -784,6 +793,9 @@ def pruning_problems(draw):
     extra = rng.uniform(samples.min(), samples.max(), size=n_levels - 1)
     if draw(st.booleans()):
         samples, extra, lam = np.round(2 * samples) / 2, np.round(4 * extra) / 4, float(round(lam) + 1)
+    s = 2.0 ** draw(st.integers(-30, 30))
+    kernel, lam = change_of_units(s, kernel, lam)
+    samples, extra = s * samples, s * extra
     lo, hi = samples.min(), samples.max()
     levels = np.unique(np.concatenate(([lo], np.clip(extra, lo, hi))))
     pin = None
@@ -1015,7 +1027,10 @@ class TestPrunedRoutes:
             thresholds, window = self.tie_thresholds(problem, scan)
         except ConfigError:  # one cell pinned to two different levels: no pass
             return
-        assert len(thresholds) == 1 and thresholds[0] >= window
+        # A = 0 (data 0 on the one level 0: every cost and jump is 0) is out
+        # of range; there the scan takes the dense route, with no threshold.
+        passes = int(oracle_mod._in_range(oracle_mod._size(_build_tableau(problem))))
+        assert len(thresholds) == passes and all(threshold >= window for threshold in thresholds)
 
     @pytest.mark.parametrize("size", [(400, 101), (800, 201), (1000, 400), (2000, 400)])
     @pytest.mark.parametrize("scan", [3, 4])
@@ -1060,6 +1075,20 @@ class TestPrunedRoutes:
 
     def test_a_cap_walk_reads_only_the_rows_it_returns(self):
         assert_reads_only_what_is_returned(walk_problem(MAX_CELLS, MAX_LEVELS, seed=0), [6, 10], MAX_JUMP_BUDGET)
+
+    @pytest.mark.parametrize("value", [0.0, 0.75])
+    @pytest.mark.parametrize("constants", [{}, ALWAYS_PRUNE], ids=["default", "always_prune"])
+    def test_constant_data_on_a_level_with_a_free_optimum_of_zero(self, constants, value):
+        # Every width vanishes at free = 0: each threshold is the A margin alone.
+        levels = np.unique(np.append(np.linspace(value - 0.5, value + 0.5, 100), value))
+        problem = signal_problem(GridSignal((0.0, 1.0), np.full(61, value)), K1, 200.0, levels=levels)
+        tab = _build_tableau(problem)
+        assert oracle_mod._behind(tab)[1] == 0.0
+        dense = _budget_pass(tab, 5)[0]
+        with oracle_constants(**constants):
+            for m in range(1, 6):
+                expected = _result_from_sequence(problem, tab, dense[m]).to_json_dict()
+                assert best_with_m_jumps(problem, m).to_json_dict() == expected
 
     def test_pruning_threshold(self):
         worth = oracle_mod._worth_pruning
@@ -1207,6 +1236,11 @@ def two_table_bound(tab):
     return forward + backward - cost_table(tab)
 
 
+def cut_of(tab, threshold):
+    """The largest bound that the pruned pass at ``threshold`` keeps."""
+    return oracle_mod._above(threshold, 0.0, oracle_mod._size(tab))
+
+
 def pruned_kept(tab, behind, threshold):
     """The kept levels of each cell (None when the pass stops at a cell
     that keeps none) and the output of the pruned pass at ``threshold``,
@@ -1232,7 +1266,7 @@ class TestBoundTable:
             thresholds.append(free + where * (bound[np.isfinite(bound)].max() - free))
         for threshold in thresholds:
             kept, rows = pruned_kept(tab, behind, threshold)
-            mask = bound <= oracle_mod._cut(threshold)
+            mask = bound <= cut_of(tab, threshold)
             if kept is None:  # a cell keeps no level: no rows
                 assert not mask.any(axis=1).all() and rows[2] is None and np.isinf(rows[1]).all()
             else:
@@ -1248,10 +1282,13 @@ class TestBoundTable:
         bound = two_table_bound(tab)
         behind = oracle_mod._behind(tab)[0]
         for at in np.unique(bound[np.isfinite(bound)])[:16]:
-            threshold = at - 1e-9 * max(1.0, abs(at))
-            while oracle_mod._cut(threshold) < at:
+            # The cut's slope is 1 +- 1e-9: each Newton step leaves 1e-9 of the miss.
+            threshold = at
+            for _ in range(4):
+                threshold -= cut_of(tab, threshold) - at
+            while cut_of(tab, threshold) < at:
                 threshold = np.nextafter(threshold, math.inf)
-            while oracle_mod._cut(np.nextafter(threshold, -math.inf)) >= at:
+            while cut_of(tab, np.nextafter(threshold, -math.inf)) >= at:
                 threshold = np.nextafter(threshold, -math.inf)
             screened = pruned_kept(tab, behind, float(threshold))
             with pytest.MonkeyPatch.context() as mp:
@@ -1441,3 +1478,37 @@ class TestMetamorphic:
         else:
             assert reflected["jump_count"] == base["jump_count"] == m
             assert reflected["energy"]["total"] == pytest.approx(base["energy"]["total"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kernel", [K1, linear_kernel(), potts_kernel(0.3)], ids=["kwc", "linear", "potts"])
+    def test_budgeted_routes_are_the_same_at_every_power_of_two_scale(self, kernel):
+        # In units of s: samples, levels times s, lam / s, kappa / s, height s.
+        walk = np.cumsum(np.random.default_rng(11).normal(size=301))
+        samples, levels = (walk - walk.min()) / (walk.max() - walk.min()), np.linspace(0.0, 1.0, 120)
+
+        def in_units(s):
+            """The answers in unit terms, and the route that gave them."""
+            k, lam = change_of_units(s, kernel, 200.0)
+            problem = signal_problem(GridSignal((0.0, 1.0), s * samples), k, lam, levels=s * levels)
+            with oracle_constants() as mp:
+                passes, dense = spy_on(mp, "_pruned_pass"), spy_on(mp, "_budget_pass")
+                read = spy_on(mp, "_read_rows")
+                scan = solve(problem, tie_scan_jumps=4)
+                found = [solve(problem), *(best_with_m_jumps(problem, m) for m in (3, 6, 10)), scan, *scan.ties]
+            answers = [
+                (
+                    [r.energy.tv_k / s, r.energy.fidelity / s, r.energy.total / s],
+                    np.searchsorted(levels, sequence_from_result(r, problem) / s).tolist(),
+                )
+                for r in found
+            ]
+            route = (
+                [(args[1], args[3] / s, out is None) for args, out in passes],
+                [args[1] for args, _ in dense],
+                [[kept.tolist() for kept in args[3]] for args, _ in read],
+            )
+            return answers, route
+
+        unit = in_units(1.0)
+        assert unit[1][0]  # the route prunes
+        for k in (7, -7, -14):
+            assert in_units(2.0**k) == unit
