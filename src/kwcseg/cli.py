@@ -55,7 +55,7 @@ _DATA_KEYS = {
 _ANALYTIC_DATA = {"linear": LinearData, "sine": SineData}
 # The keys of each grid-signal source besides the source itself.
 _SIGNAL_KEYS = {"generator": ("n", "seed"), "csv": (), "pwc": ("n",)}
-_ORACLE_KEYS = ("n_cells", "n_levels", "levels", "endpoint_pin", "tie_tolerance")
+_ORACLE_KEYS = ("n_cells", "n_levels", "levels", "endpoint_pin")
 
 
 def data_from_config(cfg: dict):

@@ -13,7 +13,11 @@ the n - 1 edges.  The v^2 weight on an edge is the mean of the adjacent
 squared node values, whose exact v-derivative is the half-to-each-node
 lumping of the edge mass; both half-steps of the alternating scheme then
 minimize the same discrete energy, so the per-step energy trace is
-non-increasing up to rounding.
+non-increasing up to rounding.  The at model breaks this at large sigma,
+where its u-step's tridiagonal solve is too ill-conditioned to descend:
+on ``noisy_steps`` (n = 1000, lam = 50, dt = 0.01) the worst per-step
+relative rise is 3.2e-9 at sigma = 1e8 and 6.5e-4 at 1e10, an open item
+of ROADMAP.md.
 
 Time stepping is implicit (proximal), and rof, at and kwc share one step:
 u with v frozen, then v with u frozen.  The non-smooth TV subproblems (rof,
@@ -424,11 +428,22 @@ def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
     residuals, each up to 2 sigma from the dual and, with room for as much
     again from the data, divides by 2 s: 8 n sigma^2 / s must be finite.
 
-    The data must fit the terms each model computes.  With R the range of
-    g and u together (every u of the flow stays within it, up to rounding),
-    the fidelity is at most lam |Omega| R^2, with |Omega| = (n - 1) h; the
-    TV or kernel sum at most sigma (n - 1) R for rof and kwc and sigma (n -
-    1) R^2 / h for at; and, for rof and kwc, the certificate's squared
+    The data must fit the terms each model computes, rounding included.
+    Each exact u-step keeps u within the range [lo, hi] of g and u
+    together: it is a TV prox of, or a solve with an M-matrix on, data in
+    that range.  The float step strays from it by at most e, with M the
+    largest |value| of g and u and r = 2**-53 the unit roundoff.  For rof
+    and kwc e = 2 n r M: a segment mean of up to n values of size M is off
+    by at most (n - 1) r M, the step's data z by a few r M, and the dynamic
+    program's knots, running sums of as many terms, by as much again.  For
+    at e = 16 r M (1 + 8 sigma / (h s)): the tridiagonal solve's backward
+    error, a dozen r of ||A|| M with its right-hand side, times ||A^-1|| <=
+    1/s, and ||A|| <= s + 8 sigma / h.  So u - g and the differences of u
+    are at most R = hi - lo + 2 e, which counts the data's magnitude:
+    constant data of size M have R of order r M, not 0.  With it the
+    fidelity is at most lam |Omega| R^2, with |Omega| = (n - 1) h; the TV
+    or kernel sum at most sigma (n - 1) R for rof and kwc and sigma (n - 1)
+    R^2 / h for at; and, for rof and kwc, the certificate's squared
     residuals, whose data part s (z - u) is at most s R, sum to at most n
     (s R)^2.  Each is formed as the flow forms it (R R before any weight),
     and their sum must be finite.
@@ -457,7 +472,9 @@ def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
         raise ConfigError(f"sigma = {sigma} is out of range for the {params.model} step at h = {h}: {rule}")
     lo = min(float(g.samples.min()), float(u.samples.min()))
     hi = max(float(g.samples.max()), float(u.samples.max()))
-    R, n = hi - lo, params.n  # Python floats: an overflow is inf, with no warning
+    n, M = params.n, max(-lo, hi)  # Python floats: an overflow is inf, with no warning
+    e = 16 * 2.0**-53 * M * (1.0 + 8.0 * sigma / h / shift) if params.model == "at" else 2 * n * 2.0**-53 * M
+    R = hi - lo + 2.0 * e
     fidelity = params.lam * (n - 1) * h * (R * R)
     if params.model == "at":
         terms, rule = (fidelity, sigma * (n - 1) * (R * R) / h), "lam |Omega| R^2 + sigma (n - 1) R^2 / h"
@@ -467,7 +484,7 @@ def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
     if not math.isfinite(sum(terms)):
         raise ConfigError(
             f"the data span [{lo}, {hi}], out of range for the {params.model} flow at h = {h}: "
-            f"with R = {R}, {rule} must be finite"
+            f"with R = {R}, the span plus the rounding at magnitude {M}, {rule} must be finite"
         )
 
 

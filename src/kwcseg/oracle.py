@@ -88,6 +88,8 @@ _MIN_PRUNE_BUDGET = 3
 _MIN_PRUNE_WORK = 20_000
 _WIDTHS = (1e-3, 1e-2)
 _MAX_SURVIVORS = 0.3
+# The tie window of ``solve``, relative to the optimum: alike at every scale.
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,8 @@ class OracleProblem:
     range.  ``endpoint_pin`` forces the first and last cell to the levels
     nearest the given two numbers (boundary conditions of the continuum
     problem); a pin outside the level range is a ``ConfigError`` at solve.
-    ``tie_tolerance`` is the relative energy window within which alternative
-    minimizers count as ties; it and ``lam`` are finite non-negative
-    numbers (not bools).
+    ``lam`` is a finite non-negative number (not a bool).  Ties are judged
+    by the fixed relative window ``TIE_TOLERANCE``.
     """
 
     data: object
@@ -110,11 +111,9 @@ class OracleProblem:
     levels: object = None
     n_levels: int = 101
     endpoint_pin: tuple | None = None
-    tie_tolerance: float = 1e-9
 
     def __post_init__(self):
         check_real("lam", self.lam, least=0)
-        check_real("tie_tolerance", self.tie_tolerance, least=0)
         if self.n_cells is not None:
             check_count("n_cells", self.n_cells, least=1)
         check_count("n_levels", self.n_levels, least=1)
@@ -135,11 +134,17 @@ class OracleProblem:
             lo, hi = self.data.value_range()
         if not math.isfinite(hi - lo):
             raise ConfigError(f"the data overflow floats: their range [{lo}, {hi}] is not a finite interval")
-        if not hi > lo:
-            # Degenerate (constant) data: widen symmetrically so a level
-            # grid exists and still contains the data value.
-            lo, hi = lo - 0.5, hi + 0.5
         uniform = self.levels is None
+        if not hi > lo:
+            # Constant data c: widen by |c|/2 (0.5 at c = 0), so that a
+            # uniform grid exists at every scale and an odd count of levels
+            # has c as its middle level, to rounding; explicit levels may
+            # also lie within c +- 0.5.
+            c, half = lo, 0.5 * abs(lo)
+            wide = (half or 0.5) if uniform else max(half, 0.5)
+            lo, hi = c - wide, c + wide
+            if not math.isfinite(hi - lo):
+                raise ConfigError(f"constant data at {c} overflow floats: their level range is [{lo}, {hi}]")
         if not uniform and (not isinstance(self.levels, (list, tuple, np.ndarray)) or len(self.levels) == 0):
             raise ConfigError(f"levels must be a non-empty list of numbers, got {self.levels!r}")
         size = int(self.n_levels) if uniform else len(self.levels)
@@ -450,11 +455,11 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
 
     With ``tie_scan_jumps`` set, also runs one jump-count-constrained pass
     for the budgets m = 0..tie_scan_jumps and returns, as ties, the
-    m-optima whose energy is within tie_tolerance (relative) of the global
-    optimum and whose jump set differs from the minimizer's.
+    m-optima whose energy is within ``TIE_TOLERANCE`` (relative) of the
+    global optimum and whose jump set differs from the minimizer's.
 
     That pass is pruned (``_pruned_pass``) at one threshold, T =
-    ``_above(free, 2 tie_tolerance, A)``, and also finds the minimizer; it
+    ``_above(free, 2 TIE_TOLERANCE, A)``, and also finds the minimizer; it
     reads the minimizer and the rows of cost at most T only.  Every row of
     dense energy within the window has a DP cost below T (see
     ``_pruned_pass``), so it is read and is the dense row, and a row above
@@ -470,7 +475,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     rows = None
     if budget is not None and _worth_pruning(budget, L) and _in_range(size := _size(tab)):
         behind, free = _behind(tab)
-        T = _above(free, 2.0 * problem.tie_tolerance, size)
+        T = _above(free, 2.0 * TIE_TOLERANCE, size)
         if math.isfinite(T):
             rows = _pruned_pass(  # reads the rows of cost at most T and the free row, the last
                 tab, budget, behind, T, read=lambda values: [*np.flatnonzero(values[:-1] <= T), budget + 1]
@@ -483,7 +488,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     if budget is None:
         return best
 
-    tol = problem.tie_tolerance * abs(best.energy.total)
+    tol = TIE_TOLERANCE * abs(best.energy.total)
     seqs = _budget_pass(tab, budget)[0] if seqs is None else seqs
     # Row m has exactly m jumps, so only the minimizer's row can repeat its jump set.
     own = tuple(np.flatnonzero(np.diff(seq)))
@@ -624,12 +629,12 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
 
     Thresholds.  ``best_with_m_jumps`` tries T = ``_above(free, width,
     A)`` for each of ``_WIDTHS``, and the tie scan of ``solve`` T =
-    ``_above(free, 2 tie_tolerance, A)``.  The scan's minimizer energy best
+    ``_above(free, 2 TIE_TOLERANCE, A)``.  The scan's minimizer energy best
     and a row's energy E add up the same float terms as the DP costs free
     and V in another order (the fidelity pairwise, then the jumps), so each
     is within 4.5e-13 |x| + 9e-13 A of the other, x either one.  A row
-    inside the window, E <= best + tie_tolerance |best|, then has V <= free
-    + tie_tolerance |free| + (1 + tie_tolerance) (1e-12 |free| + 2.3e-12 A),
+    inside the window, E <= best + t |best| with t = ``TIE_TOLERANCE``,
+    then has V <= free + t |free| + (1 + t) (1e-12 |free| + 2.3e-12 A),
     below T.  At a free optimum of 0 (data on a level) the widths vanish,
     and T is the A margin alone: the pass keeps the states of bound about
     0, and a budget whose optimum lies above T is answered by a retry at a

@@ -333,13 +333,16 @@ class TestOracleSolve:
         assert err.startswith("config error")
         assert out == ""
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
-    def test_bad_tie_tolerance_exits_2(self, capsys, tmp_path, tol):
+    @pytest.mark.parametrize(
+        "tol", [1e-9, 0.0, float("nan"), float("inf"), -1.0, True], ids=["1e-9", "0", "nan", "inf", "negative", "bool"]
+    )
+    def test_a_tie_tolerance_key_exits_2(self, capsys, tmp_path, tol):
+        # The tie window is fixed (oracle.TIE_TOLERANCE): the key is named as
+        # unknown, its default value no less than a bad one.
         cfg = self.write_config(tmp_path, tie_tolerance=tol)
         code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg), "--tie-scan", "4")
         assert code == 2
-        assert err.startswith("config error")
-        assert "tie_tolerance" in err
+        assert err == "config error: unknown oracle config keys: ['tie_tolerance']\n"
         assert out == ""
 
     def test_a_kappa_whose_jumps_overflow_costs_each_jump_about_one_over_kappa(self, capsys, tmp_path):
@@ -414,11 +417,10 @@ class TestOracleSolve:
         "field, extra",
         [
             ("lam", {"lam": True}),
-            ("tie_tolerance", {"tie_tolerance": True}),
             ("n", {"data": {"kind": "generator", "name": "step", "n": 7.9}}),
             ("seed", {"data": {"kind": "generator", "name": "noisy_steps", "n": 50, "seed": 2.5}}),
         ],
-        ids=["lam_bool", "tie_tolerance_bool", "generator_n_fraction", "generator_seed_fraction"],
+        ids=["lam_bool", "generator_n_fraction", "generator_seed_fraction"],
     )
     def test_bool_or_fractional_input_exits_2(self, capsys, tmp_path, field, extra):
         cfg = self.write_config(tmp_path, **extra)

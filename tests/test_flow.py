@@ -217,6 +217,45 @@ class TestValidation:
             lo, hi = (mid, hi) if taken(mid) else (lo, mid)
         assert np.isfinite(run(data(lo), data(lo), params).state.energy)
 
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize("n, dt, lam", [(101, 0.01, 50.0), (12, 1e-4, 3e3)])
+    def test_constant_data_of_any_magnitude_are_named_or_run_cleanly(self, model, n, dt, lam):
+        # Constant data span nothing, but the step rounds at their
+        # magnitude: each is an error naming the data before any step, or a
+        # run with no warning (an error here).  The largest magnitude the
+        # check takes, by bisection over the floats, runs cleanly too.
+        params = FlowParams(model=model, lam=lam, n=n, dt=dt, t_max=5 * dt)
+
+        def data(c):
+            return GridSignal((0.0, 1.0), np.full(n, c))
+
+        def runs(c):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = run(data(c), data(c), params)
+                except ConfigError as err:
+                    assert str(err).startswith(f"the data span [{c}, {c}], out of range for the {model} flow")
+                    return False
+            assert np.isfinite(result.state.energy)
+            return True
+
+        def taken(c):
+            try:
+                flow_mod._check_grid(params, data(c), data(c))
+            except ConfigError:
+                return False
+            return True
+
+        outcomes = [runs(sign * 10.0**k) for k in range(150, 309, 10) for sign in (1.0, -1.0)]
+        assert outcomes[:4] == [True] * 4 and outcomes[-2:] == [False, False]
+        lo, hi = 1.0, 1e308
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            mid = mid if lo < mid < hi else 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if taken(mid) else (lo, mid)
+        assert runs(lo) and runs(-lo)
+
     def test_steady_damage_profile_grid_mismatch(self):
         with pytest.raises(ConfigError, match="grid mismatch"):
             steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=51))

@@ -65,7 +65,6 @@ REAL_PARAMETERS = {
     "derive_constants.mass_cap": lambda v: derive_constants(K1, v),
     "check_conditions.mass_cap": lambda v: check_conditions(K1, v),
     "OracleProblem.lam": lambda v: OracleProblem(data=LINE, kernel=K1, lam=v, n_cells=4),
-    "OracleProblem.tie_tolerance": lambda v: OracleProblem(data=LINE, kernel=K1, lam=1.0, n_cells=4, tie_tolerance=v),
     "OracleProblem.levels": lambda v: solve(OracleProblem(data=LINE, kernel=K1, lam=1.0, n_cells=4, levels=[0.0, v])),
     "OracleProblem.endpoint_pin": lambda v: solve(
         OracleProblem(data=LINE, kernel=K1, lam=1.0, n_cells=4, n_levels=3, endpoint_pin=(0.0, v))
@@ -153,7 +152,6 @@ ORACLE = config({
     "n_levels": fuzzed(st.integers(1, 6)),
     "levels": fuzzed(st.lists(unit(), min_size=1, max_size=6, unique=True).map(sorted)),
     "endpoint_pin": fuzzed(st.one_of(st.just(True), st.lists(unit(), min_size=2, max_size=2))),
-    "tie_tolerance": fuzzed(unit(0.0, 1e-3)),
 })
 
 SIGNAL = st.one_of(
@@ -232,7 +230,7 @@ ORACLE_DATA = {
 }
 ORACLE_CONFIG = {
     "data": ORACLE_DATA["linear"], "kernel": {"kind": "kwc", "kappa": 1.0, "height": 1.0}, "lam": 5.0,
-    "n_cells": 10, "n_levels": 5, "endpoint_pin": True, "tie_tolerance": 1e-9,
+    "n_cells": 10, "n_levels": 5, "endpoint_pin": True,
 }
 SIGNALS = {
     "generator": {"generator": "noisy_steps", "n": 21, "seed": 0},
@@ -259,7 +257,7 @@ REQUIRED = {
 # 0 or 2, with no traceback.
 CAN_BE_VALID = {
     "oracle.lam": {"2_63"}, "oracle.n_levels": {"null"},
-    "oracle.endpoint_pin": {"null", "bool"}, "oracle.tie_tolerance": {"null", "2_63"},
+    "oracle.endpoint_pin": {"null", "bool"},
     "oracle.levels": {"null", "list"},
     "kernel.kappa": {"2_63"}, "kernel.height": {"2_63"},
     "linear.slope": {"minus_1", "2_63"}, "linear.intercept": {"minus_1", "2_63"},

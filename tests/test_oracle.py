@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -36,6 +37,28 @@ from kwcseg.pwc import GridSignal, LinearData, PiecewiseConstant, SineData, ener
 from proof_devices import quantize, sequence_from_result
 
 K1 = kwc_kernel(1.0)
+TIE_TOLERANCES = [1e-9, 0.05, 0.5]
+
+
+@contextmanager
+def tie_tolerance(value):
+    """Set the oracle's tie window ``TIE_TOLERANCE`` for the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_mod, "TIE_TOLERANCE", value)
+        yield
+
+
+def at_the_drawn_tie_tolerance(test):
+    """Run ``test`` on the problem of a drawn (problem, tie tolerance) pair,
+    with the oracle's ``TIE_TOLERANCE`` set to the drawn tolerance."""
+
+    @functools.wraps(test)
+    def run(self, problem, *args, **kwargs):
+        problem, tolerance = problem
+        with tie_tolerance(tolerance):
+            test(self, problem, *args, **kwargs)
+
+    return run
 
 
 class TestValidation:
@@ -76,6 +99,34 @@ class TestBasicRecovery:
         assert r.jump_count == 0
         assert r.minimizer.values == (0.5,)
         assert r.energy.total == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, 1e-12, -1e-12, 1.0, 1e20, -1e20, 1e300])
+    def test_constant_data_of_any_magnitude_hold_their_value_as_a_level(self, value):
+        # The default grid spans value +- |value| / 2 (+- 0.5 at 0), so its
+        # middle level is the value, to an ulp, at every scale.
+        lam = 5.0
+        problem = signal_problem(GridSignal((0.0, 1.0), np.full(11, value)), K1, lam)
+        levels = problem.resolved_levels()
+        assert np.all(np.diff(levels) > 0) and np.all(np.isfinite(levels))
+        middle = levels[levels.size // 2]
+        assert abs(middle - value) <= np.spacing(abs(value))
+        if not math.isfinite(value * value):  # the cell integrals of g^2 overflow
+            with pytest.raises(ConfigError, match=r"^the data overflow floats: the integral of g\^2"):
+                solve(problem)
+            return
+        result = solve(problem)
+        assert result.minimizer.values == (middle,) and result.jump_count == 0
+        # The free optimum is 0 up to the rounding of the cost sums.
+        assert abs(result.energy.total) <= 8 * 2.0**-53 * lam * value * value
+
+    def test_constant_data_near_the_float_limit_are_named(self):
+        # value + |value| / 2 overflows: an error naming the level range, no
+        # inf or nan level.
+        for value in (1.3e308, -1.3e308):
+            problem = signal_problem(GridSignal((0.0, 1.0), np.full(11, value)), K1, 5.0, n_levels=5)
+            message = f"constant data at {value} overflow floats: their level range"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                problem.resolved_levels()
 
     def test_planted_step_with_heavy_weight(self):
         x = np.linspace(0, 1, 200)
@@ -204,7 +255,9 @@ class TestMonotoneBattery:
 
 @st.composite
 def tiny_problems(draw):
-    """Random sampled data on n <= 5 cells, L <= 4 random levels, any kernel."""
+    """Random sampled data on n <= 5 cells, L <= 4 random levels, any
+    kernel, and a tie tolerance from ``TIE_TOLERANCES`` (drawn last, as by
+    ``pruning_problems``, ``linear_problems`` and ``step_problems``)."""
     n = draw(st.integers(1, 5))
     n_levels = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
@@ -217,14 +270,14 @@ def tiny_problems(draw):
     pin = None
     if draw(st.booleans()):
         pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
-    return OracleProblem(
+    problem = OracleProblem(
         data=GridSignal((0.0, 1.0), samples),
         kernel=kernel,
         lam=draw(st.floats(0.1, 100.0)),
         levels=levels,
         endpoint_pin=pin,
-        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
     )
+    return problem, draw(st.sampled_from(TIE_TOLERANCES))
 
 
 def enumerate_optima(problem):
@@ -259,6 +312,7 @@ def assert_close(value, expected):
 class TestAgainstEnumeration:
     @settings(max_examples=300)
     @given(tiny_problems())
+    @at_the_drawn_tie_tolerance
     def test_free_and_budgeted_optima(self, problem):
         optima, evaluate = enumerate_optima(problem)
         n = problem.resolved_cells()
@@ -281,12 +335,13 @@ class TestAgainstEnumeration:
 
     @settings(max_examples=300)
     @given(tiny_problems())
+    @at_the_drawn_tie_tolerance
     def test_tie_scan_returns_true_optima(self, problem):
         optima, evaluate = enumerate_optima(problem)
         if not optima:
             return
         best = solve(problem, tie_scan_jumps=problem.resolved_cells() - 1)
-        window = problem.tie_tolerance * abs(best.energy.total)
+        window = oracle_mod.TIE_TOLERANCE * abs(best.energy.total)
         for tie in best.ties:
             assert_close(tie.energy.total, optima[tie.jump_count])
             assert_close(evaluate(sequence_from_result(tie, problem)), tie.energy.total)
@@ -530,13 +585,6 @@ class TestProblemValidation:
         with pytest.raises(ConfigError):
             OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=lam, n_cells=10)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-    def test_tie_tolerance_must_be_finite_and_non_negative(self, tol):
-        with pytest.raises(ConfigError, match="tie_tolerance"):
-            OracleProblem(
-                data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=20, n_levels=11, tie_tolerance=tol
-            )
-
     @pytest.mark.parametrize("m", [2.5, "2", True, None, -1])
     def test_jump_count_must_be_a_non_negative_integer(self, m):
         with pytest.raises(ConfigError, match="jump count"):
@@ -577,10 +625,13 @@ class TestProblemValidation:
         assert best_with_m_jumps(p, np.int64(1)).jump_count == 1
         assert solve(p, tie_scan_jumps=np.int16(2)).to_json_dict() == solve(p, tie_scan_jumps=2).to_json_dict()
 
-    def test_zero_tie_tolerance_accepted(self):
-        p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=20, n_levels=11, tie_tolerance=0.0)
-        best = solve(p, tie_scan_jumps=4)
-        assert all(t.energy.total <= best.energy.total for t in best.ties)
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 1e-9, math.nan, True])
+    def test_tie_tolerance_is_no_field(self, value):
+        # The tie window is fixed (oracle.TIE_TOLERANCE): no value of the
+        # old field is taken, a valid one no more than a bad one.
+        assert oracle_mod.TIE_TOLERANCE == 1e-9
+        with pytest.raises(TypeError, match="tie_tolerance"):
+            OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=5.0, n_cells=20, tie_tolerance=value)
 
     def test_cell_limit(self):
         p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=4000)
@@ -801,14 +852,14 @@ def pruning_problems(draw):
     pin = None
     if draw(st.booleans()):
         pin = tuple(float(levels[i]) for i in rng.integers(0, levels.size, size=2))
-    return OracleProblem(
+    problem = OracleProblem(
         data=GridSignal((0.0, 1.0), samples),
         kernel=kernel,
         lam=lam,
         levels=levels,
         endpoint_pin=pin,
-        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
     )
+    return problem, draw(st.sampled_from(TIE_TOLERANCES))
 
 
 def outcome(call):
@@ -823,6 +874,7 @@ class TestPrunedPass:
     @settings(max_examples=150)
     @given(pruning_problems(), st.floats(0.0, 1.0))
     @also_skipping_every_level
+    @at_the_drawn_tie_tolerance
     def test_rows_within_the_threshold_match_the_dense_pass_bit_for_bit(self, problem, where):
         tab = _build_tableau(problem)
         n, L = tab.shape
@@ -867,6 +919,7 @@ class TestPrunedPass:
     @settings(max_examples=100)
     @given(pruning_problems(), st.sampled_from([(1e-3, 1e-2), (0.0,), (0.0, 1e-12, 1e-6)]))
     @also_skipping_every_level
+    @at_the_drawn_tie_tolerance
     def test_best_with_m_jumps_equals_the_dense_route(self, problem, widths):
         tab = _build_tableau(problem)
         n = tab.shape[0]
@@ -885,6 +938,7 @@ class TestPrunedPass:
     @settings(max_examples=100)
     @given(pruning_problems())
     @also_skipping_every_level
+    @at_the_drawn_tie_tolerance
     def test_tie_scan_equals_the_dense_route(self, problem):
         scan = min(MAX_JUMP_BUDGET, problem.resolved_cells() - 1)
         with oracle_constants(**NEVER_PRUNE):
@@ -1017,10 +1071,11 @@ class TestPrunedRoutes:
         with oracle_constants(**ALWAYS_PRUNE) as mp:
             passes = spy_on(mp, "_pruned_pass")
             best = solve(problem, tie_scan_jumps=scan).energy.total
-        return [args[3] for args, _ in passes], best + problem.tie_tolerance * abs(best)
+        return [args[3] for args, _ in passes], best + oracle_mod.TIE_TOLERANCE * abs(best)
 
     @settings(max_examples=150)
     @given(pruning_problems())
+    @at_the_drawn_tie_tolerance
     def test_the_tie_threshold_covers_the_tie_window(self, problem):
         scan = min(MAX_JUMP_BUDGET, problem.resolved_cells() - 1)
         try:
@@ -1038,8 +1093,9 @@ class TestPrunedRoutes:
         thresholds, window = self.tie_thresholds(tie_problem(*size), scan)
         assert len(thresholds) == 1 and thresholds[0] >= window
 
+    @tie_tolerance(5e-3)
     def test_too_many_survivors_stop_the_pass_partway(self):
-        problem = dataclasses.replace(walk_problem(60, 100), tie_tolerance=5e-3)
+        problem = walk_problem(60, 100)
         tab = _build_tableau(problem)
         with oracle_constants(MAX_SURVIVORS=1.0) as mp:
             passes = spy_on(mp, "_pruned_pass")
@@ -1066,6 +1122,7 @@ class TestPrunedRoutes:
     @settings(max_examples=100)
     @given(pruning_problems())
     @also_skipping_every_level
+    @at_the_drawn_tie_tolerance
     def test_each_question_reads_only_the_rows_it_returns(self, problem):
         budget = min(MAX_JUMP_BUDGET, problem.resolved_cells() - 1)
         with oracle_constants(**ALWAYS_PRUNE):
@@ -1365,15 +1422,15 @@ def linear_problems(draw):
     kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
     param = draw(st.floats(0.05, 5.0))
     kernel = {"kwc": kwc_kernel(param), "potts": potts_kernel(param), "linear": linear_kernel()}[kind]
-    return OracleProblem(
+    problem = OracleProblem(
         data=LinearData((0.0, 1.0), slope, intercept),
         kernel=kernel,
         lam=draw(st.floats(0.0, 300.0)),
         n_cells=draw(st.integers(1, 40)),
         n_levels=draw(st.integers(1, 30)),
         endpoint_pin=(intercept, slope + intercept) if draw(st.booleans()) else None,
-        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
     )
+    return problem, draw(st.sampled_from(TIE_TOLERANCES))
 
 
 @st.composite
@@ -1390,20 +1447,21 @@ def step_problems(draw):
     kind = draw(st.sampled_from(["kwc", "linear", "potts"]))
     param = draw(st.floats(0.05, 5.0))
     kernel = {"kwc": kwc_kernel(param), "potts": potts_kernel(param), "linear": linear_kernel()}[kind]
-    return OracleProblem(
+    problem = OracleProblem(
         data=steps,
         kernel=kernel,
         lam=draw(st.floats(0.0, 300.0)),
         n_cells=n_cells,
         n_levels=draw(st.integers(1, 30)),
         endpoint_pin=(steps.values[0], steps.values[-1]) if draw(st.booleans()) else None,
-        tie_tolerance=draw(st.sampled_from([1e-9, 0.05, 0.5])),
     )
+    return problem, draw(st.sampled_from(TIE_TOLERANCES))
 
 
 class TestEnergyBreakdown:
     @settings(max_examples=150)
     @given(st.one_of(linear_problems(), step_problems()))
+    @at_the_drawn_tie_tolerance
     def test_terms_add_up_and_match_the_energy_of_the_minimizer(self, problem):
         n = problem.resolved_cells()
         try:
