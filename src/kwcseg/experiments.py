@@ -178,8 +178,8 @@ def _max_energy_rise(trace) -> float:
     energies = [row[1] for row in trace]
     worst = 0.0
     for prev, cur in zip(energies, energies[1:]):
-        if cur > prev:
-            worst = max(worst, (cur - prev) / max(abs(cur), 1e-30))
+        if cur > prev:  # so cur > 0, as every model's energy is at least 0: no floor, the same at every scale
+            worst = max(worst, (cur - prev) / cur)
     return worst
 
 

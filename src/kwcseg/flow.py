@@ -43,7 +43,6 @@ use grids with h well below eps.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,75 +415,76 @@ def _flow_state(g: GridSignal, t: float, u: np.ndarray, v: np.ndarray | None, en
 
 def _check_grid(params: FlowParams, u: GridSignal, g: GridSignal) -> None:
     """u and the data g (u itself for a lone signal) on one grid of
-    ``params.n`` nodes, whose spacing h (the data's own, 1/(n - 1) only on
-    [0, 1]) the interface width resolves and whose u-step sigma keeps in
-    float range.
+    ``params.n`` nodes, of spacing h (the data's own, 1/(n - 1) only on
+    [0, 1]), on which every solve keeps its shift and every term is finite.
 
-    The u-step of every model has the shift s = (lam + 1/dt) h on its
-    diagonal and edge weights w <= sigma.  The at step's tridiagonal matrix
-    adds up to 4 sigma / h to a diagonal entry and takes it off the row
-    again, so s must survive that sum or the matrix is singular in floats.
-    The TV step's duality gap (``prox_certificate``) sums the squares of n
-    residuals, each up to 2 sigma from the dual and, with room for as much
-    again from the data, divides by 2 s: 8 n sigma^2 / s must be finite.
+    Shift rule: each solve's shift must be finite, above 0 and survive the
+    coupling its matrix adds beside it, or the solve is singular in floats:
+    the u-step's s = (lam + 1/dt) h in every model (the error names dt and
+    lam), s beside the 4 sigma / h that at's matrix adds to a diagonal entry
+    and takes off the row again (sigma), and the steady damage step's h/eps
+    beside its 2 eps / h in at and kwc (epsilon).
 
-    The data must fit the terms each model computes, rounding included.
-    Each exact u-step keeps u within the range [lo, hi] of g and u
-    together: it is a TV prox of, or a solve with an M-matrix on, data in
-    that range.  The float step strays from it by at most e, with M the
-    largest |value| of g and u and r = 2**-53 the unit roundoff.  For rof
-    and kwc e = 2 n r M: a segment mean of up to n values of size M is off
-    by at most (n - 1) r M, the step's data z by a few r M, and the dynamic
-    program's knots, running sums of as many terms, by as much again.  For
-    at e = 16 r M (1 + 8 sigma / (h s)): the tridiagonal solve's backward
-    error, a dozen r of ||A|| M with its right-hand side, times ||A^-1|| <=
-    1/s, and ||A|| <= s + 8 sigma / h.  So u - g and the differences of u
-    are at most R = hi - lo + 2 e, which counts the data's magnitude:
-    constant data of size M have R of order r M, not 0.  With it the
-    fidelity is at most lam |Omega| R^2, with |Omega| = (n - 1) h; the TV
-    or kernel sum at most sigma (n - 1) R for rof and kwc and sigma (n - 1)
-    R^2 / h for at; and, for rof and kwc, the certificate's squared
-    residuals, whose data part s (z - u) is at most s R, sum to at most n
-    (s R)^2.  Each is formed as the flow forms it (R R before any weight),
-    and their sum must be finite.
+    Range rule: the data must fit the terms each model's steps form,
+    rounding included.  Each exact u-step keeps u within the range [lo, hi]
+    of g and u together: it is a TV prox of, or a solve with an M-matrix
+    on, data in that range.  The float step strays from it by at most e,
+    with M the largest |value| of g and u and r = 2**-53 the unit
+    roundoff.  For rof and kwc e = 2 n r M: a segment mean of up to n
+    values of size M is off by at most (n - 1) r M, the step's data z by a
+    few r M, and the dynamic program's knots, running sums of as many
+    terms, by as much again.  For at e = 16 r M (1 + 8 sigma / (h s)): the
+    tridiagonal solve's backward error, a dozen r of ||A|| M with its
+    right-hand side, times ||A^-1|| <= 1/s, and ||A|| <= s + 8 sigma / h.
+    So u - g and the differences of u are at most R = hi - lo + 2 e, which
+    counts the data's magnitude: constant data of size M have R of order
+    r M, not 0.  Each term is formed as the flow forms it (a sum of n
+    terms before any weight) and must be finite on its own, as only the
+    energy adds its terms: the energy, at most lam h n R^2 plus
+    sigma (n - 1) R (rof, kwc) or sigma (n - 1) R^2 / h (at);
+    h (M/dt + lam M), the at step's right-hand side and s times the TV
+    step's data z; and in rof and kwc the certificate.  The closed form on
+    the last jump pattern moves a segment up to 2 sigma / s off z's mean,
+    so until the certificate judges it, |z - u| is at most R + 2 sigma / s
+    and |du| at most Rc = R + 4 sigma / s.  The certificate sums
+    w |du| - p du, at most 2 sigma (n - 1) Rc, and the squares of
+    residuals of at most |r| + sigma = s |z - u| + sigma (the clipped dual
+    moves against r by at most |r|, and its bounds w differ by at most
+    sigma from edge to edge): n (s R + 3 sigma)^2.
     """
     if u.n != g.n or u.n != params.n:
         nodes = f"u has {u.n} nodes" if u is g else f"g has {g.n} nodes, u has {u.n}"
         raise ConfigError(f"grid mismatch: {nodes}, params.n = {params.n}")
     _require_same_domain(u, g)
-    # The steady damage matrix has diagonal h/eps + 2 eps/h + coupling and
-    # off-diagonals -eps/h; h/eps must survive the sum or it is singular.
-    h = g.h
-    shift, stiff = h / params.epsilon, params.epsilon / h
-    if not (math.isfinite(shift) and math.isfinite(stiff) and shift + 2.0 * stiff > 2.0 * stiff):
-        raise ConfigError(
-            f"epsilon = {params.epsilon} is out of range for the grid spacing h = {h}: "
-            "h/epsilon and epsilon/h must be finite and the damage matrix diagonally dominant"
-        )
-    sigma, shift = params.sigma, h / params.dt + params.lam * h
-    if params.model == "at":
-        coupling = 4.0 * sigma / h
-        fits, rule = shift + coupling > coupling, "the shift (lam + 1/dt) h must survive 4 sigma/h"
-    else:
-        fits = 8.0 * params.n * sigma * sigma < sys.float_info.max * shift
-        rule = "8 n sigma^2 / ((lam + 1/dt) h) must be finite"
-    if not fits:
-        raise ConfigError(f"sigma = {sigma} is out of range for the {params.model} step at h = {h}: {rule}")
+    model, n, h, lam, dt, sigma, eps = params.model, params.n, g.h, params.lam, params.dt, params.sigma, params.epsilon
+    s = (lam + 1.0 / dt) * h  # Python floats from here on: an overflow is inf, with no warning
+    solves = [(f"dt = {dt} and lam = {lam} are", "s = (lam + 1/dt) h", s, 0.0)]
+    solves += [(f"sigma = {sigma} is", "s", s, 4.0 * sigma / h)] if model == "at" else []
+    solves += [(f"epsilon = {eps} is", "h/epsilon", h / eps, 2.0 * (eps / h))] if model != "rof" else []
+    for inputs, name, shift, coupling in solves:
+        if not (math.isfinite(shift) and math.isfinite(coupling) and shift + coupling > coupling):
+            raise ConfigError(
+                f"{inputs} out of range for the {model} flow at h = {h}: the shift {name} = {shift} "
+                f"must be finite, above 0 and survive the coupling {coupling} beside it"
+            )
     lo = min(float(g.samples.min()), float(u.samples.min()))
     hi = max(float(g.samples.max()), float(u.samples.max()))
-    n, M = params.n, max(-lo, hi)  # Python floats: an overflow is inf, with no warning
-    e = 16 * 2.0**-53 * M * (1.0 + 8.0 * sigma / h / shift) if params.model == "at" else 2 * n * 2.0**-53 * M
+    M = max(-lo, hi)
+    e = 16 * 2.0**-53 * M * (1.0 + 8.0 * sigma / h / s) if model == "at" else 2 * n * 2.0**-53 * M
     R = hi - lo + 2.0 * e
-    fidelity = params.lam * (n - 1) * h * (R * R)
-    if params.model == "at":
-        terms, rule = (fidelity, sigma * (n - 1) * (R * R) / h), "lam |Omega| R^2 + sigma (n - 1) R^2 / h"
+    fidelity, Rc = lam * h * (n * (R * R)), R + 4.0 * sigma / s
+    terms = {"h (M/dt + lam M)": h * (M / dt + lam * M)}
+    if model == "at":
+        terms["lam h n R^2 + sigma (n - 1) R^2 / h"] = fidelity + sigma * (n - 1) * (R * R) / h
     else:
-        terms = (fidelity, sigma * (n - 1) * R, n * (shift * R) * (shift * R))
-        rule = "lam |Omega| R^2 + sigma (n - 1) R + n ((lam + 1/dt) h R)^2"
-    if not math.isfinite(sum(terms)):
+        terms["lam h n R^2 + sigma (n - 1) R"] = fidelity + sigma * (n - 1) * R
+        terms["2 sigma (n - 1) (R + 4 sigma / s)"] = 2.0 * sigma * (n - 1) * Rc
+        terms["n (s R + 3 sigma)^2"] = n * ((s * R + 3.0 * sigma) * (s * R + 3.0 * sigma))
+    if not all(map(math.isfinite, terms.values())):
         raise ConfigError(
-            f"the data span [{lo}, {hi}], out of range for the {params.model} flow at h = {h}: "
-            f"with R = {R}, the span plus the rounding at magnitude {M}, {rule} must be finite"
+            f"the data span [{lo}, {hi}], out of range for the {model} flow at h = {h}, dt = {dt}, lam = {lam} "
+            f"and sigma = {sigma}: with s = (lam + 1/dt) h = {s} and R = {R}, the span plus the rounding at "
+            f"magnitude M = {M}, each of {', '.join(terms)} must be finite"
         )
 
 

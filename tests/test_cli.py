@@ -530,8 +530,12 @@ class TestFlowRun:
         params = {"model": model, "lam": 50.0, "n": 1000, "t_max": 0.05, "sigma": 1e300}
         path.write_text(json.dumps({"data": {"generator": "noisy_steps", "n": 1000}, "params": params}))
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
-        assert code == 2 and out == ""
-        assert err.startswith("config error: sigma = 1e+300 is out of range")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        # at: the shift rule (s beside 4 sigma/h); rof and kwc: the range rule, whose terms sigma enters.
+        if model == "at":
+            assert err.startswith("config error: sigma = 1e+300 is out of range")
+        else:
+            assert err.startswith("config error: the data span [") and "sigma = 1e+300" in err
 
     @pytest.mark.parametrize("model, top", [("at", 1e160), ("rof", 1e200), ("kwc", 1e200), ("at", 1e308)])
     def test_data_out_of_range_for_the_flow_exit_2(self, capsys, tmp_path, model, top):
@@ -543,6 +547,26 @@ class TestFlowRun:
         assert code == 2 and out == ""
         assert err.startswith(f"config error: the data span [0.0, {top!r}], out of range for the {model} flow")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize(
+        "data, dt",
+        [
+            ({"generator": "sine"}, 1e-310),
+            ({"pwc": {"domain": [0.0, 1.0], "breakpoints": [0.5], "values": [0.0, 1e100]}, "n": 101}, 1e-212),
+        ],
+        ids=["sine", "step_1e100"],
+    )
+    def test_time_step_out_of_range_exits_2_naming_dt(self, capsys, tmp_path, model, data, dt):
+        # at exited 3 after an overflow warning; rof and kwc exited 2 naming only the data.
+        path = tmp_path / "flow.json"
+        params = {"model": model, "lam": 50.0, "n": 101, "dt": dt, "t_max": 3 * dt}
+        path.write_text(json.dumps({"data": data, "params": params}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("config error: ") and f"dt = {dt!r}" in err
 
     def test_result_params_have_no_steady_tol(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, t_max=0.05)

@@ -262,6 +262,14 @@ class TestRunAndArtifacts:
         assert rec.artifacts == {}
         assert xp.plot_record(rec, tmp_path) == []
 
+    def test_energy_rise_is_relative_at_every_scale(self):
+        # Energies near 1e-40: the worst rise, 1e-40 to 1.5e-40, is a third
+        # of the larger energy, as at unit scale (a floor made it 5e-11).
+        for scale in (1.0, 1e-40):
+            trace = [(t, scale * e, 0.0, 0.0) for t, e in enumerate([2.0, 1.0, 1.5, 1.4, 1.45])]
+            assert xp._max_energy_rise(trace) == (1.5 * scale - 1.0 * scale) / (1.5 * scale)
+        assert xp._max_energy_rise([(0, 2e-40, 0.0, 0.0), (1, 1e-40, 0.0, 0.0), (2, 0.0, 0.0, 0.0)]) == 0.0
+
 
 class TestNonuniqueness:
     """The protocol behind the paper's non-uniqueness claim, end to end."""

@@ -256,6 +256,87 @@ class TestValidation:
             lo, hi = (mid, hi) if taken(mid) else (lo, mid)
         assert runs(lo) and runs(-lo)
 
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize("data, dt", [("sine", 1e-310), ("step", 1e-212)])
+    def test_time_step_out_of_range_is_named(self, model, data, dt):
+        # n = 101, lam = 50, three steps.  On the sine, 1/dt overflows the
+        # u-step's shift; on a step from 0 to 1e100, 1e100/dt overflows the
+        # u-step's right-hand side.  Each was an overflow and a divergence
+        # (at) or an error that named only the data (rof, kwc).
+        g = generate_signal("sine", n=101) if data == "sine" else GridSignal((0.0, 1.0), 1e100 * unit_step(101).samples)
+        params = FlowParams(model=model, lam=50.0, n=101, dt=dt, t_max=3 * dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                run(g, g, params)
+        if data == "sine":
+            assert str(info.value).startswith(f"dt = {dt} and lam = 50.0 are out of range for the {model} flow")
+        else:
+            assert str(info.value).startswith(f"the data span [0.0, 1e+100], out of range for the {model} flow")
+            assert f"dt = {dt}" in str(info.value)
+
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    @pytest.mark.parametrize("n, lam", [(101, 50.0), (101, 0.0), (12, 3e3)])
+    def test_smallest_time_step_in_range_runs(self, model, n, lam):
+        # The smallest dt the check takes, by bisection over the floats,
+        # runs its three steps with no warning (an error here) and a finite
+        # energy.
+        g = unit_step(n)
+
+        def params(dt):
+            return FlowParams(model=model, lam=lam, n=n, dt=dt, t_max=3 * dt)
+
+        def taken(dt):
+            try:
+                flow_mod._check_grid(params(dt), g, g)
+            except ConfigError:
+                return False
+            return True
+
+        lo, hi = 5e-324, 1.0
+        assert taken(hi) and not taken(lo)
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            mid = mid if lo < mid < hi else 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if taken(mid) else (mid, hi)
+        result = run(g, g, params(hi))
+        assert result.steps == 3 and np.isfinite(result.state.energy)
+
+    @settings(max_examples=300)
+    @given(
+        model=st.sampled_from(["rof", "at", "kwc"]),
+        k=st.integers(-323, 2),
+        lam=st.sampled_from([0.0]) | st.integers(-10, 300).map(lambda j: 10.0**j),
+        width=st.integers(-300, 300).map(lambda j: 10.0**j),
+        data=st.sampled_from(["sine", "step"]),
+        height=st.integers(-300, 300).map(lambda j: 10.0**j),
+    )
+    @example(model="rof", k=-310, lam=50.0, width=1.0, data="sine", height=1.0)
+    @example(model="at", k=-310, lam=50.0, width=1.0, data="sine", height=1.0)
+    @example(model="kwc", k=-310, lam=50.0, width=1.0, data="sine", height=1.0)
+    @example(model="rof", k=-212, lam=50.0, width=1.0, data="step", height=1e100)
+    @example(model="at", k=-212, lam=50.0, width=1.0, data="step", height=1e100)
+    @example(model="kwc", k=-212, lam=50.0, width=1.0, data="step", height=1e100)
+    @example(model="rof", k=2, lam=0.0, width=1e-152, data="step", height=1e154)  # sum (u - g)^2 overflowed
+    def test_any_time_step_is_named_or_runs_cleanly(self, model, k, lam, width, data, height):
+        # dt = 10^k with three steps, on sine or step data of any height on
+        # a domain of any width (n = 101; sigma and epsilon at their
+        # defaults): a ConfigError before any step, or a run with no
+        # warning (an error here) whose every energy and gap is finite.
+        dt = 10.0**k
+        samples = (generate_signal("sine", n=101) if data == "sine" else unit_step(101)).samples
+        g = GridSignal((0.0, width), height * samples)
+        params = FlowParams(model=model, lam=lam, n=101, dt=dt, t_max=3 * dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = run(g, g, params)
+            except ConfigError:
+                return
+        energies, gaps = [row[1] for row in result.trace], [row[3] for row in result.trace[1:]]
+        assert result.steps >= 1 and np.isfinite(energies).all()
+        assert np.isfinite(gaps).all() if model != "at" else np.isnan(gaps).all()
+
     def test_steady_damage_profile_grid_mismatch(self):
         with pytest.raises(ConfigError, match="grid mismatch"):
             steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=51))
