@@ -45,7 +45,8 @@ into one (cells x levels) table of its rows B.  One pass over the cells
 the states within a threshold of the free optimum, runs the budgeted DP
 over them with the dense pass's results and finds the free minimizer; it
 stops, and the dense pass runs, once too many states survive.  Both
-budgeted passes start with ``_start`` and end with ``_read_rows``.
+budgeted passes start with ``_start``; they and the free solve read
+their sequences out with one helper, ``_read_rows``.
 """
 
 import itertools
@@ -420,15 +421,9 @@ def _solve_free(tab: _Tableau) -> np.ndarray | None:
     """The free optimum's level sequence, or None when no sequence meets
     the pins."""
     n, L = tab.shape
-    parents = np.zeros((n, L), dtype=np.int16)
-    D = _free_pass(tab, parents)
-    if not np.isfinite(D).any():
-        return None
-    seq = np.empty(n, dtype=np.int64)
-    seq[-1] = np.argmin(D)
-    for i in range(n - 1, 0, -1):
-        seq[i - 1] = parents[i, seq[i]]
-    return seq
+    parents = np.zeros((n, 1, L), dtype=np.int16)  # one row, the free row
+    last = _free_pass(tab, parents[:, 0])  # the read-out adds its end pin again, which changes no value
+    return _read_rows(tab, parents, last[None], [np.arange(L)] * n, free=True)[0][0]
 
 
 def _behind(tab: _Tableau) -> tuple:
@@ -521,7 +516,9 @@ def _read_rows(tab: _Tableau, parents, V: np.ndarray, kept: list, read=None, fre
     None), its level sequence, else None.  A jump moves row j to row j - 1,
     except in the last row with ``free`` (the free pass's).  Columns and
     parents are positions among each cell's ascending ``kept`` levels:
-    ``parents[i][j, p]`` is cell i - 1's position before p in row j."""
+    ``parents[i][j, p]`` is cell i - 1's position before p in row j.  The
+    backtrack walks Python ints (``.item``), a fifth faster a cell than
+    NumPy scalars."""
     last = kept[-1]
     V = _pinned(V, tab.end, last)
     ends = V.argmin(axis=1)
@@ -531,15 +528,14 @@ def _read_rows(tab: _Tableau, parents, V: np.ndarray, kept: list, read=None, fre
     for m in range(len(V)) if read is None else read(values):
         if not np.isfinite(values[m]):
             continue
-        at, j = ends[m], m
-        seq = np.empty(len(kept), dtype=np.int64)
-        seq[-1] = last[at]
+        at, j = ends.item(m), m
+        seq = [last.item(at)] * len(kept)
         for i in range(len(kept) - 1, 0, -1):
-            at = parents[i][j, at]
-            seq[i - 1] = kept[i - 1][at]
+            at = parents[i].item(j, at)
+            seq[i - 1] = kept[i - 1].item(at)
             if seq[i - 1] != seq[i] and m != free_row:
                 j -= 1
-        seqs[m] = seq
+        seqs[m] = np.array(seq, dtype=np.int64)
     return seqs, values
 
 
@@ -583,21 +579,32 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
 
     Kept states.  A state is kept when its bound F + B - cost is at most
     the cut ``_above(threshold, 0, A)``, in the float operations of a bound
-    table filled by two dense passes (B from ``_behind``).  A transition of
-    F reads the sources spanned by the previous cell's kept levels and
-    forms the targets spanned by the candidates.  A target's bound is at
-    least min F + B[target] over its sources (kernel entries are at least
-    0), so a target whose screen value exceeds the cut by the slack of
-    ``_slack``, widened by 64u of the cut, is above the cut in floats too
-    (its few roundings stay below that slack) and is no candidate.  By induction
-    over the cells, every F formed here is at least the dense pass's (a min
-    over fewer sources), and equals it at a state the dense table keeps:
-    the predecessor on that state's best forward path has a bound no larger
-    than the state's own (up to rounding at the cut itself), so it is kept
-    with its dense F.  So the kept levels are the dense table's survivors;
-    likewise the states of the dense free minimizer keep their dense values
-    and smallest-index parents, and the free sequence is the free pass's,
-    ties broken alike.
+    table filled by two dense passes (B from ``_behind``).  F is held on
+    the kept levels only, as the budget rows are: a transition of F reads
+    the previous cell's kept levels and forms the targets spanned by the
+    candidates.  A target's bound is at least min F + B[target] (kernel
+    entries are at least 0), so a target whose screen value exceeds the cut
+    by the slack of ``_slack``, widened by 64u of the cut, is above the cut
+    in floats too (its few roundings stay below that slack) and is no
+    candidate.  Every F formed here is at least the dense pass's (a min over
+    fewer sources).  A source k that attains the dense minimum of a state l
+    of the next cell has a bound no larger than l's, up to rounding at the
+    cut itself: F[k] + K(k, l) = F[l] - cost[l], and B[k] - cost[k] is a
+    min over the next cell's levels that includes K(k, l) + B[l].  So any
+    source that attains a kept state's minimum is itself kept, and by
+    induction over the cells a state the dense table keeps has its dense F
+    here: the kept levels are the dense table's survivors.
+
+    The free minimizer.  At a threshold of at least the free optimum, its
+    states are kept with room to spare: their bounds are within the
+    rounding below of the free optimum (``Exactness of the rows``, P the
+    free minimizer), far inside the cut.  Each of its states is the
+    smallest-index parent of the next, so every smallest-index parent on
+    the free minimizer is kept, and by induction along it each state has
+    its dense F and its dense parent: the min over the kept sources
+    includes that parent at its dense value, and no kept source of smaller
+    index attains it, as none does in the dense pass.  So the free sequence
+    is the free pass's, ties broken alike.
 
     Exactness of the rows.  Any path through state (i, l), whatever its
     jump count, costs at least its bound.  Let P be the path the dense pass
@@ -647,11 +654,9 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     passes run at every such scale.
 
     Positions are among each cell's kept levels (the smallest position is
-    the smallest level), parents among the previous cell's; all budget rows
-    of a cell make one (budget, kept, kept before) sum.  The parent table's
-    last row holds the free parents, -1 where one is not kept; at a
-    threshold of at least the free optimum, the free minimizer's states
-    are all kept (as above), so its read never meets a -1.
+    the smallest level), parents among the previous cell's, the free row's
+    too; all budget rows of a cell make one (budget, kept, kept before)
+    sum, and F one (candidates, kept before) sum.
     """
     n, L = tab.shape
     cut = _above(threshold, 0.0, _size(tab))
@@ -660,34 +665,33 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     no_rows = [None] * (budget + 1), np.full(budget + 1, np.inf), None
     rows = _cost_rows(tab)
     c = next(rows)
-    F, base = _pinned(c, tab.start), 0  # F over the levels from base on
+    F = _pinned(c, tab.start)
     prev = (F + behind[0] - c <= cut).nonzero()[0]
     survivors = prev.size
     if survivors / (n * L) > _MAX_SURVIVORS:
         return None
     if survivors == 0:
         return no_rows
+    F = F.take(prev)
     jump, V = _start(tab, budget, prev, c)
     kept, parents = [prev], [None]
     at_level = np.empty(L, dtype=np.intp)  # position of a level among the previous cell's survivors
     buf = np.empty(0)
     index = np.arange(max(budget, 1) * L)  # row offsets of both transitions, before scaling
     for i, c in enumerate(rows, 1):
-        lo, hi = prev[0], prev[-1] + 1
-        src = F[lo - base : hi - base]
         B = behind[i]
-        cand = (src.min() + B <= screen).nonzero()[0]
+        cand = (F.min() + B <= screen).nonzero()[0]
         if cand.size == 0:
             return no_rows
         first, last = cand[0], cand[-1] + 1
-        w, size = hi - lo, last - first
+        w, size = prev.size, last - first
         if buf.size < size * w:
             buf = np.empty(size * w)
-        free_arg, best = _relax(src, tab.kmat[first:last, lo:hi], buf[: size * w].reshape(size, w), index[:size] * w)
+        free_arg, best = _relax(F, tab.kmat[first:last].take(prev, axis=1), buf[: size * w].reshape(size, w), index[:size] * w)
         cost = c[first:last]
-        F, base = best + cost, first
+        F = best + cost
         keep = (F + B[first:last] - cost <= cut).nonzero()[0]
-        s = keep + first
+        F, s = F.take(keep), keep + first
         survivors += s.size
         if survivors / (n * L) > _MAX_SURVIVORS:
             return None
@@ -708,13 +712,13 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
         par = np.empty((budget + 2, s.size), dtype=np.int16)
         par[0] = pos
         par[1:-1] = np.where(use_jump, arg, pos)
-        par[-1] = at_level.take(free_arg.take(keep) + lo)
+        par[-1] = free_arg.take(keep)
         stay[1:] = np.where(use_jump, jumped, stay[1:])
         V = stay + c.take(s)
         kept.append(s)
         parents.append(par)
         prev = s
-    seqs, values = _read_rows(tab, parents, np.vstack((V, F.take(prev - base))), kept, read, free=True)
+    seqs, values = _read_rows(tab, parents, np.vstack((V, F)), kept, read, free=True)
     return seqs[:-1], values[:-1], seqs[-1]
 
 

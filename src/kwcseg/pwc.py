@@ -150,7 +150,8 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class GridSignal:
-    """Finite samples on n >= 2 uniformly spaced nodes spanning the domain.
+    """Finite samples on n >= 2 uniformly spaced nodes spanning the domain,
+    with a spacing (b - a)/(n - 1) above 0.
 
     As data, a grid signal is read by linear interpolation between its
     nodes."""
@@ -168,6 +169,11 @@ class GridSignal:
         arr.setflags(write=False)
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "samples", arr)
+        if not self.h > 0:
+            raise ConfigError(
+                f"the domain [{dom[0]}, {dom[1]}] is too narrow for n = {self.n} nodes: "
+                f"their spacing (b - a)/(n - 1) is {self.h}"
+            )
 
     @property
     def n(self) -> int:

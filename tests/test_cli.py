@@ -568,6 +568,16 @@ class TestFlowRun:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("config error: ") and f"dt = {dt!r}" in err
 
+    @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
+    def test_a_domain_too_narrow_for_its_nodes_exits_2(self, capsys, tmp_path, model):
+        # kwc ended in a ZeroDivisionError traceback and rof blamed dt and lam.
+        path = tmp_path / "flow.json"
+        data = {"pwc": {"domain": [0, 5e-324], "breakpoints": [], "values": [1]}, "n": 3}
+        path.write_text(json.dumps({"data": data, "params": {"model": model, "lam": 50, "n": 3, "t_max": 0.05}}))
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("config error: the domain [0.0, 5e-324] is too narrow for n = 3 nodes")
+
     def test_result_params_have_no_steady_tol(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, t_max=0.05)
         code, _, _ = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))

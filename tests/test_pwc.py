@@ -149,6 +149,12 @@ class TestGridSignal:
         assert g.h == pytest.approx(0.25)
         assert g.n == 5
 
+    def test_a_spacing_that_rounds_to_zero_is_rejected(self):
+        # 5e-324 / 2 rounds to 0.0; over one gap the spacing is 5e-324 itself.
+        with pytest.raises(ConfigError, match=r"domain \[0.0, 5e-324\] is too narrow for n = 3 nodes: .* is 0.0$"):
+            GridSignal((0, 5e-324), [1, 1, 1])
+        assert GridSignal((0, 5e-324), [1, 1]).h == 5e-324
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
         g = GridSignal((0.0, 1.0), rng.normal(size=17))
