@@ -44,9 +44,15 @@ into one (cells x levels) table of its rows B.  One pass over the cells
 (``_pruned_pass``) then forms F where the bound can keep a state, keeps
 the states within a threshold of the free optimum, runs the budgeted DP
 over them with the dense pass's results and finds the free minimizer; it
-stops, and the dense pass runs, once too many states survive.  Both
-budgeted passes start with ``_start``; they and the free solve read
-their sequences out with one helper, ``_read_rows``.
+stops, and the dense pass runs, once too many states survive.  Each cell
+takes all its budget rows in one transition over the stays, first, and
+then the jumps, so a stay wins a tie as in the dense pass.  Both budgeted
+passes start with ``_start``; they and the free solve read their
+sequences out with one helper, ``_read_rows``.
+
+Range.  ``_build_tableau`` makes A (``_size``), a bound on every cost
+and DP term, once per question and rejects data whose A overflows; the
+skipping, the pruning and their margins all read that one A.
 """
 
 import itertools
@@ -189,6 +195,7 @@ class _Tableau:
     kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change, symmetric
     start: np.ndarray | None  # first cell's pin row: 0 at the pinned level, inf elsewhere; None: free
     end: np.ndarray | None    # last cell's pin row, likewise
+    size: float            # A (``_size``), finite
 
     @property
     def shape(self) -> tuple:
@@ -233,6 +240,14 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
 
     diffs = np.abs(levels[:, None] - levels[None, :])
     kmat = problem.kernel.eval(diffs)
+    size = _size(moments, levels, problem.lam, kmat)
+    if not math.isfinite(size):
+        with np.errstate(all="ignore"):
+            lo, hi = problem.data.value_range()
+        raise ConfigError(
+            f"the data overflow floats: over their range [{lo}, {hi}] at lam = {problem.lam}, "
+            f"the cost bound n * max |cost| + max K is {size}"
+        )
 
     start = end = None
     if problem.endpoint_pin is not None:
@@ -249,7 +264,9 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
             )
         start, end = np.full((2, levels.size), np.inf)
         start[np.argmin(np.abs(levels - va))] = end[np.argmin(np.abs(levels - vb))] = 0.0
-    return _Tableau(edges=edges, levels=levels, moments=moments, lam=problem.lam, kmat=kmat, start=start, end=end)
+    return _Tableau(
+        edges=edges, levels=levels, moments=moments, lam=problem.lam, kmat=kmat, start=start, end=end, size=size
+    )
 
 
 def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray) -> OracleResult:
@@ -286,18 +303,20 @@ def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarra
     return arg, trans.take(arg + offs)
 
 
-def _size(tab: _Tableau) -> float:
+def _size(moments: np.ndarray, levels: np.ndarray, lam: float, kmat: np.ndarray) -> float:
     """A = n * C + max kmat, a bound on the size of the terms a DP sum of a
     path with at most one jump adds, with C the upper bound 0.5 * lam *
-    max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the largest |level|; inf or
-    nan where that bound overflows.  A finite free optimum is at most A: a
-    path that keeps its first level and jumps once at the end costs at most
-    that."""
-    n, _ = tab.shape
-    m0, m1, m2 = np.abs(tab.moments)
-    v = max(abs(tab.levels[0]), abs(tab.levels[-1]))
+    max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the largest |level|.
+    ``_build_tableau`` makes it once and rejects the problem where it is
+    not finite.  A finite A bounds every cost and kernel entry, so a DP
+    sum, whose terms are all at least -C, may round up to inf but is never
+    NaN.  A finite free optimum is at most A: a path that keeps its first
+    level and jumps once at the end costs at most that."""
+    n = moments.shape[1]
+    m0, m1, m2 = np.abs(moments)
+    v = max(abs(levels[0]), abs(levels[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        return n * (0.5 * tab.lam * float((m0 * v * v + 2.0 * m1 * v + m2).max())) + float(tab.kmat.max())
+        return n * (0.5 * lam * float((m0 * v * v + 2.0 * m1 * v + m2).max())) + float(kmat.max())
 
 
 def _in_range(size: float) -> bool:
@@ -310,8 +329,7 @@ def _slack(tab: _Tableau) -> float:
     """64u * A (``_size``), the rounding slack of the witness test
     (``_free_pass``) and of the pruned pass's screen (``_pruned_pass``), or
     0 (no skipping, no screen) where A is out of range."""
-    size = _size(tab)
-    return 64 * 2.0**-53 * size if _in_range(size) else 0.0
+    return 64 * 2.0**-53 * tab.size if _in_range(tab.size) else 0.0
 
 
 def _pinned(row: np.ndarray, pin, levels=slice(None)) -> np.ndarray:
@@ -468,9 +486,9 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     n, L = tab.shape
     budget = None if tie_scan_jumps is None else min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
     rows = None
-    if budget is not None and _worth_pruning(budget, L) and _in_range(size := _size(tab)):
+    if budget is not None and _worth_pruning(budget, L) and _in_range(tab.size):
         behind, free = _behind(tab)
-        T = _above(free, 2.0 * TIE_TOLERANCE, size)
+        T = _above(free, 2.0 * TIE_TOLERANCE, tab.size)
         if math.isfinite(T):
             rows = _pruned_pass(  # reads the rows of cost at most T and the free row, the last
                 tab, budget, behind, T, read=lambda values: [*np.flatnonzero(values[:-1] <= T), budget + 1]
@@ -625,14 +643,18 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     while the rounding of their sums is not.  So a bound of P is at most V
     + 7e-13 |V| + 1.4e-12 A, and two margins cover that: when V <= T, it
     is at most the cut, T + 1e-9 |T| + 2**-37 A (for V >= 0, |V| <= |T|;
-    V < 0 needs negative costs, and V >= -1.01 A).  Restricting a min to a subset can only raise a float DP
-    value, so by induction over the cells every state of P has its dense
-    value and its dense parent here: the dense parent attains the dense
-    minimum, every smaller index stays above it, and ``jumped < stay``
-    compares two values that are each the dense value, or above it on the
-    side the dense pass did not take.  The final argmin and backtrack then
-    return P.  A pruned optimum of at most T certifies itself: the dense
-    one, V, is at most it.
+    V < 0 needs negative costs, and V >= -1.01 A).  Restricting a min to
+    a subset can only raise a float DP value, so by induction over the
+    cells every state of P has its dense value and its dense parent here.
+    A budget row's sources are its own row at the kept levels before (a
+    stay: cost 0 to the same level, inf to any other), then the row below
+    it there (a jump; none for row 0), in the order in which the dense
+    pass breaks ties: the stay, then the smallest level.  The dense parent
+    attains the dense minimum, each source before it in that order is
+    above that minimum in the dense pass and so here (a kept source's
+    value is at least its dense one), and the argmin is the dense parent.
+    The final argmin and backtrack then return P.  A pruned optimum of at
+    most T certifies itself: the dense one, V, is at most it.
 
     Thresholds.  ``best_with_m_jumps`` tries T = ``_above(free, width,
     A)`` for each of ``_WIDTHS``, and the tie scan of ``solve`` T =
@@ -655,11 +677,13 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
 
     Positions are among each cell's kept levels (the smallest position is
     the smallest level), parents among the previous cell's, the free row's
-    too; all budget rows of a cell make one (budget, kept, kept before)
-    sum, and F one (candidates, kept before) sum.
+    too.  All budget rows of a cell make one (budget + 1, kept, 2 x kept
+    before) sum, its stay half first, and a parent is the argmin's
+    position modulo the count of kept levels before; F makes one
+    (candidates, kept before) sum.
     """
     n, L = tab.shape
-    cut = _above(threshold, 0.0, _size(tab))
+    cut = _above(threshold, 0.0, tab.size)
     slack = _slack(tab)
     screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
     no_rows = [None] * (budget + 1), np.full(budget + 1, np.inf), None
@@ -675,9 +699,8 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     F = F.take(prev)
     jump, V = _start(tab, budget, prev, c)
     kept, parents = [prev], [None]
-    at_level = np.empty(L, dtype=np.intp)  # position of a level among the previous cell's survivors
     buf = np.empty(0)
-    index = np.arange(max(budget, 1) * L)  # row offsets of both transitions, before scaling
+    index = np.arange((budget + 1) * L)  # row offsets of both transitions, before scaling
     for i, c in enumerate(rows, 1):
         B = behind[i]
         cand = (F.min() + B <= screen).nonzero()[0]
@@ -697,24 +720,21 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
             return None
         if s.size == 0:
             return no_rows
-        size = budget * s.size * prev.size
+        # Row j's sources: row j at the kept levels before (a stay), then
+        # row j - 1 there (a jump); row 0 never jumps.
+        src = np.full((budget + 1, 1, 2 * w), np.inf)
+        src[:, 0, :w] = V
+        src[1:, 0, w:] = V[:-1]
+        moves = np.hstack((np.where(s[:, None] == prev, 0.0, np.inf), jump.take(s[:, None] * L + prev)))
+        size = (budget + 1) * s.size * 2 * w
         if buf.size < size:
             buf = np.empty(size)
-        trans = buf[:size].reshape(budget, s.size, prev.size)
-        offs = index[: budget * s.size].reshape(budget, s.size) * prev.size
-        arg, jumped = _relax(V[:-1, None, :], jump.take(s[:, None] * L + prev), trans, offs)
-        at_level.fill(-1)
-        at_level[prev] = np.arange(prev.size)
-        pos = at_level[s]
-        stay = np.where(pos >= 0, V[:, pos], np.inf)
-        # Strict <: an all-inf row (no admissible sequence yet) never jumps.
-        use_jump = jumped < stay[1:]
+        trans = buf[:size].reshape(budget + 1, s.size, 2 * w)
+        arg, best = _relax(src, moves, trans, index[: (budget + 1) * s.size].reshape(budget + 1, s.size) * (2 * w))
         par = np.empty((budget + 2, s.size), dtype=np.int16)
-        par[0] = pos
-        par[1:-1] = np.where(use_jump, arg, pos)
+        par[:-1] = arg % w
         par[-1] = free_arg.take(keep)
-        stay[1:] = np.where(use_jump, jumped, stay[1:])
-        V = stay + c.take(s)
+        V = best + c.take(s)
         kept.append(s)
         parents.append(par)
         prev = s
@@ -750,9 +770,9 @@ def _certified_row(tab: _Tableau, m: int):
     certifies its result.  Each pass reads row m alone, a pruned pass only
     when it certifies.  The pruned passes run where the tie scan's do:
     from ``_worth_pruning`` and with A (``_size``) in range."""
-    if _worth_pruning(m, tab.shape[1]) and _in_range(size := _size(tab)):
+    if _worth_pruning(m, tab.shape[1]) and _in_range(tab.size):
         behind, free = _behind(tab)
-        thresholds = (_above(free, width, size) for width in _WIDTHS)
+        thresholds = (_above(free, width, tab.size) for width in _WIDTHS)
         threshold = next(thresholds)
         while math.isfinite(threshold):
             rows = _pruned_pass(tab, m, behind, threshold, read=lambda values: [m] if values[m] <= threshold else [])

@@ -514,6 +514,23 @@ def budget_optimum(tab, m):
     return E[m, last]
 
 
+def stay_jump_ties(tab, budget):
+    """The states of the dense budgeted pass where the best jump into a
+    level costs exactly what the stay there costs, both finite."""
+    cost = cost_table(tab)
+    n, L = cost.shape
+    jump = tab.kmat + np.diag(np.full(L, np.inf))
+    E = np.full((budget + 1, L), np.inf)
+    E[0] = oracle_mod._pinned(cost[0], tab.start)
+    ties = 0
+    for i in range(1, n):
+        jumped = np.min(E[:-1, :, None] + jump, axis=1)
+        ties += int(np.sum((jumped == E[1:]) & np.isfinite(jumped)))
+        E[1:] = np.minimum(E[1:], jumped)
+        E += cost[i]
+    return ties
+
+
 class TestParentTables:
     def test_level_cap_fits_the_int16_parent_tables(self):
         assert MAX_LEVELS <= np.iinfo(np.int16).max
@@ -724,6 +741,18 @@ class TestProblemValidation:
             warnings.simplefilter("error")
             for question in (solve, functools.partial(solve, tie_scan_jumps=2), lambda q: best_with_m_jumps(q, 1)):
                 with pytest.raises(ConfigError, match=f"^the data overflow floats: .*{cause}"):
+                    question(p)
+
+    @pytest.mark.parametrize("samples", [[0.0, 2e154], [0.0, 2e154, 1.0]], ids=["one_cell", "two_cells"])
+    def test_costs_that_overflow_floats_are_named(self, samples):
+        # The cell moments are finite, but m0 v^2 at the top level is not:
+        # the cost bound A is rejected before any pass, with no warning.
+        p = signal_problem(GridSignal((0.0, 1.0), samples), K1, 1.0, n_levels=5)
+        message = r"^the data overflow floats: over their range \[0.0, 2e\+154\] at lam = 1.0, the cost bound .* is inf$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for question in (solve, functools.partial(solve, tie_scan_jumps=2), lambda q: best_with_m_jumps(q, 0)):
+                with pytest.raises(ConfigError, match=message):
                     question(p)
 
     def test_one_cell_with_two_pins_is_named(self):
@@ -947,6 +976,32 @@ class TestPrunedPass:
         with oracle_constants(**ALWAYS_PRUNE):
             assert outcome(lambda: solve(problem, tie_scan_jumps=scan)) == expected
 
+    @pytest.mark.parametrize("pin", [None, (0.0, 0.75)], ids=["free", "pinned"])
+    @pytest.mark.parametrize("lam", [2.0, 8.0, 32.0])
+    @pytest.mark.parametrize("height", [0.25, 0.5, 1.0])
+    def test_a_stay_wins_its_exact_ties_with_a_jump(self, height, lam, pin):
+        # Data 0, 1, 1/4, 3/4 on quarters, five quarter levels and 16 cells:
+        # every cost and DP sum is dyadic, so stays and jumps tie exactly
+        # (17 times at m = 3 with free ends).  The pruned rows break each
+        # tie as the dense pass does: the stay, then the smallest level.
+        data = PiecewiseConstant((0.0, 1.0), (0.25, 0.5, 0.75), (0.0, 1.0, 0.25, 0.75))
+        problem = OracleProblem(
+            data=data, kernel=potts_kernel(height), lam=lam, n_cells=16,
+            levels=[0.0, 0.25, 0.5, 0.75, 1.0], endpoint_pin=pin,
+        )
+        tab = _build_tableau(problem)
+        assert stay_jump_ties(tab, 3) == (17 if pin is None else 9)
+        dense, dense_values = _budget_pass(tab, MAX_JUMP_BUDGET)
+        behind, free = oracle_mod._behind(tab)
+        free_seq = oracle_mod._solve_free(tab)
+        for threshold in [free, *np.unique(dense_values[np.isfinite(dense_values)]), math.inf]:
+            with oracle_constants(MAX_SURVIVORS=1.0):
+                seqs, values, seq = oracle_mod._pruned_pass(tab, MAX_JUMP_BUDGET, behind, threshold)
+            assert np.array_equal(seq, free_seq)
+            for m in np.flatnonzero(np.isfinite(values) & (values <= threshold)):
+                assert seqs[m].tobytes() == dense[m].tobytes()
+                assert values[m].tobytes() == dense_values[m].tobytes()
+
 
 def walk_problem(n_cells, n_levels, seed=3, pinned=False):
     """A normalised random walk at lam = 200; pinned to its end values."""
@@ -1091,7 +1146,7 @@ class TestPrunedRoutes:
             return
         # A = 0 (data 0 on the one level 0: every cost and jump is 0) is out
         # of range; there the scan takes the dense route, with no threshold.
-        passes = int(oracle_mod._in_range(oracle_mod._size(_build_tableau(problem))))
+        passes = int(oracle_mod._in_range(_build_tableau(problem).size))
         assert len(thresholds) == passes and all(threshold >= window for threshold in thresholds)
 
     @pytest.mark.parametrize("size", [(400, 101), (800, 201), (1000, 400), (2000, 400)])
@@ -1302,7 +1357,7 @@ def two_table_bound(tab):
 
 def cut_of(tab, threshold):
     """The largest bound that the pruned pass at ``threshold`` keeps."""
-    return oracle_mod._above(threshold, 0.0, oracle_mod._size(tab))
+    return oracle_mod._above(threshold, 0.0, tab.size)
 
 
 def pruned_kept(tab, behind, threshold):
