@@ -44,15 +44,19 @@ into one (cells x levels) table of its rows B.  One pass over the cells
 (``_pruned_pass``) then forms F where the bound can keep a state, keeps
 the states within a threshold of the free optimum, runs the budgeted DP
 over them with the dense pass's results and finds the free minimizer; it
-stops, and the dense pass runs, once too many states survive.  Each cell
-takes all its budget rows in one transition over the stays, first, and
-then the jumps, so a stay wins a tie as in the dense pass.  Both budgeted
-passes start with ``_start``; they and the free solve read their
-sequences out with one helper, ``_read_rows``.
+stops, and the dense pass runs, once too many states survive.  Both
+budgeted passes start with ``_start``; they and the free solve read
+their sequences out with one helper, ``_read_rows``.
 
 Range.  ``_build_tableau`` makes A (``_size``), a bound on every cost
-and DP term, once per question and rejects data whose A overflows; the
-skipping, the pruning and their margins all read that one A.
+and on the DP terms of a one-jump path, once per question; the skipping,
+the pruning and their margins all read that one A, and run only where it
+is in range (``_in_range``).  Where 2A is finite, every cost is a number
+and every DP sum above -inf.  Past that, the costs themselves are checked:
+data with a NaN or -inf cost, or a least cost whose 2n-fold is -inf, are
+rejected.  A cost or a DP sum may then still round up to inf, never to
+NaN, and a question whose every level sequence does so is named as an
+overflow.
 """
 
 import itertools
@@ -79,18 +83,27 @@ _BLOCK_CELLS = 160
 # (pinned), 1.75 at 400 x 101 and 1.30-1.37 at 800 x 201.
 _MIN_SKIP_LEVELS = 250
 # Budgeted passes are pruned (``_pruned_pass``) from a budget of 3 and
-# budget * L^2 = 20 000 transitions per cell, where the two routes were
-# even on 300- and 1000-cell random walks when the bounds cost two free
-# passes.  They now cost one backward pass (0.16-0.28 s at 2000 x 400)
-# and free rows over each threshold's kept states; the m = 4 tie scans
-# still gain: 36-38 ms pruned against 44 ms dense at 400 x 101, 102-110
-# against 192-201 ms at 800 x 201 (medians of 21 interleaved rounds, 2
-# cores, NumPy 2.4.6).  ``best_with_m_jumps`` tries the thresholds of
+# budget * L^2 = 20 000 transitions per cell.  The bounds cost one
+# backward pass (0.12-0.20 s at 2000 x 400) and free rows over each
+# threshold's kept states.  The tie scans' pruned route took, of the
+# dense route's time, 1.10 at m = 2, 0.90 at m = 3 and 0.81 at m = 4 on
+# 400 x 101 pinned linear data, 0.73, 0.61 and 0.51 at 800 x 201, and
+# 0.33, 0.25 and 0.18 on the 2000 x 400 random walk of seed 1 (medians
+# of 9 interleaved runs, 2 cores, NumPy 2.4.6).  ``best_with_m_jumps`` on
+# the 2000 x 400 walks of seeds 1 and 2 (9 and 10 free jumps) took 1.6 of
+# the dense route at m = 2 and 1.3 at m = 3, where no threshold
+# certifies (the weak case of ROADMAP.md item 6), and 0.5-1.3 at m = 4.
+# A gate at m = 2 would gain on the larger scans but lose on 400 x 101
+# and in the weak case.  ``best_with_m_jumps`` tries the thresholds of
 # widths 1e-3 and 1e-2 of |free| above the free optimum (``_above``, so
 # the same states at every scale of the data); at 1e-1, 20-51 % of the
 # states of 2000 x 400 random walks survive.  Above 30 % survivors the
-# dense pass runs: a pruned pass over the 30 % of states with the least
-# bounds took 0.28-0.77 of the dense pass's time, over 50 % 0.69-1.10.
+# dense pass runs: on the walks of seeds 1 and 2, a pruned pass over the
+# 10, 20, 30 and 50 % of states with the least bounds took 0.08-0.16,
+# 0.14-0.26, 0.26-0.38 and 0.56-0.97 of the dense pass's time at m = 4
+# and 10 (medians of 3).  With the backward pass the route breaks even
+# near 50 % at m = 4; at 30 % a pass that stops at the limit has cost
+# about half a dense pass before the dense pass runs.
 _MIN_PRUNE_BUDGET = 3
 _MIN_PRUNE_WORK = 20_000
 _WIDTHS = (1e-3, 1e-2)
@@ -195,7 +208,7 @@ class _Tableau:
     kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change, symmetric
     start: np.ndarray | None  # first cell's pin row: 0 at the pinned level, inf elsewhere; None: free
     end: np.ndarray | None    # last cell's pin row, likewise
-    size: float            # A (``_size``), finite
+    size: float            # A (``_size``); inf where it overflows
 
     @property
     def shape(self) -> tuple:
@@ -207,7 +220,9 @@ def _cost(lam, m0, m1, m2, lv):
     """Fidelity cost (lam / 2) * (m0 v^2 - 2 m1 v + m2) of the cells with
     moments m0, m1, m2 at levels v = lv, elementwise with broadcasting.
     Every cost the oracle uses is made here, so it is the same float
-    wherever it is made."""
+    wherever it is made.  A cost may overflow to inf, at a level that no
+    sequence of finite energy takes; ``_build_tableau`` rules out NaN and
+    -inf."""
     return 0.5 * lam * (m0 * lv * lv - 2.0 * m1 * lv + m2)
 
 
@@ -241,13 +256,17 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     diffs = np.abs(levels[:, None] - levels[None, :])
     kmat = problem.kernel.eval(diffs)
     size = _size(moments, levels, problem.lam, kmat)
-    if not math.isfinite(size):
+    if not math.isfinite(2.0 * size):
+        # Beyond the reach of the bound: the costs themselves must be
+        # numbers, and 2n times the least of them above -inf.
         with np.errstate(all="ignore"):
+            least = float(_cost(problem.lam, *moments[:, :, None], levels).min())
             lo, hi = problem.data.value_range()
-        raise ConfigError(
-            f"the data overflow floats: over their range [{lo}, {hi}] at lam = {problem.lam}, "
-            f"the cost bound n * max |cost| + max K is {size}"
-        )
+        if not 2.0 * n * least > -math.inf:
+            raise ConfigError(
+                f"the data overflow floats: over their range [{lo}, {hi}] at lam = {problem.lam}, "
+                f"the least cell cost is {least}: a cost or a sum of {n} costs is not a number above -inf"
+            )
 
     start = end = None
     if problem.endpoint_pin is not None:
@@ -306,12 +325,10 @@ def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarra
 def _size(moments: np.ndarray, levels: np.ndarray, lam: float, kmat: np.ndarray) -> float:
     """A = n * C + max kmat, a bound on the size of the terms a DP sum of a
     path with at most one jump adds, with C the upper bound 0.5 * lam *
-    max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the largest |level|.
-    ``_build_tableau`` makes it once and rejects the problem where it is
-    not finite.  A finite A bounds every cost and kernel entry, so a DP
-    sum, whose terms are all at least -C, may round up to inf but is never
-    NaN.  A finite free optimum is at most A: a path that keeps its first
-    level and jumps once at the end costs at most that."""
+    max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the largest |level|; inf
+    or nan where that bound overflows.  ``_build_tableau`` makes it once
+    per question.  A finite free optimum is at most A: a path that keeps
+    its first level and jumps once at the end costs at most that."""
     n = moments.shape[1]
     m0, m1, m2 = np.abs(moments)
     v = max(abs(levels[0]), abs(levels[-1]))
@@ -495,9 +512,13 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
             )
         del behind  # freed before the free solve and the dense pass
     seqs, _, seq = (None, None, _solve_free(tab)) if rows is None else rows
-    if seq is None:
-        raise ConfigError("a single cell cannot take two different pinned levels")
-    best = _result_from_sequence(problem, tab, seq)
+    best = None if seq is None else _result_from_sequence(problem, tab, seq)
+    if best is None or not math.isfinite(best.energy.total):
+        # Past one cell every sequence meets the pins, so only an overflow
+        # leaves none with a finite energy.
+        if n == 1 and tab.start is not None and tab.start.argmin() != tab.end.argmin():
+            raise ConfigError("a single cell cannot take two different pinned levels")
+        raise ConfigError(f"the data overflow floats: at lam = {problem.lam}, the least energy of a level sequence is inf")
     if budget is None:
         return best
 
@@ -645,16 +666,13 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     is at most the cut, T + 1e-9 |T| + 2**-37 A (for V >= 0, |V| <= |T|;
     V < 0 needs negative costs, and V >= -1.01 A).  Restricting a min to
     a subset can only raise a float DP value, so by induction over the
-    cells every state of P has its dense value and its dense parent here.
-    A budget row's sources are its own row at the kept levels before (a
-    stay: cost 0 to the same level, inf to any other), then the row below
-    it there (a jump; none for row 0), in the order in which the dense
-    pass breaks ties: the stay, then the smallest level.  The dense parent
-    attains the dense minimum, each source before it in that order is
-    above that minimum in the dense pass and so here (a kept source's
-    value is at least its dense one), and the argmin is the dense parent.
-    The final argmin and backtrack then return P.  A pruned optimum of at
-    most T certifies itself: the dense one, V, is at most it.
+    cells every state of P has its dense value and its dense parent here:
+    the dense parent attains the dense minimum, every smaller index stays
+    above it, and ``jumped < stay`` compares two values that are each the
+    dense value, or above it on the side the dense pass did not take, so
+    a stay wins a tie with a jump in both passes.  The final argmin and
+    backtrack then return P.  A pruned optimum of at most T certifies
+    itself: the dense one, V, is at most it.
 
     Thresholds.  ``best_with_m_jumps`` tries T = ``_above(free, width,
     A)`` for each of ``_WIDTHS``, and the tie scan of ``solve`` T =
@@ -677,9 +695,9 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
 
     Positions are among each cell's kept levels (the smallest position is
     the smallest level), parents among the previous cell's, the free row's
-    too.  All budget rows of a cell make one (budget + 1, kept, 2 x kept
-    before) sum, its stay half first, and a parent is the argmin's
-    position modulo the count of kept levels before; F makes one
+    too; the jumps of all budget rows of a cell make one (budget, kept,
+    kept before) sum, which each row then meets with its stays elementwise
+    (a stay half in that sum would double it), and F makes one
     (candidates, kept before) sum.
     """
     n, L = tab.shape
@@ -699,8 +717,9 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     F = F.take(prev)
     jump, V = _start(tab, budget, prev, c)
     kept, parents = [prev], [None]
+    at_level = np.empty(L, dtype=np.intp)  # position of a level among the previous cell's survivors
     buf = np.empty(0)
-    index = np.arange((budget + 1) * L)  # row offsets of both transitions, before scaling
+    index = np.arange(max(budget, 1) * L)  # row offsets of both transitions, before scaling
     for i, c in enumerate(rows, 1):
         B = behind[i]
         cand = (F.min() + B <= screen).nonzero()[0]
@@ -720,21 +739,24 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
             return None
         if s.size == 0:
             return no_rows
-        # Row j's sources: row j at the kept levels before (a stay), then
-        # row j - 1 there (a jump); row 0 never jumps.
-        src = np.full((budget + 1, 1, 2 * w), np.inf)
-        src[:, 0, :w] = V
-        src[1:, 0, w:] = V[:-1]
-        moves = np.hstack((np.where(s[:, None] == prev, 0.0, np.inf), jump.take(s[:, None] * L + prev)))
-        size = (budget + 1) * s.size * 2 * w
+        size = budget * s.size * prev.size
         if buf.size < size:
             buf = np.empty(size)
-        trans = buf[:size].reshape(budget + 1, s.size, 2 * w)
-        arg, best = _relax(src, moves, trans, index[: (budget + 1) * s.size].reshape(budget + 1, s.size) * (2 * w))
+        trans = buf[:size].reshape(budget, s.size, prev.size)
+        offs = index[: budget * s.size].reshape(budget, s.size) * prev.size
+        arg, jumped = _relax(V[:-1, None, :], jump.take(s[:, None] * L + prev), trans, offs)
+        at_level.fill(-1)
+        at_level[prev] = np.arange(prev.size)
+        pos = at_level[s]
+        stay = np.where(pos >= 0, V[:, pos], np.inf)
+        # Strict <: an all-inf row (no admissible sequence yet) never jumps.
+        use_jump = jumped < stay[1:]
         par = np.empty((budget + 2, s.size), dtype=np.int16)
-        par[:-1] = arg % w
+        par[0] = pos
+        par[1:-1] = np.where(use_jump, arg, pos)
         par[-1] = free_arg.take(keep)
-        V = best + c.take(s)
+        stay[1:] = np.where(use_jump, jumped, stay[1:])
+        V = stay + c.take(s)
         kept.append(s)
         parents.append(par)
         prev = s
@@ -760,9 +782,12 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     if m >= n:
         raise ConfigError(f"cannot place {m} jumps with only {n} cells")
     seq = _certified_row(tab, m)
-    if seq is None:
-        raise ConfigError(f"no admissible sequence with exactly {m} jumps")
-    return _result_from_sequence(problem, tab, seq)
+    best = None if seq is None else _result_from_sequence(problem, tab, seq)
+    if best is None or not math.isfinite(best.energy.total):
+        # A + m max K bounds such a sequence's energy, where one meets the pins.
+        overflow = "" if math.isfinite(tab.size + m * float(tab.kmat.max())) else ", or each one's energy overflows floats"
+        raise ConfigError(f"no admissible sequence with exactly {m} jumps{overflow}")
+    return best
 
 
 def _certified_row(tab: _Tableau, m: int):

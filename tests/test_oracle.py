@@ -743,17 +743,77 @@ class TestProblemValidation:
                 with pytest.raises(ConfigError, match=f"^the data overflow floats: .*{cause}"):
                     question(p)
 
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
     @pytest.mark.parametrize("samples", [[0.0, 2e154], [0.0, 2e154, 1.0]], ids=["one_cell", "two_cells"])
-    def test_costs_that_overflow_floats_are_named(self, samples):
-        # The cell moments are finite, but m0 v^2 at the top level is not:
-        # the cost bound A is rejected before any pass, with no warning.
-        p = signal_problem(GridSignal((0.0, 1.0), samples), K1, 1.0, n_levels=5)
-        message = r"^the data overflow floats: over their range \[0.0, 2e\+154\] at lam = 1.0, the cost bound .* is inf$"
+    def test_costs_that_overflow_floats_are_named(self, samples, lam):
+        # The cell moments are finite, but m0 v^2 and 2 m1 v at the top
+        # level are not, and their difference is NaN: the data are rejected
+        # before any pass, with no warning.
+        p = signal_problem(GridSignal((0.0, 1.0), samples), K1, lam, n_levels=5)
+        message = rf"^the data overflow floats: over their range \[0.0, 2e\+154\] at lam = {lam}, the least cell cost is nan: "
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for question in (solve, functools.partial(solve, tie_scan_jumps=2), lambda q: best_with_m_jumps(q, 0)):
                 with pytest.raises(ConfigError, match=message):
                     question(p)
+
+    @pytest.mark.parametrize("pin", [None, (0.0, 1e150)], ids=["free", "pinned"])
+    def test_data_past_the_cost_bound_keep_their_finite_optima(self, pin):
+        # A = n C + max K overflows (C = lam max(m0 V^2 + 2 |m1| V + |m2|) / 2
+        # is 1.9e308), but every cost is a number and the optimum is
+        # 2.9e306: each answer is the same problem's at 2**-400 the
+        # scale, times the power of two that the energy scales by.
+        def problem(slope, pin=None):
+            return OracleProblem(LinearData((0.0, 1.0), slope=slope), K1, 1e9, n_cells=10, n_levels=5, endpoint_pin=pin)
+
+        big, small = problem(1e150, pin), problem(1e150 * 2.0**-400, pin and tuple(v * 2.0**-400 for v in pin))
+        assert not math.isfinite(_build_tableau(big).size)
+        questions = (solve, functools.partial(solve, tie_scan_jumps=3), lambda q: best_with_m_jumps(q, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for question in questions:
+                got, want = question(big), question(small)
+                assert got.energy.total == want.energy.total * 2.0**800 and math.isfinite(got.energy.total)
+                assert got.minimizer.breakpoints == want.minimizer.breakpoints
+                assert got.minimizer.values == tuple(v * 2.0**400 for v in want.minimizer.values)
+                assert len(got.ties) == len(want.ties)
+        assert solve(big).energy.total == pytest.approx(2.9166666666666e306, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            OracleProblem(LinearData((0.0, 1.0), slope=1e150), K1, 1e11, n_cells=10, n_levels=5),
+            OracleProblem(LinearData((0.0, 1.0), slope=1e150), K1, 1e11, n_cells=10, n_levels=5, endpoint_pin=(0, 1e150)),
+            OracleProblem(LinearData((0.0, 1.0), slope=1e150), K1, 1e300, n_cells=1, n_levels=5),
+            OracleProblem(LinearData((0.0, 1.0), slope=8.0551997397657205e149), K1, 232295574883.6317, n_cells=38, n_levels=7),
+        ],
+        ids=["free", "pinned", "one_cell", "energy_only"],
+    )
+    def test_an_optimum_that_overflows_is_named(self, problem):
+        # No cost is NaN or -inf, but the least sum of the costs over the
+        # cells (every cost of the one cell) overflows: no sequence has a
+        # finite energy, and the error says so, not that the pins clash.
+        # In the last case the DP sums stay finite, but the minimizer's
+        # energy, the same terms summed in another order, does not.
+        message = f"^{re.escape(f'the data overflow floats: at lam = {problem.lam}')}, the least energy of a level sequence is inf$"
+        m = min(2, problem.resolved_cells() - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the costs and sums that overflow
+            for question in (solve, functools.partial(solve, tie_scan_jumps=3)):
+                with pytest.raises(ConfigError, match=message):
+                    question(problem)
+            with pytest.raises(ConfigError, match=f"^no admissible sequence with exactly {m} jumps, or each one's energy"):
+                best_with_m_jumps(problem, m)
+
+    def test_an_m_jump_optimum_whose_energy_overflows_is_named(self):
+        # The 9-jump row's DP sum is finite, but the energy of its sequence,
+        # the same terms summed in another order, is not.
+        p = OracleProblem(LinearData((0.0, 1.0), slope=7.251448149427038e149), K1, 20512439748.31682, n_cells=30, n_levels=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the costs and sums that overflow
+            assert _budget_pass(_build_tableau(p), 9)[0][9] is not None
+            with pytest.raises(ConfigError, match="^no admissible sequence with exactly 9 jumps, or each one's energy"):
+                best_with_m_jumps(p, 9)
 
     def test_one_cell_with_two_pins_is_named(self):
         p = OracleProblem(data=LinearData((0.0, 1.0)), kernel=K1, lam=1.0, n_cells=1, n_levels=3, endpoint_pin=(0.0, 1.0))
