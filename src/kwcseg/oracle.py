@@ -2,13 +2,13 @@
 
 The continuum energy is restricted to functions that are constant on each of
 n_cells uniform cells and take values on a fixed level grid.  A cell's
-fidelity is quadratic in its level, with the cell's width and the data's
-integrals of g and g^2 over it (``data.moments(edges)``) as coefficients:
-exact for a ``LinearData``, ``SineData`` or ``PiecewiseConstant`` g, the
-midpoint rule for a ``GridSignal`` g.  Within this finite class
-dynamic programming over (cell, level) finds the global optimum, which makes
-the module usable as ground truth for both the closed-form theory and the
-gradient-flow solvers on small instances.
+fidelity at level v is (lam / 2) (w (v - mu)^2 + Q), with w its width and
+mu and Q the data's mean over it and spread about that mean
+(``data.moments(edges)``; the midpoint rule for a ``GridSignal`` g): two
+terms at least 0, which a shift of data and levels leaves alone.  Within
+this finite class dynamic programming over (cell, level) finds the global
+optimum, which makes the module usable as ground truth for both the
+closed-form theory and the gradient-flow solvers on small instances.
 
 Complexity is O(n_cells * n_levels^2) for the free problem and an extra
 factor of the jump budget for the count-constrained variant; sizes are
@@ -23,8 +23,8 @@ results; a free solve that keeps only its sequence also forms only the
 target rows that the next witness test can keep.
 
 Memory.  No (cells x levels) table of fidelity costs is held: the tableau
-keeps each cell's three moments, and every pass makes its cost rows
-``_BLOCK_CELLS`` cells at a time with one expression (``_cost``), so every
+keeps each cell's width, mean and spread, and every pass makes its cost
+rows ``_BLOCK_CELLS`` cells at a time with one helper (``_cost``), so every
 float is the one a whole table would hold.  The passes run one after
 another in the caller, and each oracle question holds at most one
 (cells x levels) float table, the bounds below.
@@ -48,15 +48,13 @@ stops, and the dense pass runs, once too many states survive.  Both
 budgeted passes start with ``_start``; they and the free solve read
 their sequences out with one helper, ``_read_rows``.
 
-Range.  ``_build_tableau`` makes A (``_size``), a bound on every cost
-and on the DP terms of a one-jump path, once per question; the skipping,
-the pruning and their margins all read that one A, and run only where it
-is in range (``_in_range``).  Where 2A is finite, every cost is a number
-and every DP sum above -inf.  Past that, the costs themselves are checked:
-data with a NaN or -inf cost, or a least cost whose 2n-fold is -inf, are
-rejected.  A cost or a DP sum may then still round up to inf, never to
-NaN, and a question whose every level sequence does so is named as an
-overflow.
+Range.  Every cost is at least 0 or +inf (``_cost``) and every kernel
+entry at least 0, so no DP sum cancels: each is a number at least 0 or
++inf, never NaN, and a question whose every level sequence sums to +inf
+is named as an overflow.  ``_build_tableau`` makes A (``_size``), a bound
+on the DP sum of a one-jump path, once per question; the skipping and the
+pruning take their rounding slack from that one A, and run only where it
+is in range (``_in_range``).
 """
 
 import itertools
@@ -203,7 +201,7 @@ class _Tableau:
 
     edges: np.ndarray
     levels: np.ndarray
-    moments: np.ndarray    # (3, n_cells): each cell's m0, m1, m2 (see ``_cost``)
+    moments: np.ndarray    # (3, n_cells): each cell's width, mean and spread (see ``_cost``)
     lam: float
     kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change, symmetric
     start: np.ndarray | None  # first cell's pin row: 0 at the pinned level, inf elsewhere; None: free
@@ -216,14 +214,24 @@ class _Tableau:
         return self.moments.shape[1], self.levels.size
 
 
-def _cost(lam, m0, m1, m2, lv):
-    """Fidelity cost (lam / 2) * (m0 v^2 - 2 m1 v + m2) of the cells with
-    moments m0, m1, m2 at levels v = lv, elementwise with broadcasting.
-    Every cost the oracle uses is made here, so it is the same float
-    wherever it is made.  A cost may overflow to inf, at a level that no
-    sequence of finite energy takes; ``_build_tableau`` rules out NaN and
-    -inf."""
-    return 0.5 * lam * (m0 * lv * lv - 2.0 * m1 * lv + m2)
+def _cost(lam, width, mean, spread, lv):
+    """Fidelity cost (lam / 2) * (width (v - mean)^2 + spread) of the cells
+    at levels v = lv, elementwise with broadcasting, formed in place in
+    one new array.  Every cost the oracle uses is made here, so it is the
+    same float wherever it is made.  Both terms are at least 0, so a cost
+    is at least 0, or +inf where it overflows (with no warning).  Where
+    lam / 2 rounds to 0 every cost is 0, as the formula gives wherever no
+    term overflows (0 * inf would be NaN)."""
+    c = np.subtract(lv, mean)
+    if not 0.5 * lam:
+        c.fill(0.0)
+        return c
+    with np.errstate(over="ignore"):
+        c *= c
+        c *= width
+        c += spread
+        c *= 0.5 * lam
+    return c
 
 
 def _cost_rows(tab: _Tableau, backward: bool = False):
@@ -247,27 +255,15 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
         edges = np.linspace(a, b, n + 1)
         moments[0] = (b - a) / n
         moments[1:] = problem.data.moments(edges)
-    bad = np.argwhere(~np.isfinite(moments))
+    finite = np.isfinite(moments)
+    finite[2] |= moments[2] == np.inf  # a spread that overflows: its costs are +inf
+    bad = np.argwhere(~finite)
     if bad.size:
         k, i = bad[0]
-        what = ("the width of", "the integral of g over", "the integral of g^2 over")[k]
+        what = ("the width of", "the mean of g over", "the spread of g over")[k]
         raise ConfigError(f"the data overflow floats: {what} the cell [{edges[i]}, {edges[i + 1]}] is {moments[k, i]}")
 
-    diffs = np.abs(levels[:, None] - levels[None, :])
-    kmat = problem.kernel.eval(diffs)
-    size = _size(moments, levels, problem.lam, kmat)
-    if not math.isfinite(2.0 * size):
-        # Beyond the reach of the bound: the costs themselves must be
-        # numbers, and 2n times the least of them above -inf.
-        with np.errstate(all="ignore"):
-            least = float(_cost(problem.lam, *moments[:, :, None], levels).min())
-            lo, hi = problem.data.value_range()
-        if not 2.0 * n * least > -math.inf:
-            raise ConfigError(
-                f"the data overflow floats: over their range [{lo}, {hi}] at lam = {problem.lam}, "
-                f"the least cell cost is {least}: a cost or a sum of {n} costs is not a number above -inf"
-            )
-
+    kmat = problem.kernel.eval(np.abs(levels[:, None] - levels[None, :]))
     start = end = None
     if problem.endpoint_pin is not None:
         try:
@@ -283,6 +279,7 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
             )
         start, end = np.full((2, levels.size), np.inf)
         start[np.argmin(np.abs(levels - va))] = end[np.argmin(np.abs(levels - vb))] = 0.0
+    size = _size(moments, levels, problem.lam, kmat)
     return _Tableau(
         edges=edges, levels=levels, moments=moments, lam=problem.lam, kmat=kmat, start=start, end=end, size=size
     )
@@ -323,22 +320,19 @@ def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarra
 
 
 def _size(moments: np.ndarray, levels: np.ndarray, lam: float, kmat: np.ndarray) -> float:
-    """A = n * C + max kmat, a bound on the size of the terms a DP sum of a
-    path with at most one jump adds, with C the upper bound 0.5 * lam *
-    max(m0 V^2 + 2 |m1| V + |m2|) on |cost|, V the largest |level|; inf
-    or nan where that bound overflows.  ``_build_tableau`` makes it once
-    per question.  A finite free optimum is at most A: a path that keeps
-    its first level and jumps once at the end costs at most that."""
-    n = moments.shape[1]
-    m0, m1, m2 = np.abs(moments)
-    v = max(abs(levels[0]), abs(levels[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return n * (0.5 * lam * float((m0 * v * v + 2.0 * m1 * v + m2).max())) + float(kmat.max())
+    """A = n * C + max kmat, with C the largest cost: a bound on the DP sum
+    of a path with at most one jump, whose terms are each at least 0; inf
+    where it overflows.  A cost is convex in its level and its float
+    rounding monotone, so C is a cost at an end level, the same float as
+    the largest of a whole table.  ``_build_tableau`` makes A once per
+    question.  A finite free optimum is at most A: a path that keeps its
+    first level and jumps once at the end costs at most that."""
+    return moments.shape[1] * float(_cost(lam, *moments[:, :, None], levels[[0, -1]]).max()) + float(kmat.max())
 
 
 def _in_range(size: float) -> bool:
-    """1e-280 < size < 1e300: a multiple of ``size`` by a few hundred u or
-    by 2**-37 neither underflows nor overflows."""
+    """1e-280 < size < 1e300: a multiple of ``size`` by a few hundred u
+    neither underflows nor overflows."""
     return 1e-280 < size < 1e300
 
 
@@ -379,11 +373,10 @@ def _free_pass(tab: _Tableau, parents=None, on_row=None, backward=False) -> np.n
     dense pass, so the minima, the smallest-index argmins, every row and
     every parent are bit-identical to the dense pass's.
 
-    The slack covers the rounding.  Let u = 2**-53, C = max |cost|, Kmax =
-    max kmat and A = n * C + Kmax (``_slack`` takes C from the moments, an
-    upper bound up to its own few roundings).  Every finite D is at most
-    the float sum along a path that stays at its level (after one jump from
-    a pinned start) and at least -n * C, up to a factor 1 + n * u.  A kmat
+    The slack covers the rounding.  Let u = 2**-53, C = max cost, Kmax =
+    max kmat and A = n * C + Kmax (``_size``).  Every finite D is at least
+    0 and at most the float sum along a path that stays at its level (after
+    one jump from a pinned start), up to a factor 1 + n * u.  A kmat
     entry is within 4u (relative) of the exact kernel at the exact level
     distance: one rounding in the distance, which moves a concave K with
     K(0) = 0 by at most the same relative amount, and three in kwc's
@@ -470,14 +463,13 @@ def _behind(tab: _Tableau) -> tuple:
     return behind, float(first.min())
 
 
-def _above(value: float, width: float, size: float) -> float:
-    """value + width |value| + (1 + width) (1e-9 |value| + 2**-37 size):
-    every threshold and cut of a pruned pass (``_pruned_pass``), from the
-    free optimum and a relative width (a threshold) or from a threshold
-    and width 0 (its cut), with size = A (``_size``).  It scales with the
-    problem: a power-of-two change of units scales it exactly."""
-    wide = 1.0 + width
-    return value + (width + wide * 1e-9) * abs(value) + wide * 2.0**-37 * size
+def _above(value: float, width: float) -> float:
+    """value + width |value| + (1 + width) 1e-9 |value|: every threshold and
+    cut of a pruned pass (``_pruned_pass``), from the free optimum and a
+    relative width (a threshold) or from a threshold and width 0 (its cut).
+    It scales with the problem: a power-of-two change of units scales it
+    exactly."""
+    return value + (width + (1.0 + width) * 1e-9) * abs(value)
 
 
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
@@ -489,7 +481,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     global optimum and whose jump set differs from the minimizer's.
 
     That pass is pruned (``_pruned_pass``) at one threshold, T =
-    ``_above(free, 2 TIE_TOLERANCE, A)``, and also finds the minimizer; it
+    ``_above(free, 2 TIE_TOLERANCE)``, and also finds the minimizer; it
     reads the minimizer and the rows of cost at most T only.  Every row of
     dense energy within the window has a DP cost below T (see
     ``_pruned_pass``), so it is read and is the dense row, and a row above
@@ -505,7 +497,7 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     rows = None
     if budget is not None and _worth_pruning(budget, L) and _in_range(tab.size):
         behind, free = _behind(tab)
-        T = _above(free, 2.0 * TIE_TOLERANCE, tab.size)
+        T = _above(free, 2.0 * TIE_TOLERANCE)
         if math.isfinite(T):
             rows = _pruned_pass(  # reads the rows of cost at most T and the free row, the last
                 tab, budget, behind, T, read=lambda values: [*np.flatnonzero(values[:-1] <= T), budget + 1]
@@ -617,33 +609,34 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     ``_MAX_SURVIVORS`` of the states have survived.
 
     Kept states.  A state is kept when its bound F + B - cost is at most
-    the cut ``_above(threshold, 0, A)``, in the float operations of a bound
+    the cut ``_above(threshold, 0)``, in the float operations of a bound
     table filled by two dense passes (B from ``_behind``).  F is held on
     the kept levels only, as the budget rows are: a transition of F reads
     the previous cell's kept levels and forms the targets spanned by the
     candidates.  A target's bound is at least min F + B[target] (kernel
     entries are at least 0), so a target whose screen value exceeds the cut
     by the slack of ``_slack``, widened by 64u of the cut, is above the cut
-    in floats too (its few roundings stay below that slack) and is no
-    candidate.  Every F formed here is at least the dense pass's (a min over
-    fewer sources).  A source k that attains the dense minimum of a state l
-    of the next cell has a bound no larger than l's, up to rounding at the
-    cut itself: F[k] + K(k, l) = F[l] - cost[l], and B[k] - cost[k] is a
-    min over the next cell's levels that includes K(k, l) + B[l].  So any
-    source that attains a kept state's minimum is itself kept, and by
-    induction over the cells a state the dense table keeps has its dense F
-    here: the kept levels are the dense table's survivors.
+    in floats too (its few roundings are each at most u times F + B, the
+    bound plus one cost of at most C) and is no candidate.  Every F formed
+    here is at least the dense pass's (a min over fewer sources).  A source
+    k that attains the dense minimum of a state l of the next cell has a
+    bound no larger than l's, up to rounding at the cut itself: F[k] +
+    K(k, l) = F[l] - cost[l], and B[k] - cost[k] is a min over the next
+    cell's levels that includes K(k, l) + B[l].  So any source that attains
+    a kept state's minimum is itself kept, and by induction over the cells
+    a state the dense table keeps has its dense F here: the kept levels
+    are the dense table's survivors.
 
     The free minimizer.  At a threshold of at least the free optimum, its
-    states are kept with room to spare: their bounds are within the
-    rounding below of the free optimum (``Exactness of the rows``, P the
-    free minimizer), far inside the cut.  Each of its states is the
-    smallest-index parent of the next, so every smallest-index parent on
-    the free minimizer is kept, and by induction along it each state has
-    its dense F and its dense parent: the min over the kept sources
-    includes that parent at its dense value, and no kept source of smaller
-    index attains it, as none does in the dense pass.  So the free sequence
-    is the free pass's, ties broken alike.
+    states are kept: their bounds are at most the free optimum times 1 +
+    7e-13 (``Exactness of the rows``, P the free minimizer), inside the
+    cut.  Each of its states is the smallest-index parent of the next, so
+    every smallest-index parent on the free minimizer is kept, and by
+    induction along it each state has its dense F and its dense parent:
+    the min over the kept sources includes that parent at its dense value,
+    and no kept source of smaller index attains it, as none does in the
+    dense pass.  So the free sequence is the free pass's, ties broken
+    alike.
 
     Exactness of the rows.  Any path through state (i, l), whatever its
     jump count, costs at least its bound.  Let P be the path the dense pass
@@ -652,19 +645,13 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     is monotone, so F and B at a state of P are at most P's float prefix
     and suffix sums (for F by induction along P, whose previous state is
     kept).  Those two sums and V each add up P's float terms (n <= 2000
-    costs and m <= 10 kernel entries) in some order, so each is within
-    2010u S of their exact sum, with u = 2**-53 and S the sum of the
-    terms' sizes; with the two roundings of F + B - cost, every state of P
-    has a bound of at most V + 6100u S.  Kernel entries are at least 0 and
-    costs at least -C (C and A = n C + max kmat as in ``_size``), so S
-    exceeds the exact sum by at most 2 n C: S <= 1.01 |V| + 2.01 A.  That
-    A part is the cancellation in the cost sums: a cost that is 0 in
-    exact arithmetic comes out as a rounding of a few u C of either sign,
-    so V and the free optimum may be far below u A (data near a level)
-    while the rounding of their sums is not.  So a bound of P is at most V
-    + 7e-13 |V| + 1.4e-12 A, and two margins cover that: when V <= T, it
-    is at most the cut, T + 1e-9 |T| + 2**-37 A (for V >= 0, |V| <= |T|;
-    V < 0 needs negative costs, and V >= -1.01 A).  Restricting a min to
+    costs and m <= 10 kernel entries) in some order, and every term is at
+    least 0 (``_cost``), so each sum is within 2010u S of their exact sum S,
+    with u = 2**-53: nothing cancels.  With the two roundings of F + B -
+    cost (the cost at most S), every state of P has a bound of at most S +
+    4030u S, and S <= V (1 + 2020u), so a bound of P is at most V + 7e-13
+    V.  When V <= T, that is at most the cut, T + 1e-9 T.  At V = 0 every
+    term of P is 0, and so is each of its bounds.  Restricting a min to
     a subset can only raise a float DP value, so by induction over the
     cells every state of P has its dense value and its dense parent here:
     the dense parent attains the dense minimum, every smaller index stays
@@ -674,24 +661,22 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     backtrack then return P.  A pruned optimum of at most T certifies
     itself: the dense one, V, is at most it.
 
-    Thresholds.  ``best_with_m_jumps`` tries T = ``_above(free, width,
-    A)`` for each of ``_WIDTHS``, and the tie scan of ``solve`` T =
-    ``_above(free, 2 TIE_TOLERANCE, A)``.  The scan's minimizer energy best
+    Thresholds.  ``best_with_m_jumps`` tries T = ``_above(free, width)``
+    for each of ``_WIDTHS``, and the tie scan of ``solve`` T =
+    ``_above(free, 2 TIE_TOLERANCE)``.  The scan's minimizer energy best
     and a row's energy E add up the same float terms as the DP costs free
     and V in another order (the fidelity pairwise, then the jumps), so each
-    is within 4.5e-13 |x| + 9e-13 A of the other, x either one.  A row
-    inside the window, E <= best + t |best| with t = ``TIE_TOLERANCE``,
-    then has V <= free + t |free| + (1 + t) (1e-12 |free| + 2.3e-12 A),
-    below T.  At a free optimum of 0 (data on a level) the widths vanish,
-    and T is the A margin alone: the pass keeps the states of bound about
-    0, and a budget whose optimum lies above T is answered by a retry at a
-    pruned value or by the dense pass, exact either way.  A = 0 is outside ``_in_range``, where neither question
-    prunes, so T and its cut never both vanish.  The threshold, the cut and
-    the screen are sums of free (or a pruned optimum), A and the bounds,
-    times fixed constants, so a power-of-two change of units (samples,
-    levels and pins times s, lam / s, a kwc kappa / s, a Potts height s)
-    scales every one of them exactly: the same states survive and the same
-    passes run at every such scale.
+    is within 4.5e-13 of the other, relative.  A row inside the window, E
+    <= best + t best with t = ``TIE_TOLERANCE``, then has V <= free + t
+    free + (1 + t) 1e-12 free, at most T.  At a free optimum of 0 (data on
+    a level) T and its cut are 0: the pass keeps the states of bound 0,
+    and a budget whose optimum lies above T is answered by a retry at a
+    pruned value or by the dense pass, exact either way.  The threshold,
+    the cut and the screen are sums of free (or a pruned optimum), A and
+    the bounds, times fixed constants, so a power-of-two change of units
+    (samples, levels and pins times s, lam / s, a kwc kappa / s, a Potts
+    height s) scales every one of them exactly: the same states survive
+    and the same passes run at every such scale.
 
     Positions are among each cell's kept levels (the smallest position is
     the smallest level), parents among the previous cell's, the free row's
@@ -701,7 +686,7 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     (candidates, kept before) sum.
     """
     n, L = tab.shape
-    cut = _above(threshold, 0.0, tab.size)
+    cut = _above(threshold, 0.0)
     slack = _slack(tab)
     screen = cut + slack + 64 * 2.0**-53 * abs(cut) if slack else math.inf
     no_rows = [None] * (budget + 1), np.full(budget + 1, np.inf), None
@@ -768,7 +753,7 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     """Global optimum among sequences with exactly m level changes.
 
     The budgeted pass is pruned to the states whose path bound is within a
-    threshold T of the free optimum, T = ``_above(free, width, A)`` for
+    threshold T of the free optimum, T = ``_above(free, width)`` for
     each width of ``_WIDTHS`` in turn; a pruned m-optimum at most T
     certifies itself (see ``_pruned_pass``).  When too many states survive,
     A (``_size``) is out of range, or no width certifies, the dense pass
@@ -797,7 +782,7 @@ def _certified_row(tab: _Tableau, m: int):
     from ``_worth_pruning`` and with A (``_size``) in range."""
     if _worth_pruning(m, tab.shape[1]) and _in_range(tab.size):
         behind, free = _behind(tab)
-        thresholds = (_above(free, width, tab.size) for width in _WIDTHS)
+        thresholds = (_above(free, width) for width in _WIDTHS)
         threshold = next(thresholds)
         while math.isfinite(threshold):
             rows = _pruned_pass(tab, m, behind, threshold, read=lambda values: [m] if values[m] <= threshold else [])

@@ -385,9 +385,10 @@ class TestOracleSolve:
         assert "finite" in err
         assert out == ""
 
-    def test_csv_data_whose_costs_overflow_exit_2_with_one_line(self, capsys, tmp_path):
-        # Finite samples and cell moments, but m0 v^2 overflows at the top
-        # level: one config error that names the data, and no warning.
+    def test_csv_data_whose_costs_overflow_solve_with_nothing_on_stderr(self, capsys, tmp_path):
+        # The one cell's mean, 1e154, is a level, at cost 0; the costs at
+        # the end levels, 0.5 * (1e154)^2, are finite, and no warning is
+        # printed.
         csv_path = tmp_path / "g.csv"
         csv_path.write_text("x,value\n0,0\n1,2e154\n")
         cfg = self.write_config(
@@ -396,8 +397,21 @@ class TestOracleSolve:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
+        assert code == 0 and err == "" and caught == []
+        result = parse_json(out)
+        assert result["minimizer"]["values"] == [1e154] and result["energy"]["total"] == 0.0
+
+    def test_csv_data_whose_range_overflows_exit_2_with_one_line(self, capsys, tmp_path):
+        csv_path = tmp_path / "g.csv"
+        csv_path.write_text("x,value\n0,-1e308\n1,1e308\n")
+        cfg = self.write_config(
+            tmp_path, data={"kind": "csv", "path": str(csv_path)}, lam=1.0, n_cells=None, n_levels=5, endpoint_pin=None
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
         assert code == 2 and out == "" and caught == []
-        assert err.startswith("config error: the data overflow floats: over their range [0.0, 2e+154]")
+        assert err.startswith("config error: the data overflow floats: their range [-1e+308, 1e+308] is not a finite interval")
         assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize(

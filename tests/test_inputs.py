@@ -334,22 +334,29 @@ def test_one_fault_in_a_valid_config_is_named(workdir, csv_path, command, cfg, p
         assert re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err), err
 
 
+# Data near the float limits: each exits 2 naming the overflow, but step data
+# to 1e308, whose cells each hold one value, and whose costs overflow only
+# at levels far from that value: those solve.
 OVERFLOWING_DATA = {
     "sine_phase": {"kind": "sine", "domain": [0, 1e300], "omega": 1e10},
     "linear_values": {"kind": "linear", "domain": [0, 1e300], "slope": 1e10},
     "linear_cube": {"kind": "linear", "domain": [0, 1e200]},
     "steps_square": {"kind": "steps", "steps": {"domain": [0, 1], "breakpoints": [0.5], "values": [0, 1e308]}},
 }
+SOLVED_NEAR_THE_LIMITS = ("steps_square",)
 
 
 @pytest.mark.parametrize("pin", [{}, {"endpoint_pin": True}], ids=["free", "pinned_to_the_data"])
-@pytest.mark.parametrize("data", list(OVERFLOWING_DATA.values()), ids=list(OVERFLOWING_DATA))
-def test_data_that_overflow_floats_exit_2_with_no_warning(workdir, data, pin):
-    cfg = {"data": data, "kernel": {"kind": "kwc"}, "lam": 5.0, "n_cells": 10, "n_levels": 5, **pin}
+@pytest.mark.parametrize("label", list(OVERFLOWING_DATA))
+def test_data_near_the_float_limits_exit_0_or_2_with_no_warning(workdir, label, pin):
+    cfg = {"data": OVERFLOWING_DATA[label], "kernel": {"kind": "kwc"}, "lam": 5.0, "n_cells": 10, "n_levels": 5, **pin}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, err = run_main(workdir, cfg, "oracle", "solve", "--tie-scan", "2")
-    assert code == 2 and err.startswith("config error: the data overflow floats: "), err
+    if label in SOLVED_NEAR_THE_LIMITS:
+        assert code == 0 and err == "", err
+    else:
+        assert code == 2 and err.startswith("config error: the data overflow floats: "), err
 
 
 # Closed forms whose result is not a finite float, each with a field it names.

@@ -448,31 +448,43 @@ class TestGridSignalData:
 
 
 def cell_by_cell_moments(data, edges) -> list:
-    """The integrals of g and g^2 over each cell, one cell at a time on
-    Python floats; a step function's piece integrals are added left to
-    right from 0, and a grid signal is read at each cell's midpoint."""
-    edges = edges.tolist()
-    h = (edges[-1] - edges[0]) / (len(edges) - 1)
+    """Each cell's mean of g and spread about it, one cell at a time on
+    Python floats: linear data's midpoint value and w (slope w)^2 / 12, sine
+    data's closed forms, a step function's pieces weighted by their shares
+    of the cell and added left to right from 0, and a grid signal read at
+    each cell's midpoint, with spread 0."""
     out = []
-    for x0, x1 in zip(edges, edges[1:]):
+    for x0, x1 in zip(edges.tolist(), edges[1:].tolist()):
+        w = x1 - x0
         if isinstance(data, LinearData):
-            s, t = data.slope, data.intercept
-            m1 = s * (x1 * x1 - x0 * x0) / 2.0 + t * (x1 - x0)
-            m2 = s * s * (x1**3 - x0**3) / 3.0 + s * t * (x1 * x1 - x0 * x0) + t * t * (x1 - x0)
+            rise = data.slope * w
+            mean, spread = data.slope * (0.5 * (x0 + x1)) + data.intercept, w * (rise * rise) / 12.0
         elif isinstance(data, SineData):
-            a, w = data.amplitude, data.omega
-            m1 = a * (np.cos(w * x0) - np.cos(w * x1)) / w
-            m2 = a * a * ((x1 - x0) / 2.0 - (np.sin(2 * w * x1) - np.sin(2 * w * x0)) / (4.0 * w))
+            a, om = data.amplitude, data.omega
+            p0, p1 = om * x0, om * x1
+            m = (np.cos(p0) - np.cos(p1)) / (om * w) if w > 0 else np.sin(p0)
+            q = w / 2.0 - (np.sin(2.0 * p1) - np.sin(2.0 * p0)) / (4.0 * om) - w * (m * m)
+            mean, spread = a * m, a * (a * np.maximum(q, 0.0))
         elif isinstance(data, PiecewiseConstant):
             cuts = [x0, *(b for b in data.breakpoints if x0 < b < x1), x1]
             pieces = [(hi - lo, data(0.5 * (lo + hi))) for lo, hi in zip(cuts, cuts[1:])]
-            m1 = sum(gv * width for width, gv in pieces)
-            m2 = sum(gv * gv * width for width, gv in pieces)
+            mean = sum(gv * (width / w if width > 0 else 1.0) for width, gv in pieces)
+            spread = sum(width * ((gv - mean) * (gv - mean)) for width, gv in pieces)
         else:
-            gv = data(0.5 * (x0 + x1))
-            m1, m2 = h * gv, h * gv * gv
-        out.append((float(m1), float(m2)))
+            mean, spread = data(0.5 * (x0 + x1)), 0.0
+        out.append((float(mean), float(spread)))
     return out
+
+
+def sine_spread_by_quadrature(data, x0, x1) -> float:
+    """The spread of sine data about their mean over [x0, x1], by 20-point
+    Gauss-Legendre quadrature with ``math.fsum``: exact up to its own
+    rounding on a cell far shorter than the sine's period."""
+    t, weights = (a.tolist() for a in np.polynomial.legendre.leggauss(20))
+    c, h = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+    g = [float(data(c + h * ti)) for ti in t]
+    mean = math.fsum(wi * gi for wi, gi in zip(weights, g)) / 2.0
+    return h * math.fsum(wi * (gi - mean) ** 2 for wi, gi in zip(weights, g))
 
 
 def bits(pairs) -> list:
@@ -512,8 +524,8 @@ class TestCellMoments:
     @given(data_on_cells())
     def test_every_kind_gives_each_cell_its_own_moments_bit_for_bit(self, case):
         edges, data = case
-        m1, m2 = data.moments(edges)
-        assert bits(zip(m1, m2)) == bits(cell_by_cell_moments(data, edges))
+        mean, spread = data.moments(edges)
+        assert bits(zip(mean, spread)) == bits(cell_by_cell_moments(data, edges))
 
     @settings(max_examples=100)
     @given(data_on_cells())
@@ -525,30 +537,48 @@ class TestCellMoments:
         assert bits([(m,) for m in tab.moments[0]]) == bits([((b - a) / n,)] * n)
         assert bits(tab.moments[1:].T) == bits(cell_by_cell_moments(data, edges))
 
+    @settings(max_examples=300)
+    @given(
+        st.floats(-10.0, 10.0),
+        st.integers(-12, -4),
+        st.floats(1.0, 10.0),
+        st.floats(0.1, 30.0),
+        st.floats(-1e3, 1e3),
+    )
+    def test_a_tiny_sine_cell_has_its_spread_within_the_stated_bound(self, x0, power, mantissa, omega, amplitude):
+        # The spread is a difference that cancels on a small cell; its error
+        # is within 16 u a^2 (1 / |omega| + X + w) (``SineData.moments``).
+        edges = np.array([x0, x0 + mantissa * 10.0**power])
+        data = SineData(tuple(edges.tolist()), amplitude, omega)
+        _, spread = data.moments(edges)
+        w, X = edges[1] - edges[0], np.abs(edges).max()
+        reference = sine_spread_by_quadrature(data, *edges.tolist())
+        assert abs(spread[0] - reference) <= 16 * 2.0**-53 * amplitude**2 * (1 / omega + X + w)
+
     def test_a_cell_of_three_pieces_adds_them_left_to_right(self):
         # ((0 + p0) + p1) + p2 rounds otherwise than p0 + (p1 + p2) here.
         data = PiecewiseConstant((0.0, 1.0), (0.1, 0.2), (1.0, 1e16, -1e16))
-        m1, _ = data.moments(np.array([0.0, 0.3]))
-        assert m1[0].hex() == sum([1.0 * 0.1, 1e16 * (0.2 - 0.1), -1e16 * (0.3 - 0.2)]).hex()
+        mean, _ = data.moments(np.array([0.0, 0.3]))
+        assert mean[0].hex() == sum([1.0 * (0.1 / 0.3), 1e16 * ((0.2 - 0.1) / 0.3), -1e16 * ((0.3 - 0.2) / 0.3)]).hex()
 
 
 def cell_by_cell_misfits(data, edges, values) -> list:
     """The integral of (v - g)^2 over each cell, one cell at a time on
     Python floats: linear data by its closed form with nothing to cancel,
-    sine data from its moments, and step data and a grid signal (read as
+    sine data as w (v - mean)^2 + spread from its moments, and step data and a grid signal (read as
     its interpolant) piece by piece between their kinks, with a cell's
     pieces added left to right from 0."""
     moments = cell_by_cell_moments(data, edges)
     edges = edges.tolist()
     kinks = data.x().tolist() if isinstance(data, GridSignal) else getattr(data, "breakpoints", ())
     out = []
-    for (x0, x1), v, (m1, m2) in zip(zip(edges, edges[1:]), values, moments):
+    for (x0, x1), v, (mean, spread) in zip(zip(edges, edges[1:]), values, moments):
         if isinstance(data, LinearData):
             e0, e1 = data.slope * x0 + data.intercept - v, data.slope * x1 + data.intercept - v
             out.append((x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0)
             continue
         if isinstance(data, SineData):
-            out.append(v * v * (x1 - x0) - 2.0 * v * m1 + m2)
+            out.append((x1 - x0) * ((v - mean) * (v - mean)) + spread)
             continue
         cuts = [x0, *(x for x in kinks if x0 < x < x1), x1]
         total = 0.0
