@@ -51,10 +51,14 @@ their sequences out with one helper, ``_read_rows``.
 Range.  Every cost is at least 0 or +inf (``_cost``) and every kernel
 entry at least 0, so no DP sum cancels: each is a number at least 0 or
 +inf, never NaN, and a question whose every level sequence sums to +inf
-is named as an overflow.  ``_build_tableau`` makes A (``_size``), a bound
-on the DP sum of a one-jump path, once per question; the skipping and the
-pruning take their rounding slack from that one A, and run only where it
-is in range (``_in_range``).
+is named as an overflow.  A cost or sum that rounds up to +inf is thus a
+value the passes allow, not a fault: each question (``solve`` and
+``best_with_m_jumps``) runs under one ``np.errstate(over="ignore")``, so
+no pass warns, and its energy check names an answer that overflows.
+``_build_tableau`` makes A (``_size``), a bound on the DP sum of a
+one-jump path, once per question; the skipping and the pruning take
+their rounding slack from that one A, and run only where it is in range
+(``_in_range``).
 """
 
 import itertools
@@ -65,7 +69,7 @@ import numpy as np
 
 from .errors import ConfigError, check_count, check_real
 from .kernel import JumpKernel
-from .pwc import EnergyBreakdown, GridSignal, PiecewiseConstant, midpoints
+from .pwc import EnergyBreakdown, GridSignal, PiecewiseConstant, cell_misfit, midpoints
 
 MAX_CELLS = 2000
 MAX_LEVELS = 400
@@ -215,22 +219,18 @@ class _Tableau:
 
 
 def _cost(lam, width, mean, spread, lv):
-    """Fidelity cost (lam / 2) * (width (v - mean)^2 + spread) of the cells
-    at levels v = lv, elementwise with broadcasting, formed in place in
-    one new array.  Every cost the oracle uses is made here, so it is the
-    same float wherever it is made.  Both terms are at least 0, so a cost
-    is at least 0, or +inf where it overflows (with no warning).  Where
-    lam / 2 rounds to 0 every cost is 0, as the formula gives wherever no
-    term overflows (0 * inf would be NaN)."""
-    c = np.subtract(lv, mean)
+    """Fidelity cost (lam / 2) * ``cell_misfit(width, mean, spread, v)`` of
+    the cells at levels v = lv, elementwise with broadcasting, in the
+    misfit's one new array.  Every cost the oracle uses is made here, so it
+    is the same float wherever it is made.  A cost is at least 0, or +inf
+    where it overflows, which the oracle's questions allow (see Range).
+    Where lam / 2 rounds to 0 every cost is 0, as the formula gives
+    wherever no term overflows (0 * inf would be NaN); ``pwc.fidelity``
+    keeps the same rule."""
     if not 0.5 * lam:
-        c.fill(0.0)
-        return c
-    with np.errstate(over="ignore"):
-        c *= c
-        c *= width
-        c += spread
-        c *= 0.5 * lam
+        return np.zeros(np.broadcast(mean, lv).shape)
+    c = cell_misfit(width, mean, spread, lv)
+    c *= 0.5 * lam
     return c
 
 
@@ -472,6 +472,7 @@ def _above(value: float, width: float) -> float:
     return value + (width + (1.0 + width) * 1e-9) * abs(value)
 
 
+@np.errstate(over="ignore")  # a cost or DP sum may round up to +inf (see Range)
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
     """Global optimum over the level-quantized class.
 
@@ -749,6 +750,7 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     return seqs[:-1], values[:-1], seqs[-1]
 
 
+@np.errstate(over="ignore")  # a cost or DP sum may round up to +inf (see Range)
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     """Global optimum among sequences with exactly m level changes.
 

@@ -13,6 +13,8 @@ and spread Q, the integral of (g - mu)^2 (a ``GridSignal`` by the midpoint
 rule: g at the midpoint, and 0).  A cell of width w has the misfit w (v -
 mu)^2 + Q, two terms that are never negative, and a shift of g and v by
 one constant moves mu alone.  A finite mean has a spread >= 0 or +inf.
+``cell_misfit`` is the one copy of that centred formula: ``SineData``'s
+misfit and the oracle's cell costs are made by it.
 """
 
 import csv
@@ -55,6 +57,19 @@ def _pieces(edges: np.ndarray, points: np.ndarray) -> tuple:
     cuts = np.concatenate([edges, points[(lo == hi) & (lo > 0) & (lo < edges.size)]])
     order = np.argsort(cuts, kind="stable")
     return cuts[order], np.cumsum(order < edges.size)[:-1] - 1
+
+
+def cell_misfit(width, mean, spread, v) -> np.ndarray:
+    """w (v - mu)^2 + Q, the misfit of cells of width w, mean mu and spread
+    Q at levels v, elementwise with broadcasting, formed in place in one
+    new array: the one centred formula of the sine misfit and the oracle's
+    costs.  Both terms are at least 0, so it is at least 0, or +inf where
+    it overflows."""
+    c = np.subtract(v, mean)
+    c *= c
+    c *= width
+    c += spread
+    return c
 
 
 def _ramp_misfit(x0, x1, e0, e1):
@@ -305,10 +320,8 @@ class SineData:
         return (min(values), max(values))
 
     def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Integral of (values[i] - g)^2 over each cell, w (v - mu)^2 + Q from ``moments``."""
-        mean, spread = self.moments(edges)
-        off = values - mean
-        return np.diff(edges) * (off * off) + spread
+        """Integral of (values[i] - g)^2 over each cell, ``cell_misfit`` of ``moments``."""
+        return cell_misfit(np.diff(edges), *self.moments(edges), values)
 
     def moments(self, edges: np.ndarray) -> tuple:
         """Each cell's mean of g and spread about it, from the integrals of
@@ -361,11 +374,14 @@ def tv_kernel(u: PiecewiseConstant, kernel: JumpKernel) -> float:
 
 def fidelity(u: PiecewiseConstant, data, lam: float) -> float:
     """(lam / 2) * integral over the domain of (u - g)^2; the plateaus'
-    misfits are added left to right from 0, and one beyond float range is inf."""
+    misfits are added left to right from 0, and one beyond float range is
+    inf.  Where lam / 2 rounds to 0 the fidelity is 0, as the oracle prices
+    it (0 * inf would be NaN)."""
     _require_same_domain(u, data)
-    edges = np.array((u.domain[0], *u.breakpoints, u.domain[1]))
+    if not 0.5 * lam:
+        return 0.0
     with np.errstate(over="ignore"):
-        misfits = data.misfit(edges, np.array(u.values))
+        misfits = data.misfit(np.array((u.domain[0], *u.breakpoints, u.domain[1])), np.array(u.values))
     return 0.5 * lam * sum(misfits.tolist())
 
 
