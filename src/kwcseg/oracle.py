@@ -4,8 +4,9 @@ The continuum energy is restricted to functions that are constant on each of
 n_cells uniform cells and take values on a fixed level grid.  A cell's
 fidelity at level v is (lam / 2) (w (v - mu)^2 + Q), with w its width and
 mu and Q the data's mean over it and spread about that mean
-(``data.moments(edges)``; the midpoint rule for a ``GridSignal`` g): two
-terms at least 0, which a shift of data and levels leaves alone.  Within
+(``data.moments(edges)``; a ``GridSignal`` g is read at the cell
+midpoints instead, with spread 0, by ``_build_tableau``): two terms at
+least 0, which a shift of data and levels leaves alone.  Within
 this finite class dynamic programming over (cell, level) finds the global
 optimum, which makes the module usable as ground truth for both the
 closed-form theory and the gradient-flow solvers on small instances.
@@ -254,7 +255,10 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     with np.errstate(all="ignore"):  # data that overflow are named below
         edges = np.linspace(a, b, n + 1)
         moments[0] = (b - a) / n
-        moments[1:] = problem.data.moments(edges)
+        if isinstance(problem.data, GridSignal):  # samples are read at the cell midpoints, with spread 0
+            moments[1], moments[2] = problem.data(midpoints(edges)), 0.0
+        else:
+            moments[1:] = problem.data.moments(edges)
     finite = np.isfinite(moments)
     finite[2] |= moments[2] == np.inf  # a spread that overflows: its costs are +inf
     bad = np.argwhere(~finite)

@@ -6,15 +6,14 @@ The energy of a step function u against data g is
 
 with K a jump kernel.  The data g is a ``LinearData``, a ``SineData``, a
 ``PiecewiseConstant`` (clean step data) or a ``GridSignal`` (samples, read
-by linear interpolation).  Each kind's ``misfit(edges, values)`` integrates
-(v - g)^2 exactly over the cells between the edges, a ``GridSignal`` as its
-linear interpolant, and ``moments(edges)`` gives each cell's mean mu of g
-and spread Q, the integral of (g - mu)^2 (a ``GridSignal`` by the midpoint
-rule: g at the midpoint, and 0).  A cell of width w has the misfit w (v -
-mu)^2 + Q, two terms that are never negative, and a shift of g and v by
-one constant moves mu alone.  A finite mean has a spread >= 0 or +inf.
-``cell_misfit`` is the one copy of that centred formula: ``SineData``'s
-misfit and the oracle's cell costs are made by it.
+by linear interpolation).  Each kind answers one question about the
+integral: ``moments(edges)``, each cell's mean mu of g and spread Q, the
+integral of (g - mu)^2, exact up to a stated rounding for every kind (a
+``GridSignal`` as its linear interpolant).  A cell of width w has the misfit w (v - mu)^2 + Q,
+two terms that are never negative, and a shift of g and v by one
+constant moves mu alone.  A finite mean has a spread >= 0 or +inf.
+``cell_misfit`` is the one copy of that centred formula: ``fidelity``
+prices the plateaus of u with it, as the oracle prices its cells.
 """
 
 import csv
@@ -62,9 +61,9 @@ def _pieces(edges: np.ndarray, points: np.ndarray) -> tuple:
 def cell_misfit(width, mean, spread, v) -> np.ndarray:
     """w (v - mu)^2 + Q, the misfit of cells of width w, mean mu and spread
     Q at levels v, elementwise with broadcasting, formed in place in one
-    new array: the one centred formula of the sine misfit and the oracle's
-    costs.  Both terms are at least 0, so it is at least 0, or +inf where
-    it overflows."""
+    new array: the one centred formula of ``fidelity``, the oracle's costs
+    and the pooling of pieces.  Both terms are at least 0, so it is at
+    least 0, or +inf where it overflows."""
     c = np.subtract(v, mean)
     c *= c
     c *= width
@@ -72,12 +71,17 @@ def cell_misfit(width, mean, spread, v) -> np.ndarray:
     return c
 
 
-def _ramp_misfit(x0, x1, e0, e1):
-    # integral over (x0, x1) of e^2 for e linear from e0 to e1 =
-    # [e^3 / (3 e')], with the difference of cubes divided out: e1 - e0 =
-    # e' (x1 - x0).  The sum of squares left is at least (e0^2 + e1^2) / 2,
-    # so nothing cancels when the slope is small against the misfit.
-    return (x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0
+def _pool(edges: np.ndarray, cuts: np.ndarray, cell: np.ndarray, mean, spread) -> tuple:
+    """Each cell's mean and spread from those of its pieces (``_pieces``):
+    the pieces' means weighted by their shares of the cell, and each
+    piece's misfit at that mean (``cell_misfit``), both added left to right
+    from 0."""
+    width, whole = np.diff(cuts), np.diff(edges)[cell]
+    # A cell of width 0 is one piece, whose share is 1; nodes closer than
+    # the floats resolve make pieces of width 0 in a wider cell, share 0.
+    share = np.divide(width, whole, out=np.ones_like(width), where=whole > 0)
+    pooled = np.bincount(cell, mean * share, edges.size - 1)
+    return pooled, np.bincount(cell, cell_misfit(width, pooled[cell], spread, mean), edges.size - 1)
 
 
 @dataclass(frozen=True)
@@ -123,22 +127,11 @@ class PiecewiseConstant:
     def value_range(self) -> tuple:
         return (min(self.values), max(self.values))
 
-    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Integral of (values[i] - g)^2 over each cell, from its pieces between breakpoints."""
-        cuts, cell = _pieces(edges, np.asarray(self.breakpoints, dtype=float))
-        e = values[cell] - self(midpoints(cuts))
-        return np.bincount(cell, e * e * np.diff(cuts), edges.size - 1)
-
     def moments(self, edges: np.ndarray) -> tuple:
-        """Each cell's mean of g (its pieces' values times their shares of the
-        cell) and spread about it, adding its pieces left to right from 0."""
+        """Each cell's mean of g and spread about it: its flat pieces between
+        breakpoints, pooled (``_pool``)."""
         cuts, cell = _pieces(edges, np.asarray(self.breakpoints, dtype=float))
-        gv, width = self(midpoints(cuts)), np.diff(cuts)
-        # A piece of width 0 is a whole cell of width 0: its share is 1.
-        share = np.divide(width, np.diff(edges)[cell], out=np.ones_like(width), where=width > 0)
-        mean = np.bincount(cell, gv * share, edges.size - 1)
-        off = gv - mean[cell]
-        return mean, np.bincount(cell, width * (off * off), edges.size - 1)
+        return _pool(edges, cuts, cell, self(midpoints(cuts)), 0.0)
 
     @property
     def jump_sizes(self) -> np.ndarray:
@@ -218,15 +211,27 @@ class GridSignal:
     def value_range(self) -> tuple:
         return (float(self.samples.min()), float(self.samples.max()))
 
-    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Integral of (values[i] - g)^2 over each cell, exact for the interpolant, linear between nodes."""
-        cuts, cell = _pieces(edges, self.x())
-        g, v = self(cuts), values[cell]
-        return np.bincount(cell, _ramp_misfit(cuts[:-1], cuts[1:], v - g[:-1], v - g[1:]), edges.size - 1)
-
     def moments(self, edges: np.ndarray) -> tuple:
-        """The midpoint rule: each cell's mean is g at its midpoint, and its spread 0."""
-        return self(midpoints(edges)), np.zeros(edges.size - 1)
+        """Each cell's mean of g and spread about it, exact for the linear
+        interpolant: its pieces between nodes, pooled (``_pool``) about the
+        cell's first piece, so that the mean rounds once at the data's
+        magnitude.  A piece of width w from g0 to g1 has the mean g0/2 +
+        g1/2 and the spread w h (h / 3), with h = g1/2 - g0/2; the pooling
+        runs on g / 2, so that no term overflows where the exact moments
+        are finite.  On nodes that the floats resolve, with P the cell's
+        pieces, W its width, D the range of g on it, M the largest |sample|
+        at the ends of the node intervals it meets, u = 2**-53 and t =
+        2**-1074 (underflow), the mean is within e = 16 u M + (P + 8) u D +
+        4 P t of the interpolant's and the spread within 3 W e (D + e) + 8
+        P t: the spread is pooled about the mean, so it does not cancel at
+        the data's magnitude."""
+        cuts, cell = _pieces(edges, self.x())
+        quarter = 0.25 * self(cuts)
+        h = np.diff(quarter)
+        mean = quarter[:-1] + quarter[1:]
+        first = mean[np.searchsorted(cell, np.arange(edges.size - 1))]
+        off, spread = _pool(edges, cuts, cell, mean - first[cell], np.diff(cuts) * h * (h / 3.0))
+        return 2.0 * (first + off), 4.0 * spread
 
     @classmethod
     def from_csv(cls, path) -> "GridSignal":
@@ -280,11 +285,6 @@ class LinearData:
         va, vb = float(self(self.domain[0])), float(self(self.domain[1]))
         return (min(va, vb), max(va, vb))
 
-    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Integral of (values[i] - g)^2 over each cell between the edges."""
-        g = self.slope * edges + self.intercept
-        return _ramp_misfit(edges[:-1], edges[1:], g[:-1] - values, g[1:] - values)
-
     def moments(self, edges: np.ndarray) -> tuple:
         """Each cell's mean of g, g at its midpoint, and spread w (slope w)^2 / 12, w its width."""
         w = np.diff(edges)
@@ -318,10 +318,6 @@ class SineData:
             if np.floor((hi - phase) / (2.0 * np.pi)) >= np.ceil((lo - phase) / (2.0 * np.pi)):
                 values.append(float(value))
         return (min(values), max(values))
-
-    def misfit(self, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Integral of (values[i] - g)^2 over each cell, ``cell_misfit`` of ``moments``."""
-        return cell_misfit(np.diff(edges), *self.moments(edges), values)
 
     def moments(self, edges: np.ndarray) -> tuple:
         """Each cell's mean of g and spread about it, from the integrals of
@@ -373,15 +369,22 @@ def tv_kernel(u: PiecewiseConstant, kernel: JumpKernel) -> float:
 
 
 def fidelity(u: PiecewiseConstant, data, lam: float) -> float:
-    """(lam / 2) * integral over the domain of (u - g)^2; the plateaus'
-    misfits are added left to right from 0, and one beyond float range is
-    inf.  Where lam / 2 rounds to 0 the fidelity is 0, as the oracle prices
-    it (0 * inf would be NaN)."""
+    """(lam / 2) * integral over the domain of (u - g)^2: each plateau's
+    ``cell_misfit`` over the data's ``moments`` on the plateaus, as the
+    oracle prices its cells, added left to right from 0; one beyond float
+    range is inf.  Where lam / 2 rounds to 0 the fidelity is 0, as the
+    oracle prices it (0 * inf would be NaN).
+
+    Rounding: where the moments of a plateau of width W at value v are
+    within e of the exact mean mu and within s of the exact spread, the
+    fidelity F of n plateaus is within (lam / 2) sum (W e (2 |v - mu| + e)
+    + s) + (n + 5) u F of the exact one, u = 2**-53."""
     _require_same_domain(u, data)
     if not 0.5 * lam:
         return 0.0
+    edges = np.array((u.domain[0], *u.breakpoints, u.domain[1]))
     with np.errstate(over="ignore"):
-        misfits = data.misfit(np.array((u.domain[0], *u.breakpoints, u.domain[1])), np.array(u.values))
+        misfits = cell_misfit(np.diff(edges), *data.moments(edges), np.array(u.values))
     return 0.5 * lam * sum(misfits.tolist())
 
 

@@ -1,17 +1,19 @@
 """Unit tests for piecewise-constant functions, energies, and helpers."""
 
+import bisect
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kwcseg.errors import ConfigError
 from kwcseg.experiments import write_csv
 from kwcseg.kernel import kwc_kernel, linear_kernel
-from kwcseg.oracle import OracleProblem, _build_tableau, signal_problem
+from kwcseg.oracle import OracleProblem, _build_tableau, signal_problem, solve
 from kwcseg.pwc import (
     GridSignal,
     LinearData,
@@ -298,20 +300,34 @@ class TestFidelity:
         assert e.total == pytest.approx(13.0 / 18.0, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "data",
+        "u, data",
         [
-            PiecewiseConstant((0, 1), (0.5,), (0, 1)),
-            LinearData((0, 1)),
-            SineData((0, 1)),
-            GridSignal((0, 1), [0.0, 1.0, 0.5]),
+            (PiecewiseConstant((0, 1), (), (1e200,)), PiecewiseConstant((0, 1), (0.5,), (0, 1))),
+            (PiecewiseConstant((0, 1), (), (1e200,)), LinearData((0, 1))),
+            (PiecewiseConstant((0, 1), (), (1e200,)), SineData((0, 1))),
+            (PiecewiseConstant((0, 1), (), (1e200,)), GridSignal((0, 1), [0.0, 1.0, 0.5])),
+            # Samples whose sum, or whose squares, overflow: a piece's mean
+            # is g0/2 + g1/2, so it stays finite, and its spread is +inf.
+            (PiecewiseConstant((0, 1), (0.5,), (0, 1)), GridSignal((0, 1), [1e308] * 3)),
+            (PiecewiseConstant((0, 1), (0.5,), (0, 1)), GridSignal((0, 1), [-1e308, 1e308, -1e308])),
         ],
-        ids=["steps", "linear", "sine", "grid"],
+        ids=["steps", "linear", "sine", "grid", "grid-1e308", "grid-alternating"],
     )
-    def test_a_misfit_beyond_float_range_is_an_infinite_energy(self, data):
+    def test_a_misfit_beyond_float_range_is_an_infinite_energy(self, u, data):
         # A squared misfit beyond float range is inf for every kind of data,
-        # with no OverflowError and no warning.
-        e = energy(PiecewiseConstant((0, 1), (), (1e200,)), data, kwc_kernel(1.0), 1.0)
+        # never NaN, with no OverflowError and no warning.
+        e = energy(u, data, kwc_kernel(1.0), 1.0)
         assert e.fidelity == math.inf and e.total == math.inf
+
+    def test_a_sampled_misfit_near_the_float_range_is_finite(self):
+        # The oracle reads the samples 0 and 3e154 at the cell midpoint and
+        # answers the level 1.5e154; the exact fidelity of that minimizer is
+        # (lam / 2) (1.5e154)^2 / 3 = 3.75e307, whose terms e1 e1 and e1 e0
+        # (a product form of the integral) would overflow to inf and -inf.
+        d = GridSignal((0, 1), [0, 3e154])
+        r = solve(signal_problem(d, kwc_kernel(1.0), 1.0, n_levels=5))
+        assert r.minimizer.values == (1.5e154,)
+        assert energy(r.minimizer, d, kwc_kernel(1.0), 1.0).total == pytest.approx(3.75e307, rel=1e-15)
 
 
 class TestQuantize:
@@ -450,9 +466,14 @@ class TestGridSignalData:
 def cell_by_cell_moments(data, edges) -> list:
     """Each cell's mean of g and spread about it, one cell at a time on
     Python floats: linear data's midpoint value and w (slope w)^2 / 12, sine
-    data's closed forms, a step function's pieces weighted by their shares
-    of the cell and added left to right from 0, and a grid signal read at
-    each cell's midpoint, with spread 0."""
+    data's closed forms, and the pieces of a step function (between its
+    breakpoints, flat) or of a grid signal (between its nodes, linear)
+    pooled: their means weighted by their shares of the cell, and their
+    spreads plus w (mean - cell mean)^2, each added left to right from 0.
+    A grid signal's pieces are those of g / 2 (from q0 = g0/4 to q1 =
+    g1/4: mean q0 + q1, spread w h (h / 3) with h = q1 - q0), pooled about
+    the cell's first piece, and the pooled mean and spread are scaled back
+    by 2 and 4."""
     out = []
     for x0, x1 in zip(edges.tolist(), edges[1:].tolist()):
         w = x1 - x0
@@ -467,13 +488,26 @@ def cell_by_cell_moments(data, edges) -> list:
             mean, spread = a * m, a * (a * np.maximum(q, 0.0))
         elif isinstance(data, PiecewiseConstant):
             cuts = [x0, *(b for b in data.breakpoints if x0 < b < x1), x1]
-            pieces = [(hi - lo, data(0.5 * (lo + hi))) for lo, hi in zip(cuts, cuts[1:])]
-            mean = sum(gv * (width / w if width > 0 else 1.0) for width, gv in pieces)
-            spread = sum(width * ((gv - mean) * (gv - mean)) for width, gv in pieces)
+            mean, spread = pooled([(hi - lo, data(0.5 * (lo + hi)), 0.0) for lo, hi in zip(cuts, cuts[1:])], w)
         else:
-            mean, spread = data(0.5 * (x0 + x1)), 0.0
+            cuts = [x0, *(x for x in data.x().tolist() if x0 < x < x1), x1]
+            pieces = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                q0, q1 = 0.25 * data(lo), 0.25 * data(hi)
+                h = q1 - q0
+                pieces.append((hi - lo, q0 + q1, (hi - lo) * h * (h / 3.0)))
+            first = pieces[0][1]
+            off, spread = pooled([(width, m - first, q) for width, m, q in pieces], w)
+            mean, spread = 2.0 * (first + off), 4.0 * spread
         out.append((float(mean), float(spread)))
     return out
+
+
+def pooled(pieces, w) -> tuple:
+    """The mean and spread of a cell of width w from its pieces (width,
+    mean, spread), each sum added left to right from 0."""
+    mean = sum(m * (width / w if w > 0 else 1.0) for width, m, _ in pieces)
+    return mean, sum(width * ((m - mean) * (m - mean)) + q for width, m, q in pieces)
 
 
 def sine_spread_by_quadrature(data, x0, x1) -> float:
@@ -493,16 +527,17 @@ def bits(pairs) -> list:
 
 
 @st.composite
-def data_on_cells(draw):
+def data_on_cells(draw, kinds=("linear", "sine", "steps", "grid")):
     """Uniform cell edges over a domain, tiny cells far from the origin
-    among them, and data of one kind on that domain.  Step data hold 0 to
-    3 breakpoints inside each cell, and some breakpoints on edges."""
+    among them, and data of one of the kinds on that domain.  Step data
+    hold 0 to 3 breakpoints inside each cell, and some breakpoints on
+    edges."""
     a = draw(st.sampled_from([0.0, -3.0, 1e6, -1e9]))
     b = a + draw(st.sampled_from([1.0, 1e-3, 1e-6])) * draw(st.floats(0.5, 2.0))
     n = draw(st.integers(1, 40))
     edges = np.linspace(a, b, n + 1)
     real = st.floats(-1e3, 1e3)
-    kind = draw(st.sampled_from(["linear", "sine", "steps", "grid"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "linear":
         return edges, LinearData((a, b), draw(real), draw(real))
     if kind == "sine":
@@ -530,12 +565,18 @@ class TestCellMoments:
     @settings(max_examples=100)
     @given(data_on_cells())
     def test_the_oracle_tableau_holds_the_data_moments(self, case):
+        # A grid signal is read at each cell's midpoint, with spread 0;
+        # every other kind gives its own moments.
         edges, data = case
         n = edges.size - 1
         tab = _build_tableau(OracleProblem(data=data, kernel=kwc_kernel(1.0), lam=1.0, n_cells=n, n_levels=5))
         a, b = data.domain
         assert bits([(m,) for m in tab.moments[0]]) == bits([((b - a) / n,)] * n)
-        assert bits(tab.moments[1:].T) == bits(cell_by_cell_moments(data, edges))
+        if isinstance(data, GridSignal):
+            expected = [(data(0.5 * (x0 + x1)), 0.0) for x0, x1 in zip(edges.tolist(), edges[1:].tolist())]
+        else:
+            expected = zip(*data.moments(edges))
+        assert bits(tab.moments[1:].T) == bits(expected)
 
     @settings(max_examples=300)
     @given(
@@ -562,58 +603,136 @@ class TestCellMoments:
         assert mean[0].hex() == sum([1.0 * (0.1 / 0.3), 1e16 * ((0.2 - 0.1) / 0.3), -1e16 * ((0.3 - 0.2) / 0.3)]).hex()
 
 
-def cell_by_cell_misfits(data, edges, values) -> list:
-    """The integral of (v - g)^2 over each cell, one cell at a time on
-    Python floats: linear data by its closed form with nothing to cancel,
-    sine data as w (v - mean)^2 + spread from its moments, and step data and a grid signal (read as
-    its interpolant) piece by piece between their kinks, with a cell's
-    pieces added left to right from 0."""
-    moments = cell_by_cell_moments(data, edges)
-    edges = edges.tolist()
-    kinks = data.x().tolist() if isinstance(data, GridSignal) else getattr(data, "breakpoints", ())
-    out = []
-    for (x0, x1), v, (mean, spread) in zip(zip(edges, edges[1:]), values, moments):
-        if isinstance(data, LinearData):
-            e0, e1 = data.slope * x0 + data.intercept - v, data.slope * x1 + data.intercept - v
-            out.append((x1 - x0) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0)
-            continue
-        if isinstance(data, SineData):
-            out.append((x1 - x0) * ((v - mean) * (v - mean)) + spread)
-            continue
-        cuts = [x0, *(x for x in kinks if x0 < x < x1), x1]
-        total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            if isinstance(data, PiecewiseConstant):
-                e = v - data(0.5 * (lo + hi))
-                total += e * e * (hi - lo)
-            else:
-                e0, e1 = v - data(lo), v - data(hi)
-                total += (hi - lo) * (e1 * e1 + e1 * e0 + e0 * e0) / 3.0
-        out.append(total)
-    return out
+def exact_interpolant(data: GridSignal):
+    """The linear interpolant of a grid signal's float nodes and samples, as
+    a function of a float x, in exact rationals."""
+    nodes = [Fraction(x) for x in data.x().tolist()]
+    samples = [Fraction(v) for v in data.samples.tolist()]
+
+    def g(x):
+        x = Fraction(x)
+        j = min(max(bisect.bisect_right(nodes, x) - 1, 0), len(nodes) - 2)
+        return samples[j] + (samples[j + 1] - samples[j]) * (x - nodes[j]) / (nodes[j + 1] - nodes[j])
+
+    return g
+
+
+def exact_cell(data: GridSignal, g, x0: float, x1: float) -> tuple:
+    """The cell [x0, x1] of a grid signal in exact rationals: its width W,
+    the mean and spread of the interpolant g over it, its count P of
+    pieces between nodes, the largest |sample| M at the ends of the node
+    intervals it meets, and the range D of g on it."""
+    nodes = data.x().tolist()
+    cuts = [x0, *(x for x in nodes if x0 < x < x1), x1]
+    values = [g(x) for x in cuts]
+    lo = min(max(bisect.bisect_right(nodes, x0) - 1, 0), len(nodes) - 2)
+    hi = max(bisect.bisect_left(nodes, x1), lo + 1)
+    M = Fraction(max(abs(data.samples[lo:hi + 1])))
+    W = Fraction(x1) - Fraction(x0)
+    if W == 0:
+        return W, values[0], Fraction(0), 1, M, Fraction(0)
+    first = second = Fraction(0)
+    for lo, hi, g0, g1 in zip(cuts, cuts[1:], values, values[1:]):
+        w = Fraction(hi) - Fraction(lo)
+        first += w * (g0 + g1) / 2
+        second += w * (g0 * g0 + g0 * g1 + g1 * g1) / 3
+    mean = first / W
+    return W, mean, second - W * mean * mean, len(cuts) - 1, M, max(values) - min(values)
+
+
+U, T = Fraction(2) ** -53, Fraction(2) ** -1074
+
+
+def moments_error(P, M, D) -> Fraction:
+    """e = 16 u M + (P + 8) u D + 4 P t, the bound on a cell's mean that
+    ``GridSignal.moments`` states (t the smallest float, for underflow)."""
+    return 16 * U * M + (P + 8) * U * D + 4 * P * T
+
+
+class TestExactGridMoments:
+    @settings(max_examples=200)
+    @given(data_on_cells(kinds=("grid",)))
+    def test_the_moments_are_the_interpolants_within_the_stated_bound(self, case):
+        # ``GridSignal.moments``: the mean within e and the spread within 3
+        # W e (D + e) + 8 P t, on tiny cells far from 0 too.  The bound
+        # holds on nodes that the floats resolve.
+        edges, data = case
+        assume(np.all(np.diff(data.x()) > 0))
+        mean, spread = data.moments(edges)
+        g = exact_interpolant(data)
+        for x0, x1, m, q in zip(edges.tolist(), edges[1:].tolist(), mean.tolist(), spread.tolist()):
+            W, mu, Q, P, M, D = exact_cell(data, g, x0, x1)
+            e = moments_error(P, M, D)
+            assert abs(Fraction(m) - mu) <= e
+            assert abs(Fraction(q) - Q) <= 3 * W * e * (D + e) + 8 * P * T
+
+    def test_nodes_that_coincide_add_no_share(self):
+        # Six nodes on a domain of 4 ulps w: the middle two are one float, a
+        # piece of width 0 inside the cell, whose share is 0, not 1.  The
+        # pieces are flat at 0, up to 8, flat at 8 (width 0), down to 0 and
+        # flat at 0: the mean is 2 and the spread (2 (64 / 3) - 4 * 4) w.
+        data = GridSignal((-1e9, -999999999.9999995), [0, 0, 8, 8, 0, 0])
+        x = data.x()
+        assert x[2] == x[3] and np.unique(x).size == 5
+        w = x[1] - x[0]
+        mean, spread = data.moments(np.array(data.domain))
+        assert mean[0] == pytest.approx(2.0, rel=1e-14)
+        assert spread[0] == pytest.approx(80 / 3 * w, rel=1e-14)
+        assert fidelity(PiecewiseConstant(data.domain, (), (2.0,)), data, 2.0) == pytest.approx(80 / 3 * w, rel=1e-14)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, -1e6])
+    @settings(max_examples=100)
+    @given(case=data_on_cells(kinds=("grid",)), data=st.data())
+    def test_the_fidelity_is_within_its_stated_bound(self, offset, case, data):
+        # ``fidelity`` from the moments' bound: (lam / 2) sum (W e (2 |v -
+        # mu| + e) + s) + (n + 5) u F, for data and plateaus moved by one
+        # offset, so that the mean rounds at the offset's magnitude.
+        edges, d = case
+        assume(np.all(np.diff(d.x()) > 0))
+        edges = np.unique(edges)
+        d = GridSignal(d.domain, d.samples + offset)
+        n = edges.size - 1
+        values = [v + offset for v in data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))]
+        u = PiecewiseConstant(d.domain, tuple(edges[1:-1].tolist()), tuple(values))
+        lam = 3.0
+        g = exact_interpolant(d)
+        exact = bound = Fraction(0)
+        plateaus = (u.domain[0], *u.breakpoints, u.domain[1])
+        for x0, x1, v in zip(plateaus, plateaus[1:], u.values):
+            W, mu, Q, P, M, D = exact_cell(d, g, x0, x1)
+            e = moments_error(P, M, D)
+            exact += W * (v - mu) ** 2 + Q
+            bound += W * e * (2 * abs(v - mu) + e) + 3 * W * e * (D + e) + 8 * P * T
+        F = fidelity(u, d, lam)
+        lam2 = Fraction(lam) / 2
+        assert abs(Fraction(F) - lam2 * exact) <= lam2 * bound + (len(u.values) + 5) * U * Fraction(F)
 
 
 @st.composite
 def plateaus_on_data(draw):
-    """Data and cell edges as ``data_on_cells`` draws them, one value per
-    cell, and, in some draws for a grid signal, every k-th node added to
-    the edges, so that nodes lie both on and between edges."""
+    """Data and cell edges as ``data_on_cells`` draws them, without repeated
+    edges, one value per cell, each unlike its neighbours', and, in some
+    draws for a grid signal, every k-th node added to the edges, so that
+    nodes lie both on and between edges."""
     edges, data = draw(data_on_cells())
+    edges = np.unique(edges)
     if isinstance(data, GridSignal) and draw(st.booleans()):
         edges = np.union1d(edges, data.x()[:: draw(st.integers(1, 3))])
-    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=edges.size - 1, max_size=edges.size - 1))
+    n = edges.size - 1
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True))
     return edges, data, values
 
 
 class TestCellMisfits:
     @settings(max_examples=300)
     @given(plateaus_on_data())
-    def test_every_kind_gives_each_cell_its_own_misfit_bit_for_bit(self, case):
+    def test_fidelity_adds_each_plateaus_cell_misfit_bit_for_bit(self, case):
+        # Every kind: the fidelity of the step function whose plateaus are
+        # the cells is (lam / 2) times the sum, left to right from 0, of w
+        # (v - mean)^2 + spread over the cells' moments.
         edges, data, values = case
-        expected = cell_by_cell_misfits(data, edges, values)
-        assert bits([(m,) for m in data.misfit(edges, np.array(values))]) == bits([(m,) for m in expected])
-        # Where the cells and values are a step function's plateaus, its
-        # fidelity adds their misfits left to right from 0.
-        if np.all(np.diff(edges) > 0) and all(v != w for v, w in zip(values, values[1:])):
-            u = PiecewiseConstant(data.domain, tuple(edges[1:-1].tolist()), tuple(values))
-            assert fidelity(u, data, 3.0).hex() == (0.5 * 3.0 * sum(expected)).hex()
+        u = PiecewiseConstant(data.domain, tuple(edges[1:-1].tolist()), tuple(values))
+        moments = cell_by_cell_moments(data, edges)
+        edges = edges.tolist()
+        expected = [(x1 - x0) * ((v - m) * (v - m)) + q for x0, x1, v, (m, q) in zip(edges, edges[1:], values, moments)]
+        assert fidelity(u, data, 3.0).hex() == (0.5 * 3.0 * sum(expected)).hex()
