@@ -48,8 +48,8 @@ from .flow import (
     jump_census,
     plateau_flatness,
     run,
+    sharp_twin,
 )
-from .kernel import kwc_kernel
 from .pwc import MAX_NODES, GridSignal, LinearData, PiecewiseConstant, SineData, energy
 
 NOISE_SD = 0.1
@@ -160,7 +160,6 @@ class RunRecord:
     g: GridSignal
     results: dict
     summary: dict
-    oracle: object = None
     artifacts: dict = field(default_factory=dict)
 
 
@@ -222,19 +221,24 @@ def _sweep(spec: ExperimentSpec, data: str, lam: float, threshold: float, **prot
     return (g, *_run_all(g, runs, threshold))
 
 
-def _oracle_row(problem: oracle_mod.OracleProblem, tie_scan_jumps: int | None = None):
-    """One summary row of an oracle solve, and the solve's ``OracleResult``.
+def _oracle_row(params: FlowParams, data, n_cells: int, n_levels: int, endpoint_pin=None, tie_scan_jumps=None):
+    """One summary row of the oracle solve of a run's sharp twin
+    (``sharp_twin``) against the data, and the solve's ``OracleResult``.
 
-    The row holds the grid, the minimizer's jump count and its energy; with
-    a tie scan it also holds ``tie_jump_counts``, the sorted set of the jump
-    counts of the minimizer and of its ties.
+    The row holds the grid, the minimizer's jump count and its energy in
+    the run's units, the twin's times its factor; with a tie scan it also
+    holds ``tie_jump_counts``, the sorted set of the jump counts of the
+    minimizer and of its ties.  The ``OracleResult`` is the twin's solve,
+    in the twin's units: its energies are the row's divided by the factor.
     """
+    kernel, weight, factor = sharp_twin(params)
+    problem = oracle_mod.OracleProblem(data, kernel, weight, n_cells, n_levels=n_levels, endpoint_pin=endpoint_pin)
     result = oracle_mod.solve(problem, tie_scan_jumps=tie_scan_jumps)
     row = {
-        "n_cells": problem.n_cells,
-        "n_levels": problem.n_levels,
+        "n_cells": n_cells,
+        "n_levels": n_levels,
         "jump_count": result.jump_count,
-        "energy": result.energy.total,
+        "energy": factor * result.energy.total,
     }
     if tie_scan_jumps is not None:
         row["tie_jump_counts"] = sorted({result.jump_count, *(t.jump_count for t in result.ties)})
@@ -245,8 +249,10 @@ def _oracle_row(problem: oracle_mod.OracleProblem, tie_scan_jumps: int | None = 
 # Protocols.
 
 
-def _bound_block(lam: float, observed: int, applies: bool) -> dict:
-    report = jump_bounds(kwc_kernel(1.0), 0.0, 1.0, lam, mass_cap=1.0)
+def _bound_block(params: FlowParams, observed: int, applies: bool) -> dict:
+    """The jump-count bounds of the run's sharp twin on (0, 1), data of range 1."""
+    kernel, weight, _factor = sharp_twin(params)
+    report = jump_bounds(kernel, 0.0, 1.0, weight, mass_cap=1.0)
     return {
         "jumps_monotone_data": report.jumps_monotone_data,
         "jumps_any_data": report.jumps_any_data,
@@ -273,7 +279,7 @@ def _linear_steady(spec: ExperimentSpec) -> RunRecord:
     }
     results, blocks = _run_all(g, runs, STRUCTURE_THRESHOLD)
     for label, block in blocks.items():
-        block["bound"] = _bound_block(lam, block["jump_count"], applies=(label == "theory"))
+        block["bound"] = _bound_block(runs[label][1], block["jump_count"], applies=(label == "theory"))
 
     d = 1.0 / m
     theory = blocks["theory"]
@@ -302,13 +308,13 @@ def _linear_steady(spec: ExperimentSpec) -> RunRecord:
 
 def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
     crit = critical_lambda(1.0)
-    lam = crit.lam
     g = _grid(spec, "linear")
-    kernel = kwc_kernel(1.0)
     data = CLEAN_DATA["linear"]
-    tied = uniform_step_energy(1.0, 1, lam)  # the energy of the 1-jump ladder, tied with the 2-jump one
+    params = _flow_params("kwc", crit.lam, spec, bc_u="dirichlet", pre_relax=True)
+    kernel, weight, factor = sharp_twin(params)
+    # The energy of the 1-jump ladder, tied with the 2-jump one.
+    tied = factor * uniform_step_energy(1.0, 1, weight, kernel)
 
-    params = _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True)
     runs = {}
     for m in (1, 2):
         um = uniform_step_minimizer(1.0, m).sample(g.n)
@@ -316,22 +322,18 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
     results, blocks = _run_all(g, runs, STRUCTURE_THRESHOLD)
     for label, block in blocks.items():
         fit = census_fit(results[label].state.u, STRUCTURE_THRESHOLD)
-        fit_total = energy(fit, data, kernel, lam).total
+        fit_total = factor * energy(fit, data, kernel, weight).total
         block["fit_jump_count"] = fit.jump_count
         block["fit_energy"] = fit_total
         block["analytic_energy"] = tied
         block["fit_rel_gap"] = abs(fit_total - tied) / tied
-        block["bound"] = _bound_block(lam, block["jump_count"], applies=True)
+        block["bound"] = _bound_block(params, block["jump_count"], applies=True)
 
-    problem = oracle_mod.OracleProblem(
-        data=data, kernel=kernel, lam=lam, n_cells=400, n_levels=101,
-        endpoint_pin=(0.0, 1.0),
-    )
-    oracle_row, oracle_result = _oracle_row(problem, tie_scan_jumps=3)
+    oracle_row, oracle_result = _oracle_row(params, data, 400, 101, endpoint_pin=(0.0, 1.0), tie_scan_jumps=3)
 
     e1, e2 = blocks["m1"]["fit_energy"], blocks["m2"]["fit_energy"]
     summary = {
-        "lam": lam,
+        "lam": crit.lam,
         "tied_jump_counts_theory": list(crit.tied_jump_counts),
         "runs": blocks,
         "energy_match": {
@@ -339,9 +341,10 @@ def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
             "tol": 1e-2,
         },
         "oracle": oracle_row,
+        "oracle_result": oracle_result.to_json_dict(),
         "bound_violations": _bound_violations(blocks),
     }
-    return RunRecord(spec=spec, g=g, results=results, summary=summary, oracle=oracle_result)
+    return RunRecord(spec=spec, g=g, results=results, summary=summary)
 
 
 def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
@@ -364,10 +367,7 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
         # The exact minimizer of the sharp-interface limit on this instance
         # is itself fine-grained at this weight: the flow's fine-grained
         # steady state is not a solver failure.
-        problem = oracle_mod.OracleProblem(
-            data=CLEAN_DATA["sine"], kernel=kwc_kernel(1.0), lam=lam, n_cells=500, n_levels=201,
-        )
-        summary["oracle_check"] = _oracle_row(problem)[0]
+        summary["oracle_check"] = _oracle_row(results["kwc"].params, CLEAN_DATA["sine"], 500, 201)[0]
     return RunRecord(spec=spec, g=g, results=results, summary=summary)
 
 
@@ -504,8 +504,6 @@ def write_artifacts(record: RunRecord, out_dir) -> None:
         record.artifacts[label] = _write_run(result, path / label, blocks[label])
     summary = dict(record.summary)
     summary["spec"] = record.spec.to_json_dict()
-    if record.oracle is not None:
-        summary["oracle_result"] = record.oracle.to_json_dict()
     summary["artifacts"] = record.artifacts
     write_json(path / "summary.json", summary)
     record.artifacts["summary"] = str(path / "summary.json")

@@ -38,8 +38,8 @@ A FlowParams checks its fields and a GridSignal its samples when built;
 
 Resolution note: the half-to-each-node lumping biases the steady v at an
 isolated jump by O(h/eps) (about +5% of the depth at n = 1000 and
-eps = 0.005); quantitative checks against the sharp-interface value should
-use grids with h well below eps.
+eps = 0.005); quantitative checks against the sharp-interface value, the
+energy of the run's ``sharp_twin``, should use grids with h well below eps.
 """
 
 import math
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count, check_real
+from .kernel import kwc_kernel, linear_kernel
 from .pwc import MAX_NODES, GridSignal, PiecewiseConstant, _require_same_domain, midpoints
 
 MODELS = ("rof", "at", "kwc")
@@ -141,6 +142,30 @@ def _energy(model, u, du, v, w, g, h, params) -> float:
     if model == "kwc":
         return float((w * np.abs(du)).sum()) + well + fid
     return float((w * du * du).sum()) / h + well + fid
+
+
+def sharp_twin(params: FlowParams):
+    """The run's sharp-interface problem: ``(kernel, weight, factor)``, or None.
+
+    As eps -> 0 the run's energy of a step function u is ``factor`` times
+    ``pwc.energy(u, g, kernel, weight)``, sum K(|jump|) + (weight/2) int (u - g)^2:
+
+    * kwc: at a jump of size rho the damage dips to v0 and pays
+      sigma v0^2 rho + (1 - v0)^2, least at v0 = 1/(1 + sigma rho), so a
+      jump costs sigma rho/(1 + sigma rho) = sigma K_sigma(rho), with
+      K_sigma = ``kwc_kernel(sigma)``: (kwc_kernel(sigma), lam/sigma, sigma).
+    * rof: a jump costs sigma rho, TV over step functions:
+      (linear_kernel(), lam/sigma, sigma).
+    * at: None.  Its bulk term sigma int v^2 |u'|^2 is invisible to step
+      functions, so no kernel prices it.
+    * sigma = 0: None, as no jump costs anything.
+
+    At sigma = 1 the twin of kwc is kwc_kernel(1.0) at weight lam, factor 1.
+    """
+    if params.model != "at" and params.sigma > 0:
+        kernel = kwc_kernel(params.sigma) if params.model == "kwc" else linear_kernel()
+        return kernel, params.lam / params.sigma, params.sigma
+    return None
 
 
 # ---------------------------------------------------------------------------

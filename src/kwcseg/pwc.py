@@ -77,8 +77,7 @@ def _pool(edges: np.ndarray, cuts: np.ndarray, cell: np.ndarray, mean, spread) -
     piece's misfit at that mean (``cell_misfit``), both added left to right
     from 0."""
     width, whole = np.diff(cuts), np.diff(edges)[cell]
-    # A cell of width 0 is one piece, whose share is 1; nodes closer than
-    # the floats resolve make pieces of width 0 in a wider cell, share 0.
+    # A cell of width 0 is one piece, whose share is 1.
     share = np.divide(width, whole, out=np.ones_like(width), where=whole > 0)
     pooled = np.bincount(cell, mean * share, edges.size - 1)
     return pooled, np.bincount(cell, cell_misfit(width, pooled[cell], spread, mean), edges.size - 1)
@@ -167,7 +166,8 @@ class PiecewiseConstant:
 @dataclass(frozen=True)
 class GridSignal:
     """Finite samples on n >= 2 uniformly spaced nodes spanning the domain,
-    with a spacing (b - a)/(n - 1) above 0.
+    with a spacing (b - a)/(n - 1) above 0 and nodes that strictly increase
+    in floats, so that every sample is read.
 
     As data, a grid signal is read by linear interpolation between its
     nodes."""
@@ -185,10 +185,11 @@ class GridSignal:
         arr.setflags(write=False)
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "samples", arr)
-        if not self.h > 0:
+        h = self.h
+        if not (h > 0 and (np.diff(self.x()) > 0).all()):
             raise ConfigError(
                 f"the domain [{dom[0]}, {dom[1]}] is too narrow for n = {self.n} nodes: "
-                f"their spacing (b - a)/(n - 1) is {self.h}"
+                f"their spacing (b - a)/(n - 1) is {h}" + (", so that nodes coincide in floats" if h else "")
             )
 
     @property
@@ -218,13 +219,12 @@ class GridSignal:
         magnitude.  A piece of width w from g0 to g1 has the mean g0/2 +
         g1/2 and the spread w h (h / 3), with h = g1/2 - g0/2; the pooling
         runs on g / 2, so that no term overflows where the exact moments
-        are finite.  On nodes that the floats resolve, with P the cell's
-        pieces, W its width, D the range of g on it, M the largest |sample|
-        at the ends of the node intervals it meets, u = 2**-53 and t =
-        2**-1074 (underflow), the mean is within e = 16 u M + (P + 8) u D +
-        4 P t of the interpolant's and the spread within 3 W e (D + e) + 8
-        P t: the spread is pooled about the mean, so it does not cancel at
-        the data's magnitude."""
+        are finite.  With P the cell's pieces, W its width, D the range of
+        g on it, M the largest |sample| at the ends of the node intervals it
+        meets, u = 2**-53 and t = 2**-1074 (underflow), the mean is within
+        e = 16 u M + (P + 8) u D + 4 P t of the interpolant's and the spread
+        within 3 W e (D + e) + 8 P t: the spread is pooled about the mean, so
+        it does not cancel at the data's magnitude."""
         cuts, cell = _pieces(edges, self.x())
         quarter = 0.25 * self(cuts)
         h = np.diff(quarter)

@@ -11,8 +11,11 @@ import pytest
 import kwcseg.experiments as xp
 import kwcseg.flow as flow_mod
 from kwcseg.errors import ConfigError, DivergenceError, InvariantViolation
-from kwcseg.exact import BoundReport
-from kwcseg.pwc import GridSignal
+from kwcseg.exact import BoundReport, jump_bounds
+from kwcseg.flow import FlowParams
+from kwcseg.kernel import kwc_kernel, linear_kernel
+from kwcseg.oracle import OracleProblem, solve
+from kwcseg.pwc import GridSignal, SineData
 
 
 def tiny_spec(models=("rof",), n=101):
@@ -297,9 +300,33 @@ class TestNonuniqueness:
     def test_summary_json_holds_the_oracle_result(self, persisted):
         record, out = persisted
         saved = json.loads((out / "summary.json").read_text())
-        assert saved["oracle_result"] == record.oracle.to_json_dict()
+        assert saved["oracle_result"] == record.summary["oracle_result"]
         assert saved["oracle_result"]["jump_count"] == saved["oracle"]["jump_count"]
         assert saved["oracle"] == record.summary["oracle"]
+
+
+class TestSharpTwinRows:
+    """A run's oracle row and bound block take the run's own sharp twin."""
+
+    CASES = [("kwc", 2.0, kwc_kernel(2.0)), ("kwc", 0.5, kwc_kernel(0.5)), ("rof", 0.5, linear_kernel())]
+
+    @pytest.mark.parametrize("model, sigma, kernel", CASES)
+    def test_the_oracle_row_is_the_twin_solve_times_its_factor(self, model, sigma, kernel):
+        data = SineData((0.0, 1.0))
+        row, result = xp._oracle_row(FlowParams(model, 150.0, sigma=sigma), data, 50, 21)
+        twin = solve(OracleProblem(data, kernel, 150.0 / sigma, 50, n_levels=21))
+        assert result.to_json_dict() == twin.to_json_dict()
+        assert row == {"n_cells": 50, "n_levels": 21, "jump_count": twin.jump_count, "energy": sigma * twin.energy.total}
+
+    @pytest.mark.parametrize("model, sigma, kernel", CASES[:2])
+    def test_the_bound_block_bounds_the_twin(self, model, sigma, kernel):
+        report = jump_bounds(kernel, 0.0, 1.0, 40.0 / sigma, mass_cap=1.0)
+        block = xp._bound_block(FlowParams(model, 40.0, sigma=sigma), report.jumps_monotone_data + 1, applies=True)
+        assert (block["jumps_monotone_data"], block["jumps_any_data"]) == (
+            report.jumps_monotone_data,
+            report.jumps_any_data,
+        )
+        assert block["violated"]
 
 
 class TestRunFailures:

@@ -24,10 +24,12 @@ from kwcseg.flow import (
     plateau_flatness,
     prox_certificate,
     run,
+    sharp_twin,
     steady_damage_profile,
     tv_prox,
 )
-from kwcseg.pwc import GridSignal
+from kwcseg.kernel import kwc_kernel, linear_kernel
+from kwcseg.pwc import GridSignal, LinearData, PiecewiseConstant, SineData, energy, fidelity
 
 
 def unit_step(n):
@@ -504,6 +506,61 @@ class TestDamageModels:
         assert np.isfinite(res.state.prox_gap)
         assert res.state.prox_gap <= 1e-8
         assert res.state.t == pytest.approx(params.dt)
+
+
+class TestSharpTwin:
+    def test_the_twin_at_sigma_one_is_the_kwc_kernel_at_the_run_weight(self):
+        assert sharp_twin(FlowParams("kwc", 7.5)) == (kwc_kernel(1.0), 7.5, 1.0)
+        assert sharp_twin(FlowParams("rof", 7.5)) == (linear_kernel(), 7.5, 1.0)
+        assert sharp_twin(FlowParams("kwc", 7.5, sigma=2.0)) == (kwc_kernel(2.0), 3.75, 2.0)
+        assert sharp_twin(FlowParams("rof", 7.5, sigma=0.5)) == (linear_kernel(), 15.0, 0.5)
+
+    @pytest.mark.parametrize("model, sigma", [("at", 1.0), ("at", 2.0), ("kwc", 0.0), ("rof", 0.0)])
+    def test_no_twin_for_at_or_without_a_jump_cost(self, model, sigma):
+        assert sharp_twin(FlowParams(model, 7.5, sigma=sigma)) is None
+
+    @pytest.mark.parametrize("model", ["kwc", "rof"])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "data",
+        [LinearData((0.0, 1.0)), SineData((0.0, 1.0)), PiecewiseConstant((0.0, 1.0), (1 / 3, 2 / 3), (0.2, 0.8, 0.35))],
+        ids=["linear", "sine", "steps"],
+    )
+    def test_the_twin_energy_times_its_factor_is_the_sharp_run_energy(self, model, sigma, data):
+        # factor * [sum K(rho) + (weight/2) int (u - g)^2] against the run's
+        # sharp energy summed directly: sigma rho/(1 + sigma rho) (kwc) or
+        # sigma rho (rof) a jump, plus (lam/2) int (u - g)^2.
+        lam = 37.0
+        kernel, weight, factor = sharp_twin(FlowParams(model, lam, sigma=sigma))
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            m = int(rng.integers(0, 7))
+            breaks = np.unique(rng.uniform(0.01, 0.99, size=m))
+            u = PiecewiseConstant((0.0, 1.0), tuple(breaks), tuple(rng.uniform(-1.0, 2.0, size=breaks.size + 1)))
+            jumps = np.abs(u.jump_sizes)
+            cost = sigma * jumps / (1.0 + sigma * jumps) if model == "kwc" else sigma * jumps
+            direct = math.fsum(cost) + fidelity(u, data, lam)
+            assert factor * energy(u, data, kernel, weight).total == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_the_flow_jump_cost_reaches_its_twin_at_first_order_in_h_over_eps(self, sigma):
+        # The steady damage at a unit step, lambda = 0, prices the jump above
+        # the twin's sigma K_sigma(1) by O(h/eps): h/eps = 0.2, 0.1 and 0.05
+        # on 2001 nodes, each halving halves the error, and the error is the
+        # same at equal h/eps on 4001 nodes.
+        def error(n, eps):
+            params = FlowParams("kwc", 0.0, n=n, sigma=sigma, epsilon=eps)
+            g = unit_step(n)
+            v = steady_damage_profile(g, params).samples
+            kernel, _weight, factor = sharp_twin(params)
+            sharp = factor * kernel.eval(1.0)
+            return (flow_energy("kwc", g.samples, v, g.samples, g.h, params) - sharp) / sharp
+
+        errors = [error(2001, eps) for eps in (0.0025, 0.005, 0.01)]
+        assert errors[0] < 0.07
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.9 <= coarse / fine <= 2.1
+        assert error(4001, 0.005) == pytest.approx(errors[2], rel=1e-9)
 
 
 class TestNonFiniteInput:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwcseg.errors import ConfigError
@@ -156,6 +156,27 @@ class TestGridSignal:
         with pytest.raises(ConfigError, match=r"domain \[0.0, 5e-324\] is too narrow for n = 3 nodes: .* is 0.0$"):
             GridSignal((0, 5e-324), [1, 1, 1])
         assert GridSignal((0, 5e-324), [1, 1]).h == 5e-324
+
+    @pytest.mark.parametrize("origin", [1.0, -3.0, 1e6, -1e9, 2.0**60, 1e-300])
+    def test_a_grid_is_accepted_exactly_when_its_nodes_increase(self, origin):
+        # Spacings from 1/4 to 12 ulps of the domain's magnitude: a grid is
+        # rejected exactly when two of its nodes are one float.
+        ulp = math.ulp(origin)
+        seen = set()
+        for n in (2, 3, 6, 17, 40):
+            for k in np.arange(0.25, 12.0, 0.25):
+                domain = (origin, origin + float(k) * ulp * (n - 1))
+                if not domain[0] < domain[1]:
+                    continue
+                apart = bool(np.all(np.diff(np.linspace(*domain, n)) > 0))
+                seen.add(apart)
+                try:
+                    GridSignal(domain, np.zeros(n))
+                except ConfigError as err:
+                    assert not apart and f"is too narrow for n = {n} nodes" in str(err)
+                else:
+                    assert apart
+        assert seen == {True, False}
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -543,7 +564,11 @@ def data_on_cells(draw, kinds=("linear", "sine", "steps", "grid")):
     if kind == "sine":
         return edges, SineData((a, b), draw(real), draw(st.floats(0.1, 30.0)) / (b - a))
     if kind == "grid":
-        return edges, GridSignal((a, b), draw(st.lists(real, min_size=2, max_size=60)))
+        samples = draw(st.lists(real, min_size=2, max_size=60))
+        # No more samples than the floats resolve nodes for on [a, b].
+        while not np.all(np.diff(np.linspace(a, b, len(samples))) > 0):
+            samples.pop()
+        return edges, GridSignal((a, b), samples)
     inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     bps = set()
     for x0, x1 in zip(edges[:-1], edges[1:]):
@@ -654,10 +679,8 @@ class TestExactGridMoments:
     @given(data_on_cells(kinds=("grid",)))
     def test_the_moments_are_the_interpolants_within_the_stated_bound(self, case):
         # ``GridSignal.moments``: the mean within e and the spread within 3
-        # W e (D + e) + 8 P t, on tiny cells far from 0 too.  The bound
-        # holds on nodes that the floats resolve.
+        # W e (D + e) + 8 P t, on tiny cells far from 0 too.
         edges, data = case
-        assume(np.all(np.diff(data.x()) > 0))
         mean, spread = data.moments(edges)
         g = exact_interpolant(data)
         for x0, x1, m, q in zip(edges.tolist(), edges[1:].tolist(), mean.tolist(), spread.tolist()):
@@ -666,19 +689,22 @@ class TestExactGridMoments:
             assert abs(Fraction(m) - mu) <= e
             assert abs(Fraction(q) - Q) <= 3 * W * e * (D + e) + 8 * P * T
 
-    def test_nodes_that_coincide_add_no_share(self):
-        # Six nodes on a domain of 4 ulps w: the middle two are one float, a
-        # piece of width 0 inside the cell, whose share is 0, not 1.  The
-        # pieces are flat at 0, up to 8, flat at 8 (width 0), down to 0 and
-        # flat at 0: the mean is 2 and the spread (2 (64 / 3) - 4 * 4) w.
-        data = GridSignal((-1e9, -999999999.9999995), [0, 0, 8, 8, 0, 0])
-        x = data.x()
+    def test_a_grid_whose_nodes_coincide_is_rejected(self):
+        # Six nodes on a domain of 4 ulps: the middle two are one float, at
+        # which the interpolant would read one of the samples 8 and 0 and
+        # never the other.  Five nodes on it are apart, and each is read.
+        domain = (-1e9, -999999999.9999995)
+        x = np.linspace(*domain, 6)
         assert x[2] == x[3] and np.unique(x).size == 5
-        w = x[1] - x[0]
-        mean, spread = data.moments(np.array(data.domain))
-        assert mean[0] == pytest.approx(2.0, rel=1e-14)
-        assert spread[0] == pytest.approx(80 / 3 * w, rel=1e-14)
-        assert fidelity(PiecewiseConstant(data.domain, (), (2.0,)), data, 2.0) == pytest.approx(80 / 3 * w, rel=1e-14)
+        with pytest.raises(
+            ConfigError,
+            match=r"^the domain \[-1000000000.0, -999999999.9999995\] is too narrow for n = 6 nodes: "
+            r".* so that nodes coincide in floats$",
+        ):
+            GridSignal(domain, [0, 0, 8, 0, 0, 0])
+        data = GridSignal(domain, [0, 0, 8, 0, 0])
+        assert np.all(np.diff(data.x()) > 0)
+        assert data(data.x()).tolist() == [0, 0, 8, 0, 0]
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, -1e6])
     @settings(max_examples=100)
@@ -688,7 +714,6 @@ class TestExactGridMoments:
         # mu| + e) + s) + (n + 5) u F, for data and plateaus moved by one
         # offset, so that the mean rounds at the offset's magnitude.
         edges, d = case
-        assume(np.all(np.diff(d.x()) > 0))
         edges = np.unique(edges)
         d = GridSignal(d.domain, d.samples + offset)
         n = edges.size - 1
