@@ -12,8 +12,6 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments as experiments_mod
 from . import flow as flow_mod
 from . import oracle as oracle_mod
@@ -140,8 +138,7 @@ def _problem_from_config(cfg: dict) -> oracle_mod.OracleProblem:
     data = data_from_config(cfg["data"])
     kwargs = {key: cfg[key] for key in _ORACLE_KEYS if cfg.get(key) is not None}
     if cfg.get("endpoint_pin") is True:
-        with np.errstate(all="ignore"):  # data that overflow are named at solve
-            kwargs["endpoint_pin"] = tuple(data(x) for x in data.domain)
+        kwargs["endpoint_pin"] = tuple(data(x) for x in data.domain)
     return oracle_mod.OracleProblem(data=data, kernel=JumpKernel.from_config(cfg["kernel"]), lam=cfg["lam"], **kwargs)
 
 

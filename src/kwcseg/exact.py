@@ -4,6 +4,12 @@ For g(x) = x on (0, L) with the rational kernel the optimal step functions
 are uniform ladders, their energies have a two-term closed form, and there is
 a critical fidelity weight where one- and two-jump ladders tie exactly.  The
 jump-count bounds hold for any data once the kernel constants exist.
+
+Every input lies in the envelope (``errors.EXPONENT``): L, c, mass_cap, kappa
+and a Potts height in [2**-100, 2**100], lam and the interval ends at most
+2**100, and a ladder's jump count m at most 2**100 (``MAX_LADDER_JUMPS``), so
+that L / m >= 2**-200.  Every closed form below is then a finite float
+above 0, far from both ends of the float range.
 """
 
 import math
@@ -12,26 +18,19 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConditionError, ConfigError, check_count, check_real
+from .errors import EXPONENT, ConditionError, ConfigError, check_count, check_real
 from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
-from .pwc import GridSignal, PiecewiseConstant
+from .pwc import MAX_NODES, GridSignal, PiecewiseConstant
 
 # ``optimal_jump_location`` bisects to this share of its window.
 LOCATION_TOL = 1e-12
-
-
-def _finite(value: float, what: str) -> float:
-    """``value``, a closed-form result that must be a finite float above 0
-    (each is positive in exact arithmetic, so 0.0 is an underflow); ``what``
-    names it and its inputs."""
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{what} is {value}, not a finite float above 0")
-    return value
+# The most jumps of a ladder in the scalar closed forms, so that L / m stays
+# inside the envelope's derivation; ``uniform_step_minimizer`` builds its
+# ladder and takes at most ``pwc.MAX_NODES`` jumps.
+MAX_LADDER_JUMPS = 2**EXPONENT
 
 
 def _int_part(r: float) -> int:
-    if not math.isfinite(r):
-        raise ConfigError(f"jump bound {r} is not finite")
     # Snap up a ratio within a few ulps of the next integer, so exact-integer
     # ratios are not knocked down by float roundoff.
     k = math.floor(r)
@@ -53,7 +52,7 @@ def optimal_jump_location(data, alpha: float, beta: float) -> float:
     """
     if not check_real("alpha", alpha) < check_real("beta", beta):
         raise ConfigError("need alpha < beta")
-    width = LOCATION_TOL * beta - LOCATION_TOL * alpha  # finite, as beta - alpha may not be
+    width = LOCATION_TOL * beta - LOCATION_TOL * alpha
     ga, gb = float(data(alpha)), float(data(beta))
     if isinstance(data, GridSignal):
         xs = data.x()
@@ -91,7 +90,7 @@ def uniform_step_minimizer(L: float, m: int) -> PiecewiseConstant:
     so the first and last plateaus have half width.
     """
     check_real("L", L, positive=True)
-    check_count("jump count m", m, least=1)
+    check_count("jump count m", m, least=1, most=MAX_NODES)
     d = L / m
     bps = tuple((k - 0.5) * d for k in range(1, m + 1))
     vals = tuple(k * d for k in range(m + 1))
@@ -107,15 +106,11 @@ def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None 
     """
     check_real("L", L, positive=True)
     check_real("lam", lam, least=0)
-    check_count("jump count m", m, least=1)
+    check_count("jump count m", m, least=1, most=MAX_LADDER_JUMPS)
     if kernel is None:
         kernel = kwc_kernel(1.0)
     d = L / m
-    try:
-        value = kernel.unit_cost(d) + lam * d * d / 24.0
-    except ZeroDivisionError:  # a Potts jump L / m that underflowed to 0
-        value = math.inf
-    return _finite(value, f"the energy of the {m}-jump ladder at L = {L}, lam = {lam} with kernel {kernel.to_config()}")
+    return kernel.unit_cost(d) + lam * d * d / 24.0
 
 
 @dataclass(frozen=True)
@@ -139,29 +134,23 @@ def critical_lambda(L: float) -> CriticalLambda:
     uniform_step_energy(L, 1) == uniform_step_energy(L, 2).
     """
     L = check_real("L", L, positive=True)
-    return CriticalLambda(length=L, lam=_finite(32.0 / (L * (L + 1.0) * (L + 2.0)), f"the critical lambda at L = {L}"))
+    return CriticalLambda(length=L, lam=32.0 / (L * (L + 1.0) * (L + 2.0)))
 
 
 def transition_lambda(L: float, m: int) -> float:
     """Weight where the m- and (m+1)-jump ladders tie (kappa = 1 kernel)."""
     check_real("L", L, positive=True)
-    check_count("jump count m", m, least=1)
+    check_count("jump count m", m, least=1, most=MAX_LADDER_JUMPS)
     d1, d2 = L / m, L / (m + 1)
-    try:
-        lam = 24.0 / ((d1 + d2) * (1 + d1) * (1 + d2))
-    except ZeroDivisionError:  # L / m underflowed to 0
-        lam = math.inf
-    return _finite(lam, f"the {m}-to-{m + 1}-jump transition lambda at L = {L}")
+    return 24.0 / ((d1 + d2) * (1 + d1) * (1 + d2))
 
 
 def lambda_for_jump_count(L: float, m: int) -> float:
     """A weight at which the m-jump ladder is the strict energy minimizer."""
-    check_count("jump count m", m, least=1)
+    check_count("jump count m", m, least=1, most=MAX_LADDER_JUMPS)
     if m == 1:
-        lam = 0.5 * transition_lambda(L, 1)
-    else:
-        lam = math.sqrt(transition_lambda(L, m - 1) * transition_lambda(L, m))
-    return _finite(lam, f"the weight of the {m}-jump ladder at L = {L}")
+        return 0.5 * transition_lambda(L, 1)
+    return math.sqrt(transition_lambda(L, m - 1) * transition_lambda(L, m))
 
 
 @dataclass(frozen=True)
@@ -259,13 +248,8 @@ def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float) -> VerdictRepor
     check_real("lam", lam, least=0)
     if kernel.kind == "kwc":
         k = kernel.kappa
-        try:
-            phi_0 = 4.0 * k / (1.0 + k * c) ** 3
-            phi_c = 4.0 * k * (1.0 + k * c) / (1.0 + 2.0 * k * c) ** 2
-        except OverflowError:  # float ** raises where the power leaves float range
-            phi_0 = phi_c = math.nan
-        if not all(math.isfinite(phi) and phi > 0 for phi in (phi_0, phi_c)):
-            raise ConfigError(f"kwc verdict terms phi(0), phi(c) out of float range at kappa={k!r}, c={c!r}")
+        phi_0 = 4.0 * k / (1.0 + k * c) ** 3
+        phi_c = 4.0 * k * (1.0 + k * c) / (1.0 + 2.0 * k * c) ** 2
     else:
         phi_0 = phi_c = 0.0
     half = 0.5 * lam

@@ -23,7 +23,6 @@ Conditions, all on a window [0, M] (M = ``mass_cap``):
 enters the jump-count bound for general data.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,19 +63,15 @@ class JumpKernel:
     def eval(self, rho):
         """Cost of a jump of size rho (scalar or array, rho >= 0).
 
-        kwc takes rho / (1 + kappa rho), and 1 / (1/rho + kappa) where
-        kappa rho overflows, so K stays non-decreasing up to 1/kappa.
+        kwc takes rho / (1 + kappa rho): within the envelope
+        (``errors.EXPONENT``) a jump between two values is at most 2**101
+        and kappa at most 2**100, so kappa rho stays finite.
         """
         arr = np.asarray(rho, dtype=float)
         if np.any(arr < 0):
             raise ConfigError("jump size must be non-negative")
         if self.kind == "kwc":
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                den = 1.0 + arr * self.kappa
-                out = arr / den
-                over = np.isinf(den)
-                if over.any():
-                    out = np.where(over, 1.0 / (1.0 / arr + self.kappa), out)
+            out = arr / (1.0 + arr * self.kappa)
         elif self.kind == "linear":
             out = arr.copy()
         else:
@@ -87,11 +82,9 @@ class JumpKernel:
 
     def unit_cost(self, rho: float) -> float:
         """K(rho) / rho, the cost per unit size of a jump of size rho > 0:
-        for kwc 1 / (1 + kappa rho), and (1/rho) / (1/rho + kappa) where
-        kappa rho overflows."""
+        for kwc 1 / (1 + kappa rho)."""
         if self.kind == "kwc":
-            den = 1 + self.kappa * rho
-            return 1 / den if math.isfinite(den) else (1 / rho) / (1 / rho + self.kappa)
+            return 1 / (1 + self.kappa * rho)
         return 1.0 if self.kind == "linear" else self.height / rho
 
     def to_config(self) -> dict:
@@ -142,24 +135,18 @@ def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
     smallest at r1 = r2, and along that diagonal it falls as s grows, so
     the infimum sits at r1 = r2 = mass_cap/2.  K(rho)/rho is non-increasing,
     so linear_floor is the ``unit_cost`` K(mass_cap)/mass_cap.  split_gain is
-    None for the linear kernel, whose gain is 0.  A kwc or Potts constant, or
-    linear_floor / mass_cap, that is not a finite positive float is out of
-    float range: ConfigError.
+    None for the linear kernel, whose gain is 0.  With kappa, height and
+    mass_cap in the envelope [2**-100, 2**100] (``errors.EXPONENT``), every
+    constant and linear_floor / mass_cap lies within 2**+-500.
     """
     mass_cap = check_real("mass_cap", mass_cap, positive=True)
     linear_floor = kernel.unit_cost(mass_cap)
     if kernel.kind == "linear":
         return mass_cap, None, linear_floor
-    try:
-        if kernel.kind == "kwc":
-            split_gain = 2 * kernel.kappa / ((1 + kernel.kappa * mass_cap / 2) * (1 + kernel.kappa * mass_cap))
-        else:
-            split_gain = 4 * kernel.height / mass_cap**2
-    except (ZeroDivisionError, OverflowError):
-        split_gain = linear_floor = math.nan
-    if not all(math.isfinite(c) and c > 0 for c in (split_gain, linear_floor, linear_floor / mass_cap)):
-        param = f"kappa={kernel.kappa!r}" if kernel.kind == "kwc" else f"height={kernel.height!r}"
-        raise ConfigError(f"{kernel.kind} kernel constants out of float range at {param}, mass_cap={mass_cap!r}")
+    if kernel.kind == "kwc":
+        split_gain = 2 * kernel.kappa / ((1 + kernel.kappa * mass_cap / 2) * (1 + kernel.kappa * mass_cap))
+    else:
+        split_gain = 4 * kernel.height / mass_cap**2
     return mass_cap, split_gain, linear_floor
 
 

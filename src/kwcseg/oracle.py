@@ -49,17 +49,14 @@ stops, and the dense pass runs, once too many states survive.  Both
 budgeted passes start with ``_start``; they and the free solve read
 their sequences out with one helper, ``_read_rows``.
 
-Range.  Every cost is at least 0 or +inf (``_cost``) and every kernel
-entry at least 0, so no DP sum cancels: each is a number at least 0 or
-+inf, never NaN, and a question whose every level sequence sums to +inf
-is named as an overflow.  A cost or sum that rounds up to +inf is thus a
-value the passes allow, not a fault: each question (``solve`` and
-``best_with_m_jumps``) runs under one ``np.errstate(over="ignore")``, so
-no pass warns, and its energy check names an answer that overflows.
-``_build_tableau`` makes A (``_size``), a bound on the DP sum of a
-one-jump path, once per question; the skipping and the pruning take
-their rounding slack from that one A, and run only where it is in range
-(``_in_range``).
+Range.  Every input lies in the envelope (``errors.EXPONENT``), and so do
+the levels, so every cost is a finite float of at most about 2**403 and
+every DP sum of at most about 2**415: no pass overflows.  Every cost and
+kernel entry is at least 0, so no DP sum cancels.  ``_build_tableau``
+makes A (``_size``), a bound on the DP sum of a one-jump path, once per
+question; the skipping and the pruning take their rounding slack from
+that one A, and run only where a multiple of it by a few hundred u is a
+normal float (``_in_range``).
 """
 
 import itertools
@@ -68,7 +65,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, check_count, check_real
+from .errors import LARGEST, ConfigError, check_count, check_real
 from .kernel import JumpKernel
 from .pwc import EnergyBreakdown, GridSignal, PiecewiseConstant, cell_misfit, midpoints
 
@@ -153,21 +150,17 @@ class OracleProblem:
         return n
 
     def resolved_levels(self) -> np.ndarray:
-        with np.errstate(all="ignore"):  # data that overflow are named below
-            lo, hi = self.data.value_range()
-        if not math.isfinite(hi - lo):
-            raise ConfigError(f"the data overflow floats: their range [{lo}, {hi}] is not a finite interval")
+        lo, hi = self.data.value_range()
         uniform = self.levels is None
         if not hi > lo:
-            # Constant data c: widen by |c|/2 (0.5 at c = 0), so that a
-            # uniform grid exists at every scale and an odd count of levels
-            # has c as its middle level, to rounding; explicit levels may
-            # also lie within c +- 0.5.
+            # Constant data c: widen by |c|/2 (0.5 at c = 0), within the
+            # envelope, so that a uniform grid exists at every scale and an
+            # odd count of levels has c as its middle level, to rounding,
+            # where |c| <= 2**EXPONENT * 2/3; explicit levels may also lie
+            # within c +- 0.5.
             c, half = lo, 0.5 * abs(lo)
             wide = (half or 0.5) if uniform else max(half, 0.5)
-            lo, hi = c - wide, c + wide
-            if not math.isfinite(hi - lo):
-                raise ConfigError(f"constant data at {c} overflow floats: their level range is [{lo}, {hi}]")
+            lo, hi = max(c - wide, -LARGEST), min(c + wide, LARGEST)
         if not uniform and (not isinstance(self.levels, (list, tuple, np.ndarray)) or len(self.levels) == 0):
             raise ConfigError(f"levels must be a non-empty list of numbers, got {self.levels!r}")
         size = int(self.n_levels) if uniform else len(self.levels)
@@ -211,7 +204,7 @@ class _Tableau:
     kmat: np.ndarray       # (n_levels, n_levels) kernel cost of a level change, symmetric
     start: np.ndarray | None  # first cell's pin row: 0 at the pinned level, inf elsewhere; None: free
     end: np.ndarray | None    # last cell's pin row, likewise
-    size: float            # A (``_size``); inf where it overflows
+    size: float            # A (``_size``)
 
     @property
     def shape(self) -> tuple:
@@ -223,13 +216,8 @@ def _cost(lam, width, mean, spread, lv):
     """Fidelity cost (lam / 2) * ``cell_misfit(width, mean, spread, v)`` of
     the cells at levels v = lv, elementwise with broadcasting, in the
     misfit's one new array.  Every cost the oracle uses is made here, so it
-    is the same float wherever it is made.  A cost is at least 0, or +inf
-    where it overflows, which the oracle's questions allow (see Range).
-    Where lam / 2 rounds to 0 every cost is 0, as the formula gives
-    wherever no term overflows (0 * inf would be NaN); ``pwc.fidelity``
-    keeps the same rule."""
-    if not 0.5 * lam:
-        return np.zeros(np.broadcast(mean, lv).shape)
+    is the same float wherever it is made: at least 0 and finite (see
+    Range)."""
     c = cell_misfit(width, mean, spread, lv)
     c *= 0.5 * lam
     return c
@@ -252,20 +240,12 @@ def _build_tableau(problem: OracleProblem) -> _Tableau:
     levels = problem.resolved_levels()
     a, b = problem.data.domain
     moments = np.empty((3, n))
-    with np.errstate(all="ignore"):  # data that overflow are named below
-        edges = np.linspace(a, b, n + 1)
-        moments[0] = (b - a) / n
-        if isinstance(problem.data, GridSignal):  # samples are read at the cell midpoints, with spread 0
-            moments[1], moments[2] = problem.data(midpoints(edges)), 0.0
-        else:
-            moments[1:] = problem.data.moments(edges)
-    finite = np.isfinite(moments)
-    finite[2] |= moments[2] == np.inf  # a spread that overflows: its costs are +inf
-    bad = np.argwhere(~finite)
-    if bad.size:
-        k, i = bad[0]
-        what = ("the width of", "the mean of g over", "the spread of g over")[k]
-        raise ConfigError(f"the data overflow floats: {what} the cell [{edges[i]}, {edges[i + 1]}] is {moments[k, i]}")
+    edges = np.linspace(a, b, n + 1)
+    moments[0] = (b - a) / n
+    if isinstance(problem.data, GridSignal):  # samples are read at the cell midpoints, with spread 0
+        moments[1], moments[2] = problem.data(midpoints(edges)), 0.0
+    else:
+        moments[1:] = problem.data.moments(edges)
 
     kmat = problem.kernel.eval(np.abs(levels[:, None] - levels[None, :]))
     start = end = None
@@ -325,19 +305,18 @@ def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarra
 
 def _size(moments: np.ndarray, levels: np.ndarray, lam: float, kmat: np.ndarray) -> float:
     """A = n * C + max kmat, with C the largest cost: a bound on the DP sum
-    of a path with at most one jump, whose terms are each at least 0; inf
-    where it overflows.  A cost is convex in its level and its float
-    rounding monotone, so C is a cost at an end level, the same float as
-    the largest of a whole table.  ``_build_tableau`` makes A once per
+    of a path with at most one jump, whose terms are each at least 0.  A
+    cost is convex in its level and its float rounding monotone, so C is a
+    cost at an end level, the same float as the largest of a whole table.  ``_build_tableau`` makes A once per
     question.  A finite free optimum is at most A: a path that keeps its
     first level and jumps once at the end costs at most that."""
     return moments.shape[1] * float(_cost(lam, *moments[:, :, None], levels[[0, -1]]).max()) + float(kmat.max())
 
 
 def _in_range(size: float) -> bool:
-    """1e-280 < size < 1e300: a multiple of ``size`` by a few hundred u
-    neither underflows nor overflows."""
-    return 1e-280 < size < 1e300
+    """size > 1e-280: a multiple of ``size`` by a few hundred u does not
+    underflow (A is far below 1e300 in the envelope: see Range)."""
+    return size > 1e-280
 
 
 def _slack(tab: _Tableau) -> float:
@@ -388,9 +367,8 @@ def _free_pass(tab: _Tableau, parents=None, on_row=None, backward=False) -> np.n
     triangle inequality up to 17u * Kmax.  The two roundings of the check
     and those of D[k] + K(k, l) and D[w] + K(w, l) are each at most u *
     (|D| + Kmax + slack).  Together that is below 30u * A, and the slack is
-    64u * A; for w = k the check then fails, as it must.  Outside 1e-280 <
-    A < 1e300 (the slack could underflow, a sum overflow) the pass stays
-    dense.
+    64u * A; for w = k the check then fails, as it must.  At A <= 1e-280
+    (the slack could underflow) the pass stays dense.
 
     Windowed rows.  When only the parents are kept (no ``on_row``), a
     transition that reads the block [lo, hi) forms only the target rows
@@ -476,7 +454,6 @@ def _above(value: float, width: float) -> float:
     return value + (width + (1.0 + width) * 1e-9) * abs(value)
 
 
-@np.errstate(over="ignore")  # a cost or DP sum may round up to +inf (see Range)
 def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleResult:
     """Global optimum over the level-quantized class.
 
@@ -485,42 +462,27 @@ def solve(problem: OracleProblem, tie_scan_jumps: int | None = None) -> OracleRe
     m-optima whose energy is within ``TIE_TOLERANCE`` (relative) of the
     global optimum and whose jump set differs from the minimizer's.
 
-    That pass is pruned (``_pruned_pass``) at one threshold, T =
-    ``_above(free, 2 TIE_TOLERANCE)``, and also finds the minimizer; it
-    reads the minimizer and the rows of cost at most T only.  Every row of
+    That pass (``_budget_rows``) asks for the rows of DP cost at most T =
+    ``_above(free, 2 TIE_TOLERANCE)`` and the minimizer.  Every row of
     dense energy within the window has a DP cost below T (see
     ``_pruned_pass``), so it is read and is the dense row, and a row above
     T is above T dense too, so its energy is above the window either way.
-    When too many states survive, or A or T is out of range, the minimizer
-    comes from the free solve and the dense pass runs.
     """
     if tie_scan_jumps is not None:
         check_count("tie_scan_jumps", tie_scan_jumps)
     tab = _build_tableau(problem)
-    n, L = tab.shape
-    budget = None if tie_scan_jumps is None else min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1)
-    rows = None
-    if budget is not None and _worth_pruning(budget, L) and _in_range(tab.size):
-        behind, free = _behind(tab)
-        T = _above(free, 2.0 * TIE_TOLERANCE)
-        if math.isfinite(T):
-            rows = _pruned_pass(  # reads the rows of cost at most T and the free row, the last
-                tab, budget, behind, T, read=lambda values: [*np.flatnonzero(values[:-1] <= T), budget + 1]
-            )
-        del behind  # freed before the free solve and the dense pass
-    seqs, _, seq = (None, None, _solve_free(tab)) if rows is None else rows
-    best = None if seq is None else _result_from_sequence(problem, tab, seq)
-    if best is None or not math.isfinite(best.energy.total):
-        # Past one cell every sequence meets the pins, so only an overflow
-        # leaves none with a finite energy.
-        if n == 1 and tab.start is not None and tab.start.argmin() != tab.end.argmin():
-            raise ConfigError("a single cell cannot take two different pinned levels")
-        raise ConfigError(f"the data overflow floats: at lam = {problem.lam}, the least energy of a level sequence is inf")
-    if budget is None:
+    n = tab.shape[0]
+    if tie_scan_jumps is None:
+        seqs, seq = None, _solve_free(tab)
+    else:
+        seqs, seq = _budget_rows(tab, min(int(tie_scan_jumps), MAX_JUMP_BUDGET, n - 1), (2.0 * TIE_TOLERANCE,))
+    if seq is None:  # past one cell every sequence meets the pins
+        raise ConfigError("a single cell cannot take two different pinned levels")
+    best = _result_from_sequence(problem, tab, seq)
+    if seqs is None:
         return best
 
     tol = TIE_TOLERANCE * abs(best.energy.total)
-    seqs = _budget_pass(tab, budget)[0] if seqs is None else seqs
     # Row m has exactly m jumps, so only the minimizer's row can repeat its jump set.
     own = tuple(np.flatnonzero(np.diff(seq)))
     ties = []
@@ -754,17 +716,10 @@ def _pruned_pass(tab: _Tableau, budget: int, behind: np.ndarray, threshold: floa
     return seqs[:-1], values[:-1], seqs[-1]
 
 
-@np.errstate(over="ignore")  # a cost or DP sum may round up to +inf (see Range)
 def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
-    """Global optimum among sequences with exactly m level changes.
-
-    The budgeted pass is pruned to the states whose path bound is within a
-    threshold T of the free optimum, T = ``_above(free, width)`` for
-    each width of ``_WIDTHS`` in turn; a pruned m-optimum at most T
-    certifies itself (see ``_pruned_pass``).  When too many states survive,
-    A (``_size``) is out of range, or no width certifies, the dense pass
-    runs.
-    """
+    """Global optimum among sequences with exactly m level changes: row m
+    of the budgeted pass (``_budget_rows``), asked at each width of
+    ``_WIDTHS`` in turn."""
     check_count("jump count", m)
     if m > MAX_JUMP_BUDGET:
         raise ConfigError(f"jump budget {m} exceeds the limit {MAX_JUMP_BUDGET}")
@@ -772,36 +727,49 @@ def best_with_m_jumps(problem: OracleProblem, m: int) -> OracleResult:
     n = tab.shape[0]
     if m >= n:
         raise ConfigError(f"cannot place {m} jumps with only {n} cells")
-    seq = _certified_row(tab, m)
-    best = None if seq is None else _result_from_sequence(problem, tab, seq)
-    if best is None or not math.isfinite(best.energy.total):
-        # A + m max K bounds such a sequence's energy, where one meets the pins.
-        overflow = "" if math.isfinite(tab.size + m * float(tab.kmat.max())) else ", or each one's energy overflows floats"
-        raise ConfigError(f"no admissible sequence with exactly {m} jumps{overflow}")
-    return best
+    seq = _budget_rows(tab, m, _WIDTHS, m)[0][m]
+    if seq is None:
+        raise ConfigError(f"no admissible sequence with exactly {m} jumps")
+    return _result_from_sequence(problem, tab, seq)
 
 
-def _certified_row(tab: _Tableau, m: int):
-    """The m-jump row of ``_budget_pass(tab, m)``, by pruned passes when one
-    certifies its result.  Each pass reads row m alone, a pruned pass only
-    when it certifies.  The pruned passes run where the tie scan's do:
-    from ``_worth_pruning`` and with A (``_size``) in range."""
-    if _worth_pruning(m, tab.shape[1]) and _in_range(tab.size):
+def _budget_rows(tab: _Tableau, budget: int, widths: tuple, row: int | None = None) -> tuple:
+    """The level sequences of ``_budget_pass(tab, budget)`` that a question
+    asks for (None for the others), and the free minimizer's or None:
+    with ``row`` None (the tie scan) the rows of DP cost at most the
+    threshold and the minimizer; else row ``row`` alone.
+
+    The rows come from pruned passes (``_pruned_pass``) where they pay
+    (``_worth_pruning``) and A (``_size``) is in range, at the thresholds T
+    = ``_above(free, width)`` for each of ``widths`` in turn.  A pruned row
+    of cost at most T certifies itself; row ``row`` above T is asked again
+    at its own value, where the next pass certifies it, or, where it is
+    inf, at the next width.  When too many states survive or no width
+    certifies, the dense pass answers (for the tie scan, every row), with
+    ``_solve_free`` for the minimizer.
+    """
+    if _worth_pruning(budget, tab.shape[1]) and _in_range(tab.size):
         behind, free = _behind(tab)
-        thresholds = (_above(free, width) for width in _WIDTHS)
-        threshold = next(thresholds)
-        while math.isfinite(threshold):
-            rows = _pruned_pass(tab, m, behind, threshold, read=lambda values: [m] if values[m] <= threshold else [])
+        thresholds = (_above(free, width) for width in widths)
+        T = next(thresholds)
+
+        def read(values):  # the rows that the pass at T backtracks
+            if row is None:  # the rows within T, and the free row, the last
+                return [*np.flatnonzero(values[:-1] <= T), budget + 1]
+            return [row] if values[row] <= T else []
+
+        while math.isfinite(T):
+            rows = _pruned_pass(tab, budget, behind, T, read=read)
             if rows is None:
                 break
-            seqs, values, _ = rows
-            if values[m] <= threshold:
-                return seqs[m]
-            # A feasible m-jump value: at it, the next pass certifies; else
-            # the next width, and after the last the dense pass.
-            threshold = values[m] if math.isfinite(values[m]) else next(thresholds, math.inf)
+            seqs, values, seq = rows
+            if row is None or values[row] <= T:
+                return seqs, seq
+            T = values[row] if math.isfinite(values[row]) else next(thresholds, math.inf)
         del behind  # freed before the dense pass allocates its parent table
-    return _budget_pass(tab, m, read=lambda values: [m])[0][m]
+    if row is None:
+        return _budget_pass(tab, budget)[0], _solve_free(tab)
+    return _budget_pass(tab, budget, read=lambda values: [row])[0], None
 
 
 def cell_midpoints(problem: OracleProblem) -> np.ndarray:

@@ -11,7 +11,7 @@ integral: ``moments(edges)``, each cell's mean mu of g and spread Q, the
 integral of (g - mu)^2, exact up to a stated rounding for every kind (a
 ``GridSignal`` as its linear interpolant).  A cell of width w has the misfit w (v - mu)^2 + Q,
 two terms that are never negative, and a shift of g and v by one
-constant moves mu alone.  A finite mean has a spread >= 0 or +inf.
+constant moves mu alone.
 ``cell_misfit`` is the one copy of that centred formula: ``fidelity``
 prices the plateaus of u with it, as the oracle prices its cells.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_count, check_keys, check_real
+from .errors import EXPONENT, SMALLEST, ConfigError, check_count, check_keys, check_real, check_reals
 from .kernel import JumpKernel
 
 _DOMAIN_TOL = 1e-9  # how far u's domain ends may lie from the data's, per unit of its width
@@ -63,7 +63,7 @@ def cell_misfit(width, mean, spread, v) -> np.ndarray:
     Q at levels v, elementwise with broadcasting, formed in place in one
     new array: the one centred formula of ``fidelity``, the oracle's costs
     and the pooling of pieces.  Both terms are at least 0, so it is at
-    least 0, or +inf where it overflows."""
+    least 0."""
     c = np.subtract(v, mean)
     c *= c
     c *= width
@@ -165,9 +165,10 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class GridSignal:
-    """Finite samples on n >= 2 uniformly spaced nodes spanning the domain,
-    with a spacing (b - a)/(n - 1) above 0 and nodes that strictly increase
-    in floats, so that every sample is read.
+    """Samples within the envelope (``errors.EXPONENT``) on n >= 2 uniformly
+    spaced nodes spanning the domain, with a spacing (b - a)/(n - 1) of at
+    least 2**-EXPONENT and nodes that strictly increase in floats, so that
+    every sample is read.
 
     As data, a grid signal is read by linear interpolation between its
     nodes."""
@@ -180,16 +181,16 @@ class GridSignal:
         arr = np.array(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ConfigError("need a 1D array of at least two samples")
-        if not np.isfinite(arr).all():
-            raise ConfigError("grid samples must be finite")
+        check_reals("grid samples", arr)
         arr.setflags(write=False)
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "samples", arr)
         h = self.h
-        if not (h > 0 and (np.diff(self.x()) > 0).all()):
+        if not (h >= SMALLEST and (np.diff(self.x()) > 0).all()):
+            why = f"below the magnitude envelope's 2**-{EXPONENT}" if h < SMALLEST else "so that nodes coincide in floats"
             raise ConfigError(
                 f"the domain [{dom[0]}, {dom[1]}] is too narrow for n = {self.n} nodes: "
-                f"their spacing (b - a)/(n - 1) is {h}" + (", so that nodes coincide in floats" if h else "")
+                f"their spacing (b - a)/(n - 1) is {h}, {why}"
             )
 
     @property
@@ -217,14 +218,14 @@ class GridSignal:
         interpolant: its pieces between nodes, pooled (``_pool``) about the
         cell's first piece, so that the mean rounds once at the data's
         magnitude.  A piece of width w from g0 to g1 has the mean g0/2 +
-        g1/2 and the spread w h (h / 3), with h = g1/2 - g0/2; the pooling
-        runs on g / 2, so that no term overflows where the exact moments
-        are finite.  With P the cell's pieces, W its width, D the range of
-        g on it, M the largest |sample| at the ends of the node intervals it
-        meets, u = 2**-53 and t = 2**-1074 (underflow), the mean is within
-        e = 16 u M + (P + 8) u D + 4 P t of the interpolant's and the spread
-        within 3 W e (D + e) + 8 P t: the spread is pooled about the mean, so
-        it does not cancel at the data's magnitude."""
+        g1/2 and the spread w h (h / 3), with h = g1/2 - g0/2.  The pooling
+        runs on g / 2 and scales back by 2 and 4, which changes no float
+        above the subnormal range.  With P the cell's pieces, W its width, D
+        the range of g on it, M the largest |sample| at the ends of the node
+        intervals it meets, u = 2**-53 and t = 2**-1074 (underflow), the mean
+        is within e = 16 u M + (P + 8) u D + 4 P t of the interpolant's and
+        the spread within 3 W e (D + e) + 8 P t: the spread is pooled about
+        the mean, so it does not cancel at the data's magnitude."""
         cuts, cell = _pieces(edges, self.x())
         quarter = 0.25 * self(cuts)
         h = np.diff(quarter)
@@ -252,8 +253,7 @@ class GridSignal:
             raise ConfigError(f"{path}: bad row ({exc})") from exc
         if x.size < 2:
             raise ConfigError(f"{path}: need at least two rows")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ConfigError(f"{path}: every x and value must be finite")
+        check_reals(f"{path}: every x and value", np.concatenate((x, v)))
         h = np.diff(x)
         if not np.allclose(h, h[0], rtol=1e-6, atol=0.0):  # relative to the spacing, at any scale
             raise ConfigError(f"{path}: nodes are not uniformly spaced")
@@ -267,7 +267,8 @@ class GridSignal:
 
 @dataclass(frozen=True)
 class LinearData:
-    """g(x) = slope * x + intercept."""
+    """g(x) = slope * x + intercept, whose values lie in the envelope
+    (``errors.EXPONENT``) as every sample does."""
 
     domain: tuple
     slope: float = 1.0
@@ -277,6 +278,8 @@ class LinearData:
         object.__setattr__(self, "domain", _check_domain(self.domain))
         check_real("slope", self.slope)
         check_real("intercept", self.intercept)
+        for value in self.value_range():
+            check_real("slope * x + intercept at an end of the domain", value)
 
     def __call__(self, x):
         return self.slope * np.asarray(x, dtype=float) + self.intercept
@@ -303,8 +306,11 @@ class SineData:
     def __post_init__(self):
         object.__setattr__(self, "domain", _check_domain(self.domain))
         check_real("amplitude", self.amplitude)
-        if check_real("omega", self.omega) == 0:  # the moments divide by omega
-            raise ConfigError(f"omega must be nonzero, got {self.omega!r}")
+        size = abs(check_real("omega", self.omega))
+        if size < SMALLEST:  # the moments divide by omega, a scale
+            raise ConfigError(
+                f"omega must be nonzero: |omega| = {size!r} is outside the magnitude envelope [2**-{EXPONENT}, 2**{EXPONENT}]"
+            )
 
     def __call__(self, x):
         return self.amplitude * np.sin(self.omega * np.asarray(x, dtype=float))
@@ -322,22 +328,23 @@ class SineData:
     def moments(self, edges: np.ndarray) -> tuple:
         """Each cell's mean of g and spread about it, from the integrals of
         s = sin(omega x) and s^2 over the cell (width w): s has the mean m =
-        [-cos(omega x) / omega] / w (s at the left edge where w = 0) and the
-        spread w / 2 - [sin(2 omega x) / (4 omega)] - w m^2, clipped at 0,
-        scaled by a and a^2.  The spread cancels on small cells, but its
+        [-cos(omega x) / omega] / w (s at the left edge where omega w is 0)
+        and the spread w / 2 - [sin(2 omega x) / (4 omega)] - w m^2, clipped
+        at 0, scaled by a and a^2.  The spread cancels on small cells, but its
         error stays within 16 u a^2 (1 / |omega| + X + w) of the exact one,
         with u = 2**-53 and X the larger |edge|."""
         w = np.diff(edges)
         phase = self.omega * edges
         cos, sin2 = np.cos(phase), np.sin(2.0 * phase)
-        mean = np.divide(cos[:-1] - cos[1:], self.omega * w, out=np.sin(phase[:-1]), where=w > 0)
+        scale = self.omega * w
+        mean = np.divide(cos[:-1] - cos[1:], scale, out=np.sin(phase[:-1]), where=scale != 0)
         spread = w / 2.0 - (sin2[1:] - sin2[:-1]) / (4.0 * self.omega) - w * (mean * mean)
         a = self.amplitude
         return a * mean, a * (a * np.maximum(spread, 0.0))
 
 
 def _require_same_domain(u, data) -> None:
-    tol = _DOMAIN_TOL * data.domain[1] - _DOMAIN_TOL * data.domain[0]  # the width's share, which cannot overflow
+    tol = _DOMAIN_TOL * data.domain[1] - _DOMAIN_TOL * data.domain[0]
     if abs(u.domain[0] - data.domain[0]) > tol or abs(u.domain[1] - data.domain[1]) > tol:
         raise ConfigError(f"domain mismatch: u on {u.domain}, data on {data.domain}")
 
@@ -371,20 +378,15 @@ def tv_kernel(u: PiecewiseConstant, kernel: JumpKernel) -> float:
 def fidelity(u: PiecewiseConstant, data, lam: float) -> float:
     """(lam / 2) * integral over the domain of (u - g)^2: each plateau's
     ``cell_misfit`` over the data's ``moments`` on the plateaus, as the
-    oracle prices its cells, added left to right from 0; one beyond float
-    range is inf.  Where lam / 2 rounds to 0 the fidelity is 0, as the
-    oracle prices it (0 * inf would be NaN).
+    oracle prices its cells, added left to right from 0.
 
     Rounding: where the moments of a plateau of width W at value v are
     within e of the exact mean mu and within s of the exact spread, the
     fidelity F of n plateaus is within (lam / 2) sum (W e (2 |v - mu| + e)
     + s) + (n + 5) u F of the exact one, u = 2**-53."""
     _require_same_domain(u, data)
-    if not 0.5 * lam:
-        return 0.0
     edges = np.array((u.domain[0], *u.breakpoints, u.domain[1]))
-    with np.errstate(over="ignore"):
-        misfits = cell_misfit(np.diff(edges), *data.moments(edges), np.array(u.values))
+    misfits = cell_misfit(np.diff(edges), *data.moments(edges), np.array(u.values))
     return 0.5 * lam * sum(misfits.tolist())
 
 

@@ -98,12 +98,12 @@ class TestCheckKernel:
         "argv, param",
         [
             (("check-kernel", "--kind", "kwc", "--kappa", "1e300", "--M", "1"), "kappa"),
-            (("check-kernel", "--kind", "kwc", "--M", "1e300"), "kappa"),
+            (("check-kernel", "--kind", "kwc", "--M", "1e300"), "mass_cap"),
             (("exact", "bounds", "--kind", "kwc", "--kappa", "1e200", "--M", "1", "--lambda", "1"), "kappa"),
-            (("exact", "bounds", "--kind", "potts", "--M", "1e200", "--lambda", "1"), "height"),
-            (("exact", "bounds", "--kind", "potts", "--M", "1e-200", "--lambda", "1"), "height"),
-            (("check-kernel", "--kind", "potts", "--M", "1e200"), "height"),
-            (("check-kernel", "--kind", "potts", "--M", "1e-200"), "height"),
+            (("exact", "bounds", "--kind", "potts", "--M", "1e200", "--lambda", "1"), "mass_cap"),
+            (("exact", "bounds", "--kind", "potts", "--M", "1e-200", "--lambda", "1"), "mass_cap"),
+            (("check-kernel", "--kind", "potts", "--M", "1e200"), "mass_cap"),
+            (("check-kernel", "--kind", "potts", "--M", "1e-200"), "mass_cap"),
         ],
         ids=[
             "check_kappa_1e300", "check_mass_cap_1e300", "bounds_kappa_1e200", "bounds_potts_mass_cap_1e200",
@@ -111,12 +111,14 @@ class TestCheckKernel:
         ],
     )
     def test_constants_out_of_float_range_exit_2(self, capsys, argv, param):
+        # Each pair left float range in the constants; the input named lies
+        # outside the magnitude envelope.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert err.startswith("config error")
-        assert f"{param}=" in err and "mass_cap=" in err
+        assert err.startswith(f"config error: {param} = ") and "is outside the magnitude envelope" in err
+        assert err.count("\n") == 1
         assert out == ""
         assert caught == []
 
@@ -350,11 +352,11 @@ class TestOracleSolve:
             tmp_path, data={"kind": "linear", "slope": 1e10}, kernel={"kind": "kwc", "kappa": 1e300},
             lam=5.0, n_cells=20, n_levels=11, endpoint_pin=None,
         )
+        # kappa rho overflowed at kappa = 1e300, which lies outside the
+        # envelope: exit 2 with one line that names kappa.
         code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
-        assert code == 0 and err == ""
-        result = parse_json(out)
-        assert result["jump_count"] == 10
-        assert result["energy"]["tv_k"] == pytest.approx(10 / 1e300, rel=1e-12)
+        assert code == 2 and out == ""
+        assert err == "config error: kappa = 1e+300 is outside the magnitude envelope [2**-100, 2**100]\n"
 
     def test_negative_tie_scan_exits_2(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -386,9 +388,8 @@ class TestOracleSolve:
         assert out == ""
 
     def test_csv_data_whose_costs_overflow_solve_with_nothing_on_stderr(self, capsys, tmp_path):
-        # The one cell's mean, 1e154, is a level, at cost 0; the costs at
-        # the end levels, 0.5 * (1e154)^2, are finite, and no warning is
-        # printed.
+        # The data 0 and 2e154 lie outside the envelope: exit 2 with one
+        # line that names the csv's values, and no warning.
         csv_path = tmp_path / "g.csv"
         csv_path.write_text("x,value\n0,0\n1,2e154\n")
         cfg = self.write_config(
@@ -397,9 +398,11 @@ class TestOracleSolve:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
-        assert code == 0 and err == "" and caught == []
-        result = parse_json(out)
-        assert result["minimizer"]["values"] == [1e154] and result["energy"]["total"] == 0.0
+        assert code == 2 and out == "" and caught == []
+        assert err == (
+            f"config error: {csv_path}: every x and value must be finite, within the magnitude envelope "
+            "|x| <= 2**100, got 2e+154\n"
+        )
 
     def test_csv_data_whose_range_overflows_exit_2_with_one_line(self, capsys, tmp_path):
         csv_path = tmp_path / "g.csv"
@@ -411,7 +414,7 @@ class TestOracleSolve:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "oracle", "solve", "--config", str(cfg))
         assert code == 2 and out == "" and caught == []
-        assert err.startswith("config error: the data overflow floats: their range [-1e+308, 1e+308] is not a finite interval")
+        assert err.startswith(f"config error: {csv_path}: every x and value must be finite, within the magnitude envelope")
         assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize(
@@ -560,22 +563,19 @@ class TestFlowRun:
         path.write_text(json.dumps({"data": {"generator": "noisy_steps", "n": 1000}, "params": params}))
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2 and out == "" and err.count("\n") == 1
-        # at: the shift rule (s beside 4 sigma/h); rof and kwc: the range rule, whose terms sigma enters.
-        if model == "at":
-            assert err.startswith("config error: sigma = 1e+300 is out of range")
-        else:
-            assert err.startswith("config error: the data span [") and "sigma = 1e+300" in err
+        # The shift rule (at) and the range rule (rof, kwc) named sigma = 1e300, which lies outside the envelope.
+        assert err == "config error: sigma = 1e+300 is outside the magnitude envelope |x| <= 2**100\n"
 
     @pytest.mark.parametrize("model, top", [("at", 1e160), ("rof", 1e200), ("kwc", 1e200), ("at", 1e308)])
     def test_data_out_of_range_for_the_flow_exit_2(self, capsys, tmp_path, model, top):
-        # A pwc step from 0 to top exited 3 after overflow warnings.
+        # A pwc step from 0 to top exited 3 after overflow warnings.  Its
+        # values lie outside the envelope: exit 2 with one line naming them.
         path = tmp_path / "flow.json"
         data = {"pwc": {"domain": [0.0, 1.0], "breakpoints": [0.5], "values": [0.0, top]}, "n": 101}
         path.write_text(json.dumps({"data": data, "params": {"model": model, "lam": 50.0, "n": 101, "t_max": 0.05}}))
         code, out, err = run_cli(capsys, "flow", "run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 2 and out == ""
-        assert err.startswith(f"config error: the data span [0.0, {top!r}], out of range for the {model} flow")
-        assert err.count("\n") == 1
+        assert err == f"config error: values = {top!r} is outside the magnitude envelope |x| <= 2**100\n"
 
     @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
     @pytest.mark.parametrize(
@@ -800,7 +800,8 @@ class TestConfigsThatUsedToEscape:
             ({"data": {"generator": "noisy_steps", "n": 21, "sed": 3}}, "sed"),
             ({"params": {**FLOW_BASE["params"], "pre_relax": "yes"}}, "pre_relax"),
             ({"census_threshold": math.inf}, "census_threshold"),
-            ({"params": {**FLOW_BASE["params"], "dt": 1e-300, "t_max": 1e10}}, "time step"),
+            # 1e10 / 1e-300 steps overflowed the count; dt lies outside the envelope.
+            ({"params": {**FLOW_BASE["params"], "dt": 1e-300, "t_max": 1e10}}, "dt = 1e-300 is outside the magnitude envelope"),
             ({"params": {**FLOW_BASE["params"], "t_max": 2**63}}, "limit of 10000000 steps"),
             ({"params": {**FLOW_BASE["params"], "n": 2**63}}, "exceeds the limit 1000000"),
             ({"data": {"generator": "step", "n": 2**63}}, "exceeds the limit 1000000"),

@@ -25,7 +25,7 @@ from kwcseg.exact import (
 )
 from kwcseg.kernel import derive_constants, kwc_kernel, linear_kernel, potts_kernel
 from kwcseg.errors import ConfigError
-from kwcseg.pwc import GridSignal, LinearData, PiecewiseConstant, SineData, energy
+from kwcseg.pwc import MAX_NODES, GridSignal, LinearData, PiecewiseConstant, SineData, energy
 
 from proof_devices import dispersion, split_cost_derivative
 
@@ -100,9 +100,28 @@ class TestUniformStepEnergy:
                     assert uniform_step_energy(L, m, lam, kernel) == pytest.approx(expected, rel=1e-12)
 
     def test_a_potts_jump_that_underflows_to_zero_is_rejected(self):
-        # L / m rounds to 0.0, so K(d) / d = height / 0.
-        with pytest.raises(ConfigError, match="2-jump ladder at L = 5e-324.* is inf, not a finite float"):
+        # L / m rounded to 0.0, so K(d) / d = height / 0.  L lies outside
+        # the envelope; at its least L and most jumps, d = 2**-200.
+        with pytest.raises(ConfigError, match=re.escape("L = 5e-324 is outside the magnitude envelope [2**-100, 2**100]")):
             uniform_step_energy(5e-324, 2, 1.0, potts_kernel(1.0))
+        assert uniform_step_energy(2.0**-100, 2**100, 1.0, potts_kernel(1.0)) == 2.0**200 + 2.0**-400 / 24.0
+
+    def test_jump_counts_above_their_caps_are_rejected(self):
+        # m = 10**400 ended in an OverflowError (int too large to convert
+        # to float), and the ladder had no cap at all.
+        for call in (
+            lambda m: transition_lambda(1.0, m),
+            lambda m: lambda_for_jump_count(1.0, m),
+            lambda m: uniform_step_energy(1.0, m, 1.0),
+        ):
+            with pytest.raises(ConfigError, match=f"jump count m = {10**400} exceeds the limit {2**100}"):
+                call(10**400)
+            with pytest.raises(ConfigError, match=f"exceeds the limit {2**100}"):
+                call(2**100 + 1)
+            assert 0 < call(2**100) < math.inf
+        with pytest.raises(ConfigError, match=f"jump count m = {MAX_NODES + 1} exceeds the limit {MAX_NODES}"):
+            uniform_step_minimizer(1.0, MAX_NODES + 1)
+        assert uniform_step_minimizer(1.0, 1000).jump_count == 1000
 
     @pytest.mark.parametrize("kernel", [None, potts_kernel(1.0)], ids=["default", "potts"])
     @pytest.mark.parametrize("m", [0, -2, 1.5, 2.0], ids=["zero", "negative", "fraction", "float"])
@@ -231,31 +250,34 @@ class TestCriticalLambda:
                 call()
 
     def test_a_weight_beyond_float_range_is_rejected(self):
-        # 24 / ((d1 + d2)(1 + d1)(1 + d2)) with d1 = L / m overflows for a subnormal L.
-        with pytest.raises(ConfigError, match="L = 5e-324 is inf, not a finite float"):
-            transition_lambda(5e-324, 1)
-        # At m = 3 both L / m and L / (m + 1) round to 0.0, a zero divisor.
-        with pytest.raises(ConfigError, match="L = 5e-324 is inf, not a finite float"):
-            transition_lambda(5e-324, 3)
+        # 24 / ((d1 + d2)(1 + d1)(1 + d2)) with d1 = L / m overflowed for a
+        # subnormal L, and at m = 3 both L / m and L / (m + 1) rounded to
+        # 0.0.  L lies outside the envelope.
+        for m in (1, 3):
+            with pytest.raises(ConfigError, match=re.escape("L = 5e-324 is outside the magnitude envelope")):
+                transition_lambda(5e-324, m)
 
     @pytest.mark.parametrize(
         "call, name",
         [
-            (lambda: critical_lambda(1e308), "the critical lambda at L = 1e+308"),
-            (lambda: critical_lambda(1e110), "the critical lambda at L = 1e+110"),
-            (lambda: transition_lambda(1e110, 3), "the 3-to-4-jump transition lambda at L = 1e+110"),
-            (lambda: lambda_for_jump_count(1e110, 2), "the 1-to-2-jump transition lambda at L = 1e+110"),
-            # Each transition weight is about 1e-179, so their product underflows.
-            (lambda: lambda_for_jump_count(1e60, 2), "the weight of the 2-jump ladder at L = 1e+60"),
-            (lambda: lambda_for_jump_count(1e-200, 2), "the weight of the 2-jump ladder at L = 1e-200"),
+            (lambda: critical_lambda(1e308), "L = 1e+308"),
+            (lambda: critical_lambda(1e110), "L = 1e+110"),
+            (lambda: transition_lambda(1e110, 3), "L = 1e+110"),
+            (lambda: lambda_for_jump_count(1e110, 2), "L = 1e+110"),
+            # Each transition weight was about 1e-179, so their product underflowed.
+            (lambda: lambda_for_jump_count(1e60, 2), "L = 1e+60"),
+            (lambda: lambda_for_jump_count(1e-200, 2), "L = 1e-200"),
         ],
         ids=["critical_1e308", "critical_1e110", "transition_1e110", "weight_1e110", "weight_1e60", "weight_1e-200"],
     )
     def test_a_weight_that_rounds_to_zero_or_overflows_is_rejected(self, call, name):
-        # Each weight is positive in closed form, so 0.0 is an underflow, and
-        # at lambda = 0 no two ladders tie.
-        with pytest.raises(ConfigError, match=f"^{re.escape(name)} is (0.0|inf), not a finite float"):
+        # Each weight rounded to 0.0 or overflowed; each L lies outside the
+        # envelope, inside which every weight is a float above 0.
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} is outside the magnitude envelope"):
             call()
+        for L in (2.0**-100, 2.0**100):
+            for weight in (critical_lambda(L).lam, transition_lambda(L, 3), lambda_for_jump_count(L, 2)):
+                assert 0 < weight < math.inf
 
 
 class TestOptimalJumpLocation:
@@ -380,11 +402,14 @@ class TestEqualJumpVerdict:
 
     @pytest.mark.parametrize("kappa, c", [(1.0, 1e308), (1e200, 1e200)])
     def test_terms_out_of_float_range_are_rejected(self, kappa, c):
-        # (1 + kappa c) ** 3 raises OverflowError at c = 1e308.  At kappa = c =
-        # 1e200, kappa c is inf, so phi(0) is 0.0 and phi(c) is inf / inf = nan,
-        # which read as the pattern "+-" where the true phi(c) ~ 1 / c gives "+".
-        with pytest.raises(ConfigError, match=re.escape(f"out of float range at kappa={kappa!r}, c={c!r}")):
+        # (1 + kappa c) ** 3 raised OverflowError at c = 1e308.  At kappa = c
+        # = 1e200, kappa c was inf, so phi(0) was 0.0 and phi(c) inf / inf =
+        # nan.  Each lies outside the envelope, which names c or kappa; at
+        # its edge, kappa = c = 2**100, phi(c) ~ 1 / c gives "+".
+        name = f"c = {c!r}" if kappa == 1.0 else f"kappa = {kappa!r}"
+        with pytest.raises(ConfigError, match=re.escape(f"{name} is outside the magnitude envelope")):
             equal_jump_verdict(kwc_kernel(kappa), c, 1.0)
+        assert equal_jump_verdict(kwc_kernel(2.0**100), 2.0**100, 1.0).sign_pattern == "+"
 
     def test_flat_and_linear_kernels(self):
         # Both split costs are constant for |z| < c: any fidelity weight

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -58,7 +59,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("dt, t_max", [(0.01, 0.004), (0.01, 0.005), (2.0, 1.0), (1e-300, 1e10)])
     def test_fewer_than_one_time_step_rejected(self, dt, t_max):
-        with pytest.raises(ConfigError, match="time step"):
+        # 1e10 / 1e-300 steps overflowed the step count; dt = 1e-300 lies
+        # outside the envelope, which names it first.
+        below = dt < 2.0**-100
+        with pytest.raises(ConfigError, match="dt = 1e-300 is outside the magnitude envelope" if below else "time step"):
             FlowParams(model="rof", lam=1.0, n=50, dt=dt, t_max=t_max)
 
     def test_one_time_step_runs(self):
@@ -104,9 +108,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="epsilon"):
             run(g, g, FlowParams(model=model, lam=30.0, n=101, t_max=0.05, epsilon=epsilon, pre_relax=True))
 
-    @pytest.mark.parametrize("epsilon", [1e-300, 1e4])
+    @pytest.mark.parametrize("epsilon", [1e-300, 2.0**-100, 1e4])
     def test_extreme_but_regular_interface_widths_run(self, epsilon):
+        # 1e-300 lies outside the envelope: one ConfigError that names it.
         g = unit_step(101)
+        if epsilon < 2.0**-100:
+            with pytest.raises(ConfigError, match="epsilon = 1e-300 is outside the magnitude envelope"):
+                FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=epsilon, pre_relax=True)
+            return
         res = run(g, g, FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=epsilon, pre_relax=True))
         assert np.isfinite(res.state.energy)
 
@@ -116,14 +125,16 @@ class TestValidation:
             steady_damage_profile(unit_step(101), FlowParams(model="kwc", lam=30.0, n=101, epsilon=epsilon))
 
     def test_interface_width_is_checked_on_the_data_spacing(self):
-        # h = 1e4 on this domain: h/eps overflows, though 1/(n - 1) / eps does not.
+        # h = 1e4 on this domain: h/eps overflowed at eps = 1e-306, which
+        # lies outside the envelope.  At its least width h/eps is finite and
+        # the run is regular.
         x = np.linspace(0.0, 1.0, 101)
         g = GridSignal((0.0, 1e6), np.where(x < 0.5, 0.0, 1.0))
-        params = FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=1e-306)
-        with pytest.raises(ConfigError, match="epsilon"):
-            run(g, g, params)
-        with pytest.raises(ConfigError, match="epsilon"):
-            steady_damage_profile(g, params)
+        with pytest.raises(ConfigError, match="epsilon = 1e-306 is outside the magnitude envelope"):
+            FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=1e-306)
+        params = FlowParams(model="kwc", lam=30.0, n=101, t_max=0.05, epsilon=2.0**-100)
+        assert np.isfinite(run(g, g, params).state.energy)
+        assert np.all(np.isfinite(steady_damage_profile(g, params).samples))
 
     def test_width_out_of_range_on_the_unit_grid_runs_on_a_long_domain(self):
         # eps = 1e9 swamps h/eps in the damage matrix at h = 0.01 but not at h = 1e4.
@@ -142,8 +153,13 @@ class TestValidation:
     )
     def test_sigma_out_of_range_for_the_step_rejected(self, model, sigma):
         # At n = 1000: at's matrix loses its shift from 1e12 on (singular by
-        # 1e15), and the TV step's duality gap overflows from 1e152 on.
+        # 1e15).  The TV step's duality gap overflowed from 1e152 on, which
+        # lies outside the envelope: one ConfigError that names sigma.
         g = generate_signal("noisy_steps", n=1000, seed=0)
+        if sigma > 2.0**100:
+            with pytest.raises(ConfigError, match=re.escape(f"sigma = {sigma!r} is outside the magnitude envelope")):
+                FlowParams(model=model, lam=50.0, n=1000, t_max=0.05, sigma=sigma)
+            return
         params = FlowParams(model=model, lam=50.0, n=1000, t_max=0.05, sigma=sigma)
         with pytest.raises(ConfigError, match="sigma"):
             run(g, g, params)
@@ -179,19 +195,13 @@ class TestValidation:
     @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
     @pytest.mark.parametrize("top", [1e160, 1e200, 1e308])
     def test_data_out_of_range_for_the_flow_rejected(self, model, top):
-        # A pwc step from 0 to top (n = 101, lam = 50): an error naming the
-        # data before any step, with no overflow warning first.
-        g = GridSignal((0.0, 1.0), top * unit_step(101).samples)
-        params = FlowParams(model=model, lam=50.0, n=101, t_max=0.05)
+        # A pwc step from 0 to top (n = 101, lam = 50) lies outside the
+        # envelope: an error naming the samples before any step, with no
+        # overflow warning first, for the data and u0 alike.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match=r"the data span \[0.0, 1e\+\d+\], out of range"):
-                run(g, g, params)
-            with pytest.raises(ConfigError, match=r"the data span \[0.0, 1e\+\d+\]"):
-                run(unit_step(101), g, params)  # u0 counts too
-            if model != "rof":
-                with pytest.raises(ConfigError, match="the data span"):
-                    steady_damage_profile(g, params)
+            with pytest.raises(ConfigError, match=r"^grid samples must be finite, within the magnitude envelope .*, got 1e\+\d+$"):
+                GridSignal((0.0, 1.0), top * unit_step(101).samples)
 
     @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
     @pytest.mark.parametrize("n, dt, lam", [(101, 0.01, 50.0), (101, 1.0, 0.0), (12, 1e-4, 3e3)])
@@ -223,9 +233,10 @@ class TestValidation:
     @pytest.mark.parametrize("n, dt, lam", [(101, 0.01, 50.0), (12, 1e-4, 3e3)])
     def test_constant_data_of_any_magnitude_are_named_or_run_cleanly(self, model, n, dt, lam):
         # Constant data span nothing, but the step rounds at their
-        # magnitude: each is an error naming the data before any step, or a
-        # run with no warning (an error here).  The largest magnitude the
-        # check takes, by bisection over the floats, runs cleanly too.
+        # magnitude: each is an error naming the data before any step (the
+        # envelope's), or a run with no warning (an error here).  The
+        # largest magnitude the check takes, by bisection over the floats,
+        # runs cleanly too.
         params = FlowParams(model=model, lam=lam, n=n, dt=dt, t_max=5 * dt)
 
         def data(c):
@@ -237,7 +248,7 @@ class TestValidation:
                 try:
                     result = run(data(c), data(c), params)
                 except ConfigError as err:
-                    assert str(err).startswith(f"the data span [{c}, {c}], out of range for the {model} flow")
+                    assert str(err).startswith("grid samples must be finite, within the magnitude envelope")
                     return False
             assert np.isfinite(result.state.energy)
             return True
@@ -249,8 +260,8 @@ class TestValidation:
                 return False
             return True
 
-        outcomes = [runs(sign * 10.0**k) for k in range(150, 309, 10) for sign in (1.0, -1.0)]
-        assert outcomes[:4] == [True] * 4 and outcomes[-2:] == [False, False]
+        magnitudes = [sign * 10.0**k for k in (*range(0, 31, 10), *range(150, 309, 10)) for sign in (1.0, -1.0)]
+        assert [runs(c) for c in magnitudes] == [abs(c) <= 2.0**100 for c in magnitudes]
         lo, hi = 1.0, 1e308
         while math.nextafter(lo, hi) < hi:
             mid = math.sqrt(lo) * math.sqrt(hi)
@@ -261,21 +272,21 @@ class TestValidation:
     @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
     @pytest.mark.parametrize("data, dt", [("sine", 1e-310), ("step", 1e-212)])
     def test_time_step_out_of_range_is_named(self, model, data, dt):
-        # n = 101, lam = 50, three steps.  On the sine, 1/dt overflows the
-        # u-step's shift; on a step from 0 to 1e100, 1e100/dt overflows the
-        # u-step's right-hand side.  Each was an overflow and a divergence
-        # (at) or an error that named only the data (rof, kwc).
-        g = generate_signal("sine", n=101) if data == "sine" else GridSignal((0.0, 1.0), 1e100 * unit_step(101).samples)
-        params = FlowParams(model=model, lam=50.0, n=101, dt=dt, t_max=3 * dt)
+        # n = 101, lam = 50, three steps.  On the sine, 1/dt overflowed the
+        # u-step's shift; on a step from 0 to 1e100, 1e100/dt overflowed
+        # the u-step's right-hand side.  Each was an overflow and a
+        # divergence (at) or an error that named only the data (rof, kwc).
+        # Both lie outside the envelope: one ConfigError, the dt's on the
+        # sine, the samples' on the step, whose data are built first.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError) as info:
-                run(g, g, params)
+                g = generate_signal("sine", n=101) if data == "sine" else GridSignal((0.0, 1.0), 1e100 * unit_step(101).samples)
+                run(g, g, FlowParams(model=model, lam=50.0, n=101, dt=dt, t_max=3 * dt))
         if data == "sine":
-            assert str(info.value).startswith(f"dt = {dt} and lam = 50.0 are out of range for the {model} flow")
+            assert str(info.value) == f"dt = {dt} is outside the magnitude envelope [2**-100, 2**100]"
         else:
-            assert str(info.value).startswith(f"the data span [0.0, 1e+100], out of range for the {model} flow")
-            assert f"dt = {dt}" in str(info.value)
+            assert str(info.value).startswith("grid samples must be finite, within the magnitude envelope")
 
     @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
     @pytest.mark.parametrize("n, lam", [(101, 50.0), (101, 0.0), (12, 3e3)])
@@ -325,14 +336,14 @@ class TestValidation:
         # a domain of any width (n = 101; sigma and epsilon at their
         # defaults): a ConfigError before any step, or a run with no
         # warning (an error here) whose every energy and gap is finite.
+        # Outside the envelope the ConfigError comes from the inputs.
         dt = 10.0**k
         samples = (generate_signal("sine", n=101) if data == "sine" else unit_step(101)).samples
-        g = GridSignal((0.0, width), height * samples)
-        params = FlowParams(model=model, lam=lam, n=101, dt=dt, t_max=3 * dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                result = run(g, g, params)
+                g = GridSignal((0.0, width), height * samples)
+                result = run(g, g, FlowParams(model=model, lam=lam, n=101, dt=dt, t_max=3 * dt))
             except ConfigError:
                 return
         energies, gaps = [row[1] for row in result.trace], [row[3] for row in result.trace[1:]]

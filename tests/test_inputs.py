@@ -82,13 +82,40 @@ REAL_PARAMETERS = {
 }
 
 
-@pytest.mark.parametrize("value", [True, None, "1"], ids=["bool", "none", "text"])
-@pytest.mark.parametrize("call", list(REAL_PARAMETERS.values()), ids=list(REAL_PARAMETERS))
-def test_every_real_parameter_rejects_a_bool_none_and_text(call, value):
+# The scales divided by, which the envelope also bounds below (2**-100).
+POSITIVE_SCALES = {
+    "uniform_step_minimizer.L", "uniform_step_energy.L", "critical_lambda.L", "transition_lambda.L",
+    "lambda_for_jump_count.L", "equal_jump_verdict.c", "jump_bounds.mass_cap", "kwc_kernel.kappa",
+    "potts_kernel.height", "JumpKernel.kappa_unused", "JumpKernel.height_unused", "derive_constants.mass_cap",
+    "check_conditions.mass_cap", "FlowParams.dt", "SineData.omega",
+}
+# The name each error gives, where it is not the key's last part.
+MESSAGE_NAMES = {
+    "JumpKernel.kappa_unused": "kappa", "JumpKernel.height_unused": "height", "jump_census.threshold": "census threshold",
+    "edges_above.threshold": "census threshold", "plateau_flatness.threshold": "census threshold",
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, None, "1", 2.0**101, -(2.0**101), 2.0**-101], ids=["bool", "none", "text", "2_101", "minus_2_101", "2_-101"]
+)
+@pytest.mark.parametrize("key", list(REAL_PARAMETERS), ids=list(REAL_PARAMETERS))
+def test_every_real_parameter_rejects_a_bool_none_and_text(key, value):
     # Each call is valid with 1.0 in the place of the value under test.
+    # Outside the magnitude envelope (|x| <= 2**100, and x >= 2**-100 for
+    # a scale divided by) the error names the parameter; 2**-101 is valid
+    # where no division needs a lower bound.
+    call = REAL_PARAMETERS[key]
     call(1.0)
-    with pytest.raises(ConfigError, match="must be finite and a real number"):
+    if value == 2.0**-101 and key not in POSITIVE_SCALES:
         call(value)
+        return
+    name = MESSAGE_NAMES.get(key, key.split(".")[1])
+    message = "must be finite and a real number" if not isinstance(value, float) else f"^{re.escape(name)} (=|must)"
+    with pytest.raises(ConfigError, match=message) as info:
+        call(value)
+    if value in (2.0**101, 2.0**-101):
+        assert "is outside the magnitude envelope" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +361,15 @@ def test_one_fault_in_a_valid_config_is_named(workdir, csv_path, command, cfg, p
         assert re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err), err
 
 
-# Data near the float limits: each exits 2 naming the overflow, but step data
-# to 1e308, whose cells each hold one value, and whose costs overflow only
-# at levels far from that value: those solve.
+# Data near the float limits: each exited 2 naming the overflow, but step
+# data to 1e308 solved.  Each lies outside the magnitude envelope and exits 2
+# with one line that names the input.
 OVERFLOWING_DATA = {
     "sine_phase": {"kind": "sine", "domain": [0, 1e300], "omega": 1e10},
     "linear_values": {"kind": "linear", "domain": [0, 1e300], "slope": 1e10},
     "linear_cube": {"kind": "linear", "domain": [0, 1e200]},
     "steps_square": {"kind": "steps", "steps": {"domain": [0, 1], "breakpoints": [0.5], "values": [0, 1e308]}},
 }
-SOLVED_NEAR_THE_LIMITS = ("steps_square",)
 
 
 @pytest.mark.parametrize("pin", [{}, {"endpoint_pin": True}], ids=["free", "pinned_to_the_data"])
@@ -353,20 +379,20 @@ def test_data_near_the_float_limits_exit_0_or_2_with_no_warning(workdir, label, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, err = run_main(workdir, cfg, "oracle", "solve", "--tie-scan", "2")
-    if label in SOLVED_NEAR_THE_LIMITS:
-        assert code == 0 and err == "", err
-    else:
-        assert code == 2 and err.startswith("config error: the data overflow floats: "), err
+    name = "values" if label == "steps_square" else "domain"
+    assert code == 2 and err.startswith(f"config error: {name} = "), err
+    assert "is outside the magnitude envelope" in err and err.count("\n") == 1, err
 
 
-# Closed forms whose result is not a finite float, each with a field it names.
+# Closed forms whose result was not a finite float: each input named lies
+# outside the magnitude envelope.
 OVERFLOWING_CLOSED_FORMS = {
     "critical_lambda_L_5e-324": (("critical-lambda", "--L", "5e-324"), "L"),
     "critical_lambda_L_1e308": (("critical-lambda", "--L", "1e308"), "L"),  # rounds to 0.0
     "linear_table_L_1e300": (
         ("energy-table", "--L", "1e300", "--lambda", "1", "--m-max", "2", "--kind", "linear"), "L"
     ),
-    "kwc_table_lam_1e10": (("energy-table", "--L", "1e200", "--lambda", "1e10", "--m-max", "2"), "lam"),
+    "kwc_table_lam_1e10": (("energy-table", "--L", "1e200", "--lambda", "1e10", "--m-max", "2"), "L"),
     "potts_table_height_1e308": (
         ("energy-table", "--L", "1", "--lambda", "5", "--m-max", "3", "--kind", "potts", "--height", "1e308"), "height"
     ),
@@ -381,8 +407,7 @@ def test_closed_forms_that_overflow_floats_exit_2_with_no_warning(argv, field):
         with contextlib.redirect_stderr(err):
             code = main(["exact", *argv])
     assert code == 2 and out.getvalue() == "" and caught == []
-    assert err.getvalue().startswith("config error: ") and "not a finite float" in err.getvalue()
-    assert re.search(rf"(?<!\w){field}(?!\w)", err.getvalue()), err.getvalue()
+    assert err.getvalue().startswith(f"config error: {field} = ") and "is outside the magnitude envelope" in err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -391,11 +416,14 @@ def test_closed_forms_that_overflow_floats_exit_2_with_no_warning(argv, field):
     ids=["power_overflows", "phi_c_is_nan"],
 )
 def test_a_verdict_out_of_float_range_exits_2(argv):
+    # The verdict's terms left float range; c = 1e308 and kappa = 1e200 lie
+    # outside the magnitude envelope, and the first checked is named.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["exact", "verdict", *argv])
     assert code == 2 and out.getvalue() == ""
-    assert err.getvalue().startswith("config error: ") and "kappa=" in err.getvalue() and "c=" in err.getvalue()
+    name = "kappa = 1e+200" if "--kappa" in argv else "c = 1e+308"
+    assert err.getvalue() == f"config error: {name} is outside the magnitude envelope [2**-100, 2**100]\n"
 
 
 # ---------------------------------------------------------------------------

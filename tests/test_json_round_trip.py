@@ -21,8 +21,10 @@ def through_json(d):
     return json.loads(json.dumps(d))
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
-positive = st.floats(min_value=5e-324, allow_infinity=False)
+# Valid reals lie in the magnitude envelope: |x| <= 2**100, and a scale
+# divided by (kappa, height) is at least 2**-100.
+finite = st.floats(-(2.0**100), 2.0**100)
+positive = st.floats(2.0**-100, 2.0**100)
 
 
 @st.composite
@@ -55,7 +57,7 @@ def experiment_specs(draw):
     if draw(st.booleans()):
         chosen["t_max"] = draw(st.one_of(st.floats(0.006, 99_999.0), st.integers(1, 99_999)))
     if name == "custom":
-        chosen["lam"] = draw(st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**70)))
+        chosen["lam"] = draw(st.one_of(st.floats(0.0, 2.0**100), st.integers(0, 2**70)))
     kwc_only = name in ("linear_steady", "nonuniqueness")
     most = 0 if kwc_only else 3
     models = draw(st.lists(st.sampled_from(MODELS), min_size=1 if name == "custom" else 0, max_size=most, unique=True))

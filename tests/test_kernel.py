@@ -1,6 +1,8 @@
 """Unit tests for jump-cost kernels, their structural conditions, and split costs."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -50,19 +52,23 @@ class TestKwcKernelValues:
 
     @pytest.mark.parametrize("kappa", [1e300, 1.7e308])
     def test_jumps_whose_kappa_rho_overflows_cost_about_one_over_kappa(self, kappa):
-        # kappa rho overflows at every jump here but 1: K = 1 / (1/rho +
-        # kappa) there, so K stays non-decreasing instead of falling to 0.
-        # An overflow warning would be an error here.
+        # kappa rho overflowed at such a kappa, which lies outside the
+        # envelope: one ConfigError that names it.  At the envelope's
+        # largest kappa and the largest jump between two levels kappa rho
+        # stays finite, so K is rho / (1 + kappa rho) with no warning.
+        with pytest.raises(ConfigError, match=re.escape(f"kappa = {kappa!r} is outside the magnitude envelope [2**-100")):
+            kwc_kernel(kappa)
+        kappa = 2.0**100
         k = kwc_kernel(kappa)
-        s = np.array([0.0, 1.0, 2e10, 1e300, np.inf])
-        vals = k.eval(s)
+        s = np.array([0.0, 1.0, 2e10, 2.0**202])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = k.eval(s)
+            units = [k.unit_cost(rho) for rho in s[1:]]
         assert k.eval(2e10) == vals[2] and k.eval(0.0) == 0.0
         assert vals[1] == 1.0 / (1.0 + kappa) and np.all(np.diff(vals) >= 0)
-        np.testing.assert_allclose(vals[2:], 1.0 / kappa, rtol=1e-10, atol=0)
-        assert k.unit_cost(1.0) == 1.0 / (1.0 + kappa)
-        for rho in (2e10, 1e300, math.inf):
-            unit = k.unit_cost(rho)
-            assert unit == (1.0 / rho) / (1.0 / rho + kappa) and unit <= k.unit_cost(1.0)
+        np.testing.assert_allclose(vals[1:], 1.0 / kappa, rtol=1e-10, atol=0)
+        assert units == [1 / (1 + kappa * rho) for rho in s[1:]] and units[-1] <= units[0]
 
     def test_overflow_leaves_every_other_cost_bit_for_bit(self):
         s = np.random.default_rng(13).uniform(0.0, 1e6, size=1000)
@@ -220,28 +226,33 @@ class TestConditionsByKind:
         assert rep.unit_slope_at_zero is (kind != "potts")
 
     @pytest.mark.parametrize(
-        "kernel, cap, param",
+        "kind, param, cap, name",
         [
-            (kwc_kernel(1e200), 1.0, "kappa"),
-            (kwc_kernel(1e300), 1.0, "kappa"),
-            (kwc_kernel(1.0), 1e300, "kappa"),
-            (potts_kernel(1.0), 1e200, "height"),
-            (potts_kernel(1.0), 1e-200, "height"),
+            ("kwc", 1e200, 1.0, "kappa"),
+            ("kwc", 1e300, 1.0, "kappa"),
+            ("kwc", 1.0, 1e300, "mass_cap"),
+            ("potts", 1.0, 1e200, "mass_cap"),
+            ("potts", 1.0, 1e-200, "mass_cap"),
         ],
         ids=[
             "kwc_kappa_1e200", "kwc_kappa_1e300", "kwc_mass_cap_1e300", "potts_mass_cap_1e200", "potts_mass_cap_1e-200",
         ],
     )
-    def test_constants_out_of_float_range_raise_value_error(self, kernel, cap, param):
+    def test_constants_out_of_float_range_raise_value_error(self, kind, param, cap, name):
+        # Each pair left float range in the constants; each lies outside the
+        # envelope, a ConfigError (a ValueError) that names the input.
         for call in (derive_constants, check_conditions):
-            with pytest.raises(ValueError, match=f"{param}=.*mass_cap=") as info:
-                call(kernel, cap)
+            with pytest.raises(ConfigError, match=f"^{name} = .* is outside the magnitude envelope") as info:
+                call(JumpKernel(kind, kappa=param, height=param), cap)
             assert not isinstance(info.value, ConditionError)
 
     def test_tiny_positive_constants_are_kept(self):
-        c = derive_constants(potts_kernel(1e-300), 1e10)
-        assert 0 < c.split_gain < 1e-300 and 0 < c.bound_rate
-        assert check_conditions(potts_kernel(1e-300), 1e10).linear_floor_positive
+        # The least height at the largest cap: split_gain 4 h / M^2 = 2**-298.
+        c = derive_constants(potts_kernel(2.0**-100), 2.0**100)
+        assert c.split_gain == 2.0**-298 and 0 < c.bound_rate
+        assert check_conditions(potts_kernel(2.0**-100), 2.0**100).linear_floor_positive
+        with pytest.raises(ConfigError, match=re.escape("height = 1e-300 is outside the magnitude envelope")):
+            potts_kernel(1e-300)
 
 
 class TestStrengthenedSubadditivity:

@@ -103,15 +103,20 @@ class TestBasicRecovery:
     @pytest.mark.parametrize("value", [0.0, 1e-12, -1e-12, 1.0, 1e20, -1e20, 1e300])
     def test_constant_data_of_any_magnitude_hold_their_value_as_a_level(self, value):
         # The default grid spans value +- |value| / 2 (+- 0.5 at 0), so its
-        # middle level is the value, to an ulp, at every scale.
+        # middle level is the value, to an ulp, at every scale in the
+        # envelope; 1e300 lies outside it.
         lam = 5.0
+        if abs(value) > 2.0**100:
+            with pytest.raises(ConfigError, match="^grid samples must be finite, within the magnitude envelope"):
+                GridSignal((0.0, 1.0), np.full(11, value))
+            return
         problem = signal_problem(GridSignal((0.0, 1.0), np.full(11, value)), K1, lam)
         levels = problem.resolved_levels()
         assert np.all(np.diff(levels) > 0) and np.all(np.isfinite(levels))
         middle = levels[levels.size // 2]
         assert abs(middle - value) <= np.spacing(abs(value))
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # at 1e300 every other level's cost overflows to inf
+            warnings.simplefilter("error")
             result = solve(problem)
         assert result.minimizer.values == (middle,) and result.jump_count == 0
         # Each cell's mean is the value and its spread 0: the free optimum
@@ -120,21 +125,29 @@ class TestBasicRecovery:
             assert result.energy.total == 0.0
         else:
             assert 0.0 < result.energy.total <= lam * (middle - value) ** 2
-        if not math.isfinite(value * value):
-            # As the same problem at 2**-600 the scale answers, 2**600 times.
-            k, small_lam = change_of_units(2.0**-600, K1, lam)
-            small = solve(signal_problem(GridSignal((0.0, 1.0), np.full(11, value * 2.0**-600)), k, small_lam))
-            assert result.energy.total == small.energy.total * 2.0**600
-            assert result.minimizer.values == tuple(v * 2.0**600 for v in small.minimizer.values)
 
     def test_constant_data_near_the_float_limit_are_named(self):
-        # value + |value| / 2 overflows: an error naming the level range, no
-        # inf or nan level.
+        # value + |value| / 2 overflowed at 1.3e308, which lies outside the
+        # envelope: one ConfigError that names the samples.
         for value in (1.3e308, -1.3e308):
-            problem = signal_problem(GridSignal((0.0, 1.0), np.full(11, value)), K1, 5.0, n_levels=5)
-            message = f"constant data at {value} overflow floats: their level range"
-            with pytest.raises(ConfigError, match=re.escape(message)):
-                problem.resolved_levels()
+            with pytest.raises(ConfigError, match=re.escape(f"grid samples must be finite, within the magnitude envelope |x| <= 2**100, got {value}")):
+                GridSignal((0.0, 1.0), np.full(11, value))
+
+    @pytest.mark.parametrize("value", [2.0**100, -(2.0**100), 0.9 * 2.0**100])
+    def test_constant_data_at_the_envelope_keep_their_levels_inside_it(self, value):
+        # value +- |value| / 2 is clipped to the envelope, so every level,
+        # and every answer's minimizer, lies inside it; the free minimizer
+        # is the nearest level, the value itself at +-2**100.
+        problem = signal_problem(GridSignal((0.0, 1.0), np.full(11, value)), K1, 5.0, n_levels=5)
+        levels = problem.resolved_levels()
+        assert np.all(np.abs(levels) <= 2.0**100) and np.all(np.diff(levels) > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = solve(problem, tie_scan_jumps=3)
+            answers = [scan, *(best_with_m_jumps(problem, m) for m in range(4))]
+        nearest = levels[np.argmin(np.abs(levels - value))]
+        assert scan.minimizer.values == (nearest,) and (abs(value) < 2.0**100 or scan.energy.total == 0.0)
+        assert all(max(map(abs, r.minimizer.values)) <= 2.0**100 for r in answers)
 
     def test_planted_step_with_heavy_weight(self):
         x = np.linspace(0, 1, 200)
@@ -734,26 +747,22 @@ class TestProblemValidation:
             solve(p)
 
     @pytest.mark.parametrize(
-        "data, cause",
+        "data",
         [
-            (SineData((0.0, 1e300), omega=1e10), r"the data overflow floats: the mean of g over the cell \[0.0, .*\] is nan"),
-            (LinearData((0.0, 1e300), slope=1e10), r"the data overflow floats: .*range \[0.0, inf\] is not a finite interval"),
-            # Each cell's spread, (1e199)^3 / 12, is inf, and so is every cost.
-            (
-                LinearData((0.0, 1e200)),
-                r"(the data overflow floats: at lam = 5.0, the least energy of a level sequence is inf"
-                r"|no admissible sequence with exactly 1 jumps, or each one's energy overflows floats)$",
-            ),
+            lambda: SineData((0.0, 1e300), omega=1e10),
+            lambda: LinearData((0.0, 1e300), slope=1e10),
+            lambda: LinearData((0.0, 1e200)),
         ],
         ids=["sine_phase", "linear_values", "linear_cube"],
     )
-    def test_data_that_overflow_floats_are_named(self, data, cause):
-        p = OracleProblem(data=data, kernel=K1, lam=5.0, n_cells=10, n_levels=5)
+    def test_data_that_overflow_floats_are_named(self, data):
+        # These overflowed a cell's mean, the data range and every cost.
+        # Each domain lies outside the envelope: one ConfigError that names
+        # it, before any question, with no warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for question in (solve, functools.partial(solve, tie_scan_jumps=2), lambda q: best_with_m_jumps(q, 1)):
-                with pytest.raises(ConfigError, match=f"^{cause}"):
-                    question(p)
+            with pytest.raises(ConfigError, match=r"^domain = 1e\+[23]00 is outside the magnitude envelope"):
+                data()
 
     @pytest.mark.parametrize(
         "samples, lam",
@@ -762,110 +771,84 @@ class TestProblemValidation:
             ([0.0, 2e154], 0.0),
             ([0.0, 2e154, 1.0], 1.0),
             ([0.0, 2e154, 1.0], 0.0),
-            (PiecewiseConstant((0.0, 1.0), (0.5,), (0.0, 1e308)), 5.0),
+            ("steps", 5.0),
         ],
         ids=["one_cell-1.0", "one_cell-0.0", "two_cells-1.0", "two_cells-0.0", "steps_square"],
     )
     def test_data_whose_squares_overflow_answer_as_at_a_smaller_scale(self, samples, lam):
-        # Every cell's mean and spread are finite; a cost that overflows at a
-        # level far from the data is inf, with no warning, and every
-        # question answers as the same problem at 2**-600 the scale does,
-        # its energies 2**600 times that one's.
-        def problem(s):
-            kernel, scaled_lam = change_of_units(s, K1, lam)
-            if isinstance(samples, PiecewiseConstant):
-                data = PiecewiseConstant(samples.domain, samples.breakpoints, tuple(v * s for v in samples.values))
-                return OracleProblem(data, kernel, scaled_lam, n_cells=10, n_levels=5)
-            return signal_problem(GridSignal((0.0, 1.0), [v * s for v in samples]), kernel, scaled_lam, n_levels=5)
+        # Costs overflowed at the levels far from these data, whose values
+        # lie outside the envelope: one ConfigError that names them.  Data
+        # up to the envelope's 2**100 answer every question as the same
+        # problem at 2**-100 the scale does (lam 2**100), with no warning.
+        with pytest.raises(ConfigError, match=r"^(values = 1e\+308 is|grid samples must be finite,) .*magnitude envelope"):
+            if samples == "steps":
+                OracleProblem(PiecewiseConstant((0.0, 1.0), (0.5,), (0.0, 1e308)), K1, lam, n_cells=10, n_levels=5)
+            else:
+                signal_problem(GridSignal((0.0, 1.0), samples), K1, lam, n_levels=5)
 
-        big, small = problem(1.0), problem(2.0**-600)
-        m = min(1, big.resolved_cells() - 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for question in (solve, functools.partial(solve, tie_scan_jumps=2), lambda q: best_with_m_jumps(q, m)):
-                got, want = question(big), question(small)
-                assert got.energy.total == want.energy.total * 2.0**600 and math.isfinite(got.energy.total)
-                assert got.minimizer.breakpoints == want.minimizer.breakpoints
-                assert got.minimizer.values == tuple(v * 2.0**600 for v in want.minimizer.values)
-                assert len(got.ties) == len(want.ties)
-        if lam and not isinstance(samples, PiecewiseConstant):  # the data's mean, 1e154, is a level
-            assert solve(big).minimizer.values == (1e154,) and solve(big).energy.total == 0.0
+        def problem(s, pin=None):
+            kernel, scaled_lam = change_of_units(s, K1, 1.0)
+            data = LinearData((0.0, 1.0), slope=2.0**100 * s)
+            return OracleProblem(data, kernel, scaled_lam, n_cells=10, n_levels=5, endpoint_pin=pin and (0.0, 2.0**100 * s))
+
+        for pin in (None, True):
+            big, small = problem(1.0, pin), problem(2.0**-100, pin)
+            assert big.lam == 1.0 and small.lam == 2.0**100
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for question in (solve, functools.partial(solve, tie_scan_jumps=4), lambda q: best_with_m_jumps(q, 2)):
+                    got, want = question(big), question(small)
+                    assert got.energy.total == want.energy.total * 2.0**100 and math.isfinite(got.energy.total)
+                    assert got.minimizer.breakpoints == want.minimizer.breakpoints
+                    assert got.minimizer.values == tuple(v * 2.0**100 for v in want.minimizer.values)
+                    assert len(got.ties) == len(want.ties)
 
     @pytest.mark.parametrize(
-        "lam, optimum", [(1e9, 2.9166666666666664e306), (1e10, 2.9166666666666674e307)], ids=["1e9", "1e10"]
+        "lam", [1e9, 1e10], ids=["1e9", "1e10"]
     )
     @pytest.mark.parametrize("pin", [None, (0.0, 1e150)], ids=["free", "pinned"])
-    def test_data_past_the_cost_bound_keep_their_finite_optima(self, pin, lam, optimum):
-        # A = n C + max K overflows (C, the largest cost, is 4.5e307 at lam
-        # = 1e9 and inf at 1e10), but every cost is a number or +inf and
-        # the optimum is finite: each answer is the same problem's at
-        # 2**-400 the scale, times the power of two that the energy scales
-        # by.  At lam = 1e10 the DP sums of far paths round up to inf too,
-        # with no warning.
-        def problem(slope, pin=None):
-            return OracleProblem(LinearData((0.0, 1.0), slope=slope), K1, lam, n_cells=10, n_levels=5, endpoint_pin=pin)
-
-        big, small = problem(1e150, pin), problem(1e150 * 2.0**-400, pin and tuple(v * 2.0**-400 for v in pin))
-        with np.errstate(over="ignore"):  # as the questions build it: a cost past float range is inf
-            assert not math.isfinite(_build_tableau(big).size)
-        questions = (solve, functools.partial(solve, tie_scan_jumps=4), lambda q: best_with_m_jumps(q, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for question in questions:
-                got, want = question(big), question(small)
-                assert got.energy.total == want.energy.total * 2.0**800 and math.isfinite(got.energy.total)
-                assert got.minimizer.breakpoints == want.minimizer.breakpoints
-                assert got.minimizer.values == tuple(v * 2.0**400 for v in want.minimizer.values)
-                assert len(got.ties) == len(want.ties)
-        assert solve(big).energy.total == optimum
+    def test_data_past_the_cost_bound_keep_their_finite_optima(self, pin, lam):
+        # A = n C + max K overflowed on these data, and DP sums too at lam
+        # = 1e10, though the optima were finite.  The slope lies outside
+        # the envelope: one ConfigError that names it.
+        with pytest.raises(ConfigError, match=re.escape("slope = 1e+150 is outside the magnitude envelope |x| <= 2**100")):
+            OracleProblem(LinearData((0.0, 1.0), slope=1e150), K1, lam, n_cells=10, n_levels=5, endpoint_pin=pin)
 
     @pytest.mark.parametrize(
-        "problem",
+        "slope, lam, cells, levels, pin",
         [
-            OracleProblem(LinearData((0.0, 1.0), slope=1e150), K1, 1e11, n_cells=10, n_levels=5),
-            OracleProblem(LinearData((0.0, 1.0), slope=1e150), K1, 1e11, n_cells=10, n_levels=5, endpoint_pin=(0, 1e150)),
-            OracleProblem(LinearData((0.0, 1.0), slope=1e150), K1, 1e300, n_cells=1, n_levels=5),
-            OracleProblem(LinearData((0.0, 1.0), slope=8.0551997397657205e149), K1, 232295574883.6317, n_cells=38, n_levels=7),
+            (1e150, 1e11, 10, 5, None),
+            (1e150, 1e11, 10, 5, (0, 1e150)),
+            (1e150, 1e300, 1, 5, None),
+            (8.0551997397657205e149, 232295574883.6317, 38, 7, None),
         ],
         ids=["free", "pinned", "one_cell", "energy_only"],
     )
-    def test_an_optimum_that_overflows_is_named(self, problem):
-        # No cost is NaN or -inf, but the least sum of the costs over the
-        # cells (every cost of the one cell) overflows: no sequence has a
-        # finite energy, and the error says so, not that the pins clash.
-        # In the last case the DP sums stay finite, but the minimizer's
-        # energy, the same terms summed in another order, does not.
-        message = f"^{re.escape(f'the data overflow floats: at lam = {problem.lam}')}, the least energy of a level sequence is inf$"
-        m = min(2, problem.resolved_cells() - 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the costs and sums that overflow are inf, with no warning
-            for question in (solve, functools.partial(solve, tie_scan_jumps=3)):
-                with pytest.raises(ConfigError, match=message):
-                    question(problem)
-            with pytest.raises(ConfigError, match=f"^no admissible sequence with exactly {m} jumps, or each one's energy"):
-                best_with_m_jumps(problem, m)
+    def test_an_optimum_that_overflows_is_named(self, slope, lam, cells, levels, pin):
+        # Every level sequence's energy overflowed on these data, whose
+        # slope lies outside the envelope: one ConfigError that names it.
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'slope = {slope!r} is outside the magnitude envelope')}"):
+            OracleProblem(LinearData((0.0, 1.0), slope=slope), K1, lam, n_cells=cells, n_levels=levels, endpoint_pin=pin)
 
     def test_an_m_jump_optimum_whose_energy_overflows_is_named(self):
-        # The 6-jump row's DP sum is finite, but the energy of its sequence,
-        # the same terms summed in another order, is not.
-        p = OracleProblem(LinearData((0.0, 1.0), slope=1.0248200008079923e150), K1, 14671468479.272627, n_cells=30, n_levels=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the sums that overflow
-            assert _budget_pass(_build_tableau(p), 6)[0][6] is not None
-            with pytest.raises(ConfigError, match="^no admissible sequence with exactly 6 jumps, or each one's energy"):
-                best_with_m_jumps(p, 6)
+        # The 6-jump row's energy overflowed on these data, whose slope lies
+        # outside the envelope: one ConfigError that names it.
+        with pytest.raises(ConfigError, match="^slope = 1.0248200008079923e[+]150 is outside the magnitude envelope"):
+            OracleProblem(LinearData((0.0, 1.0), slope=1.0248200008079923e150), K1, 14671468479.272627, n_cells=30, n_levels=3)
 
     @pytest.mark.parametrize("lam", [0.0, 5e-324], ids=["zero", "half_rounds_to_zero"])
     @pytest.mark.parametrize(
-        "samples, n_levels",
-        [(np.full(11, 1e300), 101), ([0.0, 3e154], 5)],
+        "samples, edge, n_levels",
+        [(np.full(11, 1e300), np.full(11, 2.0**100), 101), ([0.0, 3e154], [0.0, 2.0**100], 5)],
         ids=["constant_1e300", "csv_0_3e154"],
     )
-    def test_a_weight_whose_half_rounds_to_zero_prices_every_level_at_zero(self, samples, n_levels, lam):
-        # At most levels (v - mean)^2 overflows, and lam / 2 times it would
-        # be 0 * inf = NaN: every cost is 0 instead, so each answer costs
-        # its jumps alone, with no warning.
-        p = signal_problem(GridSignal((0.0, 1.0), samples), K1, lam, n_levels=n_levels)
+    def test_a_weight_whose_half_rounds_to_zero_prices_every_level_at_zero(self, samples, edge, n_levels, lam):
+        # The samples lie outside the envelope: one ConfigError.  At its
+        # edge every cost is finite, so lam / 2 = 0 prices it at 0 and each
+        # answer costs its jumps alone, with no warning.
+        with pytest.raises(ConfigError, match="^grid samples must be finite, within the magnitude envelope"):
+            GridSignal((0.0, 1.0), samples)
+        p = signal_problem(GridSignal((0.0, 1.0), edge), K1, lam, n_levels=n_levels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             free, scan = solve(p), solve(p, tie_scan_jumps=3)

@@ -3,6 +3,8 @@
 import bisect
 import json
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -108,11 +110,20 @@ class TestAnalyticData:
         with pytest.raises(ConfigError, match=field):
             SineData(**kwargs)
 
-    @pytest.mark.parametrize("omega", [0, 0.0, -0.0])
+    @pytest.mark.parametrize("omega", [0, 0.0, -0.0, 5e-324, -(2.0**-101)])
     def test_sine_data_rejects_a_zero_omega(self, omega):
-        # The moments divide by omega: at 0 they would be nan.
-        with pytest.raises(ConfigError, match="^omega must be nonzero"):
+        # The moments divide by omega: at 0 they would be nan, and below
+        # the envelope's 2**-100 sin(2 omega x) loses its digits.
+        with pytest.raises(ConfigError, match=re.escape("omega must be nonzero: |omega| = ") + ".* is outside the magnitude envelope"):
             SineData((0.0, 1.0), 1.0, omega)
+
+    def test_sine_cells_whose_omega_w_rounds_to_zero_read_the_left_edge(self):
+        # omega w underflows to 0 on these cells: each mean is s at the
+        # cell's left edge, 0 here, with no NaN and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, spread = SineData((0.0, 1e-300), 1.0, 2.0**-100).moments(np.linspace(0.0, 1e-300, 11))
+        assert np.all(mean == 0.0) and np.all(np.isfinite(spread))
 
     @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.0, 2.0), (0.2, 0.3), (-3.0, -1.0), (1 / 6, 0.5), (0.0, 1 / 6)])
     @pytest.mark.parametrize("omega", [3.0 * math.pi, -3.0 * math.pi, 1e-6, 1.0, 7.5, -0.2, 40.0])
@@ -152,10 +163,28 @@ class TestGridSignal:
         assert g.n == 5
 
     def test_a_spacing_that_rounds_to_zero_is_rejected(self):
-        # 5e-324 / 2 rounds to 0.0; over one gap the spacing is 5e-324 itself.
-        with pytest.raises(ConfigError, match=r"domain \[0.0, 5e-324\] is too narrow for n = 3 nodes: .* is 0.0$"):
+        # 5e-324 / 2 rounds to 0.0; over one gap the spacing is 5e-324
+        # itself.  Both lie below the envelope's least spacing, 2**-100.
+        below = r", below the magnitude envelope's 2\*\*-100$"
+        with pytest.raises(ConfigError, match=r"domain \[0.0, 5e-324\] is too narrow for n = 3 nodes: .* is 0.0" + below):
             GridSignal((0, 5e-324), [1, 1, 1])
-        assert GridSignal((0, 5e-324), [1, 1]).h == 5e-324
+        with pytest.raises(ConfigError, match=r"domain \[0.0, 5e-324\] is too narrow for n = 2 nodes: .* is 5e-324" + below):
+            GridSignal((0, 5e-324), [1, 1])
+        assert GridSignal((0, 2.0**-100), [1, 1]).h == 2.0**-100
+
+    def test_the_open_float_range_cases_are_one_error_each(self):
+        # A width that overflows (h = inf, a NaN first node) and a spacing
+        # whose interpolant slope overflows: each is one ConfigError, with no
+        # warning, that names the domain or the spacing and the envelope.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape("domain = -1e+308 is outside the magnitude envelope |x| <= 2**100")):
+                GridSignal((-1e308, 1e308), [0, 1, 2])
+            with pytest.raises(ConfigError, match=re.escape(
+                "the domain [0.0, 1e-300] is too narrow for n = 2 nodes: their spacing (b - a)/(n - 1) is 1e-300, "
+                "below the magnitude envelope's 2**-100"
+            )):
+                GridSignal((0, 1e-300), [0, 1e10])
 
     @pytest.mark.parametrize("origin", [1.0, -3.0, 1e6, -1e9, 2.0**60, 1e-300])
     def test_a_grid_is_accepted_exactly_when_its_nodes_increase(self, origin):
@@ -173,7 +202,9 @@ class TestGridSignal:
                 try:
                     GridSignal(domain, np.zeros(n))
                 except ConfigError as err:
-                    assert not apart and f"is too narrow for n = {n} nodes" in str(err)
+                    # ... or, at 1e-300, when the spacing is below the envelope.
+                    wide = (domain[1] - domain[0]) / (n - 1) >= 2.0**-100
+                    assert not (apart and wide) and f"is too narrow for n = {n} nodes" in str(err)
                 else:
                     assert apart
         assert seen == {True, False}
@@ -321,34 +352,35 @@ class TestFidelity:
         assert e.total == pytest.approx(13.0 / 18.0, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "u, data",
+        "build, name",
         [
-            (PiecewiseConstant((0, 1), (), (1e200,)), PiecewiseConstant((0, 1), (0.5,), (0, 1))),
-            (PiecewiseConstant((0, 1), (), (1e200,)), LinearData((0, 1))),
-            (PiecewiseConstant((0, 1), (), (1e200,)), SineData((0, 1))),
-            (PiecewiseConstant((0, 1), (), (1e200,)), GridSignal((0, 1), [0.0, 1.0, 0.5])),
-            # Samples whose sum, or whose squares, overflow: a piece's mean
-            # is g0/2 + g1/2, so it stays finite, and its spread is +inf.
-            (PiecewiseConstant((0, 1), (0.5,), (0, 1)), GridSignal((0, 1), [1e308] * 3)),
-            (PiecewiseConstant((0, 1), (0.5,), (0, 1)), GridSignal((0, 1), [-1e308, 1e308, -1e308])),
+            (lambda: (PiecewiseConstant((0, 1), (), (1e200,)), PiecewiseConstant((0, 1), (0.5,), (0, 1))), "values = "),
+            (lambda: (PiecewiseConstant((0, 1), (), (1e200,)), LinearData((0, 1))), "values = "),
+            (lambda: (PiecewiseConstant((0, 1), (), (1e200,)), SineData((0, 1))), "values = "),
+            (lambda: (PiecewiseConstant((0, 1), (), (1e200,)), GridSignal((0, 1), [0.0, 1.0, 0.5])), "values = "),
+            # Samples whose sum, or whose squares, overflow floats.
+            (lambda: (PiecewiseConstant((0, 1), (0.5,), (0, 1)), GridSignal((0, 1), [1e308] * 3)), "grid samples "),
+            (lambda: (PiecewiseConstant((0, 1), (0.5,), (0, 1)), GridSignal((0, 1), [-1e308, 1e308, -1e308])), "grid samples "),
         ],
         ids=["steps", "linear", "sine", "grid", "grid-1e308", "grid-alternating"],
     )
-    def test_a_misfit_beyond_float_range_is_an_infinite_energy(self, u, data):
-        # A squared misfit beyond float range is inf for every kind of data,
-        # never NaN, with no OverflowError and no warning.
-        e = energy(u, data, kwc_kernel(1.0), 1.0)
-        assert e.fidelity == math.inf and e.total == math.inf
+    def test_a_misfit_beyond_float_range_is_an_infinite_energy(self, build, name):
+        # A squared misfit beyond float range was an infinite energy.  It
+        # needs a value or sample beyond the envelope: one ConfigError that
+        # names it, before any work.
+        with pytest.raises(ConfigError, match=f"^{name}.*the magnitude envelope"):
+            build()
 
     def test_a_sampled_misfit_near_the_float_range_is_finite(self):
-        # The oracle reads the samples 0 and 3e154 at the cell midpoint and
-        # answers the level 1.5e154; the exact fidelity of that minimizer is
-        # (lam / 2) (1.5e154)^2 / 3 = 3.75e307, whose terms e1 e1 and e1 e0
-        # (a product form of the integral) would overflow to inf and -inf.
-        d = GridSignal((0, 1), [0, 3e154])
+        # Samples 0 and 3e154 lie outside the envelope.  At its edge, 0 and
+        # 2**100, the oracle reads the cell midpoint and answers the level
+        # 2**99; the exact fidelity of that minimizer is (lam / 2) 2**198 / 3.
+        with pytest.raises(ConfigError, match="grid samples must be finite, within the magnitude envelope"):
+            GridSignal((0, 1), [0, 3e154])
+        d = GridSignal((0, 1), [0, 2.0**100])
         r = solve(signal_problem(d, kwc_kernel(1.0), 1.0, n_levels=5))
-        assert r.minimizer.values == (1.5e154,)
-        assert energy(r.minimizer, d, kwc_kernel(1.0), 1.0).total == pytest.approx(3.75e307, rel=1e-15)
+        assert r.minimizer.values == (2.0**99,)
+        assert energy(r.minimizer, d, kwc_kernel(1.0), 1.0).total == pytest.approx(2.0**197 / 3, rel=1e-15)
 
 
 class TestQuantize:
@@ -504,7 +536,7 @@ def cell_by_cell_moments(data, edges) -> list:
         elif isinstance(data, SineData):
             a, om = data.amplitude, data.omega
             p0, p1 = om * x0, om * x1
-            m = (np.cos(p0) - np.cos(p1)) / (om * w) if w > 0 else np.sin(p0)
+            m = (np.cos(p0) - np.cos(p1)) / (om * w) if om * w != 0 else np.sin(p0)
             q = w / 2.0 - (np.sin(2.0 * p1) - np.sin(2.0 * p0)) / (4.0 * om) - w * (m * m)
             mean, spread = a * m, a * (a * np.maximum(q, 0.0))
         elif isinstance(data, PiecewiseConstant):
