@@ -12,10 +12,15 @@ Layers:
 ``import kwcseg`` runs kernel, pwc, exact and oracle.  flow, experiments
 and svgplot are in ``sys.modules`` from the start but run on first
 attribute access, so closed-form and oracle work never loads them; flow
-loads SciPy only at its first tridiagonal solve.  The package's names from
+loads SciPy only at its first tridiagonal solve.  A layer that raises while
+it loads raises its own error at that access.  The package's names from
 those three layers are looked up in their module on every access, never
-stored here.  The command line (``kwcseg.cli.main``) still runs every
-layer, but no SciPy module unless a command runs a flow.
+stored here, and experiments reaches flow's and exact's functions through
+their modules (``flow.run``, ``exact.jump_bounds``): a function rebound in
+its module (a test's monkeypatch, a tracing wrapper) is what the lazy
+layers call, whatever order they load in.  The command line
+(``kwcseg.cli.main``) still runs every layer, but no SciPy module unless a
+command runs a flow.
 """
 
 import importlib.util
@@ -72,9 +77,6 @@ def _lazy(name):
     return module
 
 
-# experiments first: it binds names of flow and svgplot when it runs, so a
-# tool that rebinds a function in every loaded module, in sys.modules order,
-# loads it before rebinding flow's and svgplot's functions.
 experiments = _lazy("experiments")
 flow = _lazy("flow")
 svgplot = _lazy("svgplot")

@@ -28,28 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle as oracle_mod
-from . import svgplot
+from . import exact, flow, oracle, svgplot
 from .errors import ConfigError, DivergenceError, InvariantViolation, check_count, check_keys
-from .exact import (
-    critical_lambda,
-    jump_bounds,
-    lambda_for_jump_count,
-    uniform_step_energy,
-    uniform_step_minimizer,
-)
-from .flow import (
-    MODELS,
-    TRACE_COLUMNS,
-    FlowParams,
-    FlowResult,
-    census_fit,
-    edges_above,
-    jump_census,
-    plateau_flatness,
-    run,
-    sharp_twin,
-)
 from .pwc import MAX_NODES, GridSignal, LinearData, PiecewiseConstant, SineData, energy
 
 NOISE_SD = 0.1
@@ -112,8 +92,8 @@ class ExperimentSpec:
     data: str = ""
     models: tuple = ()
     lam: float | None = None
-    n: int = FlowParams.n
-    t_max: float = FlowParams.t_max
+    n: int = flow.FlowParams.n
+    t_max: float = flow.FlowParams.t_max
     seed: int = 0
 
     def __post_init__(self):
@@ -123,11 +103,11 @@ class ExperimentSpec:
             raise ConfigError(f"models must be a list of model names, got {self.models!r}")
         object.__setattr__(self, "models", tuple(self.models))
         # The rules of these FlowParams fields, t_max against the default dt.
-        FlowParams(MODELS[0], 0.0 if self.lam is None else self.lam, n=self.n, t_max=self.t_max)
+        flow.FlowParams(flow.MODELS[0], 0.0 if self.lam is None else self.lam, n=self.n, t_max=self.t_max)
         check_count("seed", self.seed)
-        unknown = [m for m in self.models if m not in MODELS]
+        unknown = [m for m in self.models if m not in flow.MODELS]
         if unknown:
-            raise ConfigError(f"unknown models {unknown}; expected some of {MODELS}")
+            raise ConfigError(f"unknown models {unknown}; expected some of {flow.MODELS}")
         repeated = sorted({m for m in self.models if self.models.count(m) > 1})
         if repeated:
             raise ConfigError(f"repeated models {repeated}; list each model once")
@@ -163,8 +143,8 @@ class RunRecord:
     artifacts: dict = field(default_factory=dict)
 
 
-def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> FlowParams:
-    return FlowParams(model, lam, n=spec.n, t_max=spec.t_max, **proto)
+def _flow_params(model: str, lam: float, spec: ExperimentSpec, **proto) -> flow.FlowParams:
+    return flow.FlowParams(model, lam, n=spec.n, t_max=spec.t_max, **proto)
 
 
 def _grid(spec: ExperimentSpec, name: str) -> GridSignal:
@@ -182,14 +162,14 @@ def _max_energy_rise(trace) -> float:
     return worst
 
 
-def run_summary(result: FlowResult, census_threshold: float) -> dict:
+def run_summary(result: flow.FlowResult, census_threshold: float) -> dict:
     """The one summary of a flow run.
 
     Every protocol block in ``summary.json`` is this dict plus the
     protocol's extras, and the run's ``result.json`` is that block plus
     ``params``; a lone ``flow run`` writes this dict plus ``params``.
     """
-    census = jump_census(result.state.u, census_threshold)
+    census = flow.jump_census(result.state.u, census_threshold)
     return {
         "model": result.params.model,
         "steady": result.steady,
@@ -210,20 +190,20 @@ def _run_all(g: GridSignal, runs: dict, threshold: float):
     Returns the results and their ``run_summary`` blocks, both keyed by
     label in the order of ``runs``; a protocol adds its extras to the blocks.
     """
-    results = {label: run(g, u0, params) for label, (u0, params) in runs.items()}
+    results = {label: flow.run(g, u0, params) for label, (u0, params) in runs.items()}
     return results, {label: run_summary(result, threshold) for label, result in results.items()}
 
 
 def _sweep(spec: ExperimentSpec, data: str, lam: float, threshold: float, **proto):
-    """Run every model of the spec (default: all of ``MODELS``) from u0 = g."""
+    """Run every model of the spec (default: all of ``flow.MODELS``) from u0 = g."""
     g = _grid(spec, data)
-    runs = {model: (g, _flow_params(model, lam, spec, **proto)) for model in spec.models or MODELS}
+    runs = {model: (g, _flow_params(model, lam, spec, **proto)) for model in spec.models or flow.MODELS}
     return (g, *_run_all(g, runs, threshold))
 
 
-def _oracle_row(params: FlowParams, data, n_cells: int, n_levels: int, endpoint_pin=None, tie_scan_jumps=None):
+def _oracle_row(params: flow.FlowParams, data, n_cells: int, n_levels: int, endpoint_pin=None, tie_scan_jumps=None):
     """One summary row of the oracle solve of a run's sharp twin
-    (``sharp_twin``) against the data, and the solve's ``OracleResult``.
+    (``flow.sharp_twin``) against the data, and the solve's ``OracleResult``.
 
     The row holds the grid, the minimizer's jump count and its energy in
     the run's units, the twin's times its factor; with a tie scan it also
@@ -231,9 +211,9 @@ def _oracle_row(params: FlowParams, data, n_cells: int, n_levels: int, endpoint_
     minimizer and of its ties.  The ``OracleResult`` is the twin's solve,
     in the twin's units: its energies are the row's divided by the factor.
     """
-    kernel, weight, factor = sharp_twin(params)
-    problem = oracle_mod.OracleProblem(data, kernel, weight, n_cells, n_levels=n_levels, endpoint_pin=endpoint_pin)
-    result = oracle_mod.solve(problem, tie_scan_jumps=tie_scan_jumps)
+    kernel, weight, factor = flow.sharp_twin(params)
+    problem = oracle.OracleProblem(data, kernel, weight, n_cells, n_levels=n_levels, endpoint_pin=endpoint_pin)
+    result = oracle.solve(problem, tie_scan_jumps=tie_scan_jumps)
     row = {
         "n_cells": n_cells,
         "n_levels": n_levels,
@@ -249,10 +229,10 @@ def _oracle_row(params: FlowParams, data, n_cells: int, n_levels: int, endpoint_
 # Protocols.
 
 
-def _bound_block(params: FlowParams, observed: int, applies: bool) -> dict:
+def _bound_block(params: flow.FlowParams, observed: int, applies: bool) -> dict:
     """The jump-count bounds of the run's sharp twin on (0, 1), data of range 1."""
-    kernel, weight, _factor = sharp_twin(params)
-    report = jump_bounds(kernel, 0.0, 1.0, weight, mass_cap=1.0)
+    kernel, weight, _factor = flow.sharp_twin(params)
+    report = exact.jump_bounds(kernel, 0.0, 1.0, weight, mass_cap=1.0)
     return {
         "jumps_monotone_data": report.jumps_monotone_data,
         "jumps_any_data": report.jumps_any_data,
@@ -268,12 +248,12 @@ def _bound_violations(blocks: dict) -> list:
 
 def _linear_steady(spec: ExperimentSpec) -> RunRecord:
     m = 4
-    lam = lambda_for_jump_count(1.0, m)
+    lam = exact.lambda_for_jump_count(1.0, m)
     g = _grid(spec, "linear")
     runs = {
         "naive": (g, _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=False)),
         "theory": (
-            uniform_step_minimizer(1.0, m).sample(g.n),
+            exact.uniform_step_minimizer(1.0, m).sample(g.n),
             _flow_params("kwc", lam, spec, bc_u="dirichlet", pre_relax=True),
         ),
     }
@@ -307,21 +287,21 @@ def _linear_steady(spec: ExperimentSpec) -> RunRecord:
 
 
 def _nonuniqueness(spec: ExperimentSpec) -> RunRecord:
-    crit = critical_lambda(1.0)
+    crit = exact.critical_lambda(1.0)
     g = _grid(spec, "linear")
     data = CLEAN_DATA["linear"]
     params = _flow_params("kwc", crit.lam, spec, bc_u="dirichlet", pre_relax=True)
-    kernel, weight, factor = sharp_twin(params)
+    kernel, weight, factor = flow.sharp_twin(params)
     # The energy of the 1-jump ladder, tied with the 2-jump one.
-    tied = factor * uniform_step_energy(1.0, 1, weight, kernel)
+    tied = factor * exact.uniform_step_energy(1.0, 1, weight, kernel)
 
     runs = {}
     for m in (1, 2):
-        um = uniform_step_minimizer(1.0, m).sample(g.n)
+        um = exact.uniform_step_minimizer(1.0, m).sample(g.n)
         runs[f"m{m}"] = (GridSignal(g.domain, 0.5 * g.samples + 0.5 * um.samples), params)
     results, blocks = _run_all(g, runs, STRUCTURE_THRESHOLD)
     for label, block in blocks.items():
-        fit = census_fit(results[label].state.u, STRUCTURE_THRESHOLD)
+        fit = flow.census_fit(results[label].state.u, STRUCTURE_THRESHOLD)
         fit_total = factor * energy(fit, data, kernel, weight).total
         block["fit_jump_count"] = fit.jump_count
         block["fit_energy"] = fit_total
@@ -353,9 +333,9 @@ def _sine_segmentation(spec: ExperimentSpec) -> RunRecord:
     for model, block in blocks.items():
         u = results[model].state.u
         block["micro_threshold"] = MICRO_THRESHOLD
-        block["micro_edge_count"] = edges_above(u, MICRO_THRESHOLD)
+        block["micro_edge_count"] = flow.edges_above(u, MICRO_THRESHOLD)
         if model == "kwc":
-            flat = plateau_flatness(u, STRUCTURE_THRESHOLD)
+            flat = flow.plateau_flatness(u, STRUCTURE_THRESHOLD)
             block["plateau_count"] = block["jump_count"] + 1
             block["max_plateau_variation"] = max((v for _a, _b, v in flat), default=0.0)
     summary = {
@@ -469,15 +449,15 @@ def _write_trace(path, trace, stride) -> None:
     rows = trace[::stride]
     if trace and rows[-1] is not trace[-1]:
         rows.append(trace[-1])
-    write_csv(path, TRACE_COLUMNS, zip(*rows))
+    write_csv(path, flow.TRACE_COLUMNS, zip(*rows))
 
 
-def write_flow_artifacts(result: FlowResult, out_dir, census_threshold: float = STRUCTURE_THRESHOLD) -> dict:
+def write_flow_artifacts(result: flow.FlowResult, out_dir, census_threshold: float = STRUCTURE_THRESHOLD) -> dict:
     """Persist one flow run: trace.csv, final.csv, result.json."""
     return _write_run(result, out_dir, run_summary(result, census_threshold))
 
 
-def _write_run(result: FlowResult, out_dir, summary: dict) -> dict:
+def _write_run(result: flow.FlowResult, out_dir, summary: dict) -> dict:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     _write_trace(path / "trace.csv", result.trace, result.params.output_stride)

@@ -61,15 +61,16 @@ class JumpKernel:
         return self.kind != "potts"
 
     def eval(self, rho):
-        """Cost of a jump of size rho (scalar or array, rho >= 0).
+        """Cost of a jump of size rho (scalar or array, finite and rho >= 0).
 
         kwc takes rho / (1 + kappa rho): within the envelope
         (``errors.EXPONENT``) a jump between two values is at most 2**101
         and kappa at most 2**100, so kappa rho stays finite.
         """
         arr = np.asarray(rho, dtype=float)
-        if np.any(arr < 0):
-            raise ConfigError("jump size must be non-negative")
+        # NaN fails both comparisons, -inf the first and inf the second.
+        if not np.all((arr >= 0) & (arr < np.inf)):
+            raise ConfigError("jump size must be finite and non-negative")
         if self.kind == "kwc":
             out = arr / (1.0 + arr * self.kappa)
         elif self.kind == "linear":

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kwcseg.exact as exact_mod
 import kwcseg.experiments as xp
 import kwcseg.flow as flow_mod
 from kwcseg.errors import ConfigError, DivergenceError, InvariantViolation
@@ -194,7 +195,7 @@ class TestCensusFit:
     def test_recovers_plateaus_from_wiggly_data(self):
         x = np.linspace(0, 1, 400)
         sig = np.where(x < 0.4, 0.2, 0.9) + 0.01 * np.sin(37 * x)
-        fit = xp.census_fit(GridSignal((0, 1), sig), 0.3)
+        fit = flow_mod.census_fit(GridSignal((0, 1), sig), 0.3)
         assert len(fit.breakpoints) == 1
         assert fit.breakpoints[0] == pytest.approx(0.4, abs=0.01)
         assert fit.values[0] == pytest.approx(0.2, abs=0.02)
@@ -351,7 +352,7 @@ class TestRunFailures:
 
     def test_a_bound_violation_raises_after_the_artifacts_are_written(self, tmp_path, monkeypatch):
         # A bound of 0 jumps is exceeded by every ladder run.
-        monkeypatch.setattr(xp, "jump_bounds", lambda *args, **kw: BoundReport(0, 0, None))
+        monkeypatch.setattr(exact_mod, "jump_bounds", lambda *args, **kw: BoundReport(0, 0, None))
         with pytest.raises(InvariantViolation, match="m1, m2"):
             xp.run_experiment(xp.ExperimentSpec(name="nonuniqueness"), out_dir=tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())

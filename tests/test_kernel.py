@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kwcseg.errors import ConditionError, ConfigError
 from kwcseg.kernel import (
+    VALID_KINDS,
     JumpKernel,
     check_conditions,
     derive_constants,
@@ -103,6 +104,20 @@ class TestKwcKernelValues:
                 kwc_kernel(bad)
             with pytest.raises(ConfigError):
                 potts_kernel(bad)
+
+
+@pytest.mark.parametrize("kernel", [kwc_kernel(1.0), linear_kernel(), potts_kernel(1.0)], ids=VALID_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+def test_eval_rejects_a_jump_size_that_is_not_finite_and_non_negative(kernel, bad):
+    # One ConfigError and no warning, for a scalar and for an array that
+    # holds the size among good ones; the largest finite jump between two
+    # levels of the envelope still has a cost.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in (bad, np.array([0.0, 0.5, bad, 2.0])):
+            with pytest.raises(ConfigError, match="^jump size must be finite and non-negative$"):
+                kernel.eval(rho)
+        assert kernel.eval(np.array([0.0, 2.0**101])).tolist() == [0.0, kernel.eval(2.0**101)]
 
 
 class TestDerivedConstants:

@@ -2,19 +2,29 @@
 
 ``benchmarks/tracing.py`` replaces each name in its ``TARGETS`` table on
 the named kwcseg module.  A deleted or renamed function would break only
-traced benchmark runs, so the names are checked here.
+traced benchmark runs, so the names are checked here.  The tracer rebinds
+every binding of a traced function in every loaded kwcseg module, so the
+lazy layers must hold none of another layer's (``experiments`` reaches
+``flow`` and ``exact`` through their modules); and a fault raised while a
+layer loads must surface with its own message, checked on a copy of the
+package whose ``flow`` raises.
 """
 
 import importlib
 import importlib.util
+import inspect
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kwcseg
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+PACKAGE = Path(kwcseg.__file__).parent
 
 
 def test_traced_functions_exist():
@@ -30,7 +40,22 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-def test_a_traced_block_that_runs_the_lazy_layers_leaves_no_wrapper():
+def _package_copy(tmp_path, name, edit):
+    """A copy of the kwcseg package whose module ``name`` has the text
+    ``edit(text)``; returns the directory to put on ``PYTHONPATH``."""
+    root = tmp_path / "src"
+    shutil.copytree(PACKAGE, root / "kwcseg", ignore=shutil.ignore_patterns("__pycache__"))
+    path = root / "kwcseg" / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return root
+
+
+def _run(code, root, check=True):
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check)
+
+
+def _leaked_wrappers(root):
     # In a fresh interpreter flow, experiments and svgplot first run inside
     # the tracer's ``with``; every wrapper must be unbound when it ends.
     code = f"""
@@ -45,9 +70,48 @@ traced = {{id(getattr(sys.modules[m], f)) for m, fns in tracing.TARGETS.items() 
 modules = [(k, m) for k, m in sys.modules.items() if k.partition(".")[0] == "kwcseg"]
 print([f"{{k}}.{{a}}" for k, m in modules for a, v in vars(m).items() if id(getattr(v, "__wrapped__", None)) in traced])
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(kwcseg.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return _run(code, root).stdout.strip()
+
+
+def test_a_traced_block_that_runs_the_lazy_layers_leaves_no_wrapper():
+    assert _leaked_wrappers(PACKAGE.parent) == "[]"
+
+
+def test_the_lazy_layers_leave_no_wrapper_in_either_order(tmp_path):
+    # The tracer rebinds in sys.modules order, which is the order the
+    # package registers its lazy layers; with flow first it loads
+    # experiments after flow.run is wrapped.
+    def swap(text):
+        registered = 'experiments = _lazy("experiments")\nflow = _lazy("flow")\n'
+        assert registered in text
+        return text.replace(registered, 'flow = _lazy("flow")\nexperiments = _lazy("experiments")\n')
+
+    assert _leaked_wrappers(_package_copy(tmp_path, "__init__.py", swap)) == "[]"
+
+
+def test_experiments_binds_no_function_of_flow_or_exact():
+    # It reaches them through their modules, so a rebinding of the function
+    # in its module (a monkeypatch, the tracer) is what it calls.
+    functions = [value for value in vars(kwcseg.experiments).values() if inspect.isfunction(value)]
+    assert [f.__qualname__ for f in functions if f.__module__ in ("kwcseg.flow", "kwcseg.exact")] == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "import kwcseg.cli\nkwcseg.cli.main(['exact', 'critical-lambda', '--L', '1'])",
+        "import kwcseg\nkwcseg.generate_signal('linear', n=11)",
+    ],
+    ids=["cli", "package"],
+)
+def test_a_fault_while_flow_loads_surfaces_with_its_own_message(tmp_path, call):
+    # The first access to flow is an attribute access, not an import
+    # statement, whose machinery would clear the error and leave the layer
+    # half-run.
+    root = _package_copy(tmp_path, "flow.py", lambda text: text + '\nraise RuntimeError("flow fault")\n')
+    done = _run(call, root, check=False)
+    assert done.returncode == 1
+    assert done.stderr.rstrip().endswith("RuntimeError: flow fault")
 
 
 def test_public_names_resolve():
