@@ -26,7 +26,7 @@ command runs a flow.
 import importlib.util
 import sys
 
-from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
+from .errors import ConfigError, DivergenceError, InvariantViolation
 from .exact import (
     BoundReport,
     CriticalLambda,
@@ -113,7 +113,6 @@ def __getattr__(name):
 
 __all__ = [
     "BoundReport",
-    "ConditionError",
     "ConditionReport",
     "ConfigError",
     "CriticalLambda",

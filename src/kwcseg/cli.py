@@ -15,7 +15,7 @@ from pathlib import Path
 from . import experiments as experiments_mod
 from . import flow as flow_mod
 from . import oracle as oracle_mod
-from .errors import ConditionError, ConfigError, DivergenceError, InvariantViolation
+from .errors import ConfigError, DivergenceError, InvariantViolation
 from .errors import check_count, check_keys, check_real
 from .exact import critical_lambda, equal_jump_verdict, jump_bounds, uniform_step_energy
 from .kernel import VALID_KINDS, JumpKernel, check_conditions, derive_constants
@@ -94,13 +94,7 @@ def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
 def _cmd_check_kernel(args) -> dict:
     kernel = _kernel_from_args(args)
     report = check_conditions(kernel, args.M)
-    out = {"report": report.to_json_dict()}
-    try:
-        out["constants"] = asdict(derive_constants(kernel, args.M))
-    except ConditionError as err:
-        out["constants"] = None
-        out["constants_error"] = str(err)
-    return out
+    return {"report": report.to_json_dict(), "constants": asdict(derive_constants(kernel, args.M))}
 
 
 def _cmd_exact_bounds(args) -> dict:

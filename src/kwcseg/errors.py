@@ -34,10 +34,6 @@ class ConfigError(ValueError):
     """Invalid configuration, CLI arguments, or input files."""
 
 
-class ConditionError(ValueError):
-    """A kernel fails a structural condition required by the caller."""
-
-
 class DivergenceError(RuntimeError):
     """A gradient flow produced non-finite values."""
 

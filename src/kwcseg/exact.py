@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EXPONENT, ConditionError, ConfigError, check_count, check_real
+from .errors import EXPONENT, ConfigError, check_count, check_real
 from .kernel import JumpKernel, KernelConstants, derive_constants, kwc_kernel
 from .pwc import MAX_NODES, GridSignal, PiecewiseConstant
 
@@ -130,11 +130,11 @@ class CriticalLambda:
 def critical_lambda(L: float) -> CriticalLambda:
     """Fidelity weight at which the 1- and 2-jump ladders tie on (0, L).
 
-    lam = 2^5 / (L (L+1) (L+2)); at that weight
-    uniform_step_energy(L, 1) == uniform_step_energy(L, 2).
+    It is ``transition_lambda(L, 1)``, which equals 2^5 / (L (L+1) (L+2));
+    at that weight uniform_step_energy(L, 1) == uniform_step_energy(L, 2).
     """
     L = check_real("L", L, positive=True)
-    return CriticalLambda(length=L, lam=32.0 / (L * (L + 1.0) * (L + 2.0)))
+    return CriticalLambda(length=L, lam=transition_lambda(L, 1))
 
 
 def transition_lambda(L: float, m: int) -> float:
@@ -200,10 +200,10 @@ def jump_bounds(
     if not check_real("a", a) < check_real("b", b):
         raise ConfigError("need a < b")
     check_real("lam", lam, least=0)
-    try:
-        constants = derive_constants(kernel, mass_cap)
-    except ConditionError as exc:
-        return BoundReport(None, None, None, failure=str(exc))
+    constants = derive_constants(kernel, mass_cap)
+    if constants.bound_rate is None:
+        window = f"kernel {kernel.kind!r} on [0, {constants.mass_cap}]"
+        return BoundReport(None, None, None, failure=f"strengthened subadditivity fails for {window}: no positive split gain")
     scale = (b - a) * lam
     return BoundReport(
         jumps_any_data=_int_part(scale / constants.bound_rate) + 1,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionError, ConfigError, check_keys, check_real
+from .errors import ConfigError, check_keys, check_real
 
 VALID_KINDS = ("kwc", "linear", "potts")
 
@@ -119,56 +119,38 @@ class KernelConstants:
     split_gain is the infimum over r1 + r2 <= mass_cap of
     (K(r1) + K(r2) - K(r1+r2)) / (r1 * r2); linear_floor the infimum of
     K(rho)/rho; bound_rate = min(linear_floor / mass_cap, split_gain).
+    split_gain and bound_rate are None for the linear kernel, whose gain is
+    0, so that no jump-count bound exists.
     """
 
     mass_cap: float
-    split_gain: float
+    split_gain: float | None
     linear_floor: float
-    bound_rate: float
+    bound_rate: float | None
 
 
-def _exact_constants(kernel: JumpKernel, mass_cap: float) -> tuple:
-    """(mass_cap as a float, split_gain, linear_floor) on [0, mass_cap] in closed form.
+def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
+    """The exact kernel constants on [0, mass_cap], in closed form.
 
     With s = r1 + r2 the split ratio (K(r1) + K(r2) - K(s)) / (r1 * r2) is
     kappa (2 + kappa s) / ((1 + kappa r1)(1 + kappa r2)(1 + kappa s)) for
     kwc, h / (r1 * r2) for potts and 0 for linear.  For fixed s it is
     smallest at r1 = r2, and along that diagonal it falls as s grows, so
     the infimum sits at r1 = r2 = mass_cap/2.  K(rho)/rho is non-increasing,
-    so linear_floor is the ``unit_cost`` K(mass_cap)/mass_cap.  split_gain is
-    None for the linear kernel, whose gain is 0.  With kappa, height and
-    mass_cap in the envelope [2**-100, 2**100] (``errors.EXPONENT``), every
-    constant and linear_floor / mass_cap lies within 2**+-500.
+    so linear_floor is the ``unit_cost`` K(mass_cap)/mass_cap.  With kappa,
+    height and mass_cap in the envelope [2**-100, 2**100]
+    (``errors.EXPONENT``), every constant and linear_floor / mass_cap lies
+    within 2**+-500.
     """
     mass_cap = check_real("mass_cap", mass_cap, positive=True)
     linear_floor = kernel.unit_cost(mass_cap)
     if kernel.kind == "linear":
-        return mass_cap, None, linear_floor
+        return KernelConstants(mass_cap, None, linear_floor, None)
     if kernel.kind == "kwc":
         split_gain = 2 * kernel.kappa / ((1 + kernel.kappa * mass_cap / 2) * (1 + kernel.kappa * mass_cap))
     else:
         split_gain = 4 * kernel.height / mass_cap**2
-    return mass_cap, split_gain, linear_floor
-
-
-def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
-    """The exact kernel constants on [0, mass_cap].
-
-    Raises ConditionError for the linear kernel, whose strengthened-
-    subadditivity gain is 0, since then no jump-count bound exists.
-    """
-    mass_cap, split_gain, linear_floor = _exact_constants(kernel, mass_cap)
-    if kernel.kind == "linear":
-        raise ConditionError(
-            f"strengthened subadditivity fails for kernel {kernel.kind!r} on [0, {mass_cap}]: "
-            "no positive split gain"
-        )
-    return KernelConstants(
-        mass_cap=mass_cap,
-        split_gain=split_gain,
-        linear_floor=linear_floor,
-        bound_rate=min(linear_floor / mass_cap, split_gain),
-    )
+    return KernelConstants(mass_cap, split_gain, linear_floor, min(linear_floor / mass_cap, split_gain))
 
 
 @dataclass(frozen=True)
@@ -204,18 +186,18 @@ def check_conditions(kernel: JumpKernel, mass_cap: float) -> ConditionReport:
 
     Every kind is monotone and subadditive with a positive linear floor:
     the split ratio and K(rho)/rho are >= 0 and > 0 in closed form (see
-    _exact_constants).  Only the linear kernel lacks the strengthened gain,
+    derive_constants).  Only the linear kernel lacks the strengthened gain,
     and only the Potts kernel lacks unit slope at zero.
     """
-    mass_cap, split_gain, linear_floor = _exact_constants(kernel, mass_cap)
+    constants = derive_constants(kernel, mass_cap)
     return ConditionReport(
         kernel=kernel,
-        mass_cap=mass_cap,
+        mass_cap=constants.mass_cap,
         monotone=True,
-        strengthened_subadditive=kernel.kind != "linear",
+        strengthened_subadditive=constants.split_gain is not None,
         unit_slope_at_zero=kernel.unit_slope_at_zero,
         linear_floor_positive=True,
         subadditive=True,
-        split_gain=split_gain,
-        linear_floor=linear_floor,
+        split_gain=constants.split_gain,
+        linear_floor=constants.linear_floor,
     )

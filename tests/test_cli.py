@@ -56,6 +56,9 @@ class TestCheckKernel:
         rep = parse_json(out)
         assert rep["report"]["strengthened_subadditive"] is False
         assert rep["report"]["split_gain"] is None
+        # The one constants record of every kernel, with no gain and no rate.
+        assert rep["constants"] == {"bound_rate": None, "linear_floor": 1.0, "mass_cap": 2.0, "split_gain": None}
+        assert "constants_error" not in rep
 
     def test_invalid_kernel_parameter_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -139,6 +142,16 @@ class TestExact:
         rep = parse_json(out)
         assert rep["jumps_monotone_data"] == 5
         assert rep["jumps_any_data"] == 11
+
+    def test_linear_kernel_bounds_name_the_missing_gain(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "bounds", "--kind", "linear", "--M", "2", "--lambda", "1")
+        assert code == 0
+        assert parse_json(out) == {
+            "jumps_any_data": None,
+            "jumps_monotone_data": None,
+            "restricted_to_step_functions": False,
+            "failure": "strengthened subadditivity fails for kernel 'linear' on [0, 2.0]: no positive split gain",
+        }
 
     @pytest.mark.parametrize(
         "argv",

@@ -202,6 +202,15 @@ class TestCriticalLambda:
         assert d["lambda"] == pytest.approx(16 / 3)
         assert d["tied_jump_counts"] == [1, 2]
 
+    @settings(max_examples=200)
+    @given(st.floats(-100.0, 100.0).map(lambda e: 2.0**e))
+    def test_critical_weight_is_the_first_transition(self, L):
+        # One formula for the 1-2 tie; 2^5 / (L (L+1) (L+2)) is the identity
+        # it meets up to rounding, across the magnitude envelope.
+        lam = critical_lambda(L).lam
+        assert lam == transition_lambda(L, 1)
+        assert lam == pytest.approx(32 / (L * (L + 1) * (L + 2)), rel=1e-15, abs=0)
+
     def test_transition_matches_critical_at_first_step(self):
         assert transition_lambda(1.0, 1) == pytest.approx(16 / 3, rel=1e-13)
 

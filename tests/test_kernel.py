@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwcseg.errors import ConditionError, ConfigError
+from kwcseg.errors import LARGEST, SMALLEST, ConfigError
 from kwcseg.kernel import (
     VALID_KINDS,
     JumpKernel,
+    KernelConstants,
     check_conditions,
     derive_constants,
     kwc_kernel,
@@ -167,6 +168,10 @@ class TestDerivedConstants:
             assert c.linear_floor == pytest.approx(k.eval(cap) / cap, abs=1e-12)
 
 
+# Log-uniform over the magnitude envelope [2**-100, 2**100].
+ENVELOPE = st.floats(math.log2(SMALLEST), math.log2(LARGEST)).map(lambda e: 2.0**e)
+
+
 @st.composite
 def kernels_and_caps(draw):
     kind = draw(st.sampled_from(["kwc", "potts"]))
@@ -202,11 +207,19 @@ class TestClosedFormConstants:
         assert c.bound_rate == min(c.linear_floor / cap, c.split_gain)
 
     @settings(max_examples=50)
-    @given(st.floats(1e-6, 1e6))
+    @given(ENVELOPE)
     def test_linear_kernel_has_no_gain(self, cap):
-        with pytest.raises(ConditionError):
-            derive_constants(linear_kernel(), cap)
+        # The record of every kernel: no split gain and so no bound rate.
+        assert derive_constants(linear_kernel(), cap) == KernelConstants(cap, None, 1.0, None)
         assert check_conditions(linear_kernel(), cap).split_gain is None
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(VALID_KINDS), ENVELOPE, ENVELOPE)
+    def test_the_report_carries_the_constants_bit_for_bit(self, kind, param, cap):
+        kernel = JumpKernel(kind, kappa=param, height=param)
+        c, rep = derive_constants(kernel, cap), check_conditions(kernel, cap)
+        assert (rep.mass_cap, rep.split_gain, rep.linear_floor) == (c.mass_cap, c.split_gain, c.linear_floor)
+        assert rep.strengthened_subadditive is (c.split_gain is not None) is (kind != "linear")
 
 
 def _dense_verdicts(kernel, cap):
@@ -257,9 +270,8 @@ class TestConditionsByKind:
         # Each pair left float range in the constants; each lies outside the
         # envelope, a ConfigError (a ValueError) that names the input.
         for call in (derive_constants, check_conditions):
-            with pytest.raises(ConfigError, match=f"^{name} = .* is outside the magnitude envelope") as info:
+            with pytest.raises(ConfigError, match=f"^{name} = .* is outside the magnitude envelope"):
                 call(JumpKernel(kind, kappa=param, height=param), cap)
-            assert not isinstance(info.value, ConditionError)
 
     def test_tiny_positive_constants_are_kept(self):
         # The least height at the largest cap: split_gain 4 h / M^2 = 2**-298.

@@ -114,6 +114,30 @@ def test_a_fault_while_flow_loads_surfaces_with_its_own_message(tmp_path, call):
     assert done.stderr.rstrip().endswith("RuntimeError: flow fault")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "CHANGES.md FOUND line 214: the LazyLoader leaves a flow that raised half-run in sys.modules, so a "
+        "second access runs on it with no sign of the fault; ROADMAP item 22's import_module route closes it"
+    ),
+)
+def test_a_fault_while_flow_loads_surfaces_on_every_access(tmp_path):
+    root = _package_copy(tmp_path, "flow.py", lambda text: text + '\nraise RuntimeError("flow fault")\n')
+    code = """
+import kwcseg
+faults = []
+for _ in range(2):
+    try:
+        kwcseg.generate_signal("linear", n=11)
+    except Exception as err:
+        faults.append(repr(err))
+    else:
+        faults.append(None)
+print(faults)
+"""
+    assert _run(code, root).stdout.strip() == str(["RuntimeError('flow fault')"] * 2)
+
+
 def test_public_names_resolve():
     assert [name for name in kwcseg.__all__ if not hasattr(kwcseg, name)] == []
 
