@@ -30,7 +30,6 @@ from .errors import ConfigError, DivergenceError, InvariantViolation
 from .exact import (
     BoundReport,
     CriticalLambda,
-    EqualJumpVerdict,
     VerdictReport,
     critical_lambda,
     equal_jump_verdict,
@@ -118,7 +117,6 @@ __all__ = [
     "CriticalLambda",
     "DivergenceError",
     "EnergyBreakdown",
-    "EqualJumpVerdict",
     "ExperimentSpec",
     "FlowParams",
     "FlowResult",

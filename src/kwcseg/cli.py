@@ -18,7 +18,7 @@ from . import oracle as oracle_mod
 from .errors import ConfigError, DivergenceError, InvariantViolation
 from .errors import check_count, check_keys, check_real
 from .exact import critical_lambda, equal_jump_verdict, jump_bounds, uniform_step_energy
-from .kernel import VALID_KINDS, JumpKernel, check_conditions, derive_constants
+from .kernel import VALID_KINDS, JumpKernel, check_conditions
 from .pwc import GridSignal, LinearData, PiecewiseConstant, SineData
 
 
@@ -92,9 +92,8 @@ def signal_from_config(cfg: dict, name: str, n_default: int) -> GridSignal:
 
 
 def _cmd_check_kernel(args) -> dict:
-    kernel = _kernel_from_args(args)
-    report = check_conditions(kernel, args.M)
-    return {"report": report.to_json_dict(), "constants": asdict(derive_constants(kernel, args.M))}
+    report = check_conditions(_kernel_from_args(args), args.M)
+    return {"report": report.to_json_dict(), "constants": asdict(report.constants)}
 
 
 def _cmd_exact_bounds(args) -> dict:

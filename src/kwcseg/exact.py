@@ -14,7 +14,7 @@ above 0, far from both ends of the float range.
 
 import math
 from dataclasses import asdict, dataclass
-from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def uniform_step_energy(L: float, m: int, lam: float, kernel: JumpKernel | None 
 class CriticalLambda:
     length: float
     lam: float
-    tied_jump_counts: tuple = (1, 2)
+    tied_jump_counts: ClassVar[tuple] = (1, 2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,22 +213,18 @@ def jump_bounds(
     )
 
 
-class EqualJumpVerdict(Enum):
-    FORCED = "equal_jumps_forced"
-    INCONCLUSIVE = "inconclusive"
-
-
 @dataclass(frozen=True)
 class VerdictReport:
-    verdict: EqualJumpVerdict
+    """The sign pattern of E' on (0, c]; equal jumps are forced unless it is empty."""
+
     sign_pattern: str
 
     @property
     def forced(self) -> bool:
-        return self.verdict is EqualJumpVerdict.FORCED
+        return bool(self.sign_pattern)
 
     def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict.value, "sign_pattern": self.sign_pattern}
+        return {"verdict": "equal_jumps_forced" if self.forced else "inconclusive", "sign_pattern": self.sign_pattern}
 
 
 def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float) -> VerdictReport:
@@ -257,7 +253,4 @@ def equal_jump_verdict(kernel: JumpKernel, c: float, lam: float) -> VerdictRepor
         pattern = "+" if half >= phi_c else "+-"
     else:
         pattern = "-" if phi_c > 0 else ""
-    return VerdictReport(
-        verdict=EqualJumpVerdict.FORCED if pattern else EqualJumpVerdict.INCONCLUSIVE,
-        sign_pattern=pattern,
-    )
+    return VerdictReport(pattern)

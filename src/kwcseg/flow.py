@@ -44,6 +44,7 @@ energy of the run's ``sharp_twin``, should use grids with h well below eps.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,7 +77,8 @@ class FlowParams:
     t_max: float = 100.0
     bc_u: str = "neumann"
     pre_relax: bool = False
-    output_stride: int = 10
+    # trace.csv keeps every output_stride-th step and the last.
+    output_stride: ClassVar[int] = 10
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -86,7 +88,6 @@ class FlowParams:
         if not isinstance(self.pre_relax, bool):
             raise ConfigError(f"pre_relax must be true or false, got {self.pre_relax!r}")
         check_count("n", self.n, least=2, most=MAX_NODES)
-        check_count("output_stride", self.output_stride, least=1)
         for name in ("lam", "sigma"):
             check_real(name, getattr(self, name), least=0)
         for name in ("dt", "epsilon", "t_max"):
@@ -128,18 +129,18 @@ def _edge_weights(v: np.ndarray | None, params: FlowParams) -> np.ndarray:
     return params.sigma * 0.5 * (square[:-1] + square[1:])
 
 
-def flow_energy(model: str, u: np.ndarray, v: np.ndarray | None, g: np.ndarray, h: float, params: FlowParams) -> float:
-    return _energy(model, u, u[1:] - u[:-1], v, None if v is None else _edge_weights(v, params), g, h, params)
+def flow_energy(u: np.ndarray, v: np.ndarray | None, g: np.ndarray, h: float, params: FlowParams) -> float:
+    return _energy(u, u[1:] - u[:-1], v, None if v is None else _edge_weights(v, params), g, h, params)
 
 
-def _energy(model, u, du, v, w, g, h, params) -> float:
+def _energy(u, du, v, w, g, h, params) -> float:
     """``flow_energy`` given du = diff(u) and the edge weights w of v."""
     fid = 0.5 * params.lam * h * float(np.square(u - g).sum())
-    if model == "rof":
+    if params.model == "rof":
         return params.sigma * float(np.abs(du).sum()) + fid
     eps = params.epsilon
     well = 0.5 * eps * float(np.square(v[1:] - v[:-1]).sum()) / h + 0.5 * h / eps * float(np.square(v - 1.0).sum())
-    if model == "kwc":
+    if params.model == "kwc":
         return float((w * np.abs(du)).sum()) + well + fid
     return float((w * du * du).sum()) / h + well + fid
 
@@ -425,7 +426,7 @@ def _step(u: np.ndarray, v: np.ndarray | None, g: GridSignal, params: FlowParams
     u1, gap, du1 = (_quadratic_half_step if model == "at" else _prox_half_step)(u, g, w, params)
     v1 = None if model == "rof" else _damage_solve(du1, h, params, v)
     w1 = w if v1 is None else _edge_weights(v1, params)
-    return u1, v1, w1, _energy(model, u1, du1, v1, w1, g.samples, h, params), gap
+    return u1, v1, w1, _energy(u1, du1, v1, w1, g.samples, h, params), gap
 
 
 def _flow_state(g: GridSignal, t: float, u: np.ndarray, v: np.ndarray | None, energy: float, gap) -> FlowState:
@@ -507,7 +508,7 @@ def run(g: GridSignal, u0: GridSignal, params: FlowParams) -> FlowResult:
         if params.pre_relax:  # steady_damage_profile's solve, on inputs already checked
             v = _damage_solve(np.diff(u), h, params)
     w = _edge_weights(v, params)
-    t, energy, gap = 0.0, _energy(model, u, np.diff(u), v, w, g.samples, h, params), None
+    t, energy, gap = 0.0, _energy(u, np.diff(u), v, w, g.samples, h, params), None
 
     trace = [(0.0, energy, math.nan, math.nan)]
     steady = False

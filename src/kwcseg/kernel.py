@@ -155,49 +155,39 @@ def derive_constants(kernel: JumpKernel, mass_cap: float) -> KernelConstants:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Verdicts for the structural conditions of a kernel, with its constants."""
-
-    kernel: JumpKernel
-    mass_cap: float
-    monotone: bool
-    strengthened_subadditive: bool
-    unit_slope_at_zero: bool
-    linear_floor_positive: bool
-    subadditive: bool
-    split_gain: float | None
-    linear_floor: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_config(),
-            "mass_cap": self.mass_cap,
-            "monotone": self.monotone,
-            "strengthened_subadditive": self.strengthened_subadditive,
-            "unit_slope_at_zero": self.unit_slope_at_zero,
-            "linear_floor_positive": self.linear_floor_positive,
-            "subadditive": self.subadditive,
-            "split_gain": self.split_gain,
-            "linear_floor": self.linear_floor,
-        }
-
-
-def check_conditions(kernel: JumpKernel, mass_cap: float) -> ConditionReport:
-    """The structural conditions on [0, mass_cap], each decided by the kind.
+    """Verdicts for the structural conditions of a kernel, read from its constants.
 
     Every kind is monotone and subadditive with a positive linear floor:
     the split ratio and K(rho)/rho are >= 0 and > 0 in closed form (see
     derive_constants).  Only the linear kernel lacks the strengthened gain,
     and only the Potts kernel lacks unit slope at zero.
     """
-    constants = derive_constants(kernel, mass_cap)
-    return ConditionReport(
-        kernel=kernel,
-        mass_cap=constants.mass_cap,
-        monotone=True,
-        strengthened_subadditive=constants.split_gain is not None,
-        unit_slope_at_zero=kernel.unit_slope_at_zero,
-        linear_floor_positive=True,
-        subadditive=True,
-        split_gain=constants.split_gain,
-        linear_floor=constants.linear_floor,
-    )
+
+    kernel: JumpKernel
+    constants: KernelConstants
+
+    @property
+    def strengthened_subadditive(self) -> bool:
+        return self.constants.split_gain is not None
+
+    @property
+    def unit_slope_at_zero(self) -> bool:
+        return self.kernel.unit_slope_at_zero
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kernel": self.kernel.to_config(),
+            "mass_cap": self.constants.mass_cap,
+            "monotone": True,
+            "strengthened_subadditive": self.strengthened_subadditive,
+            "unit_slope_at_zero": self.unit_slope_at_zero,
+            "linear_floor_positive": True,
+            "subadditive": True,
+            "split_gain": self.constants.split_gain,
+            "linear_floor": self.constants.linear_floor,
+        }
+
+
+def check_conditions(kernel: JumpKernel, mass_cap: float) -> ConditionReport:
+    """The structural conditions on [0, mass_cap], each decided by the kind."""
+    return ConditionReport(kernel, derive_constants(kernel, mass_cap))

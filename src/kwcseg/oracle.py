@@ -181,8 +181,11 @@ class OracleProblem:
 class OracleResult:
     minimizer: PiecewiseConstant
     energy: EnergyBreakdown
-    jump_count: int
     ties: tuple = ()
+
+    @property
+    def jump_count(self) -> int:
+        return self.minimizer.jump_count
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,11 +279,7 @@ def _result_from_sequence(problem: OracleProblem, tab: _Tableau, seq: np.ndarray
     u = PiecewiseConstant(tuple(problem.data.domain), bps, tuple(vals[[0, *list(change + 1)]]))
     fid = float(_cost(tab.lam, *tab.moments, vals).sum())
     tvk = float(np.sum(problem.kernel.eval(np.abs(np.diff(vals))))) if seq.size > 1 else 0.0
-    return OracleResult(
-        minimizer=u,
-        energy=EnergyBreakdown.of(tvk, fid),
-        jump_count=len(bps),
-    )
+    return OracleResult(minimizer=u, energy=EnergyBreakdown(tvk, fid))
 
 
 def _relax(src: np.ndarray, kmat: np.ndarray, trans: np.ndarray, offs: np.ndarray) -> tuple:

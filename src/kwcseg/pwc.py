@@ -357,11 +357,10 @@ def _require_same_domain(u, data) -> None:
 class EnergyBreakdown:
     tv_k: float
     fidelity: float
-    total: float
 
-    @classmethod
-    def of(cls, tv_k: float, fidelity: float) -> "EnergyBreakdown":
-        return cls(tv_k=tv_k, fidelity=fidelity, total=tv_k + fidelity)
+    @property
+    def total(self) -> float:
+        return self.tv_k + self.fidelity
 
     def to_json_dict(self) -> dict:
         return {"tv_k": self.tv_k, "fidelity": self.fidelity, "total": self.total}
@@ -391,4 +390,4 @@ def fidelity(u: PiecewiseConstant, data, lam: float) -> float:
 
 
 def energy(u: PiecewiseConstant, data, kernel: JumpKernel, lam: float) -> EnergyBreakdown:
-    return EnergyBreakdown.of(tv_kernel(u, kernel), fidelity(u, data, lam))
+    return EnergyBreakdown(tv_kernel(u, kernel), fidelity(u, data, lam))

@@ -188,7 +188,7 @@ def test_criterion_05_equal_jumps(acceptance):
     for c in (0.5, 1.0, 2.0):
         for lam in (1.0, 16 / 3, 50.0):
             rep = equal_jump_verdict(K1, c, lam)
-            verdicts_ok = verdicts_ok and rep.verdict.value == "equal_jumps_forced"
+            verdicts_ok = verdicts_ok and rep.to_json_dict()["verdict"] == "equal_jumps_forced"
     ok = verdicts_ok and worst_spread <= level_step + 1e-12
     acceptance.record(
         5,

@@ -569,6 +569,13 @@ class TestFlowRun:
         assert code == 2 and out == ""
         assert err.startswith("config error: unknown flow params keys") and "steady_tol" in err
 
+    def test_output_stride_is_an_unknown_key(self, capsys, tmp_path):
+        # trace.csv keeps every 10th step by a fixed rule: the old default is refused too.
+        cfg = self.write_config(tmp_path, output_stride=10)
+        code, out, err = run_cli(capsys, "flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err == "config error: unknown flow params keys: ['output_stride']\n"
+
     @pytest.mark.parametrize("model", ["rof", "at", "kwc"])
     def test_sigma_out_of_range_for_the_step_exits_2(self, capsys, tmp_path, model):
         path = tmp_path / "flow.json"

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwcseg.exact import (
-    EqualJumpVerdict,
+    VerdictReport,
     critical_lambda,
     equal_jump_verdict,
     jump_bounds,
@@ -376,25 +376,46 @@ class TestOptimalJumpLocation:
         loc = optimal_jump_location(data, width / 3, width)
         assert loc == pytest.approx(2 * width / 3, rel=1e-11, abs=0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "CHANGES.md FOUND line 218: only a GridSignal is checked for monotone data on [alpha, beta]; "
+            "analytic data that rise and fall get a location (0.38889 for the wave on [0, 0.5])"
+        ),
+    )
+    def test_analytic_data_that_is_not_monotone_is_rejected(self):
+        # Samples of either raise "sampled data is not monotone".
+        wave, steps = SineData((0.0, 1.0)), PiecewiseConstant((0.0, 1.0), (0.3, 0.6), (0.0, 1.0, 0.2))
+        for data, beta in ((wave, 0.5), (steps, 1.0)):
+            with pytest.raises(ConfigError, match="not monotone"):
+                optimal_jump_location(data, 0.0, beta)
+
 
 class TestEqualJumpVerdict:
     def test_forced_across_parameter_grid(self):
         for c in (0.5, 1.0, 2.0):
             for lam in (1.0, 16 / 3, 50.0):
                 rep = equal_jump_verdict(kwc_kernel(1.0), c, lam)
-                assert rep.verdict is EqualJumpVerdict.FORCED
+                assert rep.forced
                 assert rep.sign_pattern in ("+", "-", "+-")
 
     def test_forced_at_large_weight(self):
         rep = equal_jump_verdict(kwc_kernel(1.0), 1.0, 1000.0)
-        assert rep.verdict is EqualJumpVerdict.FORCED
+        assert rep.forced
         assert rep.sign_pattern == "+"
+
+    def test_the_verdict_is_read_from_the_sign_pattern(self):
+        assert VerdictReport("").forced is False
+        assert VerdictReport("").to_json_dict() == {"verdict": "inconclusive", "sign_pattern": ""}
+        for pattern in ("+", "-", "+-"):
+            assert VerdictReport(pattern).forced is True
+            assert VerdictReport(pattern).to_json_dict()["verdict"] == "equal_jumps_forced"
 
     def test_degenerate_kernel_is_inconclusive(self):
         # A linear cost with no fidelity pressure leaves all splits tied,
         # so no equal-jump conclusion can be drawn.
         rep = equal_jump_verdict(linear_kernel(), 1.0, 0.0)
-        assert rep.verdict is EqualJumpVerdict.INCONCLUSIVE
+        assert not rep.forced
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -427,7 +448,7 @@ class TestEqualJumpVerdict:
             assert equal_jump_verdict(k, 1.0, 16 / 3).sign_pattern == "+"
             rep = equal_jump_verdict(k, 1.0, 0.0)
             assert rep.sign_pattern == ""
-            assert rep.verdict is EqualJumpVerdict.INCONCLUSIVE
+            assert not rep.forced
 
     def test_thresholds_of_the_rational_kernel(self):
         # phi(0) = 4 kappa / (1 + kappa c)^3 and phi(c) = 4 kappa (1 + kappa c) / (1 + 2 kappa c)^2;

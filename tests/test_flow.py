@@ -4,7 +4,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -77,11 +77,15 @@ class TestValidation:
         with pytest.raises(TypeError, match="steady_tol"):
             FlowParams(model="rof", lam=1.0, n=50, steady_tol=value)
 
-    def test_output_stride_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            FlowParams(model="rof", lam=1.0, n=50, output_stride=0)
+    def test_output_stride_is_no_field(self):
+        # trace.csv keeps every 10th step by a fixed rule: the stride reads
+        # 10 and cannot be set, not even to 10.
+        with pytest.raises(TypeError, match="output_stride"):
+            FlowParams(model="rof", lam=1.0, n=50, output_stride=10)
+        assert FlowParams.output_stride == 10
+        assert "output_stride" not in asdict(FlowParams(model="rof", lam=1.0, n=50))
 
-    @pytest.mark.parametrize("name", ["n", "output_stride"])
+    @pytest.mark.parametrize("name", ["n"])
     def test_counts_reject_a_bool(self, name):
         with pytest.raises(ConfigError, match=name):
             FlowParams(**{"model": "rof", "lam": 1.0, "n": 50, name: True})
@@ -501,10 +505,10 @@ class TestDamageModels:
         g = GridSignal((0.0, 1.0), u0.samples + rng.normal(0.0, 0.05, n))
         params = FlowParams(model=model, lam=50.0, n=n, epsilon=0.02, t_max=0.01, pre_relax=True)
         steady = steady_damage_profile(u0, params).samples
-        start = flow_energy(model, u0.samples, steady, g.samples, g.h, params)
+        start = flow_energy(u0.samples, steady, g.samples, g.h, params)
         assert run(g, u0, params).trace[0][1] == start
         cold = run(g, u0, replace(params, pre_relax=False)).trace[0][1]
-        assert cold == flow_energy(model, u0.samples, np.ones(n), g.samples, g.h, params) != start
+        assert cold == flow_energy(u0.samples, np.ones(n), g.samples, g.h, params) != start
 
     def test_rof_step_has_no_damage_field(self):
         rng = np.random.default_rng(56)
@@ -565,7 +569,7 @@ class TestSharpTwin:
             v = steady_damage_profile(g, params).samples
             kernel, _weight, factor = sharp_twin(params)
             sharp = factor * kernel.eval(1.0)
-            return (flow_energy("kwc", g.samples, v, g.samples, g.h, params) - sharp) / sharp
+            return (flow_energy(g.samples, v, g.samples, g.h, params) - sharp) / sharp
 
         errors = [error(2001, eps) for eps in (0.0025, 0.005, 0.01)]
         assert errors[0] < 0.07
@@ -604,11 +608,8 @@ class TestEnergyDescent:
         g = unit_step(n)
         params = FlowParams(model="kwc", lam=30.0, n=n, t_max=0.1)
         res = run(g, g, params)
-        h = 1.0 / (n - 1)
-        e = flow_energy(
-            "kwc", res.state.u.samples, res.state.v.samples, g.samples, h, params
-        )
-        assert e == pytest.approx(res.trace[-1][1], rel=1e-12)
+        e = flow_energy(res.state.u.samples, res.state.v.samples, g.samples, g.h, params)
+        assert e == res.trace[-1][1]
 
 
 def energy_terms(model, u, v, g, h, params):
@@ -653,7 +654,7 @@ class TestEnergyBreakdown:
         u1, v1, _w, energy, _gap = flow_mod._step(u, v, g, params, flow_mod._edge_weights(v, params))
         for u, v in ((u, v), (u1, v1)):
             total = sum(energy_terms(model, u, v, g.samples, g.h, params))
-            assert flow_energy(model, u, v, g.samples, g.h, params) == pytest.approx(total, rel=1e-12, abs=1e-14)
+            assert flow_energy(u, v, g.samples, g.h, params) == pytest.approx(total, rel=1e-12, abs=1e-14)
         assert energy == pytest.approx(total, rel=1e-12, abs=1e-14)
 
 
@@ -743,7 +744,7 @@ class TestArithmeticIsPinned:
         u = rng.normal(0.0, 1.0, n)
         v = None if model == "rof" else rng.uniform(0.0, 1.0, n)
         h = g.h
-        energy = flow_mod.flow_energy(model, u, v, g.samples, h, params)
+        energy = flow_mod.flow_energy(u, v, g.samples, h, params)
         assert energy == reference_energy(model, u, v, g.samples, h, params)
         u1, v1, _w, energy1, _gap = flow_mod._step(u, v, g, params, flow_mod._edge_weights(v, params))
         assert energy1 == reference_energy(model, u1, v1, g.samples, h, params)

@@ -198,7 +198,6 @@ FLOW = config({
         "epsilon": fuzzed(unit(0.01, 0.5)),
         "bc_u": fuzzed(st.sampled_from(["neumann", "dirichlet"])),
         "pre_relax": fuzzed(st.booleans()),
-        "output_stride": fuzzed(st.integers(1, 5)),
     }), optional=False),
     "data": fuzzed(SIGNAL, optional=False),
     "u0": fuzzed(SIGNAL),
@@ -267,7 +266,7 @@ SIGNALS = {
 FLOW_CONFIG = {
     "params": {
         "model": "kwc", "lam": 10.0, "n": 21, "dt": 0.01, "sigma": 1.0, "epsilon": 0.05, "t_max": 0.05,
-        "bc_u": "neumann", "pre_relax": False, "output_stride": 2,
+        "bc_u": "neumann", "pre_relax": False,
     },
     "data": SIGNALS["generator"], "u0": SIGNALS["pwc"], "census_threshold": 0.05,
 }
@@ -292,7 +291,7 @@ CAN_BE_VALID = {
     "generator.seed": {"2_63"},
     "flow.census_threshold": {"2_63"},
     "params.lam": {"2_63"}, "params.sigma": {"2_63"},
-    "params.output_stride": {"2_63"}, "params.pre_relax": {"bool"},
+    "params.pre_relax": {"bool"},
 }
 
 
@@ -359,6 +358,22 @@ def test_one_fault_in_a_valid_config_is_named(workdir, csv_path, command, cfg, p
         # A misspelt key is named as written, any other fault by the field's name.
         key = field + field[-1] if junk is MISSPELT else field
         assert re.search(rf"(?<!\w){re.escape(key)}(?!\w)", err), err
+
+
+# trace.csv keeps every 10th step by a fixed rule, so a flow config that still
+# names output_stride is refused whatever it holds: a stride that once was
+# valid (1, the fixed 10) and each junk value, null too, which a loader could
+# take for "absent".
+@pytest.mark.parametrize(
+    "value",
+    [pytest.param(1, id="one"), pytest.param(10, id="ten"),
+     *(pytest.param(ONE_FAULT[label], id=label) for label in ONE_FAULT if label not in ("missing", "misspelt"))],
+)
+def test_output_stride_in_a_flow_config_is_an_unknown_key(workdir, value):
+    cfg = {**FLOW_CONFIG, "params": {**FLOW_CONFIG["params"], "output_stride": value}}
+    code, err = run_main(workdir, cfg, "flow", "run", "--out", str(workdir / "run"))
+    assert code == 2
+    assert err == "config error: unknown flow params keys: ['output_stride']\n"
 
 
 # Data near the float limits: each exited 2 naming the overflow, but step

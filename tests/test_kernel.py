@@ -211,14 +211,16 @@ class TestClosedFormConstants:
     def test_linear_kernel_has_no_gain(self, cap):
         # The record of every kernel: no split gain and so no bound rate.
         assert derive_constants(linear_kernel(), cap) == KernelConstants(cap, None, 1.0, None)
-        assert check_conditions(linear_kernel(), cap).split_gain is None
+        assert check_conditions(linear_kernel(), cap).constants.split_gain is None
 
     @settings(max_examples=100)
     @given(st.sampled_from(VALID_KINDS), ENVELOPE, ENVELOPE)
     def test_the_report_carries_the_constants_bit_for_bit(self, kind, param, cap):
         kernel = JumpKernel(kind, kappa=param, height=param)
         c, rep = derive_constants(kernel, cap), check_conditions(kernel, cap)
-        assert (rep.mass_cap, rep.split_gain, rep.linear_floor) == (c.mass_cap, c.split_gain, c.linear_floor)
+        assert rep.constants == c
+        out = rep.to_json_dict()
+        assert (out["mass_cap"], out["split_gain"], out["linear_floor"]) == (c.mass_cap, c.split_gain, c.linear_floor)
         assert rep.strengthened_subadditive is (c.split_gain is not None) is (kind != "linear")
 
 
@@ -249,8 +251,10 @@ class TestConditionsByKind:
     def test_kind_verdicts_match_the_dense_checks(self, kind, param, cap):
         kernel = JumpKernel(kind, kappa=param, height=param)
         rep = check_conditions(kernel, cap)
+        out = rep.to_json_dict()
         for name, verdict in _dense_verdicts(kernel, cap).items():
-            assert getattr(rep, name) is verdict, name
+            assert out[name] is verdict, name
+        assert rep.strengthened_subadditive is out["strengthened_subadditive"]
         assert rep.unit_slope_at_zero is (kind != "potts")
 
     @pytest.mark.parametrize(
@@ -277,7 +281,8 @@ class TestConditionsByKind:
         # The least height at the largest cap: split_gain 4 h / M^2 = 2**-298.
         c = derive_constants(potts_kernel(2.0**-100), 2.0**100)
         assert c.split_gain == 2.0**-298 and 0 < c.bound_rate
-        assert check_conditions(potts_kernel(2.0**-100), 2.0**100).linear_floor_positive
+        rep = check_conditions(potts_kernel(2.0**-100), 2.0**100)
+        assert rep.constants.linear_floor > 0 and rep.to_json_dict()["linear_floor_positive"]
         with pytest.raises(ConfigError, match=re.escape("height = 1e-300 is outside the magnitude envelope")):
             potts_kernel(1e-300)
 
@@ -313,9 +318,9 @@ class TestStrengthenedSubadditivity:
 
     def test_linear_kernel_lacks_gain(self):
         rep = check_conditions(linear_kernel(), 2.0)
-        assert rep.subadditive is True
+        assert rep.to_json_dict()["subadditive"] is True
         assert rep.strengthened_subadditive is False
-        assert rep.split_gain is None
+        assert rep.constants.split_gain is None
         assert rep.unit_slope_at_zero is True
 
     def test_potts_kernel_lacks_unit_slope(self):
@@ -337,12 +342,12 @@ class TestStrengthenedSubadditivity:
         assert potts_kernel(1e-9).unit_slope_at_zero is False
 
     def test_kwc_kernel_passes_all_conditions(self):
-        rep = check_conditions(kwc_kernel(1.0), 2.0)
-        assert rep.monotone
-        assert rep.subadditive
-        assert rep.strengthened_subadditive
-        assert rep.unit_slope_at_zero
-        assert rep.linear_floor_positive
+        out = check_conditions(kwc_kernel(1.0), 2.0).to_json_dict()
+        assert out["monotone"]
+        assert out["subadditive"]
+        assert out["strengthened_subadditive"]
+        assert out["unit_slope_at_zero"]
+        assert out["linear_floor_positive"]
 
 
 class TestSplitCost:

@@ -1680,6 +1680,8 @@ class TestEnergyBreakdown:
             except ConfigError:  # no sequence with m jumps meets the pins
                 pass
         for res in results:
+            # One jump at each level change of the minimizer, and no other.
+            assert res.jump_count == res.minimizer.jump_count == np.count_nonzero(np.diff(res.minimizer.values))
             parts = res.energy
             assert parts.tv_k + parts.fidelity == parts.total
             expected = energy(res.minimizer, problem.data, problem.kernel, problem.lam)

@@ -17,6 +17,7 @@ from kwcseg.experiments import write_csv
 from kwcseg.kernel import kwc_kernel, linear_kernel
 from kwcseg.oracle import OracleProblem, _build_tableau, signal_problem, solve
 from kwcseg.pwc import (
+    EnergyBreakdown,
     GridSignal,
     LinearData,
     PiecewiseConstant,
@@ -350,6 +351,14 @@ class TestFidelity:
         assert e.fidelity == pytest.approx(2.0 / 9.0)
         assert e.total == pytest.approx(e.tv_k + e.fidelity, abs=1e-15)
         assert e.total == pytest.approx(13.0 / 18.0, rel=1e-13)
+
+    @settings(max_examples=100)
+    @given(st.floats(0.0, 2.0**100), st.floats(0.0, 2.0**100))
+    def test_the_total_is_the_sum_of_the_two_terms(self, tv_k, fid):
+        # The record holds the two terms only; the total is read from them.
+        assert EnergyBreakdown(tv_k, fid).total == tv_k + fid
+        with pytest.raises(TypeError):
+            EnergyBreakdown(tv_k, fid, tv_k + fid)
 
     @pytest.mark.parametrize(
         "build, name",
